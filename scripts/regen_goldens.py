@@ -1,15 +1,20 @@
 #!/usr/bin/env python
 """Regenerate (or verify) every golden file in the test suite.
 
-Two goldens exist today:
+Three goldens exist today:
 
 * ``tests/core/golden_determinism.json`` — simulated latencies and cost
   breakdowns of the determinism workload (exact float equality);
 * ``tests/chaos/golden_chaos.json`` — the chaos chronicle, gap ledger and
-  result/state fingerprints of the hand-written multi-fault plan.
+  result/state fingerprints of the hand-written multi-fault plan;
+* ``tests/store/golden_kernels.json`` — rows, meters, breakdowns,
+  traversal counters and state digests of the kernel battery
+  (``tests/store/kernel_cases.py``).  While the row kernels exist, the
+  generator runs every case on both kernel families and refuses to write
+  unless they agree.
 
-``--check`` recomputes both without writing and exits 1 on any drift —
-run_checks.sh uses it to catch semantics changes that were not
+``--check`` recomputes all of them without writing and exits 1 on any
+drift — run_checks.sh uses it to catch semantics changes that were not
 accompanied by a deliberate golden regeneration.
 """
 
@@ -28,10 +33,22 @@ def _goldens():
                                       build_engine, golden_plan)
     from core.determinism_workload import GOLDEN_PATH, run_workload
     from repro.chaos import chaos_run_facts
+    from store.kernel_cases import GOLDEN_KERNELS_PATH, compute_facts
+
+    def kernels():
+        batch = compute_facts(use_batch=True)
+        row = compute_facts(use_batch=False)
+        differing = sorted(case_id for case_id in set(batch) | set(row)
+                           if batch.get(case_id) != row.get(case_id))
+        if differing:
+            raise SystemExit(f"[kernels] batch and row kernels disagree on "
+                             f"{len(differing)} cases: {differing[:5]}")
+        return batch
 
     yield ("determinism", GOLDEN_PATH, run_workload)
     yield ("chaos", GOLDEN_CHAOS_PATH,
            lambda: chaos_run_facts(build_engine, golden_plan(), TICKS))
+    yield ("kernels", GOLDEN_KERNELS_PATH, kernels)
 
 
 def main() -> int:

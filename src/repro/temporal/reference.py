@@ -1,10 +1,14 @@
-"""Brute-force reference evaluator for SPARQL-T correctness tests.
+"""Brute-force reference evaluator: the engine-independent row oracle.
 
 Dumps the persistent store's full recorded history — every out-edge
 with its insertion snapshot, decoded back to strings — and evaluates
-temporal queries over it by exhaustive conjunctive join.  Deliberately
-simple (no planner, no indexes, no charges): every differential test
-compares the engine's answers against this oracle.
+one-shot queries over it by exhaustive join: basic graph patterns,
+FILTERs, UNION, OPTIONAL, ``FROM SNAPSHOT`` and quintuple/interval
+queries.  Deliberately simple (no planner, no store access, no
+charges, its own statement of the interval relations): it shares only
+the AST and ``term_number`` with the engine, so a kernel bug cannot
+hide in both.  Every frozen kernel case and the stateful model test
+compare the engine's rows against this oracle.
 
 Both sides read the *same* store, so compaction's SN coarsening (the GC
 frontier relabelling old insertion SNs to the base snapshot) affects
@@ -19,11 +23,23 @@ from typing import Dict, List, Optional, Tuple
 from repro.rdf.ids import DIR_OUT, split_key
 from repro.sparql.ast import OPEN_END, Query, is_variable
 from repro.sparql.evaluate import term_number
-from repro.temporal.evaluate import interval_op_holds
 
 #: One recorded fact: ``(subject, predicate, object, insertion_sn)``,
 #: all names decoded.
 Fact = Tuple[str, str, str, int]
+
+
+#: The five half-open interval relations ``[s1, e1) op [s2, e2)``, stated
+#: here rather than imported from the engine under test.  ``OVERLAPS``
+#: is the strict-inequality form, so a zero-width ``[x, x)`` operand
+#: (only reachable by variable aliasing) acts as the point ``x``.
+INTERVAL_RELATIONS = {
+    "OVERLAPS": lambda s1, e1, s2, e2: s1 < e2 and s2 < e1,
+    "DURING": lambda s1, e1, s2, e2: s2 <= s1 and e1 <= e2,
+    "BEFORE": lambda s1, e1, s2, e2: e1 <= s2,
+    "AFTER": lambda s1, e1, s2, e2: e2 <= s1,
+    "STARTS": lambda s1, e1, s2, e2: s1 == s2,
+}
 
 
 def dump_history(store) -> List[Fact]:
@@ -42,6 +58,35 @@ def dump_history(store) -> List[Fact]:
                 facts.append((subject, predicate,
                               strings.entity_name(object_vid), sn))
     return facts
+
+
+class _Facts:
+    """The visible facts, grouped by what a pattern can already fix."""
+
+    def __init__(self, history: List[Fact], snapshot: int):
+        self.by_predicate: Dict[str, List[Fact]] = {}
+        self.by_subject: Dict[Tuple[str, str], List[Fact]] = {}
+        self.by_object: Dict[Tuple[str, str], List[Fact]] = {}
+        for fact in history:
+            subject, predicate, obj, sn = fact
+            if sn > snapshot:
+                continue
+            self.by_predicate.setdefault(predicate, []).append(fact)
+            self.by_subject.setdefault((predicate, subject), []).append(fact)
+            self.by_object.setdefault((predicate, obj), []).append(fact)
+
+    def candidates(self, pattern, row: Dict[str, object]) -> List[Fact]:
+        """Facts that can match ``pattern`` under ``row`` (a superset:
+        :func:`_match` still checks every term)."""
+        subject = row.get(pattern.subject, None) \
+            if is_variable(pattern.subject) else pattern.subject
+        if subject is not None:
+            return self.by_subject.get((pattern.predicate, subject), [])
+        obj = row.get(pattern.object, None) \
+            if is_variable(pattern.object) else pattern.object
+        if obj is not None:
+            return self.by_object.get((pattern.predicate, obj), [])
+        return self.by_predicate.get(pattern.predicate, [])
 
 
 def _match(pattern, fact: Fact, row: Dict[str, object]
@@ -71,12 +116,28 @@ def _match(pattern, fact: Fact, row: Dict[str, object]
     return new
 
 
+def _extend(rows: List[Dict[str, object]], patterns,
+            facts: _Facts) -> List[Dict[str, object]]:
+    """Join ``rows`` with every pattern of a group, in written order."""
+    for pattern in patterns:
+        rows = [new for row in rows
+                for fact in facts.candidates(pattern, row)
+                for new in (_match(pattern, fact, row),) if new is not None]
+        if not rows:
+            break
+    return rows
+
+
 def _endpoint(term: str, row: Dict[str, object]) -> int:
     return row[term] if is_variable(term) else int(term)  # type: ignore
 
 
 def _filter_ok(expr, row: Dict[str, object]) -> bool:
-    """Ordinary FILTER semantics over name/int bindings."""
+    """Ordinary FILTER semantics over name/int bindings; a variable an
+    unmatched OPTIONAL left unbound eliminates the row."""
+    if any(var not in row for var in expr.variables()):
+        return False
+
     def operand(term: str) -> object:
         return row[term] if is_variable(term) else term
 
@@ -101,30 +162,34 @@ def reference_rows(query: Query, history: List[Fact],
                    snapshot: int) -> List[Tuple[object, ...]]:
     """Evaluate ``query`` over ``history`` at ``snapshot``, brute force.
 
-    Returns distinct projected rows (graph variables as decoded names,
-    interval variables as ints), in no particular order — compare as
-    sets against the engine's decoded output.
+    Mandatory patterns join first; each UNION then concatenates its
+    branches' extensions of the current rows; each OPTIONAL group
+    left-outer-joins (rows it cannot extend survive, its variables
+    unbound); FILTERs run last.  Returns distinct projected rows (graph
+    variables as decoded names, interval variables as ints, unbound
+    variables as None), in no particular order — compare as sets
+    against :func:`decode_result` of the engine's output.
     """
-    visible = [fact for fact in history if fact[3] <= snapshot]
-    rows: List[Dict[str, object]] = [{}]
-    for pattern in query.patterns:
-        rows = [new for row in rows for fact in visible
-                for new in (_match(pattern, fact, row),) if new is not None]
-        if not rows:
-            break
+    facts = _Facts(history, snapshot)
+    rows = _extend([{}], query.patterns, facts)
+    for union in query.unions:
+        rows = [new for branch in union
+                for new in _extend(rows, branch, facts)]
+    for group in query.optionals:
+        rows = [new for row in rows
+                for new in (_extend([row], group, facts) or [row])]
     rows = [row for row in rows
             if all(_filter_ok(f, row) for f in query.filters)
-            and all(interval_op_holds(f.op,
-                                      _endpoint(f.left_ts, row),
-                                      _endpoint(f.left_te, row),
-                                      _endpoint(f.right_ts, row),
-                                      _endpoint(f.right_te, row))
+            and all(INTERVAL_RELATIONS[f.op](_endpoint(f.left_ts, row),
+                                             _endpoint(f.left_te, row),
+                                             _endpoint(f.right_ts, row),
+                                             _endpoint(f.right_te, row))
                     for f in query.interval_filters)]
     out_vars = query.projected()
     seen = set()
     out: List[Tuple[object, ...]] = []
     for row in rows:
-        projected = tuple(row[v] for v in out_vars)
+        projected = tuple(row.get(v) for v in out_vars)
         if projected not in seen:
             seen.add(projected)
             out.append(projected)
@@ -138,11 +203,13 @@ def reference_rows(query: Query, history: List[Fact],
 
 def decode_result(result, strings, interval_vars) -> List[Tuple[object, ...]]:
     """Decode an engine :class:`ExecutionResult` into reference space:
-    graph-variable vids to names, interval variables kept as ints."""
+    graph-variable vids to names (the engine's ``-1`` for a variable an
+    OPTIONAL left unbound becomes None), interval variables kept as
+    ints."""
     decoded: List[Tuple[object, ...]] = []
     for row in result.rows:
         decoded.append(tuple(
             value if variable in interval_vars
-            else strings.entity_name(value)
+            else None if value < 0 else strings.entity_name(value)
             for variable, value in zip(result.variables, row)))
     return decoded
