@@ -20,11 +20,9 @@ on a fixed LSBench workload and records the medians in
 
 ``distributed``
     The S-query plans executed in the distributed modes (fork-join and
-    migrate) on a two-node cluster through the columnar batch kernels;
-    the row-kernel timing of the same executions is recorded as a
-    ``row_path`` control run, and the scenario's ``speedup_vs_seed``
-    entry is the batch-vs-row ratio (the row kernels *are* the seed
-    behaviour for this scenario — no seed baseline file predates it).
+    migrate) on a two-node cluster.  The seed-file entry is the wall
+    time of the row-at-a-time kernels on the same executions, frozen at
+    the last commit that carried them.
 
 ``serving``
     The concurrent-query serving layer: 1024 continuous subscriptions
@@ -188,15 +186,13 @@ def run_oneshot_phased(duration_ms: int):
     return elapsed, phases
 
 
-def run_distributed(duration_ms: int, rounds: int = 5):
-    """The S-query plans in the *distributed* modes, batch vs row kernels.
+def run_distributed(duration_ms: int, rounds: int = 5) -> float:
+    """The S-query plans in the *distributed* modes.
 
     Two nodes force real fork-join (index starts) and migrate (constant
-    starts) executions; both kernel families charge bit-identical
-    simulated time, so the only thing this scenario measures is how fast
-    the Python gets through them.  The primary timing is the columnar
-    batch path; the row-kernel timing rides along as a control run
-    (``row_path``) so the report carries the batch-vs-row speedup.
+    starts) executions; simulated charges are pinned by the goldens, so
+    the only thing this scenario measures is how fast the Python gets
+    through them.
     """
     from repro.sim.cost import LatencyMeter
     from repro.sparql.parser import parse_query
@@ -218,23 +214,17 @@ def run_distributed(duration_ms: int, rounds: int = 5):
                                   max_sn=sn)
         return lambda pattern: access
 
-    def execute_all(explorer):
-        for _ in range(rounds):
+    explorer = GraphExplorer(engine.cluster, engine.store.strings)
+
+    def execute_all(times):
+        for _ in range(times):
             for plan, mode in zip(plans, modes):
                 explorer.execute(plan, factory, LatencyMeter(), mode=mode)
 
-    batch = GraphExplorer(engine.cluster, engine.store.strings,
-                          use_batch=True)
-    rows = GraphExplorer(engine.cluster, engine.store.strings,
-                         use_batch=False)
-    for plan, mode in zip(plans, modes):
-        # Warm the adjacency-segment caches once so neither kernel
-        # family pays the cold ``lookup`` misses (whichever ran first
-        # would otherwise absorb them all, skewing the comparison).
-        batch.execute(plan, factory, LatencyMeter(), mode=mode)
-    batch_elapsed = _timed(lambda: execute_all(batch))
-    row_elapsed = _timed(lambda: execute_all(rows))
-    return batch_elapsed, None, {"row_path": row_elapsed}
+    # Warm the adjacency-segment caches once so the timed rounds do not
+    # pay the cold ``lookup`` misses.
+    execute_all(1)
+    return _timed(lambda: execute_all(rounds))
 
 
 #: Serving-scenario shape: enough subscriptions to exercise the paper's
@@ -436,28 +426,23 @@ def run_adaptive(duration_ms: int):
 
 
 def run_temporal(duration_ms: int, rounds: int = 8):
-    """SPARQL-T temporal queries (DESIGN.md §8), self-baselined.
+    """SPARQL-T temporal queries (DESIGN.md §8).
 
     The primary timing is a deep-history *interval* workload — T2/T3
     range selections over the full retained ``?ts`` history (numeric
     FILTERs and a constant-interval ``OVERLAPS``) plus T4 two-hop
-    quintuple joins from several start users — on the columnar batch
-    kernels (:mod:`repro.temporal.kernels`).  The row evaluator rides
-    along as the ``row_path`` control (``use_batch=False``; bit-identical
-    rows and simulated charges, asserted per query under ``simulated``),
-    so ``speedup_vs_seed`` is the batch-vs-row ratio: the row evaluator
-    *is* the seed behaviour — the interval family ran row-based before
-    the batch kernels landed.  Scalarization is disabled so the full
-    version history stays readable; both timed sets run with warm
-    parse and compiled-plan caches (the shared plan makes a cache hit
-    identical work for either kernel).
+    quintuple joins from several start users — on the columnar interval
+    kernels (:mod:`repro.temporal.kernels`).  The seed-file entry is
+    the wall time of the row-based interval evaluator on the same
+    workload, frozen at the last commit that carried it (the interval
+    family ran row-based before the kernels landed).  Scalarization is
+    disabled so the full version history stays readable; the timed set
+    runs with warm parse and compiled-plan caches.
 
-    The previous primary — the S1-S6 set as ``FROM SNAPSHOT <latest>``
-    twins vs their plain one-shots — is retained as the
-    ``snapshot_latest`` / ``oneshot_plain`` control pair: their ~1.0x
-    ratio is the temporal subsystem's overhead figure (snapshot
-    validation + pinning + the counting access), unchanged by this
-    scenario's interval focus.
+    The S1-S6 set as ``FROM SNAPSHOT <latest>`` twins vs their plain
+    one-shots rides along as the ``snapshot_latest`` / ``oneshot_plain``
+    control pair: their ~1.0x ratio is the temporal subsystem's overhead
+    figure (snapshot validation + pinning + the counting access).
     """
     bench = _bench()
     engine = build_wukongs(bench, num_nodes=1, duration_ms=duration_ms,
@@ -484,23 +469,15 @@ def run_temporal(duration_ms: int, rounds: int = 8):
             for text in queries:
                 engine.oneshot(text)
 
-    # Warm both kernel families once (parse cache, compiled interval
-    # plans, adjacency segments) so neither timed set pays cold misses.
-    temporal.use_batch = True
-    run_set(interval, 1)
-    temporal.use_batch = False
+    # Warm once (parse cache, compiled interval plans, adjacency
+    # segments) so the timed set pays no cold misses.
     run_set(interval, 1)
 
     per_round = len(interval)
-    temporal.use_batch = True
-    batch_elapsed = _timed(lambda: run_set(interval, rounds))
-    batch_records = temporal.records[-rounds * per_round:]
-    temporal.use_batch = False
-    row_elapsed = _timed(lambda: run_set(interval, rounds))
-    row_records = temporal.records[-rounds * per_round:]
-    temporal.use_batch = True
+    elapsed = _timed(lambda: run_set(interval, rounds))
+    records = temporal.records[-rounds * per_round:]
 
-    # The retained overhead control: FROM SNAPSHOT <latest> twins vs
+    # The overhead control: FROM SNAPSHOT <latest> twins vs
     # their plain one-shots (bit-identical charges; ~1.0x wall).
     plain = [bench.oneshot_query(name) for name in S_QUERIES]
     snapshot = [text.replace("WHERE", f"FROM SNAPSHOT <{stable}> WHERE", 1)
@@ -513,23 +490,14 @@ def run_temporal(duration_ms: int, rounds: int = 8):
         "stable_sn": stable,
         "interval_workload": {
             "queries": per_round,
-            "executions": len(batch_records),
-            "rows": sum(r.row_count for r in batch_records),
-            "snapshot_reads": sum(r.snapshot_reads
-                                  for r in batch_records),
-            "version_entries": sum(r.version_entries
-                                   for r in batch_records),
-            "max_chain_depth": max((r.max_chain_depth
-                                    for r in batch_records), default=0),
+            "executions": len(records),
+            "rows": sum(r.row_count for r in records),
+            "snapshot_reads": sum(r.snapshot_reads for r in records),
+            "version_entries": sum(r.version_entries for r in records),
+            "max_chain_depth": max((r.max_chain_depth for r in records),
+                                   default=0),
             "simulated_ms_total": round(sum(r.meter.ns
-                                            for r in batch_records) / 1e6,
-                                        3),
-            # Per-query (rows, simulated ns) equality between the timed
-            # batch and row sets — the bench-level echo of the
-            # differential suite's bit-identity proof.
-            "controls_identical": (
-                [(r.row_count, r.meter.ns) for r in batch_records]
-                == [(r.row_count, r.meter.ns) for r in row_records]),
+                                            for r in records) / 1e6, 3),
         },
         "plan_cache": {
             "hits": temporal.plan_cache_hits,
@@ -537,8 +505,7 @@ def run_temporal(duration_ms: int, rounds: int = 8):
             "evictions": temporal.plan_cache_evictions,
         },
     }
-    return batch_elapsed, None, {
-        "row_path": row_elapsed,
+    return elapsed, None, {
         "snapshot_latest": snapshot_elapsed,
         "oneshot_plain": plain_elapsed,
     }, simulated
@@ -556,8 +523,7 @@ SCENARIOS = {
 
 #: Scenarios whose seed behaviour is a same-run control path, not a
 #: baseline file: control name -> the speedup is control / median.
-SELF_BASELINED = {"distributed": "row_path", "serving": "unshared_path",
-                  "adaptive": "pinned_path", "temporal": "row_path"}
+SELF_BASELINED = {"serving": "unshared_path", "adaptive": "pinned_path"}
 
 
 def measure(duration_ms: int, repeats: int) -> dict:
@@ -566,7 +532,8 @@ def measure(duration_ms: int, repeats: int) -> dict:
     Runner protocol: a bare float is the wall seconds of the primary
     configuration; tuple returns extend it positionally with ``phases``
     (disjoint breakdown of the primary timing), ``controls``
-    (same-run reference configurations, e.g. the row kernels), and
+    (same-run reference configurations, e.g. the unshared serving
+    layer), and
     ``simulated`` (deterministic simulated-clock figures — identical
     across repeats, so the last copy is every copy).
     """

@@ -48,15 +48,15 @@ THRESHOLD = 0.6
 #: shorter workload leaves fewer post-swap closes to win back (~2x
 #: typical, with noisy runs to ~1.6x), so its floor is 0.5x committed
 #: (~1.3x) — still clearly above the regressed ~1.0x regime.
-#: The temporal scenario's speedup is the same-run batch-vs-row ratio
-#: on the deep-history interval workload; both sides see the same
-#: machine noise.  Quick mode's shorter run leaves shallower version
-#: chains, which systematically trims the ratio ~20-30% below the
-#: committed full-mode figure (a ~5x full run smokes at ~4x), so the
-#: floor is 0.6x.  The failure it must catch is the columnar interval
-#: kernels silently disabled (``use_batch`` stuck off, the batch store
-#: reads unused) — which collapses the ratio to ~1x, far below 0.6x of
-#: the committed multi-x figure.
+#: The temporal scenario's speedup is measured against the frozen wall
+#: time of the retired row-based interval evaluator on the same
+#: deep-history workload.  Quick mode's shorter run leaves shallower
+#: version chains, which systematically trims the ratio ~20-30% below
+#: the committed full-mode figure (a ~5x full run smokes at ~4x), so the
+#: floor is 0.6x.  The failure it must catch is the interval kernels
+#: falling back to per-row work (the batched store reads unused) — which
+#: collapses the ratio to ~1x, far below 0.6x of the committed multi-x
+#: figure.
 SCENARIO_THRESHOLDS = {"continuous": 0.7, "serving": 0.6,
                        "adaptive": 0.5, "temporal": 0.6}
 

@@ -25,8 +25,7 @@ so the S one-shots are named by execution order (the driver runs them in
 a fixed order after the streaming workload).  After the plain S set the
 driver re-runs each S query as its ``FROM SNAPSHOT <latest>`` temporal
 twin; the temporal table reports the version-chain traversal behind each
-twin (``snapshot_reads``, ``version_entries``, ``max_chain``) and the
-kernel family that served it (``path``: columnar batch vs row) from the
+twin (``snapshot_reads``, ``version_entries``, ``max_chain``) from the
 temporal engine's execution records, and check mode asserts every twin's
 simulated latency is bit-identical to its plain one-shot (DESIGN.md §8).  The window table also
 carries a ``replans`` column (the workload runs with adaptive
@@ -195,7 +194,6 @@ def build_report(engine) -> dict:
             "snapshot_reads": record.snapshot_reads,
             "version_entries": record.version_entries,
             "max_chain": record.max_chain_depth,
-            "path": "batch" if record.batch_path else "row",
         }
         plain_total = oneshot_rows.get(name, {}).get("total", 0.0)
         temporal_matches[name] = record.meter.ns == plain_total
@@ -286,7 +284,7 @@ def main(argv=None) -> int:
                        extra_columns={"replans": report["window_replans"]}))
     print()
     temporal_header = ["query", "total_us", "rows", "snapshot_reads",
-                       "version_entries", "max_chain", "path"]
+                       "version_entries", "max_chain"]
     lines = ["temporal twins (FROM SNAPSHOT <latest>, simulated us)",
              "  ".join(f"{h:>15}" for h in temporal_header)]
     for query in sorted(report["temporal"]):

@@ -2,16 +2,16 @@
 # Tier-1 gate: the full test suite plus a quick wall-clock benchmark.
 #
 # The suite is split so the fast tier stays fast: the serving battery
-# (thousands of concurrent subscriptions; marked `serving`), the
-# chaos suite (fault-injection equivalence; marked `chaos`) and the
-# adaptive re-planning suite (skew-inversion differentials; marked
-# `adaptive`) and the temporal suite (SPARQL-T snapshot/interval
-# differentials; marked `temporal`) are the slowest blocks and run as
-# their own stages,
-# followed by the columnar differential suite (batch vs row window
-# closes must be bit-identical, including under a kill-during-close
-# fault plan; DESIGN.md §4.9) and a drift check of the golden files
-# (scripts/regen_goldens.py --check).  A test marked both serving and
+# (thousands of concurrent subscriptions; marked `serving`), the chaos
+# suite (fault-injection equivalence; marked `chaos`), the adaptive
+# re-planning suite (skew-inversion differentials; marked `adaptive`)
+# and the temporal suite (SPARQL-T snapshot/interval queries; marked
+# `temporal`) are the slowest blocks and run as their own stages.  They
+# are followed by the columnar window-close suite (closes must match
+# their frozen verdicts, including under a kill-during-close fault plan;
+# DESIGN.md §4.9), a drift check of the three golden files
+# (scripts/regen_goldens.py --check) and a gate that the retired
+# row-kernel option has not come back.  A test marked both serving and
 # chaos runs in the chaos stage only.
 #
 # The obs stage exports a Chrome trace from a quick traced LSBench run
@@ -43,16 +43,21 @@ PYTHONPATH=src python -m pytest -x -q -m chaos
 echo "== adaptive re-planning suite (swap differentials + hysteresis) =="
 PYTHONPATH=src python -m pytest -x -q -m adaptive
 
-echo "== temporal suite (SPARQL-T snapshot + interval differentials, batch-vs-row kernels) =="
+echo "== temporal suite (SPARQL-T snapshot + interval queries vs oracle and frozen charges) =="
 PYTHONPATH=src python -m pytest -x -q -m temporal
 
-echo "== columnar differential (batch vs row window closes) =="
+echo "== columnar window closes (frozen verdicts, incl. kill-during-close) =="
 PYTHONPATH=src python -m pytest -x -q \
     tests/core/test_columnar_slice.py \
     tests/chaos/test_columnar_differential.py
 
-echo "== golden drift check =="
+echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
+
+echo "== one execution path (no row-kernel option) =="
+# ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
+if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts \
+        benchmarks/bench_wallclock.py; then exit 1; fi
 
 echo "== obs (trace export + critical-path exactness) =="
 PYTHONPATH=src python scripts/check_trace.py

@@ -115,8 +115,7 @@ class ContinuousEngine:
                  strings: StringServer, registry: StreamIndexRegistry,
                  transients: Dict[str, List[TransientStore]],
                  coordinator: Coordinator, schemas: Dict[str, StreamSchema],
-                 batch_interval_ms: int, stream_start_ms: int = 0,
-                 use_batch: bool = True):
+                 batch_interval_ms: int, stream_start_ms: int = 0):
         self.cluster = cluster
         self.store = store
         self.strings = strings
@@ -126,10 +125,7 @@ class ContinuousEngine:
         self.schemas = schemas
         self.batch_interval_ms = batch_interval_ms
         self.stream_start_ms = stream_start_ms
-        # Columnar step kernels for window executions in every mode
-        # (fork-join/migrate included); wall-clock-only.
-        self.explorer = GraphExplorer(cluster, self.strings,
-                                      use_batch=use_batch)
+        self.explorer = GraphExplorer(cluster, self.strings)
         self.queries: Dict[str, RegisteredQuery] = {}
         self._next_home = 0
         #: ``(normalized AST key, ordering) -> ExecutionPlan``, bounded
@@ -372,29 +368,26 @@ class ContinuousEngine:
         cached = registered.access_cache
         if cached is not None and cached[0] == key:
             return cached[1]
+        # Advance each stream's columnar view to this close's range: the
+        # incremental window delta appends the newly closed batches and
+        # drops the expired prefix, keeping every other cached column.
         views: Dict[str, ColumnarSlice] = {}
-        if self.explorer.use_batch:
-            # Advance each stream's columnar view to this close's range:
-            # the incremental window delta appends the newly closed
-            # batches and drops the expired prefix, keeping every other
-            # cached column.  Row mode (use_batch=False) keeps the pure
-            # per-row span walk as the differential reference.
-            wall = self.wall_stats
-            started = time.perf_counter() if wall is not None else 0.0
-            for stream, (first, last) in ranges.items():
-                view = registered.window_views.get(stream)
-                if view is None:
-                    view = registered.window_views[stream] = ColumnarSlice(
-                        self.registry.index(stream), self.store)
-                view.advance(first, last)
-                views[stream] = view
-            if wall is not None:
-                # Separate key from the access-side "index_read": view
-                # advances run *outside* the explorer's "explore" span,
-                # while the access reads run inside it, and the bench
-                # combines them into one disjoint index-read phase.
-                wall["window_advance"] = wall.get("window_advance", 0.0) \
-                    + (time.perf_counter() - started)
+        wall = self.wall_stats
+        started = time.perf_counter() if wall is not None else 0.0
+        for stream, (first, last) in ranges.items():
+            view = registered.window_views.get(stream)
+            if view is None:
+                view = registered.window_views[stream] = ColumnarSlice(
+                    self.registry.index(stream), self.store)
+            view.advance(first, last)
+            views[stream] = view
+        if wall is not None:
+            # Separate key from the access-side "index_read": view
+            # advances run *outside* the explorer's "explore" span,
+            # while the access reads run inside it, and the bench
+            # combines them into one disjoint index-read phase.
+            wall["window_advance"] = wall.get("window_advance", 0.0) \
+                + (time.perf_counter() - started)
         cache: Dict[int, Callable] = {}
 
         def factory(node_id: int):
@@ -413,7 +406,7 @@ class ContinuousEngine:
                     transients=self.transients[stream], first_batch=first,
                     last_batch=last, home_node=node_id,
                     force_local_index=(node_id != registered.home_node),
-                    columnar=views.get(stream),
+                    columnar=views[stream],
                     wall_stats=self.wall_stats)
             stored_access = PersistentAccess(
                 self.store, home_node=node_id, max_sn=stable_sn)

@@ -72,10 +72,6 @@ class EngineConfig:
     #: entry count, so one hot high-degree vertex cannot evict a page of
     #: cheap segments for free.
     adjacency_cache_weighted: bool = False
-    #: Columnar batch executor kernels (all execution modes); False keeps
-    #: the row-at-a-time kernels.  Wall-clock-only — simulated charges
-    #: are bit-identical either way (tests/store/test_batch_distributed).
-    columnar_batch: bool = True
     #: Adaptive re-planning of registered continuous queries from live
     #: predicate statistics (``repro.core.replan.PlanMonitor``).  Off by
     #: default: a plan swap deliberately changes which simulated work
@@ -170,17 +166,14 @@ class WukongSEngine:
         self.continuous = ContinuousEngine(
             self.cluster, self.store, self.strings, self.registry,
             self.transients, self.coordinator, self.schemas,
-            cfg.batch_interval_ms, cfg.stream_start_ms,
-            use_batch=cfg.columnar_batch)
+            cfg.batch_interval_ms, cfg.stream_start_ms)
         self.oneshot_engine = OneShotEngine(
             self.cluster, self.store, self.coordinator,
-            contention_factor=cfg.oneshot_contention,
-            use_batch=cfg.columnar_batch)
+            contention_factor=cfg.oneshot_contention)
         # Imported at runtime: repro.temporal imports core modules.
         from repro.temporal import TemporalEngine
         self.temporal = TemporalEngine(
-            self.cluster, self.store, self.coordinator, self.oneshot_engine,
-            use_batch=cfg.columnar_batch)
+            self.cluster, self.store, self.coordinator, self.oneshot_engine)
         #: Query text -> parsed AST for repeated one-shot submissions
         #: (bounded; parsing is pure so entries never go stale).
         self._oneshot_parse_cache: Dict[str, Query] = {}

@@ -48,17 +48,12 @@ class OneShotEngine:
 
     def __init__(self, cluster: Cluster, store: DistributedStore,
                  coordinator: Coordinator,
-                 contention_factor: float = 0.05,
-                 use_batch: bool = True):
+                 contention_factor: float = 0.05):
         self.cluster = cluster
         self.store = store
         self.coordinator = coordinator
         self.contention_factor = contention_factor
-        # ``use_batch`` selects the columnar step kernels for every mode
-        # (FILTER-bearing plans included) — wall-clock-only, simulated
-        # charges are bit-identical either way.
-        self.explorer = GraphExplorer(cluster, store.strings,
-                                      use_batch=use_batch)
+        self.explorer = GraphExplorer(cluster, store.strings)
         self._next_home = 0
         self._stats = None  # lazy: avoids a core.stats import cycle
         #: (normalized AST, pattern order) -> planned-and-compiled plan.

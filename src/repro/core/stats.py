@@ -227,11 +227,12 @@ class CacheStats:
     adjacency_misses: int
     adjacency_evictions: int
     adjacency_entries: int
-    #: Executions served by the columnar batch kernels vs the row kernels
-    #: (summed across the continuous and one-shot explorers) — verifies
-    #: which path plans actually took, e.g. that FILTER-bearing one-shots
-    #: stay on the batch path now that filters compile to column ops.
+    #: Executor executions that ran a step phase, summed across the
+    #: continuous and one-shot explorers.
     batch_executions: int = 0
+    #: Always 0: the row-at-a-time kernels are gone.  Kept because the
+    #: repo benchmark's ``executor.executions`` / ``executor.batch_share``
+    #: probes read it; drop it together with those probes.
     row_executions: int = 0
     #: Columnar window-view counters (continuous fast path): column
     #: probes served from a registered query's window view vs rebuilt
@@ -247,12 +248,11 @@ class CacheStats:
     #: Temporal engine counters: compiled interval-plan cache (LRU,
     #: keyed AST + ordering + snapshot, so snapshot sweeps churn it —
     #: evictions are the signal the bound is working) and interval
-    #: executions by kernel (columnar batch vs the row-path control).
+    #: executions.
     temporal_plan_hits: int = 0
     temporal_plan_misses: int = 0
     temporal_plan_evictions: int = 0
     temporal_batch_executions: int = 0
-    temporal_row_executions: int = 0
 
     @staticmethod
     def _rate(hits: int, misses: int) -> float:
@@ -330,11 +330,9 @@ class EngineStats:
                 f"({caches.adjacency_entries:,} entries, "
                 f"{caches.adjacency_evictions:,} evictions)")
             lines.append(
-                f"executor: {caches.batch_executions:,} batch / "
-                f"{caches.row_executions:,} row executions")
+                f"executor: {caches.batch_executions:,} executions")
             lines.append(
-                f"temporal: {caches.temporal_batch_executions:,} batch / "
-                f"{caches.temporal_row_executions:,} row interval "
+                f"temporal: {caches.temporal_batch_executions:,} interval "
                 f"executions, plans {caches.temporal_plan_hits}/"
                 f"{caches.temporal_plan_hits + caches.temporal_plan_misses} "
                 f"hits ({caches.temporal_plan_evictions:,} evictions)")
@@ -405,8 +403,6 @@ def collect_stats(engine: WukongSEngine) -> EngineStats:
                               for s in engine.store.shards),
         batch_executions=(engine.continuous.explorer.batch_executions
                           + engine.oneshot_engine.explorer.batch_executions),
-        row_executions=(engine.continuous.explorer.row_executions
-                        + engine.oneshot_engine.explorer.row_executions),
         window_hits=window_hits,
         window_misses=window_misses,
         window_evictions=window_evictions,
@@ -416,7 +412,6 @@ def collect_stats(engine: WukongSEngine) -> EngineStats:
         temporal_plan_misses=engine.temporal.plan_cache_misses,
         temporal_plan_evictions=engine.temporal.plan_cache_evictions,
         temporal_batch_executions=engine.temporal.batch_executions,
-        temporal_row_executions=engine.temporal.row_executions,
     )
     queries = []
     for handle in engine.continuous.queries.values():

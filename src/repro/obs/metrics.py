@@ -173,7 +173,7 @@ def collect_metrics(engine, registry: Optional[MetricsRegistry] = None,
         continuous.plan_cache_hits
     registry.counter("continuous_plan_cache_misses").value = \
         continuous.plan_cache_misses
-    # Temporal interval path: compiled-plan LRU and kernel split
+    # Temporal interval path: compiled-plan LRU and execution count
     # (temporal_snapshot_reads / temporal_version_entries / temporal_ns
     # are pushed per-execution by the temporal engine itself).
     temporal = engine.temporal
@@ -185,8 +185,6 @@ def collect_metrics(engine, registry: Optional[MetricsRegistry] = None,
         temporal.plan_cache_evictions
     registry.counter("temporal_batch_executions").value = \
         temporal.batch_executions
-    registry.counter("temporal_row_executions").value = \
-        temporal.row_executions
     # Adaptive re-planning decisions (repro.core.replan); the per-query
     # planner_replans / planner_replan_skipped_* counters and the
     # estimated-vs-actual cost gauges are pushed by the monitor itself

@@ -229,11 +229,11 @@ class DistributedStore:
         """Batch version-carrying lookup: one probe per *distinct* vid.
 
         The columnar temporal kernels hand whole start columns here.
-        Probes run in first-occurrence order over ``vids`` — exactly the
-        order of the row evaluator's per-step probe cache issuing
-        :meth:`neighbors_versions_from` calls one by one — so the
-        order-sensitive fractional remote-read charges accumulate
-        identically.  The integer hash-probe and scan charges accumulate
+        Probes run in first-occurrence order over ``vids`` — the order
+        :meth:`neighbors_versions_from` calls issued one by one would
+        take — which fixes where the order-sensitive fractional
+        remote-read charges land (pinned by ``golden_kernels.json``).
+        The integer hash-probe and scan charges accumulate
         through a per-shard :class:`ChargeSet`, flushed *before every
         fractional remote read* (and once at the end): integer partial
         sums are exact in any grouping, but only between two fractional

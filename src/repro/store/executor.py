@@ -28,49 +28,45 @@ resolver, so the same executor drives one-shot queries (persistent store
 only) and continuous queries (stream windows + persistent store) — the
 global-plan advantage of the integrated design.
 
-Fast path: each plan is *compiled* once — variables get fixed slot
-indices, and binding rows become plain lists indexed by slot (``None`` =
-unbound) instead of per-row dicts.  Step patterns, the FILTER schedule and
-UNION/OPTIONAL sub-plans are resolved to slots at compile time and cached
-on the plan.  This only changes wall-clock speed: lookup and binding
-charges are issued for exactly the same events as the dict-row
-implementation (aggregated per expansion with integer-valued constants,
-so the simulated totals are bit-identical — see DESIGN.md, "Wall-clock vs
-simulated time").
+Each plan is *compiled* once: variables get fixed slot indices, and step
+patterns, the FILTER schedule and UNION/OPTIONAL sub-plans are resolved
+to slots and cached on the plan.
 
-Columnar batch exploration: every plain step sequence — in-place,
-fork-join and migrate alike, with or without a FILTER schedule — keeps
-the whole binding set as a :class:`_Batch` — one flat column per slot —
-instead of one list per row.  Expanding a step then works on whole
-columns (neighbour-list concatenation, ``[v] * k`` repetition, index
-selections), the per-batch key probes are deduplicated exactly as the
-row path's per-expansion neighbour cache did, and projection zips the
-projected columns straight into result tuples.  BigSR (arXiv:1804.04367)
-motivates the layout: batch/columnar evaluation amortizes per-row
-interpreter overhead for large binding sets.  The charge discipline is
-unchanged — neighbour fetches are issued once per distinct start vertex
-in first-occurrence row order (so even fractional-valued remote-read
-charges accumulate in the same order) and binding charges aggregate with
-integer-valued constants, keeping simulated time bit-identical to the
-row-at-a-time path (guarded by ``tests/core/test_determinism.py``).
+Columnar exploration: a step sequence — in-place, fork-join and migrate
+alike, with or without a FILTER schedule — keeps the whole binding set
+as a :class:`_Batch`, one flat column per slot.  Expanding a step works
+on whole columns (neighbour-list concatenation, ``[v] * k`` repetition,
+index selections), key probes are deduplicated per batch, and projection
+zips the projected columns straight into result tuples.  BigSR
+(arXiv:1804.04367) motivates the layout: batch/columnar evaluation
+amortizes per-row interpreter overhead for large binding sets.
 
 The distributed modes ship whole column batches between nodes: routing
 is a columnar partition-by-owner (``_Batch.select`` over first-occurrence
-owner groups, so per-node row order matches the row path's appends), each
-per-node branch expands columnar under its own spawned meter, and the
-bulk-message charge per hop is the row path's largest-single-transfer
-formula verbatim.  Step-scheduled FILTERs evaluate as vectorized selects
-over slot columns, memoizing the (charge-free) predicate evaluation per
-distinct operand value; the per-row ``filter_ns`` charges aggregate into
-one integer-valued call.  ``use_batch=False`` keeps the row-at-a-time
-kernels — the differential tests and the wall-clock bench run both paths
-and require identical results, charges and (for the bench) a speedup.
+owner groups), each per-node branch expands under its own spawned meter,
+and the bulk-message charge per hop is the largest single transfer of
+the round.  Step-scheduled FILTERs evaluate as vectorized selects over
+slot columns, memoizing the (charge-free) predicate evaluation per
+distinct operand value.  UNION arms and OPTIONAL groups extend one
+solution row at a time — a one-row batch through the same kernels —
+because their probe deduplication, and hence their lookup charges, are
+per row.
+
+Charge discipline: the layout only changes wall-clock speed.  Simulated
+charges are issued for fixed events in a fixed order — a neighbour fetch
+once per distinct start vertex in first-occurrence row order, binding
+and filter charges aggregated with integer-valued constants between
+fractional remote-read charges — because the float meter makes that
+order observable in the last bits.  The order is pinned by
+``tests/store/golden_kernels.json`` (frozen while a row-at-a-time twin
+of every kernel still agreed with it) and ``tests/core/test_determinism``;
+rows are additionally checked against the brute-force oracle
+(:mod:`repro.temporal.reference`).  See DESIGN.md §4.7.
 """
 
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 from operator import contains, itemgetter
@@ -153,9 +149,8 @@ class _CompiledFilter:
     memoizing the (charge-free) predicate evaluation per distinct operand
     value — the verdict of ``filter_matches`` is a pure function of the
     operand vids, so a memo hit is semantically identical to re-running
-    it.  Filter charges are issued by the caller, aggregated exactly as
-    the row path charges them (``filter_ns`` per row per filter, before
-    any evaluation).
+    it.  Filter charges are issued by the caller (``filter_ns`` per row
+    per filter, whatever the verdict).
     """
 
     __slots__ = ("expr", "left_slot", "right_slot")
@@ -199,7 +194,7 @@ class _CompiledFilter:
 class _CompiledPlan:
     """Slot layout + precompiled steps/filters/sub-plans of one plan."""
 
-    __slots__ = ("slots", "nslots", "steps", "filters_at", "cfilters_at",
+    __slots__ = ("slots", "nslots", "steps", "cfilters_at",
                  "leftover_filters", "unions", "optionals",
                  "project_slots", "project_getter")
 
@@ -222,13 +217,13 @@ class _CompiledPlan:
             for step in plan.steps:
                 bound |= set(step.pattern.variables())
                 step_vars.append(set(bound))
-            self.filters_at, self.leftover_filters = \
+            filters_at, self.leftover_filters = \
                 filters_by_step(query, step_vars)
             self.cfilters_at = [
                 [_CompiledFilter(expr, self.slots) for expr in step_filters]
-                for step_filters in self.filters_at]
+                for step_filters in filters_at]
         else:
-            self.filters_at, self.leftover_filters = None, []
+            self.leftover_filters = []
             self.cfilters_at = None
 
         # UNION branches and OPTIONAL groups are planned with the variables
@@ -298,7 +293,7 @@ class _Batch:
     so batches may alias columns and store-owned neighbour lists freely.
     The layout is only used on uniform paths (plain step sequences, where
     a step binds its slots in *all* rows), never for OPTIONAL-produced
-    mixed rows — those stay row-at-a-time.
+    mixed rows — those stay slot rows, explored one row at a time.
 
     ``distinct`` tracks whether the rows are provably pairwise distinct
     (over their bound slots).  Expansion kernels prove it forward: a step
@@ -398,19 +393,13 @@ class GraphExplorer:
     plain pattern queries run without it.
     """
 
-    def __init__(self, cluster: Cluster, strings=None,
-                 use_batch: bool = True):
+    def __init__(self, cluster: Cluster, strings=None):
         self.cluster = cluster
         self.cost = cluster.cost
         self.strings = strings
-        #: Columnar batch kernels for the step phase (all modes); False
-        #: keeps the row-at-a-time kernels.  Wall-clock-only: both paths
-        #: issue bit-identical simulated charges.
-        self.use_batch = use_batch
-        #: Wall-clock-only counters: executions whose step phase ran
-        #: columnar vs row-at-a-time (surfaced via ``core.stats``).
+        #: Wall-clock-only counter: executions that ran a step phase (a
+        #: pure-UNION plan has none); surfaced via ``core.stats``.
         self.batch_executions = 0
-        self.row_executions = 0
         #: When set (a dict), wall-clock seconds are accumulated under
         #: "explore" and "project" per execution (bench instrumentation).
         self.wall_stats = None
@@ -461,12 +450,16 @@ class GraphExplorer:
         if act is not None and act.meter is not meter:
             act = None  # the live activity is not this execution's
         started = time.perf_counter() if wall is not None else 0.0
+        # UNION arms and OPTIONAL groups extend one solution row at a time
+        # (their lookup charges are per row), so such plans leave the
+        # columnar layout after the step phase; everything else projects
+        # straight off the batch (``rows`` stays None).
+        per_row = bool(compiled.unions or compiled.optionals
+                       or compiled.leftover_filters)
+        rows: Optional[List[SlotRow]] = None
         if not plan.steps:
             rows = [[None] * compiled.nslots]  # a pure-UNION WHERE block
-        elif self.use_batch:
-            # Columnar batch fast path: uniform step sequence in any mode
-            # (FILTER schedules evaluate as vectorized selects).  Falls
-            # back to rows at the UNION/OPTIONAL boundary.
+        else:
             if mode == "in_place":
                 batch = self._run_steps_batch(compiled,
                                               access_factory(home_node),
@@ -480,36 +473,8 @@ class GraphExplorer:
             else:
                 raise PlanError(f"unknown execution mode: {mode}")
             self.batch_executions += 1
-            if not (compiled.unions or compiled.optionals
-                    or compiled.leftover_filters):
-                if wall is not None:
-                    explored = time.perf_counter()
-                    wall["explore"] = wall.get("explore", 0.0) \
-                        + (explored - started)
-                if act is not None:
-                    act.mark("explore", mode=mode)
-                result = self._project_batch(plan, compiled, batch, meter)
-                if wall is not None:
-                    wall["project"] = wall.get("project", 0.0) \
-                        + (time.perf_counter() - explored)
-                if act is not None:
-                    act.mark("project")
-                return result
-            rows = batch.to_rows()
-        elif mode == "in_place":
-            self.row_executions += 1
-            rows = self._run_steps(compiled, access_factory(home_node),
-                                   meter)
-        elif mode == "fork_join":
-            self.row_executions += 1
-            rows = self._run_fork_join(compiled, access_factory, meter,
-                                       home_node)
-        elif mode == "migrate":
-            self.row_executions += 1
-            rows = self._run_migrate(compiled, access_factory, meter,
-                                     home_node)
-        else:
-            raise PlanError(f"unknown execution mode: {mode}")
+            if per_row:
+                rows = batch.to_rows()
         if compiled.unions and rows:
             rows = self._apply_unions(compiled, rows,
                                       access_factory(home_node), meter)
@@ -531,7 +496,10 @@ class GraphExplorer:
             wall["explore"] = wall.get("explore", 0.0) + (explored - started)
         if act is not None:
             act.mark("explore", mode=mode)
-        result = self._project(plan, compiled, rows, meter)
+        if rows is None:
+            result = self._project_batch(plan, compiled, batch, meter)
+        else:
+            result = self._project(plan, compiled, rows, meter)
         if wall is not None:
             wall["project"] = wall.get("project", 0.0) \
                 + (time.perf_counter() - explored)
@@ -582,15 +550,16 @@ class GraphExplorer:
 
         Branches bind identical variable sets (the parser enforces it),
         so downstream joins and projections see uniform rows.  Each row is
-        explored separately (per-row neighbour caches), preserving the
-        exact lookup charges of the uncompiled executor.
+        explored separately (probes deduplicate per row, not across the
+        solution set), which is what the lookup charges are calibrated
+        to.
         """
         for branches in compiled.unions:
             combined: List[SlotRow] = []
             for csteps in branches:
                 for row in rows:
                     combined.extend(self._explore_rows(
-                        csteps, [row.copy()], access_for, meter))
+                        csteps, [row], access_for, meter))
             rows = combined
             if not rows:
                 break
@@ -608,8 +577,8 @@ class GraphExplorer:
         for csteps in compiled.optionals:
             extended: List[SlotRow] = []
             for row in rows:
-                matches = self._explore_rows(csteps, [row.copy()],
-                                             access_for, meter)
+                matches = self._explore_rows(csteps, [row], access_for,
+                                             meter)
                 if matches:
                     extended.extend(matches)
                 else:
@@ -617,17 +586,24 @@ class GraphExplorer:
             rows = extended
         return rows
 
-    def _apply_step_filters(self, compiled: _CompiledPlan,
-                            rows: List[SlotRow], filters,
-                            access: StoreAccess,
-                            meter: LatencyMeter) -> List[SlotRow]:
-        if not filters or not rows:
+    def _explore_rows(self, csteps: Sequence[_CompiledStep],
+                      rows: List[SlotRow], access_for: AccessResolver,
+                      meter: LatencyMeter) -> List[SlotRow]:
+        """Run bare compiled steps over slot rows (no filters/projection).
+
+        ``rows`` must bind the same slots in every row — one solution row
+        of a UNION arm or OPTIONAL group, or ``explore`` seeds sharing
+        one variable set — so they form a uniform batch.
+        """
+        if not rows:
             return rows
-        from repro.sparql.evaluate import apply_filters
-        views = apply_filters([_RowView(compiled.slots, row) for row in rows],
-                              filters, self.strings.entity_name,
-                              access.resolve_entity, meter, self.cost)
-        return [view.row for view in views]
+        batch = _Batch.from_rows(rows, len(rows[0]))
+        for cstep in csteps:
+            batch = self._expand_batch(cstep, batch,
+                                       access_for(cstep.pattern), meter)
+            if not batch.nrows:
+                break
+        return batch.to_rows()
 
     def _apply_step_filters_batch(self, batch: _Batch,
                                   cfilters: List[_CompiledFilter],
@@ -635,10 +611,10 @@ class GraphExplorer:
                                   meter: LatencyMeter) -> _Batch:
         """Vectorized step-scheduled FILTERs over slot columns.
 
-        The row path charges ``filter_ns`` per row per filter *before*
-        evaluating that row (regardless of the verdict), so the whole
-        block aggregates into one integer-valued charge; evaluation
-        itself is charge-free and memoized per distinct operand value.
+        Every row entering the step pays ``filter_ns`` per filter,
+        whatever the verdict, so the whole block aggregates into one
+        integer-valued charge; evaluation itself is charge-free and
+        memoized per distinct operand value.
         """
         if not cfilters or not batch.nrows:
             return batch
@@ -653,145 +629,19 @@ class GraphExplorer:
             indices = cfilter.select(batch, indices, name_of, resolve)
         return batch.select(indices)
 
-    # -- fork-join ----------------------------------------------------------
-    def _run_fork_join(self, compiled: _CompiledPlan,
-                       access_factory: AccessFactory, meter: LatencyMeter,
-                       home_node: int) -> List[SlotRow]:
-        """Distributed execution with explicit fork/gather bookkeeping.
-
-        The dataflow is the migrating execution (rows follow the data);
-        fork-join adds the per-node dispatch cost and, with RDMA enabled,
-        moves every bulk transfer over one-sided verbs instead of TCP.
-        """
-        rows = self._run_migrate(compiled, access_factory, meter, home_node)
-        meter.charge(self.cost.join_gather_ns, category="gather")
-        return rows
-
-    # -- migrating execution ---------------------------------------------------
-    def _run_migrate(self, compiled: _CompiledPlan,
-                     access_factory: AccessFactory, meter: LatencyMeter,
-                     home_node: int) -> List[SlotRow]:
-        """Distributed execution: rows follow the data in bulk transfers."""
-        resolvers: Dict[int, AccessResolver] = {
-            node.node_id: access_factory(node.node_id)
-            for node in self.cluster.alive_nodes()
-        }
-        located: Dict[int, List[SlotRow]] = {
-            home_node: [[None] * compiled.nslots]}
-        act = self.tracer.current if self.tracer is not None else None
-        if act is not None and act.meter is not meter:
-            act = None  # the live activity is not this execution's
-        for index, cstep in enumerate(compiled.steps):
-            routed = self._route(cstep, located, resolvers, meter)
-            if not routed:
-                located = {}
-                break
-            group = act.group(f"step{index}") if act is not None else None
-            branches = []
-            next_located: Dict[int, List[SlotRow]] = {}
-            for node_id, rows in routed.items():
-                branch = meter.spawn()
-                access = resolvers[node_id](cstep.pattern)
-                out = self._expand(cstep, rows, access,
-                                   branch, index_owner=node_id
-                                   if cstep.kind == INDEX_START else None)
-                if compiled.filters_at is not None:
-                    out = self._apply_step_filters(
-                        compiled, out, compiled.filters_at[index], access,
-                        branch)
-                if out:
-                    next_located[node_id] = out
-                branches.append(branch)
-                if group is not None:
-                    group.branch(f"node{node_id}", branch, node=node_id,
-                                 rows=len(out))
-            meter.join_parallel(branches)
-            if group is not None:
-                group.close()
-            located = next_located
-            if not located:
-                break
-        # Gather partial results back at the home node (parallel sends).
-        group = act.group("gather") if act is not None else None
-        gather = []
-        all_rows: List[SlotRow] = []
-        for node_id, rows in located.items():
-            branch = meter.spawn()
-            if node_id != home_node and rows:
-                self.cluster.fabric.bulk_transfer(
-                    branch, _ROW_BYTES * len(rows), category="network")
-            gather.append(branch)
-            all_rows.extend(rows)
-            if group is not None:
-                group.branch(f"node{node_id}", branch, node=node_id,
-                             rows=len(rows))
-        meter.join_parallel(gather)
-        if group is not None:
-            group.close()
-        return all_rows
-
-    def _route(self, cstep: _CompiledStep,
-               located: Dict[int, List[SlotRow]],
-               resolvers: Dict[int, AccessResolver],
-               meter: LatencyMeter) -> Dict[int, List[SlotRow]]:
-        """Move rows to the owner of the step's start vertex.
-
-        Migration messages from different nodes are concurrent; the meter
-        is charged with the largest transfer of the round.
-        """
-        all_rows = [row for rows in located.values() for row in rows]
-        routed: Dict[int, List[SlotRow]] = defaultdict(list)
-        if cstep.kind == INDEX_START:
-            # Broadcast: every node explores its local start vertices.
-            # Dispatching the sub-query to each node is the fork cost.
-            # Rows are never mutated in place, so branches can share them.
-            meter.charge(self.cost.fork_ns, times=len(resolvers),
-                         category="fork")
-            for node_id in resolvers:
-                routed[node_id] = list(all_rows)
-        elif cstep.kind in (CONST_SUBJECT, CONST_OBJECT):
-            term = cstep.subject if cstep.kind == CONST_SUBJECT \
-                else cstep.object
-            any_resolver = next(iter(resolvers.values()))
-            vid = any_resolver(cstep.pattern).resolve_entity(term)
-            if vid is None:
-                return {}
-            routed[self.cluster.owner_of(vid)] = all_rows
-        else:
-            slot = cstep.subj_slot if cstep.kind == BOUND_SUBJECT \
-                else cstep.obj_slot
-            owner_of = self.cluster.owner_of
-            for row in all_rows:
-                routed[owner_of(row[slot])].append(row)
-        # Charge the migration round: the largest single transfer that
-        # actually crosses nodes (sends proceed in parallel).
-        largest = 0
-        for dst, rows in routed.items():
-            stayed = len(located.get(dst, ()))
-            moving = max(0, len(rows) - stayed)
-            largest = max(largest, moving)
-        if largest and len(located) == 1 and set(located) == set(routed):
-            largest = 0  # everything already sits on the right node
-        if largest:
-            self.cluster.fabric.bulk_transfer(meter, _ROW_BYTES * largest,
-                                              category="network")
-        return dict(routed)
-
     # -- columnar distributed execution ---------------------------------------
     def _run_migrate_batch(self, compiled: _CompiledPlan,
                            access_factory: AccessFactory,
                            meter: LatencyMeter,
                            home_node: int) -> _Batch:
-        """Columnar :meth:`_run_migrate`: whole column batches follow the
-        data between nodes.
+        """Distributed execution: whole column batches follow the data
+        between nodes in bulk transfers.
 
-        Charge-equivalent by construction: routing partitions the merged
-        batch by owner in first-occurrence row order (so per-node row
-        order matches the row path's appends), per-node branches expand
-        under spawned meters joined in the same node order (the
-        first-strict-maximum branch — and with it the merged category
-        breakdown — is the same one), and the gather sends the same
-        per-node row counts.
+        Routing partitions the merged batch by owner in first-occurrence
+        row order, per-node branches expand under spawned meters joined
+        in that node order (``join_parallel`` merges the breakdown of
+        the first strictly slowest branch, so the order is observable),
+        and the gather sends each node's rows home in parallel.
         """
         resolvers: Dict[int, AccessResolver] = {
             node.node_id: access_factory(node.node_id)
@@ -856,13 +706,13 @@ class GraphExplorer:
                      located: Dict[int, _Batch],
                      resolvers: Dict[int, AccessResolver],
                      meter: LatencyMeter) -> Dict[int, _Batch]:
-        """Columnar :meth:`_route`: partition the merged batch by the
-        owner of each row's start vertex.
+        """Move rows to the owner of the step's start vertex: partition
+        the merged batch by owner.
 
         Owner groups are keyed in first-occurrence row order over the
-        concatenated batch — the same node order (and per-node row order)
-        the row path's per-row appends produce — and the migration round
-        charges the row path's largest-single-transfer formula verbatim.
+        concatenated batch.  Migration messages from different nodes are
+        concurrent, so the round charges the largest single transfer
+        that actually crosses nodes.
         """
         merged = _Batch.concat(list(located.values()), nslots)
         routed: Dict[int, _Batch] = {}
@@ -915,12 +765,7 @@ class GraphExplorer:
     def _run_steps_batch(self, compiled: _CompiledPlan,
                          access_for: AccessResolver,
                          meter: LatencyMeter) -> _Batch:
-        """Run all steps on one node over a columnar batch.
-
-        Charge-equivalent to :meth:`_run_steps`: every store access,
-        binding and filter charge is issued for the same event in the
-        same order.
-        """
+        """Run all steps on one node over a columnar batch."""
         batch = _Batch(1, [None] * compiled.nslots, distinct=True)
         for index, cstep in enumerate(compiled.steps):
             access = access_for(cstep.pattern)
@@ -971,8 +816,9 @@ class GraphExplorer:
                          term: str, neighbors: List[int],
                          access: StoreAccess,
                          meter: LatencyMeter) -> _Batch:
-        """Columnar :meth:`_bind_side`: one shared neighbour list binds or
-        filters one side of the whole batch."""
+        """Match or bind one side of a pattern against a neighbour list
+        shared by every input row (the other side was a constant); one
+        binding charge per produced row, aggregated."""
         nrows = batch.nrows
         nslots = len(batch.cols)
         if slot is None:  # the term is a constant: match, don't bind
@@ -1013,13 +859,12 @@ class GraphExplorer:
                             other_slot: Optional[int], other_term: str,
                             eid: int, direction: int, access: StoreAccess,
                             meter: LatencyMeter) -> _Batch:
-        """Columnar :meth:`_expand_bound`: neighbour expansion of a bound
+        """Expand rows through neighbour lookups of an already-bound
         column, with key probes deduplicated per batch.
 
         Neighbour lists are fetched once per distinct start vertex in
-        first-occurrence row order — exactly the row path's per-expansion
-        cache — so even order-sensitive (fractional) remote-read charges
-        accumulate identically.
+        first-occurrence row order, which fixes where the order-sensitive
+        (fractional) remote-read charges land.
         """
         nslots = len(batch.cols)
         starts = batch.cols[bound_slot]
@@ -1054,9 +899,9 @@ class GraphExplorer:
         other_col = batch.cols[other_slot] if other_slot is not None else None
         if other_const is not None or other_col is not None:
             # Membership filter against per-distinct-start neighbour sets
-            # (charge-free bookkeeping, as on the row path); a columnar
-            # access serves memoized per-column sets, and the row
-            # selection itself runs entirely in C via compress/contains.
+            # (charge-free bookkeeping); a columnar access serves
+            # memoized per-column sets, and the row selection itself
+            # runs entirely in C via compress/contains.
             sets_hook = getattr(access, "neighbor_sets", None)
             sets = sets_hook(fetched, eid, direction) \
                 if sets_hook is not None else None
@@ -1119,25 +964,19 @@ class GraphExplorer:
                             eid: int, access: StoreAccess,
                             meter: LatencyMeter,
                             index_owner: Optional[int] = None) -> _Batch:
-        """Columnar :meth:`_expand_index` for the standard shape (single
-        seed row, subject variable unbound); anything else round-trips
-        through the row kernel.
+        """Enumerate subjects from the predicate index, then bind objects.
 
         The interleaved per-subject charge order (neighbour fetch, then
-        that subject's binding charge) is preserved verbatim.  With
-        ``index_owner``, only start vertices owned by that node are
-        enumerated (fork-join/migrate branches partition the start set).
+        that subject's binding charge) is part of the calibrated
+        exploration cost.  With ``index_owner``, only start vertices
+        owned by that node are enumerated (fork-join/migrate branches
+        partition the start set).  The standard shape — one seed row,
+        subject and object unbound — is expanded here; seed rows that
+        already bind either side go through :meth:`_expand_index_seeded`.
         """
         subj_slot = cstep.subj_slot
         obj_slot = cstep.obj_slot
         nslots = len(batch.cols)
-        if batch.nrows != 1 or subj_slot is None \
-                or batch.cols[subj_slot] is not None \
-                or (obj_slot is not None and obj_slot != subj_slot
-                    and batch.cols[obj_slot] is not None):
-            rows = self._expand_index(batch.to_rows(), cstep, eid, access,
-                                      meter, index_owner)
-            return _Batch.from_rows(rows, nslots)
         if index_owner is not None:
             local_fn = getattr(access, "index_vertices_local", None)
             if local_fn is not None:
@@ -1149,6 +988,11 @@ class GraphExplorer:
                             if self.cluster.owner_of(vid) == index_owner]
         else:
             subjects = access.index_vertices(eid, DIR_OUT, meter)
+        if batch.nrows != 1 or batch.cols[subj_slot] is not None \
+                or (obj_slot is not None and obj_slot != subj_slot
+                    and batch.cols[obj_slot] is not None):
+            return self._expand_index_seeded(batch, cstep, subjects, eid,
+                                             access, meter)
         required = access.resolve_entity(cstep.object) \
             if obj_slot is None else None
         binding_ns = self.cost.binding_ns
@@ -1237,10 +1081,64 @@ class GraphExplorer:
                 out_cols.append(column * nrows)
         return _Batch(nrows, out_cols, distinct=distinct)
 
+    def _expand_index_seeded(self, batch: _Batch, cstep: _CompiledStep,
+                             subjects: List[int], eid: int,
+                             access: StoreAccess,
+                             meter: LatencyMeter) -> _Batch:
+        """Index expansion of seed rows that may already bind the
+        subject or the object (``explore`` seeds, per-row UNION/OPTIONAL
+        sub-steps) or that number more than one.
+
+        One neighbour fetch per (row, matching subject) pair in row-major
+        order — deliberately not deduplicated across rows — each followed
+        by that pair's binding charge.
+        """
+        subj_slot = cstep.subj_slot
+        obj_slot = cstep.obj_slot
+        bound_subj = batch.cols[subj_slot]
+        bound_obj = batch.cols[obj_slot] \
+            if obj_slot != subj_slot else None
+        binding_ns = self.cost.binding_ns
+        fetch = access.neighbors
+        source: List[int] = []  # input row of each output row
+        subj_col: List[int] = []
+        obj_col: List[int] = []
+        for i in range(batch.nrows):
+            for svid in subjects:
+                if bound_subj is not None and bound_subj[i] != svid:
+                    continue
+                neighbors = fetch(svid, eid, DIR_OUT, meter)
+                if obj_slot == subj_slot:
+                    matches = [svid] if svid in neighbors else []
+                elif bound_obj is not None:
+                    matches = [bound_obj[i]] \
+                        if bound_obj[i] in neighbors else []
+                else:
+                    matches = neighbors
+                if matches:
+                    meter.charge(binding_ns, times=len(matches),
+                                 category="explore")
+                    source.extend([i] * len(matches))
+                    subj_col.extend([svid] * len(matches))
+                    obj_col.extend(matches)
+        if not source:
+            return _Batch.empty(len(batch.cols))
+        out_cols: List[Optional[List[int]]] = []
+        for index, column in enumerate(batch.cols):
+            if index == subj_slot:
+                out_cols.append(subj_col)
+            elif index == obj_slot:
+                out_cols.append(obj_col)
+            elif column is None:
+                out_cols.append(None)
+            else:
+                out_cols.append([column[i] for i in source])
+        return _Batch(len(source), out_cols)
+
     def _project_batch(self, plan: ExecutionPlan, compiled: _CompiledPlan,
                        batch: _Batch,
                        meter: LatencyMeter) -> ExecutionResult:
-        """Columnar :meth:`_project`: zip projected columns into tuples."""
+        """Zip the projected columns into deduplicated result tuples."""
         query = plan.query
         if query.is_ask:
             return ExecutionResult(variables=[],
@@ -1265,9 +1163,9 @@ class GraphExplorer:
         no_dupes = batch.distinct and bound_slots <= proj_slots \
             and (bound_slots or nrows <= 1)
         if len(proj_cols) == 1:
-            # First-occurrence dedup in C: dict preserves insertion order,
-            # exactly the seen-set loop of the row kernel.  Single column:
-            # dedup the ints directly, tuple-wrap only the survivors.
+            # First-occurrence dedup in C (dict preserves insertion
+            # order).  Single column: dedup the ints directly, tuple-wrap
+            # only the survivors.
             if no_dupes:
                 out = [(vid,) for vid in proj_cols[0]]
             else:
@@ -1284,204 +1182,11 @@ class GraphExplorer:
         result.rows = _slice(out, query)
         return result
 
-    # -- core exploration -----------------------------------------------------
-    def _run_steps(self, compiled: _CompiledPlan,
-                   access_for: AccessResolver, meter: LatencyMeter,
-                   index_owner: Optional[int] = None) -> List[SlotRow]:
-        """Run all steps on one node.  ``index_owner`` restricts INDEX_START
-        enumeration to vertices owned by that node (fork-join branches)."""
-        rows: List[SlotRow] = [[None] * compiled.nslots]
-        for index, cstep in enumerate(compiled.steps):
-            owner = index_owner if cstep.kind == INDEX_START else None
-            access = access_for(cstep.pattern)
-            rows = self._expand(cstep, rows, access, meter,
-                                index_owner=owner)
-            if compiled.filters_at is not None:
-                rows = self._apply_step_filters(
-                    compiled, rows, compiled.filters_at[index], access,
-                    meter)
-            if not rows:
-                break
-        return rows
-
-    def _explore_rows(self, csteps: Sequence[_CompiledStep],
-                      rows: List[SlotRow], access_for: AccessResolver,
-                      meter: LatencyMeter) -> List[SlotRow]:
-        """Run bare compiled steps over slot rows (no filters/projection)."""
-        for cstep in csteps:
-            if not rows:
-                break
-            rows = self._expand(cstep, rows, access_for(cstep.pattern),
-                                meter)
-        return rows
-
-    def _expand(self, cstep: _CompiledStep, rows: List[SlotRow],
-                access: StoreAccess, meter: LatencyMeter,
-                index_owner: Optional[int] = None) -> List[SlotRow]:
-        eid = access.resolve_predicate(cstep.predicate)
-        if eid is None:
-            return []
-        kind = cstep.kind
-        if kind == CONST_SUBJECT:
-            svid = access.resolve_entity(cstep.subject)
-            if svid is None:
-                return []
-            neighbors = access.neighbors(svid, eid, DIR_OUT, meter)
-            return self._bind_side(rows, cstep.obj_slot, cstep.object,
-                                   neighbors, access, meter)
-        if kind == CONST_OBJECT:
-            ovid = access.resolve_entity(cstep.object)
-            if ovid is None:
-                return []
-            neighbors = access.neighbors(ovid, eid, DIR_IN, meter)
-            return self._bind_side(rows, cstep.subj_slot, cstep.subject,
-                                   neighbors, access, meter)
-        if kind == BOUND_SUBJECT:
-            return self._expand_bound(rows, cstep.subj_slot, cstep.obj_slot,
-                                      cstep.object, eid, DIR_OUT, access,
-                                      meter)
-        if kind == BOUND_OBJECT:
-            return self._expand_bound(rows, cstep.obj_slot, cstep.subj_slot,
-                                      cstep.subject, eid, DIR_IN, access,
-                                      meter)
-        if kind == INDEX_START:
-            return self._expand_index(rows, cstep, eid, access, meter,
-                                      index_owner)
-        raise PlanError(f"unknown step kind: {kind}")
-
-    def _bind_side(self, rows: List[SlotRow], slot: Optional[int],
-                   term: str, neighbors: List[int], access: StoreAccess,
-                   meter: LatencyMeter) -> List[SlotRow]:
-        """Match or bind one side of a pattern against a neighbour list,
-        shared by every input row (the other side was a constant).
-
-        One binding charge per produced row, aggregated into a single
-        call — identical totals to charging each binding separately.
-        """
-        if slot is None:  # the term is a constant: match, don't bind
-            required = access.resolve_entity(term)
-            if required is None or required not in neighbors:
-                return []
-            meter.charge(self.cost.binding_ns, times=len(rows),
-                         category="explore")
-            return list(rows)
-        out: List[SlotRow] = []
-        nset = None  # membership set, built on first bound-variable check
-        for row in rows:
-            bound = row[slot]
-            if bound is not None:
-                if nset is None:
-                    nset = set(neighbors)
-                if bound in nset:
-                    out.append(row)
-                continue
-            for vid in neighbors:
-                extended = row.copy()
-                extended[slot] = vid
-                out.append(extended)
-        if out:
-            meter.charge(self.cost.binding_ns, times=len(out),
-                         category="explore")
-        return out
-
-    def _expand_bound(self, rows: List[SlotRow], bound_slot: int,
-                      other_slot: Optional[int], other_term: str,
-                      eid: int, direction: int, access: StoreAccess,
-                      meter: LatencyMeter) -> List[SlotRow]:
-        """Expand rows through neighbour lookups of an already-bound variable."""
-        out: List[SlotRow] = []
-        fetched: Dict[int, List[int]] = {}
-        #: Membership sets, built lazily per start vertex — extend-only
-        #: expansions never pay for them.
-        fetched_sets: Dict[int, set] = {}
-        other_const: Optional[int] = None
-        if other_slot is None:
-            other_const = access.resolve_entity(other_term)
-            if other_const is None:
-                return []
-        for row in rows:
-            start = row[bound_slot]
-            if start is None:
-                # The variable is unbound in this row (unmatched OPTIONAL):
-                # the pattern cannot join it.
-                continue
-            neighbors = fetched.get(start)
-            if neighbors is None:
-                neighbors = access.neighbors(start, eid, direction, meter)
-                fetched[start] = neighbors
-            if other_const is not None:
-                nset = fetched_sets.get(start)
-                if nset is None:
-                    nset = fetched_sets[start] = set(neighbors)
-                if other_const in nset:
-                    out.append(row)
-                continue
-            bound_other = row[other_slot]
-            if bound_other is not None:
-                nset = fetched_sets.get(start)
-                if nset is None:
-                    nset = fetched_sets[start] = set(neighbors)
-                if bound_other in nset:
-                    out.append(row)
-                continue
-            copy = row.copy
-            append = out.append
-            for vid in neighbors:
-                extended = copy()
-                extended[other_slot] = vid
-                append(extended)
-        if out:
-            meter.charge(self.cost.binding_ns, times=len(out),
-                         category="explore")
-        return out
-
-    def _expand_index(self, rows: List[SlotRow], cstep: _CompiledStep,
-                      eid: int, access: StoreAccess, meter: LatencyMeter,
-                      index_owner: Optional[int] = None) -> List[SlotRow]:
-        """Enumerate subjects from the predicate index, then bind objects.
-
-        With ``index_owner``, only start vertices owned by that node are
-        expanded — fork-join/migrate branches partition the start set.
-        The per-(row, subject) neighbour lookup is preserved: its charges
-        are part of the calibrated exploration cost.
-        """
-        if index_owner is not None:
-            local_fn = getattr(access, "index_vertices_local", None)
-            if local_fn is not None:
-                subjects = local_fn(eid, DIR_OUT, index_owner, meter)
-            else:
-                subjects = [vid
-                            for vid in access.index_vertices(eid, DIR_OUT,
-                                                             meter)
-                            if self.cluster.owner_of(vid) == index_owner]
-        else:
-            subjects = access.index_vertices(eid, DIR_OUT, meter)
-        subj_slot = cstep.subj_slot
-        resolved = access.resolve_entity(cstep.subject) \
-            if subj_slot is None else None
-        out: List[SlotRow] = []
-        for row in rows:
-            for svid in subjects:
-                if subj_slot is not None:
-                    bound = row[subj_slot]
-                    if bound is not None and bound != svid:
-                        continue
-                    seed = row.copy()
-                    seed[subj_slot] = svid
-                else:
-                    if resolved != svid:
-                        continue
-                    seed = row.copy()
-                neighbors = access.neighbors(svid, eid, DIR_OUT, meter)
-                out.extend(self._bind_side([seed], cstep.obj_slot,
-                                           cstep.object, neighbors,
-                                           access, meter))
-        return out
-
-    # -- projection ------------------------------------------------------------
     def _project(self, plan: ExecutionPlan, compiled: _CompiledPlan,
                  rows: List[SlotRow],
                  meter: LatencyMeter) -> ExecutionResult:
+        """Project slot rows: the tail for aggregates and for the mixed
+        rows UNION/OPTIONAL plans end with."""
         query = plan.query
         if query.is_ask:
             return ExecutionResult(variables=[],

@@ -17,11 +17,10 @@ Execution splits by query shape:
   same results as a plain one-shot at that snapshot (the differential
   suite proves ``FROM SNAPSHOT <latest>`` bit-identical to a plain
   one-shot);
-* *interval* queries run on the columnar batch kernels
+* *interval* queries run on the SN-carrying columnar kernels
   (:mod:`repro.temporal.kernels`) over batched version-carrying store
-  reads; the row-based evaluator (:mod:`repro.temporal.evaluate`)
-  stays as the differential control (``use_batch=False``), proven
-  bit-identical in rows, charges, and digest.
+  reads; :mod:`repro.temporal.evaluate` holds the FILTER semantics
+  they evaluate.
 
 Compiled interval plans are LRU-cached (:data:`PLAN_CACHE_CAPACITY`)
 keyed by AST, ordering, and snapshot, with hit/miss/eviction counters
@@ -47,8 +46,7 @@ from repro.sparql.ast import Query
 from repro.sparql.planner import plan_order, plan_steps
 from repro.store.distributed import DistributedStore, PersistentAccess
 from repro.store.executor import ExecutionResult
-from repro.temporal.evaluate import (IntervalCounters,
-                                     evaluate_interval_query)
+from repro.temporal.evaluate import IntervalCounters
 from repro.temporal.kernels import (CompiledIntervalPlan,
                                     evaluate_interval_batch)
 
@@ -76,12 +74,9 @@ class TemporalRecord(OneShotRecord):
     version_entries: int = 0
     #: Longest single version chain traversed.
     max_chain_depth: int = 0
-    #: Whether the interval evaluator ran (False = snapshot-only
-    #: delegation to the columnar one-shot path).
+    #: Whether the interval kernels ran (False = snapshot-only
+    #: delegation to the one-shot path).
     interval_path: bool = False
-    #: Whether the columnar batch kernels ran (False = the row-based
-    #: differential control, ``row_path`` in the bench harness).
-    batch_path: bool = False
 
 
 class _CountingAccess(PersistentAccess):
@@ -115,17 +110,11 @@ class TemporalEngine:
     """Executes SPARQL-T queries under snapshot pinning."""
 
     def __init__(self, cluster: Cluster, store: DistributedStore,
-                 coordinator: Coordinator, oneshot: OneShotEngine,
-                 use_batch: bool = True):
+                 coordinator: Coordinator, oneshot: OneShotEngine):
         self.cluster = cluster
         self.store = store
         self.coordinator = coordinator
         self.oneshot = oneshot
-        #: Interval queries run the columnar batch kernels when True,
-        #: the row-based evaluator (the differential control) when
-        #: False.  Both share one compiled plan, so toggling changes
-        #: only Python speed — never rows, charges, or digest.
-        self.use_batch = use_batch
         self._next_home = 0
         #: Completed executions (bounded), newest last; the ablation
         #: report reads traversal statistics from here.
@@ -137,10 +126,9 @@ class TemporalEngine:
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self.plan_cache_evictions = 0
-        #: Interval executions by kernel (snapshot-only delegations are
-        #: counted by the one-shot engine's own executor counters).
+        #: Interval executions (snapshot-only delegations are counted by
+        #: the one-shot engine's own executor counter).
         self.batch_executions = 0
-        self.row_executions = 0
         #: Observability hooks (attached by ``engine.enable_observability``).
         self.tracer = None
         self.metrics = None
@@ -150,8 +138,7 @@ class TemporalEngine:
 
         Plan compilation is pure wall-clock work (the simulated plan
         charge is the dispatch charge either way), so caching cannot
-        move a single simulated nanosecond — both kernels replay the
-        cached steps and filter schedule identically.
+        move a single simulated nanosecond.
         """
         stats = self.oneshot._statistics()
         order = plan_order(query.patterns, stats=stats)
@@ -255,18 +242,15 @@ class TemporalEngine:
             snapshot_reads=counters.snapshot_reads,
             version_entries=counters.version_entries,
             max_chain_depth=counters.max_chain_depth,
-            interval_path=False,
-            batch_path=self.oneshot.explorer.use_batch)
+            interval_path=False)
 
     def _execute_interval(self, query: Query, home_node: int, snapshot: int,
                           contended: bool,
                           counters: IntervalCounters) -> TemporalRecord:
-        """Interval path: columnar batch kernels (or the row control)."""
-        use_batch = self.use_batch
+        """Interval path: the SN-carrying columnar kernels."""
         meter = LatencyMeter()
         act = self.tracer.begin("temporal", "query", meter,
                                 snapshot=snapshot, path="interval",
-                                kernel="batch" if use_batch else "row",
                                 home_node=home_node,
                                 patterns=len(query.patterns)) \
             if self.tracer is not None else None
@@ -274,16 +258,10 @@ class TemporalEngine:
         plan = self._plan_interval(query)
         if act is not None:
             act.mark("plan", steps=len(plan.steps))
-        if use_batch:
-            self.batch_executions += 1
-            variables, rows = evaluate_interval_batch(
-                query, plan, self.store, home_node, snapshot, meter,
-                counters=counters)
-        else:
-            self.row_executions += 1
-            variables, rows = evaluate_interval_query(
-                query, plan.steps, self.store, home_node, snapshot, meter,
-                counters=counters)
+        self.batch_executions += 1
+        variables, rows = evaluate_interval_batch(
+            query, plan, self.store, home_node, snapshot, meter,
+            counters=counters)
         if contended and self.oneshot.contention_factor > 0:
             meter.charge(meter.ns * self.oneshot.contention_factor,
                          category="contention")
@@ -300,4 +278,4 @@ class TemporalEngine:
             snapshot_reads=counters.snapshot_reads,
             version_entries=counters.version_entries,
             max_chain_depth=counters.max_chain_depth,
-            interval_path=True, batch_path=use_batch)
+            interval_path=True)

@@ -1,11 +1,12 @@
-"""Columnar batch kernels for SPARQL-T interval (quintuple) queries.
+"""Columnar kernels for SPARQL-T interval (quintuple) queries.
 
-The row evaluator (:mod:`repro.temporal.evaluate`) pays the per-row
-Python interpretation floor on every binding: a dict copy, a handful of
-key writes, and a ``meter.charge`` call per produced row.  This module
-is the batch twin — the same exploration expressed over parallel column
-lists, with the SN (``?ts``) column threaded through every expansion
-instead of being re-derived per row:
+Quintuple patterns need each matched entry's insertion snapshot next to
+its value, which the one-shot kernels deliberately do not carry (their
+visible-prefix reads drop the SN column).  These kernels walk the
+planner's selectivity-ordered steps over parallel column lists with the
+SN (``?ts``) column threaded through every expansion; ``?te`` binds
+:data:`~repro.sparql.ast.OPEN_END` (append-only store: every visible
+entry is still live):
 
 * store reads go through the batch version-carrying entry points
   (:meth:`ShardStore.lookup_versions_many` /
@@ -17,38 +18,37 @@ instead of being re-derived per row:
   pinned to the first step at which its variables are bound, and the
   compiled selectors (:class:`_CompiledPlainFilter` /
   :class:`_CompiledIntervalFilter`) evaluate each *distinct* operand
-  tuple once per batch, mirroring the one-shot path's
-  ``_CompiledFilter`` verdict memo;
-* binding production charges ``binding_ns`` once per extend with
-  ``times=<rows produced>`` instead of once per row.
+  tuple once per batch;
+* each produced binding charges ``binding_ns`` and each filter
+  application ``filter_ns``, aggregated per extend / per filter block.
 
-Bit-identity discipline (the bar every kernel PR clears): produced
-rows, their order, the meter total, the per-category breakdown, and the
-state digest must equal the row evaluator's exactly.  The load-bearing
-rules, all inherited from the PR 6 ``charges_commute`` analysis:
+Charge order (pinned by ``tests/store/golden_kernels.json``, frozen
+while a row-at-a-time evaluator still ran beside these kernels and
+agreed in rows, order, meter total, breakdown, counters and digest).
+The meter sums floats, so the order of charges is observable in its
+last bits; the load-bearing rules:
 
 * integer-valued charges (``hash_probe_ns``, ``scan_entry_ns``,
   ``binding_ns``, ``filter_ns``) sum exactly in any grouping *between
   two fractional charges*, so they may be aggregated freely within
   such a gap;
-* fractional charges (``rdma_byte_ns`` remote reads) must land on the
-  same running meter total as in the row path, or their float rounding
-  can differ in the last bit — so probes issue in first-occurrence row
-  order, and on multi-node clusters (where probes can be remote) the
-  bound-start and index-start expansions preserve the row evaluator's
-  probe-vs-binding interleave: each probe's captured charges replay at
-  its row position, with the binding charges of earlier rows emitted
-  first (single-node clusters are fractional-free and keep the fully
-  aggregated fast path — the same gate as the one-shot executor's
-  ``charges_commute``);
-* an aggregated charge with ``times=0`` still creates its breakdown
-  category at ``0.0``, which the row path would not — every aggregate
-  charge here is guarded by a positive count.
+* fractional charges (``rdma_byte_ns`` remote reads) must land on a
+  fixed running meter total, or their float rounding can differ in the
+  last bit — so probes issue in first-occurrence row order, and on
+  multi-node clusters (where probes can be remote) the bound-start and
+  index-start expansions interleave probes with bindings row by row:
+  each probe's captured charges replay at its first row's position,
+  after the binding charges of every earlier row (single-node clusters
+  are fractional-free and keep the fully aggregated fast path — the
+  same gate as the one-shot executor's ``charges_commute``);
+* an aggregated charge with ``times=0`` would still create its
+  breakdown category at ``0.0`` — every aggregate charge here is
+  guarded by a positive count.
 
-Row-order contract: each expansion produces rows in the row evaluator's
-nested-loop order — anchor probes are shared (row-major, entry-minor),
-bound-start expansions gather per row, and ``INDEX_START`` concatenates
-per-subject parts (subject-major, then row, then entry).
+Row-order contract: each expansion produces rows in nested-loop order —
+anchor probes are shared (row-major, entry-minor), bound-start
+expansions gather per row, and ``INDEX_START`` concatenates per-subject
+parts (subject-major, then row, then entry).
 """
 
 from __future__ import annotations
@@ -75,11 +75,11 @@ class _ChargeScript:
     """Captures one probe's meter charges for ordered replay.
 
     On multi-node clusters a probe can price fractional remote reads,
-    which must land on the same running meter total as in the row
-    evaluator — after the binding charges of every earlier row.  The
-    expansions below fetch through this shim first (the data is needed
-    to compute binding counts at all), then replay each probe's exact
-    charge sequence at its row position.
+    which must land on the running meter total the goldens pin — after
+    the binding charges of every earlier row.  The expansions below
+    fetch through this shim first (the data is needed to compute
+    binding counts at all), then replay each probe's exact charge
+    sequence at its row position.
     """
 
     __slots__ = ("calls",)
@@ -99,11 +99,9 @@ class _ChargeScript:
 class _CompiledPlainFilter:
     """One ordinary FILTER compiled into a column selector.
 
-    Evaluation is delegated to the row path's
+    Evaluation is delegated to
     :func:`~repro.temporal.evaluate._plain_filter_matches` on a minimal
-    one-row dict, memoized per distinct operand-value pair — semantics
-    (including the unbound-variable :class:`PlanError`) stay shared with
-    the control by construction.
+    one-row dict, memoized per distinct operand-value pair.
     """
 
     __slots__ = ("expr",)
@@ -114,9 +112,8 @@ class _CompiledPlainFilter:
     def select(self, cols: Columns, indices, interval_vars, name_of,
                resolve) -> List[int]:
         if not indices:
-            # Mirror the row path's short-circuit: a filter whose
-            # predecessors emptied the batch is never evaluated, so an
-            # unbound variable in it must not raise here either.
+            # A filter whose predecessors emptied the batch is never
+            # evaluated, so an unbound variable in it must not raise.
             return list(indices)
         expr = self.expr
         lterm, rterm = expr.left, expr.right
@@ -159,8 +156,8 @@ class _CompiledIntervalFilter:
 
     def __init__(self, ifilter: IntervalFilter):
         self.ifilter = ifilter
-        # Row-path _endpoint() order: left_ts, left_te, right_ts,
-        # right_te — preserved so unbound-variable errors match.
+        # Resolution order left_ts, left_te, right_ts, right_te: the
+        # first unbound variable in that order is the one reported.
         self.endpoints: List[Tuple[Optional[str], Optional[int]]] = [
             (term, None) if is_variable(term) else (None, int(term))
             for term in (ifilter.left_ts, ifilter.left_te,
@@ -201,13 +198,13 @@ class _CompiledIntervalFilter:
 class CompiledIntervalPlan:
     """An interval query's steps plus its static FILTER schedule.
 
-    The row evaluator decides filter readiness dynamically (``prune``
-    after every step); readiness depends only on which pattern
-    variables each executed step binds, so the schedule is a pure
-    function of ``(query, steps)`` and compiles once.  Filters whose
-    variables are never bound by any step and lie outside
-    ``query.variables()`` are dropped without evaluation — exactly the
-    row path's silent leftover behaviour.
+    A filter is ready at the first step after which all its variables
+    are bound; readiness depends only on which pattern variables each
+    step binds, so the schedule is a pure function of
+    ``(query, steps)`` and compiles once.  Filters still pending after
+    the last step run as leftovers (the batch emptied before their
+    step); those whose variables lie outside ``query.variables()`` too
+    are dropped without evaluation.
     """
 
     __slots__ = ("steps", "plain_at", "interval_at", "leftover_plain",
@@ -253,9 +250,8 @@ def _extend_shared(cols: Columns, nrows: int, anchor_var: Optional[str],
     Covers ``CONST_SUBJECT``/``CONST_OBJECT`` (anchor is the constant,
     ``anchor_var`` is None) and one ``INDEX_START`` subject part
     (``anchor_var`` is the subject variable).  Binding targets are
-    written in the row evaluator's assignment order — anchor, unbound
-    other, ``?ts``, ``?te`` — with later writes winning on variable
-    name collisions, exactly like its per-row dict assignments.
+    written in the order anchor, unbound other, ``?ts``, ``?te``, with
+    later writes winning on variable name collisions.
     """
     if is_variable(other_term):
         const_other = None
@@ -362,12 +358,11 @@ def _extend_bound(cols: Columns, nrows: int, start_term: str,
     """Extend the batch through a bound-start expansion step.
 
     One batched probe per distinct start vertex in first-occurrence
-    row order — the same probes, in the same order, as the row
-    evaluator's per-step probe cache.  On a single-node cluster every
-    probe charge is an integer and the whole batch charges aggregated;
-    on multi-node clusters the probes capture their (possibly
-    fractional) charges for replay interleaved with the binding
-    charges, preserving the row path's charge sequence bit-for-bit.
+    row order.  On a single-node cluster every probe charge is an
+    integer and the whole batch charges aggregated; on multi-node
+    clusters the probes capture their (possibly fractional) charges for
+    replay interleaved with the binding charges (module docstring,
+    "Charge order").
     """
     starts = cols[start_term]
     if len(store.cluster.nodes) > 1:
@@ -395,9 +390,9 @@ def _extend_bound(cols: Columns, nrows: int, start_term: str,
         """Emit binding charges (and, multi-node, the probe replays).
 
         Replays each captured probe at its first-occurrence row, with
-        the binding charges of earlier rows flushed first — the row
-        evaluator's exact interleave.  ``counts`` is None when no row
-        produces bindings (unresolvable constant other-vertex).
+        the binding charges of earlier rows flushed first.  ``counts``
+        is None when no row produces bindings (unresolvable constant
+        other-vertex).
         """
         if scripts is None:
             if total:
@@ -422,9 +417,8 @@ def _extend_bound(cols: Columns, nrows: int, start_term: str,
         const_other = None
         other_col = cols.get(other_term)
     else:
-        # Resolved after the probes on purpose: the row path issues its
-        # cached probes before extend() discovers the constant is
-        # unknown, so the probe charges land either way.
+        # Resolved after the probes on purpose: the probes are charged
+        # even when the constant turns out to be unknown.
         const_other = resolve(other_term)
         if const_other is None:
             charge_bindings(None, 0)
@@ -534,16 +528,15 @@ def _extend_index(cols: Columns, nrows: int, pattern, eid: int, store,
 
     Index vertices are deduplicated per shard and each vertex is owned
     by exactly one shard, so the gathered subjects are globally unique
-    — the batch probe's distinct-vid dedup therefore issues exactly the
-    row path's one probe per subject.  Parts concatenate subject-major
-    (then row, then entry), matching the row evaluator's loop nesting.
+    and the batch probe issues exactly one probe per subject.  Parts
+    concatenate subject-major (then row, then entry).
 
     On a single-node cluster every probe charge is an integer, so all
     subjects fetch in one aggregated call up front.  On multi-node
     clusters a probe can price fractional remote reads, which must stay
-    interleaved with the binding charges exactly as in the row path —
-    each subject probes just in time, followed by that subject's
-    binding charge (the one-shot executor's ``charges_commute`` gate).
+    interleaved with the binding charges — each subject probes just in
+    time, followed by that subject's binding charge (the one-shot
+    executor's ``charges_commute`` gate).
     """
     subjects = store.gather_index(home_node, eid, DIR_OUT, meter,
                                   category="store")
@@ -575,8 +568,8 @@ def _extend_index(cols: Columns, nrows: int, pattern, eid: int, store,
             const_other = resolve(pattern.object)
             if const_other is None:
                 if fetched is None:
-                    # The row path probes every subject before extend()
-                    # discovers the constant is unknown.
+                    # Every subject is probed (and charged) even though
+                    # the unknown constant can match none of them.
                     for svid in subjects:
                         probe(svid)
                 return {}, 0
@@ -600,8 +593,8 @@ def _extend_index(cols: Columns, nrows: int, pattern, eid: int, store,
         total = len(subj_col)
         if total == 0:
             return {}, 0
-        # Row-path assignment order, later writes winning on variable
-        # name collisions (subject, unbound object, ?ts, ?te).
+        # Assignment order subject, unbound object, ?ts, ?te — later
+        # writes win on variable name collisions.
         targets: Columns = {pattern.subject: subj_col}
         if const_other is None:
             targets[pattern.object] = obj_col
@@ -637,13 +630,11 @@ def evaluate_interval_batch(query: Query, plan: CompiledIntervalPlan,
                             meter: LatencyMeter,
                             counters: Optional[IntervalCounters] = None
                             ) -> Tuple[List[str], List[Tuple[int, ...]]]:
-    """Run an interval query on the columnar batch path.
+    """Run an interval (quintuple) query at a pinned ``snapshot``.
 
-    Drop-in twin of
-    :func:`repro.temporal.evaluate.evaluate_interval_query`: same
-    ``(variables, rows)`` result in the same order, same simulated
-    charges (total and per-category breakdown), same traversal
-    counters — proven by the batch-vs-row differential suite.
+    Returns ``(variables, rows)`` ready for an ``ExecutionResult``: the
+    projected columns, graph variables as vids and interval variables
+    as snapshot numbers.
     """
     strings = store.strings
     cost = store.cluster.cost
@@ -662,8 +653,8 @@ def evaluate_interval_batch(query: Query, plan: CompiledIntervalPlan,
         nonlocal cols, nrows
         count = len(plain) + len(interval)
         if count == 0 or nrows == 0:
-            # Guarded so a times=0 charge cannot create a breakdown
-            # category the row path never touched.
+            # Guarded so a times=0 charge cannot create an empty
+            # breakdown category.
             return
         meter.charge(filter_ns, times=nrows * count, category="filter")
         indices = range(nrows)
@@ -682,7 +673,7 @@ def evaluate_interval_batch(query: Query, plan: CompiledIntervalPlan,
         eid = strings.lookup_predicate(pattern.predicate)
         if eid is None:
             # Unknown predicate empties the batch before this step's
-            # filters — the row path breaks before its prune() too.
+            # filters run (and before they are charged).
             nrows = 0
             break
         if step.kind == CONST_SUBJECT:

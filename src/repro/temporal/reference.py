@@ -78,11 +78,11 @@ class _Facts:
     def candidates(self, pattern, row: Dict[str, object]) -> List[Fact]:
         """Facts that can match ``pattern`` under ``row`` (a superset:
         :func:`_match` still checks every term)."""
-        subject = row.get(pattern.subject, None) \
+        subject = row.get(pattern.subject) \
             if is_variable(pattern.subject) else pattern.subject
         if subject is not None:
             return self.by_subject.get((pattern.predicate, subject), [])
-        obj = row.get(pattern.object, None) \
+        obj = row.get(pattern.object) \
             if is_variable(pattern.object) else pattern.object
         if obj is not None:
             return self.by_object.get((pattern.predicate, obj), [])

@@ -1,87 +1,48 @@
-"""Differential check: columnar vs row window closes are bit-identical.
+"""Frozen-verdict check of the columnar window-close path under chaos.
 
 The columnar window-close path — flat-column stream-index reads through
 ``ColumnarSlice`` and the ``WindowAccess`` batch hooks, with incremental
-window deltas between closes — is a wall-clock optimization only.  This
-suite runs the same chaos workload twice, once on the columnar batch
-kernels and once on the row kernels, and demands:
+window deltas between closes — must keep producing what it produced at
+the last commit where a row-kernel twin still ran beside it and agreed
+(``golden_kernels.json``; cases in :mod:`store.kernel_cases`):
 
-* identical rows for every continuous execution (including catch-ups),
-* identical simulated meters, total and per-category breakdown,
-* identical injection records, and
-* an identical engine state digest after a final GC pass,
+* the rows of every continuous execution (including catch-ups),
+* the simulated meters, total and per-category breakdown,
+* the injection records, and
+* the engine state digest after a final GC pass,
 
-under a fault plan that kills a node in the middle of the window-close
-schedule (so recovery, catch-up closes and delta-cache resets all happen
-on both paths).
+fault-free and under a fault plan that kills a node in the middle of the
+window-close schedule (so recovery, catch-up closes and delta-cache
+resets all happen).
 """
 
 import pytest
 
-from chaos.chaos_workload import (NUM_NODES, STREAMS, TICKS,
-                                  TICKS_PER_CHECKPOINT, build_engine)
-from repro.chaos.controller import ChaosController
-from repro.chaos.harness import _execution_facts, _injection_facts
-from repro.chaos.plan import FaultPlan, KillNode
-from repro.chaos.state import diff_digests, engine_state_digest
+from store.kernel_cases import chaos_facts, frozen, run_chaos_workload
 
 pytestmark = pytest.mark.chaos
 
 
-def kill_during_close_plan() -> FaultPlan:
-    """Kill node 1 at tick 26 for 4 ticks: with 100 ms batches and
-    STEP 100 windows, closes fire every tick, so the crash lands mid-
-    schedule and forces catch-up closes after the heal."""
-    plan = FaultPlan(faults=[KillNode(at_tick=26, node_id=1, down_ticks=4)],
-                     name="kill-during-close")
-    plan.validate(NUM_NODES, STREAMS, TICKS,
-                  ticks_per_checkpoint=TICKS_PER_CHECKPOINT)
-    return plan
-
-
-def run_workload(columnar: bool, faulted: bool):
-    engine = build_engine()
-    if not columnar:
-        # Same engine, row kernels: every window close takes the per-row
-        # span walk instead of the columnar window views.
-        engine.continuous.explorer.use_batch = False
-        engine.oneshot_engine.explorer.use_batch = False
-    if faulted:
-        controller = ChaosController(kill_during_close_plan())
-        controller.attach(engine, ticks=TICKS)
-    for _ in range(TICKS):
-        engine.step()
-    engine.gc.run(engine.clock.now_ms)
-    return engine
-
-
-def assert_runs_identical(batch_engine, row_engine):
-    assert _execution_facts(batch_engine) == _execution_facts(row_engine)
-    assert _injection_facts(batch_engine, with_meters=True) == \
-        _injection_facts(row_engine, with_meters=True)
-    assert diff_digests(engine_state_digest(batch_engine),
-                        engine_state_digest(row_engine)) == []
-
-
 def test_columnar_and_row_closes_identical_fault_free():
-    assert_runs_identical(run_workload(columnar=True, faulted=False),
-                          run_workload(columnar=False, faulted=False))
+    engine = run_chaos_workload(faulted=False)
+    assert {"chaos/fault-free": chaos_facts(engine)} == \
+        frozen("chaos/fault-free")
 
 
 def test_columnar_and_row_closes_identical_under_kill_during_close():
-    batch_engine = run_workload(columnar=True, faulted=True)
-    row_engine = run_workload(columnar=False, faulted=True)
+    engine = run_chaos_workload(faulted=True)
     # The kill must actually have disturbed the close schedule, or this
     # test degenerates into the fault-free case.
     assert any(handle.gaps
-               for handle in batch_engine.continuous.queries.values()), \
+               for handle in engine.continuous.queries.values()), \
         "fault plan no longer disturbs any window close"
-    assert_runs_identical(batch_engine, row_engine)
+    assert {"chaos/kill-during-close": chaos_facts(engine)} == \
+        frozen("chaos/kill-during-close")
 
 
 def test_columnar_path_actually_ran_under_chaos():
-    """Guard against the differential silently comparing row vs row."""
-    engine = run_workload(columnar=True, faulted=True)
+    """Guard against the closes silently falling off the window views."""
+    engine = run_chaos_workload(faulted=True)
     views = [view for handle in engine.continuous.queries.values()
              for view in handle.window_views.values()]
     assert views, "columnar run produced no window views"

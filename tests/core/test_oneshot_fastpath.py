@@ -11,7 +11,8 @@ pipeline:
   identical plan orders (statistics are pure functions of store state).
 * **The caches are transparent** — the compiled-plan and query-parse
   caches return reused objects without changing results, stay bounded,
-  and the columnar batch path charges exactly what the row path charges.
+  and the columnar kernels charge exactly what ``golden_kernels.json``
+  froze.
 """
 
 import random
@@ -26,6 +27,8 @@ from repro.sim.cost import LatencyMeter
 from repro.sparql.parser import parse_query
 from repro.sparql.planner import plan_order, plan_query
 from repro.store.distributed import PersistentAccess
+
+from store.kernel_cases import assert_frozen, lsbench_cases
 
 DURATION_MS = 1_000
 S_QUERIES = ["S1", "S2", "S3", "S4", "S5", "S6"]
@@ -147,26 +150,9 @@ def test_parse_cache_reuses_parsed_queries(ls_engine):
     assert engine._oneshot_parse_cache.get(text) is cached
 
 
-def test_batch_path_charges_match_row_path(ls_engine):
-    """The columnar kernels must be charge-identical to the row kernels."""
-    bench, engine = ls_engine
-    explorer = engine.oneshot_engine.explorer
-    access = PersistentAccess(engine.store, home_node=0,
-                              max_sn=engine.coordinator.stable_sn)
-
-    def factory(node):
-        return lambda pattern: access
-
-    for name in S_QUERIES:
-        plan = engine.oneshot_engine.plan(
-            parse_query(bench.oneshot_query(name)))
-        compiled = explorer._compile(plan)
-        batch_meter = LatencyMeter()
-        batch_result = explorer.execute(plan, factory, batch_meter,
-                                        home_node=0)
-        row_meter = LatencyMeter()
-        rows = explorer._run_steps(compiled, factory(0), row_meter)
-        row_result = explorer._project(plan, compiled, rows, row_meter)
-        assert batch_result.rows == row_result.rows, name
-        assert batch_meter.ns == row_meter.ns, name
-        assert batch_meter.breakdown_ms == row_meter.breakdown_ms, name
+def test_batch_path_charges_match_row_path():
+    """The S-query plans on one to three nodes (auto mode, and migrate
+    on the multi-node clusters) must keep the rows, charges and digest
+    frozen while the row kernels still ran beside the columnar ones."""
+    for num_nodes in (1, 2, 3):
+        assert_frozen(lsbench_cases(num_nodes), f"lsbench/n{num_nodes}/")

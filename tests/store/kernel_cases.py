@@ -12,7 +12,7 @@ writing).  Rows get a second, implementation-free anchor: every case that
 is a plain one-shot, ``FROM SNAPSHOT`` or interval query is checked against
 the brute-force oracle (:mod:`repro.temporal.reference`) as it runs.
 
-The test files assert ``as_json(<family>(...)) == frozen(<prefix>)``;
+The test files call ``assert_frozen(<family>(...), <prefix>)``;
 ``compute_facts`` is the union the regen script writes and drift-checks.
 """
 
@@ -25,9 +25,9 @@ import random
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Tuple
 
+from baselines.helpers import EXPECTED_QC_AT_10S, feed, qc_query, to_names
 from chaos.chaos_workload import (NUM_NODES, STREAMS, TICKS,
                                   TICKS_PER_CHECKPOINT)
-from baselines.helpers import EXPECTED_QC_AT_10S, feed, qc_query, to_names
 from chaos.chaos_workload import build_engine as build_chaos_workload
 from core.test_engine import build_engine as build_paper_engine
 from repro.baselines.composite import CompositeEngine
@@ -97,12 +97,6 @@ def engine_sha(engine) -> str:
     return digest_sha256(engine_state_digest(engine))
 
 
-def set_kernels(engine, use_batch: bool) -> None:
-    engine.continuous.explorer.use_batch = use_batch
-    engine.oneshot_engine.explorer.use_batch = use_batch
-    engine.temporal.use_batch = use_batch
-
-
 def as_json(cases) -> dict:
     """Cases in the golden's representation (floats survive a JSON round
     trip exactly; tuples become lists)."""
@@ -115,6 +109,12 @@ def frozen(prefix: str) -> dict:
         golden = json.load(handle)
     return {case_id: facts for case_id, facts in golden.items()
             if case_id.startswith(prefix)}
+
+
+def assert_frozen(cases, prefix: str) -> None:
+    """The cases just run are exactly the recorded ones under ``prefix``
+    (none missing, none extra) with identical facts."""
+    assert as_json(cases) == frozen(prefix)
 
 
 @contextmanager
@@ -232,9 +232,9 @@ def store_sha(store) -> str:
     return digest_sha256([_shard_digest(shard) for shard in store.shards])
 
 
-def run_xlab(cluster, strings, store, text, mode, use_batch=True,
+def run_xlab(cluster, strings, store, text, mode,
              force_index_optional=False):
-    explorer = GraphExplorer(cluster, strings, use_batch=use_batch)
+    explorer = GraphExplorer(cluster, strings)
     plan = plan_query(parse_query(text))
     if force_index_optional:
         explorer._compile(plan).optionals[0][0].kind = INDEX_START
@@ -242,25 +242,22 @@ def run_xlab(cluster, strings, store, text, mode, use_batch=True,
     result = explorer.execute(plan, persistent_factory(store), meter,
                               mode=mode)
     # Pure-UNION plans have no steps, so no step kernel runs.
-    steps = 1 if plan.steps else 0
-    assert (explorer.batch_executions, explorer.row_executions) == \
-        ((steps, 0) if use_batch else (0, steps)), text
+    assert explorer.batch_executions == (1 if plan.steps else 0), text
     return result, meter
 
 
-def xlab_cases(shape: str, mode: str, use_batch: bool = True) -> Cases:
+def xlab_cases(shape: str, mode: str) -> Cases:
     cluster, strings, store = build_xlab(shape)
     history = dump_history(store)
     before = store_sha(store)
     prefix = f"xlab/{shape}/{mode}/"
     for text in XLAB_MATRIX[shape][mode]:
-        result, meter = run_xlab(cluster, strings, store, text, mode,
-                                 use_batch)
+        result, meter = run_xlab(cluster, strings, store, text, mode)
         assert_matches_oracle(text, result, strings, history, OPEN_END)
         yield prefix + text, execution_facts(result, meter)
     if shape == "rdma3":
         result, meter = run_xlab(cluster, strings, store,
-                                 FORCED_INDEX_OPTIONAL, mode, use_batch,
+                                 FORCED_INDEX_OPTIONAL, mode,
                                  force_index_optional=True)
         assert_matches_oracle(FORCED_INDEX_OPTIONAL, result, strings,
                               history, OPEN_END)
@@ -270,11 +267,11 @@ def xlab_cases(shape: str, mode: str, use_batch: bool = True) -> Cases:
     yield prefix + "state", {"store_sha": before}
 
 
-def explore_cases(use_batch: bool = True) -> Cases:
+def explore_cases() -> Cases:
     """``GraphExplorer.explore``: bare steps over caller-supplied seed
     rows (the composite baseline's embedded sub-queries)."""
     cluster, strings, store = build_xlab()
-    explorer = GraphExplorer(cluster, strings, use_batch=use_batch)
+    explorer = GraphExplorer(cluster, strings)
     access = PersistentAccess(store, home_node=0)
     logan = strings.lookup_entity("Logan")
     erik = strings.lookup_entity("Erik")
@@ -315,7 +312,7 @@ def explore_cases(use_batch: bool = True) -> Cases:
     assert rows_of["index-over-bound-subject"] == rows_of["bound-subject"]
 
 
-def composite_cases(use_batch: bool = True) -> Cases:
+def composite_cases() -> Cases:
     """The composite baseline ships stream-side bindings into its Wukong
     subcomponent as multi-row ``explore`` seeds: QC under both plan
     styles on one and two nodes, plus its static one-shot path."""
@@ -323,7 +320,6 @@ def composite_cases(use_batch: bool = True) -> Cases:
         for style in ("interleaved", "stream_first"):
             engine = feed(CompositeEngine(Cluster(num_nodes=num_nodes),
                                           plan=style))
-            engine.explorer.use_batch = use_batch
             rows, meter, breakdown = engine.execute_continuous(qc_query(),
                                                                10_000)
             assert to_names(engine.strings, rows) == EXPECTED_QC_AT_10S
@@ -352,7 +348,7 @@ def build_lsbench(num_nodes: int, duration_ms: int = 1_000,
     return bench, engine
 
 
-def lsbench_cases(num_nodes: int, use_batch: bool = True) -> Cases:
+def lsbench_cases(num_nodes: int) -> Cases:
     """The S-query plans through ``GraphExplorer.execute`` in the auto
     mode (in-place on one node; fork-join for index starts otherwise)
     and, on multi-node clusters, in migrate."""
@@ -360,8 +356,7 @@ def lsbench_cases(num_nodes: int, use_batch: bool = True) -> Cases:
     sn = engine.coordinator.stable_sn
     history = dump_history(engine.store)
     before = engine_sha(engine)
-    explorer = GraphExplorer(engine.cluster, engine.strings,
-                             use_batch=use_batch)
+    explorer = GraphExplorer(engine.cluster, engine.strings)
     factory = persistent_factory(engine.store, max_sn=sn)
     modes = ["auto"] if num_nodes == 1 else ["auto", "migrate"]
     for name in S_QUERIES:
@@ -413,11 +408,10 @@ def build_qc_engine() -> WukongSEngine:
     return engine
 
 
-def engine_qc_cases(use_batch: bool = True) -> Cases:
+def engine_qc_cases() -> Cases:
     """Injection records, continuous window closes and a one-shot on a
     two-node engine."""
     engine = build_qc_engine()
-    set_kernels(engine, use_batch)
     engine.register_continuous(QC)
     engine.run_until(10_000)
     record = engine.oneshot(QC_ONESHOT)
@@ -444,12 +438,11 @@ WHERE {
 }"""
 
 
-def engine_optional_cases(use_batch: bool = True) -> Cases:
+def engine_optional_cases() -> Cases:
     """The engine executions of tests/sparql/test_optional.py: stored
     OPTIONALs after stream absorption, and one over a stream window
     (time-scoped, so the row-shaped ``WindowAccess`` serves it)."""
     engine = build_paper_engine()
-    set_kernels(engine, use_batch)
     engine.run_until(4_000)
     history = dump_history(engine.store)
     for text in [OPTIONAL_TAGS] + OPTIONAL_QUERIES:
@@ -478,9 +471,8 @@ def kill_during_close_plan() -> FaultPlan:
     return plan
 
 
-def run_chaos_workload(faulted: bool, use_batch: bool = True):
+def run_chaos_workload(faulted: bool):
     engine = build_chaos_workload()
-    set_kernels(engine, use_batch)
     if faulted:
         ChaosController(kill_during_close_plan()).attach(engine,
                                                          ticks=TICKS)
@@ -526,33 +518,39 @@ def seeded_histories() -> List[List[Tuple[str, int, int]]]:
              for _ in range(size)] for size in HISTORY_SIZES]
 
 
+#: Interval query templates spanning every kernel branch: single and
+#: multi-pattern quintuples, constant and variable endpoints, plain and
+#: interval FILTERs, and a shared-``?ts`` join.  Placeholders: ``{op}``,
+#: ``{actor}`` and the constant interval ``[{lo}, {hi})``.
+INTERVAL_TEMPLATES = {
+    "single-ifilter":
+        "SELECT ?U ?P ?ts WHERE {{ ?U po ?P [?ts, ?te) "
+        "FILTER ([?ts, ?te) {op} [{lo}, {hi})) }}",
+    "const-subject":
+        "SELECT ?P ?ts WHERE {{ {actor} po ?P [?ts, ?te) "
+        "FILTER (?ts >= {lo}) }}",
+    "two-filters":
+        "SELECT ?P ?ts WHERE {{ {actor} po ?P [?ts, ?te) "
+        "FILTER (?ts >= {lo}) "
+        "FILTER ([?ts, ?te) {op} [{lo}, {hi})) }}",
+    "quintuple-join":
+        "SELECT ?F ?P ?pts WHERE {{ {actor} fo ?F [?fts, ?fte) . "
+        "?F po ?P [?pts, ?pte) FILTER (?pts >= ?fts) }}",
+    "shared-ts-join":
+        "SELECT ?U ?F ?P WHERE {{ ?U fo ?F [?ts, ?fte) . "
+        "?F po ?P [?ts, ?pte) }}",
+}
+
+
 def battery_queries(rng: random.Random) -> List[Tuple[str, str]]:
-    """Five templates per operator, spanning every kernel branch: single
-    and multi-pattern quintuples, constant and variable endpoints, plain
-    and interval FILTERs, and a shared-``?ts`` join."""
+    """Every template once per operator, parameters drawn from ``rng``."""
     out = []
     for op in OPS:
         lo, width = rng.randrange(7), rng.randrange(1, 7)
         actor = rng.choice(USERS)
-        window = f"[{lo}, {lo + width})"
-        out += [
-            (f"{op}/single-ifilter",
-             f"SELECT ?U ?P ?ts WHERE {{ ?U po ?P [?ts, ?te) "
-             f"FILTER ([?ts, ?te) {op} {window}) }}"),
-            (f"{op}/const-subject",
-             f"SELECT ?P ?ts WHERE {{ {actor} po ?P [?ts, ?te) "
-             f"FILTER (?ts >= {lo}) }}"),
-            (f"{op}/two-filters",
-             f"SELECT ?P ?ts WHERE {{ {actor} po ?P [?ts, ?te) "
-             f"FILTER (?ts >= {lo}) "
-             f"FILTER ([?ts, ?te) {op} {window}) }}"),
-            (f"{op}/quintuple-join",
-             f"SELECT ?F ?P ?pts WHERE {{ {actor} fo ?F [?fts, ?fte) . "
-             f"?F po ?P [?pts, ?pte) FILTER (?pts >= ?fts) }}"),
-            (f"{op}/shared-ts-join",
-             "SELECT ?U ?F ?P WHERE { ?U fo ?F [?ts, ?fte) . "
-             "?F po ?P [?ts, ?pte) }"),
-        ]
+        out += [(f"{op}/{name}",
+                 template.format(op=op, lo=lo, hi=lo + width, actor=actor))
+                for name, template in INTERVAL_TEMPLATES.items()]
     return out
 
 
@@ -597,41 +595,38 @@ def build_killed_posts_engine(events, ticks: int = 8):
 
 
 def run_interval_queries(engine, queries, prefix: str,
-                         use_batch: bool = True, **oneshot_kwargs) -> Cases:
+                         **oneshot_kwargs) -> Cases:
     """Run ``(name, text)`` interval queries on one engine: temporal
     facts per query, rows against the oracle, digest unmoved."""
-    set_kernels(engine, use_batch)
     history = dump_history(engine.store)
     before = engine_sha(engine)
-    ran = engine.temporal.batch_executions + engine.temporal.row_executions
+    ran = engine.temporal.batch_executions
     for name, text in queries:
         record = engine.oneshot(text, **oneshot_kwargs)
-        assert record.interval_path and record.batch_path == use_batch
+        assert record.interval_path
         assert_matches_oracle(text, record.result, engine.strings, history,
                               record.snapshot)
         yield prefix + name, temporal_facts(record)
     # The interval kernels actually ran, once per query.
-    assert (engine.temporal.batch_executions if use_batch
-            else engine.temporal.row_executions) >= ran + len(queries)
+    assert engine.temporal.batch_executions == ran + len(queries)
     assert engine_sha(engine) == before
     yield prefix + "state", {"state_sha": before}
 
 
-def temporal_battery_cases(num_nodes: int, use_batch: bool = True) -> Cases:
+def temporal_battery_cases(num_nodes: int) -> Cases:
     rng = random.Random(0)
     for index, events in enumerate(seeded_histories()):
         engine = build_posts_engine(events, num_nodes=num_nodes)
         engine.run_until(7_000)
         yield from run_interval_queries(
             engine, battery_queries(rng),
-            f"temporal/battery/n{num_nodes}/h{index}/", use_batch)
+            f"temporal/battery/n{num_nodes}/h{index}/")
 
 
-def temporal_kill_cases(use_batch: bool = True) -> Cases:
+def temporal_kill_cases() -> Cases:
     engine = build_killed_posts_engine(seeded_histories()[KILL_HISTORY])
     yield from run_interval_queries(
-        engine, battery_queries(random.Random(0)), "temporal/kill/",
-        use_batch)
+        engine, battery_queries(random.Random(0)), "temporal/kill/")
 
 
 #: Posts inserted at batches 0..3, so insertion SNs land at the small
@@ -659,17 +654,16 @@ BOUNDARY_QUERIES = [
 ]
 
 
-def temporal_boundary_cases(queries=BOUNDARY_QUERIES,
-                            use_batch: bool = True) -> Cases:
+def temporal_boundary_cases() -> Cases:
     engine = build_posts_engine(BOUNDARY_EVENTS,
                                 static="u0 fo u1 .\nu1 fo u2 .")
     engine.run_until(6_000)
     yield from run_interval_queries(
-        engine, [(text, text) for text in queries], "temporal/boundary/",
-        use_batch)
+        engine, [(text, text) for text in BOUNDARY_QUERIES],
+        "temporal/boundary/")
 
 
-def temporal_deep_cases(use_batch: bool = True) -> Cases:
+def temporal_deep_cases() -> Cases:
     """Deep-history scale on two nodes: thousands of probes and meter
     totals in the millions of ns, where a fractional remote-read charge
     landing on a different running total shows in the last float bits."""
@@ -684,27 +678,23 @@ def temporal_deep_cases(use_batch: bool = True) -> Cases:
          "?f po ?p [?ts, ?te) . FILTER ([?ts, ?te) DURING [1, *)) }"),
     ]
     yield from run_interval_queries(engine, queries, "temporal/deep/",
-                                    use_batch, home_node=0)
+                                    home_node=0)
 
 
 # --- the union the regen script writes ---------------------------------------
 
-def compute_facts(use_batch: bool = True) -> Dict[str, dict]:
-    families = [xlab_cases(shape, mode, use_batch)
+def compute_facts() -> Dict[str, dict]:
+    families = [xlab_cases(shape, mode)
                 for shape, modes in XLAB_MATRIX.items() for mode in modes]
-    families += [explore_cases(use_batch), composite_cases(use_batch)]
-    families += [lsbench_cases(nodes, use_batch) for nodes in (1, 2, 3)]
-    families += [engine_qc_cases(use_batch),
-                 engine_optional_cases(use_batch)]
-    families += [temporal_battery_cases(nodes, use_batch)
-                 for nodes in (1, 2)]
-    families += [temporal_kill_cases(use_batch),
-                 temporal_boundary_cases(use_batch=use_batch),
-                 temporal_deep_cases(use_batch)]
+    families += [explore_cases(), composite_cases()]
+    families += [lsbench_cases(nodes) for nodes in (1, 2, 3)]
+    families += [engine_qc_cases(), engine_optional_cases()]
+    families += [temporal_battery_cases(nodes) for nodes in (1, 2)]
+    families += [temporal_kill_cases(), temporal_boundary_cases(),
+                 temporal_deep_cases()]
     facts = {case_id: case for family in families
              for case_id, case in family}
     for name, faulted in (("fault-free", False),
                           ("kill-during-close", True)):
-        facts[f"chaos/{name}"] = chaos_facts(
-            run_chaos_workload(faulted, use_batch))
+        facts[f"chaos/{name}"] = chaos_facts(run_chaos_workload(faulted))
     return facts

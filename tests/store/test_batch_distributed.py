@@ -1,221 +1,79 @@
-"""Differential row-vs-batch tests for the distributed execution modes.
+"""Frozen-verdict tests for the distributed execution modes.
 
-The columnar batch kernels are a wall-clock optimization only: with
-``use_batch`` on or off, an execution must produce the same rows *in the
-same order*, charge the same simulated nanoseconds (bit for bit), and
-leave the same per-category breakdown — in every mode, fork-join and
-migrate included, and with FILTER schedules, UNION arms and OPTIONAL
-groups in the plan.  These tests run each query through two explorers
-that differ only in ``use_batch`` and compare everything.
+An execution must produce the same rows *in the same order*, charge the
+same simulated nanoseconds (bit for bit) and leave the same per-category
+breakdown as the last commit at which the columnar kernels and the
+row-at-a-time kernels both existed and agreed — in every mode, fork-join
+and migrate included, with FILTER schedules, UNION arms and OPTIONAL
+groups in the plan.  The cases live in :mod:`store.kernel_cases`, their
+verdicts in ``golden_kernels.json``; every case is also checked against
+the brute-force oracle as it runs.
 """
 
-from repro.core.engine import EngineConfig, WukongSEngine
 from repro.core.stats import collect_stats
-from repro.rdf.parser import parse_timed_tuples, parse_triples
-from repro.rdf.string_server import StringServer
-from repro.sim.cluster import Cluster
-from repro.sim.cost import LatencyMeter
-from repro.sparql.parser import parse_query
-from repro.sparql.planner import plan_query
-from repro.store.distributed import DistributedStore, PersistentAccess
-from repro.store.executor import GraphExplorer
-from repro.streams.source import StreamSource
-from repro.streams.stream import StreamSchema
 
-XLAB = """
-Logan ty XMen .
-Erik ty XMen .
-Logan fo Erik .
-Erik fo Logan .
-Logan po T-13 .
-Logan po T-14 .
-Erik po T-12 .
-T-13 ht sosp17 .
-T-12 ht sosp17 .
-Logan li T-12 .
-Erik li T-13 .
-Erik li T-14 .
-T-12 sc 2 .
-T-13 sc 5 .
-T-14 sc 9 .
-"""
-
-#: Index-start plans (exercise fork-join) and constant-start plans
-#: (exercise migrate), with and without FILTER schedules.
-INDEX_QUERIES = [
-    "SELECT ?U ?P WHERE { ?U po ?P }",
-    "SELECT ?U ?P ?T WHERE { ?U po ?P . ?P ht ?T }",
-    "SELECT ?P ?S WHERE { ?U po ?P . ?P sc ?S . FILTER (?S > 2) }",
-    "SELECT ?U ?P WHERE { ?U po ?P . FILTER (?U != Erik) }",
-]
-CONST_QUERIES = [
-    "SELECT ?X WHERE { Logan po ?X . ?X ht sosp17 . Erik li ?X }",
-    "SELECT ?F ?P WHERE { Logan fo ?F . ?F po ?P }",
-    "SELECT ?X ?S WHERE { Logan po ?X . ?X sc ?S . FILTER (?S < 9) }",
-]
-#: Plans that force the row fallback past the exploration stage — the
-#: distributed exploration still runs columnar, then converts.
-FALLBACK_QUERIES = [
-    "SELECT ?P WHERE { { Logan po ?P } UNION { Erik po ?P } }",
-    "SELECT ?P ?T WHERE { Logan po ?P . OPTIONAL { ?P ht ?T } }",
-    "SELECT ?U ?P ?T WHERE { ?U po ?P . OPTIONAL { ?P ht ?T } }",
-]
-
-
-def build(num_nodes=3, use_rdma=True):
-    cluster = Cluster(num_nodes=num_nodes, use_rdma=use_rdma)
-    strings = StringServer()
-    store = DistributedStore(cluster, strings)
-    store.load(parse_triples(XLAB))
-    return cluster, strings, store
-
-
-def factory_for(store):
-    def factory(node_id):
-        access = PersistentAccess(store, home_node=node_id)
-        return lambda pattern: access
-    return factory
-
-
-def run(cluster, strings, store, text, mode, use_batch):
-    explorer = GraphExplorer(cluster, strings, use_batch=use_batch)
-    meter = LatencyMeter()
-    result = explorer.execute(plan_query(parse_query(text)),
-                              factory_for(store), meter, mode=mode)
-    return result, meter, explorer
-
-
-def assert_identical(cluster, strings, store, text, mode):
-    batch_result, batch_meter, batch_explorer = run(
-        cluster, strings, store, text, mode, use_batch=True)
-    row_result, row_meter, row_explorer = run(
-        cluster, strings, store, text, mode, use_batch=False)
-    assert batch_result.rows == row_result.rows, text  # exact order too
-    assert batch_result.variables == row_result.variables, text
-    assert batch_meter.ns == row_meter.ns, text  # bit-identical
-    assert batch_meter.breakdown_ms == row_meter.breakdown_ms, text
-    # Pure-UNION plans have no steps, so no step kernel (of either kind)
-    # runs; everything else must take exactly the configured path.
-    if batch_explorer.batch_executions + batch_explorer.row_executions:
-        assert (batch_explorer.batch_executions,
-                batch_explorer.row_executions) == (1, 0), text
-        assert (row_explorer.row_executions,
-                row_explorer.batch_executions) == (1, 0), text
+from store.kernel_cases import (INDEX_QUERIES, assert_frozen,
+                                build_qc_engine, build_xlab,
+                                composite_cases, engine_qc_cases,
+                                explore_cases, run_xlab, xlab_cases)
 
 
 def test_fork_join_differential():
-    cluster, strings, store = build()
-    for text in INDEX_QUERIES + FALLBACK_QUERIES[2:]:
-        assert_identical(cluster, strings, store, text, "fork_join")
+    assert_frozen(xlab_cases("rdma3", "fork_join"), "xlab/rdma3/fork_join/")
 
 
 def test_migrate_differential():
-    cluster, strings, store = build()
-    for text in INDEX_QUERIES + CONST_QUERIES + FALLBACK_QUERIES:
-        assert_identical(cluster, strings, store, text, "migrate")
+    assert_frozen(xlab_cases("rdma3", "migrate"), "xlab/rdma3/migrate/")
 
 
 def test_migrate_differential_without_rdma():
     """TCP fabric: migrate is the auto mode and messages replace reads."""
-    cluster, strings, store = build(use_rdma=False)
-    for text in INDEX_QUERIES + CONST_QUERIES:
-        assert_identical(cluster, strings, store, text, "migrate")
+    assert_frozen(xlab_cases("tcp3", "migrate"), "xlab/tcp3/")
 
 
 def test_union_optional_fallback_differential():
-    cluster, strings, store = build()
-    for text in FALLBACK_QUERIES:
-        assert_identical(cluster, strings, store, text, "in_place")
+    """UNION arms and OPTIONAL groups (incl. one whose first sub-step is
+    an index scan over an already-bound subject) extend one row at a
+    time on the same columnar kernels."""
+    assert_frozen(xlab_cases("rdma3", "in_place"), "xlab/rdma3/in_place/")
 
 
 def test_duplicate_edges_differential():
     """Re-inserting an edge at a later snapshot duplicates it in the
-    adjacency list; the batch path must detect this (its distinct-rows
-    proof fails) and still dedup projected rows exactly like the row
-    path's seen-set."""
-    cluster, strings, store = build()
-    for text in parse_triples("Logan po T-13 .\nErik fo Logan ."):
-        store.insert_encoded(strings.encode_triple(text), sn=1)
-    for text in INDEX_QUERIES:
-        assert_identical(cluster, strings, store, text, "fork_join")
-    for text in INDEX_QUERIES + CONST_QUERIES:
-        assert_identical(cluster, strings, store, text, "migrate")
-    result, _, _ = run(cluster, strings, store, INDEX_QUERIES[0],
-                       "fork_join", use_batch=True)
+    adjacency list; the kernels must detect this (the distinct-rows
+    proof fails) and still dedup projected rows."""
+    assert_frozen(xlab_cases("dup3", "fork_join"), "xlab/dup3/fork_join/")
+    assert_frozen(xlab_cases("dup3", "migrate"), "xlab/dup3/migrate/")
+    result, _ = run_xlab(*build_xlab("dup3"), INDEX_QUERIES[0], "fork_join")
     assert len(result.rows) == len(set(result.rows))
 
 
+def test_explore_seed_shapes():
+    """Bare steps over caller-supplied seed rows, as the composite
+    baseline embeds them: every step kind over multi-row seeds."""
+    assert_frozen(explore_cases(), "explore/")
+    assert_frozen(composite_cases(), "composite/")
+
+
 def test_filter_oneshot_takes_batch_path():
-    """FILTER schedules no longer force the row kernels: a FILTER-bearing
-    one-shot runs columnar end to end (the acceptance counter)."""
-    cluster, strings, store = build()
+    """A FILTER-bearing one-shot runs columnar end to end."""
     text = "SELECT ?P ?S WHERE { ?U po ?P . ?P sc ?S . FILTER (?S > 2) }"
-    result, _, explorer = run(cluster, strings, store, text, "fork_join",
-                              use_batch=True)
+    result, _ = run_xlab(*build_xlab(), text, "fork_join")
     assert len(result.rows) == 2  # T-13 (5) and T-14 (9)
-    assert explorer.batch_executions == 1
-    assert explorer.row_executions == 0
-
-
-TWEETS = """
-Logan po T-15 @2200
-T-15 ht sosp17 @2250
-Erik po T-16 @5100
-Logan po T-17 @8100
-T-17 ht sosp17 @8200
-"""
-
-QC = """
-REGISTER QUERY QC AS
-SELECT ?X ?Z
-FROM Tweet_Stream [RANGE 10s STEP 1s]
-FROM X-Lab
-WHERE {
-  GRAPH Tweet_Stream { ?X po ?Z }
-  GRAPH X-Lab { ?X fo ?Y }
-}
-"""
-
-
-def build_engine(columnar_batch):
-    engine = WukongSEngine(
-        schemas=[StreamSchema("Tweet_Stream")],
-        config=EngineConfig(num_nodes=2, batch_interval_ms=1000,
-                            columnar_batch=columnar_batch))
-    engine.load_static(parse_triples(XLAB))
-    source = StreamSource(engine.schemas["Tweet_Stream"])
-    source.queue_tuples(parse_timed_tuples(TWEETS), 0, 1000)
-    engine.attach_source(source)
-    return engine
 
 
 def test_engine_differential_row_vs_batch():
-    """Whole-engine equivalence: injection records, continuous window
-    results and one-shot latencies are identical either way."""
-    results = {}
-    for columnar_batch in (True, False):
-        engine = build_engine(columnar_batch)
-        engine.register_continuous(QC)
-        engine.run_until(10_000)
-        record = engine.oneshot(
-            "SELECT ?X WHERE { Logan po ?X . ?X ht sosp17 }")
-        handle = engine.continuous.queries["QC"]
-        results[columnar_batch] = {
-            "injection": [(r.num_tuples, r.total_ms)
-                          for r in engine.injection_records],
-            "windows": [(r.close_ms, r.meter.ns, sorted(r.result.rows))
-                        for r in handle.executions],
-            "oneshot": (record.meter.ns, sorted(record.result.rows)),
-        }
-    assert results[True] == results[False]
+    """Whole-engine verdicts: injection records, continuous window
+    results and one-shot latencies on a two-node engine."""
+    assert_frozen(engine_qc_cases(), "engine/qc/")
 
 
 def test_engine_counters_report_batch_path():
-    engine = build_engine(columnar_batch=True)
+    engine = build_qc_engine()
     engine.run_until(2_000)
     engine.oneshot(
         "SELECT ?X ?S WHERE { Logan po ?X . ?X sc ?S . FILTER (?S > 2) }")
     caches = collect_stats(engine).caches
     assert caches.batch_executions >= 1
     assert caches.row_executions == 0
-    assert "batch" in collect_stats(engine).format()
+    assert "executor: " in collect_stats(engine).format()

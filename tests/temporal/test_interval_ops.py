@@ -9,16 +9,12 @@ brute-force history oracle (:mod:`repro.temporal.reference`).
 
 import pytest
 
-from repro.core.engine import EngineConfig, WukongSEngine
 from repro.errors import PlanError
-from repro.rdf.parser import parse_triples
-from repro.rdf.terms import TimedTuple, Triple
 from repro.sparql.ast import OPEN_END
-from repro.streams.source import StreamSource
-from repro.streams.stream import StreamSchema
 from repro.temporal.evaluate import interval_op_holds
-from repro.temporal.reference import (decode_result, dump_history,
-                                      reference_rows)
+
+from store.kernel_cases import (BOUNDARY_QUERIES, as_json, frozen,
+                                temporal_boundary_cases)
 
 pytestmark = pytest.mark.temporal
 
@@ -122,59 +118,22 @@ def test_unknown_operator_is_typed_error():
 
 # --- engine vs oracle at the boundary constants -----------------------
 
-STATIC = "u0 fo u1 .\nu1 fo u2 ."
-
-#: Posts inserted at batches 0..3 -> insertion SNs land at the small
-#: constants the FILTERs below probe the edges of.
-EVENTS = [("u0", 0, 0), ("u0", 1, 1), ("u1", 1, 1), ("u1", 2, 2),
-          ("u0", 3, 3), ("u1", 3, 3)]
-
-BOUNDARY_QUERIES = [
-    # Zero-width left operand via variable aliasing: the point ?ts
-    # against a constant window (constants cannot express [2, 2)).
-    "SELECT ?U ?P ?ts WHERE { ?U po ?P [?ts, ?te) "
-    "FILTER ([?ts, ?ts) OVERLAPS [2, 5)) }",
-    # Adjacency: BEFORE accepts te == right start exactly.
-    "SELECT ?U ?P ?ts WHERE { ?U po ?P [?ts, ?te) "
-    "FILTER ([?ts, 3) BEFORE [3, 5)) }",
-    # AFTER at the shared endpoint.
-    "SELECT ?U ?P ?ts WHERE { ?U po ?P [?ts, ?te) "
-    "FILTER ([?ts, ?te) AFTER [0, 2)) }",
-    # DURING with equal endpoints on both sides.
-    "SELECT ?P ?ts WHERE { u0 po ?P [?ts, ?te) "
-    "FILTER ([?ts, ?ts) DURING [?ts, ?ts)) }",
-    # STARTS against a constant lower endpoint.
-    "SELECT ?U ?P WHERE { ?U po ?P [?ts, ?te) "
-    "FILTER ([?ts, ?te) STARTS [2, 9)) }",
-]
+@pytest.fixture(scope="module")
+def boundary_run():
+    """All boundary queries on one engine (the one-shot home node
+    rotates per query, so the run is frozen as a whole)."""
+    return as_json(temporal_boundary_cases())
 
 
-def _build_engine():
-    posts = [TimedTuple(Triple(actor, "po", f"t{post}"), batch * 1000 + 500)
-             for actor, post, batch in EVENTS]
-    engine = WukongSEngine(
-        schemas=[StreamSchema("Posts")],
-        config=EngineConfig(num_nodes=2, batch_interval_ms=1000,
-                            scalarization=False))
-    engine.load_static(parse_triples(STATIC))
-    source = StreamSource(engine.schemas["Posts"])
-    source.queue_tuples(posts, 0, 1000)
-    engine.attach_source(source)
-    engine.run_until(6_000)
-    return engine
-
-
-@pytest.mark.parametrize("use_batch", [True, False],
-                         ids=["batch", "row_path"])
 @pytest.mark.parametrize("query", BOUNDARY_QUERIES)
-def test_boundary_filters_match_oracle(query, use_batch):
-    engine = _build_engine()
-    engine.temporal.use_batch = use_batch
-    record = engine.oneshot(query)
-    from repro.sparql.parser import parse_query
-    ast = parse_query(query)
-    history = dump_history(engine.store)
-    expected = reference_rows(ast, history, record.snapshot)
-    interval_vars = set(ast.interval_variables())
-    decoded = decode_result(record.result, engine.strings, interval_vars)
-    assert sorted(map(repr, decoded)) == sorted(map(repr, expected))
+def test_boundary_filters_match_oracle(boundary_run, query):
+    """Engine executions at boundary FILTER constants: rows against the
+    brute-force oracle (asserted by the case runner), charges against
+    ``golden_kernels.json``."""
+    case_id = "temporal/boundary/" + query
+    assert boundary_run[case_id] == frozen(case_id)[case_id]
+
+
+def test_boundary_reads_leave_state_unmoved(boundary_run):
+    assert boundary_run["temporal/boundary/state"] == \
+        frozen("temporal/boundary/state")["temporal/boundary/state"]

@@ -1,43 +1,35 @@
-"""Differential: columnar batch interval kernels vs the row evaluator.
+"""Interval kernels: random rows vs the oracle, frozen charges.
 
-The batch path (:mod:`repro.temporal.kernels`) is a wall-clock
-optimization only.  Over random ingestion histories and random
-quintuple/interval queries, twin engines — one on the batch kernels,
-one on the row evaluator (``use_batch=False``) — must produce:
-
-* identical rows in identical order, identical projected variables,
-* identical simulated meters, total and per-category breakdown,
-* identical traversal counters (snapshot reads, entries, max chain),
-* identical engine state digests after the query, and
-* answers matching the brute-force history oracle
-  (:mod:`repro.temporal.reference`),
-
+Over random ingestion histories and random quintuple/interval queries the
+columnar interval kernels (:mod:`repro.temporal.kernels`) must answer
+what the brute-force history oracle (:mod:`repro.temporal.reference`)
+answers, and a read must leave the engine state digest where it was —
 including under a kill-during-query chaos plan: a node killed and
-recovered mid-ingestion, with the interval queries running against the
-replayed store on both twins.
+recovered mid-ingestion, with the interval query running against the
+replayed store.
+
+Charges are pinned on a fixed seeded battery instead (five query
+templates x five operators x eight ``random.Random(0)`` histories on one
+and two nodes, the kill plan, and a deep-history LSBench run): rows in
+order, meter total, per-category breakdown, traversal counters and state
+digest must equal ``golden_kernels.json``, frozen at the last commit
+where a row evaluator ran beside these kernels and agreed.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chaos.controller import ChaosController
-from repro.chaos.plan import FaultPlan, KillNode
 from repro.chaos.state import diff_digests, engine_state_digest
-from repro.core.engine import EngineConfig, WukongSEngine
-from repro.rdf.parser import parse_triples
-from repro.rdf.terms import TimedTuple, Triple
 from repro.sparql.parser import parse_query
-from repro.streams.source import StreamSource
-from repro.streams.stream import StreamSchema
 from repro.temporal.reference import (decode_result, dump_history,
                                       reference_rows)
 
+from store.kernel_cases import (INTERVAL_TEMPLATES, OPS, USERS,
+                                assert_frozen, build_killed_posts_engine,
+                                build_posts_engine, temporal_battery_cases,
+                                temporal_deep_cases, temporal_kill_cases)
+
 pytestmark = pytest.mark.temporal
-
-USERS = ["u0", "u1", "u2", "u3"]
-STATIC = "u0 fo u1 .\nu1 fo u2 .\nu2 fo u3 .\nu3 fo u0 ."
-
-OPS = ["OVERLAPS", "DURING", "BEFORE", "AFTER", "STARTS"]
 
 
 def event_strategy():
@@ -49,142 +41,55 @@ def event_strategy():
 
 
 def query_strategy():
-    """Random interval queries spanning every kernel branch: single and
-    multi-pattern quintuples, constant and variable endpoints, plain
-    and interval FILTERs, and a shared-``?ts`` join."""
-    op = st.sampled_from(OPS)
-    lo = st.integers(0, 6)
-    width = st.integers(1, 6)
-    actor = st.sampled_from(USERS)
-
-    single_ifilter = st.builds(
-        lambda op, lo, width:
-        f"SELECT ?U ?P ?ts WHERE {{ ?U po ?P [?ts, ?te) "
-        f"FILTER ([?ts, ?te) {op} [{lo}, {lo + width})) }}",
-        op, lo, width)
-    const_subject = st.builds(
-        lambda actor, lo:
-        f"SELECT ?P ?ts WHERE {{ {actor} po ?P [?ts, ?te) "
-        f"FILTER (?ts >= {lo}) }}",
-        actor, lo)
-    two_filters = st.builds(
-        lambda actor, op, lo, width:
-        f"SELECT ?P ?ts WHERE {{ {actor} po ?P [?ts, ?te) "
-        f"FILTER (?ts >= {lo}) "
-        f"FILTER ([?ts, ?te) {op} [{lo}, {lo + width})) }}",
-        actor, op, lo, width)
-    quintuple_join = st.builds(
-        lambda actor:
-        f"SELECT ?F ?P ?pts WHERE {{ {actor} fo ?F [?fts, ?fte) . "
-        f"?F po ?P [?pts, ?pte) FILTER (?pts >= ?fts) }}",
-        actor)
-    shared_ts_join = st.just(
-        "SELECT ?U ?F ?P WHERE { ?U fo ?F [?ts, ?fte) . "
-        "?F po ?P [?ts, ?pte) }")
-    return st.one_of(single_ifilter, const_subject, two_filters,
-                     quintuple_join, shared_ts_join)
+    """Random instances of the battery's interval query templates."""
+    return st.builds(
+        lambda template, op, lo, width, actor:
+        template.format(op=op, lo=lo, hi=lo + width, actor=actor),
+        st.sampled_from(sorted(INTERVAL_TEMPLATES.values())),
+        st.sampled_from(OPS), st.integers(0, 6), st.integers(1, 6),
+        st.sampled_from(USERS))
 
 
-def build_engine(events):
-    posts = [TimedTuple(Triple(actor, "po", f"t{post_id}"),
-                        batch * 1000 + 500)
-             for actor, post_id, batch in sorted(events, key=lambda e: e[2])]
-    engine = WukongSEngine(
-        schemas=[StreamSchema("Posts")],
-        config=EngineConfig(num_nodes=2, batch_interval_ms=1000,
-                            scalarization=False))
-    engine.load_static(parse_triples(STATIC))
-    source = StreamSource(engine.schemas["Posts"])
-    source.queue_tuples(posts, 0, 1000)
-    engine.attach_source(source)
-    return engine
-
-
-def assert_twins_identical(batch_engine, row_engine, query_text):
-    batch_engine.temporal.use_batch = True
-    row_engine.temporal.use_batch = False
-    batch = batch_engine.oneshot(query_text)
-    row = row_engine.oneshot(query_text)
-
-    assert batch.result.variables == row.result.variables
-    assert batch.result.rows == row.result.rows
-    assert batch.meter.ns == row.meter.ns
-    assert batch.meter._breakdown == row.meter._breakdown
-    assert batch.snapshot == row.snapshot
-    assert batch.snapshot_reads == row.snapshot_reads
-    assert batch.version_entries == row.version_entries
-    assert batch.max_chain_depth == row.max_chain_depth
-    # The right kernels actually ran (no silent row-vs-row comparison).
-    assert batch.batch_path and batch_engine.temporal.batch_executions >= 1
-    assert not row.batch_path and row_engine.temporal.row_executions >= 1
-    assert diff_digests(engine_state_digest(batch_engine),
-                        engine_state_digest(row_engine)) == []
-    return batch
+def assert_read_matches_oracle(engine, query_text):
+    """Rows equal the oracle's (order-insensitive: the oracle joins in
+    written order, the engine in plan order); the read moves no state."""
+    before = engine_state_digest(engine)
+    record = engine.oneshot(query_text)
+    assert record.interval_path and engine.temporal.batch_executions >= 1
+    ast = parse_query(query_text)
+    expected = reference_rows(ast, dump_history(engine.store),
+                              record.snapshot)
+    decoded = decode_result(record.result, engine.strings,
+                            set(ast.interval_variables()))
+    assert sorted(map(repr, decoded)) == sorted(map(repr, expected))
+    assert diff_digests(before, engine_state_digest(engine)) == []
 
 
 @settings(max_examples=12, deadline=None)
 @given(events=st.lists(event_strategy(), max_size=24),
        query_text=query_strategy())
 def test_batch_and_row_interval_paths_identical(events, query_text):
-    batch_engine = build_engine(events)
-    row_engine = build_engine(events)
-    batch_engine.run_until(7_000)
-    row_engine.run_until(7_000)
-
-    batch = assert_twins_identical(batch_engine, row_engine, query_text)
-
-    # Both kernels against the brute-force oracle (order-insensitive:
-    # the oracle joins in history order, the engine in plan order).
-    ast = parse_query(query_text)
-    expected = reference_rows(ast, dump_history(batch_engine.store),
-                              batch.snapshot)
-    decoded = decode_result(batch.result, batch_engine.strings,
-                            set(ast.interval_variables()))
-    assert sorted(map(repr, decoded)) == sorted(map(repr, expected))
-
-
-def kill_during_query_plan(ticks: int) -> FaultPlan:
-    """Kill node 1 mid-ingestion for 2 ticks: the interval queries then
-    run against the recovered, replayed store on both twins."""
-    plan = FaultPlan(faults=[KillNode(at_tick=3, node_id=1, down_ticks=2)],
-                     name="kill-during-query")
-    plan.validate(2, ("Posts",), ticks, ticks_per_checkpoint=1)
-    return plan
-
-
-def build_chaos_engine(events, ticks):
-    posts = [TimedTuple(Triple(actor, "po", f"t{post_id}"),
-                        batch * 1000 + 500)
-             for actor, post_id, batch in sorted(events, key=lambda e: e[2])]
-    engine = WukongSEngine(
-        schemas=[StreamSchema("Posts")],
-        config=EngineConfig(num_nodes=2, batch_interval_ms=1000,
-                            scalarization=False, fault_tolerance=True,
-                            checkpoint_interval_ms=1000))
-    engine.load_static(parse_triples(STATIC))
-    source = StreamSource(engine.schemas["Posts"])
-    source.queue_tuples(posts, 0, 1000)
-    engine.attach_source(source)
-    controller = ChaosController(kill_during_query_plan(ticks))
-    controller.attach(engine, ticks=ticks)
-    for _ in range(ticks):
-        engine.step()
-    return engine, controller
+    engine = build_posts_engine(events)
+    engine.run_until(7_000)
+    assert_read_matches_oracle(engine, query_text)
 
 
 @settings(max_examples=6, deadline=None)
 @given(events=st.lists(event_strategy(), min_size=4, max_size=20),
        query_text=query_strategy())
 def test_batch_and_row_identical_under_kill_during_query(events, query_text):
-    ticks = 8
-    batch_engine, controller = build_chaos_engine(events, ticks)
-    row_engine, _ = build_chaos_engine(events, ticks)
-    # The fault must actually have fired and healed, or this test
-    # degenerates into the fault-free case.
-    assert controller.first_fault_ms is not None
-    assert controller.heal_ms is not None
+    assert_read_matches_oracle(build_killed_posts_engine(events),
+                               query_text)
 
-    assert_twins_identical(batch_engine, row_engine, query_text)
+
+@pytest.mark.parametrize("num_nodes", [1, 2])
+def test_seeded_battery_matches_frozen_charges(num_nodes):
+    assert_frozen(temporal_battery_cases(num_nodes),
+                  f"temporal/battery/n{num_nodes}/")
+
+
+def test_seeded_battery_under_kill_matches_frozen_charges():
+    assert_frozen(temporal_kill_cases(), "temporal/kill/")
 
 
 def test_deep_multi_node_meters_identical():
@@ -194,34 +99,6 @@ def test_deep_multi_node_meters_identical():
     whole batch, which moved integers across fractional charges and
     diverged in the meter's last float bits once running totals crossed
     a binade — only visible at deep-history scale (thousands of probes,
-    meter totals in the millions of ns).  The kernels now preserve the
-    row path's probe-vs-binding interleave on multi-node clusters."""
-    from repro.bench.harness import build_wukongs
-    from repro.bench.lsbench import LSBench, LSBenchConfig
-
-    bench = LSBench(LSBenchConfig())
-    engine = build_wukongs(bench, num_nodes=2, duration_ms=2000)
-    engine.run_until(2000)
-    stable = engine.coordinator.stable_sn
-    hi = max(2, stable)
-    queries = [
-        "SELECT ?s ?o ?ts WHERE { ?s po ?o [?ts, ?te) . "
-        f"FILTER ([?ts, ?te) OVERLAPS [1, {hi})) }}",
-        "SELECT ?u ?f ?p ?ts WHERE { ?u fo ?f [?fts, ?fte) . "
-        "?f po ?p [?ts, ?te) . FILTER ([?ts, ?te) DURING [1, *)) }",
-    ]
-    for query_text in queries:
-        # Warm the twin plan cache; pin the home node so both runs see
-        # identical placement (oneshot round-robins otherwise).
-        engine.oneshot(query_text, home_node=0)
-        batch = engine.oneshot(query_text, home_node=0)
-        engine.temporal.use_batch = False
-        row = engine.oneshot(query_text, home_node=0)
-        engine.temporal.use_batch = True
-        assert batch.batch_path and not row.batch_path
-        assert batch.result.rows == row.result.rows
-        assert batch.meter.ns == row.meter.ns
-        assert batch.meter._breakdown == row.meter._breakdown
-        assert batch.snapshot_reads == row.snapshot_reads
-        assert batch.version_entries == row.version_entries
-        assert batch.max_chain_depth == row.max_chain_depth
+    meter totals in the millions of ns).  The kernels preserve the
+    frozen probe-vs-binding interleave on multi-node clusters."""
+    assert_frozen(temporal_deep_cases(), "temporal/deep/")
