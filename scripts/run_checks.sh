@@ -27,6 +27,13 @@
 # path falling off, not load noise — see check_bench_smoke.py).  Use
 # `python benchmarks/bench_wallclock.py` (no --quick) for citable numbers
 # and to refresh BENCH_wallclock.json itself.
+#
+# The last stage runs the repo benchmark's own checks (benchmarks/e2e,
+# the harness BENCHMARK.json names): a quick traced set of all five
+# workloads — which exits non-zero on any failed operation (golden or
+# oracle mismatch, exception, refusal, timeout) — then a check that
+# every probe still resolves (`probes_missing` empty), then the harness
+# self-test.  Quick sets are a smoke; they are never compared.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -71,5 +78,19 @@ PYTHONPATH=src python benchmarks/bench_wallclock.py --quick \
 python scripts/check_bench_smoke.py --committed BENCH_wallclock.json \
     --smoke .bench_smoke.json
 rm -f .bench_smoke.json
+
+echo "== repo benchmark checks (benchmarks/e2e: outputs, probes, self-test) =="
+python3 benchmarks/e2e/run.py set --quick --trace --out ./.e2e_smoke.json \
+    > .e2e_smoke.log || { cat .e2e_smoke.log; exit 1; }
+python3 -c '
+import json, sys
+workloads = json.load(open(".e2e_smoke.json"))["workloads"]
+for name, entry in workloads.items():
+    print(name, entry["failed"], "of", entry["attempted"], "operations failed")
+missing = {n: e["probes_missing"] for n, e in workloads.items()
+           if e["probes_missing"]}
+sys.exit(f"probes_missing: {missing}" if missing else 0)'
+rm -f .e2e_smoke.json .e2e_smoke.log
+PYTHONPATH=src python -m pytest -x -q benchmarks/e2e
 
 echo "== done =="

@@ -7,7 +7,10 @@ client-side responsibilities of §3:
 * resolve constant strings to IDs through the string server (one round
   trip per *new* constant — long strings never travel with queries);
 * submit one-shot queries / register continuous ones;
-* decode result vids back to strings for the application.
+* decode result vids back to strings for the application — a column at
+  a time (:meth:`ClientLibrary._decode_rows`), and once per window close
+  for all the subscriptions a proxy pool multiplexes onto one backing
+  query (:class:`SharedDecodes`).
 
 Latencies reported to the client optionally include the client<->server
 round trip (``include_network``); the paper's tables report server-side
@@ -17,16 +20,30 @@ latency, which remains available as ``server_latency_ms``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import compress
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.client.procedures import ProcedureCache, StoredProcedure
-from repro.core.continuous import RegisteredQuery
+from repro.core.continuous import ExecutionRecord, RegisteredQuery
 from repro.core.engine import WukongSEngine
+from repro.errors import StoreError
+from repro.rdf.string_server import StringServer
 from repro.sim.cost import LatencyMeter
 
 #: Approximate request/response payload sizes (bytes).
 _REQUEST_BYTES = 96
 _ROW_BYTES = 48
+
+#: Rows transposed to columns at a time.  Large enough that the per-block
+#: Python overhead vanishes, small enough that the transient columns of a
+#: 500 k-row answer stay ~1 MB instead of a second copy of the answer.
+_DECODE_BLOCK_ROWS = 32_768
+
+#: Executions per backing query whose decoded rows stay shared.  A
+#: subscriber polling every tick needs one; a few more keep a catch-up
+#: tick (several closes at once after a recovery) decoded once as well.
+SHARED_DECODES_RETAINED = 4
 
 
 @dataclass
@@ -44,25 +61,96 @@ class ClientResult:
 
 
 @dataclass
+class DeliveryStats:
+    """Result-delivery counters of one client library."""
+
+    #: Results whose rows went through the decoder (one-shot answers and
+    #: window closes alike).
+    results_decoded: int = 0
+    rows_decoded: int = 0
+    #: Window-close deliveries served from a co-subscriber's decode.
+    decodes_shared: int = 0
+
+
+class SharedDecodes:
+    """Decoded rows of one backing query's latest executions.
+
+    The serving layer multiplexes N subscriptions onto one backing
+    registration; every one of them would decode the same
+    :class:`~repro.core.continuous.ExecutionRecord` to the same rows.
+    The first subscriber to poll a close leaves its decoded rows here,
+    keyed by the execution's position in the (append-only)
+    ``handle.executions``; the others take a shallow copy.  Only the
+    :data:`SHARED_DECODES_RETAINED` most recent executions are kept, so
+    a stalled subscriber re-decodes what it missed instead of pinning it.
+    """
+
+    def __init__(self) -> None:
+        self._rows: Dict[int, List[Tuple[object, ...]]] = {}
+
+    def get(self, index: int) -> Optional[List[Tuple[object, ...]]]:
+        return self._rows.get(index)
+
+    def put(self, index: int, rows: List[Tuple[object, ...]],
+            executions: int) -> None:
+        """Keep ``rows`` for execution ``index`` of ``executions`` so
+        far, unless it is already older than the retained few."""
+        oldest = executions - SHARED_DECODES_RETAINED
+        if index < oldest:
+            return
+        retained = self._rows
+        retained[index] = rows
+        for stale in [i for i in retained if i < oldest]:
+            del retained[stale]
+
+    def clear(self) -> None:
+        self._rows.clear()
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+@dataclass
 class ClientSubscription:
     """A registered continuous query, with incremental result delivery."""
 
     library: "ClientLibrary"
     procedure: StoredProcedure
     handle: RegisteredQuery
+    #: Set when this subscription is multiplexed onto a backing query it
+    #: shares with others (:meth:`ClientLibrary.subscribe`).
+    shared: Optional[SharedDecodes] = None
     _delivered: int = 0
     _gaps_delivered: int = 0
 
     def poll(self) -> List[ClientResult]:
         """Decode executions completed since the last poll."""
+        library = self.library
+        executions = self.handle.executions
+        first, self._delivered = self._delivered, len(executions)
+        snapshot = library.engine.coordinator.stable_sn
         out: List[ClientResult] = []
-        new = self.handle.executions[self._delivered:]
-        self._delivered = len(self.handle.executions)
-        for record in new:
-            out.append(self.library._decode(
-                self.procedure, record.result, record.meter,
-                self.library.engine.coordinator.stable_sn))
+        for index in range(first, self._delivered):
+            record = executions[index]
+            out.append(library._deliver(
+                record.result, self._decoded(index, record), record.meter,
+                snapshot))
         return out
+
+    def _decoded(self, index: int,
+                 record: ExecutionRecord) -> List[Tuple[object, ...]]:
+        """This subscriber's own list of execution ``index``'s decoded
+        rows — decoded here, or by whichever co-subscriber came first."""
+        library, shared = self.library, self.shared
+        if shared is None:
+            return library._decode_rows(self.procedure, record.result.rows)
+        rows = shared.get(index)
+        if rows is None:
+            rows = library._decode_rows(self.procedure, record.result.rows)
+            shared.put(index, rows, len(self.handle.executions))
+        else:
+            library.stats.decodes_shared += 1
+        return list(rows)
 
     def poll_gaps(self) -> List:
         """Gap markers noted since the last call (graceful degradation).
@@ -93,6 +181,7 @@ class ClientLibrary:
         self.cache = ProcedureCache()
         self._known_constants: set = set()
         self.string_server_roundtrips = 0
+        self.stats = DeliveryStats()
 
     # -- submission ------------------------------------------------------
     def submit(self, text: str,
@@ -104,8 +193,10 @@ class ClientLibrary:
                 "continuous queries must be registered, not submitted; "
                 "use register()")
         record = self.engine.oneshot(procedure.query, home_node=home_node)
-        return self._decode(procedure, record.result, record.meter,
-                            record.snapshot)
+        result = record.result
+        return self._deliver(result,
+                             self._decode_rows(procedure, result.rows),
+                             record.meter, record.snapshot)
 
     def register(self, text: str,
                  home_node: Optional[int] = None) -> ClientSubscription:
@@ -119,8 +210,8 @@ class ClientLibrary:
         return ClientSubscription(library=self, procedure=procedure,
                                   handle=handle)
 
-    def subscribe(self, procedure: StoredProcedure,
-                  handle: RegisteredQuery) -> ClientSubscription:
+    def subscribe(self, procedure: StoredProcedure, handle: RegisteredQuery,
+                  shared: SharedDecodes) -> ClientSubscription:
         """Multiplex a subscription onto an existing registration.
 
         The serving layer's common-subplan sharing registers *one* backing
@@ -128,13 +219,14 @@ class ClientLibrary:
         fans each window close out to every subscriber: each subscription
         returned here keeps its own delivery cursor over the shared
         handle's executions, so N clients read the same execution records
-        independently — one evaluation, N deliveries.
+        independently — one evaluation, one decode (``shared``, owned by
+        the backing entry), N deliveries.
         """
         if not procedure.is_continuous:
             raise ValueError("one-shot procedures cannot subscribe to a "
                              "continuous registration")
         return ClientSubscription(library=self, procedure=procedure,
-                                  handle=handle)
+                                  handle=handle, shared=shared)
 
     # -- client-side steps --------------------------------------------------
     def prepare(self, text: str) -> StoredProcedure:
@@ -148,22 +240,40 @@ class ClientLibrary:
             self._known_constants.update(fresh)
         return procedure
 
-    def _decode(self, procedure: StoredProcedure, result, meter,
-                snapshot: int) -> ClientResult:
-        """Decode vids to strings; aggregate values pass through."""
+    def _decode_rows(self, procedure: StoredProcedure,
+                     rows: Sequence[Tuple[object, ...]]
+                     ) -> List[Tuple[object, ...]]:
+        """Decode vids to strings; aggregate values pass through.
+
+        Columnar: each block of rows is transposed, every projected
+        variable's column goes through the string server in one call,
+        and the columns are zipped back into row tuples.
+        """
+        self.stats.results_decoded += 1
+        self.stats.rows_decoded += len(rows)
+        if not rows:
+            return []
+        width = len(rows[0])
+        query = procedure.query
+        # Columns from here on hold aggregate values, not vids.
+        names_end = min(len(query.group_by), width) if query.aggregates \
+            else width
+        if not names_end:  # ASK's zero-width rows, ungrouped aggregates
+            return list(map(tuple, rows))
         strings = self.engine.strings
-        group_width = len(procedure.query.group_by)
+        getters = [itemgetter(index) for index in range(width)]
         decoded: List[Tuple[object, ...]] = []
-        for row in result.rows:
-            out_row: List[object] = []
-            for index, value in enumerate(row):
-                if procedure.query.aggregates and index >= group_width:
-                    out_row.append(value)  # aggregate: already a value
-                elif isinstance(value, int) and value > 0:
-                    out_row.append(strings.entity_name(value))
-                else:
-                    out_row.append(None)
-            decoded.append(tuple(out_row))
+        for start in range(0, len(rows), _DECODE_BLOCK_ROWS):
+            block = rows[start:start + _DECODE_BLOCK_ROWS]
+            columns = [list(map(getter, block)) for getter in getters]
+            for index in range(names_end):
+                columns[index] = _decode_column(strings, columns[index])
+            decoded.extend(zip(*columns))
+        return decoded
+
+    def _deliver(self, result, rows: List[Tuple[object, ...]], meter,
+                 snapshot: int) -> ClientResult:
+        """One client's copy of an answer, with the latency it saw."""
         client_meter = LatencyMeter()
         client_meter.charge(meter.ns)
         if self.include_network:
@@ -171,6 +281,21 @@ class ClientLibrary:
             self.engine.cluster.fabric.message(client_meter, payload,
                                                category="client")
         return ClientResult(
-            columns=list(result.variables), rows=decoded,
+            columns=list(result.variables), rows=rows,
             server_latency_ms=meter.ms,
             client_latency_ms=client_meter.ms, snapshot=snapshot)
+
+
+def _decode_column(strings: StringServer,
+                   column: List[object]) -> List[Optional[str]]:
+    """Names for one column of vids; a cell that is not a positive int
+    (an unbound OPTIONAL's -1, the index vertex, None) decodes to None."""
+    try:
+        return strings.entity_names(column)
+    except (StoreError, TypeError):
+        # Not purely entity vids (TypeError: a cell that is no number,
+        # or no index).  Look the bound cells up on their own; a vid the
+        # string server does not know raises StoreError again here.
+        bound = [isinstance(value, int) and value > 0 for value in column]
+        names = iter(strings.entity_names(list(compress(column, bound))))
+        return [next(names) if is_bound else None for is_bound in bound]

@@ -10,21 +10,27 @@ small query catalogue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.errors import PlanError
 from repro.sparql.ast import Query, is_variable
 from repro.sparql.parser import parse_query
-from repro.sparql.planner import ExecutionPlan, plan_query
+
+#: Procedures kept per cache (LRU).  A front end's hot catalogue must
+#: survive a stream of used-once texts in between: ~100 hot texts
+#: interleaved 1:1 with cold ones have a reuse distance of ~200 distinct
+#: texts, which FIFO or a capacity near it would evict.
+PROCEDURE_CACHE_CAPACITY = 512
 
 
 @dataclass(frozen=True)
 class StoredProcedure:
-    """One parsed + planned query, ready for submission."""
+    """One parsed query, ready for submission (the engine plans it, with
+    live statistics, when it runs)."""
 
     text: str
     query: Query
-    plan: ExecutionPlan
 
     @property
     def is_continuous(self) -> bool:
@@ -43,24 +49,34 @@ class StoredProcedure:
 
 
 class ProcedureCache:
-    """Per-client cache of parsed procedures."""
+    """Per-client LRU cache of parsed procedures."""
 
     def __init__(self) -> None:
         self._cache: Dict[str, StoredProcedure] = {}
         self.hits = 0
         self.misses = 0
+        self.evictions = 0
 
     def get(self, text: str) -> StoredProcedure:
         """Parse (or fetch the cached) procedure for ``text``."""
-        procedure = self._cache.get(text)
+        cache = self._cache
+        procedure = cache.pop(text, None)
         if procedure is not None:
             self.hits += 1
+            cache[text] = procedure  # re-insert: most recently used
             return procedure
         self.misses += 1
         query = parse_query(text)
-        procedure = StoredProcedure(text=text, query=query,
-                                    plan=plan_query(query))
-        self._cache[text] = procedure
+        # Refuse at the door what the engine cannot plan: a refusal here
+        # leaves no trace in it (no half-made registration).
+        for pattern in query.patterns:
+            if is_variable(pattern.predicate):
+                raise PlanError(
+                    f"variable predicates are unsupported: {pattern}")
+        procedure = cache[text] = StoredProcedure(text=text, query=query)
+        if len(cache) > PROCEDURE_CACHE_CAPACITY:
+            del cache[next(iter(cache))]
+            self.evictions += 1
         return procedure
 
     def __len__(self) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.client.library import ClientLibrary, ClientResult, \
-    ClientSubscription
+    ClientSubscription, DeliveryStats, SharedDecodes
 from repro.core.engine import WukongSEngine
 from repro.errors import ProxyTimeoutError
 from repro.sim.rng import stable_rng
@@ -78,8 +78,9 @@ class PendingRequest:
 
 
 @dataclass
-class ProxyStats:
-    """Request counters for one proxy."""
+class ProxyStats(DeliveryStats):
+    """Request counters for one proxy, on top of the delivery counters
+    of the library it runs."""
 
     oneshot_requests: int = 0
     registrations: int = 0
@@ -103,7 +104,9 @@ class Proxy:
         self.library = ClientLibrary(engine, client_id=f"proxy{proxy_id}",
                                      include_network=True)
         self.policy = policy if policy is not None else RetryPolicy()
-        self.stats = ProxyStats()
+        # One set of counters per proxy: the library counts its decodes
+        # straight into the proxy's stats.
+        self.stats = self.library.stats = ProxyStats()
         self.pending: List[PendingRequest] = []
         self._rng = stable_rng(seed, "proxy-retry", proxy_id)
 
@@ -133,11 +136,13 @@ class Proxy:
         """Parse ``text`` through this proxy's shared procedure cache."""
         return self.library.prepare(text)
 
-    def subscribe(self, procedure, handle) -> ClientSubscription:
+    def subscribe(self, procedure, handle,
+                  shared: SharedDecodes) -> ClientSubscription:
         """Multiplex a subscription onto an existing backing registration
-        (serving-layer plan sharing; no engine-side registration)."""
+        (serving-layer plan sharing; no engine-side registration).
+        ``shared`` is the backing entry's decoded-rows holder."""
         self.stats.multiplexed_subscriptions += 1
-        return self.library.subscribe(procedure, handle)
+        return self.library.subscribe(procedure, handle, shared)
 
     # -- robust submission ---------------------------------------------------
     def _cluster_serving(self) -> bool:

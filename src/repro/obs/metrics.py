@@ -281,6 +281,12 @@ def collect_metrics(engine, registry: Optional[MetricsRegistry] = None,
             registry.counter("proxy_multiplexed_subscriptions",
                              **labels).value = \
                 stats.multiplexed_subscriptions
+            registry.counter("proxy_results_decoded", **labels).value = \
+                stats.results_decoded
+            registry.counter("proxy_rows_decoded", **labels).value = \
+                stats.rows_decoded
+            registry.counter("proxy_decodes_shared", **labels).value = \
+                stats.decodes_shared
     # Serving layer: sharing, fan-out and admission counters.  The
     # per-tenant latency histograms are pushed by the layer itself into
     # its own registry as requests are served.
@@ -298,6 +304,12 @@ def collect_metrics(engine, registry: Optional[MetricsRegistry] = None,
             snapshot.results_delivered
         registry.counter("serving_executions_saved").value = \
             snapshot.executions_saved
+        registry.counter("serving_results_decoded").value = \
+            snapshot.results_decoded
+        registry.counter("serving_rows_decoded").value = \
+            snapshot.rows_decoded
+        registry.counter("serving_decodes_shared").value = \
+            snapshot.decodes_shared
         registry.counter("serving_oneshots_served").value = \
             snapshot.oneshots_served
         registry.counter("serving_rejections_registration").value = \

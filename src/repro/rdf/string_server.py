@@ -13,7 +13,7 @@ implementation: IDs are never reclaimed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import StoreError
 from repro.rdf.ids import INDEX_VID, MAX_EID, MAX_VID
@@ -78,6 +78,24 @@ class StringServer:
         name = self._entity_names[vid]
         assert name is not None
         return name
+
+    def entity_names(self, vids: Sequence[int]) -> List[str]:
+        """The strings for a whole column of vids, in order.
+
+        The bulk counterpart of :meth:`entity_name`, as
+        :meth:`encode_triples` is of :meth:`encode_triple`: the same two
+        refusals (index vertex, unknown id), decided once per column —
+        by its minimum and by the table's own bounds check — instead of
+        once per cell.
+        """
+        if not vids:
+            return []
+        if min(vids) <= INDEX_VID:  # would index the table from its end
+            raise StoreError(f"not an entity vid: {min(vids)}")
+        try:
+            return list(map(self._entity_names.__getitem__, vids))
+        except IndexError:
+            raise StoreError(f"unknown entity vid: {max(vids)}") from None
 
     def predicate_name(self, eid: int) -> str:
         """The string for an eid; raises for unknown ids."""

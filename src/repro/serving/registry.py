@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.client.library import SharedDecodes
 from repro.core.continuous import RegisteredQuery
 from repro.sparql.ast import Query
 
@@ -48,6 +49,9 @@ class SharedEntry:
     delivered: int = 0
     #: Subscriber results delivered through this entry so far.
     fanned_out: int = 0
+    #: Decoded rows of the latest executions, shared by the subscribers
+    #: (sharing covers the decode as well as the evaluation).
+    decodes: SharedDecodes = field(default_factory=SharedDecodes)
 
     @property
     def num_subscribers(self) -> int:
@@ -106,6 +110,9 @@ class SharedQueryRegistry:
         if not entry.subscribers:
             self.engine.continuous.unregister(entry.name)
             del self._entries[entry.key]
+            # Cancelled subscriptions may outlive the entry; the decoded
+            # rows must not.
+            entry.decodes.clear()
 
     # -- iteration / accounting --------------------------------------------
     def entries(self) -> List[SharedEntry]:

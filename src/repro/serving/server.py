@@ -9,7 +9,8 @@ and serves two traffic classes against the *same* window state —
   close feeds every subscriber of a shared plan; each tick fans fresh
   executions out to subscribers (delivery bookkeeping and per-tenant
   latency observation are eager, result decoding stays pull-based on
-  :meth:`ServingSubscription.poll`).
+  :meth:`ServingSubscription.poll` — and shared: the first subscriber to
+  poll a close decodes it for all of them).
 * **One-shot traffic** (:meth:`submit`): queued per tenant and dispatched
   by the :class:`~repro.serving.scheduler.FairScheduler` between window
   closes, placed on the least injection-loaded node (the dispatchers'
@@ -89,7 +90,26 @@ class ServingStats:
     #: (``repro.core.replan``); re-planning is transparent to
     #: subscribers — the sharing key is the normalized AST, not the plan.
     replans: int = 0
+    #: Delivery counters summed over the proxies (one-shot answers
+    #: included): results and rows that went through the decoder, and
+    #: window-close deliveries that reused a co-subscriber's decode.
+    results_decoded: int = 0
+    rows_decoded: int = 0
+    decodes_shared: int = 0
     tenants: Dict[str, Dict[str, float]] = field(default_factory=dict)
+
+    def format(self) -> str:
+        """The serving line of a terminal dashboard."""
+        return (
+            f"serving: {self.subscriptions:,} subscriptions on "
+            f"{self.shared_queries:,} backing queries "
+            f"({self.sharing_ratio:.1f}x); {self.closes_evaluated:,} closes "
+            f"-> {self.results_delivered:,} deliveries, "
+            f"{self.executions_saved:,} executions saved, "
+            f"{self.decodes_shared:,} decodes saved "
+            f"({self.results_decoded:,} results / {self.rows_decoded:,} "
+            f"rows decoded); {self.oneshots_served:,} one-shots served, "
+            f"backlog {self.backlog}")
 
 
 class ServingSubscription:
@@ -191,7 +211,7 @@ class ServingLayer:
         # Fan-out cursor for new subscribers starts at "now": a
         # subscriber only sees closes that fire after it registered
         # (matching what its own fresh registration would deliver).
-        client = proxy.subscribe(procedure, entry.handle)
+        client = proxy.subscribe(procedure, entry.handle, entry.decodes)
         client._delivered = len(entry.handle.executions)
         client._gaps_delivered = len(entry.handle.gaps)
         subscription._subscription = client
@@ -318,6 +338,7 @@ class ServingLayer:
 
     # -- reporting ---------------------------------------------------------
     def snapshot(self) -> ServingStats:
+        proxy_stats = [proxy.stats for proxy in self.proxies.proxies]
         tenants = {}
         for name in sorted(self.tenants):
             state = self.tenants[name]
@@ -345,6 +366,9 @@ class ServingLayer:
                                        for t in self.tenants.values()),
             backlog=self.scheduler.backlog,
             replans=self.registry.total_replans,
+            results_decoded=sum(s.results_decoded for s in proxy_stats),
+            rows_decoded=sum(s.rows_decoded for s in proxy_stats),
+            decodes_shared=sum(s.decodes_shared for s in proxy_stats),
             tenants=tenants)
 
     def latency_percentiles(self, kind: str = "oneshot"

@@ -60,13 +60,15 @@ def build_serving():
     return engine, serving, subscriptions
 
 
-def run_workload(faulted: bool):
+def run_workload(faulted: bool, on_tick=None):
     engine, serving, subscriptions = build_serving()
     if faulted:
         controller = ChaosController(kill_plan())
         controller.attach(engine, ticks=TICKS)
     for _ in range(TICKS):
         serving.tick()
+        if on_tick is not None:
+            on_tick(subscriptions)
     engine.gc.run(engine.clock.now_ms)
     return engine, serving, subscriptions
 
@@ -116,6 +118,31 @@ def test_kill_recovery_equivalence_under_serving_load():
     # Fan-out accounting survives the fault path.
     assert chaotic.results_delivered == golden.results_delivered
     assert chaotic.closes_evaluated == golden.closes_evaluated
+
+
+def test_shared_decodes_identical_across_kill_and_recovery():
+    """Subscribers polling every tick share one decode per close; the
+    catch-up closes after the heal (several in one tick) are decoded once
+    too, and every delivery equals the never-faulted run's."""
+    def polled_run(faulted):
+        seen = {}
+
+        def poll_all(subscriptions):
+            for index, subscription in enumerate(subscriptions[:60]):
+                seen.setdefault(index, []).extend(
+                    (r.columns, r.rows) for r in subscription.poll())
+        _, serving, _ = run_workload(faulted, on_tick=poll_all)
+        return serving.snapshot(), seen
+
+    golden_stats, golden = polled_run(faulted=False)
+    chaos_stats, chaotic = polled_run(faulted=True)
+    assert chaotic == golden and all(golden.values())
+    # 60 polled subscribers on 6 plans: one decode per close, the other
+    # nine deliveries of it shared — fault or no fault.
+    for stats in (golden_stats, chaos_stats):
+        assert stats.results_decoded == stats.closes_evaluated
+        assert stats.decodes_shared == 9 * stats.closes_evaluated
+    assert chaos_stats.closes_evaluated == golden_stats.closes_evaluated
 
 
 def test_chaotic_serving_run_deterministic_across_reruns():

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.client.library import ClientLibrary
-from repro.client.procedures import ProcedureCache
+from repro.client.procedures import (PROCEDURE_CACHE_CAPACITY,
+                                     ProcedureCache)
 from repro.client.proxy import ProxyPool
+from repro.errors import PlanError
 
 from core.test_engine import QC, build_engine
 
@@ -34,6 +36,28 @@ class TestProcedureCache:
     def test_continuous_detection(self):
         cache = ProcedureCache()
         assert cache.get(QC).is_continuous
+
+    def test_unplannable_text_refused_at_prepare(self):
+        cache = ProcedureCache()
+        with pytest.raises(PlanError):
+            cache.get("SELECT ?s WHERE { ?s ?p ?o }")
+        assert len(cache) == 0
+
+    def test_bounded_lru_keeps_the_hot_catalogue(self):
+        """A hot pool interleaved 1:1 with used-once texts (the ``adhoc``
+        benchmark workload's shape) stays resident; FIFO would not keep
+        it, an unbounded cache would keep everything."""
+        cache = ProcedureCache()
+        hot = [f"SELECT ?x WHERE {{ User{i} po ?x }}" for i in range(96)]
+        for round_ in range(12):
+            for i, text in enumerate(hot):
+                cache.get(text)
+                cache.get(f"SELECT ?x WHERE {{ Cold{round_}x{i} po ?x }}")
+            assert len(cache) <= PROCEDURE_CACHE_CAPACITY
+        assert cache.hits == 11 * len(hot)  # every reuse after round 0
+        assert cache.misses == 13 * len(hot)
+        assert cache.evictions == cache.misses - PROCEDURE_CACHE_CAPACITY
+        assert len(cache) == PROCEDURE_CACHE_CAPACITY
 
 
 class TestClientLibrary:
@@ -78,6 +102,16 @@ class TestClientLibrary:
         assert subscription.poll() == []
         engine.run_until(9_000)
         assert len(subscription.poll()) == 1
+
+    def test_unshared_subscriptions_decode_for_themselves(self, engine):
+        client = ClientLibrary(engine)
+        subscription = client.register(QC)
+        assert subscription.shared is None
+        engine.run_until(8_000)
+        results = subscription.poll()
+        assert client.stats.results_decoded == len(results) > 0
+        assert client.stats.rows_decoded == sum(len(r) for r in results)
+        assert client.stats.decodes_shared == 0
 
     def test_submit_rejects_continuous(self, engine):
         client = ClientLibrary(engine)

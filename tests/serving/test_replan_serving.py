@@ -79,3 +79,31 @@ def test_late_subscriber_joins_replanned_query_cleanly():
     assert fresh > 0
     assert len(late.poll()) == fresh
     assert len(early.poll()) == len(entry.handle.executions)
+
+
+def test_shared_decode_survives_a_plan_swap():
+    """Subscribers polling every tick share one decode per close; a plan
+    swap in between changes no delivery (private registrations as the
+    reference)."""
+    def deliveries(sharing):
+        engine, _ = _build(adaptive=True)
+        engine.continuous.unregister("SKEW")
+        serving = ServingLayer(engine, sharing=sharing)
+        subscriptions = [serving.register(tenant, QUERY)
+                         for tenant in ("alice", "bob", "carol")]
+        seen = [[] for _ in subscriptions]
+        for _ in range(TOTAL_TICKS):
+            serving.tick()
+            for results, subscription in zip(seen, subscriptions):
+                results.extend((r.columns, r.rows)
+                               for r in subscription.poll())
+        return serving, seen
+
+    shared, ours = deliveries(sharing=True)
+    entry, = shared.registry.entries()
+    assert entry.handle.replans, "backing query must have re-planned"
+    stats = shared.snapshot()
+    assert stats.results_decoded == stats.closes_evaluated
+    assert stats.decodes_shared == 2 * stats.closes_evaluated
+    _, theirs = deliveries(sharing=False)
+    assert ours == theirs and ours[0]
