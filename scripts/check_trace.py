@@ -8,12 +8,12 @@ trace-event document, and fails unless:
 1. the document passes the trace-event schema check
    (:func:`repro.obs.export.validate_chrome_trace`);
 2. the spans reconstructed from the document are lossless
-   (same count, bit-identical readings); and
+   (same count, identical integer readings); and
 3. for **every** traced activity — every one-shot query, window close and
    injection batch — the reconstructed critical path is exact: each
-   fork-join section satisfies ``post == pre + critical_branch_ns`` and
-   the walked total equals the activity meter's recorded latency bit for
-   bit.
+   fork-join section satisfies ``post == pre + critical_branch_ps`` and
+   the walked total equals the activity meter's recorded picoseconds
+   (integer comparisons).
 
 Usage::
 
@@ -121,11 +121,11 @@ def main(argv=None) -> int:
         oneshots = engine.tracer.activities("oneshot")
         tail = oneshots[-len(records):]
         for record, activity in zip(records, tail):
-            if activity.labels.get("meter_ns") != record.meter.ns:
+            if activity.labels.get("meter_ps") != record.meter.ps:
                 problems.append(
-                    f"oneshot#{activity.sid}: recorded meter_ns "
-                    f"{activity.labels.get('meter_ns')} != record meter "
-                    f"{record.meter.ns}")
+                    f"oneshot#{activity.sid}: recorded meter_ps "
+                    f"{activity.labels.get('meter_ps')} != record meter "
+                    f"{record.meter.ps}")
     finally:
         if not keep:
             os.unlink(path)

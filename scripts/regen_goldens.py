@@ -4,17 +4,23 @@
 Three goldens exist today:
 
 * ``tests/core/golden_determinism.json`` — simulated latencies and cost
-  breakdowns of the determinism workload (exact float equality);
+  breakdowns of the determinism workload (integer picoseconds);
 * ``tests/chaos/golden_chaos.json`` — the chaos chronicle, gap ledger and
-  result/state fingerprints of the hand-written multi-fault plan;
-* ``tests/store/golden_kernels.json`` — rows, meters, breakdowns,
-  traversal counters and state digests of the kernel battery
-  (``tests/store/kernel_cases.py``).  It was frozen at commit abcfe48,
-  the last one carrying the row-at-a-time kernels, by a generator that
-  ran every case on both kernel families and refused to write unless
-  they agreed; rewriting it now replaces that proof with the current
-  code's own word, so only do it for a deliberate change to the cost
-  model, with the reason in the commit.
+  row/latency/state fingerprints of the hand-written multi-fault plan;
+* ``tests/store/golden_kernels.json`` — rows, meters, breakdowns
+  (integer picoseconds), traversal counters and state digests of the
+  kernel battery (``tests/store/kernel_cases.py``).  It was frozen at
+  commit abcfe48, the last one carrying the row-at-a-time kernels, by a
+  generator that ran every case on both kernel families and refused to
+  write unless they agreed, and re-recorded once when the meter became
+  an exact integer clock (every latency within float rounding of the
+  frozen one, every other fact identical — table in CHANGES.md, PR 16);
+  rewriting it replaces that chain with the current code's own word, so
+  only do it for a deliberate change to the cost model, with the reason
+  in the commit.
+
+Rows and latencies are fingerprinted separately (``rows_sha256`` /
+``latency_sha256``), so a cost-model change moves only the latency half.
 
 ``--check`` recomputes all of them without writing and exits 1 on any
 drift — run_checks.sh uses it to catch semantics changes that were not

@@ -110,7 +110,7 @@ def attribute(spans: Sequence[Span], activity: Span) -> Dict[str, float]:
             buckets[name] = buckets.get(name, 0.0) + span.ns
         elif span.kind == JOIN:
             buckets["fork-join"] = buckets.get("fork-join", 0.0) + span.ns
-    total = activity.t1 - activity.t0
+    total = activity.ns
     residual = total - sum(buckets.values())
     if residual:
         buckets["other"] = buckets.get("other", 0.0) + residual

@@ -11,13 +11,15 @@
 # their frozen verdicts, including under a kill-during-close fault plan;
 # DESIGN.md §4.9), a drift check of the three golden files
 # (scripts/regen_goldens.py --check) and a gate that the retired
-# row-kernel option has not come back.  A test marked both serving and
-# chaos runs in the chaos stage only.
+# row-kernel option and the retired charge-ordering machinery (the meter
+# is an exact integer clock; charges need no ordering) have not come
+# back.  A test marked both serving and chaos runs in the chaos stage
+# only.
 #
 # The obs stage exports a Chrome trace from a quick traced LSBench run
 # and validates it (schema, lossless round trip, and per-activity
-# critical paths summing bit-identically to the recorded meter latency);
-# see scripts/check_trace.py.
+# critical paths summing to the recorded meter picoseconds — integer
+# comparisons); see scripts/check_trace.py.
 #
 # The bench-smoke stage runs the wall-clock benchmark in --quick mode
 # (shorter scenarios, fewer repeats) to a scratch file and fails if any
@@ -61,10 +63,12 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== one execution path (no row-kernel option) =="
+echo "== one execution path (no row-kernel option, no charge-ordering machinery) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts \
         benchmarks/bench_wallclock.py; then exit 1; fi
+if grep -rn 'ChargeSe[t]\|charges_commut[e]\|_ChargeScrip[t]\|charge_man[y]' \
+        src scripts; then exit 1; fi
 
 echo "== obs (trace export + critical-path exactness) =="
 PYTHONPATH=src python scripts/check_trace.py

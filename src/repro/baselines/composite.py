@@ -229,6 +229,6 @@ class CompositeEngine:
         breakdown.wukong_ms += wukong_meter.ms
         breakdown.cross_ms += cross_meter.ms
         breakdown.segments.append(("wukong", wukong_meter.ms, len(result)))
-        meter.charge(wukong_meter.ns, category="wukong")
-        meter.charge(cross_meter.ns, category="cross")
+        meter.charge_ps(wukong_meter.ps, category="wukong")
+        meter.charge_ps(cross_meter.ps, category="cross")
         return result

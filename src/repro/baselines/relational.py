@@ -67,7 +67,7 @@ class WindowBuffer:
 
 def scan_pattern(tuples: Sequence[EncodedTuple], pattern: TriplePattern,
                  strings: StringServer, meter: LatencyMeter,
-                 per_tuple_ns: float, cost: CostModel,
+                 per_tuple_ns: int, cost: CostModel,
                  modeled_rows: Optional[int] = None,
                  category: str = "scan") -> List[Row]:
     """Filter a tuple table by one pattern, producing binding rows.

@@ -167,7 +167,7 @@ class ChaosController:
             tracer = getattr(engine, "tracer", None)
             if tracer is not None:
                 tracer.event_span(
-                    "recover", "chaos", ns=report.meter.ns,
+                    "recover", "chaos", ps=report.meter.ps,
                     anchor_ms=now_ms, node_id=node_id,
                     replayed=report.replayed_entries,
                     rejected=report.rejected_entries)

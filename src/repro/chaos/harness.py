@@ -41,7 +41,7 @@ from repro.core.engine import WukongSEngine
 
 
 def _meter_facts(meter) -> List:
-    return [meter.ns, dict(sorted(meter.breakdown_ms.items()))]
+    return [meter.ps, dict(sorted(meter.breakdown_ps.items()))]
 
 
 def _execution_facts(engine: WukongSEngine) -> Dict[str, List]:
@@ -51,6 +51,20 @@ def _execution_facts(engine: WukongSEngine) -> Dict[str, List]:
                + _meter_facts(rec.meter)
                for rec in handle.executions]
         for name, handle in sorted(engine.continuous.queries.items())
+    }
+
+
+def execution_fingerprints(executions: Dict[str, List]) -> Dict[str, str]:
+    """Two fingerprints of :func:`_execution_facts`, so a golden diff
+    shows which half moved: the rows (close, variables, row list) and the
+    latencies (close, meter total, breakdown)."""
+    return {
+        "rows_sha256": digest_sha256(
+            {name: [record[:3] for record in records]
+             for name, records in executions.items()}),
+        "latency_sha256": digest_sha256(
+            {name: [record[:1] + record[3:] for record in records]
+             for name, records in executions.items()}),
     }
 
 
@@ -223,6 +237,6 @@ def chaos_run_facts(build_engine: Callable[[], WukongSEngine],
                         "rebuilt": [list(item)
                                     for item in rep.rebuilt_batches]}
                        for rep in controller.reports],
-        "results_sha256": digest_sha256(_execution_facts(engine)),
+        **execution_fingerprints(_execution_facts(engine)),
         "state_sha256": digest_sha256(engine_state_digest(engine)),
     }

@@ -275,7 +275,7 @@ class ClientLibrary:
                  snapshot: int) -> ClientResult:
         """One client's copy of an answer, with the latency it saw."""
         client_meter = LatencyMeter()
-        client_meter.charge(meter.ns)
+        client_meter.charge_ps(meter.ps)
         if self.include_network:
             payload = _REQUEST_BYTES + _ROW_BYTES * len(result.rows)
             self.engine.cluster.fabric.message(client_meter, payload,

@@ -65,11 +65,11 @@ class WindowAccess:
     columnar:
         Optional :class:`~repro.core.stream_index.ColumnarSlice` already
         advanced to ``[first_batch, last_batch]``.  When present, timeless
-        reads serve flat columns from the view and *replay* the row
-        path's simulated charges against its cached geometry — same
-        charges, same order, no per-row span walk.  The view is shared by
-        the accesses of every branch node (charges depend only on
-        ``home_node``, which each access applies itself).
+        reads serve flat columns from the view and charge what the row
+        path charges, computed from its cached geometry — no per-row
+        span walk.  The view is shared by the accesses of every branch
+        node (charges depend only on ``home_node``, which each access
+        applies itself).
     wall_stats:
         Optional dict accumulating wall-clock seconds under
         ``"index_read"`` (bench phase instrumentation).
@@ -99,14 +99,6 @@ class WindowAccess:
         # distributed branches get on-demand replicas (§4.2).
         self._index_local = force_local_index or \
             registry.is_local(stream_schema.name, home_node)
-        #: True when no access through this window can ever price a
-        #: fractional (remote) read: single-node clusters with a local
-        #: index read only local spans and transients.  All remaining
-        #: charges are integers, which sum exactly in any order — so
-        #: callers may freely reorder or aggregate them (the batch
-        #: kernels' fused index-expansion path relies on this).
-        self.charges_commute = self._index_local \
-            and len(cluster.nodes) == 1
         #: eid -> is-timing memo (the schema and string table never remap
         #: an encoded predicate, so the classification is stable).
         self._timing_eids: Dict[int, bool] = {}
@@ -143,13 +135,10 @@ class WindowAccess:
                        meter: LatencyMeter) -> Dict[int, List[int]]:
         """Neighbour lists for every distinct start, keyed by start.
 
-        Probes deduplicate in first-occurrence order — exactly the batch
-        kernels' per-expansion cache — so charges accumulate identically
-        to calling :meth:`neighbors` per distinct start.  The columnar
-        path additionally aggregates the integer charges of all starts,
-        emitting the pending counters before each (order-sensitive,
-        fractional) remote read: integer partial sums are exact, so the
-        meter stays bit-identical to the row path.
+        One probe per distinct start — the charges of calling
+        :meth:`neighbors` per distinct start; the columnar path issues
+        the probe and scan charges of all starts as two aggregated
+        calls.
         """
         fetched: Dict[int, List[int]] = {}
         if self._is_timing(eid):
@@ -174,27 +163,9 @@ class WindowAccess:
         home = self.home_node
         key_column = view.key_column
         columns_get = view._columns.get
-        probe_ns = cost.index_probe_ns
-        scan_ns = cost.scan_entry_ns
         eid_bits = (eid << _EID_SHIFT) | d
         hits = 0
-        # Pending integer charges, accumulated as plain counters and
-        # emitted before every fractional remote read (and once at the
-        # end).  Integer partial sums are exact in any order, so the
-        # meter — total and per-category breakdown — stays bit-identical
-        # to the row path's per-probe/per-span charges.
-        probe_acc = 0
         scan_acc = 0
-
-        def _emit_pending():
-            nonlocal probe_acc, scan_acc
-            if probe_acc:
-                meter.charge(probe_ns, times=probe_acc, category="store")
-                probe_acc = 0
-            if scan_acc:
-                meter.charge(scan_ns, times=scan_acc, category="store")
-                scan_acc = 0
-
         # C-level first-occurrence dedup: the loop below runs once per
         # distinct start instead of once per row.  The view's cache-hit
         # path (a plain dict probe on the inlined packed key) is hoisted
@@ -202,9 +173,7 @@ class WindowAccess:
         cols: Dict[int, object] = {}
         for start in dict.fromkeys(starts):
             if not index_local:
-                _emit_pending()
                 fabric.remote_read(meter, _PROBE_BYTES, category="network")
-            probe_acc += probes
             col = columns_get((start << _VID_SHIFT) | eid_bits, _MISSING)
             if col is _MISSING:
                 col = key_column((start << _VID_SHIFT) | eid_bits)
@@ -216,12 +185,16 @@ class WindowAccess:
                 continue
             for owner, span in col.merged:
                 if owner != home:
-                    _emit_pending()
                     fabric.remote_read(meter, 16 + 8 * span.length,
                                        category="network")
                 scan_acc += span.length
             fetched[start] = col.values
-        _emit_pending()
+        if probes and cols:
+            meter.charge(cost.index_probe_ns, times=probes * len(cols),
+                         category="store")
+        if scan_acc:
+            meter.charge(cost.scan_entry_ns, times=scan_acc,
+                         category="store")
         if hits:
             view.hits += hits
         self._last_fetch = (fetched, cols)
@@ -308,7 +281,7 @@ class WindowAccess:
         return [vid for vid in vertices if owner_of(vid) == node_id]
 
     def _charge_vertices(self, meter: LatencyMeter, scanned: int) -> None:
-        """Replay ``StreamIndex.vertices``'s charges for a cached column."""
+        """``StreamIndex.vertices``'s charges for a cached column."""
         probes = self.columnar.probes
         if probes:
             meter.charge(self._cost.index_probe_ns, times=probes,
@@ -338,9 +311,9 @@ class WindowAccess:
 
     def _timeless_neighbors_columnar(self, vid: int, eid: int, d: int,
                                      meter: LatencyMeter) -> List[int]:
-        """Columnar fast path: serve the cached window column, replaying
-        the row path's charge sequence against its merged-span geometry
-        (locality read, probes, then one remote read + scan per span)."""
+        """Columnar fast path: serve the cached window column, charging
+        what the row path charges from its merged-span geometry
+        (locality read, probes, one remote read + scan per span)."""
         wall = self.wall_stats
         started = time.perf_counter() if wall is not None else 0.0
         self._charge_index_locality(meter)

@@ -68,9 +68,7 @@ class Adaptor:
             start_ms=batch.start_ms, end_ms=batch.end_ms)
         tuples = batch.tuples
         if meter is not None and tuples:
-            # One aggregated scan charge: the per-tuple charges are a
-            # run of identical integers with nothing in between, so one
-            # ``times=n`` charge is bit-identical.
+            # One aggregated scan charge for the whole batch.
             meter.charge(self.cost.scan_entry_ns, times=len(tuples),
                          category="adapt")
         relevant = self.relevant_predicates

@@ -97,7 +97,7 @@ class CheckpointManager:
         self._entries_since_checkpoint = 0
         #: Duration of the most recent checkpoint (stalls co-scheduled
         #: queries; the paper's p99 growth in §6.8 comes from this).
-        self.last_checkpoint_pause_ms = 0.0
+        self.last_checkpoint_pause_ps = 0
 
     # -- logging ---------------------------------------------------------
     def log_batch(self, node_id: int, node_batch: NodeBatch, sn: int,
@@ -153,7 +153,7 @@ class CheckpointManager:
         per_node = -(-self._entries_since_checkpoint // self.num_nodes)
         pause.charge(self.cost.log_entry_ns, times=per_node,
                      category="ckpt")
-        self.last_checkpoint_pause_ms = pause.ms
+        self.last_checkpoint_pause_ps = pause.ps
         self._entries_since_checkpoint = 0
         for stream, source in sources.items():
             source.ack(stable.get(stream, 0))

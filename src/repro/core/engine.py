@@ -453,9 +453,9 @@ class WukongSEngine:
             if checkpointed and self.checkpoints is not None:
                 # Queries co-scheduled with the incremental checkpoint wait
                 # behind its write (the paper's p99 growth in §6.8).
-                pause_ns = self.checkpoints.last_checkpoint_pause_ms * 1e6
+                pause_ps = self.checkpoints.last_checkpoint_pause_ps
                 for record in records:
-                    record.meter.charge(pause_ns, category="checkpoint")
+                    record.meter.charge_ps(pause_ps, category="checkpoint")
             # Adaptive controllers run *after* the poll, so a plan swap
             # always lands between window closes (never mid-close) and
             # the next due close runs the new plan from its first step.

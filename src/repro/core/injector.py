@@ -26,7 +26,7 @@ from repro.core.stream_index import IndexSlice
 from repro.core.transient import TransientStore
 from repro.rdf.ids import DIR_IN, DIR_OUT, _EID_SHIFT, _VID_SHIFT
 from repro.rdf.terms import EncodedTuple
-from repro.sim.cost import ChargeSet, LatencyMeter
+from repro.sim.cost import LatencyMeter
 from repro.store.distributed import DistributedStore
 from repro.store.kvstore import _PRED_BITS, _PRED_MASK, _TopKSketch
 
@@ -92,7 +92,7 @@ class Injector:
         creates.  It is None for streams carrying only timing data (e.g.
         LSBench's GPS stream), which need no stream index.
         """
-        base_ns = meter.ns if meter is not None else 0.0
+        base_ps = meter.ps if meter is not None else 0
         branches: List[LatencyMeter] = []
         out_parts = self._partition(node_batch.out_timeless, True)
         in_parts = self._partition(node_batch.in_timeless, False)
@@ -100,18 +100,14 @@ class Injector:
         # key this injector touches lives on the local shard.
         shard = self.store.shards[self.node_id]
         for thread in range(len(out_parts)):
-            # Store primitives charge into a ChargeSet instead of a meter:
-            # one aggregated flush per thread replaces one meter call per
-            # inserted entry, with a bit-identical branch total.
-            charges = ChargeSet() if meter is not None else None
+            # Each thread is one parallel branch of the batch's meter.
+            branch = meter.spawn() if meter is not None else None
             self._inject_half(shard, out_parts[thread], True, sn,
-                              index_slice, charges)
+                              index_slice, branch)
             self.tuples_injected += len(out_parts[thread])
             self._inject_half(shard, in_parts[thread], False, sn,
-                              index_slice, charges)
-            if meter is not None:
-                branch = meter.spawn()
-                charges.flush(branch)
+                              index_slice, branch)
+            if branch is not None:
                 branches.append(branch)
         if meter is not None:
             meter.join_parallel(branches)
@@ -126,15 +122,13 @@ class Injector:
                 node_batch.batch_no, [], [], meter=meter)
 
         if meter is not None and self.slowdown > 1.0:
-            worked_ns = meter.ns - base_ns
-            if worked_ns > 0:
-                meter.charge((self.slowdown - 1.0) * worked_ns,
-                             category="straggle")
+            meter.surcharge(self.slowdown - 1.0, "straggle",
+                            since_ps=base_ps)
 
     def _inject_half(self, shard, part: List[EncodedTuple],
                      by_subject: bool, sn: int,
                      index_slice: Optional[IndexSlice],
-                     charges: Optional[ChargeSet]) -> None:
+                     meter: Optional[LatencyMeter]) -> None:
         """Insert one half (out- or in-edges) of one thread's partition.
 
         Two passes over the part, together equivalent to per-tuple
@@ -149,10 +143,6 @@ class Injector:
           pre-coalesced spans with the stream-index slice, in
           first-occurrence key order — exactly the order keys first
           appeared in the per-entry path.
-
-        All the charges involved are integer-valued and aggregate through
-        the caller's :class:`ChargeSet`, so the flushed branch total is
-        bit-identical to the per-tuple path's.
         """
         if not part:
             return
@@ -187,7 +177,7 @@ class Injector:
             if sketch is None:
                 sketch = sketches[bucket] = _TopKSketch()
             sketch.bump(vid)
-        spans = shard.insert_groups(groups, sn=sn, meter=charges)
+        spans = shard.insert_groups(groups, sn=sn, meter=meter)
         if index_slice is not None:
             index_slice.add_batch_spans(self.node_id, spans, d)
 

@@ -96,6 +96,16 @@ class OneShotEngine:
             self.plan_cache_hits += 1
         return plan
 
+    def charge_contention(self, meter: LatencyMeter,
+                          contended: bool) -> bool:
+        """Surcharge a query that ran while continuous workers were busy
+        on the shared store by ``contention_factor`` times its latency;
+        returns whether the surcharge applied."""
+        if not contended or self.contention_factor <= 0:
+            return False
+        meter.surcharge(self.contention_factor, "contention")
+        return True
+
     def execute(self, query: Query, home_node: Optional[int] = None,
                 contended: bool = False,
                 snapshot: Optional[int] = None,
@@ -144,11 +154,8 @@ class OneShotEngine:
             act.mark("plan", steps=len(plan.steps))
         result = self.explorer.execute(plan, factory, meter,
                                        home_node=home_node)
-        if contended and self.contention_factor > 0:
-            meter.charge(meter.ns * self.contention_factor,
-                         category="contention")
-            if act is not None:
-                act.mark("contention")
+        if self.charge_contention(meter, contended) and act is not None:
+            act.mark("contention")
         if act is not None:
             act.label(rows=len(result.rows))
             act.end()

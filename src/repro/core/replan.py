@@ -186,7 +186,7 @@ class PlanMonitor:
             # charges nothing (it happens between closes), so the span is
             # recorded after the fact with zero duration.
             self.tracer.event_span(
-                "replan", "planner", 0.0, query=registered.name,
+                "replan", "planner", 0, query=registered.name,
                 close_index=closes,
                 old_order=",".join(map(str, current)),
                 new_order=",".join(map(str, candidate)),

@@ -11,7 +11,7 @@ Three layers (see DESIGN.md §6, "Observability model"):
   the kvstore caches, the stream index, proxy retries and GC.
 * **analysis / export** (:mod:`repro.obs.analysis`,
   :mod:`repro.obs.export`): Chrome trace-event JSON export, fork-join
-  critical-path reconstruction (bit-identical to the meter's latency),
+  critical-path reconstruction (integer-equal to the meter's latency),
   and flame-style text rendering.
 
 Enable on an engine with ``engine.enable_observability()`` (or

@@ -6,16 +6,13 @@ the root track, plus — at every fork/join section — the branch
 ``join_parallel`` selected (the first strict maximum, exactly as the
 meter folds branches).
 
-Exactness contract: :func:`critical_path` re-walks the recorded readings
-with the same float operations the meter performed.  Sequential segments
-end at recorded readings (adopted, never re-derived by subtraction), and
-each join is replayed as ``pre + critical_branch_ns``, the literal
-addition :meth:`LatencyMeter.add` executed — so the walked total equals
-the meter's final reading **bit for bit**, and any instrumentation gap or
-branch-accounting error breaks one of the per-join equalities instead of
-hiding in float noise.  ``CriticalPath.exact`` reports whether every
-equality held; the obs CI stage (``scripts/check_trace.py``) fails when
-it does not.
+Exactness contract: readings are integer picoseconds, so
+:func:`critical_path` checks plain integer equalities — each join must
+satisfy ``post == pre + critical_branch_ps`` and the segments must sum to
+the meter's final reading — and any instrumentation gap or
+branch-accounting error breaks one of them.  ``CriticalPath.exact``
+reports whether every equality held; the obs CI stage
+(``scripts/check_trace.py``) fails when it does not.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ class PathSegment:
 
     name: str
     kind: str  # "seq" (root-track interval) or "branch" (joined branch)
-    ns: float
+    ps: int
     labels: Dict = field(default_factory=dict)
 
 
@@ -43,15 +40,15 @@ class CriticalPath:
     activity: Span
     segments: List[PathSegment]
     #: The walked total (== activity meter's final reading when exact).
-    total_ns: float
-    #: Every join equality ``post == pre + critical_branch_ns`` held and
+    total_ps: int
+    #: Every join equality ``post == pre + critical_branch_ps`` held and
     #: the chain covered the activity without unexplained readings.
     exact: bool
     problems: List[str] = field(default_factory=list)
 
     @property
     def total_ms(self) -> float:
-        return self.total_ns / 1e6
+        return self.total_ps / 1_000_000_000
 
 
 def _index_spans(spans: Sequence[Span]):
@@ -83,9 +80,7 @@ def critical_path(spans: Sequence[Span], activity: Span) -> CriticalPath:
                 f"walk reached it ({cur})")
         if join.t0 != cur:
             segments.append(PathSegment(name="seq", kind="seq",
-                                        ns=join.t0 - cur))
-        # Adopt the recorded reading: sequential work on the root track
-        # is exact by construction (it *is* the meter's accumulation).
+                                        ps=join.t0 - cur))
         cur = join.t0
         group = sorted(branches.get(join.group, []), key=lambda s: s.sid)
         critical = [s for s in group if s.critical]
@@ -105,30 +100,27 @@ def critical_path(spans: Sequence[Span], activity: Span) -> CriticalPath:
             problems.append(
                 f"join {join.name!r}: marked critical branch "
                 f"{chosen.name!r} is not the first maximum")
-        # The literal float addition the meter performed at the join.
-        walked = cur + chosen.ns
-        if walked != join.t1:
+        if cur + chosen.ps != join.t1:
             problems.append(
                 f"join {join.name!r}: pre ({cur}) + branch "
-                f"({chosen.ns}) = {walked} != post ({join.t1})")
+                f"({chosen.ps}) != post ({join.t1})")
         segments.append(PathSegment(
             name=f"{join.name}/{chosen.name}", kind="branch",
-            ns=chosen.ns, labels=dict(chosen.labels)))
+            ps=chosen.ps, labels=dict(chosen.labels)))
         cur = join.t1
     if activity.t1 < cur:
         problems.append(
             f"activity ends at {activity.t1} before its last join ({cur})")
     if activity.t1 != cur:
         segments.append(PathSegment(name="seq", kind="seq",
-                                    ns=activity.t1 - cur))
-    cur = activity.t1
-    total = cur - activity.t0 if activity.t0 else cur
-    meter_ns = activity.labels.get("meter_ns")
-    if meter_ns is not None and total != meter_ns:
+                                    ps=activity.t1 - cur))
+    total = activity.t0 + sum(segment.ps for segment in segments)
+    meter_ps = activity.labels.get("meter_ps")
+    if meter_ps is not None and total != meter_ps:
         problems.append(
-            f"walked total {total} != recorded meter_ns {meter_ns}")
+            f"walked total {total} != recorded meter_ps {meter_ps}")
     return CriticalPath(activity=activity, segments=segments,
-                        total_ns=total, exact=not problems,
+                        total_ps=total, exact=not problems,
                         problems=problems)
 
 
@@ -148,7 +140,7 @@ def render_flame(spans: Sequence[Span], activity: Span,
     simulated duration; branch spans are indented under their join,
     critical branches marked ``*``.
     """
-    total = activity.t1 - activity.t0
+    total = activity.ns
     by_parent = _index_spans(spans)
 
     def bar(ns: float) -> str:
@@ -160,7 +152,7 @@ def render_flame(spans: Sequence[Span], activity: Span,
              f"total {_fmt_ns(total)} "
              + " ".join(f"{k}={v}" for k, v in
                         sorted(activity.labels.items())
-                        if k != "meter_ns")]
+                        if k != "meter_ps")]
     children = sorted(by_parent.get(activity.sid, []),
                       key=lambda s: (s.t0, s.sid))
     groups: Dict[int, List[Span]] = {}

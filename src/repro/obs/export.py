@@ -3,12 +3,12 @@
 :func:`chrome_trace` converts a tracer's recording into the Chrome
 trace-event format (``chrome://tracing`` / Perfetto: a ``traceEvents``
 list of complete ``"ph": "X"`` events).  Timestamps are **simulated**
-microseconds — ``anchor_ms * 1000 + reading_ns / 1000`` — so the viewer
+microseconds — ``anchor_ms * 1000 + reading_ps / 10**6`` — so the viewer
 lays activities out on the simulation's own timeline; every parallel
 branch gets its own ``tid`` row so fork-join fan-out is visible.
 
-The exact meter readings ride along in each event's ``args`` (``t0_ns`` /
-``t1_ns`` etc. at full float precision), which makes the export lossless:
+The exact meter readings ride along in each event's ``args`` (``t0_ps`` /
+``t1_ps``, integers), which makes the export lossless:
 :func:`spans_from_chrome` reconstructs the original spans, so
 critical-path analysis runs identically on a live tracer or a trace file
 — what ``scripts/check_trace.py`` relies on.
@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence
 from repro.obs.trace import Span, Tracer
 
 #: args keys every exported event carries (the lossless span encoding).
-_ARG_KEYS = ("sid", "parent", "kind", "track", "t0_ns", "t1_ns",
+_ARG_KEYS = ("sid", "parent", "kind", "track", "t0_ps", "t1_ps",
              "anchor_ms", "group", "critical", "labels")
 
 #: Top-level event keys required by the trace-event format.
@@ -44,8 +44,8 @@ def chrome_trace(tracer_or_spans) -> Dict:
             "name": span.name,
             "cat": f"{span.cat},{span.kind}",
             "ph": "X",
-            "ts": span.anchor_ms * 1e3 + span.t0 / 1e3,
-            "dur": (span.t1 - span.t0) / 1e3,
+            "ts": span.anchor_ms * 1e3 + span.t0 / 1e6,
+            "dur": span.ps / 1e6,
             "pid": 0,
             "tid": span.track,
             "args": dict(record, labels=labels),
@@ -76,7 +76,7 @@ def spans_from_chrome(document: Dict) -> List[Span]:
         spans.append(Span(
             sid=args["sid"], parent=args["parent"], name=event["name"],
             cat=cat, kind=args["kind"], track=args["track"],
-            t0=args["t0_ns"], t1=args["t1_ns"],
+            t0=args["t0_ps"], t1=args["t1_ps"],
             anchor_ms=args["anchor_ms"],
             labels=dict(args.get("labels") or {}),
             group=args.get("group"),
@@ -124,10 +124,9 @@ def validate_chrome_trace(document) -> List[str]:
         if sid in seen_sids:
             complain(f"{where}: duplicate sid {sid}")
         seen_sids.add(sid)
-        t0, t1 = args.get("t0_ns"), args.get("t1_ns")
-        if isinstance(t0, (int, float)) and isinstance(t1, (int, float)) \
-                and t1 < t0:
-            complain(f"{where}: t1_ns {t1} < t0_ns {t0}")
+        t0, t1 = args.get("t0_ps"), args.get("t1_ps")
+        if isinstance(t0, int) and isinstance(t1, int) and t1 < t0:
+            complain(f"{where}: t1_ps {t1} < t0_ps {t0}")
         parent = args.get("parent")
         if parent is not None and parent not in seen_sids:
             complain(f"{where}: parent {parent} not seen before child "

@@ -4,14 +4,15 @@ A :class:`Tracer` records hierarchical *spans* for engine activities —
 one-shot executions (with plan/explore/project phases), continuous window
 closes, injection batches, fork-join per-node branches, chaos recovery
 intervals.  Span timestamps are **readings of the activity's
-LatencyMeter** (simulated nanoseconds since the activity began), anchored
+LatencyMeter** (integer simulated picoseconds since the activity began,
+``meter.ps``), anchored
 at the engine clock's millisecond the activity started, so the whole
 trace is a pure function of the simulation: two runs of the same workload
 produce byte-identical traces.
 
 The zero-simulated-cost invariant: the tracer only *reads* meters
-(``meter.ns`` at span boundaries); it never charges them.  Enabling or
-disabling tracing therefore cannot move a single simulated nanosecond —
+(``meter.ps`` at span boundaries); it never charges them.  Enabling or
+disabling tracing therefore cannot move a single simulated picosecond —
 guarded by ``tests/obs/test_trace_neutrality.py``, which replays the
 golden determinism workload with tracing on.
 
@@ -28,7 +29,7 @@ group re-derives the joined branch exactly as
 :meth:`~repro.sim.cost.LatencyMeter.join_parallel` does (first strict
 maximum) and marks it ``critical`` — the contract the critical-path
 reconstructor (``repro.obs.analysis``) verifies: ``post == pre +
-critical_branch.ns`` with bit-identical float equality.
+critical_branch.ps``, an integer equality.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ EVENT = "event"
 class Span:
     """One recorded span.
 
-    ``t0``/``t1`` are meter readings (simulated ns since the owning
-    activity's meter started); ``anchor_ms`` is the simulated clock
+    ``t0``/``t1`` are meter readings (integer simulated ps since the
+    owning activity's meter started); ``anchor_ms`` is the simulated clock
     millisecond the activity began, so the absolute simulated position is
-    ``anchor_ms * 1e6 + t0``.  ``track`` identifies the meter the
+    ``anchor_ms * 10**9 + t0`` ps.  ``track`` identifies the meter the
     readings came from (each activity root and each parallel branch gets
     its own track).
     """
@@ -60,7 +61,7 @@ class Span:
                  "t0", "t1", "anchor_ms", "labels", "group", "critical")
 
     def __init__(self, sid: int, parent: Optional[int], name: str,
-                 cat: str, kind: str, track: int, t0: float, t1: float,
+                 cat: str, kind: str, track: int, t0: int, t1: int,
                  anchor_ms: int, labels: Optional[Dict] = None,
                  group: Optional[int] = None, critical: bool = False):
         self.sid = sid
@@ -77,15 +78,19 @@ class Span:
         self.critical = critical
 
     @property
-    def ns(self) -> float:
+    def ps(self) -> int:
         return self.t1 - self.t0
 
+    @property
+    def ns(self) -> float:
+        return self.ps / 1_000
+
     def as_dict(self) -> dict:
-        """JSON-safe form (sorted labels; exact float readings)."""
+        """JSON-safe form (sorted labels; exact integer readings)."""
         return {
             "sid": self.sid, "parent": self.parent, "name": self.name,
             "cat": self.cat, "kind": self.kind, "track": self.track,
-            "t0_ns": self.t0, "t1_ns": self.t1,
+            "t0_ps": self.t0, "t1_ps": self.t1,
             "anchor_ms": self.anchor_ms,
             "labels": dict(sorted(self.labels.items())),
             "group": self.group, "critical": self.critical,
@@ -93,7 +98,7 @@ class Span:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.kind}:{self.name} track={self.track} "
-                f"[{self.t0:.0f}, {self.t1:.0f}))")
+                f"[{self.t0}, {self.t1}) ps)")
 
 
 class ParallelGroup:
@@ -106,8 +111,8 @@ class ParallelGroup:
         self.gid = gid
         self.name = name
         #: Owning meter's reading when the group opened.
-        self.pre = activity.meter.ns if activity.meter is not None else 0.0
-        self.post: Optional[float] = None
+        self.pre = activity.meter.ps if activity.meter is not None else 0
+        self.post: Optional[int] = None
         self._branches: List[Span] = []
 
     def branch(self, name: str, branch_meter: LatencyMeter,
@@ -118,7 +123,7 @@ class ParallelGroup:
         span = Span(
             sid=tracer._next_sid(), parent=activity.root.sid, name=name,
             cat=activity.root.cat, kind=BRANCH, track=tracer._next_track(),
-            t0=0.0, t1=branch_meter.ns, anchor_ms=activity.root.anchor_ms,
+            t0=0, t1=branch_meter.ps, anchor_ms=activity.root.anchor_ms,
             labels=labels, group=self.gid)
         self._branches.append(span)
         tracer.spans.append(span)
@@ -131,7 +136,7 @@ class ParallelGroup:
         activity's root track covering ``[pre, post)``.
         """
         activity = self.activity
-        self.post = activity.meter.ns if activity.meter is not None else 0.0
+        self.post = activity.meter.ps if activity.meter is not None else 0
         # The next phase mark starts after the join, not inside it.
         activity._last_mark = self.post
         if not self._branches:
@@ -168,7 +173,7 @@ class Activity:
     def mark(self, name: str, **labels) -> None:
         """Close one phase: a span from the previous mark to the meter's
         current reading, on the activity's root track."""
-        now = self.meter.ns if self.meter is not None else 0.0
+        now = self.meter.ps if self.meter is not None else 0
         tracer = self.tracer
         tracer.spans.append(Span(
             sid=tracer._next_sid(), parent=self.root.sid, name=name,
@@ -193,8 +198,8 @@ class Activity:
         if self._closed:
             return
         self._closed = True
-        self.root.t1 = self.meter.ns if self.meter is not None else 0.0
-        self.root.labels.setdefault("meter_ns", self.root.t1)
+        self.root.t1 = self.meter.ps if self.meter is not None else 0
+        self.root.labels.setdefault("meter_ps", self.root.t1)
         self.tracer._pop(self)
 
 
@@ -246,7 +251,7 @@ class Tracer:
         if anchor_ms is None:
             anchor_ms = self.clock.now_ms if self.clock is not None else 0
         parent = self._stack[-1].root.sid if self._stack else None
-        start = meter.ns if meter is not None else 0.0
+        start = meter.ps if meter is not None else 0
         root = Span(
             sid=self._next_sid(), parent=parent, name=name, cat=cat,
             kind=ACTIVITY, track=self._next_track(), t0=start, t1=start,
@@ -265,7 +270,7 @@ class Tracer:
         if self._stack and self._stack[-1] is activity:
             self._stack.pop()
 
-    def event_span(self, name: str, cat: str, ns: float,
+    def event_span(self, name: str, cat: str, ps: int,
                    anchor_ms: Optional[int] = None, **labels) -> Span:
         """Record one already-completed interval (e.g. a chaos recovery
         whose meter only exists after the fact)."""
@@ -273,7 +278,7 @@ class Tracer:
             anchor_ms = self.clock.now_ms if self.clock is not None else 0
         span = Span(
             sid=self._next_sid(), parent=None, name=name, cat=cat,
-            kind=EVENT, track=self._next_track(), t0=0.0, t1=ns,
+            kind=EVENT, track=self._next_track(), t0=0, t1=ps,
             anchor_ms=anchor_ms, labels=labels)
         self.spans.append(span)
         return span

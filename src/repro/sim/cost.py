@@ -15,6 +15,15 @@ for CSPARQL-engine and Spark Streaming.  The constants model, respectively:
 DRAM hash probes, cache-line scans, one-sided RDMA verbs (~2 us), kernel
 TCP/IP round trips (~60 us), per-tuple serialization in JVM streaming
 frameworks, and mini-batch scheduler overheads.
+
+The simulated clock is exact: every price is an integer (whole nanoseconds,
+or whole picoseconds for the two per-byte network prices) and a
+:class:`LatencyMeter` accumulates an integer number of picoseconds.
+Integer addition is associative and commutative, so charges may be issued
+in any order and aggregated in any grouping (``times=n``, a spawned child
+folded back with ``add``) without moving a reading.  The only rounding in
+the cost path is :meth:`LatencyMeter.surcharge`, which scales elapsed time
+by a float multiplier (one-shot contention, straggler slowdown).
 """
 
 from __future__ import annotations
@@ -22,10 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
+#: The meter's unit: picoseconds per nanosecond.
+PS_PER_NS = 1_000
+
 
 @dataclass(frozen=True)
 class CostModel:
-    """Prices (simulated nanoseconds) for primitive operations.
+    """Prices for primitive operations: integers, in simulated
+    nanoseconds (``*_ns``) or, for the per-byte network increments,
+    picoseconds (``*_ps``).
 
     Storage primitives
     ------------------
@@ -42,9 +56,9 @@ class CostModel:
     Network primitives
     ------------------
     rdma_read_ns:         base latency of a one-sided RDMA read.
-    rdma_byte_ns:         incremental per-byte cost of an RDMA read.
+    rdma_byte_ps:         incremental per-byte cost of an RDMA read (ps).
     tcp_rtt_ns:           base round-trip over the 10 GbE fallback network.
-    tcp_byte_ns:          incremental per-byte cost over TCP.
+    tcp_byte_ps:          incremental per-byte cost over TCP (ps).
     fork_ns:              dispatching one sub-query to a node (fork-join).
     join_gather_ns:       gathering one node's sub-results (fork-join).
 
@@ -85,109 +99,144 @@ class CostModel:
     """
 
     # --- storage ---
-    hash_probe_ns: float = 150.0
-    scan_entry_ns: float = 3.0
-    insert_entry_ns: float = 120.0
-    create_key_ns: float = 300.0
-    index_probe_ns: float = 100.0
-    binding_ns: float = 25.0
-    timestamp_filter_ns: float = 8.0
-    gc_entry_ns: float = 15.0
+    hash_probe_ns: int = 150
+    scan_entry_ns: int = 3
+    insert_entry_ns: int = 120
+    create_key_ns: int = 300
+    index_probe_ns: int = 100
+    binding_ns: int = 25
+    timestamp_filter_ns: int = 8
+    gc_entry_ns: int = 15
 
     # --- network ---
-    rdma_read_ns: float = 1_800.0
-    rdma_byte_ns: float = 0.02
-    tcp_rtt_ns: float = 60_000.0
-    tcp_byte_ns: float = 0.8
-    fork_ns: float = 12_000.0
-    join_gather_ns: float = 8_000.0
+    rdma_read_ns: int = 1_800
+    rdma_byte_ps: int = 20
+    tcp_rtt_ns: int = 60_000
+    tcp_byte_ps: int = 800
+    fork_ns: int = 12_000
+    join_gather_ns: int = 8_000
 
     # --- cross-system / frameworks ---
-    transform_tuple_ns: float = 3_000.0
-    storm_tuple_ns: float = 2_600.0
-    storm_execution_ns: float = 150_000.0
-    heron_tuple_ns: float = 1_100.0
-    heron_execution_ns: float = 80_000.0
-    csparql_tuple_ns: float = 45_000.0
-    csparql_base_ns: float = 40_000_000.0
-    jena_probe_ns: float = 18_000.0
-    join_probe_ns: float = 220.0
-    join_build_ns: float = 260.0
-    spark_task_ns: float = 45_000_000.0
-    spark_row_ns: float = 900.0
-    structured_task_ns: float = 80_000_000.0
-    structured_row_ns: float = 1_100.0
+    transform_tuple_ns: int = 3_000
+    storm_tuple_ns: int = 2_600
+    storm_execution_ns: int = 150_000
+    heron_tuple_ns: int = 1_100
+    heron_execution_ns: int = 80_000
+    csparql_tuple_ns: int = 45_000
+    csparql_base_ns: int = 40_000_000
+    jena_probe_ns: int = 18_000
+    join_probe_ns: int = 220
+    join_build_ns: int = 260
+    spark_task_ns: int = 45_000_000
+    spark_row_ns: int = 900
+    structured_task_ns: int = 80_000_000
+    structured_row_ns: int = 1_100
 
     # --- engine bookkeeping ---
-    task_dispatch_ns: float = 60_000.0
-    trigger_check_ns: float = 200.0
-    filter_ns: float = 30.0
-    vts_update_ns: float = 80.0
-    sn_publish_ns: float = 500.0
-    log_entry_ns: float = 180.0
+    task_dispatch_ns: int = 60_000
+    trigger_check_ns: int = 200
+    filter_ns: int = 30
+    vts_update_ns: int = 80
+    sn_publish_ns: int = 500
+    log_entry_ns: int = 180
 
-    def rdma_read_cost(self, nbytes: int) -> float:
-        """Total cost of one one-sided RDMA read of ``nbytes``."""
-        return self.rdma_read_ns + self.rdma_byte_ns * max(0, nbytes)
+    def rdma_read_cost(self, nbytes: int) -> int:
+        """Picoseconds of one one-sided RDMA read of ``nbytes``."""
+        return self.rdma_read_ns * PS_PER_NS \
+            + self.rdma_byte_ps * max(0, nbytes)
 
-    def tcp_cost(self, nbytes: int) -> float:
-        """Total cost of one TCP round trip carrying ``nbytes``."""
-        return self.tcp_rtt_ns + self.tcp_byte_ns * max(0, nbytes)
+    def tcp_cost(self, nbytes: int) -> int:
+        """Picoseconds of one TCP round trip carrying ``nbytes``."""
+        return self.tcp_rtt_ns * PS_PER_NS + self.tcp_byte_ps * max(0, nbytes)
+
+    def tcp_one_way_cost(self, nbytes: int) -> int:
+        """Picoseconds of a one-way TCP send: half a round trip (whole
+        for any even ``tcp_byte_ps``; an odd one loses its half
+        picosecond)."""
+        return self.tcp_cost(nbytes) // 2
+
+
+def _whole(ps):
+    """``ps`` as read off a meter: an int, or a loud failure — a float
+    means some caller charged a fractional amount."""
+    if type(ps) is not int:
+        raise TypeError(
+            f"a non-integer amount was charged to this meter (it reads "
+            f"{type(ps).__name__} {ps!r}); prices must be whole "
+            f"nanoseconds or picoseconds")
+    return ps
 
 
 class LatencyMeter:
-    """Accumulates simulated nanoseconds, with optional category breakdown.
+    """Accumulates simulated time as an exact integer of picoseconds,
+    with optional category breakdown.
 
     A meter models the critical path of one logical activity (a query, an
-    injection, a checkpoint).  Sequential work is added with :meth:`charge`;
+    injection, a checkpoint).  Sequential work is added with :meth:`charge`
+    (whole nanoseconds — every ``CostModel.*_ns`` price) or
+    :meth:`charge_ps` (picoseconds — network transfers, folded readings);
     work that proceeds in parallel across nodes or threads is modelled by
     spawning one child meter per branch and folding them back with
     :meth:`join_parallel`, which adds the *maximum* branch time (the
     critical path) to this meter.
+
+    ``ps`` is the exact reading; ``ns`` / ``us`` / ``ms`` /
+    ``breakdown_ms`` are floats derived from it when read.  Amounts must
+    reach the meter as ints: charging does not convert or type-check, and
+    a float that slipped in makes every later reading raise.
 
     >>> m = LatencyMeter()
     >>> m.charge(500)
     >>> a, b = m.spawn(), m.spawn()
     >>> a.charge(1_000); b.charge(3_000)
     >>> m.join_parallel([a, b])
-    >>> m.ns
-    3500.0
+    >>> m.ps, m.ns
+    (3500000, 3500.0)
     """
 
-    __slots__ = ("_ns", "_breakdown")
+    __slots__ = ("_ps", "_breakdown")
 
     def __init__(self) -> None:
-        self._ns = 0.0
-        self._breakdown: Dict[str, float] = {}
+        self._ps = 0
+        self._breakdown: Dict[str, int] = {}
 
     # -- accumulation -------------------------------------------------
-    def charge(self, ns: float, times: int = 1, category: Optional[str] = None) -> None:
-        """Add ``ns * times`` to the meter, optionally tagged by category."""
+    def charge(self, ns: int, times: int = 1, category: Optional[str] = None) -> None:
+        """Add ``ns * times`` nanoseconds, optionally tagged by category."""
         if ns < 0:
             raise ValueError(f"cannot charge negative time: {ns}")
         if times < 0:
             raise ValueError(f"cannot charge a negative number of times: {times}")
-        total = ns * times
-        self._ns += total
+        total = ns * times * PS_PER_NS
+        self._ps += total
         if category is not None:
-            self._breakdown[category] = self._breakdown.get(category, 0.0) + total
+            self._breakdown[category] = self._breakdown.get(category, 0) + total
 
-    def charge_many(self, charges: Iterable) -> None:
-        """Apply many ``(ns, times, category)`` charges in one call.
+    def charge_ps(self, ps: int, category: Optional[str] = None) -> None:
+        """Add ``ps`` picoseconds, optionally tagged by category."""
+        if ps < 0:
+            raise ValueError(f"cannot charge negative time: {ps}")
+        self._ps += ps
+        if category is not None:
+            self._breakdown[category] = self._breakdown.get(category, 0) + ps
 
-        Each triple is applied exactly as :meth:`charge` would: because all
-        hot-path cost constants are integer-valued, ``ns * times`` equals
-        ``times`` separate additions bit-for-bit, so converting a per-entry
-        charge loop to one aggregated call never moves simulated time.
+    def surcharge(self, factor: float, category: str, since_ps: int = 0) -> None:
+        """Charge ``factor`` times the time elapsed since the reading
+        ``since_ps`` (default: since the meter started).
+
+        The one place simulated time is rounded: the elapsed picoseconds
+        times the float ``factor``, rounded half-to-even to a whole
+        picosecond.  A surcharge that rounds to zero charges nothing.
         """
-        for ns, times, category in charges:
-            self.charge(ns, times=times, category=category)
+        extra = round((self.ps - since_ps) * factor)
+        if extra:
+            self.charge_ps(extra, category)
 
     def add(self, other: "LatencyMeter") -> None:
         """Fold another meter in sequentially (sum of times)."""
-        self._ns += other._ns
+        self._ps += other._ps
         for key, value in other._breakdown.items():
-            self._breakdown[key] = self._breakdown.get(key, 0.0) + value
+            self._breakdown[key] = self._breakdown.get(key, 0) + value
 
     def spawn(self) -> "LatencyMeter":
         """Create an empty child meter for one parallel branch."""
@@ -196,70 +245,50 @@ class LatencyMeter:
     def join_parallel(self, branches: Iterable["LatencyMeter"]) -> None:
         """Fold parallel branches in: elapsed time grows by the slowest branch.
 
-        The category breakdown of the *slowest* branch is merged, since the
-        breakdown documents the critical path.
+        The category breakdown of the *slowest* branch (the first one, on
+        a tie) is merged, since the breakdown documents the critical path.
         """
         slowest: Optional[LatencyMeter] = None
         for branch in branches:
-            if slowest is None or branch._ns > slowest._ns:
+            if slowest is None or branch._ps > slowest._ps:
                 slowest = branch
         if slowest is not None:
             self.add(slowest)
 
     # -- inspection ---------------------------------------------------
     @property
+    def ps(self) -> int:
+        """Elapsed simulated picoseconds (exact)."""
+        return _whole(self._ps)
+
+    @property
     def ns(self) -> float:
         """Elapsed simulated nanoseconds."""
-        return self._ns
+        return self.ps / 1_000
 
     @property
     def us(self) -> float:
         """Elapsed simulated microseconds."""
-        return self._ns / 1e3
+        return self.ps / 1_000_000
 
     @property
     def ms(self) -> float:
         """Elapsed simulated milliseconds."""
-        return self._ns / 1e6
+        return self.ps / 1_000_000_000
+
+    @property
+    def breakdown_ps(self) -> Dict[str, int]:
+        """Per-category elapsed picoseconds (categories passed to charge)."""
+        return {key: _whole(value) for key, value in self._breakdown.items()}
 
     @property
     def breakdown_ms(self) -> Dict[str, float]:
-        """Per-category elapsed milliseconds (categories passed to charge)."""
-        return {key: value / 1e6 for key, value in self._breakdown.items()}
+        """Per-category elapsed milliseconds."""
+        return {key: value / 1_000_000_000
+                for key, value in self.breakdown_ps.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LatencyMeter(ms={self.ms:.4f})"
-
-
-class ChargeSet:
-    """Accumulates charges for one activity, flushed aggregated at the end.
-
-    A ``ChargeSet`` quacks like a :class:`LatencyMeter` for charging (it
-    exposes the same ``charge(ns, times=1, category=None)`` shape), so it
-    can be handed to store primitives in place of a meter inside a hot
-    loop.  It merely counts occurrences per ``(ns, category)`` pair;
-    :meth:`flush` then issues one aggregated ``meter.charge`` per pair.
-    With integer-valued cost constants the flushed total is bit-identical
-    to charging each event individually (integer sums stay exact well
-    below 2**53), while the Python-level overhead drops from one meter
-    call per store entry to one per distinct price.
-    """
-
-    __slots__ = ("_acc",)
-
-    def __init__(self) -> None:
-        self._acc: Dict = {}
-
-    def charge(self, ns: float, times: int = 1,
-               category: Optional[str] = None) -> None:
-        key = (ns, category)
-        self._acc[key] = self._acc.get(key, 0) + times
-
-    def flush(self, meter: LatencyMeter) -> None:
-        """Emit one aggregated charge per distinct (ns, category) pair."""
-        for (ns, category), times in self._acc.items():
-            meter.charge(ns, times=times, category=category)
-        self._acc.clear()
+        return f"LatencyMeter(ps={self._ps!r})"
 
 
 @dataclass

@@ -59,11 +59,11 @@ class Fabric:
         if self.use_rdma:
             self.stats.rdma_reads += 1
             self.stats.rdma_bytes += nbytes
-            meter.charge(self.cost.rdma_read_cost(nbytes), category=category)
+            meter.charge_ps(self.cost.rdma_read_cost(nbytes), category)
         else:
             self.stats.messages += 1
             self.stats.message_bytes += nbytes
-            meter.charge(self.cost.tcp_cost(nbytes), category=category)
+            meter.charge_ps(self.cost.tcp_cost(nbytes), category)
 
     def message(self, meter: LatencyMeter, nbytes: int,
                 category: str = "network") -> None:
@@ -75,14 +75,14 @@ class Fabric:
         """
         self.stats.messages += 1
         self.stats.message_bytes += nbytes
-        meter.charge(self.cost.tcp_cost(nbytes), category=category)
+        meter.charge_ps(self.cost.tcp_cost(nbytes), category)
 
     def one_way(self, meter: LatencyMeter, nbytes: int,
                 category: str = "network") -> None:
         """Charge a one-way send (half a round trip) of ``nbytes``."""
         self.stats.messages += 1
         self.stats.message_bytes += nbytes
-        meter.charge(self.cost.tcp_cost(nbytes) / 2.0, category=category)
+        meter.charge_ps(self.cost.tcp_one_way_cost(nbytes), category)
 
     def replay_transfer(self, meter: LatencyMeter, nbytes: int,
                         category: str = "replay") -> None:
@@ -95,7 +95,7 @@ class Fabric:
         """
         self.stats.replays += 1
         self.stats.replay_bytes += nbytes
-        meter.charge(self.cost.tcp_cost(nbytes) / 2.0, category=category)
+        meter.charge_ps(self.cost.tcp_one_way_cost(nbytes), category)
 
     def bulk_transfer(self, meter: LatencyMeter, nbytes: int,
                       category: str = "network") -> None:
@@ -109,8 +109,8 @@ class Fabric:
         if self.use_rdma:
             self.stats.rdma_reads += 1
             self.stats.rdma_bytes += nbytes
-            meter.charge(self.cost.rdma_read_cost(nbytes), category=category)
+            meter.charge_ps(self.cost.rdma_read_cost(nbytes), category)
         else:
             self.stats.messages += 1
             self.stats.message_bytes += nbytes
-            meter.charge(self.cost.tcp_cost(nbytes) / 2.0, category=category)
+            meter.charge_ps(self.cost.tcp_one_way_cost(nbytes), category)

@@ -26,7 +26,7 @@ from repro.rdf.ids import (
 from repro.rdf.string_server import StringServer
 from repro.rdf.terms import EncodedTriple, Triple
 from repro.sim.cluster import Cluster
-from repro.sim.cost import ChargeSet, LatencyMeter
+from repro.sim.cost import LatencyMeter
 from repro.store.kvstore import ADJACENCY_CACHE_CAPACITY, BASE_SN, \
     ShardStore, ValueSpan
 
@@ -139,10 +139,10 @@ class DistributedStore:
         Hot ``(vertex, predicate)`` probes are served from the owner
         shard's adjacency-segment cache — a wall-clock optimization only:
         a hit charges exactly the remote reads, hash probe and per-entry
-        scan of an uncached lookup, in the same order, so simulated time
-        is bit-identical.  Inserts invalidate the written key's segment;
-        cached segments survive compaction and serve any snapshot bound
-        with the same visible prefix (see ``ShardStore``).
+        scan of an uncached lookup, so simulated time is identical.
+        Inserts invalidate the written key's segment; cached segments
+        survive compaction and serve any snapshot bound with the same
+        visible prefix (see ``ShardStore``).
 
         ``Cluster.owner_of`` (modulo partitioning) and ``make_key`` are
         inlined here: this is the innermost store probe of every
@@ -178,14 +178,10 @@ class DistributedStore:
                        d: int, meter: LatencyMeter,
                        max_sn: Optional[int] = None,
                        category: str = "store") -> Dict[int, List[int]]:
-        """Batch-shaped neighbour lookup: one fetch per *distinct* vid.
-
-        Fetches run in first-occurrence order over ``vids`` — exactly the
-        order (and the charges) of the executor's per-expansion neighbour
-        cache issuing :meth:`neighbors_from` calls one by one, so even
-        order-sensitive fractional charges accumulate identically.  The
-        columnar batch kernels hand whole start columns here instead of
-        calling through the per-vid access indirection row by row.
+        """Batch-shaped neighbour lookup: one fetch per *distinct* vid,
+        keyed in first-occurrence order.  The columnar batch kernels hand
+        whole start columns here instead of calling through the per-vid
+        access indirection row by row.
         """
         fetched: Dict[int, List[int]] = {}
         fetch = self.neighbors_from
@@ -226,41 +222,17 @@ class DistributedStore:
                                  max_sn: Optional[int] = None,
                                  category: str = "store"
                                  ) -> Dict[int, Tuple[List[int], List[int]]]:
-        """Batch version-carrying lookup: one probe per *distinct* vid.
-
-        The columnar temporal kernels hand whole start columns here.
-        Probes run in first-occurrence order over ``vids`` — the order
-        :meth:`neighbors_versions_from` calls issued one by one would
-        take — which fixes where the order-sensitive fractional
-        remote-read charges land (pinned by ``golden_kernels.json``).
-        The integer hash-probe and scan charges accumulate
-        through a per-shard :class:`ChargeSet`, flushed *before every
-        fractional remote read* (and once at the end): integer partial
-        sums are exact in any grouping, but only between two fractional
-        charges — each fractional charge must land on the same running
-        total as in the per-probe loop, or its rounding can differ in
-        the last bit (the ``charges_commute`` discipline; same
-        flush-before-float rule as ``WindowAccess.neighbors_many``).
+        """Batch version-carrying lookup: one
+        :meth:`neighbors_versions_from` probe per *distinct* vid, keyed
+        in first-occurrence order.  The columnar temporal kernels hand
+        whole start columns here.
         """
         fetched: Dict[int, Tuple[List[int], List[int]]] = {}
-        charges = ChargeSet()
-        nodes = len(self.cluster.nodes)
-        remote_read = self.cluster.fabric.remote_read
+        fetch = self.neighbors_versions_from
         for vid in vids:
-            if vid in fetched:
-                continue
-            owner = vid % nodes
-            key = (vid << _VID_SHIFT) | (eid << _EID_SHIFT) | d
-            shard = self.shards[owner]
-            if owner != home_node:
-                charges.flush(meter)
-                remote_read(meter, _KEY_BYTES, category="network")
-                remote_read(meter, shard.value_bytes(key),
-                            category="network")
-            fetched[vid] = shard.lookup_versions(key, max_sn=max_sn,
-                                                 meter=charges,
-                                                 category=category)
-        charges.flush(meter)
+            if vid not in fetched:
+                fetched[vid] = fetch(home_node, vid, eid, d, meter,
+                                     max_sn=max_sn, category=category)
         return fetched
 
     def span_from(self, home_node: int, span: ValueSpan, owner: int,

@@ -52,16 +52,16 @@ solution row at a time — a one-row batch through the same kernels —
 because their probe deduplication, and hence their lookup charges, are
 per row.
 
-Charge discipline: the layout only changes wall-clock speed.  Simulated
-charges are issued for fixed events in a fixed order — a neighbour fetch
-once per distinct start vertex in first-occurrence row order, binding
-and filter charges aggregated with integer-valued constants between
-fractional remote-read charges — because the float meter makes that
-order observable in the last bits.  The order is pinned by
-``tests/store/golden_kernels.json`` (frozen while a row-at-a-time twin
-of every kernel still agreed with it) and ``tests/core/test_determinism``;
-rows are additionally checked against the brute-force oracle
-(:mod:`repro.temporal.reference`).  See DESIGN.md §4.7.
+Charges: the layout only changes wall-clock speed.  Simulated charges
+are issued for a fixed *set* of events — a neighbour fetch once per
+distinct start vertex, one binding charge per produced row, one filter
+charge per row and filter — and, being exact integers
+(:mod:`repro.sim.cost`), in whatever order and grouping is cheapest.
+The totals are pinned by ``tests/store/golden_kernels.json`` (first
+frozen while a row-at-a-time twin of every kernel still agreed with it)
+and ``tests/core/test_determinism``; rows are additionally checked
+against the brute-force oracle (:mod:`repro.temporal.reference`).  See
+DESIGN.md §4.7.
 """
 
 from __future__ import annotations
@@ -103,6 +103,21 @@ AccessFactory = Callable[[int], AccessResolver]
 #: Estimated wire size of one binding row during migration/gather
 #: (a few 8-byte bindings plus framing).
 _ROW_BYTES = 48
+
+
+def _fetch_neighbors(access: StoreAccess, starts, eid: int, direction: int,
+                     meter: LatencyMeter) -> Dict[int, List[int]]:
+    """Neighbour lists keyed by distinct start, one probe each: through
+    the access's batch entry point when it has one (every access but the
+    Wukong/Ext baseline's)."""
+    neighbors_many = getattr(access, "neighbors_many", None)
+    if neighbors_many is not None:
+        return neighbors_many(starts, eid, direction, meter)
+    fetched: Dict[int, List[int]] = {}
+    for start in starts:
+        if start not in fetched:
+            fetched[start] = access.neighbors(start, eid, direction, meter)
+    return fetched
 
 
 @dataclass
@@ -613,8 +628,8 @@ class GraphExplorer:
 
         Every row entering the step pays ``filter_ns`` per filter,
         whatever the verdict, so the whole block aggregates into one
-        integer-valued charge; evaluation itself is charge-free and
-        memoized per distinct operand value.
+        charge; evaluation itself is charge-free and memoized per
+        distinct operand value.
         """
         if not cfilters or not batch.nrows:
             return batch
@@ -862,9 +877,7 @@ class GraphExplorer:
         """Expand rows through neighbour lookups of an already-bound
         column, with key probes deduplicated per batch.
 
-        Neighbour lists are fetched once per distinct start vertex in
-        first-occurrence row order, which fixes where the order-sensitive
-        (fractional) remote-read charges land.
+        Neighbour lists are fetched once per distinct start vertex.
         """
         nslots = len(batch.cols)
         starts = batch.cols[bound_slot]
@@ -876,26 +889,9 @@ class GraphExplorer:
             other_const = access.resolve_entity(other_term)
             if other_const is None:
                 return _Batch.empty(nslots)
-        neighbors_many = getattr(access, "neighbors_many", None)
-        if neighbors_many is not None:
-            # Batch-shaped access: the store deduplicates the probes in
-            # first-occurrence order itself (same charges, one call).
-            # Per-row lists are materialized lazily — the membership
-            # filter below only needs the per-distinct-start dict.
-            fetched = neighbors_many(starts, eid, direction, meter)
-            neighbor_lists = None
-        else:
-            fetched: Dict[int, List[int]] = {}
-            fetched_get = fetched.get
-            neighbors_of = access.neighbors
-            neighbor_lists: List[List[int]] = []
-            append_list = neighbor_lists.append
-            for start in starts:
-                neighbors = fetched_get(start)
-                if neighbors is None:
-                    neighbors = neighbors_of(start, eid, direction, meter)
-                    fetched[start] = neighbors
-                append_list(neighbors)
+        # Per-row lists are materialized lazily — the membership filter
+        # below only needs the per-distinct-start dict.
+        fetched = _fetch_neighbors(access, starts, eid, direction, meter)
         other_col = batch.cols[other_slot] if other_slot is not None else None
         if other_const is not None or other_col is not None:
             # Membership filter against per-distinct-start neighbour sets
@@ -927,8 +923,7 @@ class GraphExplorer:
         # fan-out is pure bookkeeping (charges are aggregated below), so
         # it runs entirely in C: counts/concat via map+chain, and bound
         # columns repeated with per-row itertools.repeat iterators.
-        if neighbor_lists is None:
-            neighbor_lists = list(map(fetched.__getitem__, starts))
+        neighbor_lists = list(map(fetched.__getitem__, starts))
         counts = list(map(len, neighbor_lists))
         total = sum(counts)
         if not total:
@@ -966,9 +961,9 @@ class GraphExplorer:
                             index_owner: Optional[int] = None) -> _Batch:
         """Enumerate subjects from the predicate index, then bind objects.
 
-        The interleaved per-subject charge order (neighbour fetch, then
-        that subject's binding charge) is part of the calibrated
-        exploration cost.  With ``index_owner``, only start vertices
+        Every subject's neighbour list is fetched up front, then bindings
+        are charged in one aggregated call.  With ``index_owner``, only
+        start vertices
         owned by that node are enumerated (fork-join/migrate branches
         partition the start set).  The standard shape — one seed row,
         subject and object unbound — is expanded here; seed rows that
@@ -995,56 +990,30 @@ class GraphExplorer:
                                              access, meter)
         required = access.resolve_entity(cstep.object) \
             if obj_slot is None else None
-        binding_ns = self.cost.binding_ns
-        charge = meter.charge
         # Distinct subjects each contribute rows no other subject can
         # (the subject lands in a column), so the output is distinct iff
         # the subject list and every fetched list are duplicate-free.
         distinct = batch.distinct and len(set(subjects)) == len(subjects)
         subj_col: List[int] = []
         obj_col: List[int] = []
-        # When every charge the access can emit is an integer (see
-        # ``charges_commute``), fetch-vs-binding charge order is
-        # irrelevant — integer sums are exact — so all neighbour lists
-        # can be fetched in one aggregated call up front.  Otherwise the
-        # interleaved per-subject order is preserved verbatim.
-        fetched = None
-        if getattr(access, "charges_commute", False):
-            neighbors_many = getattr(access, "neighbors_many", None)
-            if neighbors_many is not None:
-                fetched = neighbors_many(subjects, eid, DIR_OUT, meter)
+        fetched = _fetch_neighbors(access, subjects, eid, DIR_OUT, meter)
         if obj_slot is None or obj_slot == subj_slot:
             # Object is a constant (or the subject variable itself):
             # each subject survives iff the object matches its list.
-            if fetched is not None:
-                if obj_slot == subj_slot:
-                    subj_col = [svid for svid in subjects
-                                if svid in fetched[svid]]
-                elif required is not None:
-                    subj_col = [svid for svid in subjects
-                                if required in fetched[svid]]
-                if subj_col:
-                    charge(binding_ns, times=len(subj_col),
-                           category="explore")
-            else:
-                append_subj = subj_col.append
-                fetch = access.neighbors
-                for svid in subjects:
-                    neighbors = fetch(svid, eid, DIR_OUT, meter)
-                    wanted = svid if obj_slot == subj_slot else required
-                    if wanted is not None and wanted in neighbors:
-                        append_subj(svid)
-                        charge(binding_ns, category="explore")
+            if obj_slot == subj_slot:
+                subj_col = [svid for svid in subjects
+                            if svid in fetched[svid]]
+            elif required is not None:
+                subj_col = [svid for svid in subjects
+                            if required in fetched[svid]]
             obj_col = subj_col
-        elif fetched is not None:
+        else:
             lists = list(map(fetched.__getitem__, subjects))
             counts = list(map(len, lists))
-            total = sum(counts)
-            if total:
+            if any(counts):
                 subj_col = list(chain.from_iterable(
                     map(repeat, subjects, counts)))
                 obj_col = list(chain.from_iterable(lists))
-                charge(binding_ns, times=total, category="explore")
                 if distinct:
                     hook = getattr(access, "distinct_neighbors", None)
                     verdict = hook(fetched, eid, DIR_OUT) \
@@ -1053,22 +1022,10 @@ class GraphExplorer:
                         verdict = all(len(set(lst)) == len(lst)
                                       for lst in lists)
                     distinct = verdict
-        else:
-            extend_subj = subj_col.extend
-            extend_obj = obj_col.extend
-            fetch = access.neighbors
-            for svid in subjects:
-                neighbors = fetch(svid, eid, DIR_OUT, meter)
-                k = len(neighbors)
-                if k:
-                    extend_subj([svid] * k)
-                    extend_obj(neighbors)
-                    charge(binding_ns, times=k, category="explore")
-                    if distinct and len(set(neighbors)) != k:
-                        distinct = False
         nrows = len(subj_col)
         if not nrows:
             return _Batch.empty(nslots)
+        meter.charge(self.cost.binding_ns, times=nrows, category="explore")
         out_cols: List[Optional[List[int]]] = []
         for index, column in enumerate(batch.cols):
             if index == subj_slot:

@@ -44,11 +44,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from heapq import heappop, heappush
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import StoreError
 from repro.rdf.ids import DIR_IN, DIR_OUT, Key
-from repro.sim.cost import ChargeSet, CostModel, LatencyMeter, MemoryModel
+from repro.sim.cost import CostModel, LatencyMeter, MemoryModel
 
 #: Initially loaded (bulk) data carries the base snapshot number.
 BASE_SN = 0
@@ -325,10 +325,8 @@ class ShardStore:
         per-key value groups, in group order; returns the spans in the
         same order.
 
-        Every charge involved is an integer in the "insert" category, so
-        the per-key interleaving collapses into two aggregated calls
-        (key/index creations, entry appends) with an exactly identical
-        sum — the injector flushes them through its ChargeSet as before.
+        The per-key charges collapse into two aggregated calls
+        (key/index creations, entry appends).
         """
         values_dict = self._values
         values_get = values_dict.get
@@ -611,29 +609,6 @@ class ShardStore:
             meter.charge(self.cost.scan_entry_ns, times=cut,
                          category=category)
         return values.vids[:cut], values.sns[:cut]
-
-    def lookup_versions_many(self, keys: Iterable[Key],
-                             max_sn: Optional[int] = None,
-                             meter: Optional[LatencyMeter] = None,
-                             category: str = "store"
-                             ) -> List[Tuple[List[int], List[int]]]:
-        """Batch :meth:`lookup_versions`: one probe per key, in key order.
-
-        The columnar temporal kernels hand whole probe lists here instead
-        of calling :meth:`lookup_versions` once per key.  Charges
-        accumulate through a :class:`ChargeSet` and flush aggregated —
-        hash probes and visible-prefix scans are integer-priced, so the
-        flushed sum is bit-identical to charging every probe individually
-        (the ``charges_commute`` discipline) while the meter overhead
-        drops to one call per distinct price.
-        """
-        charges = ChargeSet() if meter is not None else None
-        out = [self.lookup_versions(key, max_sn=max_sn, meter=charges,
-                                    category=category)
-               for key in keys]
-        if charges is not None:
-            charges.flush(meter)
-        return out
 
     def lookup_span(self, span: ValueSpan,
                     meter: Optional[LatencyMeter] = None,

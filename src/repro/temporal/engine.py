@@ -262,9 +262,7 @@ class TemporalEngine:
         variables, rows = evaluate_interval_batch(
             query, plan, self.store, home_node, snapshot, meter,
             counters=counters)
-        if contended and self.oneshot.contention_factor > 0:
-            meter.charge(meter.ns * self.oneshot.contention_factor,
-                         category="contention")
+        self.oneshot.charge_contention(meter, contended)
         if act is not None:
             act.label(rows=len(rows),
                       snapshot_reads=counters.snapshot_reads,

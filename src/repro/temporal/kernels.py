@@ -8,11 +8,9 @@ SN (``?ts``) column threaded through every expansion; ``?te`` binds
 :data:`~repro.sparql.ast.OPEN_END` (append-only store: every visible
 entry is still live):
 
-* store reads go through the batch version-carrying entry points
-  (:meth:`ShardStore.lookup_versions_many` /
-  :meth:`DistributedStore.neighbors_versions_batch`) — one probe per
-  *distinct* start vertex in first-occurrence row order, integer
-  charges aggregated through a :class:`~repro.sim.cost.ChargeSet`;
+* store reads go through the batch version-carrying entry point
+  (:meth:`DistributedStore.neighbors_versions_batch`) — one probe per
+  *distinct* start vertex;
 * FILTER application is compiled once per plan into a static schedule
   (:class:`CompiledIntervalPlan`): each ordinary and interval FILTER is
   pinned to the first step at which its variables are bound, and the
@@ -22,28 +20,11 @@ entry is still live):
 * each produced binding charges ``binding_ns`` and each filter
   application ``filter_ns``, aggregated per extend / per filter block.
 
-Charge order (pinned by ``tests/store/golden_kernels.json``, frozen
-while a row-at-a-time evaluator still ran beside these kernels and
-agreed in rows, order, meter total, breakdown, counters and digest).
-The meter sums floats, so the order of charges is observable in its
-last bits; the load-bearing rules:
-
-* integer-valued charges (``hash_probe_ns``, ``scan_entry_ns``,
-  ``binding_ns``, ``filter_ns``) sum exactly in any grouping *between
-  two fractional charges*, so they may be aggregated freely within
-  such a gap;
-* fractional charges (``rdma_byte_ns`` remote reads) must land on a
-  fixed running meter total, or their float rounding can differ in the
-  last bit — so probes issue in first-occurrence row order, and on
-  multi-node clusters (where probes can be remote) the bound-start and
-  index-start expansions interleave probes with bindings row by row:
-  each probe's captured charges replay at its first row's position,
-  after the binding charges of every earlier row (single-node clusters
-  are fractional-free and keep the fully aggregated fast path — the
-  same gate as the one-shot executor's ``charges_commute``);
-* an aggregated charge with ``times=0`` would still create its
-  breakdown category at ``0.0`` — every aggregate charge here is
-  guarded by a positive count.
+Charges are exact integers (:mod:`repro.sim.cost`), so their order and
+grouping are free; what ``tests/store/golden_kernels.json`` pins is the
+*set* of charged events.  One thing remains observable: an aggregated
+charge with ``times=0`` would still create its breakdown category at
+zero, so every aggregate charge here is guarded by a positive count.
 
 Row-order contract: each expansion produces rows in nested-loop order —
 anchor probes are shared (row-major, entry-minor), bound-start
@@ -69,31 +50,6 @@ from repro.temporal.evaluate import (IntervalCounters, _plain_filter_matches,
 #: Column store: graph variables map to vid columns, interval endpoint
 #: variables map to snapshot-number columns; all columns share length.
 Columns = Dict[str, List[int]]
-
-
-class _ChargeScript:
-    """Captures one probe's meter charges for ordered replay.
-
-    On multi-node clusters a probe can price fractional remote reads,
-    which must land on the running meter total the goldens pin — after
-    the binding charges of every earlier row.  The expansions below
-    fetch through this shim first (the data is needed to compute
-    binding counts at all), then replay each probe's exact charge
-    sequence at its row position.
-    """
-
-    __slots__ = ("calls",)
-
-    def __init__(self) -> None:
-        self.calls: List[Tuple[float, int, Optional[str]]] = []
-
-    def charge(self, ns: float, times: int = 1,
-               category: Optional[str] = None) -> None:
-        self.calls.append((ns, times, category))
-
-    def replay(self, meter: LatencyMeter) -> None:
-        for ns, times, category in self.calls:
-            meter.charge(ns, times=times, category=category)
 
 
 class _CompiledPlainFilter:
@@ -244,7 +200,7 @@ def _extend_shared(cols: Columns, nrows: int, anchor_var: Optional[str],
                    anchor_vid: int, other_term: str, ts_var: Optional[str],
                    te_var: Optional[str], vids: List[int], sns: List[int],
                    resolve, meter: LatencyMeter,
-                   binding_ns: float) -> Tuple[Columns, int]:
+                   binding_ns: int) -> Tuple[Columns, int]:
     """Extend the batch against one shared probe's entry list.
 
     Covers ``CONST_SUBJECT``/``CONST_OBJECT`` (anchor is the constant,
@@ -354,64 +310,16 @@ def _extend_bound(cols: Columns, nrows: int, start_term: str,
                   te_var: Optional[str], eid: int, direction: int, store,
                   home_node: int, snapshot: int, meter: LatencyMeter,
                   counters: IntervalCounters, resolve,
-                  binding_ns: float) -> Tuple[Columns, int]:
-    """Extend the batch through a bound-start expansion step.
-
-    One batched probe per distinct start vertex in first-occurrence
-    row order.  On a single-node cluster every probe charge is an
-    integer and the whole batch charges aggregated; on multi-node
-    clusters the probes capture their (possibly fractional) charges for
-    replay interleaved with the binding charges (module docstring,
-    "Charge order").
-    """
+                  binding_ns: int) -> Tuple[Columns, int]:
+    """Extend the batch through a bound-start expansion step: one
+    batched probe per distinct start vertex, one aggregated binding
+    charge."""
     starts = cols[start_term]
-    if len(store.cluster.nodes) > 1:
-        fetched = {}
-        scripts: Optional[Dict[int, _ChargeScript]] = {}
-        for start in starts:
-            if start in fetched:
-                continue
-            shim = _ChargeScript()
-            pair = store.neighbors_versions_from(
-                home_node, start, eid, direction, shim, max_sn=snapshot,
-                category="store")
-            fetched[start] = pair
-            scripts[start] = shim
-            counters.record(len(pair[0]))
-    else:
-        scripts = None
-        fetched = store.neighbors_versions_batch(
-            home_node, starts, eid, direction, meter, max_sn=snapshot,
-            category="store")
-        for vlist, _ in fetched.values():
-            counters.record(len(vlist))
-
-    def charge_bindings(counts: Optional[List[int]], total: int) -> None:
-        """Emit binding charges (and, multi-node, the probe replays).
-
-        Replays each captured probe at its first-occurrence row, with
-        the binding charges of earlier rows flushed first.  ``counts``
-        is None when no row produces bindings (unresolvable constant
-        other-vertex).
-        """
-        if scripts is None:
-            if total:
-                meter.charge(binding_ns, times=total, category="explore")
-            return
-        pending = 0
-        remaining = dict(scripts)
-        for i in range(nrows):
-            shim = remaining.pop(starts[i], None)
-            if shim is not None:
-                if pending:
-                    meter.charge(binding_ns, times=pending,
-                                 category="explore")
-                    pending = 0
-                shim.replay(meter)
-            if counts is not None:
-                pending += counts[i]
-        if pending:
-            meter.charge(binding_ns, times=pending, category="explore")
+    fetched = store.neighbors_versions_batch(
+        home_node, starts, eid, direction, meter, max_sn=snapshot,
+        category="store")
+    for vlist, _ in fetched.values():
+        counters.record(len(vlist))
 
     if is_variable(other_term):
         const_other = None
@@ -421,7 +329,6 @@ def _extend_bound(cols: Columns, nrows: int, start_term: str,
         # even when the constant turns out to be unknown.
         const_other = resolve(other_term)
         if const_other is None:
-            charge_bindings(None, 0)
             return {}, 0
         other_col = None
     ts_col = cols.get(ts_var) if ts_var is not None else None
@@ -450,9 +357,9 @@ def _extend_bound(cols: Columns, nrows: int, start_term: str,
             else:
                 counts.append(len(prepared[starts[i]][0]))
         total = sum(counts)
-        charge_bindings(counts, total)
         if total == 0:
             return {}, 0
+        meter.charge(binding_ns, times=total, category="explore")
         for var, col in cols.items():
             out[var] = list(chain.from_iterable(map(repeat, col, counts)))
         targets: Columns = {}
@@ -502,9 +409,9 @@ def _extend_bound(cols: Columns, nrows: int, start_term: str,
         pos_lists.append(index_for(starts[i]).get(key, empty))
     counts = [len(p) for p in pos_lists]
     total = sum(counts)
-    charge_bindings(counts, total)
     if total == 0:
         return {}, 0
+    meter.charge(binding_ns, times=total, category="explore")
     for var, col in cols.items():
         out[var] = list(chain.from_iterable(map(repeat, col, counts)))
     targets = {}
@@ -523,40 +430,22 @@ def _extend_bound(cols: Columns, nrows: int, start_term: str,
 def _extend_index(cols: Columns, nrows: int, pattern, eid: int, store,
                   home_node: int, snapshot: int, meter: LatencyMeter,
                   counters: IntervalCounters, resolve,
-                  binding_ns: float) -> Tuple[Columns, int]:
+                  binding_ns: int) -> Tuple[Columns, int]:
     """``INDEX_START``: enumerate subjects, expand each subject part.
 
     Index vertices are deduplicated per shard and each vertex is owned
     by exactly one shard, so the gathered subjects are globally unique
-    and the batch probe issues exactly one probe per subject.  Parts
-    concatenate subject-major (then row, then entry).
-
-    On a single-node cluster every probe charge is an integer, so all
-    subjects fetch in one aggregated call up front.  On multi-node
-    clusters a probe can price fractional remote reads, which must stay
-    interleaved with the binding charges — each subject probes just in
-    time, followed by that subject's binding charge (the one-shot
-    executor's ``charges_commute`` gate).
+    and the batch probe issues exactly one probe per subject, all of
+    them up front.  Parts concatenate subject-major (then row, then
+    entry).
     """
     subjects = store.gather_index(home_node, eid, DIR_OUT, meter,
                                   category="store")
-    if len(store.cluster.nodes) > 1:
-        fetched = None
-    else:
-        fetched = store.neighbors_versions_batch(
-            home_node, subjects, eid, DIR_OUT, meter, max_sn=snapshot,
-            category="store")
-        for vlist, _ in fetched.values():
-            counters.record(len(vlist))
-
-    def probe(svid: int) -> Tuple[List[int], List[int]]:
-        if fetched is not None:
-            return fetched[svid]
-        pair = store.neighbors_versions_from(
-            home_node, svid, eid, DIR_OUT, meter, max_sn=snapshot,
-            category="store")
-        counters.record(len(pair[0]))
-        return pair
+    fetched = store.neighbors_versions_batch(
+        home_node, subjects, eid, DIR_OUT, meter, max_sn=snapshot,
+        category="store")
+    for vlist, _ in fetched.values():
+        counters.record(len(vlist))
 
     if nrows == 1 and not cols:
         # First-step fast path: the batch is the single empty row, so
@@ -567,17 +456,14 @@ def _extend_index(cols: Columns, nrows: int, pattern, eid: int, store,
         else:
             const_other = resolve(pattern.object)
             if const_other is None:
-                if fetched is None:
-                    # Every subject is probed (and charged) even though
-                    # the unknown constant can match none of them.
-                    for svid in subjects:
-                        probe(svid)
+                # Every subject was probed (and charged) even though
+                # the unknown constant can match none of them.
                 return {}, 0
         subj_col: List[int] = []
         obj_col: List[int] = []
         ts_col: List[int] = []
         for svid in subjects:
-            vids, sns = probe(svid)
+            vids, sns = fetched[svid]
             if const_other is not None:
                 keep = [k for k, v in enumerate(vids) if v == const_other]
                 vids = [vids[k] for k in keep]
@@ -585,8 +471,6 @@ def _extend_index(cols: Columns, nrows: int, pattern, eid: int, store,
             n = len(vids)
             if not n:
                 continue
-            if fetched is None:
-                meter.charge(binding_ns, times=n, category="explore")
             subj_col.extend(repeat(svid, n))
             obj_col.extend(vids)
             ts_col.extend(sns)
@@ -602,14 +486,13 @@ def _extend_index(cols: Columns, nrows: int, pattern, eid: int, store,
             targets[pattern.ts] = ts_col
         if pattern.te is not None:
             targets[pattern.te] = [OPEN_END] * total
-        if fetched is not None:
-            meter.charge(binding_ns, times=total, category="explore")
+        meter.charge(binding_ns, times=total, category="explore")
         return targets, total
 
     parts: List[Columns] = []
     total = 0
     for svid in subjects:
-        vids, sns = probe(svid)
+        vids, sns = fetched[svid]
         part, part_n = _extend_shared(
             cols, nrows, pattern.subject, svid, pattern.object,
             pattern.ts, pattern.te, vids, sns, resolve, meter, binding_ns)

@@ -75,13 +75,13 @@ class TestScan:
     def test_charges_per_tuple(self):
         meter = LatencyMeter()
         scan_pattern(self.tuples, TriplePattern("?U", "po", "?T"),
-                     self.strings, meter, 100.0, self.cost)
+                     self.strings, meter, 100, self.cost)
         assert meter.ns >= 300.0  # 3 tuples x 100ns
 
     def test_modeled_rows_override(self):
         meter = LatencyMeter()
         scan_pattern(self.tuples, TriplePattern("?U", "po", "?T"),
-                     self.strings, meter, 100.0, self.cost,
+                     self.strings, meter, 100, self.cost,
                      modeled_rows=1000)
         assert meter.ns >= 100_000.0
 

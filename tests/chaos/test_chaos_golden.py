@@ -61,7 +61,8 @@ def test_recovery_reports_are_exact(facts, golden):
 
 
 def test_result_and_state_fingerprints(facts, golden):
-    assert facts["results_sha256"] == golden["results_sha256"]
+    assert facts["rows_sha256"] == golden["rows_sha256"]
+    assert facts["latency_sha256"] == golden["latency_sha256"]
     assert facts["state_sha256"] == golden["state_sha256"]
 
 

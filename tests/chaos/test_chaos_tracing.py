@@ -46,8 +46,8 @@ def test_recovery_event_span_carries_meter_cost():
     span = recoveries[0]
     assert span.cat == "chaos"
     assert span.labels["node_id"] == 0
-    assert span.ns == controller.reports[0].meter.ns
-    assert span.ns > 0
+    assert span.ps == controller.reports[0].meter.ps
+    assert span.ps > 0
 
 
 def test_random_plan_equivalence_with_tracing():

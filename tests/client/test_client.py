@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.client.library import ClientLibrary
+from repro.client.library import (_REQUEST_BYTES, _ROW_BYTES,
+                                  ClientLibrary)
 from repro.client.procedures import (PROCEDURE_CACHE_CAPACITY,
                                      ProcedureCache)
 from repro.client.proxy import ProxyPool
 from repro.errors import PlanError
+from repro.sim.cost import LatencyMeter
 
 from core.test_engine import QC, build_engine
 
@@ -76,8 +78,23 @@ class TestClientLibrary:
     def test_server_only_latency(self, engine):
         client = ClientLibrary(engine, include_network=False)
         result = client.submit("SELECT ?x WHERE { Logan po ?x }")
-        assert result.client_latency_ms == pytest.approx(
-            result.server_latency_ms)
+        assert result.client_latency_ms == result.server_latency_ms
+
+    def test_client_latency_is_server_plus_message_exactly(self, engine):
+        """The server meter folds into the client's as integer
+        picoseconds — no float round trip in between."""
+        record = engine.oneshot("SELECT ?x WHERE { Logan po ?x }")
+        server = LatencyMeter()
+        server.add(record.meter)
+        server.charge_ps(1)  # an odd picosecond must survive the fold
+        client = ClientLibrary(engine, include_network=True)
+        delivered = client._deliver(record.result, [], server, 0)
+        message = LatencyMeter()
+        engine.cluster.fabric.message(
+            message, _REQUEST_BYTES + _ROW_BYTES * len(record.result.rows))
+        assert delivered.client_latency_ms == \
+            (server.ps + message.ps) / 1_000_000_000
+        assert delivered.server_latency_ms == server.ms
 
     def test_string_server_round_trips_batched(self, engine):
         client = ClientLibrary(engine)

@@ -7,7 +7,7 @@ This module drives a deterministic scenario through every hot path of the
 engine and captures the exact simulated latency and per-category breakdown
 of each query execution and injected batch.  The recorded values live in
 ``golden_determinism.json``; ``test_determinism.py`` replays the workload
-and asserts exact float equality against them.
+and asserts integer equality (picoseconds) against them.
 
 Coverage: constant-start and index-start continuous queries, FILTER
 pruning, aggregation, UNION and OPTIONAL groups, timing predicates (the
@@ -168,8 +168,8 @@ def _build_engine(use_rdma: bool, tracing: bool = False) -> WukongSEngine:
 
 
 def _meter_facts(meter) -> List:
-    """The exact simulated facts of one meter: [ns, breakdown_ms]."""
-    return [meter.ns, dict(sorted(meter.breakdown_ms.items()))]
+    """The exact simulated facts of one meter: [ps, breakdown_ps]."""
+    return [meter.ps, dict(sorted(meter.breakdown_ps.items()))]
 
 
 def _run_variant(use_rdma: bool, tracing: bool = False) -> Dict:

@@ -2,7 +2,7 @@
 
 Replays the fixed workload of :mod:`core.determinism_workload` and asserts
 that every simulated latency and per-category breakdown equals the golden
-recording (exact float equality, no tolerance).  Wall-clock optimizations
+recording (integer picoseconds, no tolerance).  Wall-clock optimizations
 — compiled binding rows, skip-indexed stream lookups, aggregated charges,
 cached window accesses — must all pass through this unchanged; see
 DESIGN.md, "Wall-clock vs simulated time".

@@ -2,9 +2,9 @@
 
 The acceptance bar for the observability subsystem: for every traced
 activity — in particular fork-join one-shot queries — the reconstructed
-critical path must sum to the activity meter's reported latency with
-**bit-identical** float equality, both on the live tracer's spans and
-after a Chrome-trace export/import round trip.
+critical path must sum to the activity meter's reported picoseconds
+exactly (integer equality), both on the live tracer's spans and after a
+Chrome-trace export/import round trip.
 """
 
 import pytest
@@ -52,7 +52,7 @@ def build_engine(use_rdma=True, ticks=8):
 def assert_exact(spans, activity):
     path = critical_path(spans, activity)
     assert path.exact, path.problems
-    assert path.total_ns == activity.labels["meter_ns"]
+    assert path.total_ps == activity.labels["meter_ps"]
     return path
 
 
@@ -67,10 +67,10 @@ def test_every_activity_reconstructs_exactly(use_rdma):
     assert {"oneshot", "window", "inject"} <= kinds
     for activity in activities:
         assert_exact(tracer.spans, activity)
-    # The oneshot activities' meter_ns match the records' meters.
+    # The oneshot activities' meter_ps match the records' meters.
     oneshots = tracer.activities("oneshot")
     for record, activity in zip(records, oneshots[-2:]):
-        assert activity.labels["meter_ns"] == record.meter.ns
+        assert activity.labels["meter_ps"] == record.meter.ps
 
 
 @pytest.mark.parametrize("use_rdma", [True, False])
@@ -82,7 +82,7 @@ def test_fork_join_path_includes_critical_branches(use_rdma):
     branch_segments = [s for s in path.segments if s.kind == "branch"]
     assert branch_segments, \
         "a distributed index-start query must cross at least one join"
-    assert path.total_ns == record.meter.ns
+    assert path.total_ps == record.meter.ps
 
 
 def test_injection_joins_reconstruct_exactly():
@@ -118,7 +118,7 @@ def test_tampered_trace_is_detected():
     spans = spans_from_chrome(chrome_trace(engine.tracer))
     joins = [s for s in spans if s.kind == "join"]
     assert joins
-    joins[0].t1 += 1.0  # corrupt one reading by a single nanosecond
+    joins[0].t1 += 1  # corrupt one reading by a single picosecond
     activity = next(s for s in spans if s.sid == joins[0].parent)
     path = critical_path(spans, activity)
     assert not path.exact

@@ -19,13 +19,13 @@ def test_activity_records_meter_readings():
     root = tracer.activities("oneshot")[0]
     assert root.kind == ACTIVITY
     assert root.anchor_ms == 250
-    assert root.t0 == 0.0 and root.t1 == meter.ns
-    assert root.labels["meter_ns"] == meter.ns
+    assert root.t0 == 0 and root.t1 == meter.ps
+    assert root.labels["meter_ps"] == meter.ps
 
     phases = [s for s in tracer.children(root.sid) if s.kind == PHASE]
     assert [p.name for p in phases] == ["dispatch", "explore"]
-    assert phases[0].t0 == 0.0 and phases[0].t1 == 1000.0
-    assert phases[1].t0 == 1000.0 and phases[1].t1 == 1500.0
+    assert phases[0].t0 == 0 and phases[0].t1 == 1_000_000
+    assert phases[1].t0 == 1_000_000 and phases[1].t1 == 1_500_000
     # Phase spans live on the activity's root track.
     assert all(p.track == root.track for p in phases)
 
@@ -37,7 +37,7 @@ def test_group_marks_first_strict_maximum_critical():
     meter.charge(100, category="insert")
     group = act.group("insert")
     branches = []
-    for ns in (300.0, 700.0, 700.0):  # tie: the first 700 must win
+    for ns in (300, 700, 700):  # tie: the first 700 must win
         branch = meter.spawn()
         branch.charge(ns, category="insert")
         branches.append(branch)
@@ -49,13 +49,13 @@ def test_group_marks_first_strict_maximum_critical():
     root = tracer.activities("inject")[0]
     joins = [s for s in tracer.children(root.sid) if s.kind == JOIN]
     assert len(joins) == 1
-    assert joins[0].t0 == 100.0 and joins[0].t1 == meter.ns
+    assert joins[0].t0 == 100_000 and joins[0].t1 == meter.ps
     branch_spans = [s for s in tracer.children(root.sid)
                     if s.kind == BRANCH]
     assert [s.critical for s in branch_spans] == [False, True, False]
     # Each branch rides its own track; t1 is the branch meter's reading.
     assert len({s.track for s in branch_spans}) == 3
-    assert [s.t1 for s in branch_spans] == [300.0, 700.0, 700.0]
+    assert [s.t1 for s in branch_spans] == [300_000, 700_000, 700_000]
 
 
 def test_empty_group_records_no_join():
@@ -98,10 +98,10 @@ def test_nested_activities_form_a_tree():
 
 def test_event_span_records_completed_interval():
     tracer = Tracer()
-    span = tracer.event_span("recover", "chaos", ns=12_345.0,
+    span = tracer.event_span("recover", "chaos", ps=12_345_678,
                              anchor_ms=4_200, node_id=1)
     assert span.kind == EVENT
-    assert span.ns == 12_345.0
+    assert span.ps == 12_345_678 and span.ns == 12_345.678
     assert span.anchor_ms == 4_200
     assert span.labels == {"node_id": 1}
 

@@ -2,7 +2,7 @@
 
 Replays the golden determinism workload with the tracer attached and
 asserts the recorded simulated facts — every latency and per-category
-breakdown — still equal the golden file with exact float equality.  Any
+breakdown — still equal the golden file's integer picoseconds.  Any
 instrumentation that charges a meter (instead of only reading it) fails
 here immediately.
 """

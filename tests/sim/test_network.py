@@ -9,7 +9,7 @@ def test_rdma_read_charges_rdma_cost():
     fabric = Fabric(cost, use_rdma=True)
     meter = LatencyMeter()
     fabric.remote_read(meter, 128)
-    assert meter.ns == cost.rdma_read_cost(128)
+    assert meter.ps == cost.rdma_read_cost(128)
     assert fabric.stats.rdma_reads == 1
     assert fabric.stats.rdma_bytes == 128
 
@@ -19,7 +19,7 @@ def test_non_rdma_read_falls_back_to_tcp():
     fabric = Fabric(cost, use_rdma=False)
     meter = LatencyMeter()
     fabric.remote_read(meter, 128)
-    assert meter.ns == cost.tcp_cost(128)
+    assert meter.ps == cost.tcp_cost(128)
     assert fabric.stats.rdma_reads == 0
     assert fabric.stats.messages == 1
 
@@ -29,7 +29,7 @@ def test_message_always_uses_tcp():
     fabric = Fabric(cost, use_rdma=True)
     meter = LatencyMeter()
     fabric.message(meter, 64)
-    assert meter.ns == cost.tcp_cost(64)
+    assert meter.ps == cost.tcp_cost(64)
 
 
 def test_one_way_is_half_round_trip():
@@ -37,7 +37,7 @@ def test_one_way_is_half_round_trip():
     fabric = Fabric(cost, use_rdma=True)
     meter = LatencyMeter()
     fabric.one_way(meter, 64)
-    assert meter.ns == cost.tcp_cost(64) / 2.0
+    assert meter.ps * 2 == cost.tcp_cost(64)
 
 
 def test_stats_reset():

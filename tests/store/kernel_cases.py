@@ -8,7 +8,9 @@ simulated meter total, the per-category breakdown, the temporal traversal
 counters and a state digest — and ``golden_kernels.json`` records it as
 produced at the last commit where the row kernels still existed and agreed
 (``scripts/regen_goldens.py`` asserted batch == row for every case before
-writing).  Rows get a second, implementation-free anchor: every case that
+writing); meters were re-recorded once, as integer picoseconds, when the
+clock became exact (PR 16: every latency within float rounding of the
+frozen one, everything else identical).  Rows get a second, implementation-free anchor: every case that
 is a plain one-shot, ``FROM SNAPSHOT`` or interval query is checked against
 the brute-force oracle (:mod:`repro.temporal.reference`) as it runs.
 
@@ -34,7 +36,8 @@ from repro.baselines.composite import CompositeEngine
 from repro.bench.harness import build_wukongs
 from repro.bench.lsbench import LSBench, LSBenchConfig
 from repro.chaos.controller import ChaosController
-from repro.chaos.harness import _execution_facts, _injection_facts
+from repro.chaos.harness import (_execution_facts, _injection_facts,
+                                 execution_fingerprints)
 from repro.chaos.plan import FaultPlan, KillNode
 from repro.chaos.state import (_shard_digest, digest_sha256,
                                engine_state_digest)
@@ -69,10 +72,14 @@ def rows_sha(rows) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
+def meter_facts(meter) -> dict:
+    """The exact integer picoseconds of a meter and of its categories."""
+    return {"ps": meter.ps, "breakdown_ps": meter.breakdown_ps}
+
+
 def execution_facts(result, meter) -> dict:
     return {"variables": list(result.variables), "rows": len(result.rows),
-            "rows_sha": rows_sha(result.rows), "ns": meter.ns,
-            "breakdown": dict(meter._breakdown)}
+            "rows_sha": rows_sha(result.rows), **meter_facts(meter)}
 
 
 def temporal_facts(record) -> dict:
@@ -98,8 +105,7 @@ def engine_sha(engine) -> str:
 
 
 def as_json(cases) -> dict:
-    """Cases in the golden's representation (floats survive a JSON round
-    trip exactly; tuples become lists)."""
+    """Cases in the golden's representation (tuples become lists)."""
     return json.loads(json.dumps(dict(cases), sort_keys=True))
 
 
@@ -305,8 +311,8 @@ def explore_cases() -> Cases:
                                 seeds=seed_rows)
         rows_of[name] = rows = [sorted(row.items()) for row in rows]
         yield f"explore/{name}", {
-            "rows": len(rows), "rows_sha": rows_sha(rows), "ns": meter.ns,
-            "breakdown": dict(meter._breakdown)}
+            "rows": len(rows), "rows_sha": rows_sha(rows),
+            **meter_facts(meter)}
     # An index scan restricted to an already-bound subject answers what
     # the bound expansion answers; only the charges differ.
     assert rows_of["index-over-bound-subject"] == rows_of["bound-subject"]
@@ -325,12 +331,11 @@ def composite_cases() -> Cases:
             assert to_names(engine.strings, rows) == EXPECTED_QC_AT_10S
             yield f"composite/n{num_nodes}/{style}", {
                 "rows": len(rows), "rows_sha": rows_sha(rows),
-                "ns": meter.ns, "breakdown": dict(meter._breakdown),
-                "wukong_ms": breakdown.wukong_ms}
+                **meter_facts(meter), "wukong_ms": breakdown.wukong_ms}
         rows, meter = engine.execute_oneshot(parse_query(QC_ONESHOT))
         yield f"composite/n{num_nodes}/oneshot", {
-            "rows": len(rows), "rows_sha": rows_sha(rows), "ns": meter.ns,
-            "breakdown": dict(meter._breakdown)}
+            "rows": len(rows), "rows_sha": rows_sha(rows),
+            **meter_facts(meter)}
 
 
 # --- LSBench S1-S6 on one to three nodes ----------------------------------
@@ -418,7 +423,7 @@ def engine_qc_cases() -> Cases:
     assert_matches_oracle(QC_ONESHOT, record.result, engine.strings,
                           dump_history(engine.store), record.snapshot)
     yield "engine/qc/injection", {
-        "records": [[r.num_tuples, r.total_ms]
+        "records": [[r.num_tuples, r.meter.ps]
                     for r in engine.injection_records]}
     yield "engine/qc/windows", {
         "closes": [dict(execution_facts(r.result, r.meter),
@@ -487,13 +492,16 @@ def chaos_facts(engine) -> dict:
     included), injection records with meters, and the state digest after
     the final GC pass."""
     executions = _execution_facts(engine)
+    injections = _injection_facts(engine, with_meters=True)
     return {
         "executions": sum(len(records) for records in executions.values()),
-        "execution_ns": sum(record[3] for records in executions.values()
+        "execution_ps": sum(record[3] for records in executions.values()
                             for record in records),
-        "executions_sha": digest_sha256(executions),
-        "injections_sha": digest_sha256(
-            _injection_facts(engine, with_meters=True)),
+        **execution_fingerprints(executions),
+        "injection_rows_sha256": digest_sha256(
+            [record[:3] for record in injections]),
+        "injection_latency_sha256": digest_sha256(
+            [record[3:] for record in injections]),
         "state_sha": engine_sha(engine),
     }
 
@@ -663,11 +671,16 @@ def temporal_boundary_cases() -> Cases:
         "temporal/boundary/")
 
 
-def temporal_deep_cases() -> Cases:
-    """Deep-history scale on two nodes: thousands of probes and meter
-    totals in the millions of ns, where a fractional remote-read charge
-    landing on a different running total shows in the last float bits."""
+def build_deep_engine() -> WukongSEngine:
+    """Deep-history scale on two nodes: thousands of probes, about half
+    of them remote, and meter totals in the millions of ns."""
     _, engine = build_lsbench(2, duration_ms=2_000, config=LSBenchConfig())
+    return engine
+
+
+def temporal_deep_cases(engine: WukongSEngine = None) -> Cases:
+    if engine is None:
+        engine = build_deep_engine()
     hi = max(2, engine.coordinator.stable_sn)
     queries = [
         ("range-cut",

@@ -20,12 +20,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chaos.state import diff_digests, engine_state_digest
+from repro.rdf.ids import DIR_OUT
+from repro.sim.cost import LatencyMeter
 from repro.sparql.parser import parse_query
 from repro.temporal.reference import (decode_result, dump_history,
                                       reference_rows)
 
 from store.kernel_cases import (INTERVAL_TEMPLATES, OPS, USERS,
-                                assert_frozen, build_killed_posts_engine,
+                                assert_frozen, build_deep_engine,
+                                build_killed_posts_engine,
                                 build_posts_engine, temporal_battery_cases,
                                 temporal_deep_cases, temporal_kill_cases)
 
@@ -93,12 +96,27 @@ def test_seeded_battery_under_kill_matches_frozen_charges():
 
 
 def test_deep_multi_node_meters_identical():
-    """Regression: on a multi-node cluster, fractional remote-read
-    charges do not commute with the integer binding charges between
-    probes.  An earlier kernel revision aggregated bindings across the
-    whole batch, which moved integers across fractional charges and
-    diverged in the meter's last float bits once running totals crossed
-    a binade — only visible at deep-history scale (thousands of probes,
-    meter totals in the millions of ns).  The kernels preserve the
-    frozen probe-vs-binding interleave on multi-node clusters."""
-    assert_frozen(temporal_deep_cases(), "temporal/deep/")
+    """Deep-history scale on two nodes (thousands of probes, half of
+    them pricing per-byte remote reads, totals in the millions of ns):
+    the charges equal the frozen ones, and — the clock being an exact
+    integer — the same start column probed in reversed order reads the
+    same meter, total and breakdown.  (With a float clock the order of
+    the remote reads showed in the last bits at exactly this scale.)"""
+    engine = build_deep_engine()
+    assert_frozen(temporal_deep_cases(engine), "temporal/deep/")
+
+    store = engine.store
+    eid = engine.strings.lookup_predicate("po")
+    starts = store.gather_index(0, eid, DIR_OUT, LatencyMeter())
+    assert len(starts) >= 1_000
+    assert len({vid % 2 for vid in starts}) == 2  # local and remote probes
+    readings = []
+    for column in (starts, starts[::-1]):
+        meter = LatencyMeter()
+        fetched = store.neighbors_versions_batch(
+            0, column, eid, DIR_OUT, meter,
+            max_sn=engine.coordinator.stable_sn)
+        assert list(fetched) == column
+        readings.append((meter.ps, meter.breakdown_ps))
+    assert readings[0] == readings[1]
+    assert readings[0][1]["network"] > 0  # per-byte prices took part
