@@ -500,9 +500,9 @@ def run_temporal(duration_ms: int, rounds: int = 8):
                                             for r in records) / 1e6, 3),
         },
         "plan_cache": {
-            "hits": temporal.plan_cache_hits,
-            "misses": temporal.plan_cache_misses,
-            "evictions": temporal.plan_cache_evictions,
+            "hits": engine.pipeline.plan_hits["interval"],
+            "misses": engine.pipeline.plan_misses["interval"],
+            "evictions": engine.pipeline.plans.evictions,
         },
     }
     return elapsed, None, {

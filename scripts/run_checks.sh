@@ -11,10 +11,12 @@
 # their frozen verdicts, including under a kill-during-close fault plan;
 # DESIGN.md §4.9), a drift check of the three golden files
 # (scripts/regen_goldens.py --check) and a gate that the retired
-# row-kernel option and the retired charge-ordering machinery (the meter
-# is an exact integer clock; charges need no ordering) have not come
-# back.  A test marked both serving and chaos runs in the chaos stage
-# only.
+# row-kernel option, the retired charge-ordering machinery (the meter
+# is an exact integer clock; charges need no ordering), the hand-rolled
+# plan/parse caches and second FILTER compiler that
+# repro.core.pipeline replaced, and the retired adjacency-cache knobs
+# have not come back.  A test marked both serving and chaos runs in the
+# chaos stage only.
 #
 # The obs stage exports a Chrome trace from a quick traced LSBench run
 # and validates it (schema, lossless round trip, and per-activity
@@ -63,12 +65,21 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== one execution path (no row-kernel option, no charge-ordering machinery) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts \
         benchmarks/bench_wallclock.py; then exit 1; fi
 if grep -rn 'ChargeSe[t]\|charges_commut[e]\|_ChargeScrip[t]\|charge_man[y]' \
         src scripts; then exit 1; fi
+# (`\._plan_cach[e]\>` is the attribute; the exported `*_plan_cache_hits`
+# counter names stay, as do the `adjacency_cache_hits` / `_misses` /
+# `_evictions` / `_entries` / `_capacity` metric names.)
+if grep -rn '_oneshot_parse_cach[e]\|\._plan_cach[e]\>\|PLAN_CACHE_CAPACIT[Y]' \
+        src scripts benchmarks/bench_wallclock.py; then exit 1; fi
+if grep -rn '_CompiledPlainFilte[r]\|_plain_filter_matche[s]' \
+        src scripts benchmarks/bench_wallclock.py; then exit 1; fi
+if grep -rn 'AdjacencyBudge[t]\|adjacency_weighte[d]\|adjacency_polic[y]\|adjacency_cache_\(polic[y]\|weighte[d]\|adaptiv[e]\|mi[n]\|ma[x]\)' \
+        src scripts benchmarks/bench_wallclock.py; then exit 1; fi
 
 echo "== obs (trace export + critical-path exactness) =="
 PYTHONPATH=src python scripts/check_trace.py

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.client.procedures import ProcedureCache, StoredProcedure
 from repro.core.continuous import ExecutionRecord, RegisteredQuery
 from repro.core.engine import WukongSEngine
+from repro.core.pipeline import LRUCache
 from repro.errors import StoreError
 from repro.rdf.string_server import StringServer
 from repro.sim.cost import LatencyMeter
@@ -179,7 +180,9 @@ class ClientLibrary:
         self.client_id = client_id
         self.include_network = include_network
         self.cache = ProcedureCache()
-        self._known_constants: set = set()
+        #: Constants already resolved to IDs (bounded: forgetting one
+        #: costs one more counted round trip, nothing simulated).
+        self._known_constants = LRUCache()
         self.string_server_roundtrips = 0
         self.stats = DeliveryStats()
 
@@ -232,12 +235,13 @@ class ClientLibrary:
     def prepare(self, text: str) -> StoredProcedure:
         """Parse (cached) and resolve new constants via the string server."""
         procedure = self.cache.get(text)
-        fresh = [c for c in procedure.constants()
-                 if c not in self._known_constants]
+        known = self._known_constants
+        fresh = [c for c in procedure.constants() if not known.get(c)]
         if fresh:
             # One batched round trip resolves all new strings to IDs.
             self.string_server_roundtrips += 1
-            self._known_constants.update(fresh)
+            for constant in fresh:
+                known.put(constant, True)
         return procedure
 
     def _decode_rows(self, procedure: StoredProcedure,

@@ -11,17 +11,12 @@ small query catalogue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
+from repro.core.pipeline import LRUCache
 from repro.errors import PlanError
 from repro.sparql.ast import Query, is_variable
 from repro.sparql.parser import parse_query
-
-#: Procedures kept per cache (LRU).  A front end's hot catalogue must
-#: survive a stream of used-once texts in between: ~100 hot texts
-#: interleaved 1:1 with cold ones have a reuse distance of ~200 distinct
-#: texts, which FIFO or a capacity near it would evict.
-PROCEDURE_CACHE_CAPACITY = 512
 
 
 @dataclass(frozen=True)
@@ -48,36 +43,21 @@ class StoredProcedure:
         return seen
 
 
-class ProcedureCache:
-    """Per-client LRU cache of parsed procedures."""
-
-    def __init__(self) -> None:
-        self._cache: Dict[str, StoredProcedure] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+class ProcedureCache(LRUCache):
+    """Per-client cache of parsed procedures, bounded like every cache
+    of the query path (:class:`~repro.core.pipeline.LRUCache`)."""
 
     def get(self, text: str) -> StoredProcedure:
         """Parse (or fetch the cached) procedure for ``text``."""
-        cache = self._cache
-        procedure = cache.pop(text, None)
-        if procedure is not None:
-            self.hits += 1
-            cache[text] = procedure  # re-insert: most recently used
-            return procedure
-        self.misses += 1
-        query = parse_query(text)
-        # Refuse at the door what the engine cannot plan: a refusal here
-        # leaves no trace in it (no half-made registration).
-        for pattern in query.patterns:
-            if is_variable(pattern.predicate):
-                raise PlanError(
-                    f"variable predicates are unsupported: {pattern}")
-        procedure = cache[text] = StoredProcedure(text=text, query=query)
-        if len(cache) > PROCEDURE_CACHE_CAPACITY:
-            del cache[next(iter(cache))]
-            self.evictions += 1
+        procedure = super().get(text)
+        if procedure is None:
+            query = parse_query(text)
+            # Refuse at the door what the engine cannot plan: a refusal
+            # here leaves no trace in it (no half-made registration).
+            for pattern in query.patterns:
+                if is_variable(pattern.predicate):
+                    raise PlanError(
+                        f"variable predicates are unsupported: {pattern}")
+            procedure = StoredProcedure(text=text, query=query)
+            self.put(text, procedure)
         return procedure
-
-    def __len__(self) -> int:
-        return len(self._cache)

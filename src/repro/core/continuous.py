@@ -6,7 +6,8 @@ declares interest in the query's streams so the stream-index registry
 replicates those indexes to the home node (locality-aware partitioning,
 §4.2).  Execution is data-driven: an execution closing at time ``t`` fires
 only once the stable vector timestamp covers the last batch every window
-needs (§4.3).
+needs (§4.3).  Registration and plan swaps plan through the engine's
+:class:`~repro.core.pipeline.QueryPipeline`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.rdf.string_server import StringServer
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.sparql.ast import Query
-from repro.sparql.planner import ExecutionPlan, plan_order, plan_query
+from repro.sparql.planner import ExecutionPlan
 from repro.store.distributed import DistributedStore, PersistentAccess
 from repro.store.executor import ExecutionResult, GraphExplorer
 from repro.streams.stream import StreamSchema
@@ -76,10 +77,6 @@ class RegisteredQuery:
     planners: Dict[str, WindowPlanner]
     step_ms: int
     next_close_ms: int
-    #: The active plan's pattern ordering (a permutation of pattern
-    #: indices) — the only statistics-dependent part of the plan, and the
-    #: second half of the continuous plan-cache key.
-    plan_order: Tuple[int, ...] = ()
     #: Registered with an explicit ``fixed_order``: the adaptive
     #: re-planner (``repro.core.replan``) never touches pinned queries.
     #: Golden workloads pin their orders so re-planning stays opt-in.
@@ -101,6 +98,12 @@ class RegisteredQuery:
     #: Window closes missed while the cluster was degraded (in close
     #: order; resolved in place when catch-up executes them).
     gaps: List[GapMarker] = field(default_factory=list)
+
+    @property
+    def plan_order(self) -> Tuple[int, ...]:
+        """The active plan's pattern ordering — the second half of its
+        plan-cache key."""
+        return self.plan.order
 
     def requirement_at(self, close_ms: int) -> Dict[str, int]:
         """Stream -> last batch number needed for the execution at close_ms."""
@@ -128,14 +131,11 @@ class ContinuousEngine:
         self.explorer = GraphExplorer(cluster, self.strings)
         self.queries: Dict[str, RegisteredQuery] = {}
         self._next_home = 0
-        #: ``(normalized AST key, ordering) -> ExecutionPlan``, bounded
-        #: FIFO.  The ordering is part of the key, so a re-plan can never
-        #: serve a stale compiled executor: a new ordering is a new plan
-        #: object, and the executor's compiled form is cached *on* the
-        #: plan (``plan._compiled``), invalidating both together.
-        self._plan_cache: Dict[tuple, ExecutionPlan] = {}
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
+        #: The engine's ``repro.core.pipeline.QueryPipeline`` (attached
+        #: by ``WukongSEngine``, like the observability hooks below).  A
+        #: registered query holds its plan by reference, so cache
+        #: evictions never touch a running query.
+        self.pipeline = None
         #: Observability hooks (attached by ``engine.enable_observability``).
         self.tracer = None
         self.metrics = None
@@ -175,14 +175,11 @@ class ContinuousEngine:
         for stream in query.windows:
             if stream not in self.schemas:
                 raise RegistrationError(f"unknown stream: {stream}")
-        if fixed_order is not None:
-            order = tuple(fixed_order)
-        else:
-            # Registration-time plan: the purely positional greedy order
-            # (no statistics — registration typically happens against a
-            # cold store; the plan monitor re-plans once the store warms).
-            order = tuple(plan_order(query.patterns))
-        plan = self._plan_for(query, order)
+        # Registration-time plan: unless pinned, the purely positional
+        # greedy order (no statistics — registration typically happens
+        # against a cold store; the plan monitor re-plans once the store
+        # warms).
+        plan = self.pipeline.plan(query, fixed_order=fixed_order)
         if home_node is None:
             # Locality-aware placement: a constant-start (selective) query
             # runs on the node that owns its start vertex, so its window
@@ -203,7 +200,7 @@ class ContinuousEngine:
             name=name, query=query, plan=plan,
             home_node=home_node, planners=planners, step_ms=step_ms,
             next_close_ms=now_ms + step_ms,
-            plan_order=order, pinned=fixed_order is not None)
+            pinned=fixed_order is not None)
         # Locality-aware partitioning: replicate the indexes of the streams
         # this query consumes onto its home node.
         for stream in query.windows:
@@ -224,32 +221,6 @@ class ContinuousEngine:
         vid = self.strings.lookup_entity(term)
         return None if vid is None else self.cluster.owner_of(vid)
 
-    #: Bounded continuous plan-cache size (FIFO, like the one-shot cache).
-    PLAN_CACHE_CAPACITY = 128
-
-    def _plan_for(self, query: Query, order: Tuple[int, ...]
-                  ) -> ExecutionPlan:
-        """The execution plan of ``query`` under ``order``, cached.
-
-        Keyed ``(normalized AST, ordering)``: equal-AST queries under the
-        same ordering share one plan object (and with it the executor's
-        compiled form), while a re-plan to a new ordering always misses —
-        building a fresh plan whose compiled executor is compiled from the
-        new step sequence, never a stale one.
-        """
-        key = (query.cache_key(), order)
-        plan = self._plan_cache.get(key)
-        if plan is not None:
-            self.plan_cache_hits += 1
-            return plan
-        self.plan_cache_misses += 1
-        plan = plan_query(query, fixed_order=order)
-        cache = self._plan_cache
-        if len(cache) >= self.PLAN_CACHE_CAPACITY:
-            del cache[next(iter(cache))]
-        cache[key] = plan
-        return plan
-
     def swap_plan(self, registered: RegisteredQuery,
                   order: Sequence[int]) -> ExecutionPlan:
         """Swap ``registered`` onto the plan for ``order`` (a permutation
@@ -260,11 +231,10 @@ class ContinuousEngine:
         one plan.  The access factory and columnar window views are
         plan-independent (keyed by stable SN and batch ranges) and carry
         over untouched; only the plan reference — and with it the compiled
-        executor — changes.
+        executor, compiled from that plan's own step order — changes.
         """
-        new_order = tuple(order)
-        registered.plan = self._plan_for(registered.query, new_order)
-        registered.plan_order = new_order
+        registered.plan = self.pipeline.plan(registered.query,
+                                             fixed_order=order)
         return registered.plan
 
     def unregister(self, name: str) -> None:

@@ -25,6 +25,7 @@ from repro.core.dispatcher import Dispatcher, NodeBatch
 from repro.core.gc import GarbageCollector
 from repro.core.injector import Injector
 from repro.core.oneshot import OneShotEngine, OneShotRecord
+from repro.core.pipeline import QueryPipeline
 from repro.core.stream_index import IndexSlice, StreamIndexRegistry
 from repro.core.transient import TransientStore
 from repro.errors import StreamError
@@ -34,7 +35,6 @@ from repro.sim.clock import VirtualClock
 from repro.sim.cluster import Cluster
 from repro.sim.cost import CostModel, LatencyMeter, MemoryModel
 from repro.sparql.ast import Query
-from repro.sparql.parser import parse_query
 from repro.streams.source import StreamSource
 from repro.streams.stream import StreamBatch, StreamSchema
 
@@ -63,15 +63,6 @@ class EngineConfig:
     tracing: bool = False
     #: Record every n-th activity of each kind when tracing is on.
     trace_sample_every: int = 1
-    #: Per-shard adjacency-segment cache size and eviction policy
-    #: ("fifo" or "lru"); see ``repro.store.kvstore.ShardStore``.
-    adjacency_cache_capacity: int = 1 << 16
-    adjacency_cache_policy: str = "fifo"
-    #: Entries-weighted eviction: interpret the capacity as a budget of
-    #: cached neighbour entries (weight 1 + len(list)) instead of an
-    #: entry count, so one hot high-degree vertex cannot evict a page of
-    #: cheap segments for free.
-    adjacency_cache_weighted: bool = False
     #: Adaptive re-planning of registered continuous queries from live
     #: predicate statistics (``repro.core.replan.PlanMonitor``).  Off by
     #: default: a plan swap deliberately changes which simulated work
@@ -84,14 +75,6 @@ class EngineConfig:
     replan_check_closes: int = 8
     replan_hysteresis: float = 1.5
     replan_cooldown_closes: int = 24
-    #: Adaptive adjacency-cache sizing from hit/eviction telemetry
-    #: (``repro.core.replan.AdjacencyBudget``): grows the per-shard
-    #: capacity when the working set thrashes, shrinks it when idle.
-    #: ``adjacency_cache_capacity`` above becomes the starting point
-    #: rather than a fixed budget.  Wall-clock-only.
-    adjacency_cache_adaptive: bool = False
-    adjacency_cache_min: int = 1 << 10
-    adjacency_cache_max: int = 1 << 20
     cost: CostModel = field(default_factory=CostModel)
     memory: MemoryModel = field(default_factory=MemoryModel)
 
@@ -132,11 +115,7 @@ class WukongSEngine:
         self.strings = StringServer()
         # Imported here at runtime to avoid a cycle in module docs only.
         from repro.store.distributed import DistributedStore
-        self.store = DistributedStore(
-            self.cluster, self.strings,
-            adjacency_capacity=cfg.adjacency_cache_capacity,
-            adjacency_policy=cfg.adjacency_cache_policy,
-            adjacency_weighted=cfg.adjacency_cache_weighted)
+        self.store = DistributedStore(self.cluster, self.strings)
         self.clock = VirtualClock(cfg.stream_start_ms)
 
         self.schemas: Dict[str, StreamSchema] = {}
@@ -174,9 +153,11 @@ class WukongSEngine:
         from repro.temporal import TemporalEngine
         self.temporal = TemporalEngine(
             self.cluster, self.store, self.coordinator, self.oneshot_engine)
-        #: Query text -> parsed AST for repeated one-shot submissions
-        #: (bounded; parsing is pure so entries never go stale).
-        self._oneshot_parse_cache: Dict[str, Query] = {}
+        #: The one parse → order → plan → compile seam: every query the
+        #: engines above execute or register is planned here.
+        self.pipeline = QueryPipeline()
+        self.continuous.pipeline = self.oneshot_engine.pipeline = \
+            self.pipeline
         self.gc = GarbageCollector(
             self.registry, self.transients, self.continuous,
             cfg.batch_interval_ms, cfg.stream_start_ms,
@@ -188,11 +169,10 @@ class WukongSEngine:
             num_nodes=cfg.num_nodes) \
             if cfg.fault_tolerance else None
 
-        #: Adaptive controllers (``repro.core.replan``); None unless the
-        #: matching config knob opted in.  Imported at runtime: the stats
+        #: Adaptive re-planner (``repro.core.replan``); None unless
+        #: ``adaptive_replan`` opted in.  Imported at runtime: the stats
         #: module imports this one for type access.
         self.plan_monitor = None
-        self.adjacency_budget = None
         if cfg.adaptive_replan:
             from repro.core.replan import PlanMonitor
             from repro.core.stats import PredicateStatistics
@@ -201,11 +181,6 @@ class WukongSEngine:
                 check_every_closes=cfg.replan_check_closes,
                 hysteresis=cfg.replan_hysteresis,
                 cooldown_closes=cfg.replan_cooldown_closes)
-        if cfg.adjacency_cache_adaptive:
-            from repro.core.replan import AdjacencyBudget
-            self.adjacency_budget = AdjacencyBudget(
-                self.store, min_capacity=cfg.adjacency_cache_min,
-                max_capacity=cfg.adjacency_cache_max)
 
         self.injection_records: List[InjectionRecord] = []
         self._initial_triples: List[Triple] = []
@@ -213,10 +188,6 @@ class WukongSEngine:
         #: Optional chaos controller (``repro.chaos``); None on the healthy
         #: path, where every hook below short-circuits.
         self.chaos = None
-        #: One-shot parse-cache counters (always on; surfaced by
-        #: ``core.stats.collect_stats`` and ``repro.obs``).
-        self.parse_cache_hits = 0
-        self.parse_cache_misses = 0
         #: Observability (``repro.obs``): both None unless enabled — the
         #: hot paths gate every hook on that, so trace-off runs pay one
         #: attribute check per site.
@@ -257,8 +228,6 @@ class WukongSEngine:
         if self.plan_monitor is not None:
             self.plan_monitor.tracer = tracer
             self.plan_monitor.metrics = metrics
-        if self.adjacency_budget is not None:
-            self.adjacency_budget.metrics = metrics
         return tracer, metrics
 
     # -- stream wiring -----------------------------------------------------
@@ -321,7 +290,8 @@ class WukongSEngine:
         ordering, exempting the query from adaptive re-planning (golden
         workloads pin their orders; see ``repro.core.replan``).
         """
-        parsed = parse_query(query) if isinstance(query, str) else query
+        parsed = self.pipeline.parse(query) if isinstance(query, str) \
+            else query
         return self.continuous.register(parsed, self.clock.now_ms,
                                         home_node=home_node, name=name,
                                         fixed_order=fixed_order)
@@ -329,19 +299,8 @@ class WukongSEngine:
     def oneshot(self, query: Union[str, Query],
                 home_node: Optional[int] = None) -> OneShotRecord:
         """Execute a one-shot SPARQL query at the stable snapshot."""
-        if isinstance(query, str):
-            parsed = self._oneshot_parse_cache.get(query)
-            if parsed is None:
-                self.parse_cache_misses += 1
-                parsed = parse_query(query)
-                cache = self._oneshot_parse_cache
-                if len(cache) >= 256:
-                    del cache[next(iter(cache))]
-                cache[query] = parsed
-            else:
-                self.parse_cache_hits += 1
-        else:
-            parsed = query
+        parsed = self.pipeline.parse(query) if isinstance(query, str) \
+            else query
         contended = bool(self.continuous.queries)
         if parsed.is_temporal:
             return self.temporal.execute(parsed, home_node=home_node,
@@ -368,7 +327,8 @@ class WukongSEngine:
         from repro.store.distributed import PersistentAccess
         from repro.errors import StoreError
 
-        parsed = parse_query(query) if isinstance(query, str) else query
+        parsed = self.pipeline.parse(query) if isinstance(query, str) \
+            else query
         if not parsed.windows:
             raise StoreError(
                 "time-scoped queries need at least one stream GRAPH; "
@@ -408,13 +368,12 @@ class WukongSEngine:
                 return access if access is not None else stored
             return resolver
 
-        from repro.sparql.planner import plan_query as _plan
-        from repro.sim.cost import LatencyMeter
         meter = LatencyMeter()
         meter.charge(cfg.cost.task_dispatch_ns, category="dispatch")
+        # Planned without statistics: its charges follow the purely
+        # positional order.
         result = self.oneshot_engine.explorer.execute(
-            _plan(parsed), factory, meter, home_node=home_node)
-        from repro.core.oneshot import OneShotRecord
+            self.pipeline.plan(parsed), factory, meter, home_node=home_node)
         return OneShotRecord(result=result, meter=meter,
                              snapshot=self.coordinator.stable_sn)
 
@@ -456,13 +415,11 @@ class WukongSEngine:
                 pause_ps = self.checkpoints.last_checkpoint_pause_ps
                 for record in records:
                     record.meter.charge_ps(pause_ps, category="checkpoint")
-            # Adaptive controllers run *after* the poll, so a plan swap
+            # The plan monitor runs *after* the poll, so a plan swap
             # always lands between window closes (never mid-close) and
             # the next due close runs the new plan from its first step.
             if self.plan_monitor is not None:
                 self.plan_monitor.on_tick(now)
-            if self.adjacency_budget is not None:
-                self.adjacency_budget.on_tick()
         else:
             self.continuous.note_gaps(now)
             records = []
@@ -598,9 +555,7 @@ class WukongSEngine:
         self.coordinator.mark_node_down(node_id)
         self.store.shards[node_id] = ShardStore(
             self.config.cost,
-            adjacency_capacity=self.config.adjacency_cache_capacity,
-            adjacency_policy=self.config.adjacency_cache_policy,
-            adjacency_weighted=self.config.adjacency_cache_weighted)
+            adjacency_capacity=self.store.adjacency_capacity)
         for shards in self.transients.values():
             shards[node_id] = TransientStore(
                 shards[node_id].stream, cost=self.config.cost,

@@ -9,25 +9,23 @@ isolation without locks, since stream insertion is append-only (§4.3).
 One-shot workers run on dedicated cores separate from the continuous
 engine; the small interference the paper measures between the two engines
 (Table 8, about 5%) is modelled by a configurable contention factor applied
-while continuous queries are actively registered.
+while continuous queries are actively registered.  Plans come from the
+engine's :class:`~repro.core.pipeline.QueryPipeline`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.coordinator import Coordinator
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.sparql.ast import Query
-from repro.sparql.planner import ExecutionPlan, plan_order, plan_query
+from repro.sparql.planner import ExecutionPlan
 from repro.store.distributed import DistributedStore, PersistentAccess
 from repro.store.executor import ExecutionResult, GraphExplorer
-
-#: Bound on cached compiled plans (FIFO eviction).
-PLAN_CACHE_CAPACITY = 128
 
 
 @dataclass
@@ -56,11 +54,9 @@ class OneShotEngine:
         self.explorer = GraphExplorer(cluster, store.strings)
         self._next_home = 0
         self._stats = None  # lazy: avoids a core.stats import cycle
-        #: (normalized AST, pattern order) -> planned-and-compiled plan.
-        self._plan_cache: Dict[Tuple, ExecutionPlan] = {}
-        #: Wall-clock-only cache effectiveness counters (never charged).
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
+        #: The engine's ``repro.core.pipeline.QueryPipeline`` (attached
+        #: by ``WukongSEngine``, like the observability hooks below).
+        self.pipeline = None
         #: Observability hooks (attached by ``engine.enable_observability``).
         self.tracer = None
         self.metrics = None
@@ -75,26 +71,9 @@ class OneShotEngine:
         return self._stats
 
     def plan(self, query: Query) -> ExecutionPlan:
-        """The selectivity-ordered plan for ``query``, cached.
-
-        The greedy ordering pass runs on every call (it is cheap and must
-        track the store's evolving cardinalities); the constructed plan —
-        and the compiled slot layout the executor caches on it — is reused
-        whenever the normalized AST *and* the chosen order repeat.
-        """
-        order = plan_order(query.patterns, stats=self._statistics())
-        key = (query.cache_key(), tuple(order))
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            self.plan_cache_misses += 1
-            cache = self._plan_cache
-            if len(cache) >= PLAN_CACHE_CAPACITY:
-                del cache[next(iter(cache))]
-            plan = plan_query(query, fixed_order=order)
-            cache[key] = plan
-        else:
-            self.plan_cache_hits += 1
-        return plan
+        """The compiled plan for ``query``, ordered by the store's live
+        selectivity statistics."""
+        return self.pipeline.plan(query, stats=self._statistics())
 
     def charge_contention(self, meter: LatencyMeter,
                           contended: bool) -> bool:

@@ -34,14 +34,9 @@ Queries registered with an explicit ``fixed_order`` are *pinned* and never
 re-planned — golden workloads pin their registration-time orders so
 adaptive engines replay them bit-identically.
 
-The same telemetry-driven theme covers the adjacency-segment cache:
-:class:`AdjacencyBudget` resizes each shard's cache capacity from the
-hit/miss/eviction counters the obs metrics registry exports, instead of
-trusting the fixed ``EngineConfig`` knob forever.  Both controllers are
-wall-clock-only actuators in the simulated-cost sense: a plan swap changes
-which (simulated) work each close performs — that is the point, and why
-``adaptive_replan`` defaults off — while adjacency resizing never changes
-simulated charges at all (cache hits charge exactly the uncached cost).
+A plan swap itself charges nothing, but it changes which (simulated)
+work each close performs — that is the point, and why ``adaptive_replan``
+defaults off.
 """
 
 from __future__ import annotations
@@ -206,71 +201,3 @@ class PlanMonitor:
                 "planner_actual_close_ns",
                 query=registered.name).set(
                     registered.executions[-1].meter.ns)
-
-
-class AdjacencyBudget:
-    """Telemetry-driven sizing of the per-shard adjacency-segment cache.
-
-    Every ``every_ticks`` engine ticks, reads each shard's hit/miss/
-    eviction deltas since its last look (the same counters the obs
-    metrics registry exports as ``adjacency_*``) and resizes:
-
-    * evictions in the window → the working set does not fit; double the
-      capacity (up to ``max_capacity``).
-    * no evictions and the cache is at most a quarter full → pay back the
-      memory; halve the capacity (down to ``min_capacity``), evicting any
-      overflow in insertion order.
-
-    Purely wall-clock: adjacency hits charge exactly the uncached cost,
-    so capacity changes never move simulated time (the invariant
-    ``tests/store/test_adjacency_cache.py`` pins).
-    """
-
-    def __init__(self, store, min_capacity: int = 1 << 10,
-                 max_capacity: int = 1 << 20, every_ticks: int = 10):
-        if min_capacity < 1 or max_capacity < min_capacity:
-            raise ValueError(
-                f"bad capacity bounds: [{min_capacity}, {max_capacity}]")
-        if every_ticks < 1:
-            raise ValueError(f"every_ticks must be >= 1: {every_ticks}")
-        self.store = store
-        self.min_capacity = min_capacity
-        self.max_capacity = max_capacity
-        self.every_ticks = every_ticks
-        self._ticks = 0
-        #: Per-shard (hits, misses, evictions) at the last look.
-        self._last: dict = {}
-        self.grows = 0
-        self.shrinks = 0
-        self.metrics = None
-
-    def on_tick(self) -> None:
-        self._ticks += 1
-        if self._ticks % self.every_ticks:
-            return
-        for node_id, shard in enumerate(self.store.shards):
-            seen = (shard.adjacency_hits, shard.adjacency_misses,
-                    shard.adjacency_evictions)
-            last = self._last.get(node_id, (0, 0, 0))
-            self._last[node_id] = seen
-            hits = seen[0] - last[0]
-            misses = seen[1] - last[1]
-            evictions = seen[2] - last[2]
-            if hits + misses == 0:
-                continue  # idle shard: no evidence either way
-            capacity = shard.adjacency_capacity
-            occupancy = shard._adjacency_weight if shard.adjacency_weighted \
-                else len(shard._adjacency)
-            if evictions > 0 and capacity < self.max_capacity:
-                shard.set_adjacency_capacity(
-                    min(self.max_capacity, capacity * 2))
-                self.grows += 1
-            elif evictions == 0 and occupancy * 4 <= capacity \
-                    and capacity > self.min_capacity:
-                shard.set_adjacency_capacity(
-                    max(self.min_capacity, capacity // 2))
-                self.shrinks += 1
-            if self.metrics is not None:
-                self.metrics.gauge("adjacency_cache_capacity",
-                                   node=node_id).set(
-                                       shard.adjacency_capacity)

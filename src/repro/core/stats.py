@@ -214,9 +214,11 @@ class QueryStats:
 class CacheStats:
     """Hit/miss totals of the engine's wall-clock caches.
 
-    All three caches only change wall-clock speed (hits charge exactly
-    what the uncached path would); these counters quantify how often the
-    fast paths fire.
+    The caches only change wall-clock speed (hits charge exactly what
+    the uncached path would); these counters quantify how often the
+    fast paths fire.  The ``plan_*`` / ``parse_*`` / ``temporal_plan_*``
+    fields read ``engine.pipeline``: ``plan_*`` its ``oneshot`` kind,
+    ``temporal_plan_*`` its ``interval`` kind.
     """
 
     plan_hits: int
@@ -245,10 +247,10 @@ class CacheStats:
     window_evictions: int = 0
     window_delta_hits: int = 0
     window_delta_misses: int = 0
-    #: Temporal engine counters: compiled interval-plan cache (LRU,
-    #: keyed AST + ordering + snapshot, so snapshot sweeps churn it —
-    #: evictions are the signal the bound is working) and interval
-    #: executions.
+    #: Temporal engine counters: interval-plan lookups (keyed AST +
+    #: ordering + snapshot, so snapshot sweeps churn the plan cache),
+    #: the plan cache's evictions (all kinds — it is one cache) and
+    #: interval executions.
     temporal_plan_hits: int = 0
     temporal_plan_misses: int = 0
     temporal_plan_evictions: int = 0
@@ -389,11 +391,12 @@ def collect_stats(engine: WukongSEngine) -> EngineStats:
             window_evictions += view.evictions
             delta_hits += view.delta_hits
             delta_misses += view.delta_misses
+    pipeline = engine.pipeline
     caches = CacheStats(
-        plan_hits=engine.oneshot_engine.plan_cache_hits,
-        plan_misses=engine.oneshot_engine.plan_cache_misses,
-        parse_hits=engine.parse_cache_hits,
-        parse_misses=engine.parse_cache_misses,
+        plan_hits=pipeline.plan_hits["oneshot"],
+        plan_misses=pipeline.plan_misses["oneshot"],
+        parse_hits=pipeline.texts.hits,
+        parse_misses=pipeline.texts.misses,
         adjacency_hits=sum(s.adjacency_hits for s in engine.store.shards),
         adjacency_misses=sum(s.adjacency_misses
                              for s in engine.store.shards),
@@ -408,9 +411,9 @@ def collect_stats(engine: WukongSEngine) -> EngineStats:
         window_evictions=window_evictions,
         window_delta_hits=delta_hits,
         window_delta_misses=delta_misses,
-        temporal_plan_hits=engine.temporal.plan_cache_hits,
-        temporal_plan_misses=engine.temporal.plan_cache_misses,
-        temporal_plan_evictions=engine.temporal.plan_cache_evictions,
+        temporal_plan_hits=pipeline.plan_hits["interval"],
+        temporal_plan_misses=pipeline.plan_misses["interval"],
+        temporal_plan_evictions=pipeline.plans.evictions,
         temporal_batch_executions=engine.temporal.batch_executions,
     )
     queries = []

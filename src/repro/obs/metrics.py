@@ -160,31 +160,31 @@ def collect_metrics(engine, registry: Optional[MetricsRegistry] = None,
     if registry is None:
         registry = engine.metrics if engine.metrics is not None \
             else MetricsRegistry()
-    # Plan / parse caches (one-shot fast path).
-    oneshot = engine.oneshot_engine
-    registry.counter("plan_cache_hits").value = oneshot.plan_cache_hits
-    registry.counter("plan_cache_misses").value = oneshot.plan_cache_misses
-    registry.counter("parse_cache_hits").value = engine.parse_cache_hits
-    registry.counter("parse_cache_misses").value = engine.parse_cache_misses
-    # Continuous plan cache (re-plans miss into it by design: a new
-    # ordering is a new key, hence a fresh compiled executor).
-    continuous = engine.continuous
+    # The query pipeline's caches (repro.core.pipeline): parsed texts,
+    # and compiled plans counted per kind of query (a re-plan misses by
+    # design: a new ordering is a new key, hence a fresh compiled
+    # executor).
+    pipeline = engine.pipeline
+    registry.counter("parse_cache_hits").value = pipeline.texts.hits
+    registry.counter("parse_cache_misses").value = pipeline.texts.misses
+    plan_hits, plan_misses = pipeline.plan_hits, pipeline.plan_misses
+    registry.counter("plan_cache_hits").value = plan_hits["oneshot"]
+    registry.counter("plan_cache_misses").value = plan_misses["oneshot"]
     registry.counter("continuous_plan_cache_hits").value = \
-        continuous.plan_cache_hits
+        plan_hits["continuous"]
     registry.counter("continuous_plan_cache_misses").value = \
-        continuous.plan_cache_misses
-    # Temporal interval path: compiled-plan LRU and execution count
-    # (temporal_snapshot_reads / temporal_version_entries / temporal_ns
-    # are pushed per-execution by the temporal engine itself).
-    temporal = engine.temporal
+        plan_misses["continuous"]
     registry.counter("temporal_plan_cache_hits").value = \
-        temporal.plan_cache_hits
+        plan_hits["interval"]
     registry.counter("temporal_plan_cache_misses").value = \
-        temporal.plan_cache_misses
+        plan_misses["interval"]
     registry.counter("temporal_plan_cache_evictions").value = \
-        temporal.plan_cache_evictions
+        pipeline.plans.evictions
+    # Interval executions (temporal_snapshot_reads /
+    # temporal_version_entries / temporal_ns are pushed per-execution by
+    # the temporal engine itself).
     registry.counter("temporal_batch_executions").value = \
-        temporal.batch_executions
+        engine.temporal.batch_executions
     # Adaptive re-planning decisions (repro.core.replan); the per-query
     # planner_replans / planner_replan_skipped_* counters and the
     # estimated-vs-actual cost gauges are pushed by the monitor itself
@@ -197,10 +197,6 @@ def collect_metrics(engine, registry: Optional[MetricsRegistry] = None,
             monitor.skipped_hysteresis
         registry.counter("planner_replans_skipped_cooldown_total").value = \
             monitor.skipped_cooldown
-    budget = getattr(engine, "adjacency_budget", None)
-    if budget is not None:
-        registry.counter("adjacency_budget_grows").value = budget.grows
-        registry.counter("adjacency_budget_shrinks").value = budget.shrinks
     # Adjacency-segment caches, per shard and total.
     hits = misses = evictions = entries = 0
     for node_id, shard in enumerate(engine.store.shards):

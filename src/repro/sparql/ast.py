@@ -251,11 +251,17 @@ class Query:
         return bool(self.windows)
 
     @property
+    def has_intervals(self) -> bool:
+        """Whether this query runs on the interval kernels (a quintuple
+        pattern or an interval filter)."""
+        return bool(self.interval_filters) \
+            or any(p.has_interval for p in self.patterns)
+
+    @property
     def is_temporal(self) -> bool:
         """Whether this query needs the temporal subsystem (an explicit
-        snapshot scope, a quintuple pattern, or an interval filter)."""
-        return (self.snapshot is not None or bool(self.interval_filters)
-                or any(p.has_interval for p in self.patterns))
+        snapshot scope, or intervals)."""
+        return self.snapshot is not None or self.has_intervals
 
     def cache_key(self) -> Tuple:
         """A hashable normalized form of this query's semantics.

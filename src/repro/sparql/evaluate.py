@@ -15,10 +15,13 @@ semantics.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from itertools import chain
+from typing import (Callable, Collection, Dict, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from repro.errors import PlanError
-from repro.sparql.ast import Aggregate, FilterExpr, Query, is_variable
+from repro.sparql.ast import (Aggregate, FilterExpr, IntervalFilter, Query,
+                              TriplePattern, is_variable)
 
 #: One variable-binding row (vids).
 Row = Dict[str, int]
@@ -29,6 +32,9 @@ NameOf = Callable[[int], str]
 #: Resolves an entity name to its vid (None when unknown).
 ResolveEntity = Callable[[str], Optional[int]]
 
+#: Anything :func:`filters_by_step` schedules (both have ``variables()``).
+AnyFilter = Union[FilterExpr, IntervalFilter]
+
 
 def term_number(name: str) -> Optional[float]:
     """The numeric value of a term name, or None if it is not a number."""
@@ -38,22 +44,34 @@ def term_number(name: str) -> Optional[float]:
         return None
 
 
-def _operand(term: str, row: Row, name_of: NameOf,
-             resolve: ResolveEntity) -> Tuple[Optional[int], Optional[str]]:
+def _operand(term: str, row: Row, name_of: NameOf, resolve: ResolveEntity,
+             interval_vars: Collection[str]
+             ) -> Tuple[Optional[int], Optional[str]]:
     """Resolve one filter operand to ``(vid, name)`` under a row."""
     if is_variable(term):
-        vid = row.get(term)
-        if vid is None:
+        value = row.get(term)
+        if value is None:
             raise PlanError(f"filter variable never bound: {term}")
-        return vid, name_of(vid)
+        if term in interval_vars:
+            return None, str(value)
+        return value, name_of(value)
     return resolve(term), term
 
 
 def filter_matches(expr: FilterExpr, row: Row, name_of: NameOf,
-                   resolve: ResolveEntity) -> bool:
-    """Whether one row satisfies one FILTER expression."""
-    left_vid, left_name = _operand(expr.left, row, name_of, resolve)
-    right_vid, right_name = _operand(expr.right, row, name_of, resolve)
+                   resolve: ResolveEntity,
+                   interval_vars: Collection[str] = ()) -> bool:
+    """Whether one row satisfies one FILTER expression.
+
+    ``interval_vars`` names the SPARQL-T interval endpoint variables: a
+    graph variable's binding is a vid whose entity *name* may parse as a
+    number, an endpoint variable's binding *is* its number (a snapshot
+    number) and is never looked up as a vid.
+    """
+    left_vid, left_name = _operand(expr.left, row, name_of, resolve,
+                                   interval_vars)
+    right_vid, right_name = _operand(expr.right, row, name_of, resolve,
+                                     interval_vars)
     if expr.op == "=":
         if left_vid is not None and right_vid is not None:
             return left_vid == right_vid
@@ -105,32 +123,37 @@ def apply_filters(rows: List[Row], filters: Sequence[FilterExpr],
     return out
 
 
-def filters_by_step(query: Query, step_variables: Sequence[Set[str]]
-                    ) -> Tuple[List[List[FilterExpr]], List[FilterExpr]]:
-    """Assign each filter to the earliest step after which its variables
-    are all bound (enabling mid-exploration pruning).
+def filters_by_step(query: Query, patterns: Sequence[TriplePattern]
+                    ) -> Tuple[List[List[AnyFilter]], List[AnyFilter]]:
+    """Assign each filter — ordinary ones first, then SPARQL-T interval
+    filters — to the earliest step after which its variables are all
+    bound (enabling mid-exploration pruning).
 
-    ``step_variables[i]`` is the set of variables bound after step ``i``.
-    Returns ``(per-step assignments, leftovers)``; leftovers reference
-    variables only OPTIONAL groups bind and must run after those resolve.
-    Raises when a filter references a variable the query never binds at
-    all.
+    ``patterns[i]`` is the pattern step ``i`` matches; a step binds its
+    pattern's graph variables and interval endpoint variables.  Returns
+    ``(per-step assignments, leftovers)``; leftovers reference variables
+    only OPTIONAL groups bind and must run after those resolve.  Raises
+    when a filter references a variable the query never binds at all.
     """
     all_bound = set(query.variables())
-    assignments: List[List[FilterExpr]] = [[] for _ in step_variables]
-    leftovers: List[FilterExpr] = []
-    for expr in query.filters:
+    bound: Set[str] = set()
+    step_variables: List[Set[str]] = []
+    for pattern in patterns:
+        bound.update(pattern.variables())
+        bound.update(pattern.interval_variables())
+        step_variables.append(set(bound))
+    assignments: List[List[AnyFilter]] = [[] for _ in patterns]
+    leftovers: List[AnyFilter] = []
+    for expr in chain(query.filters, query.interval_filters):
         needed = set(expr.variables())
         if not needed <= all_bound:
             raise PlanError(
                 f"filter references unbound variable(s): {expr}")
-        placed = False
-        for index, bound in enumerate(step_variables):
-            if needed <= bound:
+        for index, available in enumerate(step_variables):
+            if needed <= available:
                 assignments[index].append(expr)
-                placed = True
                 break
-        if not placed:
+        else:
             leftovers.append(expr)
     return assignments, leftovers
 

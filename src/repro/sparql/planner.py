@@ -41,8 +41,8 @@ position is the final tie-break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PlanError
 from repro.sparql.ast import Query, TriplePattern, is_variable
@@ -72,6 +72,15 @@ class ExecutionPlan:
 
     query: Query
     steps: List[PlannedStep]
+    #: The pattern ordering the steps follow (a permutation of pattern
+    #: indices) — the only statistics-dependent part of a plan.
+    order: Tuple[int, ...]
+    #: The form the kernels run: the executor's slot layout, or the
+    #: interval kernels' FILTER schedule when the query has intervals.
+    #: Filled in by ``repro.core.pipeline``; the executor compiles a plan
+    #: handed to it bare on first use.
+    compiled: Optional[object] = field(default=None, repr=False,
+                                       compare=False)
 
     def __iter__(self):
         return iter(self.steps)
@@ -250,6 +259,7 @@ def plan_query(query: Query,
             raise PlanError(
                 f"fixed_order must permute 0..{len(query.patterns) - 1}: "
                 f"{ordering}")
-        return ExecutionPlan(query, _steps_in_order(query.patterns, ordering))
-
-    return ExecutionPlan(query, plan_steps(query.patterns, stats=stats))
+    else:
+        ordering = plan_order(query.patterns, stats=stats)
+    return ExecutionPlan(query, _steps_in_order(query.patterns, ordering),
+                         order=tuple(ordering))

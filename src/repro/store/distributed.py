@@ -65,18 +65,12 @@ class DistributedStore:
     """All shards of the persistent store plus placement logic."""
 
     def __init__(self, cluster: Cluster, strings: StringServer,
-                 adjacency_capacity: int = ADJACENCY_CACHE_CAPACITY,
-                 adjacency_policy: str = "fifo",
-                 adjacency_weighted: bool = False):
+                 adjacency_capacity: int = ADJACENCY_CACHE_CAPACITY):
         self.cluster = cluster
         self.strings = strings
         self.adjacency_capacity = adjacency_capacity
-        self.adjacency_policy = adjacency_policy
-        self.adjacency_weighted = adjacency_weighted
         self.shards: List[ShardStore] = [
-            ShardStore(cluster.cost, adjacency_capacity=adjacency_capacity,
-                       adjacency_policy=adjacency_policy,
-                       adjacency_weighted=adjacency_weighted)
+            ShardStore(cluster.cost, adjacency_capacity=adjacency_capacity)
             for _ in range(cluster.num_nodes)
         ]
 

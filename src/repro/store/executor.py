@@ -70,13 +70,15 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 from operator import contains, itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Collection, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from repro.errors import PlanError
 from repro.rdf.ids import DIR_IN, DIR_OUT
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
-from repro.sparql.ast import TriplePattern, is_variable
+from repro.sparql.ast import FilterExpr, TriplePattern, is_variable
+from repro.sparql.evaluate import filter_matches, filters_by_step
 from repro.sparql.planner import (
     BOUND_OBJECT,
     BOUND_SUBJECT,
@@ -158,34 +160,36 @@ class _CompiledStep:
 
 
 class _CompiledFilter:
-    """One FILTER expression with its operands resolved to slot indices.
+    """One FILTER expression with its operands resolved to column keys.
 
-    Batch evaluation selects surviving row indices over slot columns,
+    A column key is whatever indexes the caller's column container: a
+    slot index into the executor's ``_Batch.cols`` list, a variable name
+    into the interval kernels' by-name dict (``keys`` maps each variable
+    to its key).  Batch evaluation selects surviving row indices,
     memoizing the (charge-free) predicate evaluation per distinct operand
     value — the verdict of ``filter_matches`` is a pure function of the
-    operand vids, so a memo hit is semantically identical to re-running
-    it.  Filter charges are issued by the caller (``filter_ns`` per row
-    per filter, whatever the verdict).
+    operand values, so a memo hit is semantically identical to
+    re-running it.  Filter charges are issued by the caller
+    (``filter_ns`` per row per filter, whatever the verdict).
     """
 
-    __slots__ = ("expr", "left_slot", "right_slot")
+    __slots__ = ("expr", "left_key", "right_key", "interval_vars")
 
-    def __init__(self, expr, slots: Dict[str, int]):
+    def __init__(self, expr: FilterExpr, keys: Dict[str, object],
+                 interval_vars: Collection[str] = ()):
         self.expr = expr
-        self.left_slot = slots.get(expr.left) \
-            if is_variable(expr.left) else None
-        self.right_slot = slots.get(expr.right) \
+        self.left_key = keys[expr.left] if is_variable(expr.left) else None
+        self.right_key = keys[expr.right] \
             if is_variable(expr.right) else None
+        self.interval_vars = interval_vars
 
-    def select(self, batch: "_Batch", indices: List[int], name_of,
+    def select(self, cols, indices: Sequence[int], name_of,
                resolve) -> List[int]:
         """The sub-list of ``indices`` whose rows satisfy the filter."""
-        from repro.sparql.evaluate import filter_matches
         expr = self.expr
-        lcol = batch.cols[self.left_slot] \
-            if self.left_slot is not None else None
-        rcol = batch.cols[self.right_slot] \
-            if self.right_slot is not None else None
+        interval_vars = self.interval_vars
+        lcol = cols[self.left_key] if self.left_key is not None else None
+        rcol = cols[self.right_key] if self.right_key is not None else None
         verdicts: Dict[Tuple, bool] = {}
         out: List[int] = []
         append = out.append
@@ -200,7 +204,7 @@ class _CompiledFilter:
                 if rcol is not None:
                     row[expr.right] = rcol[i]
                 verdict = verdicts[key] = filter_matches(
-                    expr, row, name_of, resolve)
+                    expr, row, name_of, resolve, interval_vars)
             if verdict:
                 append(i)
         return out
@@ -226,14 +230,8 @@ class _CompiledPlan:
         # FILTER schedule: each filter runs at the earliest step binding
         # its variables; filters over OPTIONAL-only variables are left over.
         if query.filters:
-            from repro.sparql.evaluate import filters_by_step
-            bound: set = set()
-            step_vars = []
-            for step in plan.steps:
-                bound |= set(step.pattern.variables())
-                step_vars.append(set(bound))
-            filters_at, self.leftover_filters = \
-                filters_by_step(query, step_vars)
+            filters_at, self.leftover_filters = filters_by_step(
+                query, [step.pattern for step in plan.steps])
             self.cfilters_at = [
                 [_CompiledFilter(expr, self.slots) for expr in step_filters]
                 for step_filters in filters_at]
@@ -426,13 +424,12 @@ class GraphExplorer:
 
     # -- compilation --------------------------------------------------------
     def _compile(self, plan: ExecutionPlan) -> _CompiledPlan:
-        """The compiled form of ``plan``, cached on the plan itself (the
-        layout is purely structural, so it is explorer-independent)."""
-        compiled = getattr(plan, "_compiled", None)
-        if compiled is None:
-            compiled = _CompiledPlan(plan)
-            plan._compiled = compiled
-        return compiled
+        """The compiled form of ``plan``: engine plans arrive compiled
+        (``repro.core.pipeline``); one handed in bare (baselines, tests)
+        is compiled into the field on first use."""
+        if plan.compiled is None:
+            plan.compiled = _CompiledPlan(plan)
+        return plan.compiled
 
     # -- public entry points ------------------------------------------------
     def execute(self, plan: ExecutionPlan, access_factory: AccessFactory,
@@ -641,7 +638,7 @@ class GraphExplorer:
         for cfilter in cfilters:
             if not indices:
                 break
-            indices = cfilter.select(batch, indices, name_of, resolve)
+            indices = cfilter.select(batch.cols, indices, name_of, resolve)
         return batch.select(indices)
 
     # -- columnar distributed execution ---------------------------------------

@@ -64,9 +64,6 @@ TOPK_CAPACITY = 8
 #: Default upper bound on cached adjacency segments per shard.
 ADJACENCY_CACHE_CAPACITY = 1 << 16
 
-#: Supported adjacency-cache eviction policies.
-ADJACENCY_POLICIES = ("fifo", "lru")
-
 
 @dataclass(frozen=True, slots=True)
 class ValueSpan:
@@ -189,23 +186,9 @@ class ShardStore:
     """The store partition held by one simulated node."""
 
     def __init__(self, cost: Optional[CostModel] = None,
-                 adjacency_capacity: int = ADJACENCY_CACHE_CAPACITY,
-                 adjacency_policy: str = "fifo",
-                 adjacency_weighted: bool = False):
+                 adjacency_capacity: int = ADJACENCY_CACHE_CAPACITY):
         self.cost = cost if cost is not None else CostModel()
-        if adjacency_policy not in ADJACENCY_POLICIES:
-            raise StoreError(
-                f"unknown adjacency cache policy: {adjacency_policy!r} "
-                f"(want one of {ADJACENCY_POLICIES})")
         self.adjacency_capacity = adjacency_capacity
-        self.adjacency_policy = adjacency_policy
-        #: Entries-weighted (size-aware) eviction: ``adjacency_capacity``
-        #: becomes a budget of cached neighbour entries — each segment
-        #: weighs ``1 + len(visible)`` — so one hot high-degree vertex
-        #: displaces proportionally many cheap segments instead of one.
-        self.adjacency_weighted = adjacency_weighted
-        #: Total weight of the cached segments (maintained either way).
-        self._adjacency_weight = 0
         #: Wall-clock-only cache effectiveness counters (never charged).
         self.adjacency_hits = 0
         self.adjacency_misses = 0
@@ -257,9 +240,7 @@ class ShardStore:
             sketch = self._degree_sketches[bucket] = _TopKSketch()
         sketch.bump(key >> _PRED_BITS)
         if self._adjacency:
-            dropped = self._adjacency.pop(key, None)
-            if dropped is not None:
-                self._adjacency_weight -= 1 + len(dropped[1])
+            self._adjacency.pop(key, None)
         if meter is not None:
             meter.charge(self.cost.insert_entry_ns, category="insert")
         return ValueSpan(key, offset, 1)
@@ -311,9 +292,7 @@ class ShardStore:
                 versioned.add(key)
                 heappush(self._versioned_heap, (sn, key))
         if self._adjacency:
-            dropped = self._adjacency.pop(key, None)
-            if dropped is not None:
-                self._adjacency_weight -= 1 + len(dropped[1])
+            self._adjacency.pop(key, None)
         if meter is not None:
             meter.charge(self.cost.insert_entry_ns, times=count,
                          category="insert")
@@ -369,9 +348,7 @@ class ShardStore:
                 versioned_set.add(key)
                 heappush(heap, (sn, key))
             if adjacency_pop is not None:
-                dropped = adjacency_pop(key, None)
-                if dropped is not None:
-                    self._adjacency_weight -= 1 + len(dropped[1])
+                adjacency_pop(key, None)
             append_span(ValueSpan(key, offset, count))
             # Inlined add_index (key packing guarantees a valid direction).
             slot = ((key & _PRED_MASK) >> 1, key & 1)
@@ -477,73 +454,23 @@ class ShardStore:
                     self.adjacency_misses += 1
                     return None
             self.adjacency_hits += 1
-            if self.adjacency_policy == "lru":
-                # Move-to-end: dicts preserve insertion order, so the
-                # front of the dict is always the eviction victim.
-                cache[key] = cache.pop(key)
             return entry[1], entry[2]
         self.adjacency_misses += 1
         return None
 
     def cache_adjacency(self, key: Key, max_sn: Optional[int],
                         visible: List[int]) -> None:
-        """Remember ``key``'s visible prefix at ``max_sn`` (bounded).
-
-        Eviction victim is the front of the insertion-ordered dict:
-        oldest insert under ``fifo``, least recently used under ``lru``
-        (hits re-insert at the back).  With ``adjacency_weighted``, the
-        capacity is an entries budget: victims are evicted from the front
-        until the new segment (weight ``1 + len(visible)``) fits — a
-        segment heavier than the whole budget still caches alone, after
-        emptying the cache.
-        """
+        """Remember ``key``'s visible prefix at ``max_sn`` (bounded FIFO:
+        the victim is the front of the insertion-ordered dict, the
+        oldest insert)."""
         cache = self._adjacency
-        weight = 1 + len(visible)
-        if key in cache:
-            old = cache.pop(key)
-            self._adjacency_weight -= 1 + len(old[1])
-        if self.adjacency_weighted:
-            budget = self.adjacency_capacity
-            while cache and self._adjacency_weight + weight > budget:
-                victim = next(iter(cache))
-                dropped = cache.pop(victim)
-                self._adjacency_weight -= 1 + len(dropped[1])
-                self.adjacency_evictions += 1
-        elif len(cache) >= self.adjacency_capacity:
-            victim = next(iter(cache))
-            dropped = cache.pop(victim)
-            self._adjacency_weight -= 1 + len(dropped[1])
+        cache.pop(key, None)
+        if len(cache) >= self.adjacency_capacity:
+            del cache[next(iter(cache))]
             self.adjacency_evictions += 1
         values = self._values.get(key)
         total = len(values.vids) if values is not None else 0
         cache[key] = (max_sn, visible, total)
-        self._adjacency_weight += weight
-
-    def set_adjacency_capacity(self, capacity: int) -> None:
-        """Resize the cache budget at runtime (adaptive sizing; see
-        ``repro.core.replan.AdjacencyBudget``).
-
-        Shrinking below the current occupancy evicts from the front of
-        the insertion-ordered dict — the same victim order the steady
-        state uses — counting each drop as an eviction.  Charge-free
-        either way: capacity only bounds a wall-clock cache.
-        """
-        if capacity < 1:
-            raise StoreError(f"adjacency capacity must be >= 1: {capacity}")
-        self.adjacency_capacity = capacity
-        cache = self._adjacency
-        if self.adjacency_weighted:
-            # Like cache_adjacency, a single segment heavier than the
-            # whole budget may stay cached alone.
-            while len(cache) > 1 and self._adjacency_weight > capacity:
-                dropped = cache.pop(next(iter(cache)))
-                self._adjacency_weight -= 1 + len(dropped[1])
-                self.adjacency_evictions += 1
-        else:
-            while len(cache) > capacity:
-                dropped = cache.pop(next(iter(cache)))
-                self._adjacency_weight -= 1 + len(dropped[1])
-                self.adjacency_evictions += 1
 
     # -- predicate cardinality statistics --------------------------------
     def predicate_entries(self, eid: int, d: int) -> int:

@@ -19,12 +19,12 @@ Execution splits by query shape:
   one-shot);
 * *interval* queries run on the SN-carrying columnar kernels
   (:mod:`repro.temporal.kernels`) over batched version-carrying store
-  reads; :mod:`repro.temporal.evaluate` holds the FILTER semantics
+  reads; :mod:`repro.temporal.evaluate` holds the interval relations
   they evaluate.
 
-Compiled interval plans are LRU-cached (:data:`PLAN_CACHE_CAPACITY`)
-keyed by AST, ordering, and snapshot, with hit/miss/eviction counters
-surfaced in ``CacheStats``.
+Both paths plan through the engine's
+:class:`~repro.core.pipeline.QueryPipeline` (one ordering pass per
+query; interval lookups are counted under its ``interval`` kind).
 
 Both paths count version-chain traversal work (snapshot reads, entries
 scanned, deepest chain) into the :class:`TemporalRecord` and — when
@@ -43,21 +43,13 @@ from repro.errors import UnsupportedOperationError
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.sparql.ast import Query
-from repro.sparql.planner import plan_order, plan_steps
 from repro.store.distributed import DistributedStore, PersistentAccess
 from repro.store.executor import ExecutionResult
 from repro.temporal.evaluate import IntervalCounters
-from repro.temporal.kernels import (CompiledIntervalPlan,
-                                    evaluate_interval_batch)
+from repro.temporal.kernels import evaluate_interval_batch
 
 #: Bound on retained per-execution records (oldest dropped first).
 RECORD_CAPACITY = 4096
-
-#: Bound on cached compiled interval plans.  The cache key includes the
-#: query's ``cache_key()`` — which carries the read snapshot — so a
-#: client sweeping snapshots mints a fresh key per sweep step; without
-#: eviction the cache would grow without limit (LRU, oldest-use first).
-PLAN_CACHE_CAPACITY = 128
 
 
 @dataclass
@@ -119,44 +111,12 @@ class TemporalEngine:
         #: Completed executions (bounded), newest last; the ablation
         #: report reads traversal statistics from here.
         self.records: List[TemporalRecord] = []
-        #: Compiled interval plans, LRU-bounded at
-        #: :data:`PLAN_CACHE_CAPACITY` entries, keyed
-        #: ``(query.cache_key(), order)`` — AST + ordering + snapshot.
-        self._plan_cache: Dict[tuple, CompiledIntervalPlan] = {}
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        self.plan_cache_evictions = 0
         #: Interval executions (snapshot-only delegations are counted by
         #: the one-shot engine's own executor counter).
         self.batch_executions = 0
         #: Observability hooks (attached by ``engine.enable_observability``).
         self.tracer = None
         self.metrics = None
-
-    def _plan_interval(self, query: Query) -> CompiledIntervalPlan:
-        """The compiled plan for one interval query, LRU-cached.
-
-        Plan compilation is pure wall-clock work (the simulated plan
-        charge is the dispatch charge either way), so caching cannot
-        move a single simulated nanosecond.
-        """
-        stats = self.oneshot._statistics()
-        order = plan_order(query.patterns, stats=stats)
-        key = (query.cache_key(), tuple(order))
-        cache = self._plan_cache
-        plan = cache.pop(key, None)
-        if plan is not None:
-            self.plan_cache_hits += 1
-            cache[key] = plan  # re-insert: most recently used
-            return plan
-        self.plan_cache_misses += 1
-        plan = CompiledIntervalPlan(
-            query, plan_steps(query.patterns, stats=stats))
-        cache[key] = plan
-        if len(cache) > PLAN_CACHE_CAPACITY:
-            del cache[next(iter(cache))]
-            self.plan_cache_evictions += 1
-        return plan
 
     def execute(self, query: Query, home_node: Optional[int] = None,
                 contended: bool = False) -> TemporalRecord:
@@ -176,8 +136,7 @@ class TemporalEngine:
             self._next_home += 1
         snapshot = query.snapshot if query.snapshot is not None \
             else self.coordinator.stable_sn
-        interval_path = bool(query.interval_filters) or \
-            any(p.has_interval for p in query.patterns)
+        interval_path = query.has_intervals
         counters = IntervalCounters()
 
         # Validate-and-pin before touching any chain: advance() cannot
@@ -255,12 +214,12 @@ class TemporalEngine:
                                 patterns=len(query.patterns)) \
             if self.tracer is not None else None
         meter.charge(self.cluster.cost.task_dispatch_ns, category="dispatch")
-        plan = self._plan_interval(query)
+        plan = self.oneshot.plan(query)
         if act is not None:
             act.mark("plan", steps=len(plan.steps))
         self.batch_executions += 1
         variables, rows = evaluate_interval_batch(
-            query, plan, self.store, home_node, snapshot, meter,
+            query, plan.compiled, self.store, home_node, snapshot, meter,
             counters=counters)
         self.oneshot.charge_contention(meter, contended)
         if act is not None:

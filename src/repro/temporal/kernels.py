@@ -12,9 +12,10 @@ entry is still live):
   (:meth:`DistributedStore.neighbors_versions_batch`) — one probe per
   *distinct* start vertex;
 * FILTER application is compiled once per plan into a static schedule
-  (:class:`CompiledIntervalPlan`): each ordinary and interval FILTER is
-  pinned to the first step at which its variables are bound, and the
-  compiled selectors (:class:`_CompiledPlainFilter` /
+  (:class:`CompiledIntervalPlan`, built by ``repro.core.pipeline``):
+  the executor's scheduler pins each ordinary and interval FILTER to
+  the first step at which its variables are bound, and the compiled
+  selectors (the executor's ``_CompiledFilter`` over by-name columns /
   :class:`_CompiledIntervalFilter`) evaluate each *distinct* operand
   tuple once per batch;
 * each produced binding charges ``binding_ns`` and each filter
@@ -35,69 +36,21 @@ parts (subject-major, then row, then entry).
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import PlanError
 from repro.rdf.ids import DIR_IN, DIR_OUT
 from repro.sim.cost import LatencyMeter
-from repro.sparql.ast import (FilterExpr, IntervalFilter, OPEN_END, Query,
-                              is_variable)
+from repro.sparql.ast import IntervalFilter, OPEN_END, Query, is_variable
+from repro.sparql.evaluate import filters_by_step
 from repro.sparql.planner import (BOUND_OBJECT, BOUND_SUBJECT, CONST_OBJECT,
-                                  CONST_SUBJECT, PlannedStep)
-from repro.temporal.evaluate import (IntervalCounters, _plain_filter_matches,
-                                     interval_op_holds)
+                                  CONST_SUBJECT, ExecutionPlan, PlannedStep)
+from repro.store.executor import _CompiledFilter
+from repro.temporal.evaluate import IntervalCounters, interval_op_holds
 
 #: Column store: graph variables map to vid columns, interval endpoint
 #: variables map to snapshot-number columns; all columns share length.
 Columns = Dict[str, List[int]]
-
-
-class _CompiledPlainFilter:
-    """One ordinary FILTER compiled into a column selector.
-
-    Evaluation is delegated to
-    :func:`~repro.temporal.evaluate._plain_filter_matches` on a minimal
-    one-row dict, memoized per distinct operand-value pair.
-    """
-
-    __slots__ = ("expr",)
-
-    def __init__(self, expr: FilterExpr):
-        self.expr = expr
-
-    def select(self, cols: Columns, indices, interval_vars, name_of,
-               resolve) -> List[int]:
-        if not indices:
-            # A filter whose predecessors emptied the batch is never
-            # evaluated, so an unbound variable in it must not raise.
-            return list(indices)
-        expr = self.expr
-        lterm, rterm = expr.left, expr.right
-        lcol = cols.get(lterm) if is_variable(lterm) else None
-        rcol = cols.get(rterm) if is_variable(rterm) else None
-        if is_variable(lterm) and lcol is None:
-            raise PlanError(f"filter variable never bound: {lterm}")
-        if is_variable(rterm) and rcol is None:
-            raise PlanError(f"filter variable never bound: {rterm}")
-        memo: Dict[Tuple[Optional[int], Optional[int]], bool] = {}
-        out: List[int] = []
-        for i in indices:
-            key = (lcol[i] if lcol is not None else None,
-                   rcol[i] if rcol is not None else None)
-            try:
-                verdict = memo[key]
-            except KeyError:
-                row: Dict[str, int] = {}
-                if lcol is not None:
-                    row[lterm] = key[0]
-                if rcol is not None:
-                    row[rterm] = key[1]
-                verdict = _plain_filter_matches(expr, row, interval_vars,
-                                                name_of, resolve)
-                memo[key] = verdict
-            if verdict:
-                out.append(i)
-        return out
 
 
 class _CompiledIntervalFilter:
@@ -112,28 +65,18 @@ class _CompiledIntervalFilter:
 
     def __init__(self, ifilter: IntervalFilter):
         self.ifilter = ifilter
-        # Resolution order left_ts, left_te, right_ts, right_te: the
-        # first unbound variable in that order is the one reported.
         self.endpoints: List[Tuple[Optional[str], Optional[int]]] = [
             (term, None) if is_variable(term) else (None, int(term))
             for term in (ifilter.left_ts, ifilter.left_te,
                          ifilter.right_ts, ifilter.right_te)]
 
-    def select(self, cols: Columns, indices) -> List[int]:
-        if not indices:
-            return list(indices)
+    def select(self, cols: Columns, indices, name_of,
+               resolve) -> List[int]:
+        """Same call shape as ``_CompiledFilter.select``; endpoints are
+        numbers, so the name lookups go unused."""
         op = self.ifilter.op
-        resolved: List[object] = []
-        for term, const in self.endpoints:
-            if term is None:
-                resolved.append(const)
-            else:
-                col = cols.get(term)
-                if col is None:
-                    raise PlanError(
-                        f"interval variable never bound: {term}")
-                resolved.append(col)
-        r0, r1, r2, r3 = resolved
+        r0, r1, r2, r3 = [const if term is None else cols[term]
+                          for term, const in self.endpoints]
         memo: Dict[Tuple[int, int, int, int], bool] = {}
         out: List[int] = []
         for i in indices:
@@ -154,46 +97,29 @@ class _CompiledIntervalFilter:
 class CompiledIntervalPlan:
     """An interval query's steps plus its static FILTER schedule.
 
-    A filter is ready at the first step after which all its variables
-    are bound; readiness depends only on which pattern variables each
-    step binds, so the schedule is a pure function of
-    ``(query, steps)`` and compiles once.  Filters still pending after
-    the last step run as leftovers (the batch emptied before their
-    step); those whose variables lie outside ``query.variables()`` too
-    are dropped without evaluation.
+    ``filters_at[i]`` holds the compiled filters (ordinary, then
+    interval) that become ready after step ``i`` — the first step after
+    which all their variables, endpoint variables included, are bound.
     """
 
-    __slots__ = ("steps", "plain_at", "interval_at", "leftover_plain",
-                 "leftover_interval")
+    __slots__ = ("steps", "filters_at")
 
-    def __init__(self, query: Query, steps: Sequence[PlannedStep]):
-        self.steps: List[PlannedStep] = list(steps)
-        pending_plain = list(query.filters)
-        pending_interval = list(query.interval_filters)
-        self.plain_at: List[List[_CompiledPlainFilter]] = []
-        self.interval_at: List[List[_CompiledIntervalFilter]] = []
-        bound = set()
-        for step in self.steps:
-            bound.update(step.pattern.variables())
-            bound.update(step.pattern.interval_variables())
-            ready = [f for f in pending_plain
-                     if set(f.variables()) <= bound]
-            iready = [f for f in pending_interval
-                      if set(f.variables()) <= bound]
-            pending_plain = [f for f in pending_plain if f not in ready]
-            pending_interval = [f for f in pending_interval
-                                if f not in iready]
-            self.plain_at.append(
-                [_CompiledPlainFilter(f) for f in ready])
-            self.interval_at.append(
-                [_CompiledIntervalFilter(f) for f in iready])
-        final = bound | set(query.variables())
-        self.leftover_plain = [
-            _CompiledPlainFilter(f) for f in pending_plain
-            if set(f.variables()) <= final]
-        self.leftover_interval = [
-            _CompiledIntervalFilter(f) for f in pending_interval
-            if set(f.variables()) <= final]
+    def __init__(self, plan: ExecutionPlan):
+        query = plan.query
+        self.steps: List[PlannedStep] = plan.steps
+        filters_at, leftovers = filters_by_step(
+            query, [step.pattern for step in self.steps])
+        if leftovers:
+            raise PlanError(
+                f"interval queries cannot filter on OPTIONAL-bound "
+                f"variables: {leftovers[0]}")
+        keys = {var: var for var in query.variables()}
+        interval_vars = frozenset(query.interval_variables())
+        self.filters_at = [
+            [_CompiledIntervalFilter(f) if isinstance(f, IntervalFilter)
+             else _CompiledFilter(f, keys, interval_vars)
+             for f in step_filters]
+            for step_filters in filters_at]
 
 
 def _extend_shared(cols: Columns, nrows: int, anchor_var: Optional[str],
@@ -525,27 +451,25 @@ def evaluate_interval_batch(query: Query, plan: CompiledIntervalPlan,
     resolve = strings.lookup_entity
     if counters is None:
         counters = IntervalCounters()
-    interval_vars = set(query.interval_variables())
     binding_ns = cost.binding_ns
     filter_ns = cost.filter_ns
 
     cols: Columns = {}
     nrows = 1
 
-    def apply_filters(plain, interval) -> None:
+    def apply_filters(filters) -> None:
         nonlocal cols, nrows
-        count = len(plain) + len(interval)
-        if count == 0 or nrows == 0:
+        if not filters or nrows == 0:
             # Guarded so a times=0 charge cannot create an empty
             # breakdown category.
             return
-        meter.charge(filter_ns, times=nrows * count, category="filter")
+        meter.charge(filter_ns, times=nrows * len(filters),
+                     category="filter")
         indices = range(nrows)
-        for f in plain:
-            indices = f.select(cols, indices, interval_vars, name_of,
-                               resolve)
-        for f in interval:
-            indices = f.select(cols, indices)
+        for f in filters:
+            if not indices:
+                break
+            indices = f.select(cols, indices, name_of, resolve)
         if len(indices) != nrows:
             cols = {var: [col[i] for i in indices]
                     for var, col in cols.items()}
@@ -599,11 +523,9 @@ def evaluate_interval_batch(query: Query, plan: CompiledIntervalPlan,
             cols, nrows = _extend_index(
                 cols, nrows, pattern, eid, store, home_node, snapshot,
                 meter, counters, resolve, binding_ns)
-        apply_filters(plan.plain_at[at], plan.interval_at[at])
+        apply_filters(plan.filters_at[at])
         if nrows == 0:
             break
-
-    apply_filters(plan.leftover_plain, plan.leftover_interval)
 
     out_vars = query.projected()
     if nrows == 0:

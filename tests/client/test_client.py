@@ -4,9 +4,9 @@ import pytest
 
 from repro.client.library import (_REQUEST_BYTES, _ROW_BYTES,
                                   ClientLibrary)
-from repro.client.procedures import (PROCEDURE_CACHE_CAPACITY,
-                                     ProcedureCache)
+from repro.client.procedures import ProcedureCache
 from repro.client.proxy import ProxyPool
+from repro.core.pipeline import CACHE_CAPACITY
 from repro.errors import PlanError
 from repro.sim.cost import LatencyMeter
 
@@ -55,11 +55,9 @@ class TestProcedureCache:
             for i, text in enumerate(hot):
                 cache.get(text)
                 cache.get(f"SELECT ?x WHERE {{ Cold{round_}x{i} po ?x }}")
-            assert len(cache) <= PROCEDURE_CACHE_CAPACITY
         assert cache.hits == 11 * len(hot)  # every reuse after round 0
         assert cache.misses == 13 * len(hot)
-        assert cache.evictions == cache.misses - PROCEDURE_CACHE_CAPACITY
-        assert len(cache) == PROCEDURE_CACHE_CAPACITY
+        assert len(cache) == CACHE_CAPACITY
 
 
 class TestClientLibrary:
@@ -106,6 +104,18 @@ class TestClientLibrary:
         # A new constant costs one more.
         client.submit("SELECT ?x WHERE { Erik po ?x }")
         assert client.string_server_roundtrips == 2
+
+    def test_known_constants_stay_bounded(self, engine):
+        """A stream of used-once texts cannot grow the proxy: a constant
+        forgotten under the flood just costs one more round trip."""
+        client = ClientLibrary(engine)
+        client.prepare("SELECT ?x WHERE { Logan po ?x }")
+        for i in range(CACHE_CAPACITY + 20):
+            client.prepare(f"SELECT ?x WHERE {{ Ghost{i} po ?x }}")
+        assert len(client._known_constants) == CACHE_CAPACITY
+        before = client.string_server_roundtrips
+        client.prepare("SELECT ?x WHERE { Logan po ?x }")
+        assert client.string_server_roundtrips == before + 1
 
     def test_register_and_poll(self, engine):
         client = ClientLibrary(engine)

@@ -22,7 +22,7 @@ import pytest
 from repro.bench.citybench import CityBench, CityBenchConfig
 from repro.bench.harness import build_wukongs
 from repro.bench.lsbench import LSBench, LSBenchConfig
-from repro.core.oneshot import PLAN_CACHE_CAPACITY
+from repro.core.pipeline import CACHE_CAPACITY
 from repro.sim.cost import LatencyMeter
 from repro.sparql.parser import parse_query
 from repro.sparql.planner import plan_order, plan_query
@@ -125,29 +125,34 @@ def test_plan_cache_reuses_compiled_plans(ls_engine):
     bench, engine = ls_engine
     parsed = parse_query(bench.oneshot_query("S6"))
     first = engine.oneshot_engine.plan(parsed)
+    assert first.compiled is not None
+    hits = engine.pipeline.plan_hits["oneshot"]
     second = engine.oneshot_engine.plan(parsed)
     assert first is second
     # An equivalent but separately parsed query hits the same entry.
     assert engine.oneshot_engine.plan(
         parse_query(bench.oneshot_query("S6"))) is first
+    assert engine.pipeline.plan_hits["oneshot"] == hits + 2
 
 
 def test_plan_cache_stays_bounded(ls_engine):
     bench, engine = ls_engine
-    for i in range(PLAN_CACHE_CAPACITY + 20):
-        engine.oneshot_engine.plan(
-            parse_query(f"SELECT ?P WHERE {{ ghost{i} po ?P }}"))
-    assert len(engine.oneshot_engine._plan_cache) <= PLAN_CACHE_CAPACITY
+    for i in range(CACHE_CAPACITY + 20):
+        engine.oneshot(f"SELECT ?P WHERE {{ ghost{i} po ?P }}")
+    pipeline = engine.pipeline
+    assert len(pipeline.plans) == len(pipeline.texts) == CACHE_CAPACITY
+    assert pipeline.plans.evictions >= 20
 
 
 def test_parse_cache_reuses_parsed_queries(ls_engine):
     bench, engine = ls_engine
     text = bench.oneshot_query("S3")
     engine.oneshot(text)
-    cached = engine._oneshot_parse_cache.get(text)
-    assert cached is not None
+    cached = engine.pipeline.parse(text)
+    hits = engine.pipeline.texts.hits
     engine.oneshot(text)
-    assert engine._oneshot_parse_cache.get(text) is cached
+    assert engine.pipeline.parse(text) is cached
+    assert engine.pipeline.texts.hits == hits + 2
 
 
 def test_batch_path_charges_match_row_path():

@@ -20,7 +20,8 @@ import pytest
 
 from repro.chaos.state import engine_state_digest
 from repro.core.engine import EngineConfig, WukongSEngine
-from repro.core.replan import AdjacencyBudget, PlanMonitor
+from repro.core.pipeline import CACHE_CAPACITY
+from repro.core.replan import PlanMonitor
 from repro.core.stats import PredicateStatistics, StatsSnapshot
 from repro.rdf.parser import parse_timed_tuples
 from repro.streams.source import StreamSource
@@ -274,8 +275,6 @@ def test_monitor_rejects_bad_parameters():
         PlanMonitor(engine.continuous, stats, hysteresis=0.9)
     with pytest.raises(ValueError):
         PlanMonitor(engine.continuous, stats, cooldown_closes=0)
-    with pytest.raises(ValueError):
-        AdjacencyBudget(engine.store, min_capacity=16, max_capacity=8)
 
 
 # -- plan cache: swaps never serve a stale compiled executor --------------
@@ -283,8 +282,9 @@ def test_monitor_rejects_bad_parameters():
 def test_plan_cache_keyed_by_order_swaps_and_reuses():
     engine, handle = _build(adaptive=False)
     continuous = engine.continuous
+    pipeline = engine.pipeline
     original_plan = handle.plan
-    misses_before = continuous.plan_cache_misses
+    misses_before = pipeline.plan_misses["continuous"]
 
     swapped = continuous.swap_plan(handle, (1, 0))
     assert swapped is not original_plan
@@ -292,16 +292,53 @@ def test_plan_cache_keyed_by_order_swaps_and_reuses():
         [s.kind for s in original_plan.steps] or \
         [s.pattern for s in swapped.steps] != \
         [s.pattern for s in original_plan.steps]
-    assert continuous.plan_cache_misses == misses_before + 1
+    assert pipeline.plan_misses["continuous"] == misses_before + 1
+    # The compiled form is compiled from the plan's own step order, so
+    # no stale order can ever be served.
+    assert [c.pattern for c in swapped.compiled.steps] == \
+        [s.pattern for s in swapped.steps]
+    assert handle.plan_order == (1, 0)
 
-    # Swapping back reuses the original plan object — and with it the
-    # executor's compiled form, which is always compiled from the plan's
-    # own step order, so no stale order can ever be served.
-    hits_before = continuous.plan_cache_hits
+    # Swapping back reuses the original plan object — and with it its
+    # compiled form.
+    hits_before = pipeline.plan_hits["continuous"]
+    compiled_before = original_plan.compiled
     back = continuous.swap_plan(handle, (0, 1))
     assert back is original_plan
-    assert continuous.plan_cache_hits == hits_before + 1
+    assert back.compiled is compiled_before
+    assert pipeline.plan_hits["continuous"] == hits_before + 1
     assert handle.plan_order == (0, 1)
+
+
+def test_cold_text_flood_never_disturbs_a_registered_query():
+    """The plan cache is shared with ad-hoc traffic.  A flood of more
+    used-once texts than it holds evicts a registered query's plans, but
+    the query holds its plan by reference: it is swapped and keeps
+    closing exactly like a twin that saw no flood."""
+    quiet_engine, quiet = _build(adaptive=False)
+    engine, handle = _build(adaptive=False)
+    for tick in range(TOTAL_TICKS):
+        if tick == TOTAL_TICKS // 2:
+            quiet_engine.continuous.swap_plan(quiet, (1, 0))
+            engine.continuous.swap_plan(handle, (1, 0))
+        for i in range(30):
+            engine.oneshot(f"SELECT ?P WHERE {{ ghost{tick}x{i} pa ?P }}")
+        quiet_engine.step()
+        engine.step()
+    pipeline = engine.pipeline
+    assert pipeline.plans.evictions > CACHE_CAPACITY
+    assert len(pipeline.plans) == CACHE_CAPACITY
+    assert len(handle.executions) == len(quiet.executions) > TOTAL_TICKS // 2
+    assert any(r.result.rows for r in handle.executions)
+    for flooded, undisturbed in zip(handle.executions, quiet.executions):
+        assert flooded.close_ms == undisturbed.close_ms
+        assert flooded.result.rows == undisturbed.result.rows
+        assert flooded.meter.ps == undisturbed.meter.ps
+    # Both of the query's plans were evicted long ago: swapping back
+    # plans afresh instead of finding the registration-time plan.
+    misses = pipeline.plan_misses["continuous"]
+    engine.continuous.swap_plan(handle, (0, 1))
+    assert pipeline.plan_misses["continuous"] == misses + 1
 
 
 # -- observability ---------------------------------------------------------

@@ -104,6 +104,28 @@ class TestFilterEvaluation:
         row = {"?x": self.logan}
         assert not self.match(FilterExpr("?x", "<", "10"), row)
 
+    def test_interval_variable_binding_is_its_number(self):
+        """``?ts`` bound to 3 compares as the number 3 — never as vid 3's
+        entity name — with the verdicts of the engine-independent
+        oracle (``repro.temporal.reference``) on every operator."""
+        from repro.temporal.reference import _filter_ok
+        assert self.strings.entity_name(3) == "Logan"
+        row = {"?ts": 3, "?x": self.v5, "?who": self.logan}
+        oracle_row = {"?ts": 3, "?x": "5", "?who": "Logan"}
+        for op in ("=", "!=", "<", "<=", ">", ">="):
+            for other in ("3", "2", "10", "Logan", "?x", "?who"):
+                for expr in (FilterExpr("?ts", op, other),
+                             FilterExpr(other, op, "?ts")):
+                    verdict = filter_matches(
+                        expr, row, self.strings.entity_name,
+                        self.strings.lookup_entity, interval_vars={"?ts"})
+                    assert verdict == _filter_ok(expr, oracle_row), expr
+        assert filter_matches(FilterExpr("?ts", "=", "3"), row,
+                              self.strings.entity_name,
+                              self.strings.lookup_entity, {"?ts"})
+        # Without the rule the same binding would read as the entity.
+        assert self.match(FilterExpr("?ts", "=", "Logan"), row)
+
     def test_apply_filters_keeps_matching_rows(self):
         rows = [{"?x": self.v5}, {"?x": self.v10}]
         kept = apply_filters(rows, [FilterExpr("?x", ">", "7")],
@@ -120,7 +142,7 @@ class TestFilterEvaluation:
         query = parse_query(
             "SELECT ?x ?y WHERE { a p ?x . ?x q ?y . FILTER (?y > 1) . "
             "FILTER (?x != b) }")
-        schedule, leftover = filters_by_step(query, [{"?x"}, {"?x", "?y"}])
+        schedule, leftover = filters_by_step(query, query.patterns)
         assert [f.op for f in schedule[0]] == ["!="]
         assert [f.op for f in schedule[1]] == [">"]
         assert leftover == []
@@ -129,7 +151,7 @@ class TestFilterEvaluation:
         query = parse_query(
             "SELECT ?x ?y WHERE { a p ?x . OPTIONAL { ?x q ?y } . "
             "FILTER (?y > 1) }")
-        schedule, leftover = filters_by_step(query, [{"?x"}])
+        schedule, leftover = filters_by_step(query, query.patterns)
         assert schedule == [[]]
         assert [f.op for f in leftover] == [">"]
 

@@ -173,298 +173,19 @@ def test_configured_capacity_and_eviction_counter():
     assert shard.adjacency_evictions == 1
 
 
-def test_unknown_policy_rejected():
-    import pytest
-    from repro.errors import StoreError
-    from repro.store.kvstore import ShardStore
-    with pytest.raises(StoreError):
-        ShardStore(adjacency_policy="clock")
-
-
-def test_lru_keeps_hot_key_fifo_evicts_it():
-    """Under LRU a re-referenced key survives; under FIFO it is evicted."""
-    p_triples = "h p x .\na p x .\nb p x ."
-
-    def probe_order(policy):
-        cluster = Cluster(num_nodes=1)
-        strings = StringServer()
-        store = DistributedStore(cluster, strings, adjacency_capacity=2,
-                                 adjacency_policy=policy)
-        store.load(parse_triples(p_triples))
-        p = strings.predicate_id("p")
-        vids = {n: strings.entity_id(n) for n in ("h", "a", "b")}
-        # Fill: h, a.  Touch h again.  Insert b (one eviction).
-        for name in ("h", "a", "h", "b"):
-            store.neighbors_from(0, vids[name], p, DIR_OUT, LatencyMeter())
-        shard = store.shards[0]
-        return shard.cached_adjacency(make_key(vids["h"], p, DIR_OUT),
-                                      None) is not None
-
-    assert probe_order("lru") is True    # the hit refreshed h
-    assert probe_order("fifo") is False  # insertion order evicts h
-
-
-def test_lru_beats_fifo_on_zipf_skew():
-    """On a Zipf-skewed probe sequence LRU's hit rate is at least FIFO's.
-
-    A tiny cache over a skewed key popularity distribution is the regime
-    the policy knob exists for: recency keeps the hot head keys resident.
-    """
-    import random
-
-    num_keys = 64
-    rng = random.Random(1234)
-    # Zipf(s=1.2) over key ranks.
-    weights = [1.0 / (rank ** 1.2) for rank in range(1, num_keys + 1)]
-    probes = rng.choices(range(num_keys), weights=weights, k=4_000)
-
-    def hit_rate(policy):
-        cluster = Cluster(num_nodes=1)
-        strings = StringServer()
-        store = DistributedStore(cluster, strings, adjacency_capacity=8,
-                                 adjacency_policy=policy)
-        lines = "\n".join(f"k{i} p x ." for i in range(num_keys))
-        store.load(parse_triples(lines))
-        p = strings.predicate_id("p")
-        vids = [strings.entity_id(f"k{i}") for i in range(num_keys)]
-        for index in probes:
-            store.neighbors_from(0, vids[index], p, DIR_OUT, LatencyMeter())
-        shard = store.shards[0]
-        return shard.adjacency_hits / (shard.adjacency_hits
-                                       + shard.adjacency_misses)
-
-    lru, fifo = hit_rate("lru"), hit_rate("fifo")
-    assert lru >= fifo
-    assert lru > 0.5  # the hot head must mostly hit
-
-
-def test_weighted_eviction_heavy_entry_evicts_multiple():
-    """Under entries-weighted eviction, one heavy segment displaces as
-    many light segments as its weight requires (weight = 1 + entries)."""
+def test_fifo_evicts_in_insertion_order_even_after_a_hit():
+    """The cache is FIFO: re-referencing a key does not refresh it."""
     cluster = Cluster(num_nodes=1)
     strings = StringServer()
-    store = DistributedStore(cluster, strings, adjacency_capacity=6,
-                             adjacency_weighted=True)
-    # a, b, c: one neighbour each (weight 2); big: three (weight 4).
-    store.load(parse_triples(
-        "a p x .\nb p x .\nc p x .\nbig p x .\nbig p y .\nbig p z ."))
+    store = DistributedStore(cluster, strings, adjacency_capacity=2)
+    store.load(parse_triples("h p x .\na p x .\nb p x ."))
     p = strings.predicate_id("p")
+    vids = {n: strings.entity_id(n) for n in ("h", "a", "b")}
+    # Fill: h, a.  Touch h again.  Insert b (one eviction).
+    for name in ("h", "a", "h", "b"):
+        store.neighbors_from(0, vids[name], p, DIR_OUT, LatencyMeter())
     shard = store.shards[0]
-
-    for name in ("a", "b", "c"):
-        store.neighbors_from(0, strings.entity_id(name), p, DIR_OUT,
-                             LatencyMeter())
-    assert len(shard._adjacency) == 3          # weight 6 = budget
-    assert shard.adjacency_evictions == 0
-
-    store.neighbors_from(0, strings.entity_id("big"), p, DIR_OUT,
-                         LatencyMeter())
-    # Fitting weight 4 into a full budget of 6 evicts TWO unit entries.
-    assert shard.adjacency_evictions == 2
-    assert len(shard._adjacency) == 2
-    assert shard.cached_adjacency(
-        make_key(strings.entity_id("big"), p, DIR_OUT), None) is not None
-    # Unweighted count-based eviction would have evicted only one.
-    assert shard.cached_adjacency(
-        make_key(strings.entity_id("a"), p, DIR_OUT), None) is None
-    assert shard.cached_adjacency(
-        make_key(strings.entity_id("b"), p, DIR_OUT), None) is None
-
-
-def test_weighted_over_budget_entry_caches_alone():
-    """A segment heavier than the whole budget empties the cache and then
-    still caches (so repeat probes of the monster key hit)."""
-    cluster = Cluster(num_nodes=1)
-    strings = StringServer()
-    store = DistributedStore(cluster, strings, adjacency_capacity=3,
-                             adjacency_weighted=True)
-    store.load(parse_triples(
-        "a p x .\nbig p w .\nbig p x .\nbig p y .\nbig p z ."))
-    p = strings.predicate_id("p")
-    shard = store.shards[0]
-
-    store.neighbors_from(0, strings.entity_id("a"), p, DIR_OUT,
-                         LatencyMeter())
-    store.neighbors_from(0, strings.entity_id("big"), p, DIR_OUT,
-                         LatencyMeter())
-    assert shard.adjacency_evictions == 1
-    assert len(shard._adjacency) == 1  # big alone, over budget
-    before = shard.adjacency_hits
-    store.neighbors_from(0, strings.entity_id("big"), p, DIR_OUT,
-                         LatencyMeter())
-    assert shard.adjacency_hits == before + 1
-
-
-def test_weighted_charges_identical_to_unweighted():
-    """Size-aware eviction is wall-clock-only: charges never depend on it."""
-    probes = [0, 1, 2, 0, 3, 0, 1, 4, 2, 0]
-
-    def total_ns(weighted):
-        cluster = Cluster(num_nodes=1)
-        strings = StringServer()
-        store = DistributedStore(cluster, strings, adjacency_capacity=4,
-                                 adjacency_weighted=weighted)
-        lines = "\n".join(f"k{i} p x .\nk{i} p y ." for i in range(5))
-        store.load(parse_triples(lines))
-        p = strings.predicate_id("p")
-        vids = [strings.entity_id(f"k{i}") for i in range(5)]
-        meter = LatencyMeter()
-        for index in probes:
-            store.neighbors_from(0, vids[index], p, DIR_OUT, meter)
-        return meter.ns
-
-    assert total_ns(True) == total_ns(False)
-
-
-def test_simulated_charges_identical_across_policies():
-    """Eviction policy is wall-clock-only: charges never depend on it."""
-    probes = [0, 1, 2, 0, 3, 0, 1, 4, 2, 0]
-
-    def total_ns(policy):
-        cluster = Cluster(num_nodes=1)
-        strings = StringServer()
-        store = DistributedStore(cluster, strings, adjacency_capacity=2,
-                                 adjacency_policy=policy)
-        lines = "\n".join(f"k{i} p x ." for i in range(5))
-        store.load(parse_triples(lines))
-        p = strings.predicate_id("p")
-        vids = [strings.entity_id(f"k{i}") for i in range(5)]
-        meter = LatencyMeter()
-        for index in probes:
-            store.neighbors_from(0, vids[index], p, DIR_OUT, meter)
-        return meter.ns
-
-    assert total_ns("lru") == total_ns("fifo")
-
-
-# -- runtime resizing (repro.core.replan.AdjacencyBudget) ------------------
-
-def _skewed_store(capacity, num_keys=6, **kwargs):
-    cluster = Cluster(num_nodes=1)
-    strings = StringServer()
-    store = DistributedStore(cluster, strings, adjacency_capacity=capacity,
-                             **kwargs)
-    lines = "\n".join(f"k{i} p x ." for i in range(num_keys))
-    store.load(parse_triples(lines))
-    p = strings.predicate_id("p")
-    vids = [strings.entity_id(f"k{i}") for i in range(num_keys)]
-
-    def probe(index):
-        store.neighbors_from(0, vids[index], p, DIR_OUT, LatencyMeter())
-
-    return store, probe
-
-
-def test_set_capacity_shrink_evicts_from_front_and_counts():
-    store, probe = _skewed_store(capacity=4)
-    for index in range(3):
-        probe(index)
-    shard = store.shards[0]
-    assert len(shard._adjacency) == 3
-    evictions_before = shard.adjacency_evictions
-    shard.set_adjacency_capacity(1)
-    # Front of the insertion-ordered dict goes first — the same victim
-    # order steady-state eviction uses — and every drop is counted.
-    assert len(shard._adjacency) == 1
-    assert shard.adjacency_evictions == evictions_before + 2
-    probe(2)  # the newest insert (k2) must be the survivor
-    assert shard.adjacency_hits >= 1
-
-
-def test_set_capacity_rejects_nonpositive():
-    import pytest
-    from repro.errors import StoreError
-    store, _ = _skewed_store(capacity=4)
-    with pytest.raises(StoreError):
-        store.shards[0].set_adjacency_capacity(0)
-
-
-def test_set_capacity_weighted_over_budget_entry_survives_alone():
-    store, probe = _skewed_store(capacity=64, adjacency_weighted=True)
-    probe(0)
-    shard = store.shards[0]
-    assert len(shard._adjacency) == 1
-    # Shrinking below the lone segment's weight keeps it cached alone,
-    # exactly like cache_adjacency admits an over-budget segment.
-    shard.set_adjacency_capacity(1)
-    assert len(shard._adjacency) == 1
-
-
-def test_budget_grows_on_evictions_up_to_max():
-    from repro.core.replan import AdjacencyBudget
-
-    store, probe = _skewed_store(capacity=2)
-    budget = AdjacencyBudget(store, min_capacity=2, max_capacity=8,
-                             every_ticks=1)
-    # Each round sweeps more distinct keys than the cache holds, so the
-    # eviction counter moves every window until the working set fits.
-    for expected in (4, 8, 8):
-        for index in range(6):
-            probe(index)
-        budget.on_tick()
-        assert store.shards[0].adjacency_capacity == expected
-    assert budget.grows == 2
-
-
-def test_budget_shrinks_idle_capacity_and_respects_min():
-    from repro.core.replan import AdjacencyBudget
-
-    store, probe = _skewed_store(capacity=16)
-    budget = AdjacencyBudget(store, min_capacity=2, max_capacity=64,
-                             every_ticks=1)
-    probe(0)
-    probe(1)
-    # Two resident keys, hit traffic, no evictions: 16 -> 8 -> 4, then
-    # occupancy * 4 > capacity stops the payback above min_capacity.
-    for expected in (8, 4, 4):
-        probe(0)
-        probe(1)
-        budget.on_tick()
-        assert store.shards[0].adjacency_capacity == expected
-    assert budget.shrinks == 2
-    assert len(store.shards[0]._adjacency) == 2
-
-
-def test_budget_leaves_idle_shards_alone():
-    from repro.core.replan import AdjacencyBudget
-
-    store, probe = _skewed_store(capacity=16)
-    budget = AdjacencyBudget(store, min_capacity=2, max_capacity=64,
-                             every_ticks=1)
-    probe(0)
-    probe(1)
-    budget.on_tick()  # traffic window: may resize
-    resized = store.shards[0].adjacency_capacity
-    budget.on_tick()  # no traffic since: no evidence, no resize
-    assert store.shards[0].adjacency_capacity == resized
-
-
-def test_budget_resizing_never_changes_simulated_charges():
-    """Adaptive capacity is a wall-clock actuator: per-probe charges on a
-    resizing store equal a fixed-capacity store's, probe for probe."""
-    from repro.core.replan import AdjacencyBudget
-
-    probes = [0, 1, 2, 3, 4, 5, 0, 1, 0, 2, 5, 4, 0, 0, 1, 3]
-
-    def charge_sequence(adaptive):
-        cluster = Cluster(num_nodes=1)
-        strings = StringServer()
-        store = DistributedStore(cluster, strings, adjacency_capacity=2)
-        lines = "\n".join(f"k{i} p x .\nk{i} p y ." for i in range(6))
-        store.load(parse_triples(lines))
-        p = strings.predicate_id("p")
-        vids = [strings.entity_id(f"k{i}") for i in range(6)]
-        budget = AdjacencyBudget(store, min_capacity=2, max_capacity=32,
-                                 every_ticks=1) if adaptive else None
-        charges = []
-        for index in probes:
-            meter = LatencyMeter()
-            store.neighbors_from(0, vids[index], p, DIR_OUT, meter)
-            charges.append(meter.ns)
-            if budget is not None:
-                budget.on_tick()
-        if budget is not None:
-            assert budget.grows > 0  # the budget actually acted
-        return charges
-
-    assert charge_sequence(True) == charge_sequence(False)
+    assert shard.cached_adjacency(make_key(vids["h"], p, DIR_OUT),
+                                  None) is None
+    assert shard.cached_adjacency(make_key(vids["a"], p, DIR_OUT),
+                                  None) is not None
