@@ -431,11 +431,12 @@ def run_temporal(duration_ms: int, rounds: int = 8):
     The primary timing is a deep-history *interval* workload — T2/T3
     range selections over the full retained ``?ts`` history (numeric
     FILTERs and a constant-interval ``OVERLAPS``) plus T4 two-hop
-    quintuple joins from several start users — on the columnar interval
-    kernels (:mod:`repro.temporal.kernels`).  The seed-file entry is
-    the wall time of the row-based interval evaluator on the same
-    workload, frozen at the last commit that carried it (the interval
-    family ran row-based before the kernels landed).  Scalarization is
+    quintuple joins from several start users — run, like every query,
+    by the graph explorer (quintuple steps on its version-carrying
+    kernel).  The seed-file entry is the wall time of the row-based
+    interval evaluator on the same workload, frozen at the last commit
+    that carried it (the interval family ran row-based before it went
+    columnar).  Scalarization is
     disabled so the full version history stays readable; the timed set
     runs with warm parse and compiled-plan caches.
 

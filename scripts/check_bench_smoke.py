@@ -53,7 +53,7 @@ THRESHOLD = 0.6
 #: deep-history workload.  Quick mode's shorter run leaves shallower
 #: version chains, which systematically trims the ratio ~20-30% below
 #: the committed full-mode figure (a ~5x full run smokes at ~4x), so the
-#: floor is 0.6x.  The failure it must catch is the interval kernels
+#: floor is 0.6x.  The failure it must catch is quintuple steps
 #: falling back to per-row work (the batched store reads unused) — which
 #: collapses the ratio to ~1x, far below 0.6x of the committed multi-x
 #: figure.

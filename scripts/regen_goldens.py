@@ -14,7 +14,13 @@ Three goldens exist today:
   generator that ran every case on both kernel families and refused to
   write unless they agreed, and re-recorded once when the meter became
   an exact integer clock (every latency within float rounding of the
-  frozen one, every other fact identical — table in CHANGES.md, PR 16);
+  frozen one, every other fact identical — table in CHANGES.md, PR 16),
+  and once more, in the latency half of the ``temporal/*`` cases only,
+  when the interval kernels were folded into the executor's and
+  interval queries began to pay the ``project`` charge every other
+  query kind pays (``binding`` price per distinct projected row; rows,
+  row order, counters, digests and every other charge category
+  identical — table in CHANGES.md, PR 18);
   rewriting it replaces that chain with the current code's own word, so
   only do it for a deliberate change to the cost model, with the reason
   in the commit.

@@ -14,9 +14,12 @@
 # row-kernel option, the retired charge-ordering machinery (the meter
 # is an exact integer clock; charges need no ordering), the hand-rolled
 # plan/parse caches and second FILTER compiler that
-# repro.core.pipeline replaced, and the retired adjacency-cache knobs
-# have not come back.  A test marked both serving and chaos runs in the
-# chaos stage only.
+# repro.core.pipeline replaced, the retired adjacency-cache knobs, and
+# the second family of expansion kernels (the temporal package's
+# interval kernels and their compiled-plan class; a quintuple step is
+# an executor step) with the two EngineConfig fields nothing set
+# (one-shot contention, re-plan hysteresis) have not come back.  A test
+# marked both serving and chaos runs in the chaos stage only.
 #
 # The obs stage exports a Chrome trace from a quick traced LSBench run
 # and validates it (schema, lossless round trip, and per-activity
@@ -65,7 +68,7 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts \
         benchmarks/bench_wallclock.py; then exit 1; fi
@@ -79,6 +82,8 @@ if grep -rn '_oneshot_parse_cach[e]\|\._plan_cach[e]\>\|PLAN_CACHE_CAPACIT[Y]' \
 if grep -rn '_CompiledPlainFilte[r]\|_plain_filter_matche[s]' \
         src scripts benchmarks/bench_wallclock.py; then exit 1; fi
 if grep -rn 'AdjacencyBudge[t]\|adjacency_weighte[d]\|adjacency_polic[y]\|adjacency_cache_\(polic[y]\|weighte[d]\|adaptiv[e]\|mi[n]\|ma[x]\)' \
+        src scripts benchmarks/bench_wallclock.py; then exit 1; fi
+if grep -rn 'CompiledIntervalPla[n]\|evaluate_interval_batc[h]\|_extend_share[d]\|temporal\.kernel[s]\|oneshot_contentio[n]\|replan_hysteresi[s]' \
         src scripts benchmarks/bench_wallclock.py; then exit 1; fi
 
 echo "== obs (trace export + critical-path exactness) =="

@@ -54,7 +54,6 @@ class EngineConfig:
     injector_threads: int = 1
     gc_every_ticks: int = 10
     gc_retention_ms: int = 10_000
-    oneshot_contention: float = 0.05
     fault_tolerance: bool = False
     checkpoint_interval_ms: int = 1_000
     auto_pad_streams: bool = True
@@ -69,11 +68,10 @@ class EngineConfig:
     #: each close performs, so golden/deterministic workloads must opt in
     #: (or pin their orders via ``register_continuous(fixed_order=...)``).
     adaptive_replan: bool = False
-    #: Re-plan check cadence (executed closes between checks per query),
-    #: hysteresis threshold (estimated old/new cost ratio required to
-    #: swap) and swap cool-down (closes between swaps per query).
+    #: Re-plan check cadence (executed closes between checks per query)
+    #: and swap cool-down (closes between swaps per query); the swap
+    #: threshold is ``PlanMonitor``'s own hysteresis default.
     replan_check_closes: int = 8
-    replan_hysteresis: float = 1.5
     replan_cooldown_closes: int = 24
     cost: CostModel = field(default_factory=CostModel)
     memory: MemoryModel = field(default_factory=MemoryModel)
@@ -147,8 +145,7 @@ class WukongSEngine:
             self.transients, self.coordinator, self.schemas,
             cfg.batch_interval_ms, cfg.stream_start_ms)
         self.oneshot_engine = OneShotEngine(
-            self.cluster, self.store, self.coordinator,
-            contention_factor=cfg.oneshot_contention)
+            self.cluster, self.store, self.coordinator)
         # Imported at runtime: repro.temporal imports core modules.
         from repro.temporal import TemporalEngine
         self.temporal = TemporalEngine(
@@ -179,7 +176,6 @@ class WukongSEngine:
             self.plan_monitor = PlanMonitor(
                 self.continuous, PredicateStatistics(self.store),
                 check_every_closes=cfg.replan_check_closes,
-                hysteresis=cfg.replan_hysteresis,
                 cooldown_closes=cfg.replan_cooldown_closes)
 
         self.injection_records: List[InjectionRecord] = []

@@ -31,7 +31,7 @@ from repro.store.distributed import DistributedStore
 from repro.store.kvstore import _PRED_BITS, _PRED_MASK, _TopKSketch
 
 # The inlined fast path in ``_inject_half`` assumes a key's vid is its
-# sketch id (note_insert bumps ``key >> _PRED_BITS``).
+# sketch id (``ShardStore.insert`` bumps ``key >> _PRED_BITS``).
 assert _PRED_BITS == _VID_SHIFT
 
 
@@ -150,9 +150,9 @@ class Injector:
         groups: Dict[int, List[int]] = {}
         groups_get = groups.get
         # Pass A inlines ``make_key`` (ids come from the string server,
-        # already range-checked at allocation) and ``note_insert`` (see
-        # kvstore) — both are per-tuple calls on the hottest loop of the
-        # pipeline.
+        # already range-checked at allocation) and the per-entry planner
+        # statistics of ``ShardStore.insert`` (bucket entry count and
+        # degree-sketch bump) — this is the hottest loop of the pipeline.
         pred_entries = shard._pred_entries
         entries_get = pred_entries.get
         sketches = shard._degree_sketches

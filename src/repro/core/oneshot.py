@@ -8,9 +8,9 @@ isolation without locks, since stream insertion is append-only (§4.3).
 
 One-shot workers run on dedicated cores separate from the continuous
 engine; the small interference the paper measures between the two engines
-(Table 8, about 5%) is modelled by a configurable contention factor applied
-while continuous queries are actively registered.  Plans come from the
-engine's :class:`~repro.core.pipeline.QueryPipeline`.
+(Table 8, about 5%) is modelled by a contention factor applied while
+continuous queries are actively registered.  Plans come from the engine's
+:class:`~repro.core.pipeline.QueryPipeline`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ from repro.sparql.ast import Query
 from repro.sparql.planner import ExecutionPlan
 from repro.store.distributed import DistributedStore, PersistentAccess
 from repro.store.executor import ExecutionResult, GraphExplorer
+
+
+#: Share of its own latency a one-shot query is surcharged when it ran
+#: while continuous workers were busy on the shared store (Table 8).
+CONTENTION_FACTOR = 0.05
 
 
 @dataclass
@@ -45,12 +50,10 @@ class OneShotEngine:
     """Executes one-shot queries under snapshot isolation."""
 
     def __init__(self, cluster: Cluster, store: DistributedStore,
-                 coordinator: Coordinator,
-                 contention_factor: float = 0.05):
+                 coordinator: Coordinator):
         self.cluster = cluster
         self.store = store
         self.coordinator = coordinator
-        self.contention_factor = contention_factor
         self.explorer = GraphExplorer(cluster, store.strings)
         self._next_home = 0
         self._stats = None  # lazy: avoids a core.stats import cycle
@@ -74,16 +77,6 @@ class OneShotEngine:
         """The compiled plan for ``query``, ordered by the store's live
         selectivity statistics."""
         return self.pipeline.plan(query, stats=self._statistics())
-
-    def charge_contention(self, meter: LatencyMeter,
-                          contended: bool) -> bool:
-        """Surcharge a query that ran while continuous workers were busy
-        on the shared store by ``contention_factor`` times its latency;
-        returns whether the surcharge applied."""
-        if not contended or self.contention_factor <= 0:
-            return False
-        meter.surcharge(self.contention_factor, "contention")
-        return True
 
     def execute(self, query: Query, home_node: Optional[int] = None,
                 contended: bool = False,
@@ -133,8 +126,10 @@ class OneShotEngine:
             act.mark("plan", steps=len(plan.steps))
         result = self.explorer.execute(plan, factory, meter,
                                        home_node=home_node)
-        if self.charge_contention(meter, contended) and act is not None:
-            act.mark("contention")
+        if contended:
+            meter.surcharge(CONTENTION_FACTOR, "contention")
+            if act is not None:
+                act.mark("contention")
         if act is not None:
             act.label(rows=len(result.rows))
             act.end()

@@ -23,7 +23,6 @@ from repro.sparql.ast import Query
 from repro.sparql.parser import parse_query
 from repro.sparql.planner import ExecutionPlan, plan_order, plan_query
 from repro.store.executor import _CompiledPlan
-from repro.temporal.kernels import CompiledIntervalPlan
 
 #: Entries kept per cache (LRU).  A front end's hot catalogue must
 #: survive a stream of used-once texts in between: ~100 hot texts
@@ -31,9 +30,10 @@ from repro.temporal.kernels import CompiledIntervalPlan
 #: texts, which FIFO or a capacity near it would evict.
 CACHE_CAPACITY = 512
 
-#: What a plan-cache lookup is counted under, derived from the AST: the
-#: interval kernels' compiled form, a windowed (C-SPARQL) query, or a
-#: plain one-shot (snapshot-scoped ones included).
+#: What a plan-cache lookup is counted under, derived from the AST (a
+#: label for the counters only — every kind compiles to the same form):
+#: a query with quintuple patterns or interval FILTERs, a windowed
+#: (C-SPARQL) query, or a plain one-shot (snapshot-scoped ones included).
 PLAN_KINDS = ("oneshot", "continuous", "interval")
 
 
@@ -127,7 +127,6 @@ class QueryPipeline:
             return plan
         self.plan_misses[kind] += 1
         plan = plan_query(query, fixed_order=order)
-        plan.compiled = CompiledIntervalPlan(plan) if kind == "interval" \
-            else _CompiledPlan(plan)
+        plan.compiled = _CompiledPlan(plan)
         self.plans.put(key, plan)
         return plan

@@ -62,29 +62,16 @@ class IndexSlice:
         spans.append((owner, span))
         self._note_vertex(span.key)
 
-    def add_batch_span(self, owner: int, span: ValueSpan, eid: int,
-                       d: int, vid: int) -> None:
-        """Record one key's whole batch contribution as a single span.
+    def add_batch_spans(self, owner: int, spans: List[ValueSpan],
+                        d: int) -> None:
+        """Record each key's whole batch contribution as a single span,
+        over one injector half's spans (which all share direction
+        ``d``).
 
         The bulk injection path appends each key's values contiguously,
         so the per-entry coalescing of :meth:`add_span` has already
-        happened; the caller supplies the split key fields it knows.
-        """
-        spans = self.entries.setdefault(span.key, [])
-        if spans:
-            last_owner, last = spans[-1]
-            if last_owner == owner and last.offset + last.length == span.offset:
-                spans[-1] = (owner, ValueSpan(span.key, last.offset,
-                                              last.length + span.length))
-                return
-        spans.append((owner, span))
-        self.vertices.setdefault((eid, d), set()).add(vid)
-
-    def add_batch_spans(self, owner: int, spans: List[ValueSpan],
-                        d: int) -> None:
-        """Bulk :meth:`add_batch_span` over one injector half's spans
-        (which all share direction ``d``), deriving the split-key fields
-        from each span's packed key."""
+        happened; the split-key fields come from each span's packed
+        key."""
         entries = self.entries
         vertices = self.vertices
         group_sets: Dict[int, Set[int]] = {}

@@ -252,8 +252,8 @@ class Query:
 
     @property
     def has_intervals(self) -> bool:
-        """Whether this query runs on the interval kernels (a quintuple
-        pattern or an interval filter)."""
+        """Whether this query binds or constrains valid-time intervals
+        (a quintuple pattern or an interval filter)."""
         return bool(self.interval_filters) \
             or any(p.has_interval for p in self.patterns)
 

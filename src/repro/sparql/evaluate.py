@@ -93,6 +93,28 @@ def filter_matches(expr: FilterExpr, row: Row, name_of: NameOf,
     return left_num >= right_num
 
 
+def interval_op_holds(op: str, s1: int, e1: int, s2: int, e2: int) -> bool:
+    """Whether ``[s1, e1) op [s2, e2)`` holds (half-open semantics): the
+    verdict of a SPARQL-T interval FILTER on one row's endpoints.
+
+    ``OVERLAPS``: the intervals share at least one snapshot.
+    ``DURING``: the left interval is contained in the right.
+    ``BEFORE`` / ``AFTER``: the left ends at-or-before the right starts /
+    starts at-or-after the right ends.  ``STARTS``: equal lower endpoints.
+    """
+    if op == "OVERLAPS":
+        return s1 < e2 and s2 < e1
+    if op == "DURING":
+        return s1 >= s2 and e1 <= e2
+    if op == "BEFORE":
+        return e1 <= s2
+    if op == "AFTER":
+        return s1 >= e2
+    if op == "STARTS":
+        return s1 == s2
+    raise PlanError(f"unsupported interval operator: {op}")
+
+
 def apply_filters(rows: List[Row], filters: Sequence[FilterExpr],
                   name_of: NameOf, resolve: ResolveEntity,
                   meter=None, cost=None, strict: bool = True) -> List[Row]:

@@ -75,10 +75,9 @@ class ExecutionPlan:
     #: The pattern ordering the steps follow (a permutation of pattern
     #: indices) — the only statistics-dependent part of a plan.
     order: Tuple[int, ...]
-    #: The form the kernels run: the executor's slot layout, or the
-    #: interval kernels' FILTER schedule when the query has intervals.
-    #: Filled in by ``repro.core.pipeline``; the executor compiles a plan
-    #: handed to it bare on first use.
+    #: The form the kernels run (the executor's slot layout and FILTER
+    #: schedule).  Filled in by ``repro.core.pipeline``; the executor
+    #: compiles a plan handed to it bare on first use.
     compiled: Optional[object] = field(default=None, repr=False,
                                        compare=False)
 

@@ -185,48 +185,38 @@ class DistributedStore:
                                      max_sn=max_sn, category=category)
         return fetched
 
-    def neighbors_versions_from(self, home_node: int, vid: int, eid: int,
-                                d: int, meter: LatencyMeter,
-                                max_sn: Optional[int] = None,
-                                category: str = "store"
-                                ) -> Tuple[List[int], List[int]]:
-        """Version-carrying neighbour lookup as seen from ``home_node``.
-
-        The SPARQL-T quintuple read: returns ``(vids, sns)`` — each
-        visible neighbour paired with its insertion snapshot — with the
-        same placement pricing as :meth:`neighbors_from` (local keys pay
-        probe+scan, remote keys two remote reads).  The SN column lives
-        in the same value list, so no extra read is charged.  Bypasses
-        the adjacency-segment cache: that cache stores value prefixes
-        only, and the temporal evaluator is not on the hot one-shot path.
-        """
-        owner = vid % len(self.cluster.nodes)
-        key = (vid << _VID_SHIFT) | (eid << _EID_SHIFT) | d
-        shard = self.shards[owner]
-        if owner != home_node:
-            self.cluster.fabric.remote_read(meter, _KEY_BYTES,
-                                            category="network")
-            self.cluster.fabric.remote_read(meter, shard.value_bytes(key),
-                                            category="network")
-        return shard.lookup_versions(key, max_sn=max_sn, meter=meter,
-                                     category=category)
-
     def neighbors_versions_batch(self, home_node: int, vids: Iterable[int],
                                  eid: int, d: int, meter: LatencyMeter,
                                  max_sn: Optional[int] = None,
                                  category: str = "store"
                                  ) -> Dict[int, Tuple[List[int], List[int]]]:
-        """Batch version-carrying lookup: one
-        :meth:`neighbors_versions_from` probe per *distinct* vid, keyed
-        in first-occurrence order.  The columnar temporal kernels hand
-        whole start columns here.
+        """Version-carrying neighbour lookup as seen from ``home_node``:
+        one probe per *distinct* vid, keyed in first-occurrence order.
+
+        The SPARQL-T quintuple read, the ``(vids, sns)`` counterpart of
+        :meth:`neighbors_many`: each visible neighbour comes paired with
+        its insertion snapshot, with the same placement pricing as
+        :meth:`neighbors_from` (local keys pay probe+scan, remote keys
+        two remote reads).  The SN column lives in the same value list,
+        so no extra read is charged.  Bypasses the adjacency-segment
+        cache, which stores value prefixes only.
         """
         fetched: Dict[int, Tuple[List[int], List[int]]] = {}
-        fetch = self.neighbors_versions_from
+        num_nodes = len(self.cluster.nodes)
+        remote_read = self.cluster.fabric.remote_read
+        low_bits = (eid << _EID_SHIFT) | d
         for vid in vids:
-            if vid not in fetched:
-                fetched[vid] = fetch(home_node, vid, eid, d, meter,
-                                     max_sn=max_sn, category=category)
+            if vid in fetched:
+                continue
+            owner = vid % num_nodes
+            key = (vid << _VID_SHIFT) | low_bits
+            shard = self.shards[owner]
+            if owner != home_node:
+                remote_read(meter, _KEY_BYTES, category="network")
+                remote_read(meter, shard.value_bytes(key),
+                            category="network")
+            fetched[vid] = shard.lookup_versions(
+                key, max_sn=max_sn, meter=meter, category=category)
         return fetched
 
     def span_from(self, home_node: int, span: ValueSpan, owner: int,
@@ -325,6 +315,13 @@ class PersistentAccess:
         """Deduplicated bulk neighbour fetch (batch-kernel fast path)."""
         return self.store.neighbors_many(self.home_node, vids, eid, d,
                                          meter, max_sn=self.max_sn)
+
+    def neighbors_versions_batch(self, vids: Iterable[int], eid: int, d: int,
+                                 meter: LatencyMeter
+                                 ) -> Dict[int, Tuple[List[int], List[int]]]:
+        """Deduplicated bulk ``(vids, sns)`` fetch (quintuple steps)."""
+        return self.store.neighbors_versions_batch(
+            self.home_node, vids, eid, d, meter, max_sn=self.max_sn)
 
     def index_vertices(self, eid: int, d: int,
                        meter: LatencyMeter) -> List[int]:

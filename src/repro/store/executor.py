@@ -52,6 +52,14 @@ solution row at a time — a one-row batch through the same kernels —
 because their probe deduplication, and hence their lookup charges, are
 per row.
 
+SPARQL-T quintuple patterns (``?s p ?o [?ts, ?te)``) are steps with two
+more slots: a step that has them expands on the one version-carrying
+kernel (:meth:`GraphExplorer._expand_versions_batch`), which reads
+``(vids, sns)`` entries and binds each match's insertion snapshot and
+open end beside the other side; interval FILTERs are scheduled and
+compiled beside ordinary ones.  Which kernel runs is decided by the
+step, never by the caller.
+
 Charges: the layout only changes wall-clock speed.  Simulated charges
 are issued for a fixed *set* of events — a neighbour fetch once per
 distinct start vertex, one binding charge per produced row, one filter
@@ -77,8 +85,10 @@ from repro.errors import PlanError
 from repro.rdf.ids import DIR_IN, DIR_OUT
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
-from repro.sparql.ast import FilterExpr, TriplePattern, is_variable
-from repro.sparql.evaluate import filter_matches, filters_by_step
+from repro.sparql.ast import (FilterExpr, IntervalFilter, OPEN_END,
+                              TriplePattern, is_variable)
+from repro.sparql.evaluate import (filter_matches, filters_by_step,
+                                   interval_op_holds)
 from repro.sparql.planner import (
     BOUND_OBJECT,
     BOUND_SUBJECT,
@@ -105,6 +115,9 @@ AccessFactory = Callable[[int], AccessResolver]
 #: Estimated wire size of one binding row during migration/gather
 #: (a few 8-byte bindings plus framing).
 _ROW_BYTES = 48
+
+#: The ``(vids, sns)`` of a row no version-chain entry matches.
+_NO_ENTRIES: Tuple[Tuple[int, ...], Tuple[int, ...]] = ((), ())
 
 
 def _fetch_neighbors(access: StoreAccess, starts, eid: int, direction: int,
@@ -141,10 +154,15 @@ class ExecutionResult:
 
 
 class _CompiledStep:
-    """One planned step with its variables resolved to slot indices."""
+    """One planned step with its variables resolved to slot indices.
+
+    ``ts_slot`` / ``te_slot`` are the slots of a quintuple pattern's
+    ``[?ts, ?te)`` suffix (None on triple patterns): a step that has
+    them runs on the version-carrying kernel.
+    """
 
     __slots__ = ("kind", "pattern", "subject", "predicate", "object",
-                 "subj_slot", "obj_slot")
+                 "subj_slot", "obj_slot", "ts_slot", "te_slot")
 
     def __init__(self, step: PlannedStep, slots: Dict[str, int]):
         pattern = step.pattern
@@ -157,29 +175,28 @@ class _CompiledStep:
             if is_variable(pattern.subject) else None
         self.obj_slot = slots[pattern.object] \
             if is_variable(pattern.object) else None
+        self.ts_slot = slots.get(pattern.ts)
+        self.te_slot = slots.get(pattern.te)  # set whenever ts_slot is
 
 
 class _CompiledFilter:
-    """One FILTER expression with its operands resolved to column keys.
+    """One FILTER expression with its operands resolved to slot indices.
 
-    A column key is whatever indexes the caller's column container: a
-    slot index into the executor's ``_Batch.cols`` list, a variable name
-    into the interval kernels' by-name dict (``keys`` maps each variable
-    to its key).  Batch evaluation selects surviving row indices,
-    memoizing the (charge-free) predicate evaluation per distinct operand
-    value — the verdict of ``filter_matches`` is a pure function of the
-    operand values, so a memo hit is semantically identical to
-    re-running it.  Filter charges are issued by the caller
-    (``filter_ns`` per row per filter, whatever the verdict).
+    Batch evaluation selects surviving row indices, memoizing the
+    (charge-free) predicate evaluation per distinct operand value — the
+    verdict of ``filter_matches`` is a pure function of the operand
+    values, so a memo hit is semantically identical to re-running it.
+    Filter charges are issued by the caller (``filter_ns`` per row per
+    filter, whatever the verdict).
     """
 
-    __slots__ = ("expr", "left_key", "right_key", "interval_vars")
+    __slots__ = ("expr", "left_slot", "right_slot", "interval_vars")
 
-    def __init__(self, expr: FilterExpr, keys: Dict[str, object],
+    def __init__(self, expr: FilterExpr, slots: Dict[str, int],
                  interval_vars: Collection[str] = ()):
         self.expr = expr
-        self.left_key = keys[expr.left] if is_variable(expr.left) else None
-        self.right_key = keys[expr.right] \
+        self.left_slot = slots[expr.left] if is_variable(expr.left) else None
+        self.right_slot = slots[expr.right] \
             if is_variable(expr.right) else None
         self.interval_vars = interval_vars
 
@@ -188,8 +205,8 @@ class _CompiledFilter:
         """The sub-list of ``indices`` whose rows satisfy the filter."""
         expr = self.expr
         interval_vars = self.interval_vars
-        lcol = cols[self.left_key] if self.left_key is not None else None
-        rcol = cols[self.right_key] if self.right_key is not None else None
+        lcol = cols[self.left_slot] if self.left_slot is not None else None
+        rcol = cols[self.right_slot] if self.right_slot is not None else None
         verdicts: Dict[Tuple, bool] = {}
         out: List[int] = []
         append = out.append
@@ -210,11 +227,38 @@ class _CompiledFilter:
         return out
 
 
+class _CompiledIntervalFilter:
+    """One SPARQL-T interval FILTER over slot columns, selecting like
+    :class:`_CompiledFilter`: constant endpoints are parsed once,
+    variable endpoints read their ``?ts`` / ``?te`` columns (snapshot
+    numbers, so the name lookups go unused), and each distinct endpoint
+    quadruple runs :func:`interval_op_holds` once per batch."""
+
+    __slots__ = ("op", "endpoints")
+
+    def __init__(self, ifilter: IntervalFilter, slots: Dict[str, int]):
+        self.op = ifilter.op
+        self.endpoints: List[Tuple[Optional[int], Optional[int]]] = [
+            (slots[term], None) if is_variable(term) else (None, int(term))
+            for term in (ifilter.left_ts, ifilter.left_te,
+                         ifilter.right_ts, ifilter.right_te)]
+
+    def select(self, cols, indices: Sequence[int], name_of,
+               resolve) -> List[int]:
+        op = self.op
+        quads = list(zip(*[repeat(const, len(indices)) if slot is None
+                           else map(cols[slot].__getitem__, indices)
+                           for slot, const in self.endpoints]))
+        verdicts = {quad: interval_op_holds(op, *quad)
+                    for quad in set(quads)}
+        return list(compress(indices, map(verdicts.__getitem__, quads)))
+
+
 class _CompiledPlan:
     """Slot layout + precompiled steps/filters/sub-plans of one plan."""
 
-    __slots__ = ("slots", "nslots", "steps", "cfilters_at",
-                 "leftover_filters", "unions", "optionals",
+    __slots__ = ("slots", "nslots", "steps", "carries_versions",
+                 "cfilters_at", "leftover_filters", "unions", "optionals",
                  "project_slots", "project_getter")
 
     def __init__(self, plan: ExecutionPlan):
@@ -226,14 +270,22 @@ class _CompiledPlan:
                 self.slots[var] = len(self.slots)
         self.nslots = len(self.slots)
         self.steps = [_CompiledStep(step, self.slots) for step in plan.steps]
+        #: Whether some step is a quintuple step (reads version chains).
+        self.carries_versions = any(step.ts_slot is not None
+                                    for step in self.steps)
 
-        # FILTER schedule: each filter runs at the earliest step binding
-        # its variables; filters over OPTIONAL-only variables are left over.
-        if query.filters:
+        # FILTER schedule: each filter — ordinary, then interval — runs
+        # at the earliest step binding its variables; filters over
+        # OPTIONAL-only variables are left over.
+        if query.filters or query.interval_filters:
             filters_at, self.leftover_filters = filters_by_step(
                 query, [step.pattern for step in plan.steps])
+            interval_vars = frozenset(query.interval_variables())
             self.cfilters_at = [
-                [_CompiledFilter(expr, self.slots) for expr in step_filters]
+                [_CompiledIntervalFilter(expr, self.slots)
+                 if isinstance(expr, IntervalFilter)
+                 else _CompiledFilter(expr, self.slots, interval_vars)
+                 for expr in step_filters]
                 for step_filters in filters_at]
         else:
             self.leftover_filters = []
@@ -437,19 +489,25 @@ class GraphExplorer:
                 mode: str = "auto") -> ExecutionResult:
         """Run ``plan`` and return projected, deduplicated rows.
 
-        ``mode`` is ``"auto"`` (migrate when the fabric lacks RDMA;
-        fork-join for index starts on multi-node clusters; in-place
-        otherwise), ``"in_place"``, ``"fork_join"`` or ``"migrate"``.
+        ``mode`` is ``"auto"`` (in-place for a plan with a quintuple
+        step, whose version-chain reads are priced from the home node;
+        else migrate when the fabric lacks RDMA; fork-join for index
+        starts on multi-node clusters; in-place otherwise),
+        ``"in_place"``, ``"fork_join"`` or ``"migrate"``.
         """
-        if not plan.steps and not plan.query.unions:
+        query = plan.query
+        if not plan.steps and not query.unions:
             raise PlanError("cannot execute an empty plan")
-        if plan.query.filters and self.strings is None:
+        if (query.filters or query.interval_filters) \
+                and self.strings is None:
             raise PlanError(
                 "FILTER evaluation needs a string server; construct the "
                 "explorer with GraphExplorer(cluster, strings)")
         compiled = self._compile(plan)
         if mode == "auto":
-            if not self.cluster.fabric.use_rdma \
+            if compiled.carries_versions:
+                mode = "in_place"
+            elif not self.cluster.fabric.use_rdma \
                     and self.cluster.num_nodes > 1:
                 mode = "migrate"
             elif plan.steps and plan.steps[0].kind == INDEX_START \
@@ -795,6 +853,9 @@ class GraphExplorer:
         eid = access.resolve_predicate(cstep.predicate)
         if eid is None:
             return _Batch.empty(len(batch.cols))
+        if cstep.ts_slot is not None:
+            return self._expand_versions_batch(batch, cstep, eid, access,
+                                               meter, index_owner)
         kind = cstep.kind
         if kind == CONST_SUBJECT:
             svid = access.resolve_entity(cstep.subject)
@@ -952,6 +1013,19 @@ class GraphExplorer:
             distinct = verdict
         return _Batch(total, out_cols, distinct=distinct)
 
+    def _index_subjects(self, eid: int, access: StoreAccess,
+                        meter: LatencyMeter,
+                        index_owner: Optional[int]) -> List[int]:
+        """The start vertices of an index step: the whole predicate
+        index, or ``index_owner``'s portion of it."""
+        if index_owner is None:
+            return access.index_vertices(eid, DIR_OUT, meter)
+        local_fn = getattr(access, "index_vertices_local", None)
+        if local_fn is not None:
+            return local_fn(eid, DIR_OUT, index_owner, meter)
+        return [vid for vid in access.index_vertices(eid, DIR_OUT, meter)
+                if self.cluster.owner_of(vid) == index_owner]
+
     def _expand_index_batch(self, batch: _Batch, cstep: _CompiledStep,
                             eid: int, access: StoreAccess,
                             meter: LatencyMeter,
@@ -969,17 +1043,7 @@ class GraphExplorer:
         subj_slot = cstep.subj_slot
         obj_slot = cstep.obj_slot
         nslots = len(batch.cols)
-        if index_owner is not None:
-            local_fn = getattr(access, "index_vertices_local", None)
-            if local_fn is not None:
-                subjects = local_fn(eid, DIR_OUT, index_owner, meter)
-            else:
-                subjects = [vid
-                            for vid in access.index_vertices(eid, DIR_OUT,
-                                                             meter)
-                            if self.cluster.owner_of(vid) == index_owner]
-        else:
-            subjects = access.index_vertices(eid, DIR_OUT, meter)
+        subjects = self._index_subjects(eid, access, meter, index_owner)
         if batch.nrows != 1 or batch.cols[subj_slot] is not None \
                 or (obj_slot is not None and obj_slot != subj_slot
                     and batch.cols[obj_slot] is not None):
@@ -1088,6 +1152,104 @@ class GraphExplorer:
             else:
                 out_cols.append([column[i] for i in source])
         return _Batch(len(source), out_cols)
+
+    def _expand_versions_batch(self, batch: _Batch, cstep: _CompiledStep,
+                               eid: int, access: StoreAccess,
+                               meter: LatencyMeter,
+                               index_owner: Optional[int] = None) -> _Batch:
+        """Expand a quintuple step — any step kind — binding ``?ts`` and
+        ``?te`` beside the other side.
+
+        The start column (the constant repeated, the bound side's
+        column, or for ``INDEX_START`` the batch crossed with the index
+        subjects, subject-major) is probed once per distinct start for
+        its visible ``(vids, sns)`` entries.  Each row then takes, in
+        entry order, the entries of its start that agree with what the
+        row already fixes — the other side's constant or bound column, a
+        ``?ts`` / ``?te`` an earlier step bound — and binds the rest:
+        the other side to the entry's vid, ``?ts`` to its insertion
+        snapshot, ``?te`` to :data:`OPEN_END` (append-only store: every
+        visible entry is still live).  One aggregated binding charge;
+        the probes come before the other side's constant is resolved,
+        so an unknown constant still pays for them.
+        """
+        nslots = len(batch.cols)
+        kind = cstep.kind
+        if kind in (CONST_OBJECT, BOUND_OBJECT):
+            start_slot, start_term = cstep.obj_slot, cstep.object
+            other_slot, other_term = cstep.subj_slot, cstep.subject
+            direction = DIR_IN
+        else:
+            start_slot, start_term = cstep.subj_slot, cstep.subject
+            other_slot, other_term = cstep.obj_slot, cstep.object
+            direction = DIR_OUT
+        if kind == INDEX_START:
+            subjects = self._index_subjects(eid, access, meter, index_owner)
+            nrows = batch.nrows
+            starts = subjects if nrows == 1 else list(
+                chain.from_iterable(map(repeat, subjects, repeat(nrows))))
+            cols = [column if column is None else column * len(subjects)
+                    for column in batch.cols]
+            cols[start_slot] = starts
+            batch = _Batch(len(starts), cols)
+        elif start_slot is None:
+            anchor = access.resolve_entity(start_term)
+            if anchor is None:
+                return _Batch.empty(nslots)
+            starts = [anchor] * batch.nrows
+        else:
+            starts = batch.cols[start_slot]
+        # Only the persistent store keeps version chains; the parser
+        # admits quintuple patterns in one-shot queries alone.
+        fetched = access.neighbors_versions_batch(starts, eid, direction,
+                                                  meter)
+
+        if other_slot is None:
+            required = access.resolve_entity(other_term)
+            if required is None:
+                return _Batch.empty(nslots)
+            other_col = [required] * batch.nrows
+        elif other_slot == start_slot:
+            other_col = starts
+        else:
+            other_col = batch.cols[other_slot]
+        ts_slot, te_slot = cstep.ts_slot, cstep.te_slot
+        ts_col, te_col = batch.cols[ts_slot], batch.cols[te_slot]
+        fixed = [column is not None for column in (other_col, ts_col, te_col)]
+        if any(fixed):
+            # Group each start's entries by the values a row can fix.
+            grouped: Dict[int, Dict[Tuple, Tuple[List[int], List[int]]]] = {}
+            for start, (vids, sns) in fetched.items():
+                groups = grouped[start] = {}
+                keys = zip(*compress((vids, sns, repeat(OPEN_END)), fixed))
+                for vid, sn, key in zip(vids, sns, keys):
+                    pool = groups.get(key)
+                    if pool is None:
+                        pool = groups[key] = ([], [])
+                    pool[0].append(vid)
+                    pool[1].append(sn)
+            row_keys = zip(*compress((other_col, ts_col, te_col), fixed))
+            pools = [grouped[start].get(key, _NO_ENTRIES)
+                     for start, key in zip(starts, row_keys)]
+        else:
+            pools = list(map(fetched.__getitem__, starts))
+        counts = [len(vids) for vids, _ in pools]
+        total = sum(counts)
+        if not total:
+            return _Batch.empty(nslots)
+        meter.charge(self.cost.binding_ns, times=total, category="explore")
+        out_cols = [column if column is None else
+                    list(chain.from_iterable(map(repeat, column, counts)))
+                    for column in batch.cols]
+        if other_col is None:
+            out_cols[other_slot] = list(chain.from_iterable(
+                vids for vids, _ in pools))
+        if ts_col is None:
+            out_cols[ts_slot] = list(chain.from_iterable(
+                sns for _, sns in pools))
+        if te_col is None:
+            out_cols[te_slot] = [OPEN_END] * total
+        return _Batch(total, out_cols)
 
     def _project_batch(self, plan: ExecutionPlan, compiled: _CompiledPlan,
                        batch: _Batch,

@@ -245,67 +245,20 @@ class ShardStore:
             meter.charge(self.cost.insert_entry_ns, category="insert")
         return ValueSpan(key, offset, 1)
 
-    def note_insert(self, key: Key) -> None:
-        """Per-entry planner statistics of one insert (bucket entry count
-        and degree-sketch bump) without the value append.
-
-        The bulk injection path calls this in tuple-arrival order — the
-        sketch's eviction ties are order-sensitive, so bumps may not be
-        grouped per key — and appends the values per key afterwards via
-        :meth:`insert_column`.  ``insert`` == ``note_insert`` +
-        a one-entry ``insert_column``, charges included.
-        """
-        bucket = key & _PRED_MASK
-        self._pred_entries[bucket] = self._pred_entries.get(bucket, 0) + 1
-        sketch = self._degree_sketches.get(bucket)
-        if sketch is None:
-            sketch = self._degree_sketches[bucket] = _TopKSketch()
-        sketch.bump(key >> _PRED_BITS)
-
-    def insert_column(self, key: Key, vids: List[int], sn: int = BASE_SN,
-                      meter: Optional[LatencyMeter] = None) -> ValueSpan:
-        """Bulk-append one key's batch contribution under one snapshot.
-
-        Equivalent to ``len(vids)`` consecutive :meth:`insert` calls minus
-        the per-entry statistics (see :meth:`note_insert`): same value
-        list, same charges (``create_key_ns`` on a fresh key plus one
-        ``insert_entry_ns`` per entry), one coalesced span.
-        """
-        values = self._values.get(key)
-        if values is None:
-            values = _ValueList()
-            self._values[key] = values
-            if meter is not None:
-                meter.charge(self.cost.create_key_ns, category="insert")
-        sns = values.sns
-        if sns and sn < sns[-1]:
-            raise StoreError(
-                f"snapshot numbers must be appended in order: "
-                f"{sn} after {sns[-1]}")
-        offset = len(values.vids)
-        count = len(vids)
-        values.vids += vids
-        sns += [sn] * count
-        if sn != BASE_SN:
-            versioned = self._versioned
-            if key not in versioned:
-                versioned.add(key)
-                heappush(self._versioned_heap, (sn, key))
-        if self._adjacency:
-            self._adjacency.pop(key, None)
-        if meter is not None:
-            meter.charge(self.cost.insert_entry_ns, times=count,
-                         category="insert")
-        return ValueSpan(key, offset, count)
-
     def insert_groups(self, groups: Dict[Key, List[int]], sn: int = BASE_SN,
                       meter: Optional[LatencyMeter] = None) -> List[ValueSpan]:
-        """Bulk :meth:`insert_column` + :meth:`add_index` over one batch's
-        per-key value groups, in group order; returns the spans in the
-        same order.
+        """Bulk-append one batch's per-key value groups under one
+        snapshot and register each key with its index vertex, in group
+        order; returns one coalesced span per group in the same order.
 
-        The per-key charges collapse into two aggregated calls
-        (key/index creations, entry appends).
+        Equivalent to one :meth:`insert` + :meth:`add_index` per entry
+        minus the per-entry planner statistics (bucket entry count and
+        degree-sketch bump, which the injector applies itself in
+        tuple-arrival order — the sketch's eviction ties are
+        order-sensitive): same value lists, same charges
+        (``create_key_ns`` on a fresh key plus one ``insert_entry_ns``
+        per entry), collapsed into two aggregated calls (key/index
+        creations, entry appends).
         """
         values_dict = self._values
         values_get = values_dict.get

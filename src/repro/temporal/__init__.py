@@ -13,22 +13,26 @@ wukong-cube's tRDF/SPARQL-T dialect:
   entry's valid-time interval (insertion SN, open end), with interval
   FILTERs (OVERLAPS / DURING / BEFORE / AFTER / STARTS).
 
+Both are ordinary plans on the one execution path: the package holds
+what is temporal about running them — snapshot validation and pinning,
+traversal counters (:mod:`repro.temporal.engine`) — and the brute-force
+row oracle the whole engine is checked against
+(:mod:`repro.temporal.reference`); binding ``?ts`` / ``?te`` is the
+graph explorer's version-carrying kernel, interval relations live with
+the other FILTER semantics in :mod:`repro.sparql.evaluate`.
+
 Snapshots the version chains can no longer (or not yet) reconstruct are
 refused with typed :class:`~repro.errors.TemporalError` subclasses —
 never answered silently wrong.
 """
 
+from repro.sparql.evaluate import interval_op_holds
 from repro.temporal.engine import TemporalEngine, TemporalRecord
-from repro.temporal.evaluate import interval_op_holds
-from repro.temporal.kernels import (CompiledIntervalPlan,
-                                    evaluate_interval_batch)
 from repro.temporal.reference import dump_history, reference_rows
 
 __all__ = [
     "TemporalEngine",
     "TemporalRecord",
-    "CompiledIntervalPlan",
-    "evaluate_interval_batch",
     "interval_op_holds",
     "dump_history",
     "reference_rows",

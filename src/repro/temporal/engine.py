@@ -9,33 +9,40 @@ and unpins when done.  Unanswerable snapshots — below the GC frontier
 or above the stable SN — are refused with typed
 :class:`~repro.errors.TemporalError` subclasses, never silently wrong.
 
-Execution splits by query shape:
+Both query shapes are ordinary plans on the one execution path — the
+engine's :class:`~repro.core.pipeline.QueryPipeline` plans them, the
+one-shot engine runs them at the pinned snapshot — and differ only in
+what their steps bind:
 
 * *snapshot-only* queries (``FROM SNAPSHOT <t>``, no quintuple patterns
-  or interval FILTERs) delegate to the one-shot engine's columnar fast
-  path with the read snapshot overridden — same plans, same charges,
-  same results as a plain one-shot at that snapshot (the differential
+  or interval FILTERs) are plain one-shots with the read snapshot
+  overridden — same plans, same charges, same results (the differential
   suite proves ``FROM SNAPSHOT <latest>`` bit-identical to a plain
   one-shot);
-* *interval* queries run on the SN-carrying columnar kernels
-  (:mod:`repro.temporal.kernels`) over batched version-carrying store
-  reads; :mod:`repro.temporal.evaluate` holds the interval relations
-  they evaluate.
+* *interval* queries have quintuple steps, which the executor sends to
+  its version-carrying kernel (each matched entry also binds ``?ts`` to
+  its insertion snapshot and ``?te`` to the open end), and interval
+  FILTERs, scheduled and compiled beside ordinary ones; their plan
+  lookups are counted under the pipeline's ``interval`` kind.
 
-Both paths plan through the engine's
-:class:`~repro.core.pipeline.QueryPipeline` (one ordering pass per
-query; interval lookups are counted under its ``interval`` kind).
+Every read goes through a counting access, so version-chain traversal
+work (snapshot reads, entries scanned, deepest chain) lands in the
+:class:`TemporalRecord` and — when observability is enabled — in
+``temporal_*`` metrics under a ``temporal`` trace span, for both shapes
+alike.
 
-Both paths count version-chain traversal work (snapshot reads, entries
-scanned, deepest chain) into the :class:`TemporalRecord` and — when
-observability is enabled — into ``temporal_*`` metrics under a
-``temporal`` trace span.
+Compaction note: bounded scalarization relabels SNs at or below the GC
+frontier to the base snapshot, coarsening ``?ts`` for pre-frontier
+entries.  Queries whose interval conditions need exact pre-frontier
+history must run with scalarization disabled (or a larger
+``keep_snapshots``); the snapshot pin guarantees the frontier cannot
+move past the read snapshot *mid-query*.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.coordinator import Coordinator
 from repro.core.oneshot import OneShotEngine, OneShotRecord
@@ -45,8 +52,6 @@ from repro.sim.cost import LatencyMeter
 from repro.sparql.ast import Query
 from repro.store.distributed import DistributedStore, PersistentAccess
 from repro.store.executor import ExecutionResult
-from repro.temporal.evaluate import IntervalCounters
-from repro.temporal.kernels import evaluate_interval_batch
 
 #: Bound on retained per-execution records (oldest dropped first).
 RECORD_CAPACITY = 4096
@@ -60,23 +65,43 @@ class TemporalRecord(OneShotRecord):
     #: ``TemporalEngine.records`` copy drops the rows themselves so a
     #: retained history never holds query outputs alive).
     row_count: int = 0
-    #: Version-carrying store probes issued (snapshot reads).
+    #: Store probes issued at the pinned snapshot (snapshot reads).
     snapshot_reads: int = 0
     #: Total version-chain entries traversed across those probes.
     version_entries: int = 0
     #: Longest single version chain traversed.
     max_chain_depth: int = 0
-    #: Whether the interval kernels ran (False = snapshot-only
-    #: delegation to the one-shot path).
+    #: Whether the query had quintuple patterns or interval FILTERs
+    #: (False = snapshot-only).
     interval_path: bool = False
+
+
+class IntervalCounters:
+    """Version-chain traversal statistics of one temporal execution."""
+
+    __slots__ = ("snapshot_reads", "version_entries", "max_chain_depth")
+
+    def __init__(self) -> None:
+        #: Store probes issued (one per key read).
+        self.snapshot_reads = 0
+        #: Total version-chain entries traversed across all probes.
+        self.version_entries = 0
+        #: Longest single version chain traversed.
+        self.max_chain_depth = 0
+
+    def record(self, entries: int) -> None:
+        self.snapshot_reads += 1
+        self.version_entries += entries
+        if entries > self.max_chain_depth:
+            self.max_chain_depth = entries
 
 
 class _CountingAccess(PersistentAccess):
     """Persistent-store access that counts snapshot reads.
 
-    Wraps the exact reads the one-shot executor would issue anyway —
-    counting is wall-clock-only bookkeeping, so the delegated execution
-    stays bit-identical (rows, meter, digest) to a plain one-shot.
+    Wraps the exact reads the executor would issue anyway — counting is
+    wall-clock-only bookkeeping, so the execution stays bit-identical
+    (rows, meter, digest) to one over a plain ``PersistentAccess``.
     """
 
     def __init__(self, store: DistributedStore, counters: IntervalCounters,
@@ -97,6 +122,14 @@ class _CountingAccess(PersistentAccess):
             self._counters.record(len(visible))
         return fetched
 
+    def neighbors_versions_batch(self, vids: Iterable[int], eid: int, d: int,
+                                 meter: LatencyMeter
+                                 ) -> Dict[int, Tuple[List[int], List[int]]]:
+        fetched = super().neighbors_versions_batch(vids, eid, d, meter)
+        for visible, _ in fetched.values():
+            self._counters.record(len(visible))
+        return fetched
+
 
 class TemporalEngine:
     """Executes SPARQL-T queries under snapshot pinning."""
@@ -111,8 +144,9 @@ class TemporalEngine:
         #: Completed executions (bounded), newest last; the ablation
         #: report reads traversal statistics from here.
         self.records: List[TemporalRecord] = []
-        #: Interval executions (snapshot-only delegations are counted by
-        #: the one-shot engine's own executor counter).
+        #: Executions of queries with quintuple patterns or interval
+        #: FILTERs (every temporal execution, snapshot-only ones too,
+        #: also counts in the one-shot engine's executor counter).
         self.batch_executions = 0
         #: Observability hooks (attached by ``engine.enable_observability``).
         self.tracer = None
@@ -139,18 +173,40 @@ class TemporalEngine:
         interval_path = query.has_intervals
         counters = IntervalCounters()
 
+        def factory(node_id):
+            access = _CountingAccess(self.store, counters,
+                                     home_node=node_id, max_sn=snapshot)
+            return lambda pattern: access
+
         # Validate-and-pin before touching any chain: advance() cannot
         # move the GC frontier past the pinned SN while the read runs.
         self.coordinator.pin_snapshot(snapshot)
         try:
-            if interval_path:
-                record = self._execute_interval(query, home_node, snapshot,
-                                                contended, counters)
-            else:
-                record = self._execute_snapshot(query, home_node, snapshot,
-                                                contended, counters)
+            act = self.tracer.begin(
+                "temporal", "query", None, snapshot=snapshot,
+                path="interval" if interval_path else "snapshot",
+                home_node=home_node) if self.tracer is not None else None
+            inner = self.oneshot.execute(query, home_node=home_node,
+                                         contended=contended,
+                                         snapshot=snapshot,
+                                         access_factory=factory)
+            if act is not None:
+                act.label(rows=len(inner.result.rows),
+                          snapshot_reads=counters.snapshot_reads,
+                          version_entries=counters.version_entries,
+                          max_chain_depth=counters.max_chain_depth)
+                act.end()
         finally:
             self.coordinator.unpin_snapshot(snapshot)
+        if interval_path:
+            self.batch_executions += 1
+        record = TemporalRecord(
+            result=inner.result, meter=inner.meter, snapshot=snapshot,
+            row_count=len(inner.result.rows),
+            snapshot_reads=counters.snapshot_reads,
+            version_entries=counters.version_entries,
+            max_chain_depth=counters.max_chain_depth,
+            interval_path=interval_path)
 
         records = self.records
         if len(records) >= RECORD_CAPACITY:
@@ -168,71 +224,3 @@ class TemporalEngine:
                 record.version_entries)
             self.metrics.histogram("temporal_ns").observe(record.meter.ns)
         return record
-
-    def _execute_snapshot(self, query: Query, home_node: int, snapshot: int,
-                          contended: bool,
-                          counters: IntervalCounters) -> TemporalRecord:
-        """Snapshot-only path: the columnar one-shot engine at ``snapshot``.
-
-        The counting access factory mirrors the default factory of
-        ``OneShotEngine.execute`` exactly (same access object shape, same
-        reads, same charges) and only adds wall-clock counters.
-        """
-        def factory(node_id):
-            access = _CountingAccess(self.store, counters,
-                                     home_node=node_id, max_sn=snapshot)
-            return lambda pattern: access
-
-        act = self.tracer.begin("temporal", "query", None,
-                                snapshot=snapshot, path="snapshot",
-                                home_node=home_node) \
-            if self.tracer is not None else None
-        inner = self.oneshot.execute(query, home_node=home_node,
-                                     contended=contended, snapshot=snapshot,
-                                     access_factory=factory)
-        if act is not None:
-            act.label(rows=len(inner.result.rows),
-                      snapshot_reads=counters.snapshot_reads,
-                      version_entries=counters.version_entries)
-            act.end()
-        return TemporalRecord(
-            result=inner.result, meter=inner.meter, snapshot=snapshot,
-            row_count=len(inner.result.rows),
-            snapshot_reads=counters.snapshot_reads,
-            version_entries=counters.version_entries,
-            max_chain_depth=counters.max_chain_depth,
-            interval_path=False)
-
-    def _execute_interval(self, query: Query, home_node: int, snapshot: int,
-                          contended: bool,
-                          counters: IntervalCounters) -> TemporalRecord:
-        """Interval path: the SN-carrying columnar kernels."""
-        meter = LatencyMeter()
-        act = self.tracer.begin("temporal", "query", meter,
-                                snapshot=snapshot, path="interval",
-                                home_node=home_node,
-                                patterns=len(query.patterns)) \
-            if self.tracer is not None else None
-        meter.charge(self.cluster.cost.task_dispatch_ns, category="dispatch")
-        plan = self.oneshot.plan(query)
-        if act is not None:
-            act.mark("plan", steps=len(plan.steps))
-        self.batch_executions += 1
-        variables, rows = evaluate_interval_batch(
-            query, plan.compiled, self.store, home_node, snapshot, meter,
-            counters=counters)
-        self.oneshot.charge_contention(meter, contended)
-        if act is not None:
-            act.label(rows=len(rows),
-                      snapshot_reads=counters.snapshot_reads,
-                      version_entries=counters.version_entries,
-                      max_chain_depth=counters.max_chain_depth)
-            act.end()
-        result = ExecutionResult(variables=variables, rows=rows)
-        return TemporalRecord(
-            result=result, meter=meter, snapshot=snapshot,
-            row_count=len(rows),
-            snapshot_reads=counters.snapshot_reads,
-            version_entries=counters.version_entries,
-            max_chain_depth=counters.max_chain_depth,
-            interval_path=True)

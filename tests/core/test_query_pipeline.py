@@ -73,5 +73,10 @@ def test_plan_kinds_are_counted_apart_in_one_cache():
     assert pipeline.plan_hits == \
         {"oneshot": 0, "continuous": 0, "interval": 1}
     assert len(pipeline.plans) == 3
-    assert type(pipeline.plan(interval).compiled) is not \
-        type(pipeline.plan(oneshot).compiled)
+    # The kind is a counter label only: every kind compiles to the one
+    # compiled form, and the quintuple step shows in the step itself.
+    interval_form = pipeline.plan(interval).compiled
+    oneshot_form = pipeline.plan(oneshot).compiled
+    assert type(interval_form) is type(oneshot_form)
+    assert interval_form.steps[0].ts_slot is not None
+    assert oneshot_form.steps[0].ts_slot is None

@@ -102,7 +102,7 @@ def test_skew_inversion_triggers_replan():
     assert handle.plan_order == (1, 0)  # now starts at the light pb index
     event = handle.replans[0]
     assert event.old_order == (0, 1) and event.new_order == (1, 0)
-    assert event.estimated_improvement >= engine.config.replan_hysteresis
+    assert event.estimated_improvement >= engine.plan_monitor.hysteresis
     # The decision is stamped with the snapshot epoch it was made under.
     stats = PredicateStatistics(engine.store)
     assert 0 < event.stats_epoch <= stats.epoch()

@@ -8,11 +8,15 @@ simulated meter total, the per-category breakdown, the temporal traversal
 counters and a state digest — and ``golden_kernels.json`` records it as
 produced at the last commit where the row kernels still existed and agreed
 (``scripts/regen_goldens.py`` asserted batch == row for every case before
-writing); meters were re-recorded once, as integer picoseconds, when the
+writing); meters were re-recorded twice: as integer picoseconds, when the
 clock became exact (PR 16: every latency within float rounding of the
-frozen one, everything else identical).  Rows get a second, implementation-free anchor: every case that
-is a plain one-shot, ``FROM SNAPSHOT`` or interval query is checked against
-the brute-force oracle (:mod:`repro.temporal.reference`) as it runs.
+frozen one, everything else identical), and on the ``temporal/*`` cases
+when the interval kernels were folded into the executor's (PR 18: a
+``project`` charge of ``binding`` price per distinct projected row,
+everything else identical).  Rows get a second, implementation-free
+anchor: every case that is a plain one-shot, ``FROM SNAPSHOT`` or interval
+query is checked against the brute-force oracle
+(:mod:`repro.temporal.reference`) as it runs.
 
 The test files call ``assert_frozen(<family>(...), <prefix>)``;
 ``compute_facts`` is the union the regen script writes and drift-checks.
@@ -615,7 +619,7 @@ def run_interval_queries(engine, queries, prefix: str,
         assert_matches_oracle(text, record.result, engine.strings, history,
                               record.snapshot)
         yield prefix + name, temporal_facts(record)
-    # The interval kernels actually ran, once per query.
+    # Each query was counted as an interval execution.
     assert engine.temporal.batch_executions == ran + len(queries)
     assert engine_sha(engine) == before
     yield prefix + "state", {"state_sha": before}

@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import PlanError
 from repro.sparql.ast import OPEN_END
-from repro.temporal.evaluate import interval_op_holds
+from repro.sparql.evaluate import interval_op_holds
 
 from store.kernel_cases import (BOUNDARY_QUERIES, as_json, frozen,
                                 temporal_boundary_cases)
