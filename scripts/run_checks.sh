@@ -18,8 +18,13 @@
 # the second family of expansion kernels (the temporal package's
 # interval kernels and their compiled-plan class; a quintuple step is
 # an executor step) with the two EngineConfig fields nothing set
-# (one-shot contention, re-plan hysteresis) have not come back.  A test
-# marked both serving and chaos runs in the chaos stage only.
+# (one-shot contention, re-plan hysteresis), and the per-entry store
+# writes and span-walking window reads (every write is one
+# arrival-ordered column through ShardStore.append_column /
+# DistributedStore.insert_triples, every window read a ColumnarSlice;
+# the injector imports no private name from the store) have not come
+# back.  A test marked both serving and chaos runs in the chaos stage
+# only.
 #
 # The obs stage exports a Chrome trace from a quick traced LSBench run
 # and validates it (schema, lossless round trip, and per-activity
@@ -68,7 +73,7 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts \
         benchmarks/bench_wallclock.py; then exit 1; fi
@@ -85,6 +90,11 @@ if grep -rn 'AdjacencyBudge[t]\|adjacency_weighte[d]\|adjacency_polic[y]\|adjace
         src scripts benchmarks/bench_wallclock.py; then exit 1; fi
 if grep -rn 'CompiledIntervalPla[n]\|evaluate_interval_batc[h]\|_extend_share[d]\|temporal\.kernel[s]\|oneshot_contentio[n]\|replan_hysteresi[s]' \
         src scripts benchmarks/bench_wallclock.py; then exit 1; fi
+# (`lookup_span[s]\>` is the plural only: `ShardStore.lookup_span` stays.)
+if grep -rn 'insert_encode[d]\|insert_out_edg[e]\|insert_in_edg[e]\|\.add_inde[x](\|\.add_spa[n](\|_note_verte[x]\|lookup_span[s]\>\|_merge_span[s]\|span_fro[m]\|_timeless_neighbor[s]' \
+        src scripts benchmarks/bench_wallclock.py; then exit 1; fi
+if grep -n 'repro\.store\.kvstore import.*\<_' src/repro/core/injector.py; \
+        then exit 1; fi
 
 echo "== obs (trace export + critical-path exactness) =="
 PYTHONPATH=src python scripts/check_trace.py

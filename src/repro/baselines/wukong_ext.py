@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.rdf.ids import DIR_IN, DIR_OUT, Key, make_key
+from repro.rdf.ids import Key, make_key
 from repro.rdf.string_server import StringServer
 from repro.rdf.terms import Triple
 from repro.sim.cluster import Cluster
@@ -83,25 +83,23 @@ class WukongExtEngine:
 
     # -- data ------------------------------------------------------------
     def load_static(self, triples: Iterable[Triple]) -> int:
-        count = 0
-        for triple in triples:
-            enc = self.strings.encode_triple(triple)
-            spans = self.store.insert_encoded(enc)
-            for span in spans.values():
-                self.timestamps.setdefault(span.key, []).append(0)
-            count += 1
-        return count
+        keys = self.store.insert_triples(
+            map(self.strings.encode_triple, triples))
+        for key in keys:
+            self.timestamps.setdefault(key, []).append(0)
+        return len(keys) // 2
 
     def ingest(self, batch: StreamBatch,
                meter: Optional[LatencyMeter] = None) -> None:
         """Absorb every tuple (timing and timeless) with inline timestamps."""
-        for tup in batch.tuples:
-            enc = self.strings.encode_tuple(tup)
-            spans = self.store.insert_encoded(enc.triple, meter=meter)
-            for span in spans.values():
-                self.timestamps.setdefault(span.key, []).append(
-                    enc.timestamp_ms)
-            self.stream_entries += 2  # out + in halves
+        encoded = list(map(self.strings.encode_tuple, batch.tuples))
+        keys = self.store.insert_triples(
+            [enc.triple for enc in encoded], meter=meter)
+        # Two entries per tuple (out half, then in half), both stamped.
+        for index, key in enumerate(keys):
+            self.timestamps.setdefault(key, []).append(
+                encoded[index // 2].timestamp_ms)
+        self.stream_entries += len(keys)
 
     # -- execution ------------------------------------------------------------
     def execute_continuous(self, query: Query, close_ms: int,

@@ -3,7 +3,7 @@
 A continuous query mixes patterns over stream windows with patterns over
 stored data.  The executor stays source-agnostic: registration builds one
 :class:`WindowAccess` per consumed stream (dispatching timeless predicates
-to the stream index + persistent store and timing predicates to the
+to the stream's columnar window view and timing predicates to the
 transient store) and a snapshot-bounded
 :class:`~repro.store.distributed.PersistentAccess` for stored patterns.
 """
@@ -16,36 +16,15 @@ from typing import Dict, Iterable, List, Optional
 from repro.core.stream_index import (_EMPTY_SET, _MISSING, ColumnarSlice,
                                      StreamIndexRegistry)
 from repro.core.transient import TransientStore
-from repro.rdf.ids import (DIR_IN, DIR_OUT, _EID_SHIFT, _VID_SHIFT,
-                           make_key)
+from repro.rdf.ids import _EID_SHIFT, _VID_SHIFT
 from repro.rdf.string_server import StringServer
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.store.distributed import DistributedStore
-from repro.store.kvstore import ValueSpan
 from repro.streams.stream import StreamSchema
 
 #: Approximate wire size of one remote index/transient probe result.
 _PROBE_BYTES = 64
-
-
-def _merge_spans(spans):
-    """Coalesce contiguous same-owner spans of the same key.
-
-    The injector appends batch data to each key's value list in batch
-    order, so spans from consecutive window batches line up end-to-start.
-    """
-    merged = []
-    for owner, span in spans:
-        if merged:
-            last_owner, last = merged[-1]
-            if (last_owner == owner and last.key == span.key
-                    and last.offset + last.length == span.offset):
-                merged[-1] = (owner, ValueSpan(span.key, last.offset,
-                                               last.length + span.length))
-                continue
-        merged.append((owner, span))
-    return merged
 
 
 class WindowAccess:
@@ -56,20 +35,20 @@ class WindowAccess:
     stream_schema:
         Classifies predicates into timing (transient store) and timeless
         (stream index into the persistent store).
-    first_batch / last_batch:
-        Inclusive batch range of the window being read.
+    view:
+        The stream's :class:`~repro.core.stream_index.ColumnarSlice`,
+        already advanced to the window's inclusive batch range (which
+        timing reads take from it too).  Timeless reads serve its flat columns and are charged from its probe
+        count and cached span geometry: per probed key one
+        ``index_probe_ns`` per live slice in the range, one remote read
+        per merged span held off ``home_node``, one ``scan_entry_ns``
+        per value.  The view is shared by the accesses of every branch
+        node (charges depend only on ``home_node``, which each access
+        applies itself).
     transients:
         Per-node transient stores of this stream.
     home_node:
         The node executing the query (prices remote accesses).
-    columnar:
-        Optional :class:`~repro.core.stream_index.ColumnarSlice` already
-        advanced to ``[first_batch, last_batch]``.  When present, timeless
-        reads serve flat columns from the view and charge what the row
-        path charges, computed from its cached geometry — no per-row
-        span walk.  The view is shared by the accesses of every branch
-        node (charges depend only on ``home_node``, which each access
-        applies itself).
     wall_stats:
         Optional dict accumulating wall-clock seconds under
         ``"index_read"`` (bench phase instrumentation).
@@ -79,9 +58,7 @@ class WindowAccess:
                  strings: StringServer, registry: StreamIndexRegistry,
                  stream_schema: StreamSchema,
                  transients: List[TransientStore],
-                 first_batch: int, last_batch: int, home_node: int = 0,
-                 force_local_index: bool = False,
-                 columnar: Optional[ColumnarSlice] = None,
+                 view: ColumnarSlice, home_node: int = 0, force_local_index: bool = False,
                  wall_stats: Optional[dict] = None):
         self.cluster = cluster
         self.store = store
@@ -89,10 +66,10 @@ class WindowAccess:
         self.registry = registry
         self.schema = stream_schema
         self.transients = transients
-        self.first_batch = first_batch
-        self.last_batch = last_batch
+        self.first_batch = view.first_batch
+        self.last_batch = view.last_batch
         self.home_node = home_node
-        self.columnar = columnar
+        self.view = view
         self.wall_stats = wall_stats
         self._cost = registry.index(stream_schema.name).cost
         # Registered queries have the index replicated to their node;
@@ -102,7 +79,7 @@ class WindowAccess:
         #: eid -> is-timing memo (the schema and string table never remap
         #: an encoded predicate, so the classification is stable).
         self._timing_eids: Dict[int, bool] = {}
-        #: ``(fetched, {start: column})`` of the latest columnar
+        #: ``(fetched, {start: column})`` of the latest timeless
         #: :meth:`neighbors_many`, letting the charge-free follow-up hooks
         #: serve their sets/verdicts from the columns already in hand
         #: instead of re-probing the view.  Matched by identity on the
@@ -125,20 +102,17 @@ class WindowAccess:
 
     def neighbors(self, vid: int, eid: int, d: int,
                   meter: LatencyMeter) -> List[int]:
-        if self._is_timing(eid):
-            return self._timing_neighbors(vid, eid, d, meter)
-        if self.columnar is not None:
-            return self._timeless_neighbors_columnar(vid, eid, d, meter)
-        return self._timeless_neighbors(vid, eid, d, meter)
+        return self.neighbors_many((vid,), eid, d, meter)[vid]
 
     def neighbors_many(self, starts: Iterable[int], eid: int, d: int,
                        meter: LatencyMeter) -> Dict[int, List[int]]:
         """Neighbour lists for every distinct start, keyed by start.
 
-        One probe per distinct start — the charges of calling
-        :meth:`neighbors` per distinct start; the columnar path issues
-        the probe and scan charges of all starts as two aggregated
-        calls.
+        One probe per distinct start.  A timing predicate reads each
+        start from its owner's transient store; a timeless one serves
+        the view's window columns (see the class docstring for what is
+        charged), with the probe and scan charges of all starts issued
+        as two aggregated calls.
         """
         fetched: Dict[int, List[int]] = {}
         if self._is_timing(eid):
@@ -147,13 +121,7 @@ class WindowAccess:
                     fetched[start] = self._timing_neighbors(start, eid, d,
                                                             meter)
             return fetched
-        view = self.columnar
-        if view is None:
-            for start in starts:
-                if start not in fetched:
-                    fetched[start] = self._timeless_neighbors(start, eid,
-                                                              d, meter)
-            return fetched
+        view = self.view
         wall = self.wall_stats
         started = time.perf_counter() if wall is not None else 0.0
         cost = self._cost
@@ -206,11 +174,11 @@ class WindowAccess:
     def neighbor_sets(self, starts: Iterable[int], eid: int,
                       d: int) -> Optional[Dict[int, set]]:
         """Memoized per-start membership sets for the starts' neighbour
-        lists, or None when there is no columnar view to remember them
-        (the caller then builds its own sets).  Charge-free: the row
-        path's membership filter is executor bookkeeping."""
-        view = self.columnar
-        if view is None or self._is_timing(eid):
+        lists, or None for a timing predicate, which has no window
+        column to remember them on (the caller then builds its own
+        sets).  Charge-free: the membership filter is executor
+        bookkeeping."""
+        if self._is_timing(eid):
             return None
         last = self._last_fetch
         if last is not None and last[0] is starts:
@@ -218,16 +186,15 @@ class WindowAccess:
             for start, col in last[1].items():
                 sets[start] = _EMPTY_SET if col is None else col.value_set()
             return sets
-        return view.column_sets(starts, eid, d)
+        return self.view.column_sets(starts, eid, d)
 
     def distinct_neighbors(self, starts: Iterable[int], eid: int,
                            d: int) -> Optional[bool]:
         """Memoized duplicate-free verdict for the starts' neighbour
-        lists, or None when there is no columnar view to remember it
-        (the caller then re-derives the verdict itself).  Charge-free:
-        the row path's distinct check is executor bookkeeping."""
-        view = self.columnar
-        if view is None or self._is_timing(eid):
+        lists, or None for a timing predicate (the caller then derives
+        the verdict itself).  Charge-free: the distinct check is
+        executor bookkeeping."""
+        if self._is_timing(eid):
             return None
         last = self._last_fetch
         if last is not None and last[0] is starts:
@@ -235,7 +202,7 @@ class WindowAccess:
                 if col is not None and not col.is_distinct():
                     return False
             return True
-        return view.columns_distinct(starts, eid, d)
+        return self.view.columns_distinct(starts, eid, d)
 
     def index_vertices(self, eid: int, d: int,
                        meter: LatencyMeter) -> List[int]:
@@ -254,12 +221,9 @@ class WindowAccess:
                         out.append(vertex)
             return out
         self._charge_index_locality(meter)
-        if self.columnar is not None:
-            out, scanned = self.columnar.vertices(eid, d)
-            self._charge_vertices(meter, scanned)
-            return list(out)  # callers own their copy, as on the row path
-        return self.registry.index(self.schema.name).vertices(
-            eid, d, self.first_batch, self.last_batch, meter=meter)
+        out, scanned = self.view.vertices(eid, d)
+        self._charge_vertices(meter, scanned)
+        return list(out)  # the cached column is shared; callers own a copy
 
     def index_vertices_local(self, eid: int, d: int, node_id: int,
                              meter: LatencyMeter) -> List[int]:
@@ -271,18 +235,15 @@ class WindowAccess:
         if self._is_timing(eid):
             return self.transients[node_id].vertices(
                 eid, d, self.first_batch, self.last_batch, meter=meter)
-        if self.columnar is not None:
-            vertices, scanned = self.columnar.vertices(eid, d)
-            self._charge_vertices(meter, scanned)
-        else:
-            vertices = self.registry.index(self.schema.name).vertices(
-                eid, d, self.first_batch, self.last_batch, meter=meter)
+        vertices, scanned = self.view.vertices(eid, d)
+        self._charge_vertices(meter, scanned)
         owner_of = self.cluster.owner_of
         return [vid for vid in vertices if owner_of(vid) == node_id]
 
     def _charge_vertices(self, meter: LatencyMeter, scanned: int) -> None:
-        """``StreamIndex.vertices``'s charges for a cached column."""
-        probes = self.columnar.probes
+        """Charge one start-column read: a probe per live slice in the
+        range plus a scan of every member those slices list."""
+        probes = self.view.probes
         if probes:
             meter.charge(self._cost.index_probe_ns, times=probes,
                          category="store")
@@ -290,57 +251,6 @@ class WindowAccess:
                          category="store")
 
     # -- paths -----------------------------------------------------------------
-    def _timeless_neighbors(self, vid: int, eid: int, d: int,
-                            meter: LatencyMeter) -> List[int]:
-        """Stream-index fast path: span lookups, then direct value reads.
-
-        Spans of one key from consecutive batches are contiguous in the
-        key's value list (injection appends in batch order), so the whole
-        window usually collapses to a single fat pointer — one RDMA read
-        per key, the paper's §5 claim.
-        """
-        self._charge_index_locality(meter)
-        index = self.registry.index(self.schema.name)
-        spans = index.lookup_spans(make_key(vid, eid, d), self.first_batch,
-                                   self.last_batch, meter=meter)
-        found: List[int] = []
-        for owner, span in _merge_spans(spans):
-            found.extend(self.store.span_from(self.home_node, span, owner,
-                                              meter))
-        return found
-
-    def _timeless_neighbors_columnar(self, vid: int, eid: int, d: int,
-                                     meter: LatencyMeter) -> List[int]:
-        """Columnar fast path: serve the cached window column, charging
-        what the row path charges from its merged-span geometry
-        (locality read, probes, one remote read + scan per span)."""
-        wall = self.wall_stats
-        started = time.perf_counter() if wall is not None else 0.0
-        self._charge_index_locality(meter)
-        view = self.columnar
-        cost = self._cost
-        probes = view.probes
-        if probes:
-            meter.charge(cost.index_probe_ns, times=probes,
-                         category="store")
-        col = view.key_column(make_key(vid, eid, d))
-        if col is None:
-            found: List[int] = []
-        else:
-            home = self.home_node
-            fabric = self.cluster.fabric
-            for owner, span in col.merged:
-                if owner != home:
-                    fabric.remote_read(meter, 16 + 8 * span.length,
-                                       category="network")
-                meter.charge(cost.scan_entry_ns, times=span.length,
-                             category="store")
-            found = col.values
-        if wall is not None:
-            wall["index_read"] = wall.get("index_read", 0.0) \
-                + (time.perf_counter() - started)
-        return found
-
     def _timing_neighbors(self, vid: int, eid: int, d: int,
                           meter: LatencyMeter) -> List[int]:
         """Transient-store path: the data lives on the vertex's owner node."""

@@ -255,15 +255,9 @@ def recover_node(engine: "WukongSEngine", node_id: int) -> RecoveryReport:
     cost = manager.cost
 
     # 1. Reload the node's halves of the initially stored data.
-    halves = 0
-    for triple in engine._initial_triples:
-        enc = engine.strings.encode_triple(triple)
-        if cluster.owner_of(enc.s) == node_id:
-            engine.store.insert_out_edge(enc)
-            halves += 1
-        if cluster.owner_of(enc.o) == node_id:
-            engine.store.insert_in_edge(enc)
-            halves += 1
+    halves = len(engine.store.insert_triples(
+        map(engine.strings.encode_triple, engine._initial_triples),
+        node=node_id))
     report.reloaded_triples = halves
     meter.charge(cost.insert_entry_ns, times=halves, category="recovery")
 

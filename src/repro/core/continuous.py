@@ -365,7 +365,7 @@ class ContinuousEngine:
             if resolver is not None:
                 return resolver
             window_access: Dict[str, WindowAccess] = {}
-            for stream, (first, last) in ranges.items():
+            for stream, view in views.items():
                 # The home node relies on the replica its registration
                 # created (§4.2); branches at other nodes receive
                 # on-demand replicas for the distributed modes.
@@ -373,10 +373,9 @@ class ContinuousEngine:
                     cluster=self.cluster, store=self.store,
                     strings=self.strings, registry=self.registry,
                     stream_schema=self.schemas[stream],
-                    transients=self.transients[stream], first_batch=first,
-                    last_batch=last, home_node=node_id,
+                    transients=self.transients[stream], view=view,
+                    home_node=node_id,
                     force_local_index=(node_id != registered.home_node),
-                    columnar=views[stream],
                     wall_stats=self.wall_stats)
             stored_access = PersistentAccess(
                 self.store, home_node=node_id, max_sn=stable_sn)

@@ -26,9 +26,10 @@ from repro.core.gc import GarbageCollector
 from repro.core.injector import Injector
 from repro.core.oneshot import OneShotEngine, OneShotRecord
 from repro.core.pipeline import QueryPipeline
-from repro.core.stream_index import IndexSlice, StreamIndexRegistry
+from repro.core.stream_index import (ColumnarSlice, IndexSlice,
+                                     StreamIndexRegistry)
 from repro.core.transient import TransientStore
-from repro.errors import StreamError
+from repro.errors import StoreError, StreamError
 from repro.rdf.string_server import StringServer
 from repro.rdf.terms import Triple
 from repro.sim.clock import VirtualClock
@@ -265,14 +266,21 @@ class WukongSEngine:
     # -- loading ---------------------------------------------------------------
     def load_static(self, triples: Iterable[Triple]) -> int:
         """Bulk-load the initially stored data (kept for recovery)."""
-        count = 0
-        for triple in triples:
-            self._initial_triples.append(triple)
-            self.store.insert_encoded(self.strings.encode_triple(triple))
-            count += 1
-        return count
+        triples = list(triples)
+        self._initial_triples += triples
+        return self.store.load(triples)
 
     # -- queries -----------------------------------------------------------------
+    def _check_home_node(self, home_node: Optional[int]) -> None:
+        """Refuse a home node the cluster does not have (its charges
+        would be priced from, and its index replica placed on, a node
+        that does not exist)."""
+        if home_node is not None \
+                and not 0 <= home_node < self.config.num_nodes:
+            raise StoreError(
+                f"no such home node: {home_node} (the cluster has nodes "
+                f"0..{self.config.num_nodes - 1})")
+
     def register_continuous(self, query: Union[str, Query],
                             home_node: Optional[int] = None,
                             name: Optional[str] = None,
@@ -286,6 +294,7 @@ class WukongSEngine:
         ordering, exempting the query from adaptive re-planning (golden
         workloads pin their orders; see ``repro.core.replan``).
         """
+        self._check_home_node(home_node)
         parsed = self.pipeline.parse(query) if isinstance(query, str) \
             else query
         return self.continuous.register(parsed, self.clock.now_ms,
@@ -295,6 +304,7 @@ class WukongSEngine:
     def oneshot(self, query: Union[str, Query],
                 home_node: Optional[int] = None) -> OneShotRecord:
         """Execute a one-shot SPARQL query at the stable snapshot."""
+        self._check_home_node(home_node)
         parsed = self.pipeline.parse(query) if isinstance(query, str) \
             else query
         contended = bool(self.continuous.queries)
@@ -321,8 +331,8 @@ class WukongSEngine:
         """
         from repro.core.access import WindowAccess
         from repro.store.distributed import PersistentAccess
-        from repro.errors import StoreError
 
+        self._check_home_node(home_node)
         parsed = self.pipeline.parse(query) if isinstance(query, str) \
             else query
         if not parsed.windows:
@@ -348,13 +358,15 @@ class WukongSEngine:
                     f"time scope [{start_ms}, {end_ms}) of stream "
                     f"{stream} was garbage-collected (batches below "
                     f"#{index.collected_before} are gone)")
+            # A one-off view over the scope's batches: the same read
+            # path (and charges) as a window close, nothing cached.
             window_access[stream] = WindowAccess(
                 cluster=self.cluster, store=self.store,
                 strings=self.strings, registry=self.registry,
                 stream_schema=self.schemas[stream],
-                transients=self.transients[stream], first_batch=first,
-                last_batch=last, home_node=home_node,
-                force_local_index=True)
+                transients=self.transients[stream],
+                view=ColumnarSlice(index, self.store).advance(first, last),
+                home_node=home_node, force_local_index=True)
         stored = PersistentAccess(self.store, home_node=home_node,
                                   max_sn=self.coordinator.stable_sn)
 
@@ -365,11 +377,27 @@ class WukongSEngine:
             return resolver
 
         meter = LatencyMeter()
+        act = self.tracer.begin("oneshot", "query", meter,
+                                snapshot=self.coordinator.stable_sn,
+                                home_node=home_node,
+                                patterns=len(parsed.patterns),
+                                scope=[start_ms, end_ms]) \
+            if self.tracer is not None else None
         meter.charge(cfg.cost.task_dispatch_ns, category="dispatch")
+        if act is not None:
+            act.mark("dispatch")
         # Planned without statistics: its charges follow the purely
         # positional order.
+        plan = self.pipeline.plan(parsed)
+        if act is not None:
+            act.mark("plan", steps=len(plan.steps))
         result = self.oneshot_engine.explorer.execute(
-            self.pipeline.plan(parsed), factory, meter, home_node=home_node)
+            plan, factory, meter, home_node=home_node)
+        if act is not None:
+            act.label(rows=len(result.rows))
+            act.end()
+        if self.metrics is not None:
+            self.metrics.histogram("oneshot_ns").observe(meter.ns)
         return OneShotRecord(result=result, meter=meter,
                              snapshot=self.coordinator.stable_sn)
 

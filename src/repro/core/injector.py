@@ -3,8 +3,10 @@
 One injector per node inserts the node-local halves of each batch:
 
 * timeless tuples go to the persistent store under the batch's snapshot
-  number, and every inserted span is collected into the batch's stream-
-  index slice (the index is built *along with* injection, §4.2);
+  number — one arrival-ordered ``(keys, values)`` column per half and
+  thread, written with ``ShardStore.append_column`` — and the spans that
+  write returns become the batch's stream-index slice (the index is
+  built *along with* injection, §4.2);
 * timing tuples go to the stream's transient store on this node;
 * finally the node's Local_VTS advances, making the batch eligible to
   become visible once all nodes have done the same.
@@ -28,11 +30,6 @@ from repro.rdf.ids import DIR_IN, DIR_OUT, _EID_SHIFT, _VID_SHIFT
 from repro.rdf.terms import EncodedTuple
 from repro.sim.cost import LatencyMeter
 from repro.store.distributed import DistributedStore
-from repro.store.kvstore import _PRED_BITS, _PRED_MASK, _TopKSketch
-
-# The inlined fast path in ``_inject_half`` assumes a key's vid is its
-# sketch id (``ShardStore.insert`` bumps ``key >> _PRED_BITS``).
-assert _PRED_BITS == _VID_SHIFT
 
 
 class Injector:
@@ -129,55 +126,25 @@ class Injector:
                      by_subject: bool, sn: int,
                      index_slice: Optional[IndexSlice],
                      meter: Optional[LatencyMeter]) -> None:
-        """Insert one half (out- or in-edges) of one thread's partition.
+        """Insert one half (out- or in-edges) of one thread's partition:
+        build the half's key and value columns in arrival order, write
+        them to the shard in one call, and hand the spans it returns
+        (one per distinct key, already covering the key's whole batch
+        contribution) to the stream-index slice.
 
-        Two passes over the part, together equivalent to per-tuple
-        ``insert_out_edge``/``insert_in_edge`` + ``add_span`` calls:
-
-        * Pass A walks tuples in arrival order, grouping each key's
-          values (a key's value list receives only its own tuples, so
-          grouping never reorders any list) while bumping the per-entry
-          degree sketches, whose eviction ties are order-sensitive.
-        * Pass B bulk-appends the groups (``insert_groups``: value
-          append + index registration per key) and registers the
-          pre-coalesced spans with the stream-index slice, in
-          first-occurrence key order — exactly the order keys first
-          appeared in the per-entry path.
+        ``make_key`` is inlined — ids come from the string server,
+        range-checked at allocation, and this is the hottest loop of
+        the pipeline.
         """
         if not part:
             return
         d = DIR_OUT if by_subject else DIR_IN
-        groups: Dict[int, List[int]] = {}
-        groups_get = groups.get
-        # Pass A inlines ``make_key`` (ids come from the string server,
-        # already range-checked at allocation) and the per-entry planner
-        # statistics of ``ShardStore.insert`` (bucket entry count and
-        # degree-sketch bump) — this is the hottest loop of the pipeline.
-        pred_entries = shard._pred_entries
-        entries_get = pred_entries.get
-        sketches = shard._degree_sketches
-        sketches_get = sketches.get
-        for encoded in part:
-            triple = encoded.triple
-            if by_subject:
-                vid = triple.s
-                value = triple.o
-            else:
-                vid = triple.o
-                value = triple.s
-            key = (vid << _VID_SHIFT) | (triple.p << _EID_SHIFT) | d
-            vals = groups_get(key)
-            if vals is None:
-                groups[key] = [value]
-            else:
-                vals.append(value)
-            bucket = key & _PRED_MASK
-            pred_entries[bucket] = entries_get(bucket, 0) + 1
-            sketch = sketches_get(bucket)
-            if sketch is None:
-                sketch = sketches[bucket] = _TopKSketch()
-            sketch.bump(vid)
-        spans = shard.insert_groups(groups, sn=sn, meter=meter)
+        vertex, other = (0, 2) if by_subject else (2, 0)
+        triples = [encoded.triple for encoded in part]
+        keys = [(triple[vertex] << _VID_SHIFT) | (triple[1] << _EID_SHIFT) | d
+                for triple in triples]
+        values = [triple[other] for triple in triples]
+        spans = shard.append_column(keys, values, sn=sn, meter=meter)
         if index_slice is not None:
             index_slice.add_batch_spans(self.node_id, spans, d)
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.coordinator import Coordinator
+from repro.errors import PlanError
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.sparql.ast import Query
@@ -93,7 +94,7 @@ class OneShotEngine:
         without touching this hot path.
         """
         if query.is_continuous:
-            raise ValueError(
+            raise PlanError(
                 "continuous queries must be registered, not run one-shot")
         if home_node is None:
             home_node = self._next_home % self.cluster.num_nodes

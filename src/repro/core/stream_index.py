@@ -29,13 +29,32 @@ from operator import itemgetter
 from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import StoreError, StreamError
-from repro.rdf.ids import (MAX_EID, _EID_SHIFT, _VID_SHIFT, Key, make_key,
-                           split_key)
+from repro.rdf.ids import MAX_EID, _EID_SHIFT, _VID_SHIFT, Key
 from repro.sim.cost import CostModel, LatencyMeter, MemoryModel
 from repro.store.kvstore import ValueSpan
 
 #: One index entry: the span plus the node whose shard holds it.
 OwnedSpan = Tuple[int, ValueSpan]
+
+
+def _append_coalesced(spans: List[OwnedSpan], owner: int,
+                      span: ValueSpan) -> None:
+    """Add ``(owner, span)`` to one key's span list.
+
+    The coalescing rule, stated once: a span that the same owner holds
+    and that starts exactly where the list's last span ends extends that
+    last span; anything else (another owner, an offset gap) starts a new
+    one.  Writes append each key's entries contiguously and batches
+    arrive in order, so one key's spans from consecutive batches usually
+    collapse to a single fat pointer — one RDMA read per key, §5.
+    """
+    if spans:
+        last_owner, last = spans[-1]
+        if last_owner == owner and last.offset + last.length == span.offset:
+            spans[-1] = (owner, ValueSpan(span.key, last.offset,
+                                          last.length + span.length))
+            return
+    spans.append((owner, span))
 
 
 class IndexSlice:
@@ -49,56 +68,28 @@ class IndexSlice:
         #: (eid, d) -> vertices that gained an (eid, d) edge in this batch.
         self.vertices: Dict[Tuple[int, int], Set[int]] = {}
 
-    def add_span(self, owner: int, span: ValueSpan) -> None:
-        """Record one inserted span, coalescing contiguous appends."""
-        spans = self.entries.setdefault(span.key, [])
-        if spans:
-            last_owner, last = spans[-1]
-            if last_owner == owner and last.offset + last.length == span.offset:
-                spans[-1] = (owner, ValueSpan(span.key, last.offset,
-                                              last.length + span.length))
-                self._note_vertex(span.key)
-                return
-        spans.append((owner, span))
-        self._note_vertex(span.key)
-
     def add_batch_spans(self, owner: int, spans: List[ValueSpan],
                         d: int) -> None:
-        """Record each key's whole batch contribution as a single span,
-        over one injector half's spans (which all share direction
-        ``d``).
-
-        The bulk injection path appends each key's values contiguously,
-        so the per-entry coalescing of :meth:`add_span` has already
-        happened; the split-key fields come from each span's packed
-        key."""
+        """Record the spans one column write returned (one per key, all
+        of direction ``d``) as held by ``owner``, and note each key's
+        vertex under its ``(eid, d)`` group.  A key the slice already
+        knows has its span coalesced onto the known ones."""
         entries = self.entries
         vertices = self.vertices
         group_sets: Dict[int, Set[int]] = {}
         for span in spans:
             key = span.key
             known = entries.get(key)
-            if known is None:
-                entries[key] = [(owner, span)]
-            else:
-                last_owner, last = known[-1]
-                if (last_owner == owner
-                        and last.offset + last.length == span.offset):
-                    known[-1] = (owner,
-                                 ValueSpan(key, last.offset,
-                                           last.length + span.length))
-                    continue
-                known.append((owner, span))
+            if known is not None:
+                _append_coalesced(known, owner, span)
+                continue
+            entries[key] = [(owner, span)]
             eid = (key >> _EID_SHIFT) & MAX_EID
             members = group_sets.get(eid)
             if members is None:
                 members = group_sets[eid] = \
                     vertices.setdefault((eid, d), set())
             members.add(key >> _VID_SHIFT)
-
-    def _note_vertex(self, key: Key) -> None:
-        vid, eid, d = split_key(key)
-        self.vertices.setdefault((eid, d), set()).add(vid)
 
     @property
     def num_entries(self) -> int:
@@ -122,13 +113,14 @@ class StreamIndex:
 
     Next to the time-ordered slice deque, the index keeps *skip postings*:
     per key (and per (eid, d) vertex group) a batch-ordered list of
-    references into the slices that actually contain that key.  Lookups
-    bisect the postings to the queried batch range instead of scanning
-    every live slice, which only changes wall-clock time — the simulated
-    charge stays one ``index_probe_ns`` per live slice in the range
-    (counted by bisecting the sorted batch-number list), exactly as the
-    linear scan charged.  Slices are immutable once appended, so postings
-    alias the slice's own span lists and vertex sets.
+    references into the slices that actually contain that key.  A window
+    is read through a :class:`ColumnarSlice`, which bisects the postings
+    to its batch range instead of scanning every live slice; that only
+    changes wall-clock time — the simulated charge stays one
+    ``index_probe_ns`` per live slice in the range (counted by bisecting
+    the sorted batch-number list), as a linear scan would pay.  Slices
+    are immutable once appended, so postings alias the slice's own span
+    lists and vertex sets.
     """
 
     def __init__(self, stream: str, cost: Optional[CostModel] = None,
@@ -173,54 +165,12 @@ class StreamIndex:
         return bisect_right(self._batch_nos, last_batch) \
             - bisect_left(self._batch_nos, first_batch)
 
-    def lookup_spans(self, key: Key, first_batch: int, last_batch: int,
-                     meter: Optional[LatencyMeter] = None) -> List[OwnedSpan]:
-        """Spans for ``key`` across batches [first, last] (inclusive)."""
-        if meter is not None:
-            probes = self._probes_in(first_batch, last_batch)
-            if probes:
-                meter.charge(self.cost.index_probe_ns, times=probes,
-                             category="store")
-        spans: List[OwnedSpan] = []
-        postings = self._key_postings.get(key)
-        if postings:
-            lo = bisect_left(postings, first_batch, key=_posting_batch)
-            hi = bisect_right(postings, last_batch, lo=lo, key=_posting_batch)
-            for _, found in postings[lo:hi]:
-                spans.extend(found)
-        return spans
-
-    def vertices(self, eid: int, d: int, first_batch: int, last_batch: int,
-                 meter: Optional[LatencyMeter] = None) -> List[int]:
-        """Distinct vertices touched by (eid, d) edges in the batch range."""
-        out: List[int] = []
-        seen: Set[int] = set()
-        scanned = 0
-        postings = self._vertex_postings.get((eid, d))
-        if postings:
-            lo = bisect_left(postings, first_batch, key=_posting_batch)
-            hi = bisect_right(postings, last_batch, lo=lo, key=_posting_batch)
-            for _, members in postings[lo:hi]:
-                scanned += len(members)
-                for vid in members:
-                    if vid not in seen:
-                        seen.add(vid)
-                        out.append(vid)
-        if meter is not None:
-            probes = self._probes_in(first_batch, last_batch)
-            if probes:
-                meter.charge(self.cost.index_probe_ns, times=probes,
-                             category="store")
-                meter.charge(self.cost.scan_entry_ns, times=scanned,
-                             category="store")
-        return out
-
     def slices_in(self, first_batch: int,
                   last_batch: int) -> List[IndexSlice]:
         """The live slices with ``batch_no`` in [first, last], oldest first.
 
-        Wall-clock-only helper for the columnar window view; simulated
-        probe charges stay with the lookup that consumes the slices.
+        Wall-clock-only helper for the window view; simulated probe
+        charges stay with the read that consumes the slices.
         """
         lo = bisect_left(self._batch_nos, first_batch)
         hi = bisect_right(self._batch_nos, last_batch)
@@ -280,12 +230,13 @@ _EMPTY_SET: set = set()
 class _KeyColumn:
     """Flat window column of one key: values plus replayable geometry.
 
-    ``values`` is the concatenation of the key's value-list entries across
-    the window's batches (in batch order — exactly what the row path's
-    span walk returns).  ``merged`` is the coalesced span list the row path
-    would derive via ``_merge_spans``; lookups replay its simulated
-    charges (one remote read per non-home span, one scan per entry)
-    without re-reading the store.  ``batch_counts`` records how many
+    ``values`` is the concatenation of the entries the window's batches
+    appended to the key's value list, in batch order.  ``merged`` is the
+    geometry a reader is charged from: the batches' spans in batch order,
+    coalesced by :func:`_append_coalesced` (same owner and contiguous
+    offsets fold into one span), priced at one remote read per span held
+    off the reader's home node plus one entry scan per value — without
+    re-reading the store.  ``batch_counts`` records how many
     values each contributing batch added, which is what lets the expired
     prefix be dropped without a rebuild.
     """
@@ -324,17 +275,19 @@ class _KeyColumn:
 class ColumnarSlice:
     """Columnar view of one stream's window ``[first_batch, last_batch]``.
 
-    Instead of walking postings and dereferencing spans per row, the view
-    materializes each looked-up key as one contiguous value column (plus
-    the merged-span geometry needed to replay the row path's simulated
-    charges bit-for-bit) and each ``(eid, d)`` vertex group as one deduped
-    start column.  Columns build lazily on first lookup and live across
+    The one way a window is read: the view materializes each looked-up
+    key as one contiguous value column (plus the merged-span geometry its
+    readers are charged from, see :class:`_KeyColumn`) and each
+    ``(eid, d)`` vertex group as one start column, deduplicated in
+    first-occurrence order over the batches.  A one-off view serves a
+    time-scoped one-shot read; a registered query keeps one per stream.
+    Columns build lazily on first lookup and live across
     window closes: because ``[RANGE r STEP s]`` windows overlap heavily,
     :meth:`advance` reuses the previous close's columns, appending only
     the newly closed batches and dropping the expired prefix — the
     incremental window delta.  All of it is wall-clock bookkeeping; no
-    simulated time is charged here (readers replay the exact row-path
-    charges against the cached geometry).
+    simulated time is charged here (:class:`~repro.core.access.WindowAccess`
+    charges each read from ``probes`` and the cached geometry).
 
     Columns are replaced, never mutated, on advance: callers may hold a
     returned list across a close without seeing it change underneath.
@@ -498,15 +451,7 @@ class ColumnarSlice:
             for owner, span in spans:
                 added.extend(shards[owner].lookup_span(span))
                 count += span.length
-                if merged:
-                    last_owner, last = merged[-1]
-                    if (last_owner == owner
-                            and last.offset + last.length == span.offset):
-                        merged[-1] = (owner,
-                                      ValueSpan(span.key, last.offset,
-                                                last.length + span.length))
-                        continue
-                merged.append((owner, span))
+                _append_coalesced(merged, owner, span)
             col.values = col.values + added  # copy-on-extend (shared refs)
             col._set = None
             col._distinct = None
@@ -547,15 +492,7 @@ class ColumnarSlice:
             for owner, span in spans:
                 values.extend(shards[owner].lookup_span(span))
                 count += span.length
-                if merged:
-                    last_owner, last = merged[-1]
-                    if (last_owner == owner
-                            and last.offset + last.length == span.offset):
-                        merged[-1] = (owner,
-                                      ValueSpan(span.key, last.offset,
-                                                last.length + span.length))
-                        continue
-                merged.append((owner, span))
+                _append_coalesced(merged, owner, span)
             batch_counts.append((batch_no, count))
         col = _KeyColumn(values, merged, batch_counts)
         self._columns[key] = col
@@ -563,7 +500,8 @@ class ColumnarSlice:
 
     def vertices(self, eid: int, d: int) -> Tuple[List[int], int]:
         """Deduped start column of ``(eid, d)`` plus the scanned member
-        count (the row path's simulated scan charge)."""
+        count — every batch's member set in the range is scanned once,
+        which is what the reader's scan charge is taken from."""
         group = (eid, d)
         cached = self._vertex_cols.get(group)
         if cached is not None:
@@ -586,8 +524,8 @@ class ColumnarSlice:
                     lst = member_lists[cache_key] = list(members)
                 scanned += len(lst)
                 lists.append(lst)
-        # dict.fromkeys deduplicates in first-occurrence order over the
-        # same per-slice iteration the row path uses — identical output.
+        # dict.fromkeys deduplicates in first-occurrence order, batch by
+        # batch in each slice's own member iteration order.
         out = list(dict.fromkeys(chain.from_iterable(lists)))
         cached = (out, scanned)
         self._vertex_cols[group] = cached

@@ -21,6 +21,7 @@ from repro.rdf.ids import (
     _VID_SHIFT,
     DIR_IN,
     DIR_OUT,
+    Key,
     make_key,
 )
 from repro.rdf.string_server import StringServer
@@ -28,7 +29,7 @@ from repro.rdf.terms import EncodedTriple, Triple
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.store.kvstore import ADJACENCY_CACHE_CAPACITY, BASE_SN, \
-    ShardStore, ValueSpan
+    ShardStore
 
 #: Approximate wire size of one key descriptor (for remote key lookups).
 _KEY_BYTES = 32
@@ -75,47 +76,40 @@ class DistributedStore:
         ]
 
     # -- loading / injection --------------------------------------------
-    def insert_out_edge(self, enc: EncodedTriple, sn: int = BASE_SN,
-                        meter: Optional[LatencyMeter] = None) -> ValueSpan:
-        """Insert the out-edge half of a triple on the subject's owner node.
+    def insert_triples(self, triples: Iterable[EncodedTriple],
+                       sn: int = BASE_SN,
+                       meter: Optional[LatencyMeter] = None,
+                       node: Optional[int] = None) -> List[Key]:
+        """Write encoded triples under snapshot ``sn``: each triple's
+        out-edge entry goes to the subject's owner and its in-edge entry
+        to the object's owner, as one arrival-ordered column per shard
+        (:meth:`ShardStore.append_column`).  ``node`` restricts the
+        write to the halves that node owns (rebuilding one lost shard).
 
-        Returns the inserted span so the injector can index it.
+        Returns the keys written, one per entry in arrival order (a
+        triple's out half before its in half).
         """
-        s_node = self.cluster.owner_of(enc.s)
-        span = self.shards[s_node].insert(
-            make_key(enc.s, enc.p, DIR_OUT), enc.o, sn=sn, meter=meter)
-        self.shards[s_node].add_index(enc.p, DIR_OUT, enc.s, meter=meter)
-        return span
-
-    def insert_in_edge(self, enc: EncodedTriple, sn: int = BASE_SN,
-                       meter: Optional[LatencyMeter] = None) -> ValueSpan:
-        """Insert the in-edge half of a triple on the object's owner node."""
-        o_node = self.cluster.owner_of(enc.o)
-        span = self.shards[o_node].insert(
-            make_key(enc.o, enc.p, DIR_IN), enc.s, sn=sn, meter=meter)
-        self.shards[o_node].add_index(enc.p, DIR_IN, enc.o, meter=meter)
-        return span
-
-    def insert_encoded(self, enc: EncodedTriple, sn: int = BASE_SN,
-                       meter: Optional[LatencyMeter] = None
-                       ) -> Dict[str, ValueSpan]:
-        """Insert one full encoded triple under snapshot ``sn``.
-
-        Returns the out-edge and in-edge spans so the injector can build
-        stream-index entries for them.
-        """
-        return {
-            "out": self.insert_out_edge(enc, sn=sn, meter=meter),
-            "in": self.insert_in_edge(enc, sn=sn, meter=meter),
-        }
+        written: List[Key] = []
+        columns: List[Tuple[List[Key], List[int]]] = [
+            ([], []) for _ in self.shards]
+        owner_of = self.cluster.owner_of
+        for s, p, o in triples:
+            for vid, value, d in ((s, o, DIR_OUT), (o, s, DIR_IN)):
+                owner = owner_of(vid)
+                if node is None or owner == node:
+                    key = make_key(vid, p, d)
+                    keys, vids = columns[owner]
+                    keys.append(key)
+                    vids.append(value)
+                    written.append(key)
+        for shard, (keys, vids) in zip(self.shards, columns):
+            shard.append_column(keys, vids, sn=sn, meter=meter)
+        return written
 
     def load(self, triples: Iterable[Triple]) -> int:
         """Bulk-load initial (string) triples at the base snapshot."""
-        count = 0
-        for triple in triples:
-            self.insert_encoded(self.strings.encode_triple(triple))
-            count += 1
-        return count
+        encode = self.strings.encode_triple
+        return len(self.insert_triples(map(encode, triples))) // 2
 
     def compact(self, bound_sn: int) -> int:
         """Run bounded scalarization on every shard; returns keys touched."""
@@ -218,15 +212,6 @@ class DistributedStore:
             fetched[vid] = shard.lookup_versions(
                 key, max_sn=max_sn, meter=meter, category=category)
         return fetched
-
-    def span_from(self, home_node: int, span: ValueSpan, owner: int,
-                  meter: LatencyMeter, category: str = "store") -> List[int]:
-        """Direct span read (stream-index fast path): at most one remote read."""
-        shard = self.shards[owner]
-        if owner != home_node:
-            self.cluster.fabric.remote_read(meter, 16 + 8 * span.length,
-                                            category="network")
-        return shard.lookup_span(span, meter=meter, category=category)
 
     def local_index(self, node_id: int, eid: int, d: int,
                     meter: LatencyMeter, category: str = "store") -> List[int]:

@@ -14,10 +14,12 @@ retains only a bounded number of distinct SN segments (the paper keeps two:
 one being read, one being inserted).
 
 *Value spans* — ``(offset, length)`` windows into a key's entry list — are
-returned by inserts so the stream index (§4.2) can later read exactly the
-entries contributed by one stream batch, skipping the scan of the rest of
-the value.  Compaction never reorders entries, so spans stay valid until
-the index slice that holds them is garbage-collected.
+returned by the one write entry, :meth:`ShardStore.append_column` (one
+per distinct key of the written column), so the stream index (§4.2) can
+later read exactly the entries contributed by one stream batch, skipping
+the scan of the rest of the value.  Compaction never reorders entries, so
+spans stay valid until the index slice that holds them is
+garbage-collected.
 
 Index vertices (``[0|p|d]``) are kept in a separate map, deduplicated, and
 are *not* partitioned by the reserved vid 0: each shard indexes its own
@@ -26,17 +28,20 @@ local vertices, which is how Wukong distributes index vertices.
 Two wall-clock-only additions serve the one-shot fast path (they never
 change simulated charges):
 
-*Predicate cardinality statistics* — every insert bumps a per
-``(eid, d)`` entry counter; together with the index-vertex member counts
-this yields per-predicate entry/key cardinalities the cost-aware planner
-uses to order triple patterns by estimated selectivity.
+*Predicate cardinality statistics* — a column write adds each key
+group's size to a per ``(eid, d)`` entry counter and bumps that bucket's
+top-k degree sketch once per entry, in arrival order; together with the
+index-vertex member counts this yields the per-predicate entry/key
+cardinalities and hot-vertex degrees the cost-aware planner uses to order
+triple patterns by estimated selectivity.
 
 *Adjacency-segment cache* — a bounded map from store key to its most
 recently computed ``(max_sn, visible-prefix, total-length)`` so repeated
 probes of hot ``(vertex, predicate)`` keys skip the hash lookup, bisect
 and slice.  Readers still charge exactly the probe/scan (and remote-read)
-costs of an uncached lookup; any insert to a key invalidates its cached
-segment, and compaction drops the whole cache.
+costs of an uncached lookup; a write to a key invalidates its cached
+segment, and cached segments survive compaction (relabelling moves SNs,
+never values, and every hit is validated against the live SN list).
 """
 
 from __future__ import annotations
@@ -47,15 +52,16 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import StoreError
-from repro.rdf.ids import DIR_IN, DIR_OUT, Key
+from repro.rdf.ids import _VID_SHIFT, Key
 from repro.sim.cost import CostModel, LatencyMeter, MemoryModel
 
 #: Initially loaded (bulk) data carries the base snapshot number.
 BASE_SN = 0
 
 #: The low bits of a packed key that identify ``(eid, d)`` — the
-#: per-predicate statistics bucket of an adjacency key.
-_PRED_BITS = 18
+#: per-predicate statistics bucket of an adjacency key; the bits above
+#: them are the key's vid.
+_PRED_BITS = _VID_SHIFT
 _PRED_MASK = (1 << _PRED_BITS) - 1
 
 #: Capacity of each per-(predicate, direction) top-k degree sketch.
@@ -82,19 +88,9 @@ class _ValueList:
 
     __slots__ = ("vids", "sns")
 
-    def __init__(self) -> None:
-        self.vids: List[int] = []
-        self.sns: List[int] = []
-
-    def append(self, vid: int, sn: int) -> int:
-        """Append one entry; returns its offset."""
-        if self.sns and sn < self.sns[-1]:
-            raise StoreError(
-                f"snapshot numbers must be appended in order: "
-                f"{sn} after {self.sns[-1]}")
-        self.vids.append(vid)
-        self.sns.append(sn)
-        return len(self.vids) - 1
+    def __init__(self, vids: List[int], sns: List[int]) -> None:
+        self.vids = vids
+        self.sns = sns
 
     def visible(self, max_sn: Optional[int]) -> List[int]:
         """Entries visible at snapshot ``max_sn`` (None = everything)."""
@@ -112,12 +108,6 @@ class _ValueList:
                 count += 1
                 previous = sn
         return count
-
-    def compact(self, bound_sn: int) -> None:
-        """Relabel entries with SN <= ``bound_sn`` into the base snapshot."""
-        cut = bisect_right(self.sns, bound_sn)
-        if cut and self.sns[cut - 1] != BASE_SN:
-            self.sns[:cut] = [BASE_SN] * cut
 
 
 class _TopKSketch:
@@ -214,52 +204,42 @@ class ShardStore:
         self._adjacency: Dict[Key, Tuple[Optional[int], List[int], int]] = {}
 
     # -- writes ---------------------------------------------------------
-    def insert(self, key: Key, vid: int, sn: int = BASE_SN,
-               meter: Optional[LatencyMeter] = None) -> ValueSpan:
-        """Append ``vid`` to ``key``'s value list under snapshot ``sn``.
+    def append_column(self, keys: List[Key], vids: List[int],
+                      sn: int = BASE_SN,
+                      meter: Optional[LatencyMeter] = None
+                      ) -> List[ValueSpan]:
+        """Append ``vids[i]`` to ``keys[i]``'s value list under snapshot
+        ``sn``, for a whole column given in arrival order — the one way
+        entries get into a shard (bulk load, injection and recovery all
+        write through here).
 
-        Returns the single-entry span of the appended value, which callers
-        may coalesce into batch spans for the stream index.
+        Each key's entries land contiguously, in their arrival order,
+        and its vertex is registered with the ``(eid, d)`` index vertex
+        (a set: re-registrations are ignored).  Returns one span per
+        distinct key, in first-occurrence order, covering exactly the
+        entries this call appended to it.
+
+        Charges ``create_key_ns`` per fresh key plus ``insert_entry_ns``
+        per value entry and per new index entry, as two aggregated
+        calls.  The planner statistics (charge-free) are kept here too:
+        bucket entry counts per group, degree sketches per entry in
+        arrival order — a sketch's eviction ties are order-sensitive.
         """
-        values = self._values.get(key)
-        if values is None:
-            values = _ValueList()
-            self._values[key] = values
-            if meter is not None:
-                meter.charge(self.cost.create_key_ns, category="insert")
-        offset = values.append(vid, sn)
-        if sn != BASE_SN:
-            versioned = self._versioned
-            if key not in versioned:
-                versioned.add(key)
-                heappush(self._versioned_heap, (sn, key))
-        bucket = key & _PRED_MASK
-        self._pred_entries[bucket] = self._pred_entries.get(bucket, 0) + 1
-        sketch = self._degree_sketches.get(bucket)
-        if sketch is None:
-            sketch = self._degree_sketches[bucket] = _TopKSketch()
-        sketch.bump(key >> _PRED_BITS)
-        if self._adjacency:
-            self._adjacency.pop(key, None)
-        if meter is not None:
-            meter.charge(self.cost.insert_entry_ns, category="insert")
-        return ValueSpan(key, offset, 1)
-
-    def insert_groups(self, groups: Dict[Key, List[int]], sn: int = BASE_SN,
-                      meter: Optional[LatencyMeter] = None) -> List[ValueSpan]:
-        """Bulk-append one batch's per-key value groups under one
-        snapshot and register each key with its index vertex, in group
-        order; returns one coalesced span per group in the same order.
-
-        Equivalent to one :meth:`insert` + :meth:`add_index` per entry
-        minus the per-entry planner statistics (bucket entry count and
-        degree-sketch bump, which the injector applies itself in
-        tuple-arrival order — the sketch's eviction ties are
-        order-sensitive): same value lists, same charges
-        (``create_key_ns`` on a fresh key plus one ``insert_entry_ns``
-        per entry), collapsed into two aggregated calls (key/index
-        creations, entry appends).
-        """
+        groups: Dict[Key, List[int]] = {}
+        groups_get = groups.get
+        sketches = self._degree_sketches
+        sketches_get = sketches.get
+        for key, vid in zip(keys, vids):
+            group = groups_get(key)
+            if group is None:
+                groups[key] = [vid]
+            else:
+                group.append(vid)
+            bucket = key & _PRED_MASK
+            sketch = sketches_get(bucket)
+            if sketch is None:
+                sketch = sketches[bucket] = _TopKSketch()
+            sketch.bump(key >> _PRED_BITS)
         values_dict = self._values
         values_get = values_dict.get
         versioned = sn != BASE_SN
@@ -267,44 +247,47 @@ class ShardStore:
         heap = self._versioned_heap
         adjacency = self._adjacency
         adjacency_pop = adjacency.pop if adjacency else None
+        pred_entries = self._pred_entries
         index_members = self._index_members
         index_lists = self._index
         spans: List[ValueSpan] = []
         append_span = spans.append
         created_keys = 0
         index_entries = 0
-        entries = 0
-        for key, vids in groups.items():
+        for key, group in groups.items():
+            count = len(group)
             values = values_get(key)
             if values is None:
-                values = _ValueList()
-                values_dict[key] = values
+                # A fresh key keeps its group as its value list (no
+                # second copy of a bulk load's lists).
+                values_dict[key] = _ValueList(group, [sn] * count)
                 created_keys += 1
-            sns = values.sns
-            if sns and sn < sns[-1]:
-                raise StoreError(
-                    f"snapshot numbers must be appended in order: "
-                    f"{sn} after {sns[-1]}")
-            value_list = values.vids
-            offset = len(value_list)
-            count = len(vids)
-            if count == 1:
-                # Most keys receive a single value per batch: append
-                # beats building the one-element [sn] list.
-                value_list.append(vids[0])
-                sns.append(sn)
+                offset = 0
             else:
-                value_list += vids
-                sns += [sn] * count
-            entries += count
+                sns = values.sns
+                if sns and sn < sns[-1]:
+                    raise StoreError(
+                        f"snapshot numbers must be appended in order: "
+                        f"{sn} after {sns[-1]}")
+                offset = len(sns)
+                if count == 1:
+                    # Most keys receive a single value per batch: append
+                    # beats building the one-element [sn] list.
+                    values.vids.append(group[0])
+                    sns.append(sn)
+                else:
+                    values.vids += group
+                    sns += [sn] * count
             if versioned and key not in versioned_set:
                 versioned_set.add(key)
                 heappush(heap, (sn, key))
             if adjacency_pop is not None:
                 adjacency_pop(key, None)
             append_span(ValueSpan(key, offset, count))
-            # Inlined add_index (key packing guarantees a valid direction).
-            slot = ((key & _PRED_MASK) >> 1, key & 1)
+            bucket = key & _PRED_MASK
+            pred_entries[bucket] = pred_entries.get(bucket, 0) + count
+            # The bucket is the index vertex's (eid, d), still packed.
+            slot = (bucket >> 1, bucket & 1)
             members = index_members.get(slot)
             if members is None:
                 members = index_members[slot] = set()
@@ -314,34 +297,14 @@ class ShardStore:
                 members.add(vid)
                 index_lists[slot].append(vid)
                 index_entries += 1
-        if meter is not None:
+        if meter is not None and keys:
             if created_keys:
                 meter.charge(self.cost.create_key_ns, times=created_keys,
                              category="insert")
-            if entries or index_entries:
-                meter.charge(self.cost.insert_entry_ns,
-                             times=entries + index_entries,
-                             category="insert")
+            meter.charge(self.cost.insert_entry_ns,
+                         times=len(keys) + index_entries,
+                         category="insert")
         return spans
-
-    def add_index(self, eid: int, d: int, vid: int,
-                  meter: Optional[LatencyMeter] = None) -> bool:
-        """Record that local vertex ``vid`` has a ``d``-direction ``eid`` edge.
-
-        Index vertices are sets: duplicate registrations are ignored.
-        Returns whether a new entry was added.
-        """
-        if d not in (DIR_IN, DIR_OUT):
-            raise StoreError(f"bad direction: {d}")
-        slot = (eid, d)
-        members = self._index_members.setdefault(slot, set())
-        if vid in members:
-            return False
-        members.add(vid)
-        self._index.setdefault(slot, []).append(vid)
-        if meter is not None:
-            meter.charge(self.cost.insert_entry_ns, category="insert")
-        return True
 
     def compact(self, bound_sn: int) -> int:
         """Bounded scalarization: fold SNs <= ``bound_sn`` into the base.

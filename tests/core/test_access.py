@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.stream_index import IndexSlice, StreamIndexRegistry
-from repro.core.access import WindowAccess, _merge_spans
+from repro.core.stream_index import (ColumnarSlice, IndexSlice,
+                                     StreamIndex, StreamIndexRegistry)
+from repro.core.access import WindowAccess
 from repro.core.transient import TransientStore
 from repro.rdf.ids import DIR_IN, DIR_OUT, make_key
 from repro.rdf.parser import parse_triples
@@ -15,29 +16,43 @@ from repro.store.distributed import DistributedStore
 from repro.store.kvstore import ValueSpan
 from repro.streams.stream import StreamSchema
 
+from core.test_stream_index import RangeStore
+
 
 class TestMergeSpans:
+    """The span geometry a window read is charged from
+    (``_KeyColumn.merged``): one slice per span, read as one window."""
+
     KEY = make_key(5, 2, DIR_OUT)
+
+    def merged(self, spans):
+        index = StreamIndex("S")
+        for batch_no, (owner, span) in enumerate(spans, 1):
+            piece = IndexSlice(batch_no)
+            piece.add_batch_spans(owner, [span], DIR_OUT)
+            index.append_slice(piece)
+        view = ColumnarSlice(index, RangeStore()).advance(1, len(spans))
+        column = view.key_column(self.KEY)
+        return None if column is None else column.merged
 
     def test_contiguous_spans_merge_across_batches(self):
         spans = [(0, ValueSpan(self.KEY, 0, 2)),
                  (0, ValueSpan(self.KEY, 2, 3)),
                  (0, ValueSpan(self.KEY, 5, 1))]
-        merged = _merge_spans(spans)
-        assert merged == [(0, ValueSpan(self.KEY, 0, 6))]
+        assert self.merged(spans) == [(0, ValueSpan(self.KEY, 0, 6))]
 
     def test_gaps_stay_split(self):
         spans = [(0, ValueSpan(self.KEY, 0, 2)),
                  (0, ValueSpan(self.KEY, 4, 1))]
-        assert len(_merge_spans(spans)) == 2
+        assert self.merged(spans) == spans
 
     def test_owner_change_stays_split(self):
         spans = [(0, ValueSpan(self.KEY, 0, 2)),
                  (1, ValueSpan(self.KEY, 2, 1))]
-        assert len(_merge_spans(spans)) == 2
+        assert self.merged(spans) == spans
 
     def test_empty(self):
-        assert _merge_spans([]) == []
+        assert self.merged([]) is None
 
 
 class TestWindowAccess:
@@ -57,15 +72,13 @@ class TestWindowAccess:
         l1 = strings.entity_id("l1")
         po, ga = strings.predicate_id("po"), strings.predicate_id("ga")
 
-        piece1 = IndexSlice(1)
-        span = store.insert_out_edge(EncodedTriple(u, po, p1), sn=1)
-        piece1.add_span(0, span)
-        registry.index("S").append_slice(piece1)
-
-        piece2 = IndexSlice(2)
-        span = store.insert_out_edge(EncodedTriple(u, po, p2), sn=1)
-        piece2.add_span(0, span)
-        registry.index("S").append_slice(piece2)
+        key = make_key(u, po, DIR_OUT)
+        for batch_no, post in ((1, p1), (2, p2)):
+            piece = IndexSlice(batch_no)
+            piece.add_batch_spans(
+                0, store.shards[0].append_column([key], [post], sn=1),
+                DIR_OUT)
+            registry.index("S").append_slice(piece)
         transients[0].append_slice(
             2, [EncodedTuple(EncodedTriple(u, ga, l1), 150)], [])
 
@@ -74,10 +87,11 @@ class TestWindowAccess:
 
     def access(self, parts, first, last, **kwargs):
         cluster, strings, store, registry, schema, transients, ids = parts
+        view = ColumnarSlice(registry.index("S"), store).advance(first, last)
         return WindowAccess(cluster=cluster, store=store, strings=strings,
                             registry=registry, stream_schema=schema,
-                            transients=transients, first_batch=first,
-                            last_batch=last, **kwargs), ids
+                            transients=transients, view=view,
+                            **kwargs), ids
 
     def test_timeless_respects_batch_window(self):
         parts = self.build()

@@ -32,7 +32,7 @@ class _FakeStore:
 def make_slice(batch_no, spans):
     piece = IndexSlice(batch_no)
     for owner, span in spans:
-        piece.add_span(owner, span)
+        piece.add_batch_spans(owner, [span], span.key & 1)
     return piece
 
 

@@ -87,8 +87,8 @@ def test_compaction_follows_stable_sn():
     for batch in range(1, 5):
         sn = coord.sn_for_batch("S", batch)
         assert sn is not None
-        store.insert_encoded(strings.encode_triple(
-            parse_triples(f"a p x{batch} .")[0]), sn=sn)
+        store.insert_triples(map(strings.encode_triple,
+                                 parse_triples(f"a p x{batch} .")), sn=sn)
         coord.on_batch_inserted(0, "S", batch)
         coord.advance(store)
     # stable_sn is 4; snapshots <= 3 should be compacted into the base.

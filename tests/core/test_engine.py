@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.engine import EngineConfig, WukongSEngine
-from repro.errors import RegistrationError, StreamError
+from repro.errors import RegistrationError, StoreError, StreamError
 from repro.rdf.parser import parse_timed_tuples, parse_triples
 from repro.streams.source import StreamSource
 from repro.streams.stream import StreamSchema
@@ -135,6 +135,16 @@ class TestContinuousQueries:
         with pytest.raises(RegistrationError):
             engine.register_continuous("SELECT ?X WHERE { Logan po ?X }")
 
+    @pytest.mark.parametrize("home_node", [-1, 2, 5])
+    def test_phantom_home_node_refused(self, home_node):
+        engine = build_engine()
+        with pytest.raises(StoreError, match="no such home node"):
+            engine.register_continuous(QC, home_node=home_node)
+        # Nothing was registered, and no phantom index replica made.
+        assert engine.continuous.queries == {}
+        assert engine.registry.replicas("Tweet_Stream") == set()
+        assert engine.register_continuous(QC, home_node=1).home_node == 1
+
     def test_timing_data_reaches_transient_store_only(self):
         engine = build_engine()
         engine.run_until(4_000)
@@ -182,6 +192,19 @@ class TestOneShotQueries:
         # ga (timing) data is invisible to one-shot queries entirely.
         record = engine.oneshot("SELECT ?T ?L WHERE { ?T ga ?L }")
         assert record.result.rows == []
+
+    @pytest.mark.parametrize("home_node", [-1, 2, 5])
+    def test_phantom_home_node_refused(self, home_node):
+        engine = build_engine()
+        query = "SELECT ?X WHERE { Logan fo ?X }"
+        with pytest.raises(StoreError, match="no such home node"):
+            engine.oneshot(query, home_node=home_node)
+        # Logan lives on node 1: local there, two remote reads from 0.
+        local = engine.oneshot(query, home_node=1)
+        remote = engine.oneshot(query, home_node=0)
+        assert "network" not in local.meter.breakdown_ps
+        assert remote.meter.ps - local.meter.ps == \
+            remote.meter.breakdown_ps["network"]
 
     def test_contention_marks_when_continuous_running(self):
         engine = build_engine()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.gc import GarbageCollector
+from repro.errors import PlanError
 from repro.sparql.parser import parse_query
 
 from core.test_engine import QC, build_engine, names
@@ -11,8 +12,10 @@ from core.test_engine import QC, build_engine, names
 class TestOneShotEngine:
     def test_rejects_continuous_queries(self):
         engine = build_engine()
-        with pytest.raises(ValueError):
+        with pytest.raises(PlanError, match="must be registered"):
             engine.oneshot_engine.execute(parse_query(QC))
+        with pytest.raises(PlanError, match="must be registered"):
+            engine.oneshot(QC)
 
     def test_snapshot_override(self):
         # Scalarization compacts retired snapshots into the base, so

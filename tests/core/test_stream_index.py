@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.stream_index import IndexSlice, StreamIndex, \
-    StreamIndexRegistry
+from repro.core.stream_index import ColumnarSlice, IndexSlice, \
+    StreamIndex, StreamIndexRegistry
 from repro.errors import StoreError, StreamError
 from repro.rdf.ids import DIR_OUT, make_key
 from repro.sim.cost import LatencyMeter
@@ -13,31 +13,50 @@ KEY = make_key(7, 3, DIR_OUT)
 OTHER = make_key(8, 3, DIR_OUT)
 
 
+def add(piece, owner, span):
+    piece.add_batch_spans(owner, [span], span.key & 1)
+
+
 def make_slice(batch_no, spans):
     piece = IndexSlice(batch_no)
     for owner, span in spans:
-        piece.add_span(owner, span)
+        add(piece, owner, span)
     return piece
+
+
+class RangeShard:
+    """Just enough of a shard for a view: entry i of every key is i."""
+
+    def lookup_span(self, span):
+        return list(range(span.offset, span.offset + span.length))
+
+
+class RangeStore:
+    shards = [RangeShard(), RangeShard()]
+
+
+def view_of(index, first, last):
+    return ColumnarSlice(index, RangeStore()).advance(first, last)
 
 
 class TestIndexSlice:
     def test_contiguous_spans_coalesce(self):
         piece = IndexSlice(1)
-        piece.add_span(0, ValueSpan(KEY, 4, 1))
-        piece.add_span(0, ValueSpan(KEY, 5, 1))
-        piece.add_span(0, ValueSpan(KEY, 6, 1))
+        add(piece, 0, ValueSpan(KEY, 4, 1))
+        add(piece, 0, ValueSpan(KEY, 5, 1))
+        add(piece, 0, ValueSpan(KEY, 6, 1))
         assert piece.entries[KEY] == [(0, ValueSpan(KEY, 4, 3))]
 
     def test_non_contiguous_spans_stay_separate(self):
         piece = IndexSlice(1)
-        piece.add_span(0, ValueSpan(KEY, 4, 1))
-        piece.add_span(0, ValueSpan(KEY, 9, 1))
+        add(piece, 0, ValueSpan(KEY, 4, 1))
+        add(piece, 0, ValueSpan(KEY, 9, 1))
         assert len(piece.entries[KEY]) == 2
 
     def test_different_owners_stay_separate(self):
         piece = IndexSlice(1)
-        piece.add_span(0, ValueSpan(KEY, 4, 1))
-        piece.add_span(1, ValueSpan(KEY, 5, 1))
+        add(piece, 0, ValueSpan(KEY, 4, 1))
+        add(piece, 1, ValueSpan(KEY, 5, 1))
         assert len(piece.entries[KEY]) == 2
 
     def test_vertices_tracked_per_predicate(self):
@@ -57,15 +76,20 @@ class TestStreamIndex:
 
     def test_lookup_spans_by_batch_range(self):
         index = self.build()
-        spans = index.lookup_spans(KEY, 2, 3)
-        assert [s for _, s in spans] == [ValueSpan(KEY, 3, 2),
-                                         ValueSpan(KEY, 5, 1)]
-        assert index.lookup_spans(KEY, 4, 9) == []
+        column = view_of(index, 2, 3).key_column(KEY)
+        assert column.batch_counts == [(2, 2), (3, 1)]
+        assert column.values == [3, 4, 5]
+        # Batch 3's span starts where batch 2's ends: one fat pointer.
+        assert column.merged == [(0, ValueSpan(KEY, 3, 3))]
+        assert view_of(index, 4, 9).key_column(KEY) is None
 
     def test_vertices_by_batch_range(self):
         index = self.build()
-        assert index.vertices(3, DIR_OUT, 1, 1) == [7]
-        assert set(index.vertices(3, DIR_OUT, 1, 3)) == {7, 8}
+        assert view_of(index, 1, 1).vertices(3, DIR_OUT) == ([7], 1)
+        wide, scanned = view_of(index, 1, 3).vertices(3, DIR_OUT)
+        assert set(wide) == {7, 8}
+        assert scanned == 4  # batch 2 lists both vertices, 1 and 3 only 7
+        assert view_of(index, 1, 3).probes == 3
 
     def test_append_out_of_order_rejected(self):
         index = self.build()
@@ -77,7 +101,9 @@ class TestStreamIndex:
         assert index.collect(3) == 2
         assert index.num_slices == 1
         assert index.earliest_batch == 3
-        assert index.lookup_spans(KEY, 1, 3) == [(0, ValueSpan(KEY, 5, 1))]
+        assert view_of(index, 1, 3).key_column(KEY).merged == \
+            [(0, ValueSpan(KEY, 5, 1))]
+        assert view_of(index, 1, 3).probes == 1
 
     def test_memory_accounting(self):
         index = self.build()

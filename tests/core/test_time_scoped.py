@@ -60,6 +60,42 @@ def test_empty_scope_rejected(engine):
         engine.oneshot_time_scoped(TIME_QUERY, 3_000, 3_000)
 
 
+@pytest.mark.parametrize("home_node", [-1, 2, 5])
+def test_phantom_home_node_refused(engine, home_node):
+    with pytest.raises(StoreError, match="no such home node"):
+        engine.oneshot_time_scoped(TIME_QUERY, 2_000, 3_000,
+                                   home_node=home_node)
+
+
+def test_window_keys_on_the_non_home_shard(engine):
+    """Two nodes; Logan (vid 1) and his tweet key live on node 1.  Read
+    from node 1 the window is all local; read from node 0 it costs
+    exactly one remote read — his two window entries (T-15 in batch 3,
+    T-17 in batch 9) sit end to end in his value list, so they are one
+    fat pointer.  Charges worked out by hand from the cost model."""
+    assert engine.cluster.owner_of(engine.strings.lookup_entity("Logan")) == 1
+    query = ("SELECT ?T FROM Tweet_Stream [RANGE 1s STEP 1s] "
+             "WHERE { GRAPH Tweet_Stream { Logan po ?T } }")
+    cost = engine.config.cost
+    expected = {
+        "dispatch": cost.task_dispatch_ns * 1000,
+        # Only batches 3, 6 and 9 carried tweets: three live slices to
+        # probe, then a scan of the two entries.
+        "store": (3 * cost.index_probe_ns + 2 * cost.scan_entry_ns) * 1000,
+        "explore": 2 * cost.binding_ns * 1000,
+        "project": 2 * cost.binding_ns * 1000,
+    }
+    local = engine.oneshot_time_scoped(query, 0, 10_000, home_node=1)
+    assert names(engine, local.result.rows) == [("T-15",), ("T-17",)]
+    assert local.meter.breakdown_ps == expected
+    remote = engine.oneshot_time_scoped(query, 0, 10_000, home_node=0)
+    assert remote.result.rows == local.result.rows
+    expected["network"] = cost.rdma_read_ns * 1000 \
+        + (16 + 8 * 2) * cost.rdma_byte_ps
+    assert remote.meter.breakdown_ps == expected
+    assert remote.meter.ps == sum(expected.values())
+
+
 def test_pure_stored_query_rejected(engine):
     with pytest.raises(StoreError):
         engine.oneshot_time_scoped("SELECT ?x WHERE { Logan po ?x }",

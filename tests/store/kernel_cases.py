@@ -226,8 +226,9 @@ def build_xlab(shape: str = "rdma3"):
     store = DistributedStore(cluster, strings)
     store.load(parse_triples(XLAB))
     if shape == "dup3":
-        for triple in parse_triples("Logan po T-13 .\nErik fo Logan ."):
-            store.insert_encoded(strings.encode_triple(triple), sn=1)
+        store.insert_triples(
+            map(strings.encode_triple,
+                parse_triples("Logan po T-13 .\nErik fo Logan .")), sn=1)
     return cluster, strings, store
 
 
@@ -450,7 +451,7 @@ WHERE {
 def engine_optional_cases() -> Cases:
     """The engine executions of tests/sparql/test_optional.py: stored
     OPTIONALs after stream absorption, and one over a stream window
-    (time-scoped, so the row-shaped ``WindowAccess`` serves it)."""
+    (time-scoped, read through a one-off ``ColumnarSlice``)."""
     engine = build_paper_engine()
     engine.run_until(4_000)
     history = dump_history(engine.store)

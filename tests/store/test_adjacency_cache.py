@@ -67,7 +67,7 @@ def test_insert_invalidates_written_key():
     assert store.neighbors_from(0, a, p, DIR_OUT, LatencyMeter()) == [b]
     # Grow a's adjacency list after it was cached.
     enc = strings.encode_triple(parse_triples("a p e .")[0])
-    store.insert_encoded(enc, sn=BASE_SN)
+    store.insert_triples([enc], sn=BASE_SN)
     e = strings.entity_id("e")
     assert store.neighbors_from(0, a, p, DIR_OUT, LatencyMeter()) == [b, e]
 
@@ -76,7 +76,7 @@ def test_cache_entries_are_snapshot_specific():
     cluster, strings, store = build()
     store.load(parse_triples("a p b ."))
     enc = strings.encode_triple(parse_triples("a p c .")[0])
-    store.insert_encoded(enc, sn=BASE_SN + 5)
+    store.insert_triples([enc], sn=BASE_SN + 5)
     a = strings.entity_id("a")
     b = strings.entity_id("b")
     c = strings.entity_id("c")
@@ -116,7 +116,8 @@ def test_versioned_reads_after_compaction_stay_correct():
     b = strings.entity_id("b")
     p = strings.predicate_id("p")
     c = strings.entity_id("c")
-    store.shards[0].insert(make_key(a, p, DIR_OUT), c, sn=BASE_SN + 3)
+    store.shards[0].append_column([make_key(a, p, DIR_OUT)], [c],
+                                  sn=BASE_SN + 3)
 
     meter = LatencyMeter()
     assert store.neighbors_from(0, a, p, DIR_OUT, meter,

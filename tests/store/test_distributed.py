@@ -83,7 +83,7 @@ def test_persistent_access_snapshot_bound():
     cluster, strings, store = build(num_nodes=1)
     store.load(parse_triples("a p b ."))
     enc = strings.encode_triple(parse_triples("a p c .")[0])
-    store.insert_encoded(enc, sn=3)
+    store.insert_triples([enc], sn=3)
     a = strings.entity_id("a")
     p = strings.predicate_id("p")
 

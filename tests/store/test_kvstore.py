@@ -11,10 +11,16 @@ from repro.store.kvstore import BASE_SN, ShardStore, ValueSpan
 KEY = make_key(1, 4, DIR_OUT)
 
 
+def put(shard, key, vid, sn=BASE_SN, meter=None):
+    """Write one entry as a one-entry column; returns its span."""
+    (span,) = shard.append_column([key], [vid], sn=sn, meter=meter)
+    return span
+
+
 def test_insert_and_lookup():
     shard = ShardStore()
-    shard.insert(KEY, 5)
-    shard.insert(KEY, 6)
+    put(shard, KEY, 5)
+    put(shard, KEY, 6)
     assert shard.lookup(KEY) == [5, 6]
 
 
@@ -24,9 +30,9 @@ def test_lookup_missing_key_is_empty():
 
 def test_snapshot_visibility():
     shard = ShardStore()
-    shard.insert(KEY, 5, sn=0)
-    shard.insert(KEY, 6, sn=1)
-    shard.insert(KEY, 7, sn=2)
+    put(shard, KEY, 5, sn=0)
+    put(shard, KEY, 6, sn=1)
+    put(shard, KEY, 7, sn=2)
     assert shard.lookup(KEY, max_sn=0) == [5]
     assert shard.lookup(KEY, max_sn=1) == [5, 6]
     assert shard.lookup(KEY, max_sn=2) == [5, 6, 7]
@@ -35,21 +41,21 @@ def test_snapshot_visibility():
 
 def test_sn_order_enforced_per_key():
     shard = ShardStore()
-    shard.insert(KEY, 5, sn=2)
+    put(shard, KEY, 5, sn=2)
     with pytest.raises(StoreError):
-        shard.insert(KEY, 6, sn=1)
+        put(shard, KEY, 6, sn=1)
 
 
 def test_same_sn_appends_fine():
     shard = ShardStore()
-    shard.insert(KEY, 5, sn=2)
-    shard.insert(KEY, 6, sn=2)
+    put(shard, KEY, 5, sn=2)
+    put(shard, KEY, 6, sn=2)
     assert shard.lookup(KEY, max_sn=2) == [5, 6]
 
 
 def test_spans_address_exact_entries():
     shard = ShardStore()
-    spans = [shard.insert(KEY, vid) for vid in (5, 6, 7)]
+    spans = [put(shard, KEY, vid) for vid in (5, 6, 7)]
     assert shard.lookup_span(spans[1]) == [6]
     wide = ValueSpan(KEY, 1, 2)
     assert shard.lookup_span(wide) == [6, 7]
@@ -57,7 +63,7 @@ def test_spans_address_exact_entries():
 
 def test_span_out_of_bounds_rejected():
     shard = ShardStore()
-    shard.insert(KEY, 5)
+    put(shard, KEY, 5)
     with pytest.raises(StoreError):
         shard.lookup_span(ValueSpan(KEY, 0, 2))
     with pytest.raises(StoreError):
@@ -66,9 +72,9 @@ def test_span_out_of_bounds_rejected():
 
 def test_compaction_folds_old_snapshots():
     shard = ShardStore()
-    shard.insert(KEY, 5, sn=1)
-    shard.insert(KEY, 6, sn=2)
-    shard.insert(KEY, 7, sn=3)
+    put(shard, KEY, 5, sn=1)
+    put(shard, KEY, 6, sn=2)
+    put(shard, KEY, 7, sn=3)
     touched = shard.compact(2)
     assert touched == 1
     # Visibility at or above the bound is unchanged...
@@ -80,7 +86,7 @@ def test_compaction_folds_old_snapshots():
 
 def test_compaction_preserves_spans():
     shard = ShardStore()
-    spans = [shard.insert(KEY, vid, sn=sn)
+    spans = [put(shard, KEY, vid, sn=sn)
              for sn, vid in [(1, 5), (2, 6), (3, 7)]]
     shard.compact(2)
     assert shard.lookup_span(spans[0]) == [5]
@@ -89,17 +95,24 @@ def test_compaction_preserves_spans():
 
 def test_index_vertices_deduplicate():
     shard = ShardStore()
-    assert shard.add_index(4, DIR_OUT, 1)
-    assert not shard.add_index(4, DIR_OUT, 1)
-    assert shard.add_index(4, DIR_OUT, 2)
+    cost = shard.cost
+    first, again, other = LatencyMeter(), LatencyMeter(), LatencyMeter()
+    put(shard, KEY, 5, meter=first)
+    put(shard, KEY, 6, meter=again)
+    put(shard, make_key(2, 4, DIR_OUT), 5, meter=other)
     assert shard.index_vertices(4, DIR_OUT) == [1, 2]
     assert shard.index_vertices(4, DIR_IN) == []
+    # A new index entry is charged like a value entry; a vertex the
+    # index vertex already lists is not registered (or charged) again.
+    assert first.ns == cost.create_key_ns + 2 * cost.insert_entry_ns
+    assert again.ns == cost.insert_entry_ns
+    assert other.ns == first.ns
 
 
 def test_costs_charged_on_lookup():
     shard = ShardStore()
-    shard.insert(KEY, 5)
-    shard.insert(KEY, 6)
+    put(shard, KEY, 5)
+    put(shard, KEY, 6)
     meter = LatencyMeter()
     shard.lookup(KEY, meter=meter)
     expected = shard.cost.hash_probe_ns + 2 * shard.cost.scan_entry_ns
@@ -108,7 +121,7 @@ def test_costs_charged_on_lookup():
 
 def test_span_read_skips_hash_probe():
     shard = ShardStore()
-    span = shard.insert(KEY, 5)
+    span = put(shard, KEY, 5)
     meter = LatencyMeter()
     shard.lookup_span(span, meter=meter)
     assert meter.ns == shard.cost.scan_entry_ns
@@ -116,8 +129,8 @@ def test_span_read_skips_hash_probe():
 
 def test_memory_accounting_counts_segments():
     shard = ShardStore()
-    shard.insert(KEY, 5, sn=1)
-    shard.insert(KEY, 6, sn=2)
+    put(shard, KEY, 5, sn=1)
+    put(shard, KEY, 6, sn=2)
     before = shard.memory_bytes()
     shard.compact(2)
     after = shard.memory_bytes()
@@ -126,8 +139,8 @@ def test_memory_accounting_counts_segments():
 
 def test_stats():
     shard = ShardStore()
-    shard.insert(KEY, 5)
-    shard.insert(make_key(2, 4, DIR_OUT), 1)
+    put(shard, KEY, 5)
+    put(shard, make_key(2, 4, DIR_OUT), 1)
     assert shard.num_keys == 2
     assert shard.num_entries == 2
 
@@ -139,10 +152,65 @@ def test_visibility_is_monotonic_in_sn(entries):
     shard = ShardStore()
     entries = sorted(entries, key=lambda e: e[0])
     for sn, vid in entries:
-        shard.insert(KEY, vid, sn=sn)
+        put(shard, KEY, vid, sn=sn)
     previous = []
     for sn in range(0, 7):
         visible = shard.lookup(KEY, max_sn=sn)
         assert visible[:len(previous)] == previous
         previous = visible
     assert previous == [vid for _, vid in entries]
+
+
+def _coalesced(spans):
+    """Per key, in first-occurrence order, its spans folded end to start."""
+    folded = {}
+    for span in spans:
+        known = folded.get(span.key)
+        if known is None:
+            folded[span.key] = span
+        else:
+            assert known.offset + known.length == span.offset
+            folded[span.key] = ValueSpan(span.key, known.offset,
+                                         known.length + span.length)
+    return list(folded.values())
+
+
+def _state(shard):
+    """Everything a column write leaves behind, dict orders included."""
+    buckets = [(eid, d) for eid in range(3) for d in (DIR_IN, DIR_OUT)]
+    return {
+        "values": [(key, entry.vids, entry.sns)
+                   for key, entry in shard._values.items()],
+        "index": list(shard._index.items()),
+        "entries": [shard.predicate_entries(*b) for b in buckets],
+        "keys": [shard.predicate_keys(*b) for b in buckets],
+        "sketches": {bucket: list(sketch.counts.items())
+                     for bucket, sketch in shard._degree_sketches.items()},
+        "versioned": sorted(shard._versioned_heap),
+    }
+
+
+# Twelve vertices against TOPK_CAPACITY = 8 make the sketches evict, so
+# the order entries are counted in matters.
+_ENTRY = st.tuples(st.integers(1, 12), st.integers(0, 2),
+                   st.sampled_from([DIR_IN, DIR_OUT]), st.integers(1, 30))
+
+
+@given(st.lists(_ENTRY, max_size=60), st.lists(_ENTRY, max_size=60))
+def test_one_column_write_equals_one_entry_columns(loaded, batch):
+    """Writing an arrival-ordered column at once leaves the shard, the
+    returned spans and the meter exactly as writing its entries one at a
+    time does — over a loaded base (SN 0) and a later batch (SN 3)."""
+    whole, single = ShardStore(), ShardStore()
+    whole_meter, single_meter = LatencyMeter(), LatencyMeter()
+    for sn, entries in ((BASE_SN, loaded), (3, batch)):
+        keys = [make_key(vid, eid, d) for vid, eid, d, _ in entries]
+        vids = [value for _, _, _, value in entries]
+        spans = whole.append_column(keys, vids, sn=sn, meter=whole_meter)
+        one_by_one = [put(single, key, vid, sn=sn, meter=single_meter)
+                      for key, vid in zip(keys, vids)]
+        assert spans == _coalesced(one_by_one)
+        assert [span.key for span in spans] == list(dict.fromkeys(keys))
+    assert _state(whole) == _state(single)
+    assert whole_meter.ps == single_meter.ps
+    assert whole_meter.breakdown_ps == single_meter.breakdown_ps
