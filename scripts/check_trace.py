@@ -18,9 +18,12 @@ trace-event document, and fails unless:
 Usage::
 
     PYTHONPATH=src python scripts/check_trace.py [--out PATH]
-        [--duration-ms N]
+        [--duration-ms N] [--show]
 
 ``--out`` keeps the exported trace file (default: a temp file, deleted).
+``--show`` prints, from the same run, a flame rendering of the slowest
+one-shot and window activity, the metrics registry and the stats
+dashboard (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ if _SRC not in sys.path:
 
 from repro.bench.harness import build_wukongs  # noqa: E402
 from repro.bench.lsbench import LSBench, LSBenchConfig  # noqa: E402
-from repro.obs import (critical_path, spans_from_chrome,  # noqa: E402
+from repro.core.stats import collect_stats  # noqa: E402
+from repro.obs import (collect_metrics, critical_path,  # noqa: E402
+                       render_flame, spans_from_chrome,
                        validate_chrome_trace, write_chrome_trace)
 
 L_QUERIES = ["L1", "L2", "L3", "L4", "L5", "L6"]
@@ -94,12 +99,26 @@ def check_trace(document, original_spans) -> list:
     return problems
 
 
+def show(engine) -> None:
+    """The human-facing view of the traced run."""
+    for kind in ("oneshot", "window"):
+        slowest = max(engine.tracer.activities(kind), key=lambda s: s.ns)
+        print(f"\nslowest {kind} activity:")
+        print(render_flame(engine.tracer.spans, slowest))
+    collect_metrics(engine)
+    print("\n== metrics ==\n" + engine.metrics.render())
+    print("\n== engine stats ==\n" + collect_stats(engine).format())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None,
                         help="keep the exported trace at this path")
     parser.add_argument("--duration-ms", type=int, default=1_500,
                         help="simulated workload length (default 1500)")
+    parser.add_argument("--show", action="store_true",
+                        help="also print flame renderings, the metrics "
+                             "registry and the stats dashboard")
     args = parser.parse_args(argv)
 
     engine, records = run_traced_workload(args.duration_ms)
@@ -135,6 +154,8 @@ def main(argv=None) -> int:
             print(f"FAIL: {problem}", file=sys.stderr)
         return 1
     print("trace check passed")
+    if args.show:
+        show(engine)
     return 0
 
 

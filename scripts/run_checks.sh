@@ -1,5 +1,5 @@
 #!/bin/sh
-# Tier-1 gate: the full test suite plus a quick wall-clock benchmark.
+# Tier-1 gate: the full test suite plus the repo benchmark's own checks.
 #
 # The suite is split so the fast tier stays fast: the serving battery
 # (thousands of concurrent subscriptions; marked `serving`), the chaos
@@ -22,23 +22,20 @@
 # writes and span-walking window reads (every write is one
 # arrival-ordered column through ShardStore.append_column /
 # DistributedStore.insert_triples, every window read a ColumnarSlice;
-# the injector imports no private name from the store) have not come
-# back.  A test marked both serving and chaos runs in the chaos stage
-# only.
+# the injector imports no private name from the store), and the second
+# timing mechanism (per-phase wall-clock dicts threaded through the
+# engines; nothing under src/repro reads the host clock — wall time is
+# taken in benchmarks/e2e/probes.py, from outside) have not come back.
+# A test marked both serving and chaos runs in the chaos stage only.
 #
 # The obs stage exports a Chrome trace from a quick traced LSBench run
 # and validates it (schema, lossless round trip, and per-activity
 # critical paths summing to the recorded meter picoseconds — integer
 # comparisons); see scripts/check_trace.py.
 #
-# The bench-smoke stage runs the wall-clock benchmark in --quick mode
-# (shorter scenarios, fewer repeats) to a scratch file and fails if any
-# scenario retains less than its floor (0.6x of the speedup_vs_seed
-# recorded in the committed BENCH_wallclock.json; 0.7x for continuous)
-# (loose on purpose: it catches a fast
-# path falling off, not load noise — see check_bench_smoke.py).  Use
-# `python benchmarks/bench_wallclock.py` (no --quick) for citable numbers
-# and to refresh BENCH_wallclock.json itself.
+# The ablation stage runs the per-phase attribution smoke and the
+# re-planning ablation (pinned vs adaptive on a skew inversion; asserts
+# on the simulated clock only).
 #
 # The last stage runs the repo benchmark's own checks (benchmarks/e2e,
 # the harness BENCHMARK.json names): a quick traced set of all five
@@ -73,41 +70,40 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
-if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts \
-        benchmarks/bench_wallclock.py; then exit 1; fi
+if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts; \
+        then exit 1; fi
 if grep -rn 'ChargeSe[t]\|charges_commut[e]\|_ChargeScrip[t]\|charge_man[y]' \
         src scripts; then exit 1; fi
 # (`\._plan_cach[e]\>` is the attribute; the exported `*_plan_cache_hits`
 # counter names stay, as do the `adjacency_cache_hits` / `_misses` /
 # `_evictions` / `_entries` / `_capacity` metric names.)
 if grep -rn '_oneshot_parse_cach[e]\|\._plan_cach[e]\>\|PLAN_CACHE_CAPACIT[Y]' \
-        src scripts benchmarks/bench_wallclock.py; then exit 1; fi
+        src scripts; then exit 1; fi
 if grep -rn '_CompiledPlainFilte[r]\|_plain_filter_matche[s]' \
-        src scripts benchmarks/bench_wallclock.py; then exit 1; fi
+        src scripts; then exit 1; fi
 if grep -rn 'AdjacencyBudge[t]\|adjacency_weighte[d]\|adjacency_polic[y]\|adjacency_cache_\(polic[y]\|weighte[d]\|adaptiv[e]\|mi[n]\|ma[x]\)' \
-        src scripts benchmarks/bench_wallclock.py; then exit 1; fi
+        src scripts; then exit 1; fi
 if grep -rn 'CompiledIntervalPla[n]\|evaluate_interval_batc[h]\|_extend_share[d]\|temporal\.kernel[s]\|oneshot_contentio[n]\|replan_hysteresi[s]' \
-        src scripts benchmarks/bench_wallclock.py; then exit 1; fi
+        src scripts; then exit 1; fi
 # (`lookup_span[s]\>` is the plural only: `ShardStore.lookup_span` stays.)
 if grep -rn 'insert_encode[d]\|insert_out_edg[e]\|insert_in_edg[e]\|\.add_inde[x](\|\.add_spa[n](\|_note_verte[x]\|lookup_span[s]\>\|_merge_span[s]\|span_fro[m]\|_timeless_neighbor[s]' \
-        src scripts benchmarks/bench_wallclock.py; then exit 1; fi
+        src scripts; then exit 1; fi
 if grep -n 'repro\.store\.kvstore import.*\<_' src/repro/core/injector.py; \
+        then exit 1; fi
+if grep -rn 'wall_stat[s]' src scripts benchmarks --exclude-dir=e2e; \
+        then exit 1; fi
+if grep -rnE '^(import|from) time\b|perf_counte[r]' src/repro; \
         then exit 1; fi
 
 echo "== obs (trace export + critical-path exactness) =="
 PYTHONPATH=src python scripts/check_trace.py
 
-echo "== ablation report (per-phase attribution smoke) =="
+echo "== ablation report (per-phase attribution smoke + re-planning ablation) =="
 PYTHONPATH=src python scripts/report_ablation.py --check --duration-ms 1000
-
-echo "== bench smoke (quick run vs committed BENCH_wallclock.json) =="
-PYTHONPATH=src python benchmarks/bench_wallclock.py --quick \
-    --out .bench_smoke.json
-python scripts/check_bench_smoke.py --committed BENCH_wallclock.json \
-    --smoke .bench_smoke.json
-rm -f .bench_smoke.json
+PYTHONPATH=src python -m pytest benchmarks/bench_ablation_replan.py \
+    --benchmark-only -q
 
 echo "== repo benchmark checks (benchmarks/e2e: outputs, probes, self-test) =="
 python3 benchmarks/e2e/run.py set --quick --trace --out ./.e2e_smoke.json \

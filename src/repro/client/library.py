@@ -28,7 +28,7 @@ from repro.client.procedures import ProcedureCache, StoredProcedure
 from repro.core.continuous import ExecutionRecord, RegisteredQuery
 from repro.core.engine import WukongSEngine
 from repro.core.pipeline import LRUCache
-from repro.errors import StoreError
+from repro.errors import PlanError, RegistrationError, StoreError
 from repro.rdf.string_server import StringServer
 from repro.sim.cost import LatencyMeter
 
@@ -192,7 +192,7 @@ class ClientLibrary:
         """Execute a one-shot query and decode its answer."""
         procedure = self.prepare(text)
         if procedure.is_continuous:
-            raise ValueError(
+            raise PlanError(
                 "continuous queries must be registered, not submitted; "
                 "use register()")
         record = self.engine.oneshot(procedure.query, home_node=home_node)
@@ -206,8 +206,8 @@ class ClientLibrary:
         """Register a continuous query; poll the subscription for results."""
         procedure = self.prepare(text)
         if not procedure.is_continuous:
-            raise ValueError("one-shot queries are submitted, not "
-                             "registered; use submit()")
+            raise RegistrationError("one-shot queries are submitted, not "
+                                    "registered; use submit()")
         handle = self.engine.register_continuous(procedure.query,
                                                  home_node=home_node)
         return ClientSubscription(library=self, procedure=procedure,
@@ -226,8 +226,8 @@ class ClientLibrary:
         the backing entry), N deliveries.
         """
         if not procedure.is_continuous:
-            raise ValueError("one-shot procedures cannot subscribe to a "
-                             "continuous registration")
+            raise RegistrationError("one-shot procedures cannot subscribe "
+                                    "to a continuous registration")
         return ClientSubscription(library=self, procedure=procedure,
                                   handle=handle, shared=shared)
 

@@ -243,20 +243,17 @@ class ProxyPool:
         self._next += 1
         return proxy
 
-    # Kept for callers that predate the public name.
-    _pick = pick
-
     def submit(self, text: str) -> ClientResult:
         """Route a one-shot query through the next proxy."""
-        return self._pick().submit(text)
+        return self.pick().submit(text)
 
     def submit_robust(self, text: str) -> PendingRequest:
         """Route a one-shot query with timeout/retry semantics."""
-        return self._pick().submit_robust(text)
+        return self.pick().submit_robust(text)
 
     def register(self, text: str) -> ClientSubscription:
         """Register a continuous query through the next proxy."""
-        return self._pick().register(text)
+        return self.pick().register(text)
 
     def pump(self) -> List[PendingRequest]:
         """Drive every proxy's retry queue; returns completed requests."""

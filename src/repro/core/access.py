@@ -10,7 +10,6 @@ transient store) and a snapshot-bounded
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.stream_index import (_EMPTY_SET, _MISSING, ColumnarSlice,
@@ -49,17 +48,14 @@ class WindowAccess:
         Per-node transient stores of this stream.
     home_node:
         The node executing the query (prices remote accesses).
-    wall_stats:
-        Optional dict accumulating wall-clock seconds under
-        ``"index_read"`` (bench phase instrumentation).
     """
 
     def __init__(self, cluster: Cluster, store: DistributedStore,
                  strings: StringServer, registry: StreamIndexRegistry,
                  stream_schema: StreamSchema,
                  transients: List[TransientStore],
-                 view: ColumnarSlice, home_node: int = 0, force_local_index: bool = False,
-                 wall_stats: Optional[dict] = None):
+                 view: ColumnarSlice, home_node: int = 0,
+                 force_local_index: bool = False):
         self.cluster = cluster
         self.store = store
         self.strings = strings
@@ -70,7 +66,6 @@ class WindowAccess:
         self.last_batch = view.last_batch
         self.home_node = home_node
         self.view = view
-        self.wall_stats = wall_stats
         self._cost = registry.index(stream_schema.name).cost
         # Registered queries have the index replicated to their node;
         # distributed branches get on-demand replicas (§4.2).
@@ -122,8 +117,6 @@ class WindowAccess:
                                                             meter)
             return fetched
         view = self.view
-        wall = self.wall_stats
-        started = time.perf_counter() if wall is not None else 0.0
         cost = self._cost
         probes = view.probes
         index_local = self._index_local
@@ -166,9 +159,6 @@ class WindowAccess:
         if hits:
             view.hits += hits
         self._last_fetch = (fetched, cols)
-        if wall is not None:
-            wall["index_read"] = wall.get("index_read", 0.0) \
-                + (time.perf_counter() - started)
         return fetched
 
     def neighbor_sets(self, starts: Iterable[int], eid: int,

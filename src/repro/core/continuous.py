@@ -12,7 +12,6 @@ needs (§4.3).  Registration and plan swaps plan through the engine's
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -139,11 +138,6 @@ class ContinuousEngine:
         #: Observability hooks (attached by ``engine.enable_observability``).
         self.tracer = None
         self.metrics = None
-        #: When set (a dict), wall-clock seconds of window-view
-        #: maintenance and columnar index reads accumulate under
-        #: ``"index_read"`` (bench phase instrumentation; share the dict
-        #: with ``explorer.wall_stats`` for a full phase breakdown).
-        self.wall_stats = None
 
     # -- registration -------------------------------------------------------
     def register(self, query: Query, now_ms: int,
@@ -342,8 +336,6 @@ class ContinuousEngine:
         # incremental window delta appends the newly closed batches and
         # drops the expired prefix, keeping every other cached column.
         views: Dict[str, ColumnarSlice] = {}
-        wall = self.wall_stats
-        started = time.perf_counter() if wall is not None else 0.0
         for stream, (first, last) in ranges.items():
             view = registered.window_views.get(stream)
             if view is None:
@@ -351,13 +343,6 @@ class ContinuousEngine:
                     self.registry.index(stream), self.store)
             view.advance(first, last)
             views[stream] = view
-        if wall is not None:
-            # Separate key from the access-side "index_read": view
-            # advances run *outside* the explorer's "explore" span,
-            # while the access reads run inside it, and the bench
-            # combines them into one disjoint index-read phase.
-            wall["window_advance"] = wall.get("window_advance", 0.0) \
-                + (time.perf_counter() - started)
         cache: Dict[int, Callable] = {}
 
         def factory(node_id: int):
@@ -375,8 +360,7 @@ class ContinuousEngine:
                     stream_schema=self.schemas[stream],
                     transients=self.transients[stream], view=view,
                     home_node=node_id,
-                    force_local_index=(node_id != registered.home_node),
-                    wall_stats=self.wall_stats)
+                    force_local_index=(node_id != registered.home_node))
             stored_access = PersistentAccess(
                 self.store, home_node=node_id, max_sn=stable_sn)
 

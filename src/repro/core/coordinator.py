@@ -104,10 +104,6 @@ class Coordinator:
         """A node finished recovery; normal SN publication may resume."""
         self._down.discard(node_id)
 
-    @property
-    def down_nodes(self) -> frozenset:
-        return frozenset(self._down)
-
     # -- VTS updates -------------------------------------------------------
     def on_batch_inserted(self, node_id: int, stream: str, batch_no: int,
                           meter: Optional[LatencyMeter] = None) -> None:

@@ -271,7 +271,7 @@ class WukongSEngine:
         return self.store.load(triples)
 
     # -- queries -----------------------------------------------------------------
-    def _check_home_node(self, home_node: Optional[int]) -> None:
+    def check_home_node(self, home_node: Optional[int]) -> None:
         """Refuse a home node the cluster does not have (its charges
         would be priced from, and its index replica placed on, a node
         that does not exist)."""
@@ -294,7 +294,7 @@ class WukongSEngine:
         ordering, exempting the query from adaptive re-planning (golden
         workloads pin their orders; see ``repro.core.replan``).
         """
-        self._check_home_node(home_node)
+        self.check_home_node(home_node)
         parsed = self.pipeline.parse(query) if isinstance(query, str) \
             else query
         return self.continuous.register(parsed, self.clock.now_ms,
@@ -304,7 +304,7 @@ class WukongSEngine:
     def oneshot(self, query: Union[str, Query],
                 home_node: Optional[int] = None) -> OneShotRecord:
         """Execute a one-shot SPARQL query at the stable snapshot."""
-        self._check_home_node(home_node)
+        self.check_home_node(home_node)
         parsed = self.pipeline.parse(query) if isinstance(query, str) \
             else query
         contended = bool(self.continuous.queries)
@@ -332,7 +332,7 @@ class WukongSEngine:
         from repro.core.access import WindowAccess
         from repro.store.distributed import PersistentAccess
 
-        self._check_home_node(home_node)
+        self.check_home_node(home_node)
         parsed = self.pipeline.parse(query) if isinstance(query, str) \
             else query
         if not parsed.windows:

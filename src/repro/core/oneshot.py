@@ -15,9 +15,8 @@ continuous queries are actively registered.  Plans come from the engine's
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.coordinator import Coordinator
 from repro.errors import PlanError
@@ -64,9 +63,6 @@ class OneShotEngine:
         #: Observability hooks (attached by ``engine.enable_observability``).
         self.tracer = None
         self.metrics = None
-        #: When set (a dict), wall-clock seconds per phase are accumulated
-        #: under "plan" here; the explorer handles "explore"/"project".
-        self.wall_stats: Optional[Dict[str, float]] = None
 
     def _statistics(self):
         if self._stats is None:
@@ -117,12 +113,7 @@ class OneShotEngine:
                                           max_sn=sn)
                 return lambda pattern: access
 
-        wall = self.wall_stats
-        started = time.perf_counter() if wall is not None else 0.0
         plan = self.plan(query)
-        if wall is not None:
-            wall["plan"] = wall.get("plan", 0.0) \
-                + (time.perf_counter() - started)
         if act is not None:
             act.mark("plan", steps=len(plan.steps))
         result = self.explorer.execute(plan, factory, meter,

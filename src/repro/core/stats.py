@@ -266,10 +266,6 @@ class CacheStats:
         return self._rate(self.plan_hits, self.plan_misses)
 
     @property
-    def parse_hit_rate(self) -> float:
-        return self._rate(self.parse_hits, self.parse_misses)
-
-    @property
     def adjacency_hit_rate(self) -> float:
         return self._rate(self.adjacency_hits, self.adjacency_misses)
 
@@ -280,10 +276,6 @@ class CacheStats:
     @property
     def window_delta_rate(self) -> float:
         return self._rate(self.window_delta_hits, self.window_delta_misses)
-
-    @property
-    def temporal_plan_hit_rate(self) -> float:
-        return self._rate(self.temporal_plan_hits, self.temporal_plan_misses)
 
 
 @dataclass

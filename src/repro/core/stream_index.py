@@ -640,6 +640,3 @@ class StreamIndexRegistry:
         """Total bytes across replicas of one stream's index."""
         replicas = max(1, len(self._replicas.get(stream, ())))
         return self.index(stream).memory_bytes() * replicas
-
-    def total_memory_bytes(self) -> int:
-        return sum(self.memory_bytes(s) for s in self._indexes)

@@ -34,6 +34,8 @@ class OneshotRequest:
     #: Explicit home node; None lets the serving layer place the request
     #: on the least injection-loaded node.
     home_node: Optional[int] = None
+    #: The typed error of a request the engine refused at dispatch.
+    error: Optional[Exception] = None
 
 
 @dataclass
@@ -120,14 +122,16 @@ class FairScheduler:
 
     # -- dispatch ----------------------------------------------------------
     def drain(self, now_ms: int,
-              execute: Callable[[OneshotRequest, int], ServedOneshot]
+              execute: Callable[[OneshotRequest, int],
+                                Optional[ServedOneshot]]
               ) -> List[ServedOneshot]:
         """Dispatch up to ``slots_per_tick`` requests fairly.
 
         Visits tenants one request at a time starting at the rotating
         cursor; a tenant with an empty queue is skipped without consuming
         a slot.  The cursor ends just past the last tenant visited, so
-        whoever missed out this tick goes first next tick.
+        whoever missed out this tick goes first next tick.  ``execute``
+        returns None for a request it refused; the slot is spent anyway.
         """
         served: List[ServedOneshot] = []
         ring = self._ring
@@ -141,8 +145,9 @@ class FairScheduler:
             tenant = ring[index % size]
             queue = self._queues[tenant]
             if queue:
-                request = queue.popleft()
-                served.append(execute(request, now_ms))
+                outcome = execute(queue.popleft(), now_ms)
+                if outcome is not None:
+                    served.append(outcome)
                 slots -= 1
                 empty_streak = 0
             else:

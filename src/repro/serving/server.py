@@ -18,6 +18,8 @@ and serves two traffic classes against the *same* window state —
 
 Both classes pass :class:`~repro.serving.admission.AdmissionPolicy`
 checks at the door; refusals raise typed errors, never drop silently.
+A one-shot the engine refuses only when its slot comes up carries the
+error on its request handle and costs its own slot, never the tick.
 
 Everything runs on the simulated clock: a served request's latency is
 its queue wait (ticks spent in the backlog) plus the client-visible
@@ -32,10 +34,12 @@ from typing import Dict, List, Optional
 
 from repro.bench.metrics import percentile
 from repro.client.library import ClientResult, ClientSubscription
+from repro.client.procedures import ProcedureCache
 from repro.client.proxy import ProxyPool, RetryPolicy
 from repro.core.continuous import ExecutionRecord
 from repro.core.engine import WukongSEngine
-from repro.errors import AdmissionError, RegistrationError
+from repro.errors import (AdmissionError, PlanError, RegistrationError,
+                          ReproError)
 from repro.obs.metrics import MetricsRegistry
 from repro.serving.admission import AdmissionPolicy
 from repro.serving.registry import SharedEntry, SharedQueryRegistry
@@ -55,6 +59,7 @@ class TenantState:
     oneshots_submitted: int = 0
     oneshots_served: int = 0
     oneshots_rejected: int = 0
+    oneshots_failed: int = 0
     registrations_rejected: int = 0
     close_results: int = 0
     #: Simulated latencies (ns): shared-close deliveries and one-shots.
@@ -164,6 +169,9 @@ class ServingLayer:
         self.scheduler = FairScheduler(self.policy.oneshot_slots_per_tick)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tenants: Dict[str, TenantState] = {}
+        #: The door's own parse of one-shot texts: the executing proxy
+        #: still prepares through its cache, so its counters never move.
+        self._door = ProcedureCache()
         #: Running totals (cheap enough to keep always-on).
         self.closes_evaluated = 0
         self.results_delivered = 0
@@ -243,7 +251,14 @@ class ServingLayer:
     def submit(self, tenant: str, text: str,
                home_node: Optional[int] = None) -> OneshotRequest:
         """Queue a one-shot request; the next :meth:`tick` dispatches it
-        (fairly) unless a backlog budget refuses it here."""
+        (fairly).  What the door can know is refused here, typed, before
+        anything is queued or counted: a text that does not parse or
+        plan, a continuous query, a phantom home node, a full backlog."""
+        if self._door.get(text).is_continuous:
+            raise PlanError(
+                "continuous queries must be registered, not submitted; "
+                "use register()")
+        self.engine.check_home_node(home_node)
         state = self.tenant(tenant)
         try:
             self.policy.admit_oneshot(
@@ -271,14 +286,20 @@ class ServingLayer:
         return min(load, key=lambda node_id: (load[node_id], node_id))
 
     def _execute(self, request: OneshotRequest,
-                 now_ms: int) -> ServedOneshot:
+                 now_ms: int) -> Optional[ServedOneshot]:
         proxy = self.proxies.pick()
         home = request.home_node if request.home_node is not None \
             else self._least_loaded_node()
-        result = proxy.submit(request.text, home_node=home)
+        state = self.tenant(request.tenant)
+        try:
+            result = proxy.submit(request.text, home_node=home)
+        except ReproError as error:
+            # Known only now (e.g. a snapshot that is not stable yet).
+            request.error = error
+            state.oneshots_failed += 1
+            return None
         served = ServedOneshot(request=request, dispatch_ms=now_ms,
                                result=result)
-        state = self.tenant(request.tenant)
         state.oneshots_served += 1
         state.oneshot_latency_ns.append(served.latency_ns)
         self.metrics.histogram("serving_oneshot_ns",

@@ -84,10 +84,6 @@ class Cluster:
     def alive_nodes(self) -> List[Node]:
         return [node for node in self.nodes if node.alive]
 
-    def down_nodes(self) -> List[int]:
-        """IDs of currently failed nodes."""
-        return [node.node_id for node in self.nodes if not node.alive]
-
     @property
     def all_alive(self) -> bool:
         """Whether the cluster is fully healthy (no failed node)."""

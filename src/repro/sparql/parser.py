@@ -51,9 +51,6 @@ from repro.sparql.lexer import Token, TokenCursor, tokenize
 _DURATION_RE = re.compile(r"^(\d+)(ms|s|m)$", re.IGNORECASE)
 _UNIT_MS = {"ms": 1, "s": 1_000, "m": 60_000}
 
-#: Tokens that cannot begin a triple term.
-_CLAUSE_KEYWORDS = {"GRAPH", "FILTER"}
-
 
 def _parse_duration(token: Token) -> int:
     """Parse ``10s`` / ``100ms`` / ``2m`` into milliseconds."""

@@ -74,7 +74,6 @@ DESIGN.md §4.7.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 from operator import contains, itemgetter
@@ -144,9 +143,6 @@ class ExecutionResult:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def as_dicts(self) -> List[Dict[str, int]]:
-        return [dict(zip(self.variables, row)) for row in self.rows]
 
     def as_bool(self) -> bool:
         """The boolean answer of an ASK query (any solution exists)."""
@@ -465,9 +461,6 @@ class GraphExplorer:
         #: Wall-clock-only counter: executions that ran a step phase (a
         #: pure-UNION plan has none); surfaced via ``core.stats``.
         self.batch_executions = 0
-        #: When set (a dict), wall-clock seconds are accumulated under
-        #: "explore" and "project" per execution (bench instrumentation).
-        self.wall_stats = None
         #: Observability hook: when a tracer is attached, executions add
         #: explore/project phase marks and fork-join branch spans to the
         #: tracer's current activity.  Read-only on meters (zero-cost in
@@ -515,11 +508,9 @@ class GraphExplorer:
                 mode = "fork_join"
             else:
                 mode = "in_place"
-        wall = self.wall_stats
         act = self.tracer.current if self.tracer is not None else None
         if act is not None and act.meter is not meter:
             act = None  # the live activity is not this execution's
-        started = time.perf_counter() if wall is not None else 0.0
         # UNION arms and OPTIONAL groups extend one solution row at a time
         # (their lookup charges are per row), so such plans leave the
         # columnar layout after the step phase; everything else projects
@@ -561,18 +552,12 @@ class GraphExplorer:
                 compiled.leftover_filters, self.strings.entity_name,
                 first_access.resolve_entity, meter, self.cost, strict=False)
             rows = [view.row for view in views]
-        if wall is not None:
-            explored = time.perf_counter()
-            wall["explore"] = wall.get("explore", 0.0) + (explored - started)
         if act is not None:
             act.mark("explore", mode=mode)
         if rows is None:
             result = self._project_batch(plan, compiled, batch, meter)
         else:
             result = self._project(plan, compiled, rows, meter)
-        if wall is not None:
-            wall["project"] = wall.get("project", 0.0) \
-                + (time.perf_counter() - explored)
         if act is not None:
             act.mark("project")
         return result

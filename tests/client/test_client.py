@@ -3,11 +3,11 @@
 import pytest
 
 from repro.client.library import (_REQUEST_BYTES, _ROW_BYTES,
-                                  ClientLibrary)
+                                  ClientLibrary, SharedDecodes)
 from repro.client.procedures import ProcedureCache
 from repro.client.proxy import ProxyPool
 from repro.core.pipeline import CACHE_CAPACITY
-from repro.errors import PlanError
+from repro.errors import PlanError, RegistrationError
 from repro.sim.cost import LatencyMeter
 
 from core.test_engine import QC, build_engine
@@ -142,10 +142,17 @@ class TestClientLibrary:
 
     def test_submit_rejects_continuous(self, engine):
         client = ClientLibrary(engine)
-        with pytest.raises(ValueError):
+        with pytest.raises(PlanError):
             client.submit(QC)
-        with pytest.raises(ValueError):
+        with pytest.raises(RegistrationError):
             client.register("SELECT ?x WHERE { Logan po ?x }")
+
+    def test_subscribe_rejects_oneshot_procedure(self, engine):
+        client = ClientLibrary(engine)
+        handle = client.register(QC).handle
+        oneshot = client.prepare("SELECT ?x WHERE { Logan po ?x }")
+        with pytest.raises(RegistrationError):
+            client.subscribe(oneshot, handle, SharedDecodes())
 
     def test_aggregate_values_pass_through(self, engine):
         client = ClientLibrary(engine)

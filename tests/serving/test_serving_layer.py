@@ -10,7 +10,8 @@ exactly with what was delivered.
 
 import pytest
 
-from repro.errors import RegistrationError
+from repro.errors import (ParseError, PlanError, RegistrationError,
+                          SnapshotNotYetStableError, StoreError)
 from repro.obs.metrics import collect_metrics
 from repro.serving import AdmissionPolicy
 from serving.serving_workload import build_serving, window_query
@@ -103,6 +104,66 @@ def test_register_rejects_oneshot_text():
     with pytest.raises(RegistrationError, match="submitted, not registered"):
         serving.register("alpha", bench.oneshot_query("S1"))
     assert serving.registry.num_subscribers == 0
+
+
+POISON = {
+    "malformed": (lambda bench: ("SELECT ?x WHERE { ?x", None), ParseError),
+    "continuous": (lambda bench: (window_query(bench), None), PlanError),
+    "phantom_home": (lambda bench: (bench.oneshot_query("S2"), 5),
+                     StoreError),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POISON))
+def test_poison_oneshot_is_refused_at_the_door(kind):
+    """One tenant's bad one-shot is that tenant's typed error at
+    ``submit``; it never reaches the tick the other tenants share."""
+    make, error = POISON[kind]
+    bench, serving = build_serving(num_nodes=2)
+    good = bench.oneshot_query("S2")
+    alice = serving.submit("alice", good)
+    text, home_node = make(bench)
+    with pytest.raises(error):
+        serving.submit("mallory", text, home_node=home_node)
+    assert serving.scheduler.backlog == 1
+    assert serving.tenant("mallory").oneshots_submitted == 0
+    assert serving.tenant("mallory").oneshots_rejected == 0
+    bob = serving.submit("bob", good)
+    before_ms = serving.engine.clock.now_ms
+    served = serving.tick()
+    assert [s.request for s in served] == [alice, bob]
+    assert all(s.result.rows for s in served)
+    assert serving.scheduler.backlog == 0
+    assert serving.engine.clock.now_ms - before_ms == \
+        serving.engine.config.batch_interval_ms
+    assert alice.error is None and bob.error is None
+
+
+def test_refusal_at_dispatch_costs_one_slot_not_the_tick():
+    """What the door cannot know — here a snapshot the cluster has not
+    reached — is refused by the engine when the slot comes up: the typed
+    error lands on the request handle, and everyone else is served."""
+    bench, serving = build_serving(num_nodes=2)
+    good = bench.oneshot_query("S2")
+    ahead = good.replace("WHERE", "FROM SNAPSHOT <999999> WHERE", 1)
+    alice = serving.submit("alice", good)
+    mallory = serving.submit("mallory", ahead)
+    bob = serving.submit("bob", good)
+    before_ms = serving.engine.clock.now_ms
+    served = serving.tick()
+    assert [s.request for s in served] == [alice, bob]
+    assert isinstance(mallory.error, SnapshotNotYetStableError)
+    assert alice.error is None and bob.error is None
+    assert serving.tenant("mallory").oneshots_failed == 1
+    assert serving.tenant("mallory").oneshots_served == 0
+    assert serving.oneshots_served == 2
+    assert serving.scheduler.backlog == 0
+    assert serving.engine.clock.now_ms - before_ms == \
+        serving.engine.config.batch_interval_ms
+    # The rotation moved past all three tenants: mallory's failure spent
+    # her slot like any dispatch.
+    carol = serving.submit("carol", good)
+    assert [s.request for s in serving.tick()] == [carol]
 
 
 def test_unsaturated_oneshots_are_submillisecond():
