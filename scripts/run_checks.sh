@@ -25,7 +25,9 @@
 # the injector imports no private name from the store), and the second
 # timing mechanism (per-phase wall-clock dicts threaded through the
 # engines; nothing under src/repro reads the host clock — wall time is
-# taken in benchmarks/e2e/probes.py, from outside) have not come back.
+# taken in benchmarks/e2e/probes.py, from outside), and the executor's
+# second, row-shaped binding set with its own projection (every phase
+# from seed to projection runs on _Batch) have not come back.
 # A test marked both serving and chaos runs in the chaos stage only.
 #
 # The obs stage exports a Chrome trace from a quick traced LSBench run
@@ -70,7 +72,7 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts; \
         then exit 1; fi
@@ -96,6 +98,8 @@ if grep -rn 'wall_stat[s]' src scripts benchmarks --exclude-dir=e2e; \
         then exit 1; fi
 if grep -rnE '^(import|from) time\b|perf_counte[r]' src/repro; \
         then exit 1; fi
+if grep -rn 'SlotRo[w]\|\.to_row[s]\|from_row[s]\|_explore_row[s]\|project_gette[r]\|def _projec[t](' \
+        src scripts; then exit 1; fi
 
 echo "== obs (trace export + critical-path exactness) =="
 PYTHONPATH=src python scripts/check_trace.py

@@ -61,10 +61,27 @@ class _TimestampedWindowAccess:
                 out.append(value)
         return out
 
+    def neighbors_many(self, starts: Iterable[int], eid: int, d: int,
+                       meter: LatencyMeter) -> Dict[int, List[int]]:
+        """One full-list scan per distinct start, keyed in
+        first-occurrence order."""
+        fetched: Dict[int, List[int]] = {}
+        for start in starts:
+            if start not in fetched:
+                fetched[start] = self.neighbors(start, eid, d, meter)
+        return fetched
+
     def index_vertices(self, eid: int, d: int,
                        meter: LatencyMeter) -> List[int]:
         """No windowed index exists: enumerate every vertex ever seen."""
         return self.engine.store.gather_index(self.home_node, eid, d, meter)
+
+    def index_vertices_local(self, eid: int, d: int, node_id: int,
+                             meter: LatencyMeter) -> List[int]:
+        """The vertices of :meth:`index_vertices` owned by ``node_id``."""
+        owner_of = self.engine.cluster.owner_of
+        return [vid for vid in self.index_vertices(eid, d, meter)
+                if owner_of(vid) == node_id]
 
 
 class WukongExtEngine:

@@ -6,44 +6,56 @@ and the transient store will be reloaded if needed.  Wukong+S will further
 re-register continuous queries and the latest local and stable vector
 timestamps."
 
-:func:`save_engine` serializes everything durable — the initially stored
-triples, the per-batch ingestion log (decoded to strings, so the dump is
-portable), the SN plan, the registered continuous queries and the clock —
-into one JSON file.  :func:`restore_engine` rebuilds a fresh engine from
-it: replaying the log through the normal injection pipeline reconstructs
-the persistent store, the stream indexes *and* the transient stores with
-identical content (IDs re-allocate deterministically because the replay
+:func:`save_engine` serializes everything durable — the engine
+configuration, the initially stored triples, the per-batch ingestion log
+(decoded to strings, so the dump is portable), the SN plan, the
+registered continuous queries and the clock — into one JSON file.
+:func:`restore_engine` rebuilds a fresh engine from it: replaying the
+log through the normal injection pipeline reconstructs the persistent
+store, the stream indexes *and* the transient stores with identical
+content (IDs re-allocate deterministically because the replay
 order equals the original insertion order).  The caller re-attaches stream
 sources afterwards and resumes from the recovered clock.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Dict, List, Optional
 
 from repro.core.engine import EngineConfig, WukongSEngine
 from repro.errors import FaultToleranceError
 from repro.rdf.terms import TimedTuple, Triple
+from repro.sim.cost import CostModel, MemoryModel
 from repro.sparql.ast import (Aggregate, FilterExpr, Query, TriplePattern,
                               WindowSpec)
 from repro.streams.stream import StreamBatch, StreamSchema
 
-FORMAT_VERSION = 1
+#: 2: the whole EngineConfig (version 1 dumped ten of its fields).
+FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
 # Query (de)serialization
 # ---------------------------------------------------------------------------
 
+def _dump_patterns(patterns: List[TriplePattern]) -> List[list]:
+    return [[p.subject, p.predicate, p.object, p.graph] for p in patterns]
+
+
+def _load_patterns(rows: List[list]) -> List[TriplePattern]:
+    return [TriplePattern(s, p, o, graph=g) for s, p, o, g in rows]
+
+
 def query_to_dict(query: Query) -> dict:
     """A JSON-safe dump of a parsed query (for the registration log)."""
     return {
         "select": list(query.select),
-        "patterns": [[p.subject, p.predicate, p.object, p.graph]
-                     for p in query.patterns],
-        "optionals": [[[p.subject, p.predicate, p.object, p.graph]
-                       for p in group] for group in query.optionals],
+        "patterns": _dump_patterns(query.patterns),
+        "optionals": list(map(_dump_patterns, query.optionals)),
+        "unions": [list(map(_dump_patterns, union))
+                   for union in query.unions],
         "windows": {name: [w.range_ms, w.step_ms]
                     for name, w in query.windows.items()},
         "static_graphs": list(query.static_graphs),
@@ -61,11 +73,10 @@ def query_from_dict(data: dict) -> Query:
     """Rebuild a query from :func:`query_to_dict` output."""
     return Query(
         select=list(data["select"]),
-        patterns=[TriplePattern(s, p, o, graph=g)
-                  for s, p, o, g in data["patterns"]],
-        optionals=[[TriplePattern(s, p, o, graph=g)
-                    for s, p, o, g in group]
-                   for group in data.get("optionals", [])],
+        patterns=_load_patterns(data["patterns"]),
+        optionals=list(map(_load_patterns, data.get("optionals", []))),
+        unions=[list(map(_load_patterns, union))
+                for union in data.get("unions", [])],
         windows={name: WindowSpec(r, s)
                  for name, (r, s) in data["windows"].items()},
         static_graphs=list(data["static_graphs"]),
@@ -126,21 +137,11 @@ def _decode_batch_log(engine: WukongSEngine) -> List[dict]:
 
 def save_engine(engine: WukongSEngine, path: str) -> None:
     """Serialize the engine's durable state to ``path`` (JSON)."""
-    cfg = engine.config
     data = {
         "version": FORMAT_VERSION,
-        "config": {
-            "num_nodes": cfg.num_nodes,
-            "workers_per_node": cfg.workers_per_node,
-            "use_rdma": cfg.use_rdma,
-            "batch_interval_ms": cfg.batch_interval_ms,
-            "stream_start_ms": cfg.stream_start_ms,
-            "plan_width": cfg.plan_width,
-            "keep_snapshots": cfg.keep_snapshots,
-            "scalarization": cfg.scalarization,
-            "checkpoint_interval_ms": cfg.checkpoint_interval_ms,
-            "injector_threads": cfg.injector_threads,
-        },
+        # Every EngineConfig field, cost and memory models as their own
+        # field dicts.
+        "config": dataclasses.asdict(engine.config),
         "schemas": [
             {"name": schema.name,
              "timing": sorted(schema.timing_predicates)}
@@ -189,7 +190,9 @@ def restore_engine(path: str, sources: Optional[List] = None
         raise FaultToleranceError(
             f"unsupported checkpoint version: {data.get('version')}")
 
-    config = EngineConfig(fault_tolerance=True, **data["config"])
+    saved = data["config"]
+    config = EngineConfig(**{**saved, "cost": CostModel(**saved["cost"]),
+                             "memory": MemoryModel(**saved["memory"])})
     schemas = [StreamSchema(item["name"], frozenset(item["timing"]))
                for item in data["schemas"]]
     engine = WukongSEngine(schemas=schemas, config=config)

@@ -117,30 +117,17 @@ def interval_op_holds(op: str, s1: int, e1: int, s2: int, e2: int) -> bool:
 
 def apply_filters(rows: List[Row], filters: Sequence[FilterExpr],
                   name_of: NameOf, resolve: ResolveEntity,
-                  meter=None, cost=None, strict: bool = True) -> List[Row]:
-    """Keep the rows satisfying every filter.
-
-    With ``strict=False``, a filter referencing a variable the row leaves
-    unbound (an unmatched OPTIONAL) eliminates the row instead of raising
-    — SPARQL's error-as-false semantics.
-    """
+                  meter=None, cost=None) -> List[Row]:
+    """Keep the rows satisfying every filter (the relational baselines'
+    post-join FILTER step)."""
     if not filters:
         return rows
-
-    def matches(expr: FilterExpr, row: Row) -> bool:
-        try:
-            return filter_matches(expr, row, name_of, resolve)
-        except PlanError:
-            if strict:
-                raise
-            return False
-
     out = []
     for row in rows:
         if meter is not None and cost is not None:
             meter.charge(cost.filter_ns, times=len(filters),
                          category="filter")
-        if all(matches(f, row) for f in filters):
+        if all(filter_matches(f, row, name_of, resolve) for f in filters):
             out.append(row)
     return out
 

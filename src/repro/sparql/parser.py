@@ -499,18 +499,19 @@ def _validate(query: Query) -> None:
 
 
 def _validate_temporal(query: Query, available: set) -> None:
-    """SPARQL-T cross-checks (no-ops on non-temporal queries)."""
-    for group in query.optionals:
-        for pattern in group:
-            if pattern.has_interval:
-                raise ParseError(
-                    "quintuple patterns are not supported inside OPTIONAL")
-    for union in query.unions:
-        for branch in union:
-            for pattern in branch:
-                if pattern.has_interval:
-                    raise ParseError(
-                        "quintuple patterns are not supported inside UNION")
+    """SPARQL-T cross-checks (no-ops on non-temporal queries).
+
+    Interval patterns and FILTERs compose with OPTIONAL and UNION (one
+    execution path runs them all), within two limits stated in the
+    refusals below.
+    """
+    groups = query.optionals + [branch for union in query.unions
+                                for branch in union]
+    if any(pattern.has_interval for group in groups for pattern in group):
+        raise ParseError(
+            "quintuple patterns are not supported inside OPTIONAL or "
+            "UNION: an endpoint bound there could be unbound in a row an "
+            "interval FILTER reads")
     if not query.is_temporal:
         return
 
@@ -520,21 +521,11 @@ def _validate_temporal(query: Query, available: set) -> None:
             "FILTERs) apply to one-shot queries only, not to queries over "
             f"stream windows: {sorted(query.windows)}")
 
-    has_intervals = bool(query.interval_filters) or \
-        any(p.has_interval for p in query.patterns)
-    if has_intervals:
-        # The interval evaluator handles conjunctive quintuple joins; the
-        # aggregate / OPTIONAL / UNION machinery lives in the timeless
-        # executors.  FROM SNAPSHOT alone composes with all of them.
-        if query.aggregates:
-            raise ParseError(
-                "interval patterns/FILTERs cannot combine with aggregates")
-        if query.optionals:
-            raise ParseError(
-                "interval patterns/FILTERs cannot combine with OPTIONAL")
-        if query.unions:
-            raise ParseError(
-                "interval patterns/FILTERs cannot combine with UNION")
+    if query.aggregates and query.has_intervals:
+        raise ParseError(
+            "interval patterns/FILTERs cannot combine with aggregates: "
+            "aggregates read bindings as entity names, and ?ts / ?te are "
+            "snapshot numbers")
 
     graph_vars = set()
     for pattern in query.patterns:

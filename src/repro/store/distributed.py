@@ -56,9 +56,21 @@ class StoreAccess(Protocol):
         """Neighbour vids of ``vid`` through ``eid`` edges in direction ``d``."""
         ...
 
+    def neighbors_many(self, vids: Iterable[int], eid: int, d: int,
+                       meter: LatencyMeter) -> Dict[int, List[int]]:
+        """:meth:`neighbors` of every distinct vid, one fetch each, keyed
+        in first-occurrence order."""
+        ...
+
     def index_vertices(self, eid: int, d: int,
                        meter: LatencyMeter) -> List[int]:
         """Vertices having a ``d``-direction ``eid`` edge (index-vertex read)."""
+        ...
+
+    def index_vertices_local(self, eid: int, d: int, node_id: int,
+                             meter: LatencyMeter) -> List[int]:
+        """The :meth:`index_vertices` owned by ``node_id`` (a fork-join /
+        migrate branch's start set)."""
         ...
 
 

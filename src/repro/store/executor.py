@@ -32,9 +32,11 @@ Each plan is *compiled* once: variables get fixed slot indices, and step
 patterns, the FILTER schedule and UNION/OPTIONAL sub-plans are resolved
 to slots and cached on the plan.
 
-Columnar exploration: a step sequence — in-place, fork-join and migrate
-alike, with or without a FILTER schedule — keeps the whole binding set
-as a :class:`_Batch`, one flat column per slot.  Expanding a step works
+Columnar exploration: the binding set is a :class:`_Batch`, one flat
+column per slot, from the seed row to projection — through the step
+sequence (in-place, fork-join and migrate alike, with or without a
+FILTER schedule), UNION arms, OPTIONAL groups, leftover FILTERs and
+aggregates.  Expanding a step works
 on whole columns (neighbour-list concatenation, ``[v] * k`` repetition,
 index selections), key probes are deduplicated per batch, and projection
 zips the projected columns straight into result tuples.  BigSR
@@ -50,7 +52,8 @@ slot columns, memoizing the (charge-free) predicate evaluation per
 distinct operand value.  UNION arms and OPTIONAL groups extend one
 solution row at a time — a one-row batch through the same kernels —
 because their probe deduplication, and hence their lookup charges, are
-per row.
+per row; their parts are concatenated back into one batch, an
+unmatched OPTIONAL row keeping None cells in its group's slots.
 
 SPARQL-T quintuple patterns (``?s p ?o [?ts, ?te)``) are steps with two
 more slots: a step that has them expands on the one version-carrying
@@ -76,7 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
-from operator import contains, itemgetter
+from operator import contains
 from typing import (Callable, Collection, Dict, List, Optional, Sequence,
                     Tuple)
 
@@ -86,8 +89,8 @@ from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.sparql.ast import (FilterExpr, IntervalFilter, OPEN_END,
                               TriplePattern, is_variable)
-from repro.sparql.evaluate import (filter_matches, filters_by_step,
-                                   interval_op_holds)
+from repro.sparql.evaluate import (aggregate_rows, filter_matches,
+                                   filters_by_step, interval_op_holds)
 from repro.sparql.planner import (
     BOUND_OBJECT,
     BOUND_SUBJECT,
@@ -102,9 +105,6 @@ from repro.store.distributed import StoreAccess
 #: One variable-binding row in the public (dict) API.
 Row = Dict[str, int]
 
-#: Internal fast-path row: one value per compiled slot, None = unbound.
-SlotRow = List[Optional[int]]
-
 #: Maps a pattern to the data source it should read.
 AccessResolver = Callable[[TriplePattern], StoreAccess]
 
@@ -117,21 +117,6 @@ _ROW_BYTES = 48
 
 #: The ``(vids, sns)`` of a row no version-chain entry matches.
 _NO_ENTRIES: Tuple[Tuple[int, ...], Tuple[int, ...]] = ((), ())
-
-
-def _fetch_neighbors(access: StoreAccess, starts, eid: int, direction: int,
-                     meter: LatencyMeter) -> Dict[int, List[int]]:
-    """Neighbour lists keyed by distinct start, one probe each: through
-    the access's batch entry point when it has one (every access but the
-    Wukong/Ext baseline's)."""
-    neighbors_many = getattr(access, "neighbors_many", None)
-    if neighbors_many is not None:
-        return neighbors_many(starts, eid, direction, meter)
-    fetched: Dict[int, List[int]] = {}
-    for start in starts:
-        if start not in fetched:
-            fetched[start] = access.neighbors(start, eid, direction, meter)
-    return fetched
 
 
 @dataclass
@@ -182,8 +167,9 @@ class _CompiledFilter:
     (charge-free) predicate evaluation per distinct operand value — the
     verdict of ``filter_matches`` is a pure function of the operand
     values, so a memo hit is semantically identical to re-running it.
-    Filter charges are issued by the caller (``filter_ns`` per row per
-    filter, whatever the verdict).
+    An operand an unmatched OPTIONAL left unbound eliminates the row
+    (SPARQL's error-as-false).  Filter charges are issued by the caller
+    (``filter_ns`` per row per filter, whatever the verdict).
     """
 
     __slots__ = ("expr", "left_slot", "right_slot", "interval_vars")
@@ -216,8 +202,12 @@ class _CompiledFilter:
                     row[expr.left] = lcol[i]
                 if rcol is not None:
                     row[expr.right] = rcol[i]
-                verdict = verdicts[key] = filter_matches(
-                    expr, row, name_of, resolve, interval_vars)
+                try:
+                    verdict = filter_matches(expr, row, name_of, resolve,
+                                             interval_vars)
+                except PlanError:  # an operand is unbound in this row
+                    verdict = False
+                verdicts[key] = verdict
             if verdict:
                 append(i)
         return out
@@ -255,7 +245,7 @@ class _CompiledPlan:
 
     __slots__ = ("slots", "nslots", "steps", "carries_versions",
                  "cfilters_at", "leftover_filters", "unions", "optionals",
-                 "project_slots", "project_getter")
+                 "project_slots")
 
     def __init__(self, plan: ExecutionPlan):
         from repro.sparql.planner import plan_steps
@@ -272,20 +262,23 @@ class _CompiledPlan:
 
         # FILTER schedule: each filter — ordinary, then interval — runs
         # at the earliest step binding its variables; filters over
-        # OPTIONAL-only variables are left over.
+        # UNION- or OPTIONAL-bound variables are left over and run once
+        # those resolve.
+        self.leftover_filters = []
+        self.cfilters_at = None
         if query.filters or query.interval_filters:
-            filters_at, self.leftover_filters = filters_by_step(
+            filters_at, leftovers = filters_by_step(
                 query, [step.pattern for step in plan.steps])
             interval_vars = frozenset(query.interval_variables())
-            self.cfilters_at = [
-                [_CompiledIntervalFilter(expr, self.slots)
-                 if isinstance(expr, IntervalFilter)
-                 else _CompiledFilter(expr, self.slots, interval_vars)
-                 for expr in step_filters]
-                for step_filters in filters_at]
-        else:
-            self.leftover_filters = []
-            self.cfilters_at = None
+
+            def compile_filter(expr):
+                if isinstance(expr, IntervalFilter):
+                    return _CompiledIntervalFilter(expr, self.slots)
+                return _CompiledFilter(expr, self.slots, interval_vars)
+
+            self.cfilters_at = [list(map(compile_filter, step_filters))
+                                for step_filters in filters_at]
+            self.leftover_filters = list(map(compile_filter, leftovers))
 
         # UNION branches and OPTIONAL groups are planned with the variables
         # already bound upstream marked as prebound, exactly as the
@@ -310,39 +303,29 @@ class _CompiledPlan:
         #: Slot index per projected variable (None: never bound -> -1).
         self.project_slots = [(var, self.slots.get(var))
                               for var in query.projected()]
-        #: C-speed row -> projected tuple, valid when every projected
-        #: variable has a slot bound in every surviving row (steps and
-        #: unions bind their variables unconditionally; only OPTIONAL
-        #: groups leave variables unbound).
-        proj = [slot for _, slot in self.project_slots]
-        if proj and None not in proj and not query.optionals:
-            getter = itemgetter(*proj)
-            self.project_getter = (lambda row: (getter(row),)) \
-                if len(proj) == 1 else getter
-        else:
-            self.project_getter = None
 
 
 class _RowView:
-    """Dict-like read view of one slot row (for shared FILTER/aggregate
-    evaluation, which addresses rows by variable name)."""
+    """Dict-like read view of row ``i`` of a batch's columns (for the
+    shared aggregate evaluation, which addresses rows by variable
+    name)."""
 
-    __slots__ = ("slots", "row")
+    __slots__ = ("slots", "cols", "i")
 
-    def __init__(self, slots: Dict[str, int], row: SlotRow):
+    def __init__(self, slots: Dict[str, int], cols: List[Optional[list]],
+                 i: int):
         self.slots = slots
-        self.row = row
+        self.cols = cols
+        self.i = i
 
     def get(self, var: str, default=None):
         slot = self.slots.get(var)
-        if slot is None:
-            return default
-        value = self.row[slot]
+        column = self.cols[slot] if slot is not None else None
+        value = column[self.i] if column is not None else None
         return default if value is None else value
 
     def __contains__(self, var: str) -> bool:
-        slot = self.slots.get(var)
-        return slot is not None and self.row[slot] is not None
+        return self.get(var) is not None
 
 
 class _Batch:
@@ -352,9 +335,10 @@ class _Batch:
     list of ``nrows`` vids.  Columns are treated as immutable: kernels
     build new column lists (or share unchanged ones) instead of mutating,
     so batches may alias columns and store-owned neighbour lists freely.
-    The layout is only used on uniform paths (plain step sequences, where
-    a step binds its slots in *all* rows), never for OPTIONAL-produced
-    mixed rows — those stay slot rows, explored one row at a time.
+    A step binds its slots in *all* rows; only an OPTIONAL group, matched
+    in some rows and not others, leaves None cells in a column (see
+    :meth:`concat`).  The step kernels never see such a column: OPTIONAL
+    groups, and UNION arms, explore one row at a time (:meth:`row`).
 
     ``distinct`` tracks whether the rows are provably pairwise distinct
     (over their bound slots).  Expansion kernels prove it forward: a step
@@ -378,27 +362,12 @@ class _Batch:
     def empty(nslots: int) -> "_Batch":
         return _Batch(0, [None] * nslots, distinct=True)
 
-    @staticmethod
-    def from_rows(rows: List[SlotRow], nslots: int) -> "_Batch":
-        if not rows:
-            return _Batch.empty(nslots)
-        if not nslots:
-            return _Batch(len(rows), [])
-        cols: List[Optional[List[int]]] = [list(c) for c in zip(*rows)]
-        # Uniform paths bind slots for all rows or none, so checking the
-        # first element classifies the whole column.  Row provenance is
-        # unknown, so ``distinct`` stays False (dedup will run).
-        return _Batch(len(rows),
-                      [None if c[0] is None else c for c in cols])
-
-    def to_rows(self) -> List[SlotRow]:
-        if not self.nrows:
-            return []
-        if not self.cols:
-            return [[] for _ in range(self.nrows)]
-        cols = [c if c is not None else [None] * self.nrows
-                for c in self.cols]
-        return [list(row) for row in zip(*cols)]
+    def row(self, i: int) -> "_Batch":
+        """Row ``i`` as a one-row batch, a None cell becoming an unbound
+        column.  ``distinct`` stays False, so whatever is built from
+        single rows is deduplicated at projection."""
+        return _Batch(1, [None if column is None or column[i] is None
+                          else [column[i]] for column in self.cols])
 
     def select(self, indices: List[int]) -> "_Batch":
         """The sub-batch of the given row indices (columns shared when
@@ -414,16 +383,18 @@ class _Batch:
     def concat(parts: List["_Batch"], nslots: int) -> "_Batch":
         """Row-wise concatenation, preserving part order.
 
-        Parts on a uniform path share the same bound-slot set; a column
-        bound in some parts but not others (never produced by the step
-        kernels) is filled with None for the unbound parts.
+        Parts of a step sequence or of one UNION share the same
+        bound-slot set; a column bound in some parts but not others — an
+        OPTIONAL group's slots, in the rows it could not extend — is
+        filled with None for the unbound parts.
 
         ``distinct`` carries over when every part is distinct: the
-        distributed drivers (the only callers) concatenate per-node parts
-        that descend from disjoint row subsets of one distinct batch — a
-        routing partition, or an index start partitioned by vertex owner
-        — and expansions preserve every input slot value, so rows from
-        different parts always differ on some slot.
+        distributed drivers concatenate per-node parts that descend from
+        disjoint row subsets of one distinct batch — a routing partition,
+        or an index start partitioned by vertex owner — and expansions
+        preserve every input slot value, so rows from different parts
+        always differ on some slot.  Per-row parts (:meth:`row`) are
+        never distinct.
         """
         parts = [part for part in parts if part.nrows]
         if not parts:
@@ -511,15 +482,8 @@ class GraphExplorer:
         act = self.tracer.current if self.tracer is not None else None
         if act is not None and act.meter is not meter:
             act = None  # the live activity is not this execution's
-        # UNION arms and OPTIONAL groups extend one solution row at a time
-        # (their lookup charges are per row), so such plans leave the
-        # columnar layout after the step phase; everything else projects
-        # straight off the batch (``rows`` stays None).
-        per_row = bool(compiled.unions or compiled.optionals
-                       or compiled.leftover_filters)
-        rows: Optional[List[SlotRow]] = None
-        if not plan.steps:
-            rows = [[None] * compiled.nslots]  # a pure-UNION WHERE block
+        if not plan.steps:  # a pure-UNION WHERE block
+            batch = _Batch(1, [None] * compiled.nslots)
         else:
             if mode == "in_place":
                 batch = self._run_steps_batch(compiled,
@@ -534,30 +498,18 @@ class GraphExplorer:
             else:
                 raise PlanError(f"unknown execution mode: {mode}")
             self.batch_executions += 1
-            if per_row:
-                rows = batch.to_rows()
-        if compiled.unions and rows:
-            rows = self._apply_unions(compiled, rows,
-                                      access_factory(home_node), meter)
-        if compiled.optionals and rows:
-            rows = self._apply_optionals(compiled, rows,
-                                         access_factory(home_node), meter)
-        if compiled.leftover_filters and rows:
-            # Filters over OPTIONAL-bound variables run once those resolve
-            # (an unmatched OPTIONAL leaves them unbound -> row eliminated).
-            from repro.sparql.evaluate import apply_filters
-            first_access = access_factory(home_node)(plan.steps[0].pattern)
-            views = apply_filters(
-                [_RowView(compiled.slots, row) for row in rows],
-                compiled.leftover_filters, self.strings.entity_name,
-                first_access.resolve_entity, meter, self.cost, strict=False)
-            rows = [view.row for view in views]
+        if batch.nrows and (compiled.unions or compiled.optionals):
+            access_for = access_factory(home_node)
+            batch = self._apply_unions(compiled, batch, access_for, meter)
+            batch = self._apply_optionals(compiled, batch, access_for,
+                                          meter)
+        # Filters over UNION- or OPTIONAL-bound variables run once those
+        # resolve (an unmatched OPTIONAL leaves them unbound: eliminated).
+        batch = self._apply_step_filters_batch(
+            batch, compiled.leftover_filters, meter)
         if act is not None:
             act.mark("explore", mode=mode)
-        if rows is None:
-            result = self._project_batch(plan, compiled, batch, meter)
-        else:
-            result = self._project(plan, compiled, rows, meter)
+        result = self._project_batch(plan, compiled, batch, meter)
         if act is not None:
             act.mark("project")
         return result
@@ -572,36 +524,29 @@ class GraphExplorer:
         composite design) and by tests.  Rows are dicts at this boundary;
         an ad-hoc slot layout is compiled for the given steps.
         """
+        if seeds is None:
+            seeds = [{}]
         slots: Dict[str, int] = {}
-        for step in steps:
-            for var in step.pattern.variables():
-                if var not in slots:
-                    slots[var] = len(slots)
-        if seeds:
-            for seed in seeds:
-                for var in seed:
-                    if var not in slots:
-                        slots[var] = len(slots)
+        for var in chain(*(step.pattern.variables() for step in steps),
+                         *seeds):
+            slots.setdefault(var, len(slots))
         csteps = [_CompiledStep(step, slots) for step in steps]
-        nslots = len(slots)
-        if seeds is not None:
-            rows = []
-            for seed in seeds:
-                row: SlotRow = [None] * nslots
-                for var, vid in seed.items():
-                    row[slots[var]] = vid
-                rows.append(row)
-        else:
-            rows = [[None] * nslots]
-        rows = self._explore_rows(csteps, rows, access_for, meter)
-        return [{var: row[slot] for var, slot in slots.items()
-                 if row[slot] is not None} for row in rows]
+        # Seeds share one variable set: the first classifies each column.
+        cols = [[seed.get(var) for seed in seeds] for var in slots]
+        batch = _Batch(len(seeds), [None if not column or column[0] is None
+                                    else column for column in cols])
+        batch = self._explore_batch(csteps, batch, access_for, meter)
+        named = [(var, batch.cols[slot]) for var, slot in slots.items()]
+        return [{var: column[i] for var, column in named
+                 if column is not None and column[i] is not None}
+                for i in range(batch.nrows)]
 
     # -- UNION / OPTIONAL ---------------------------------------------------
-    def _apply_unions(self, compiled: _CompiledPlan, rows: List[SlotRow],
+    def _apply_unions(self, compiled: _CompiledPlan, batch: _Batch,
                       access_for: AccessResolver,
-                      meter: LatencyMeter) -> List[SlotRow]:
-        """Alternate each UNION: concatenate the branches' extensions.
+                      meter: LatencyMeter) -> _Batch:
+        """Alternate each UNION: concatenate the branches' extensions,
+        branch-major, then in row order.
 
         Branches bind identical variable sets (the parser enforces it),
         so downstream joins and projections see uniform rows.  Each row is
@@ -610,19 +555,15 @@ class GraphExplorer:
         to.
         """
         for branches in compiled.unions:
-            combined: List[SlotRow] = []
-            for csteps in branches:
-                for row in rows:
-                    combined.extend(self._explore_rows(
-                        csteps, [row], access_for, meter))
-            rows = combined
-            if not rows:
-                break
-        return rows
+            batch = _Batch.concat(
+                [self._explore_batch(csteps, batch.row(i), access_for, meter)
+                 for csteps in branches for i in range(batch.nrows)],
+                compiled.nslots)
+        return batch
 
-    def _apply_optionals(self, compiled: _CompiledPlan, rows: List[SlotRow],
+    def _apply_optionals(self, compiled: _CompiledPlan, batch: _Batch,
                          access_for: AccessResolver,
-                         meter: LatencyMeter) -> List[SlotRow]:
+                         meter: LatencyMeter) -> _Batch:
         """Left-outer-join each OPTIONAL group onto the solution rows.
 
         Rows the group cannot extend survive with its variables unbound —
@@ -630,53 +571,44 @@ class GraphExplorer:
         node (seeds are the already-pruned solution set).
         """
         for csteps in compiled.optionals:
-            extended: List[SlotRow] = []
-            for row in rows:
-                matches = self._explore_rows(csteps, [row], access_for,
-                                             meter)
-                if matches:
-                    extended.extend(matches)
-                else:
-                    extended.append(row)
-            rows = extended
-        return rows
+            parts = []
+            for i in range(batch.nrows):
+                row = batch.row(i)
+                matches = self._explore_batch(csteps, row, access_for, meter)
+                parts.append(matches if matches.nrows else row)
+            batch = _Batch.concat(parts, compiled.nslots)
+        return batch
 
-    def _explore_rows(self, csteps: Sequence[_CompiledStep],
-                      rows: List[SlotRow], access_for: AccessResolver,
-                      meter: LatencyMeter) -> List[SlotRow]:
-        """Run bare compiled steps over slot rows (no filters/projection).
-
-        ``rows`` must bind the same slots in every row — one solution row
-        of a UNION arm or OPTIONAL group, or ``explore`` seeds sharing
-        one variable set — so they form a uniform batch.
-        """
-        if not rows:
-            return rows
-        batch = _Batch.from_rows(rows, len(rows[0]))
+    def _explore_batch(self, csteps: Sequence[_CompiledStep], batch: _Batch,
+                       access_for: AccessResolver,
+                       meter: LatencyMeter) -> _Batch:
+        """Run bare compiled steps over a batch (no filters/projection):
+        one solution row of a UNION arm or OPTIONAL group, or
+        ``explore`` seeds."""
         for cstep in csteps:
-            batch = self._expand_batch(cstep, batch,
-                                       access_for(cstep.pattern), meter)
             if not batch.nrows:
                 break
-        return batch.to_rows()
+            batch = self._expand_batch(cstep, batch,
+                                       access_for(cstep.pattern), meter)
+        return batch
 
-    def _apply_step_filters_batch(self, batch: _Batch,
-                                  cfilters: List[_CompiledFilter],
-                                  access: StoreAccess,
+    def _apply_step_filters_batch(self, batch: _Batch, cfilters: List,
                                   meter: LatencyMeter) -> _Batch:
-        """Vectorized step-scheduled FILTERs over slot columns.
+        """Vectorized FILTERs over slot columns: a step's schedule, or
+        the leftovers after UNION / OPTIONAL.
 
-        Every row entering the step pays ``filter_ns`` per filter,
-        whatever the verdict, so the whole block aggregates into one
-        charge; evaluation itself is charge-free and memoized per
-        distinct operand value.
+        Every row entering pays ``filter_ns`` per filter, whatever the
+        verdict, so the whole block aggregates into one charge;
+        evaluation itself is charge-free and memoized per distinct
+        operand value.  Constants resolve through the string server, as
+        every access's ``resolve_entity`` does.
         """
         if not cfilters or not batch.nrows:
             return batch
         meter.charge(self.cost.filter_ns,
                      times=batch.nrows * len(cfilters), category="filter")
         name_of = self.strings.entity_name
-        resolve = access.resolve_entity
+        resolve = self.strings.lookup_entity
         indices = list(range(batch.nrows))
         for cfilter in cfilters:
             if not indices:
@@ -725,7 +657,7 @@ class GraphExplorer:
                                          else None)
                 if compiled.cfilters_at is not None:
                     out = self._apply_step_filters_batch(
-                        out, compiled.cfilters_at[index], access, branch)
+                        out, compiled.cfilters_at[index], branch)
                 if out.nrows:
                     next_located[node_id] = out
                 branches.append(branch)
@@ -827,7 +759,7 @@ class GraphExplorer:
             batch = self._expand_batch(cstep, batch, access, meter)
             if compiled.cfilters_at is not None:
                 batch = self._apply_step_filters_batch(
-                    batch, compiled.cfilters_at[index], access, meter)
+                    batch, compiled.cfilters_at[index], meter)
             if not batch.nrows:
                 break
         return batch
@@ -934,7 +866,7 @@ class GraphExplorer:
                 return _Batch.empty(nslots)
         # Per-row lists are materialized lazily — the membership filter
         # below only needs the per-distinct-start dict.
-        fetched = _fetch_neighbors(access, starts, eid, direction, meter)
+        fetched = access.neighbors_many(starts, eid, direction, meter)
         other_col = batch.cols[other_slot] if other_slot is not None else None
         if other_const is not None or other_col is not None:
             # Membership filter against per-distinct-start neighbour sets
@@ -1005,11 +937,7 @@ class GraphExplorer:
         index, or ``index_owner``'s portion of it."""
         if index_owner is None:
             return access.index_vertices(eid, DIR_OUT, meter)
-        local_fn = getattr(access, "index_vertices_local", None)
-        if local_fn is not None:
-            return local_fn(eid, DIR_OUT, index_owner, meter)
-        return [vid for vid in access.index_vertices(eid, DIR_OUT, meter)
-                if self.cluster.owner_of(vid) == index_owner]
+        return access.index_vertices_local(eid, DIR_OUT, index_owner, meter)
 
     def _expand_index_batch(self, batch: _Batch, cstep: _CompiledStep,
                             eid: int, access: StoreAccess,
@@ -1042,7 +970,7 @@ class GraphExplorer:
         distinct = batch.distinct and len(set(subjects)) == len(subjects)
         subj_col: List[int] = []
         obj_col: List[int] = []
-        fetched = _fetch_neighbors(access, subjects, eid, DIR_OUT, meter)
+        fetched = access.neighbors_many(subjects, eid, DIR_OUT, meter)
         if obj_slot is None or obj_slot == subj_slot:
             # Object is a constant (or the subject variable itself):
             # each subject survives iff the object matches its list.
@@ -1239,13 +1167,23 @@ class GraphExplorer:
     def _project_batch(self, plan: ExecutionPlan, compiled: _CompiledPlan,
                        batch: _Batch,
                        meter: LatencyMeter) -> ExecutionResult:
-        """Zip the projected columns into deduplicated result tuples."""
+        """Zip the projected columns into deduplicated result tuples (or
+        group and aggregate the rows), in first-occurrence order."""
         query = plan.query
         if query.is_ask:
             return ExecutionResult(variables=[],
                                    rows=[()] if batch.nrows else [])
         if query.aggregates:
-            return self._project(plan, compiled, batch.to_rows(), meter)
+            if self.strings is None:
+                raise PlanError(
+                    "aggregates need a string server; construct the "
+                    "explorer with GraphExplorer(cluster, strings)")
+            views = [_RowView(compiled.slots, batch.cols, i)
+                     for i in range(batch.nrows)]
+            out = aggregate_rows(views, query, self.strings.entity_name,
+                                 meter, self.cost)
+            return ExecutionResult(variables=query.output_columns(),
+                                   rows=_slice(out, query))
         result = ExecutionResult(
             variables=[var for var, _ in compiled.project_slots])
         nrows = batch.nrows
@@ -1254,7 +1192,11 @@ class GraphExplorer:
         for _, slot in compiled.project_slots:
             column = batch.cols[slot] if slot is not None else None
             proj_slots.add(slot)
-            proj_cols.append(column if column is not None else [-1] * nrows)
+            if column is None:
+                column = [-1] * nrows
+            elif compiled.optionals:  # unmatched OPTIONAL rows: None cells
+                column = [-1 if vid is None else vid for vid in column]
+            proj_cols.append(column)
         # The dedup is skippable when the rows are provably distinct and
         # every bound slot is projected: projecting a superset of the
         # bound slots of distinct rows cannot create duplicates (unbound
@@ -1281,53 +1223,6 @@ class GraphExplorer:
         meter.charge(self.cost.binding_ns, times=len(out),
                      category="project")
         result.rows = _slice(out, query)
-        return result
-
-    def _project(self, plan: ExecutionPlan, compiled: _CompiledPlan,
-                 rows: List[SlotRow],
-                 meter: LatencyMeter) -> ExecutionResult:
-        """Project slot rows: the tail for aggregates and for the mixed
-        rows UNION/OPTIONAL plans end with."""
-        query = plan.query
-        if query.is_ask:
-            return ExecutionResult(variables=[],
-                                   rows=[()] if rows else [])
-        if query.aggregates:
-            if self.strings is None:
-                raise PlanError(
-                    "aggregates need a string server; construct the "
-                    "explorer with GraphExplorer(cluster, strings)")
-            from repro.sparql.evaluate import aggregate_rows
-            views = [_RowView(compiled.slots, row) for row in rows]
-            out = aggregate_rows(views, query, self.strings.entity_name,
-                                 meter, self.cost)
-            return ExecutionResult(variables=query.output_columns(),
-                                   rows=_slice(out, query))
-        result = ExecutionResult(
-            variables=[var for var, _ in compiled.project_slots])
-        seen = set()
-        out = result.rows
-        getter = compiled.project_getter
-        if getter is not None:
-            add = seen.add
-            append = out.append
-            for row in rows:
-                projected = getter(row)
-                if projected not in seen:
-                    add(projected)
-                    append(projected)
-        else:
-            slots = [slot for _, slot in compiled.project_slots]
-            for row in rows:
-                projected = tuple(
-                    -1 if slot is None or row[slot] is None else row[slot]
-                    for slot in slots)
-                if projected not in seen:
-                    seen.add(projected)
-                    out.append(projected)
-        meter.charge(self.cost.binding_ns, times=len(result.rows),
-                     category="project")
-        result.rows = _slice(result.rows, query)
         return result
 
 

@@ -1,11 +1,13 @@
 """Tests for the Wukong/Ext baseline."""
 
+import pytest
+
 from repro.baselines.wukong_ext import WukongExtEngine
 from repro.sim.cluster import Cluster
 from repro.sparql.parser import parse_query
 
 from baselines.helpers import (EXPECTED_QC_AT_10S, feed, qc_query,
-                               stream_batches, to_names)
+                               stream_batches, stream_only_query, to_names)
 
 
 def build(num_nodes=1):
@@ -76,3 +78,41 @@ class TestInefficiencies:
         assert to_names(engine.strings, result.rows) == \
             [("Logan", "Erik", "T-18")]
         assert late.ms > early.ms
+
+
+#: Per-close simulated cost (picoseconds) of QC and of the stream-only
+#: query at closes 2s, 4s, ..., 12s, on one node (in place) and on two
+#: (fork-join: per-node index portions, bound steps fetched per start).
+PINNED_PS = {
+    (1, "qc"): [61422000, 61472000, 61422000, 61472000, 61572000, 61372000],
+    (1, "qt"): [60672000, 60722000, 60772000, 60772000, 60822000, 60672000],
+    (2, "qc"): [98534520, 98559520, 96682600, 98533560, 98609520, 98483560],
+    (2, "qt"): [97785480, 97811440, 97837400, 97837400, 97863360, 97785480],
+}
+
+#: QC's rows per close, in result order (identical on one and two nodes).
+PINNED_QC_ROWS = [
+    [("Logan", "Erik", "T-14"), ("Erik", "Logan", "T-12")],
+    [("Logan", "Erik", "T-14"), ("Erik", "Logan", "T-12")],
+    [],
+    [("Logan", "Erik", "T-15")],
+    [("Logan", "Erik", "T-15"), ("Logan", "Erik", "T-17")],
+    [("Logan", "Erik", "T-17")],
+]
+
+
+class TestPinnedCharges:
+    @pytest.mark.parametrize("num_nodes", [1, 2])
+    @pytest.mark.parametrize("name", ["qc", "qt"])
+    def test_per_close_charges_and_rows(self, num_nodes, name):
+        engine = build(num_nodes)
+        query = qc_query() if name == "qc" else stream_only_query()
+        charges, rows = [], []
+        for close_ms in range(2000, 13000, 2000):
+            result, meter = engine.execute_continuous(query, close_ms)
+            charges.append(meter.ps)
+            rows.append([tuple(map(engine.strings.entity_name, row))
+                         for row in result.rows])
+        assert charges == PINNED_PS[num_nodes, name]
+        if name == "qc":
+            assert rows == PINNED_QC_ROWS

@@ -32,9 +32,24 @@ def _fresh_source(engine, name):
     return source
 
 
+#: QC's tweets narrowed by a UNION: tagged sosp17, or liked by Erik.
+UNION_QC = """
+REGISTER QUERY QU AS
+SELECT ?X ?Z
+FROM Tweet_Stream [RANGE 10s STEP 1s]
+FROM Like_Stream [RANGE 10s STEP 1s]
+FROM X-Lab
+WHERE {
+  GRAPH Tweet_Stream { ?X po ?Z }
+  { GRAPH X-Lab { ?Z ht sosp17 } } UNION { GRAPH Like_Stream { Erik li ?Z } }
+}
+"""
+
+
 class TestQuerySerialization:
     @pytest.mark.parametrize("text", [
         QC,
+        UNION_QC,
         "SELECT ?X WHERE { Logan po ?X . ?X ht sosp17 }",
         "ASK WHERE { Logan fo Erik }",
         "SELECT ?U COUNT(?P) AS ?n WHERE { ?U po ?P } GROUP BY ?U LIMIT 3",
@@ -100,6 +115,31 @@ class TestSaveRestore:
         # The 10s tweet window still reaches the recovered T-15 data.
         requirement = handle.requirement_at(6_000)
         assert revived.coordinator.stable_vts().covers(requirement)
+
+    def test_union_query_survives_restart(self, checkpoint):
+        engine = ft_engine()
+        engine.register_continuous(UNION_QC)
+        engine.run_until(5_000)
+        save_engine(engine, checkpoint)
+        revived = restore_engine(checkpoint)
+        handle = revived.continuous.queries["QU"]
+        assert handle.query == engine.continuous.queries["QU"].query
+        # The last close, re-run on the revived engine, answers the same.
+        last = engine.continuous.queries["QU"].executions[-1]
+        again = revived.continuous.execute_once(handle, last.close_ms)
+        assert names(revived, again.result.rows) == \
+            names(engine, last.result.rows) == [("Logan", "T-15")]
+        assert again.meter.ps == last.meter.ps
+
+    def test_every_config_field_survives_restart(self, checkpoint):
+        engine = ft_engine(gc_retention_ms=2_000, gc_every_ticks=3,
+                           auto_pad_streams=False)
+        engine.run_until(3_000)
+        save_engine(engine, checkpoint)
+        revived = restore_engine(checkpoint)
+        assert revived.config == engine.config
+        assert (revived.config.gc_retention_ms, revived.config.gc_every_ticks,
+                revived.config.auto_pad_streams) == (2_000, 3, False)
 
     def test_save_requires_fault_tolerance(self, checkpoint):
         engine = build_engine()  # fault_tolerance=False

@@ -175,8 +175,8 @@ CONST_QUERIES = [
     "SELECT ?F ?P WHERE { Logan fo ?F . ?F po ?P }",
     "SELECT ?X ?S WHERE { Logan po ?X . ?X sc ?S . FILTER (?S < 9) }",
 ]
-#: Plans that leave the columnar step phase for per-row UNION arms and
-#: OPTIONAL groups.
+#: Plans that extend their solutions one row at a time (a one-row batch
+#: per row) through UNION arms and OPTIONAL groups after the step phase.
 FALLBACK_QUERIES = [
     "SELECT ?P WHERE { { Logan po ?P } UNION { Erik po ?P } }",
     "SELECT ?P ?T WHERE { Logan po ?P . OPTIONAL { ?P ht ?T } }",

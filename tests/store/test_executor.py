@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.engine import EngineConfig, WukongSEngine
 from repro.rdf.parser import parse_triples
 from repro.rdf.string_server import StringServer
 from repro.sim.cluster import Cluster
@@ -197,3 +198,39 @@ def test_more_nodes_cost_more_network_for_remote_data():
     _, local_meter = run(single_cluster, s1, st1, text)
     _, multi_meter = run(multi_cluster, s2, st2, text)
     assert multi_meter.ns >= local_meter.ns
+
+
+UNION_DATA = "Logan po T1 .\nErik po T2 .\nT1 ht sosp .\nT2 ht osdi ."
+
+#: A WHERE block that is only a UNION has no steps, so every FILTER of
+#: it is left over (used to crash looking for a first step's access).
+PURE_UNION_FILTERS = [
+    ("SELECT ?P WHERE { { Logan po ?P } UNION { Erik po ?P } "
+     "FILTER (?P != T1) }", [("T2",)]),
+    ("SELECT ?P ?T WHERE { { Logan po ?P } UNION { Erik po ?P } "
+     "OPTIONAL { ?P ht ?T } FILTER (?T = sosp) }", [("T1", "sosp")]),
+]
+
+
+@pytest.mark.parametrize("mode", ["in_place", "fork_join", "migrate"])
+@pytest.mark.parametrize("text, expected", PURE_UNION_FILTERS)
+def test_pure_union_with_filters(text, expected, mode):
+    cluster = Cluster(num_nodes=2)
+    strings = StringServer()
+    store = DistributedStore(cluster, strings)
+    store.load(parse_triples(UNION_DATA))
+    result = GraphExplorer(cluster, strings).execute(
+        plan_query(parse_query(text)), factory_for(store), LatencyMeter(),
+        mode=mode)
+    assert [tuple(map(strings.entity_name, row))
+            for row in result.rows] == expected
+
+
+@pytest.mark.parametrize("text, expected", PURE_UNION_FILTERS)
+def test_pure_union_with_filters_oneshot(text, expected):
+    engine = WukongSEngine(schemas=[], config=EngineConfig(num_nodes=2))
+    engine.load_static(parse_triples(UNION_DATA))
+    for home_node in (0, 1):
+        record = engine.oneshot(text, home_node=home_node)
+        assert [tuple(map(engine.strings.entity_name, row))
+                for row in record.result.rows] == expected
