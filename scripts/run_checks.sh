@@ -39,6 +39,14 @@
 # re-planning ablation (pinned vs adaptive on a skew inversion; asserts
 # on the simulated clock only).
 #
+# The scalarization-shape stage runs the paper benches that assert the
+# shape of bounded snapshot scalarization: compaction keeps the store
+# smaller than retaining every snapshot's segments, which is smaller
+# than per-value vector timestamps (§6.7), and wider SN-plan mappings
+# trade one-shot staleness for injection freedom while segments per key
+# stay bounded (§4.3).  A change to compaction or to the SN plan is
+# checked against them here.
+#
 # The last stage runs the repo benchmark's own checks (benchmarks/e2e,
 # the harness BENCHMARK.json names): a quick traced set of all five
 # workloads — which exits non-zero on any failed operation (golden or
@@ -108,6 +116,10 @@ echo "== ablation report (per-phase attribution smoke + re-planning ablation) ==
 PYTHONPATH=src python scripts/report_ablation.py --check --duration-ms 1000
 PYTHONPATH=src python -m pytest benchmarks/bench_ablation_replan.py \
     --benchmark-only -q
+
+echo "== scalarization shape (§6.7 SN-segment memory bound + plan-width trade-off) =="
+PYTHONPATH=src python -m pytest benchmarks/bench_snapshot_memory.py \
+    benchmarks/bench_ablation_plan_width.py --benchmark-only -q
 
 echo "== repo benchmark checks (benchmarks/e2e: outputs, probes, self-test) =="
 python3 benchmarks/e2e/run.py set --quick --trace --out ./.e2e_smoke.json \

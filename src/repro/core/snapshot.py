@@ -94,15 +94,25 @@ class SNVTSPlan:
 
         None means the batch lies beyond the announced plan and its
         injection must stall until more of the plan is published.
+
+        Bisects the mappings: ``upper[stream] >= batch_no`` is monotone
+        in SN, because ``publish`` refuses regressions and ``add_stream``
+        back-fills 0, so the lookup costs O(log SNs) however long the
+        plan has grown.
         """
         if stream not in self._streams:
             raise ConsistencyError(f"unknown stream: {stream}")
         if batch_no < 1:
             raise ConsistencyError(f"batch numbers are 1-based: {batch_no}")
-        for mapping in self._mappings:
-            if mapping.upper.get(stream, 0) >= batch_no:
-                return mapping.sn
-        return None
+        mappings = self._mappings
+        lo, hi = 0, len(mappings)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mappings[mid].upper.get(stream, 0) >= batch_no:
+                hi = mid
+            else:
+                lo = mid + 1
+        return mappings[lo].sn if lo < len(mappings) else None
 
     def requirement_for(self, sn: int) -> Dict[str, int]:
         """The VTS a node must reach for snapshot ``sn`` to be complete there."""

@@ -100,6 +100,11 @@ class DistributedStore:
 
         Returns the keys written, one per entry in arrival order (a
         triple's out half before its in half).
+
+        Each shard's column is all-or-nothing (an out-of-order ``sn`` is
+        refused before that shard is touched), but the call as a whole is
+        not: shards earlier in node order keep their columns when a later
+        shard refuses.
         """
         written: List[Key] = []
         columns: List[Tuple[List[Key], List[int]]] = [

@@ -195,6 +195,9 @@ class ShardStore:
         #: oldest versioned entry is actually due instead of scanning the
         #: whole versioned set every cycle.
         self._versioned_heap: List[Tuple[int, Key]] = []
+        #: The highest SN ever written here — an upper bound on every
+        #: key's last SN, so a column at or above it cannot be refused.
+        self._high_sn = BASE_SN
         #: Entries inserted per ``(eid, d)`` bucket (packed low key bits),
         #: maintained at load/injection time for the cost-aware planner.
         self._pred_entries: Dict[int, int] = {}
@@ -224,7 +227,20 @@ class ShardStore:
         calls.  The planner statistics (charge-free) are kept here too:
         bucket entry counts per group, degree sketches per entry in
         arrival order — a sketch's eviction ties are order-sensitive.
+
+        Raises :class:`StoreError`, before anything is written, when
+        ``sn`` is below the last SN of any key in the column.
         """
+        if sn >= self._high_sn:
+            self._high_sn = sn
+        else:
+            values_get = self._values.get
+            for key in keys:
+                values = values_get(key)
+                if values is not None and sn < values.sns[-1]:
+                    raise StoreError(
+                        f"snapshot numbers must be appended in order: "
+                        f"{sn} after {values.sns[-1]}")
         groups: Dict[Key, List[int]] = {}
         groups_get = groups.get
         sketches = self._degree_sketches
@@ -265,10 +281,6 @@ class ShardStore:
                 offset = 0
             else:
                 sns = values.sns
-                if sns and sn < sns[-1]:
-                    raise StoreError(
-                        f"snapshot numbers must be appended in order: "
-                        f"{sn} after {sns[-1]}")
                 offset = len(sns)
                 if count == 1:
                     # Most keys receive a single value per batch: append
@@ -317,6 +329,11 @@ class ShardStore:
         count changes exactly when the relabelled prefix held more than
         one distinct SN — with non-decreasing SNs that is an O(1)
         first-vs-last check, preserving the original return value.
+
+        Within a due key only the not-yet-base suffix ``[lo, cut)`` of
+        the due prefix is rewritten (the entries before ``lo`` already
+        hold :data:`BASE_SN`), so a cycle costs the entries it relabels
+        plus two bisects per due key, not the key's whole history.
         """
         # Cached adjacency segments survive compaction: relabelling never
         # moves values, and ``cached_adjacency`` validates each hit
@@ -334,8 +351,9 @@ class ShardStore:
             cut = bisect_right(sns, bound_sn)
             if sns[0] != sns[cut - 1]:
                 touched += 1
-            if sns[cut - 1] != BASE_SN:
-                sns[:cut] = [BASE_SN] * cut
+            lo = bisect_right(sns, BASE_SN, 0, cut)
+            if lo < cut:
+                sns[lo:cut] = [BASE_SN] * (cut - lo)
             if cut == len(sns):
                 versioned.discard(key)
             else:

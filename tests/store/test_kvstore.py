@@ -1,7 +1,9 @@
 """Tests for the snapshot-versioned shard store."""
 
+import copy
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StoreError
 from repro.rdf.ids import DIR_IN, DIR_OUT, make_key
@@ -44,6 +46,27 @@ def test_sn_order_enforced_per_key():
     put(shard, KEY, 5, sn=2)
     with pytest.raises(StoreError):
         put(shard, KEY, 6, sn=1)
+
+
+def test_refused_column_writes_nothing():
+    """A column refused for one key's out-of-order SN leaves no trace of
+    the keys that were in order — no entry, no index vertex, no planner
+    statistic, no charge."""
+    shard = ShardStore()
+    k1, k2 = make_key(1, 2, DIR_OUT), make_key(2, 2, DIR_OUT)
+    shard.append_column([k2], [20], sn=5)
+    before = copy.deepcopy(_state(shard))
+    meter = LatencyMeter()
+    with pytest.raises(StoreError):
+        shard.append_column([k1, k2], [10, 21], sn=3, meter=meter)
+    assert _state(shard) == before
+    assert meter.ps == 0
+    assert shard.predicate_entries(2, DIR_OUT) == 1
+    assert shard.index_vertices(2, DIR_OUT) == [2]
+    # Below the high-water SN, a column whose keys are all in order is
+    # still accepted.
+    shard.append_column([k1], [10], sn=3)
+    assert shard.lookup(k1) == [10]
 
 
 def test_same_sn_appends_fine():
@@ -91,6 +114,74 @@ def test_compaction_preserves_spans():
     shard.compact(2)
     assert shard.lookup_span(spans[0]) == [5]
     assert shard.lookup_span(spans[2]) == [7]
+
+
+_APPEND = st.tuples(
+    st.just("append"), st.integers(0, 2),
+    st.lists(st.tuples(st.integers(1, 4), st.integers(0, 1),
+                       st.integers(1, 50)), min_size=1, max_size=8))
+_COMPACT = st.tuples(st.just("compact"), st.integers(0, 3))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.one_of(_APPEND, _COMPACT), max_size=40))
+def test_compaction_matches_relabelling_reference(ops):
+    """Random in-order columns mixed with ``compact(bound)``: after every
+    compaction each key's ``(vids, sns)`` equals a reference that maps
+    every SN <= bound to the base, and the returned count is the number
+    of keys whose distinct-SN count the relabelling changed."""
+    shard = ShardStore()
+    reference = {}
+    sn = BASE_SN
+    for op in ops:
+        if op[0] == "append":
+            _, step, entries = op
+            sn += step
+            keys = [make_key(vid, eid, DIR_OUT) for vid, eid, _ in entries]
+            vids = [value for _, _, value in entries]
+            shard.append_column(keys, vids, sn=sn)
+            for key, vid in zip(keys, vids):
+                held = reference.setdefault(key, ([], []))
+                held[0].append(vid)
+                held[1].append(sn)
+            continue
+        bound = sn - op[1]
+        expected_touched = 0
+        for key, (vids, sns) in reference.items():
+            relabelled = [BASE_SN if s <= bound else s for s in sns]
+            expected_touched += len(set(relabelled)) != len(set(sns))
+            reference[key] = (vids, relabelled)
+        assert shard.compact(bound) == expected_touched
+        assert {key: (entry.vids, entry.sns)
+                for key, entry in shard._values.items()} == reference
+
+
+class _SliceWriteCounter(list):
+    """An SN list that counts the entries written by slice assignment."""
+
+    written = 0
+
+    def __setitem__(self, index, value):
+        if isinstance(index, slice):
+            self.written += len(value)
+        super().__setitem__(index, value)
+
+
+def test_compaction_relabels_only_the_versioned_suffix():
+    """A key with a long base history, compacted once per appended SN,
+    rewrites one SN per cycle — not its whole base prefix every time."""
+    shard = ShardStore()
+    shard.append_column([KEY] * 50_000, list(range(50_000)))
+    values = shard._values[KEY]
+    values.sns = counter = _SliceWriteCounter(values.sns)
+    touched = 0
+    for t in range(1, 201):
+        put(shard, KEY, t, sn=t)
+        touched += shard.compact(t - 1)
+    assert touched == 199
+    assert 0 < counter.written <= 200
+    assert values.sns[:50_199] == [BASE_SN] * 50_199
+    assert values.sns[-1] == 200
 
 
 def test_index_vertices_deduplicate():
