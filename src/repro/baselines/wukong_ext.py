@@ -48,27 +48,29 @@ class _TimestampedWindowAccess:
 
     def neighbors(self, vid: int, eid: int, d: int,
                   meter: LatencyMeter) -> List[int]:
-        """Scan the whole value list, keeping in-window entries."""
-        values = self.engine.store.neighbors_from(
-            self.home_node, vid, eid, d, meter)
-        stamps = self.engine.timestamps.get(make_key(vid, eid, d), [])
-        meter.charge(self.engine.cost.timestamp_filter_ns,
-                     times=len(values), category="ts-filter")
-        out: List[int] = []
-        for offset, value in enumerate(values):
-            ts = stamps[offset] if offset < len(stamps) else 0
-            if self.start_ms <= ts < self.end_ms:
-                out.append(value)
-        return out
+        return self.neighbors_many((vid,), eid, d, meter)[vid]
 
     def neighbors_many(self, starts: Iterable[int], eid: int, d: int,
                        meter: LatencyMeter) -> Dict[int, List[int]]:
-        """One full-list scan per distinct start, keyed in
-        first-occurrence order."""
-        fetched: Dict[int, List[int]] = {}
-        for start in starts:
-            if start not in fetched:
-                fetched[start] = self.neighbors(start, eid, d, meter)
+        """Scan each distinct start's whole value list, keeping in-window
+        entries; keyed in first-occurrence order."""
+        engine = self.engine
+        fetched = engine.store.neighbors_many(self.home_node, starts, eid, d,
+                                              meter)
+        stamps_of = engine.timestamps
+        scanned = 0
+        for start, values in fetched.items():
+            stamps = stamps_of.get(make_key(start, eid, d), [])
+            scanned += len(values)
+            out: List[int] = []
+            for offset, value in enumerate(values):
+                ts = stamps[offset] if offset < len(stamps) else 0
+                if self.start_ms <= ts < self.end_ms:
+                    out.append(value)
+            fetched[start] = out
+        if fetched:
+            meter.charge(engine.cost.timestamp_filter_ns, times=scanned,
+                         category="ts-filter")
         return fetched
 
     def index_vertices(self, eid: int, d: int,

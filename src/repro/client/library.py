@@ -30,7 +30,6 @@ from repro.core.engine import WukongSEngine
 from repro.core.pipeline import LRUCache
 from repro.errors import PlanError, RegistrationError, StoreError
 from repro.rdf.string_server import StringServer
-from repro.sim.cost import LatencyMeter
 
 #: Approximate request/response payload sizes (bytes).
 _REQUEST_BYTES = 96
@@ -277,17 +276,18 @@ class ClientLibrary:
 
     def _deliver(self, result, rows: List[Tuple[object, ...]], meter,
                  snapshot: int) -> ClientResult:
-        """One client's copy of an answer, with the latency it saw."""
-        client_meter = LatencyMeter()
-        client_meter.charge_ps(meter.ps)
+        """One client's copy of an answer, with the latency it saw: the
+        server's reading plus, with ``include_network``, one client round
+        trip priced by the fabric."""
+        server_ps = meter.ps
+        client_ps = server_ps
         if self.include_network:
             payload = _REQUEST_BYTES + _ROW_BYTES * len(result.rows)
-            self.engine.cluster.fabric.message(client_meter, payload,
-                                               category="client")
+            client_ps += self.engine.cluster.fabric.message_ps(payload)
         return ClientResult(
             columns=list(result.variables), rows=rows,
-            server_latency_ms=meter.ms,
-            client_latency_ms=client_meter.ms, snapshot=snapshot)
+            server_latency_ms=server_ps / 1_000_000_000,
+            client_latency_ms=client_ps / 1_000_000_000, snapshot=snapshot)
 
 
 def _decode_column(strings: StringServer,

@@ -106,8 +106,8 @@ class WindowAccess:
         One probe per distinct start.  A timing predicate reads each
         start from its owner's transient store; a timeless one serves
         the view's window columns (see the class docstring for what is
-        charged), with the probe and scan charges of all starts issued
-        as two aggregated calls.
+        charged), with the probe, scan and remote-read charges of all
+        starts issued as three aggregated calls.
         """
         fetched: Dict[int, List[int]] = {}
         if self._is_timing(eid):
@@ -127,14 +127,14 @@ class WindowAccess:
         eid_bits = (eid << _EID_SHIFT) | d
         hits = 0
         scan_acc = 0
+        reads = 0
+        read_bytes = 0
         # C-level first-occurrence dedup: the loop below runs once per
         # distinct start instead of once per row.  The view's cache-hit
         # path (a plain dict probe on the inlined packed key) is hoisted
         # out of ``key_column``; hit counting is batched below.
         cols: Dict[int, object] = {}
         for start in dict.fromkeys(starts):
-            if not index_local:
-                fabric.remote_read(meter, _PROBE_BYTES, category="network")
             col = columns_get((start << _VID_SHIFT) | eid_bits, _MISSING)
             if col is _MISSING:
                 col = key_column((start << _VID_SHIFT) | eid_bits)
@@ -146,10 +146,17 @@ class WindowAccess:
                 continue
             for owner, span in col.merged:
                 if owner != home:
-                    fabric.remote_read(meter, 16 + 8 * span.length,
-                                       category="network")
+                    reads += 1
+                    read_bytes += 16 + 8 * span.length
                 scan_acc += span.length
             fetched[start] = col.values
+        # Remote reads are exact integer prices: the per-start index
+        # probes and the per-span value reads go out as one charge.
+        if not index_local:
+            reads += len(cols)
+            read_bytes += _PROBE_BYTES * len(cols)
+        fabric.remote_reads(meter, reads, read_bytes,
+                            category="network")
         if probes and cols:
             meter.charge(cost.index_probe_ns, times=probes * len(cols),
                          category="store")

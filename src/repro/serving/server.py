@@ -348,14 +348,15 @@ class ServingLayer:
             self.executions_saved += len(fresh) * (fanout - 1)
             self.metrics.counter("serving_shared_close_hits").inc(
                 len(fresh) * (fanout - 1))
+            latencies = [record.meter.ns for record in fresh]
             for subscription in entry.subscribers:
                 state = self.tenant(subscription.tenant)
                 state.close_results += len(fresh)
-                histogram = self.metrics.histogram(
-                    "serving_close_ns", tenant=subscription.tenant)
-                for record in fresh:
-                    state.close_latency_ns.append(record.meter.ns)
-                    histogram.observe(record.meter.ns)
+                state.close_latency_ns.extend(latencies)
+                observe = self.metrics.histogram(
+                    "serving_close_ns", tenant=subscription.tenant).observe
+                for latency in latencies:
+                    observe(latency)
 
     # -- reporting ---------------------------------------------------------
     def snapshot(self) -> ServingStats:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.sim.cost import CostModel, LatencyMeter
+from repro.sim.cost import PS_PER_NS, CostModel, LatencyMeter
 
 
 @dataclass
@@ -56,14 +56,29 @@ class Fabric:
     def remote_read(self, meter: LatencyMeter, nbytes: int,
                     category: str = "network") -> None:
         """Charge one remote read of ``nbytes`` from another node's memory."""
+        self.remote_reads(meter, 1, nbytes, category)
+
+    def remote_reads(self, meter: LatencyMeter, count: int, nbytes: int,
+                     category: str = "network") -> None:
+        """Charge ``count`` remote reads carrying ``nbytes`` between them,
+        as one charge: a read's price is a base plus a per-byte increment,
+        both integers, so ``count`` reads cost exactly ``count`` bases
+        plus the increment on their summed bytes.  ``count == 0`` charges
+        and counts nothing."""
+        if not count:
+            return
+        cost = self.cost
+        stats = self.stats
         if self.use_rdma:
-            self.stats.rdma_reads += 1
-            self.stats.rdma_bytes += nbytes
-            meter.charge_ps(self.cost.rdma_read_cost(nbytes), category)
+            stats.rdma_reads += count
+            stats.rdma_bytes += nbytes
+            meter.charge_ps(count * cost.rdma_read_ns * PS_PER_NS
+                            + cost.rdma_byte_ps * nbytes, category)
         else:
-            self.stats.messages += 1
-            self.stats.message_bytes += nbytes
-            meter.charge_ps(self.cost.tcp_cost(nbytes), category)
+            stats.messages += count
+            stats.message_bytes += nbytes
+            meter.charge_ps(count * cost.tcp_rtt_ns * PS_PER_NS
+                            + cost.tcp_byte_ps * nbytes, category)
 
     def message(self, meter: LatencyMeter, nbytes: int,
                 category: str = "network") -> None:
@@ -73,9 +88,15 @@ class Fabric:
         baseline systems; it always pays the TCP-style round trip (the
         paper's baselines do not use one-sided RDMA).
         """
+        meter.charge_ps(self.message_ps(nbytes), category)
+
+    def message_ps(self, nbytes: int) -> int:
+        """Count one :meth:`message` exchange of ``nbytes`` and return its
+        picoseconds instead of charging a meter, for a caller that adds
+        the hop to a reading it already holds."""
         self.stats.messages += 1
         self.stats.message_bytes += nbytes
-        meter.charge_ps(self.cost.tcp_cost(nbytes), category)
+        return self.cost.tcp_cost(nbytes)
 
     def one_way(self, meter: LatencyMeter, nbytes: int,
                 category: str = "network") -> None:

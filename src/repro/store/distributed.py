@@ -133,67 +133,63 @@ class DistributedStore:
         return sum(shard.compact(bound_sn) for shard in self.shards)
 
     # -- placement-aware reads --------------------------------------------
-    def neighbors_from(self, home_node: int, vid: int, eid: int, d: int,
-                       meter: LatencyMeter, max_sn: Optional[int] = None,
-                       category: str = "store") -> List[int]:
-        """Neighbour lookup as seen from ``home_node``.
+    def neighbors_many(self, home_node: int, vids: Iterable[int], eid: int,
+                       d: int, meter: LatencyMeter,
+                       max_sn: Optional[int] = None,
+                       category: str = "store") -> Dict[int, List[int]]:
+        """Neighbour lookup as seen from ``home_node``: the visible list
+        of every *distinct* vid, keyed in first-occurrence order — the
+        one neighbour read of the persistent store.
 
-        Local keys pay probe+scan; remote keys additionally pay two remote
-        reads (key, then value), per the paper's RDMA cost analysis.
-
-        Hot ``(vertex, predicate)`` probes are served from the owner
-        shard's adjacency-segment cache — a wall-clock optimization only:
-        a hit charges exactly the remote reads, hash probe and per-entry
-        scan of an uncached lookup, so simulated time is identical.
-        Inserts invalidate the written key's segment; cached segments
-        survive compaction and serve any snapshot bound with the same
-        visible prefix (see ``ShardStore``).
+        The distinct vids are partitioned by owner once and each owner
+        group is read by one :meth:`ShardStore.lookup_many`, through the
+        owner's adjacency-segment cache (a wall-clock optimization only:
+        a hit charges exactly what a miss does).  Each key pays one hash
+        probe plus a scan of its visible prefix; a key held off
+        ``home_node`` also pays two remote reads, one for the key and one
+        for its whole value, per the paper's RDMA cost analysis.  Prices
+        are exact integers, so these are issued as one aggregated charge
+        each: probes, scans, and every remote key's pair of reads.
 
         ``Cluster.owner_of`` (modulo partitioning) and ``make_key`` are
         inlined here: this is the innermost store probe of every
         execution, and ``vid``/``eid`` come from the store or the string
         server, already range-checked on insert.
         """
-        owner = vid % len(self.cluster.nodes)
-        key = (vid << _VID_SHIFT) | (eid << _EID_SHIFT) | d
-        shard = self.shards[owner]
-        cached = shard.cached_adjacency(key, max_sn)
-        if cached is not None:
-            visible, total = cached
+        fetched: Dict[int, List[int]] = dict.fromkeys(vids)
+        if not fetched:
+            return fetched
+        num_nodes = len(self.cluster.nodes)
+        if num_nodes == 1:
+            groups: Dict[int, List[int]] = {0: list(fetched)}
+        else:
+            groups = {}
+            for vid in fetched:
+                group = groups.get(vid % num_nodes)
+                if group is None:
+                    groups[vid % num_nodes] = [vid]
+                else:
+                    group.append(vid)
+        low_bits = (eid << _EID_SHIFT) | d
+        scanned = 0
+        remote_keys = 0
+        remote_bytes = 0
+        for owner, group in groups.items():
+            lists, group_scanned, nbytes = self.shards[owner].lookup_many(
+                [(vid << _VID_SHIFT) | low_bits for vid in group], max_sn)
+            fetched.update(zip(group, lists))
+            scanned += group_scanned
             if owner != home_node:
-                self.cluster.fabric.remote_read(meter, _KEY_BYTES,
-                                                category="network")
-                self.cluster.fabric.remote_read(meter, 16 + 8 * total,
-                                                category="network")
-            meter.charge(shard.cost.hash_probe_ns, category=category)
-            meter.charge(shard.cost.scan_entry_ns, times=len(visible),
-                         category=category)
-            return visible
-        if owner != home_node:
-            self.cluster.fabric.remote_read(meter, _KEY_BYTES,
-                                            category="network")
-            self.cluster.fabric.remote_read(meter, shard.value_bytes(key),
-                                            category="network")
-        visible = shard.lookup(key, max_sn=max_sn, meter=meter,
-                               category=category)
-        shard.cache_adjacency(key, max_sn, visible)
-        return visible
-
-    def neighbors_many(self, home_node: int, vids: Iterable[int], eid: int,
-                       d: int, meter: LatencyMeter,
-                       max_sn: Optional[int] = None,
-                       category: str = "store") -> Dict[int, List[int]]:
-        """Batch-shaped neighbour lookup: one fetch per *distinct* vid,
-        keyed in first-occurrence order.  The columnar batch kernels hand
-        whole start columns here instead of calling through the per-vid
-        access indirection row by row.
-        """
-        fetched: Dict[int, List[int]] = {}
-        fetch = self.neighbors_from
-        for vid in vids:
-            if vid not in fetched:
-                fetched[vid] = fetch(home_node, vid, eid, d, meter,
-                                     max_sn=max_sn, category=category)
+                remote_keys += len(group)
+                remote_bytes += nbytes
+        if remote_keys:
+            self.cluster.fabric.remote_reads(
+                meter, 2 * remote_keys,
+                _KEY_BYTES * remote_keys + remote_bytes, category="network")
+        cost = self.cluster.cost
+        meter.charge(cost.hash_probe_ns, times=len(fetched),
+                     category=category)
+        meter.charge(cost.scan_entry_ns, times=scanned, category=category)
         return fetched
 
     def neighbors_versions_batch(self, home_node: int, vids: Iterable[int],
@@ -205,29 +201,40 @@ class DistributedStore:
         one probe per *distinct* vid, keyed in first-occurrence order.
 
         The SPARQL-T quintuple read, the ``(vids, sns)`` counterpart of
-        :meth:`neighbors_many`: each visible neighbour comes paired with
-        its insertion snapshot, with the same placement pricing as
-        :meth:`neighbors_from` (local keys pay probe+scan, remote keys
-        two remote reads).  The SN column lives in the same value list,
-        so no extra read is charged.  Bypasses the adjacency-segment
-        cache, which stores value prefixes only.
+        :meth:`neighbors_many`, with the same pricing as aggregated
+        charges (one hash probe and a scan of the visible prefix per key,
+        two remote reads per remote key).  The SN column lives in the
+        same value list, so no extra read is charged.  Bypasses the
+        adjacency-segment cache, which stores value prefixes only.
         """
         fetched: Dict[int, Tuple[List[int], List[int]]] = {}
         num_nodes = len(self.cluster.nodes)
-        remote_read = self.cluster.fabric.remote_read
+        shards = self.shards
         low_bits = (eid << _EID_SHIFT) | d
+        scanned = 0
+        remote_keys = 0
+        remote_bytes = 0
         for vid in vids:
             if vid in fetched:
                 continue
             owner = vid % num_nodes
             key = (vid << _VID_SHIFT) | low_bits
-            shard = self.shards[owner]
+            shard = shards[owner]
             if owner != home_node:
-                remote_read(meter, _KEY_BYTES, category="network")
-                remote_read(meter, shard.value_bytes(key),
-                            category="network")
-            fetched[vid] = shard.lookup_versions(
-                key, max_sn=max_sn, meter=meter, category=category)
+                remote_keys += 1
+                remote_bytes += shard.value_bytes(key)
+            found = fetched[vid] = shard.lookup_versions(key, max_sn=max_sn)
+            scanned += len(found[0])
+        if remote_keys:
+            self.cluster.fabric.remote_reads(
+                meter, 2 * remote_keys,
+                _KEY_BYTES * remote_keys + remote_bytes, category="network")
+        if fetched:
+            cost = self.cluster.cost
+            meter.charge(cost.hash_probe_ns, times=len(fetched),
+                         category=category)
+            meter.charge(cost.scan_entry_ns, times=scanned,
+                         category=category)
         return fetched
 
     def local_index(self, node_id: int, eid: int, d: int,
@@ -309,8 +316,8 @@ class PersistentAccess:
 
     def neighbors(self, vid: int, eid: int, d: int,
                   meter: LatencyMeter) -> List[int]:
-        return self.store.neighbors_from(self.home_node, vid, eid, d, meter,
-                                         max_sn=self.max_sn)
+        return self.store.neighbors_many(self.home_node, (vid,), eid, d,
+                                         meter, max_sn=self.max_sn)[vid]
 
     def neighbors_many(self, vids: Iterable[int], eid: int, d: int,
                        meter: LatencyMeter) -> Dict[int, List[int]]:

@@ -336,8 +336,8 @@ class ShardStore:
         plus two bisects per due key, not the key's whole history.
         """
         # Cached adjacency segments survive compaction: relabelling never
-        # moves values, and ``cached_adjacency`` validates each hit
-        # against the live SN list (see its docstring), so stale
+        # moves values and only lowers SNs, and ``lookup_many`` validates
+        # each hit against the live SN list (see its docstring), so stale
         # visibility can never be served.
         touched = 0
         heap = self._versioned_heap
@@ -360,52 +360,6 @@ class ShardStore:
                 heappush(heap, (sns[cut], key))
         return touched
 
-    # -- adjacency-segment cache ---------------------------------------
-    def cached_adjacency(self, key: Key, max_sn: Optional[int]
-                         ) -> Optional[Tuple[List[int], int]]:
-        """The cached ``(visible prefix, total length)`` of ``key`` at
-        ``max_sn``, or None on a miss.  Charge-free: callers must charge
-        exactly what an uncached lookup would.
-
-        A cached segment serves *any* bound that bisects to the same
-        visible prefix, not just the bound it was recorded under: inserts
-        invalidate the key, so while an entry exists the key's value list
-        is unchanged since caching and ``entry prefix == vids[:len(entry
-        prefix)]`` holds — the entry is correct at ``max_sn`` exactly when
-        ``max_sn``'s cut equals that length.  (This also makes entries
-        immune to compaction: relabelling moves SNs *down*, never the
-        values, and the cut comparison reads the live SN list.)
-        """
-        cache = self._adjacency
-        entry = cache.get(key)
-        if entry is not None:
-            if entry[0] != max_sn:
-                values = self._values.get(key)
-                sns: List[int] = values.sns if values is not None else []
-                cut = len(sns) if max_sn is None \
-                    else bisect_right(sns, max_sn)
-                if cut != len(entry[1]):
-                    self.adjacency_misses += 1
-                    return None
-            self.adjacency_hits += 1
-            return entry[1], entry[2]
-        self.adjacency_misses += 1
-        return None
-
-    def cache_adjacency(self, key: Key, max_sn: Optional[int],
-                        visible: List[int]) -> None:
-        """Remember ``key``'s visible prefix at ``max_sn`` (bounded FIFO:
-        the victim is the front of the insertion-ordered dict, the
-        oldest insert)."""
-        cache = self._adjacency
-        cache.pop(key, None)
-        if len(cache) >= self.adjacency_capacity:
-            del cache[next(iter(cache))]
-            self.adjacency_evictions += 1
-        values = self._values.get(key)
-        total = len(values.vids) if values is not None else 0
-        cache[key] = (max_sn, visible, total)
-
     # -- predicate cardinality statistics --------------------------------
     def predicate_entries(self, eid: int, d: int) -> int:
         """Total adjacency entries inserted under ``(eid, d)`` keys."""
@@ -423,6 +377,79 @@ class ShardStore:
         return None if sketch is None else sketch.estimate(vid)
 
     # -- reads ------------------------------------------------------------
+    def lookup_many(self, keys: List[Key], max_sn: Optional[int]
+                    ) -> Tuple[List[List[int]], int, int]:
+        """The visible lists of distinct ``keys`` at ``max_sn``, through
+        the adjacency-segment cache — the one neighbour read of the
+        persistent store.  Returns ``(lists, scanned, value_bytes)``: one
+        list per key in the given order, the entries they hold, and the
+        summed wire size (``16 + 8 * length`` of each whole value, as
+        :meth:`value_bytes`).  Charge-free: the caller charges one hash
+        probe per key, ``scanned`` entry scans and, for a remote group,
+        the reads of ``value_bytes``; so a hit costs exactly a miss.
+
+        A cached ``(bound, visible, total)`` entry serves *any* bound
+        that bisects to the same visible prefix: inserts invalidate the
+        key, so while an entry exists the key's value list is unchanged
+        since caching and ``visible == vids[:len(visible)]`` — the entry
+        is correct at ``max_sn`` exactly when ``max_sn``'s cut equals
+        ``len(visible)``.  A *full* entry (``len(visible) == total``)
+        skips that bisect for every bound at or above its own, and for
+        None: every entry had an SN at most the recorded bound, and
+        compaction only ever lowers SNs, so the cut is still the whole
+        list.  Both rules read the live SN list or rely only on SNs
+        falling, which makes entries immune to compaction.  A miss
+        re-records the key (bounded FIFO: the victim is the front of the
+        insertion-ordered dict, the oldest insert).
+        """
+        cache = self._adjacency
+        cache_get = cache.get
+        values_get = self._values.get
+        capacity = self.adjacency_capacity
+        lists: List[List[int]] = []
+        append = lists.append
+        hits = 0
+        scanned = 0
+        total_length = 0
+        for key in keys:
+            entry = cache_get(key)
+            if entry is not None:
+                bound, visible, total = entry
+                if bound != max_sn and not (
+                        len(visible) == total and (
+                            max_sn is None
+                            or (bound is not None and max_sn >= bound))):
+                    values = values_get(key)
+                    if values is not None:
+                        cut = len(values.sns) if max_sn is None \
+                            else bisect_right(values.sns, max_sn)
+                        if cut != len(visible):
+                            entry = None
+                if entry is not None:
+                    hits += 1
+                    append(visible)
+                    scanned += len(visible)
+                    total_length += total
+                    continue
+                del cache[key]
+            values = values_get(key)
+            if values is None:
+                visible = []
+                total = 0
+            else:
+                visible = values.visible(max_sn)
+                total = len(values.vids)
+            if len(cache) >= capacity:
+                del cache[next(iter(cache))]
+                self.adjacency_evictions += 1
+            cache[key] = (max_sn, visible, total)
+            append(visible)
+            scanned += len(visible)
+            total_length += total
+        self.adjacency_hits += hits
+        self.adjacency_misses += len(keys) - hits
+        return lists, scanned, 16 * len(keys) + 8 * total_length
+
     def lookup(self, key: Key, max_sn: Optional[int] = None,
                meter: Optional[LatencyMeter] = None,
                category: str = "store") -> List[int]:

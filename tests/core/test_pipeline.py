@@ -109,9 +109,9 @@ class TestInjector:
         self.inject_all(cluster, strings, injectors)
         logan = strings.entity_id("Logan")
         po = strings.predicate_id("po")
-        values = store.neighbors_from(cluster.owner_of(logan), logan, po,
+        values = store.neighbors_many(cluster.owner_of(logan), [logan], po,
                                       DIR_OUT, LatencyMeter())
-        assert values == [strings.entity_id("T-15")]
+        assert values == {logan: [strings.entity_id("T-15")]}
 
     def test_timing_reaches_transient_store_only(self):
         cluster, strings, store, transients, injectors = self.build()

@@ -2,10 +2,11 @@
 
 The cache is a wall-clock optimization only — a hit must charge exactly
 the remote reads, hash probe and per-entry scan an uncached lookup
-charges, in the same order, so simulated time never depends on cache
-state.  Inserts invalidate the written key; cached segments survive
-compaction and serve any snapshot bound that bisects to the same
-visible prefix (each hit is validated against the live SN list).
+charges, so simulated time never depends on cache state.  Inserts
+invalidate the written key; cached segments survive compaction and serve
+any snapshot bound that bisects to the same visible prefix (each hit is
+validated against the live SN list), and a segment holding its key's
+whole list serves every newer bound without that validation.
 """
 
 from repro.rdf.ids import DIR_IN, DIR_OUT, make_key
@@ -15,6 +16,12 @@ from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.store.distributed import DistributedStore
 from repro.store.kvstore import BASE_SN
+
+
+def read(store, home, vid, eid, meter, max_sn=None):
+    """One key's visible list through the grouped read."""
+    return store.neighbors_many(home, (vid,), eid, DIR_OUT, meter,
+                                max_sn=max_sn)[vid]
 
 
 def build(num_nodes=1):
@@ -31,14 +38,15 @@ def test_cache_hit_returns_same_neighbors_and_charges():
     p = strings.predicate_id("p")
 
     miss_meter = LatencyMeter()
-    missed = store.neighbors_from(0, a, p, DIR_OUT, miss_meter)
+    missed = read(store, 0, a, p, miss_meter)
     hit_meter = LatencyMeter()
-    hit = store.neighbors_from(0, a, p, DIR_OUT, hit_meter)
+    hit = read(store, 0, a, p, hit_meter)
 
     assert hit == missed
-    assert store.shards[0].cached_adjacency(make_key(a, p, DIR_OUT),
-                                            None) is not None
-    assert hit_meter.ns == miss_meter.ns
+    assert make_key(a, p, DIR_OUT) in store.shards[0]._adjacency
+    assert store.shards[0].adjacency_hits == 1
+    assert hit_meter.ps == miss_meter.ps
+    assert hit_meter.breakdown_ps == miss_meter.breakdown_ps
 
 
 def test_remote_cache_hit_charges_identically():
@@ -49,12 +57,14 @@ def test_remote_cache_hit_charges_identically():
     remote_home = (cluster.owner_of(a) + 1) % 2
 
     miss_meter = LatencyMeter()
-    missed = store.neighbors_from(remote_home, a, p, DIR_OUT, miss_meter)
+    missed = read(store, remote_home, a, p, miss_meter)
     hit_meter = LatencyMeter()
-    hit = store.neighbors_from(remote_home, a, p, DIR_OUT, hit_meter)
+    hit = read(store, remote_home, a, p, hit_meter)
 
     assert hit == missed
-    assert hit_meter.ns == miss_meter.ns
+    assert store.shards[cluster.owner_of(a)].adjacency_hits == 1
+    assert hit_meter.ps == miss_meter.ps
+    assert hit_meter.breakdown_ps == miss_meter.breakdown_ps
 
 
 def test_insert_invalidates_written_key():
@@ -64,12 +74,12 @@ def test_insert_invalidates_written_key():
     b = strings.entity_id("b")
     p = strings.predicate_id("p")
 
-    assert store.neighbors_from(0, a, p, DIR_OUT, LatencyMeter()) == [b]
+    assert read(store, 0, a, p, LatencyMeter()) == [b]
     # Grow a's adjacency list after it was cached.
     enc = strings.encode_triple(parse_triples("a p e .")[0])
     store.insert_triples([enc], sn=BASE_SN)
     e = strings.entity_id("e")
-    assert store.neighbors_from(0, a, p, DIR_OUT, LatencyMeter()) == [b, e]
+    assert read(store, 0, a, p, LatencyMeter()) == [b, e]
 
 
 def test_cache_entries_are_snapshot_specific():
@@ -82,13 +92,12 @@ def test_cache_entries_are_snapshot_specific():
     c = strings.entity_id("c")
     p = strings.predicate_id("p")
 
-    old = store.neighbors_from(0, a, p, DIR_OUT, LatencyMeter(),
-                               max_sn=BASE_SN)
+    old = read(store, 0, a, p, LatencyMeter(), max_sn=BASE_SN)
     assert old == [b]
     # A different snapshot must not be served from the BASE_SN entry.
-    new = store.neighbors_from(0, a, p, DIR_OUT, LatencyMeter(),
-                               max_sn=BASE_SN + 5)
+    new = read(store, 0, a, p, LatencyMeter(), max_sn=BASE_SN + 5)
     assert new == [b, c]
+    assert store.shards[0].adjacency_hits == 0
 
 
 def test_cached_segments_survive_compaction():
@@ -99,12 +108,13 @@ def test_cached_segments_survive_compaction():
     p = strings.predicate_id("p")
     key = make_key(a, p, DIR_OUT)
 
-    store.neighbors_from(0, a, p, DIR_OUT, LatencyMeter())
-    assert store.shards[0].cached_adjacency(key, None) is not None
+    read(store, 0, a, p, LatencyMeter())
+    assert key in store.shards[0]._adjacency
     store.compact(BASE_SN)
-    assert store.shards[0].cached_adjacency(key, None) is not None
-    assert store.neighbors_from(0, a, p, DIR_OUT, LatencyMeter()) == [
+    assert key in store.shards[0]._adjacency
+    assert read(store, 0, a, p, LatencyMeter()) == [
         strings.entity_id("b")]
+    assert store.shards[0].adjacency_hits == 1
 
 
 def test_versioned_reads_after_compaction_stay_correct():
@@ -120,15 +130,39 @@ def test_versioned_reads_after_compaction_stay_correct():
                                   sn=BASE_SN + 3)
 
     meter = LatencyMeter()
-    assert store.neighbors_from(0, a, p, DIR_OUT, meter,
-                                max_sn=BASE_SN) == [b]
+    assert read(store, 0, a, p, meter, max_sn=BASE_SN) == [b]
     # Different bound, different prefix: the BASE_SN entry must miss.
-    assert store.neighbors_from(0, a, p, DIR_OUT, meter,
-                                max_sn=BASE_SN + 3) == [b, c]
+    assert read(store, 0, a, p, meter, max_sn=BASE_SN + 3) == [b, c]
     store.compact(BASE_SN + 3)
     # After relabelling everything into the base, any bound sees both.
-    assert store.neighbors_from(0, a, p, DIR_OUT, meter,
-                                max_sn=BASE_SN) == [b, c]
+    assert read(store, 0, a, p, meter, max_sn=BASE_SN) == [b, c]
+
+
+def test_full_list_entry_serves_newer_bounds_only():
+    """A segment that holds its key's whole list serves any newer bound
+    (and None) as a hit; an older bound is still validated against the
+    live SN list and misses when its prefix is shorter."""
+    cluster, strings, store = build()
+    store.load(parse_triples("a p b ."))
+    a = strings.entity_id("a")
+    b = strings.entity_id("b")
+    c = strings.entity_id("c")
+    p = strings.predicate_id("p")
+    key = make_key(a, p, DIR_OUT)
+    shard = store.shards[0]
+    shard.append_column([key], [c], sn=BASE_SN + 3)
+
+    assert read(store, 0, a, p, LatencyMeter(), max_sn=BASE_SN + 3) == [b, c]
+    assert shard._adjacency[key][0] == BASE_SN + 3
+    for newer in (BASE_SN + 4, BASE_SN + 100, None):
+        assert read(store, 0, a, p, LatencyMeter(), max_sn=newer) == [b, c]
+    assert (shard.adjacency_hits, shard.adjacency_misses) == (3, 1)
+    # The entry keeps its recorded bound: hits never re-record it.
+    assert shard._adjacency[key][0] == BASE_SN + 3
+
+    assert read(store, 0, a, p, LatencyMeter(), max_sn=BASE_SN) == [b]
+    assert (shard.adjacency_hits, shard.adjacency_misses) == (3, 2)
+    assert shard._adjacency[key] == (BASE_SN, [b], 2)
 
 
 def test_predicate_cardinality_counts_entries_and_keys():
@@ -153,10 +187,10 @@ def test_cache_counters_track_hits_misses():
     shard = store.shards[0]
     base_misses = shard.adjacency_misses
 
-    store.neighbors_from(0, a, p, DIR_OUT, LatencyMeter())
+    read(store, 0, a, p, LatencyMeter())
     assert shard.adjacency_misses == base_misses + 1
-    store.neighbors_from(0, a, p, DIR_OUT, LatencyMeter())
-    store.neighbors_from(0, a, p, DIR_OUT, LatencyMeter())
+    read(store, 0, a, p, LatencyMeter())
+    read(store, 0, a, p, LatencyMeter())
     assert shard.adjacency_hits == 2
 
 
@@ -169,7 +203,7 @@ def test_configured_capacity_and_eviction_counter():
     shard = store.shards[0]
     for name in ("a", "b", "c"):
         vid = strings.entity_id(name)
-        store.neighbors_from(0, vid, p, DIR_OUT, LatencyMeter())
+        read(store, 0, vid, p, LatencyMeter())
     assert len(shard._adjacency) == 2
     assert shard.adjacency_evictions == 1
 
@@ -184,9 +218,7 @@ def test_fifo_evicts_in_insertion_order_even_after_a_hit():
     vids = {n: strings.entity_id(n) for n in ("h", "a", "b")}
     # Fill: h, a.  Touch h again.  Insert b (one eviction).
     for name in ("h", "a", "h", "b"):
-        store.neighbors_from(0, vids[name], p, DIR_OUT, LatencyMeter())
+        read(store, 0, vids[name], p, LatencyMeter())
     shard = store.shards[0]
-    assert shard.cached_adjacency(make_key(vids["h"], p, DIR_OUT),
-                                  None) is None
-    assert shard.cached_adjacency(make_key(vids["a"], p, DIR_OUT),
-                                  None) is not None
+    assert list(shard._adjacency) == [make_key(vids["a"], p, DIR_OUT),
+                                      make_key(vids["b"], p, DIR_OUT)]

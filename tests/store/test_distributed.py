@@ -38,10 +38,10 @@ def test_neighbors_both_directions():
     p = strings.predicate_id("p")
     meter = LatencyMeter()
     home = cluster.owner_of(a)
-    assert store.neighbors_from(home, a, p, DIR_OUT, meter) == \
-        [strings.entity_id("b"), strings.entity_id("c")]
-    assert store.neighbors_from(cluster.owner_of(b), b, p, DIR_IN,
-                                LatencyMeter()) == [a]
+    assert store.neighbors_many(home, [a], p, DIR_OUT, meter) == \
+        {a: [strings.entity_id("b"), strings.entity_id("c")]}
+    assert store.neighbors_many(cluster.owner_of(b), [b], p, DIR_IN,
+                                LatencyMeter()) == {b: [a]}
 
 
 def test_remote_read_charges_two_rdma_reads():
@@ -53,9 +53,9 @@ def test_remote_read_charges_two_rdma_reads():
     remote_home = (owner + 1) % 2
 
     local, remote = LatencyMeter(), LatencyMeter()
-    store.neighbors_from(owner, a, p, DIR_OUT, local)
+    store.neighbors_many(owner, [a], p, DIR_OUT, local)
     before = cluster.fabric.stats.rdma_reads
-    store.neighbors_from(remote_home, a, p, DIR_OUT, remote)
+    store.neighbors_many(remote_home, [a], p, DIR_OUT, remote)
     assert cluster.fabric.stats.rdma_reads == before + 2
     assert remote.ns > local.ns
 
