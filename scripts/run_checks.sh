@@ -27,7 +27,11 @@
 # engines; nothing under src/repro reads the host clock — wall time is
 # taken in benchmarks/e2e/probes.py, from outside), and the executor's
 # second, row-shaped binding set with its own projection (every phase
-# from seed to projection runs on _Batch) have not come back.
+# from seed to projection runs on _Batch), the per-key store reads
+# (DistributedStore.neighbors_many reads one owner group at a time), and
+# the ValueSpa[n] dataclass (a stream-index span is a plain
+# (owner, offset, length) int tuple the collector untracks) have not
+# come back.
 # A test marked both serving and chaos runs in the chaos stage only.
 #
 # The obs stage exports a Chrome trace from a quick traced LSBench run
@@ -80,7 +84,7 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts; \
         then exit 1; fi
@@ -110,6 +114,7 @@ if grep -rn 'SlotRo[w]\|\.to_row[s]\|from_row[s]\|_explore_row[s]\|project_gette
         src scripts; then exit 1; fi
 if grep -rn 'neighbors_fro[m]\|cached_adjacenc[y]\|cache_adjacenc[y]' \
         src scripts; then exit 1; fi
+if grep -rn 'ValueSpa[n]' src scripts tests; then exit 1; fi
 
 echo "== obs (trace export + critical-path exactness) =="
 PYTHONPATH=src python scripts/check_trace.py

@@ -39,8 +39,7 @@ def _stream_index_digest(index) -> dict:
     for piece in index._slices:
         entries = {}
         for key in sorted(piece.entries):
-            entries[str(key)] = [[owner, span.offset, span.length]
-                                 for owner, span in piece.entries[key]]
+            entries[str(key)] = [list(piece.entries[key])]
         vertices = {f"{eid}:{d}": sorted(members)
                     for (eid, d), members in sorted(piece.vertices.items())}
         slices.append({"batch_no": piece.batch_no, "entries": entries,

@@ -144,11 +144,11 @@ class WindowAccess:
             if col is None:
                 fetched[start] = []
                 continue
-            for owner, span in col.merged:
+            for owner, _, length in col.merged:
                 if owner != home:
                     reads += 1
-                    read_bytes += 16 + 8 * span.length
-                scan_acc += span.length
+                    read_bytes += 16 + 8 * length
+                scan_acc += length
             fetched[start] = col.values
         # Remote reads are exact integer prices: the per-start index
         # probes and the per-span value reads go out as one charge.

@@ -130,7 +130,9 @@ class Injector:
         build the half's key and value columns in arrival order, write
         them to the shard in one call, and hand the spans it returns
         (one per distinct key, already covering the key's whole batch
-        contribution) to the stream-index slice.
+        contribution) to the stream-index slice.  No other call writes
+        these keys in this batch: threads partition by the key's vertex
+        and the two halves differ in the direction bit.
 
         ``make_key`` is inlined — ids come from the string server,
         range-checked at allocation, and this is the hottest loop of

@@ -31,15 +31,17 @@ from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 from repro.errors import StoreError, StreamError
 from repro.rdf.ids import MAX_EID, _EID_SHIFT, _VID_SHIFT, Key
 from repro.sim.cost import CostModel, LatencyMeter, MemoryModel
-from repro.store.kvstore import ValueSpan
 
-#: One index entry: the span plus the node whose shard holds it.
-OwnedSpan = Tuple[int, ValueSpan]
+#: One index entry: ``(owner, offset, length)`` — the node whose shard
+#: holds the span and the span's window into the key's value list.  A
+#: tuple of ints only, so the collector untracks it at its first young
+#: collection and the window-long entries never reach the old generation.
+OwnedSpan = Tuple[int, int, int]
 
 
-def _append_coalesced(spans: List[OwnedSpan], owner: int,
-                      span: ValueSpan) -> None:
-    """Add ``(owner, span)`` to one key's span list.
+def _append_coalesced(spans: List[OwnedSpan], owner: int, offset: int,
+                      length: int) -> None:
+    """Add the span ``(owner, offset, length)`` to one key's span list.
 
     The coalescing rule, stated once: a span that the same owner holds
     and that starts exactly where the list's last span ends extends that
@@ -49,41 +51,46 @@ def _append_coalesced(spans: List[OwnedSpan], owner: int,
     collapse to a single fat pointer — one RDMA read per key, §5.
     """
     if spans:
-        last_owner, last = spans[-1]
-        if last_owner == owner and last.offset + last.length == span.offset:
-            spans[-1] = (owner, ValueSpan(span.key, last.offset,
-                                          last.length + span.length))
+        last_owner, last_offset, last_length = spans[-1]
+        if last_owner == owner and last_offset + last_length == offset:
+            spans[-1] = (owner, last_offset, last_length + length)
             return
-    spans.append((owner, span))
+    spans.append((owner, offset, length))
 
 
 class IndexSlice:
-    """Stream-index entries contributed by one batch."""
+    """Stream-index entries contributed by one batch: one span per key."""
 
     __slots__ = ("batch_no", "entries", "vertices")
 
     def __init__(self, batch_no: int):
         self.batch_no = batch_no
-        self.entries: Dict[Key, List[OwnedSpan]] = {}
+        self.entries: Dict[Key, OwnedSpan] = {}
         #: (eid, d) -> vertices that gained an (eid, d) edge in this batch.
         self.vertices: Dict[Tuple[int, int], Set[int]] = {}
 
-    def add_batch_spans(self, owner: int, spans: List[ValueSpan],
-                        d: int) -> None:
-        """Record the spans one column write returned (one per key, all
-        of direction ``d``) as held by ``owner``, and note each key's
-        vertex under its ``(eid, d)`` group.  A key the slice already
-        knows has its span coalesced onto the known ones."""
+    def add_batch_spans(self, owner: int,
+                        spans: List[Tuple[Key, int, int]], d: int) -> None:
+        """Record the ``(key, offset, length)`` spans one column write
+        returned (one per key, all of direction ``d``) as held by
+        ``owner``, and note each key's vertex under its ``(eid, d)``
+        group.
+
+        Each key is written by exactly one column write per batch: the
+        dispatcher routes each half to the owner of the key's vertex,
+        the injector's threads partition by that vertex, and the two
+        halves differ in the direction bit.  A key the slice already
+        holds is refused with :class:`StoreError`.
+        """
         entries = self.entries
         vertices = self.vertices
         group_sets: Dict[int, Set[int]] = {}
-        for span in spans:
-            key = span.key
-            known = entries.get(key)
-            if known is not None:
-                _append_coalesced(known, owner, span)
-                continue
-            entries[key] = [(owner, span)]
+        for key, offset, length in spans:
+            if key in entries:
+                raise StoreError(
+                    f"key {key} written twice into index slice "
+                    f"#{self.batch_no}")
+            entries[key] = (owner, offset, length)
             eid = (key >> _EID_SHIFT) & MAX_EID
             members = group_sets.get(eid)
             if members is None:
@@ -93,14 +100,11 @@ class IndexSlice:
 
     @property
     def num_entries(self) -> int:
-        return sum(len(spans) for spans in self.entries.values())
+        return len(self.entries)
 
     def memory_bytes(self, model: MemoryModel) -> int:
-        total = 0
-        for spans in self.entries.values():
-            total += model.index_key_bytes \
-                + model.fat_pointer_bytes * len(spans)
-        return total
+        return len(self.entries) \
+            * (model.index_key_bytes + model.fat_pointer_bytes)
 
 
 #: Sort key for posting lists: the batch number of one posting.
@@ -119,8 +123,9 @@ class StreamIndex:
     changes wall-clock time — the simulated charge stays one
     ``index_probe_ns`` per live slice in the range (counted by bisecting
     the sorted batch-number list), as a linear scan would pay.  Slices
-    are immutable once appended, so postings alias the slice's own span
-    lists and vertex sets.
+    are immutable once appended, so vertex postings alias the slice's
+    own vertex sets, and a key posting is the flat int tuple
+    ``(batch_no, owner, offset, length)`` of the slice's one span.
     """
 
     def __init__(self, stream: str, cost: Optional[CostModel] = None,
@@ -131,8 +136,9 @@ class StreamIndex:
         self._slices: Deque[IndexSlice] = deque()
         #: Sorted batch numbers of the live slices (mirrors ``_slices``).
         self._batch_nos: List[int] = []
-        #: key -> [(batch_no, spans)] for the slices containing the key.
-        self._key_postings: Dict[Key, List[Tuple[int, List[OwnedSpan]]]] = {}
+        #: key -> [(batch_no, owner, offset, length)] for the slices
+        #: containing the key.
+        self._key_postings: Dict[Key, List[Tuple[int, int, int, int]]] = {}
         #: (eid, d) -> [(batch_no, vertex set)] for slices with that group.
         self._vertex_postings: Dict[Tuple[int, int],
                                     List[Tuple[int, Set[int]]]] = {}
@@ -151,13 +157,14 @@ class StreamIndex:
             meter.charge(self.cost.insert_entry_ns, times=piece.num_entries,
                          category="indexing")
         self._slices.append(piece)
-        self._batch_nos.append(piece.batch_no)
-        for key, spans in piece.entries.items():
+        batch_no = piece.batch_no
+        self._batch_nos.append(batch_no)
+        for key, (owner, offset, length) in piece.entries.items():
             self._key_postings.setdefault(key, []).append(
-                (piece.batch_no, spans))
+                (batch_no, owner, offset, length))
         for group, members in piece.vertices.items():
             self._vertex_postings.setdefault(group, []).append(
-                (piece.batch_no, members))
+                (batch_no, members))
 
     # -- reads ------------------------------------------------------------
     def _probes_in(self, first_batch: int, last_batch: int) -> int:
@@ -409,14 +416,12 @@ class ColumnarSlice:
             col._distinct = None
             merged = col.merged
             while drop:
-                owner, span = merged[0]
-                if span.length <= drop:
-                    drop -= span.length
+                owner, offset, length = merged[0]
+                if length <= drop:
+                    drop -= length
                     del merged[0]
                 else:
-                    merged[0] = (owner, ValueSpan(span.key,
-                                                  span.offset + drop,
-                                                  span.length - drop))
+                    merged[0] = (owner, offset + drop, length - drop)
                     drop = 0
         member_lists = self._member_lists
         vertex_cols = self._vertex_cols
@@ -436,26 +441,22 @@ class ColumnarSlice:
         entries = piece.entries
         shards = self.store.shards
         if len(entries) <= len(columns):
-            items = [(key, columns[key], spans)
-                     for key, spans in entries.items() if key in columns]
+            items = [(key, columns[key], span)
+                     for key, span in entries.items() if key in columns]
         else:
             items = [(key, col, entries[key])
                      for key, col in columns.items() if key in entries]
-        for key, col, spans in items:
+        for key, col, (owner, offset, length) in items:
             if col is None:
-                del columns[key]  # cached-absent key just gained spans
+                del columns[key]  # cached-absent key just gained a span
                 continue
-            added: List[int] = []
-            count = 0
-            merged = col.merged
-            for owner, span in spans:
-                added.extend(shards[owner].lookup_span(span))
-                count += span.length
-                _append_coalesced(merged, owner, span)
-            col.values = col.values + added  # copy-on-extend (shared refs)
+            # copy-on-extend (callers may hold the old list)
+            col.values = col.values \
+                + shards[owner].lookup_span(key, offset, length)
             col._set = None
             col._distinct = None
-            col.batch_counts.append((piece.batch_no, count))
+            _append_coalesced(col.merged, owner, offset, length)
+            col.batch_counts.append((piece.batch_no, length))
         vertex_cols = self._vertex_cols
         for group in piece.vertices:
             # A new batch can only append unseen vertices, but the cached
@@ -487,13 +488,10 @@ class ColumnarSlice:
         merged: List[OwnedSpan] = []
         batch_counts: List[Tuple[int, int]] = []
         shards = self.store.shards
-        for batch_no, spans in postings[lo:hi]:
-            count = 0
-            for owner, span in spans:
-                values.extend(shards[owner].lookup_span(span))
-                count += span.length
-                _append_coalesced(merged, owner, span)
-            batch_counts.append((batch_no, count))
+        for batch_no, owner, offset, length in postings[lo:hi]:
+            values += shards[owner].lookup_span(key, offset, length)
+            _append_coalesced(merged, owner, offset, length)
+            batch_counts.append((batch_no, length))
         col = _KeyColumn(values, merged, batch_counts)
         self._columns[key] = col
         return col

@@ -13,13 +13,16 @@ relabels entries at or below a bound into the base snapshot so each key
 retains only a bounded number of distinct SN segments (the paper keeps two:
 one being read, one being inserted).
 
-*Value spans* — ``(offset, length)`` windows into a key's entry list — are
-returned by the one write entry, :meth:`ShardStore.append_column` (one
-per distinct key of the written column), so the stream index (§4.2) can
-later read exactly the entries contributed by one stream batch, skipping
-the scan of the rest of the value.  Compaction never reorders entries, so
-spans stay valid until the index slice that holds them is
-garbage-collected.
+*Value spans* — ``(key, offset, length)`` int tuples, each a window into
+one key's entry list — are returned by the one write entry,
+:meth:`ShardStore.append_column` (one per distinct key of the written
+column), so the stream index (§4.2) can later read exactly the entries
+contributed by one stream batch with :meth:`ShardStore.lookup_span`,
+skipping the scan of the rest of the value.  Plain ints, not an object:
+the index keeps spans for a whole window, and a tuple of ints is one
+CPython's collector stops tracking (DESIGN.md §4.2).  Compaction never
+reorders entries, so spans stay valid until the index slice that holds
+them is garbage-collected.
 
 Index vertices (``[0|p|d]``) are kept in a separate map, deduplicated, and
 are *not* partitioned by the reserved vid 0: each shard indexes its own
@@ -41,14 +44,14 @@ probes of hot ``(vertex, predicate)`` keys skip the hash lookup, bisect
 and slice.  Readers still charge exactly the probe/scan (and remote-read)
 costs of an uncached lookup; a write to a key invalidates its cached
 segment, and cached segments survive compaction (relabelling moves SNs,
-never values, and every hit is validated against the live SN list).
+never values, and a hit at another bound is validated against the live
+SN list) except one whose own bound compaction lengthens, which it drops.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from heapq import heappop, heappush
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import StoreError
@@ -69,15 +72,6 @@ TOPK_CAPACITY = 8
 
 #: Default upper bound on cached adjacency segments per shard.
 ADJACENCY_CACHE_CAPACITY = 1 << 16
-
-
-@dataclass(frozen=True, slots=True)
-class ValueSpan:
-    """A contiguous window of one key's value list: ``[offset, offset+length)``."""
-
-    key: Key
-    offset: int
-    length: int
 
 
 class _ValueList:
@@ -210,7 +204,7 @@ class ShardStore:
     def append_column(self, keys: List[Key], vids: List[int],
                       sn: int = BASE_SN,
                       meter: Optional[LatencyMeter] = None
-                      ) -> List[ValueSpan]:
+                      ) -> List[Tuple[Key, int, int]]:
         """Append ``vids[i]`` to ``keys[i]``'s value list under snapshot
         ``sn``, for a whole column given in arrival order — the one way
         entries get into a shard (bulk load, injection and recovery all
@@ -218,9 +212,10 @@ class ShardStore:
 
         Each key's entries land contiguously, in their arrival order,
         and its vertex is registered with the ``(eid, d)`` index vertex
-        (a set: re-registrations are ignored).  Returns one span per
-        distinct key, in first-occurrence order, covering exactly the
-        entries this call appended to it.
+        (a set: re-registrations are ignored).  Returns one
+        ``(key, offset, length)`` span per distinct key, in
+        first-occurrence order, covering exactly the entries this call
+        appended to it.
 
         Charges ``create_key_ns`` per fresh key plus ``insert_entry_ns``
         per value entry and per new index entry, as two aggregated
@@ -266,7 +261,7 @@ class ShardStore:
         pred_entries = self._pred_entries
         index_members = self._index_members
         index_lists = self._index
-        spans: List[ValueSpan] = []
+        spans: List[Tuple[Key, int, int]] = []
         append_span = spans.append
         created_keys = 0
         index_entries = 0
@@ -295,7 +290,7 @@ class ShardStore:
                 heappush(heap, (sn, key))
             if adjacency_pop is not None:
                 adjacency_pop(key, None)
-            append_span(ValueSpan(key, offset, count))
+            append_span((key, offset, count))
             bucket = key & _PRED_MASK
             pred_entries[bucket] = pred_entries.get(bucket, 0) + count
             # The bucket is the index vertex's (eid, d), still packed.
@@ -337,18 +332,26 @@ class ShardStore:
         """
         # Cached adjacency segments survive compaction: relabelling never
         # moves values and only lowers SNs, and ``lookup_many`` validates
-        # each hit against the live SN list (see its docstring), so stale
-        # visibility can never be served.
+        # a hit at another bound against the live SN list (see its
+        # docstring).  The one segment relabelling can outdate is one
+        # cached at a bound below ``bound_sn`` whose prefix ends inside
+        # the relabelled ``[0, cut)``: its own bound now bisects to
+        # ``cut``, and a same-bound hit is not validated — so it is
+        # dropped here.
         touched = 0
         heap = self._versioned_heap
         versioned = self._versioned
         values = self._values
+        adjacency = self._adjacency
         while heap and heap[0][0] <= bound_sn:
             _, key = heappop(heap)
             sns = values[key].sns
             # The popped SN is still present in ``sns`` (relabelling only
             # happens on pop), so the bisected prefix is never empty.
             cut = bisect_right(sns, bound_sn)
+            cached = adjacency.get(key)
+            if cached is not None and len(cached[1]) < cut:
+                del adjacency[key]
             if sns[0] != sns[cut - 1]:
                 touched += 1
             lo = bisect_right(sns, BASE_SN, 0, cut)
@@ -398,7 +401,8 @@ class ShardStore:
         None: every entry had an SN at most the recorded bound, and
         compaction only ever lowers SNs, so the cut is still the whole
         list.  Both rules read the live SN list or rely only on SNs
-        falling, which makes entries immune to compaction.  A miss
+        falling, so compaction can outdate only a hit at the entry's own
+        bound — :meth:`compact` drops exactly those entries.  A miss
         re-records the key (bounded FIFO: the victim is the front of the
         insertion-ordered dict, the oldest insert).
         """
@@ -498,25 +502,27 @@ class ShardStore:
                          category=category)
         return values.vids[:cut], values.sns[:cut]
 
-    def lookup_span(self, span: ValueSpan,
+    def lookup_span(self, key: Key, offset: int, length: int,
                     meter: Optional[LatencyMeter] = None,
                     category: str = "store") -> List[int]:
-        """Read exactly one span of a key's value list (stream-index path).
+        """Read exactly ``[offset, offset + length)`` of ``key``'s value
+        list (stream-index path).
 
         No hash probe is charged: the span's fat pointer addresses the
         value directly (the paper's one-RDMA-read fast path).
         """
-        values = self._values.get(span.key)
+        values = self._values.get(key)
         if values is None:
-            raise StoreError(f"span refers to unknown key: {span.key}")
-        end = span.offset + span.length
+            raise StoreError(f"span refers to unknown key: {key}")
+        end = offset + length
         if end > len(values.vids):
             raise StoreError(
-                f"span out of bounds: {span} (list length {len(values.vids)})")
+                f"span out of bounds: ({key}, {offset}, {length}) "
+                f"(list length {len(values.vids)})")
         if meter is not None:
-            meter.charge(self.cost.scan_entry_ns, times=span.length,
+            meter.charge(self.cost.scan_entry_ns, times=length,
                          category=category)
-        return values.vids[span.offset:end]
+        return values.vids[offset:end]
 
     def index_vertices(self, eid: int, d: int,
                        meter: Optional[LatencyMeter] = None,

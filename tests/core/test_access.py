@@ -13,7 +13,6 @@ from repro.rdf.terms import EncodedTriple, EncodedTuple
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.store.distributed import DistributedStore
-from repro.store.kvstore import ValueSpan
 from repro.streams.stream import StreamSchema
 
 from core.test_stream_index import RangeStore
@@ -27,28 +26,25 @@ class TestMergeSpans:
 
     def merged(self, spans):
         index = StreamIndex("S")
-        for batch_no, (owner, span) in enumerate(spans, 1):
+        for batch_no, (owner, offset, length) in enumerate(spans, 1):
             piece = IndexSlice(batch_no)
-            piece.add_batch_spans(owner, [span], DIR_OUT)
+            piece.add_batch_spans(owner, [(self.KEY, offset, length)],
+                                  DIR_OUT)
             index.append_slice(piece)
         view = ColumnarSlice(index, RangeStore()).advance(1, len(spans))
         column = view.key_column(self.KEY)
         return None if column is None else column.merged
 
     def test_contiguous_spans_merge_across_batches(self):
-        spans = [(0, ValueSpan(self.KEY, 0, 2)),
-                 (0, ValueSpan(self.KEY, 2, 3)),
-                 (0, ValueSpan(self.KEY, 5, 1))]
-        assert self.merged(spans) == [(0, ValueSpan(self.KEY, 0, 6))]
+        spans = [(0, 0, 2), (0, 2, 3), (0, 5, 1)]
+        assert self.merged(spans) == [(0, 0, 6)]
 
     def test_gaps_stay_split(self):
-        spans = [(0, ValueSpan(self.KEY, 0, 2)),
-                 (0, ValueSpan(self.KEY, 4, 1))]
+        spans = [(0, 0, 2), (0, 4, 1)]
         assert self.merged(spans) == spans
 
     def test_owner_change_stays_split(self):
-        spans = [(0, ValueSpan(self.KEY, 0, 2)),
-                 (1, ValueSpan(self.KEY, 2, 1))]
+        spans = [(0, 0, 2), (1, 2, 1)]
         assert self.merged(spans) == spans
 
     def test_empty(self):

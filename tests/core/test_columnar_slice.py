@@ -10,7 +10,6 @@ checked alongside.
 
 from repro.core.stream_index import ColumnarSlice, IndexSlice, StreamIndex
 from repro.rdf.ids import DIR_OUT, make_key
-from repro.store.kvstore import ValueSpan
 
 KEY = make_key(7, 3, DIR_OUT)
 OTHER = make_key(8, 3, DIR_OUT)
@@ -20,8 +19,8 @@ class _FakeShard:
     def __init__(self, values):
         self._values = values
 
-    def lookup_span(self, span, meter=None, category="store"):
-        return self._values[span.key][span.offset:span.offset + span.length]
+    def lookup_span(self, key, offset, length, meter=None, category="store"):
+        return self._values[key][offset:offset + length]
 
 
 class _FakeStore:
@@ -32,7 +31,7 @@ class _FakeStore:
 def make_slice(batch_no, spans):
     piece = IndexSlice(batch_no)
     for owner, span in spans:
-        piece.add_batch_spans(owner, [span], span.key & 1)
+        piece.add_batch_spans(owner, [span], span[0] & 1)
     return piece
 
 
@@ -40,10 +39,10 @@ def build_fixture():
     """Three batches of KEY (with a duplicate value in batch 1) and one
     batch of OTHER, all owner 0."""
     index = StreamIndex("S")
-    index.append_slice(make_slice(1, [(0, ValueSpan(KEY, 0, 3))]))
-    index.append_slice(make_slice(2, [(0, ValueSpan(KEY, 3, 2)),
-                                      (0, ValueSpan(OTHER, 0, 1))]))
-    index.append_slice(make_slice(3, [(0, ValueSpan(KEY, 5, 1))]))
+    index.append_slice(make_slice(1, [(0, (KEY, 0, 3))]))
+    index.append_slice(make_slice(2, [(0, (KEY, 3, 2)),
+                                      (0, (OTHER, 0, 1))]))
+    index.append_slice(make_slice(3, [(0, (KEY, 5, 1))]))
     store = _FakeStore({KEY: [10, 11, 10, 12, 13, 14], OTHER: [20]})
     return index, store
 
@@ -96,9 +95,9 @@ def test_merged_spans_recoalesce_across_slides():
     index, store = build_fixture()
     view = ColumnarSlice(index, store)
     view.advance(1, 2)
-    assert view.key_column(KEY).merged == [(0, ValueSpan(KEY, 0, 5))]
+    assert view.key_column(KEY).merged == [(0, 0, 5)]
     view.advance(2, 3)
-    assert view.key_column(KEY).merged == [(0, ValueSpan(KEY, 3, 3))]
+    assert view.key_column(KEY).merged == [(0, 3, 3)]
 
 
 def test_disjoint_advance_resets_and_counts_evictions():
@@ -148,8 +147,7 @@ def test_cached_absent_key_invalidated_by_extension():
     view = ColumnarSlice(index, store)
     view.advance(1, 2)
     assert view.key_column(absent_until_3) is None  # cached absent
-    index.append_slice(make_slice(4, [(0, ValueSpan(absent_until_3,
-                                                    0, 1))]))
+    index.append_slice(make_slice(4, [(0, (absent_until_3, 0, 1))]))
     view.advance(2, 4)
     col = view.key_column(absent_until_3)
     assert col is not None and col.values == [30]
@@ -185,7 +183,7 @@ def test_absent_key_invalidation_recounts_as_miss():
     view.advance(1, 2)
     assert view.key_column(late) is None
     hits, misses = view.hits, view.misses
-    index.append_slice(make_slice(4, [(0, ValueSpan(late, 0, 1))]))
+    index.append_slice(make_slice(4, [(0, (late, 0, 1))]))
     view.advance(2, 4)
     # The extension dropped the stale absence without counting an
     # eviction-by-expiry; the re-materialization is a fresh miss.

@@ -3,10 +3,11 @@
 The cache is a wall-clock optimization only — a hit must charge exactly
 the remote reads, hash probe and per-entry scan an uncached lookup
 charges, so simulated time never depends on cache state.  Inserts
-invalidate the written key; cached segments survive compaction and serve
-any snapshot bound that bisects to the same visible prefix (each hit is
-validated against the live SN list), and a segment holding its key's
-whole list serves every newer bound without that validation.
+invalidate the written key; cached segments survive compaction (except
+one whose own bound the relabelling lengthens) and serve any snapshot
+bound that bisects to the same visible prefix (validated against the live
+SN list), and a segment holding its key's whole list serves every newer
+bound without that validation.
 """
 
 from repro.rdf.ids import DIR_IN, DIR_OUT, make_key
@@ -133,9 +134,13 @@ def test_versioned_reads_after_compaction_stay_correct():
     assert read(store, 0, a, p, meter, max_sn=BASE_SN) == [b]
     # Different bound, different prefix: the BASE_SN entry must miss.
     assert read(store, 0, a, p, meter, max_sn=BASE_SN + 3) == [b, c]
+    # Re-record the segment at BASE_SN, the bound compaction outdates.
+    assert read(store, 0, a, p, meter, max_sn=BASE_SN) == [b]
     store.compact(BASE_SN + 3)
-    # After relabelling everything into the base, any bound sees both.
+    # After relabelling everything into the base, any bound sees both —
+    # the bound the segment was cached at too.
     assert read(store, 0, a, p, meter, max_sn=BASE_SN) == [b, c]
+    assert read(store, 0, a, p, meter, max_sn=BASE_SN + 3) == [b, c]
 
 
 def test_full_list_entry_serves_newer_bounds_only():

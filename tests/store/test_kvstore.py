@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import StoreError
 from repro.rdf.ids import DIR_IN, DIR_OUT, make_key
 from repro.sim.cost import LatencyMeter
-from repro.store.kvstore import BASE_SN, ShardStore, ValueSpan
+from repro.store.kvstore import BASE_SN, ShardStore
 
 KEY = make_key(1, 4, DIR_OUT)
 
 
 def put(shard, key, vid, sn=BASE_SN, meter=None):
-    """Write one entry as a one-entry column; returns its span."""
+    """Write one entry as a one-entry column; returns its
+    ``(key, offset, length)`` span."""
     (span,) = shard.append_column([key], [vid], sn=sn, meter=meter)
     return span
 
@@ -79,18 +80,18 @@ def test_same_sn_appends_fine():
 def test_spans_address_exact_entries():
     shard = ShardStore()
     spans = [put(shard, KEY, vid) for vid in (5, 6, 7)]
-    assert shard.lookup_span(spans[1]) == [6]
-    wide = ValueSpan(KEY, 1, 2)
-    assert shard.lookup_span(wide) == [6, 7]
+    assert spans == [(KEY, 0, 1), (KEY, 1, 1), (KEY, 2, 1)]
+    assert shard.lookup_span(*spans[1]) == [6]
+    assert shard.lookup_span(KEY, 1, 2) == [6, 7]
 
 
 def test_span_out_of_bounds_rejected():
     shard = ShardStore()
     put(shard, KEY, 5)
     with pytest.raises(StoreError):
-        shard.lookup_span(ValueSpan(KEY, 0, 2))
+        shard.lookup_span(KEY, 0, 2)
     with pytest.raises(StoreError):
-        shard.lookup_span(ValueSpan(make_key(9, 9, 0), 0, 1))
+        shard.lookup_span(make_key(9, 9, 0), 0, 1)
 
 
 def test_compaction_folds_old_snapshots():
@@ -112,8 +113,8 @@ def test_compaction_preserves_spans():
     spans = [put(shard, KEY, vid, sn=sn)
              for sn, vid in [(1, 5), (2, 6), (3, 7)]]
     shard.compact(2)
-    assert shard.lookup_span(spans[0]) == [5]
-    assert shard.lookup_span(spans[2]) == [7]
+    assert shard.lookup_span(*spans[0]) == [5]
+    assert shard.lookup_span(*spans[2]) == [7]
 
 
 _APPEND = st.tuples(
@@ -214,7 +215,7 @@ def test_span_read_skips_hash_probe():
     shard = ShardStore()
     span = put(shard, KEY, 5)
     meter = LatencyMeter()
-    shard.lookup_span(span, meter=meter)
+    shard.lookup_span(*span, meter=meter)
     assert meter.ns == shard.cost.scan_entry_ns
 
 
@@ -255,14 +256,14 @@ def test_visibility_is_monotonic_in_sn(entries):
 def _coalesced(spans):
     """Per key, in first-occurrence order, its spans folded end to start."""
     folded = {}
-    for span in spans:
-        known = folded.get(span.key)
+    for key, offset, length in spans:
+        known = folded.get(key)
         if known is None:
-            folded[span.key] = span
+            folded[key] = (key, offset, length)
         else:
-            assert known.offset + known.length == span.offset
-            folded[span.key] = ValueSpan(span.key, known.offset,
-                                         known.length + span.length)
+            _, known_offset, known_length = known
+            assert known_offset + known_length == offset
+            folded[key] = (key, known_offset, known_length + length)
     return list(folded.values())
 
 
@@ -301,7 +302,7 @@ def test_one_column_write_equals_one_entry_columns(loaded, batch):
         one_by_one = [put(single, key, vid, sn=sn, meter=single_meter)
                       for key, vid in zip(keys, vids)]
         assert spans == _coalesced(one_by_one)
-        assert [span.key for span in spans] == list(dict.fromkeys(keys))
+        assert [key for key, _, _ in spans] == list(dict.fromkeys(keys))
     assert _state(whole) == _state(single)
     assert whole_meter.ps == single_meter.ps
     assert whole_meter.breakdown_ps == single_meter.breakdown_ps
