@@ -30,8 +30,11 @@
 # from seed to projection runs on _Batch), the per-key store reads
 # (DistributedStore.neighbors_many reads one owner group at a time), and
 # the ValueSpa[n] dataclass (a stream-index span is a plain
-# (owner, offset, length) int tuple the collector untracks) have not
-# come back.
+# (owner, offset, length) int tuple the collector untracks), the
+# shard's versioned-key set and heap (compaction's work list is one
+# due-list per SN), and per-tuple objects on the write path (the
+# adaptor, dispatcher, injector and transient store carry a batch as
+# EncodedColumns, never EncodedTupl[e]s) have not come back.
 # A test marked both serving and chaos runs in the chaos stage only.
 #
 # The obs stage exports a Chrome trace from a quick traced LSBench run
@@ -84,7 +87,7 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects on the write path) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts; \
         then exit 1; fi
@@ -115,6 +118,11 @@ if grep -rn 'SlotRo[w]\|\.to_row[s]\|from_row[s]\|_explore_row[s]\|project_gette
 if grep -rn 'neighbors_fro[m]\|cached_adjacenc[y]\|cache_adjacenc[y]' \
         src scripts; then exit 1; fi
 if grep -rn 'ValueSpa[n]' src scripts tests; then exit 1; fi
+if grep -rn '_versioned_hea[p]\|\._versione[d]\>' src scripts tests; \
+        then exit 1; fi
+if grep -n 'EncodedTupl[e]\|encode_tupl[e]' src/repro/core/adaptor.py \
+        src/repro/core/dispatcher.py src/repro/core/injector.py \
+        src/repro/core/transient.py; then exit 1; fi
 
 echo "== obs (trace export + critical-path exactness) =="
 PYTHONPATH=src python scripts/check_trace.py

@@ -32,7 +32,7 @@ from repro.chaos.plan import (CorruptRecord, DelayMessage, DropMessage,
 from repro.core.checkpoint import RecoveryReport, batch_checksum
 from repro.core.dispatcher import NodeBatch
 from repro.errors import ChaosError
-from repro.rdf.terms import EncodedTuple
+from repro.rdf.terms import EncodedColumns
 from repro.sim.cost import LatencyMeter
 from repro.streams.stream import StreamBatch
 
@@ -54,18 +54,22 @@ class ChaosEvent:
 def _tampered_copy(node_batch: NodeBatch) -> NodeBatch:
     """A corrupted copy of a node batch (the original is never mutated).
 
-    The store holds references into the original batch's tuple objects, so
-    in-place tampering would corrupt *live healthy state* on other nodes;
-    instead the log entry is pointed at a copy whose first tuple has a
-    flipped timestamp.
+    Batch columns are shared — by a node's out and in halves, and by
+    other nodes' halves and log records of the same batch — so in-place
+    tampering would corrupt *healthy* records too; instead the log entry
+    is pointed at a copy whose first tuple has a flipped timestamp (a
+    fresh ``ts`` column; the other columns stay shared, as columns are
+    never mutated).
     """
-    groups = {name: list(getattr(node_batch, name))
+    groups = {name: getattr(node_batch, name)
               for name in ("out_timeless", "in_timeless",
                            "out_timing", "in_timing")}
-    for name, tuples in groups.items():
-        if tuples:
-            first = tuples[0]
-            tuples[0] = EncodedTuple(first.triple, first.timestamp_ms ^ 1)
+    for name, columns in groups.items():
+        if columns:
+            stamps = list(columns.ts)
+            stamps[0] ^= 1
+            groups[name] = EncodedColumns(columns.s, columns.p, columns.o,
+                                          stamps)
             break
     return NodeBatch(stream=node_batch.stream, batch_no=node_batch.batch_no,
                      node_id=node_batch.node_id, **groups)

@@ -6,15 +6,20 @@ incoming tuples into mini-batches (done upstream by
 query can ever touch, converts strings to IDs via the string server, and
 classifies each tuple as *timing* or *timeless* according to the stream's
 schema so the Dispatcher/Injector can route it to the right store.
+
+The batch leaves here as ID columns (:class:`EncodedColumns`): it is
+encoded in one :meth:`StringServer.encode_columns` call, and the
+timing/timeless decision is made once per distinct predicate of the
+batch, a mixed batch being split with :meth:`EncodedColumns.take`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.rdf.string_server import StringServer
-from repro.rdf.terms import EncodedTuple
+from repro.rdf.terms import EncodedColumns
 from repro.sim.cost import CostModel, LatencyMeter
 from repro.streams.stream import StreamBatch, StreamSchema
 
@@ -27,8 +32,8 @@ class AdaptedBatch:
     batch_no: int
     start_ms: int
     end_ms: int
-    timeless: List[EncodedTuple] = field(default_factory=list)
-    timing: List[EncodedTuple] = field(default_factory=list)
+    timeless: EncodedColumns = field(default_factory=EncodedColumns)
+    timing: EncodedColumns = field(default_factory=EncodedColumns)
     discarded: int = 0
 
     @property
@@ -47,7 +52,8 @@ class Adaptor:
         Shared string server used to encode terms.
     relevant_predicates:
         When given, tuples whose predicate is not in the set are discarded
-        (the paper's "discard unrelated tuples" step).  None keeps all.
+        (the paper's "discard unrelated tuples" step) before encoding, so
+        their names are never allocated.  None keeps all.
     """
 
     def __init__(self, schema: StreamSchema, strings: StringServer,
@@ -57,8 +63,9 @@ class Adaptor:
         self.strings = strings
         self.cost = cost if cost is not None else CostModel()
         self.relevant_predicates = relevant_predicates
-        #: predicate -> is-timing memo (schemas never reclassify).
-        self._timing_memo: Dict[str, bool] = {}
+        #: predicate eid -> is-timing memo (schemas never reclassify, and
+        #: the string server never reassigns an eid).
+        self._timing_memo: Dict[int, bool] = {}
 
     def adapt(self, batch: StreamBatch,
               meter: Optional[LatencyMeter] = None) -> AdaptedBatch:
@@ -72,24 +79,28 @@ class Adaptor:
             meter.charge(self.cost.scan_entry_ns, times=len(tuples),
                          category="adapt")
         relevant = self.relevant_predicates
-        encode = self.strings.encode_tuple
-        timing_memo = self._timing_memo
-        memo_get = timing_memo.get
-        append_timing = adapted.timing.append
-        append_timeless = adapted.timeless.append
-        discarded = 0
-        for tup in tuples:
-            predicate = tup.triple.predicate
-            if relevant is not None and predicate not in relevant:
-                discarded += 1
-                continue
-            verdict = memo_get(predicate)
-            if verdict is None:
-                verdict = timing_memo[predicate] = \
-                    self.schema.is_timing(predicate)
-            if verdict:
-                append_timing(encode(tup))
-            else:
-                append_timeless(encode(tup))
-        adapted.discarded = discarded
+        if relevant is not None:
+            kept = [tup for tup in tuples if tup.triple.predicate in relevant]
+            adapted.discarded = len(tuples) - len(kept)
+            tuples = kept
+        columns = self.strings.encode_columns(tuples)
+        predicates = set(columns.p)
+        timing_eids = {eid for eid in predicates if self._is_timing(eid)}
+        if not timing_eids:
+            adapted.timeless = columns
+        elif timing_eids == predicates:
+            adapted.timing = columns
+        else:
+            adapted.timing = columns.take(
+                [i for i, eid in enumerate(columns.p) if eid in timing_eids])
+            adapted.timeless = columns.take(
+                [i for i, eid in enumerate(columns.p)
+                 if eid not in timing_eids])
         return adapted
+
+    def _is_timing(self, eid: int) -> bool:
+        verdict = self._timing_memo.get(eid)
+        if verdict is None:
+            verdict = self._timing_memo[eid] = self.schema.is_timing(
+                self.strings.predicate_name(eid))
+        return verdict

@@ -6,15 +6,21 @@ data) and the transient store (timing data) — the same sharding for both,
 co-locating a stream's data (§4.1).  The Dispatcher slices one adapted
 batch into per-node sub-batches and prices the one-way transfers to remote
 injectors.
+
+Batches travel as :class:`EncodedColumns`.  Routing groups the row
+indices of the subject (out half) or object (in half) column by owner in
+one pass and takes each group, so every node's halves keep arrival
+order; on one node there is nothing to route and the halves share the
+adaptor's columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.adaptor import AdaptedBatch
-from repro.rdf.terms import EncodedTuple
+from repro.rdf.terms import EncodedColumns
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter, MemoryModel
 
@@ -26,10 +32,10 @@ class NodeBatch:
     stream: str
     batch_no: int
     node_id: int
-    out_timeless: List[EncodedTuple] = field(default_factory=list)
-    in_timeless: List[EncodedTuple] = field(default_factory=list)
-    out_timing: List[EncodedTuple] = field(default_factory=list)
-    in_timing: List[EncodedTuple] = field(default_factory=list)
+    out_timeless: EncodedColumns = field(default_factory=EncodedColumns)
+    in_timeless: EncodedColumns = field(default_factory=EncodedColumns)
+    out_timing: EncodedColumns = field(default_factory=EncodedColumns)
+    in_timing: EncodedColumns = field(default_factory=EncodedColumns)
 
     @property
     def num_inserts(self) -> int:
@@ -66,24 +72,23 @@ class Dispatcher:
             for node in self.cluster.nodes
         }
         if len(batches) == 1:
-            # Single-node fast path: every owner is the one node, so the
-            # per-tuple routing collapses to whole-list copies (same
-            # elements, same order as the append loop below).
+            # Single-node fast path: every owner is the one node, and
+            # columns are never mutated, so both halves share them.
             node_batch = next(iter(batches.values()))
-            node_batch.out_timeless = list(adapted.timeless)
-            node_batch.in_timeless = list(adapted.timeless)
-            node_batch.out_timing = list(adapted.timing)
-            node_batch.in_timing = list(adapted.timing)
+            node_batch.out_timeless = node_batch.in_timeless = \
+                adapted.timeless
+            node_batch.out_timing = node_batch.in_timing = adapted.timing
         else:
-            owner_of = self.cluster.owner_of
-            for encoded in adapted.timeless:
-                triple = encoded.triple
-                batches[owner_of(triple.s)].out_timeless.append(encoded)
-                batches[owner_of(triple.o)].in_timeless.append(encoded)
-            for encoded in adapted.timing:
-                triple = encoded.triple
-                batches[owner_of(triple.s)].out_timing.append(encoded)
-                batches[owner_of(triple.o)].in_timing.append(encoded)
+            owner_groups = self.cluster.owner_groups
+            for columns, out_name, in_name in (
+                    (adapted.timeless, "out_timeless", "in_timeless"),
+                    (adapted.timing, "out_timing", "in_timing")):
+                for vertex, name in ((columns.s, out_name),
+                                     (columns.o, in_name)):
+                    for owner, rows in owner_groups(vertex).items():
+                        setattr(batches[owner], name,
+                                columns if len(rows) == len(columns)
+                                else columns.take(rows))
         for node_id, node_batch in batches.items():
             self.tuples_routed[node_id] += node_batch.num_inserts
         if meter is not None:

@@ -115,20 +115,13 @@ def _decode_batch_log(engine: WukongSEngine) -> List[dict]:
             "stream": nb.stream, "batch_no": nb.batch_no, "sn": entry.sn,
             "timeless": [], "timing": [],
         })
-        for encoded in nb.out_timeless:
-            record["timeless"].append([
-                strings.entity_name(encoded.triple.s),
-                strings.predicate_name(encoded.triple.p),
-                strings.entity_name(encoded.triple.o),
-                encoded.timestamp_ms,
-            ])
-        for encoded in nb.out_timing:
-            record["timing"].append([
-                strings.entity_name(encoded.triple.s),
-                strings.predicate_name(encoded.triple.p),
-                strings.entity_name(encoded.triple.o),
-                encoded.timestamp_ms,
-            ])
+        for name, columns in (("timeless", nb.out_timeless),
+                              ("timing", nb.out_timing)):
+            record[name].extend(map(list, zip(
+                strings.entity_names(columns.s),
+                map(strings.predicate_name, columns.p),
+                strings.entity_names(columns.o),
+                columns.ts)))
     # Replay order must respect global snapshot order (per-key SN
     # appends are monotonic), then stream/batch order within a snapshot.
     return [grouped[key] for key in

@@ -4,9 +4,11 @@ One injector per node inserts the node-local halves of each batch:
 
 * timeless tuples go to the persistent store under the batch's snapshot
   number — one arrival-ordered ``(keys, values)`` column per half and
-  thread, written with ``ShardStore.append_column`` — and the spans that
-  write returns become the batch's stream-index slice (the index is
-  built *along with* injection, §4.2);
+  thread, written with ``ShardStore.append_column``: the keys come from
+  the half's vertex and predicate columns, the values are the other
+  endpoint's column as dispatched — and the spans that write returns
+  become the batch's stream-index slice (the index is built *along
+  with* injection, §4.2);
 * timing tuples go to the stream's transient store on this node;
 * finally the node's Local_VTS advances, making the batch eligible to
   become visible once all nodes have done the same.
@@ -27,7 +29,7 @@ from repro.core.dispatcher import NodeBatch
 from repro.core.stream_index import IndexSlice
 from repro.core.transient import TransientStore
 from repro.rdf.ids import DIR_IN, DIR_OUT, _EID_SHIFT, _VID_SHIFT
-from repro.rdf.terms import EncodedTuple
+from repro.rdf.terms import EncodedColumns
 from repro.sim.cost import LatencyMeter
 from repro.store.distributed import DistributedStore
 
@@ -54,9 +56,11 @@ class Injector:
         #: cores are contended.  1.0 on the healthy path charges nothing.
         self.slowdown = 1.0
 
-    def _partition(self, tuples: List[EncodedTuple],
-                   by_subject: bool) -> List[List[EncodedTuple]]:
-        """Statically split tuples by the key-space partition they touch.
+    def _partition(self, columns: EncodedColumns,
+                   by_subject: bool) -> List[EncodedColumns]:
+        """Statically split a half's rows by the key-space partition they
+        touch: one pass groups row indices by thread slot, then each
+        group is taken, in arrival order.
 
         Thread partitioning must not alias the cluster's modulo placement:
         a node only holds vids congruent to its id modulo num_nodes, so
@@ -70,14 +74,13 @@ class Injector:
         keys the slot buckets differ in size by at most one.
         """
         if self.threads == 1:
-            return [tuples]
+            return [columns]
         stride = self._placement_stride
         threads = self.threads
-        parts: List[List[EncodedTuple]] = [[] for _ in range(threads)]
-        for encoded in tuples:
-            key_vid = encoded.triple.s if by_subject else encoded.triple.o
-            parts[(key_vid // stride) % threads].append(encoded)
-        return parts
+        slots: List[List[int]] = [[] for _ in range(threads)]
+        for i, vid in enumerate(columns.s if by_subject else columns.o):
+            slots[(vid // stride) % threads].append(i)
+        return [columns.take(rows) for rows in slots]
 
     def inject(self, node_batch: NodeBatch, sn: int,
                index_slice: Optional[IndexSlice],
@@ -116,23 +119,25 @@ class Injector:
             # timing data: an empty slice is appended so windowed reads and
             # GC see a continuous timeline.
             self.transients[node_batch.stream].append_slice(
-                node_batch.batch_no, [], [], meter=meter)
+                node_batch.batch_no, node_batch.out_timing,
+                node_batch.in_timing, meter=meter)
 
         if meter is not None and self.slowdown > 1.0:
             meter.surcharge(self.slowdown - 1.0, "straggle",
                             since_ps=base_ps)
 
-    def _inject_half(self, shard, part: List[EncodedTuple],
+    def _inject_half(self, shard, part: EncodedColumns,
                      by_subject: bool, sn: int,
                      index_slice: Optional[IndexSlice],
                      meter: Optional[LatencyMeter]) -> None:
         """Insert one half (out- or in-edges) of one thread's partition:
-        build the half's key and value columns in arrival order, write
-        them to the shard in one call, and hand the spans it returns
-        (one per distinct key, already covering the key's whole batch
-        contribution) to the stream-index slice.  No other call writes
-        these keys in this batch: threads partition by the key's vertex
-        and the two halves differ in the direction bit.
+        key the half's vertex and predicate columns, write the keys with
+        the other endpoint's column as the values to the shard in one
+        call, and hand the spans it returns (one per distinct key,
+        already covering the key's whole batch contribution) to the
+        stream-index slice.  No other call writes these keys in this
+        batch: threads partition by the key's vertex and the two halves
+        differ in the direction bit.
 
         ``make_key`` is inlined — ids come from the string server,
         range-checked at allocation, and this is the hottest loop of
@@ -141,12 +146,10 @@ class Injector:
         if not part:
             return
         d = DIR_OUT if by_subject else DIR_IN
-        vertex, other = (0, 2) if by_subject else (2, 0)
-        triples = [encoded.triple for encoded in part]
-        keys = [(triple[vertex] << _VID_SHIFT) | (triple[1] << _EID_SHIFT) | d
-                for triple in triples]
-        values = [triple[other] for triple in triples]
-        spans = shard.append_column(keys, values, sn=sn, meter=meter)
+        vertex, other = (part.s, part.o) if by_subject else (part.o, part.s)
+        keys = [(v << _VID_SHIFT) | (p << _EID_SHIFT) | d
+                for v, p in zip(vertex, part.p)]
+        spans = shard.append_column(keys, other, sn=sn, meter=meter)
         if index_slice is not None:
             index_slice.add_batch_spans(self.node_id, spans, d)
 

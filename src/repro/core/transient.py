@@ -19,7 +19,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import StoreError
 from repro.rdf.ids import DIR_IN, DIR_OUT, Key, make_key
-from repro.rdf.terms import EncodedTuple
+from repro.rdf.terms import EncodedColumns
 from repro.sim.cost import CostModel, LatencyMeter, MemoryModel
 
 
@@ -35,14 +35,15 @@ class TransientSlice:
         self.subjects: Dict[Tuple[int, int], Set[int]] = {}
         self.num_tuples = 0
 
-    def add_out(self, s: int, p: int, o: int) -> None:
-        self.kv.setdefault(make_key(s, p, DIR_OUT), []).append(o)
-        self.subjects.setdefault((p, DIR_OUT), set()).add(s)
-        self.num_tuples += 1
-
-    def add_in(self, s: int, p: int, o: int) -> None:
-        self.kv.setdefault(make_key(o, p, DIR_IN), []).append(s)
-        self.subjects.setdefault((p, DIR_IN), set()).add(o)
+    def add_half(self, vertex: List[int], preds: List[int],
+                 other: List[int], d: int) -> None:
+        """Index one half's rows, in row order: ``other[i]`` under key
+        ``[vertex[i]|preds[i]|d]``, and ``vertex[i]`` as a member of
+        ``(preds[i], d)``."""
+        kv, subjects = self.kv, self.subjects
+        for v, p, value in zip(vertex, preds, other):
+            kv.setdefault(make_key(v, p, d), []).append(value)
+            subjects.setdefault((p, d), set()).add(v)
 
     def memory_bytes(self, model: MemoryModel) -> int:
         total = 0
@@ -73,24 +74,23 @@ class TransientStore:
         self.evictions = 0
 
     # -- writes ---------------------------------------------------------
-    def append_slice(self, batch_no: int, out_tuples: List[EncodedTuple],
-                     in_tuples: List[EncodedTuple],
+    def append_slice(self, batch_no: int, out_tuples: EncodedColumns,
+                     in_tuples: EncodedColumns,
                      meter: Optional[LatencyMeter] = None) -> TransientSlice:
         """Build and append the slice for ``batch_no``.
 
         ``out_tuples`` are tuples whose subject lives on this node;
-        ``in_tuples`` those whose object does (the two lists overlap when
-        both endpoints are local).
+        ``in_tuples`` those whose object does (the two overlap when both
+        endpoints are local).
         """
         if self._slices and batch_no <= self._slices[-1].batch_no:
             raise StoreError(
                 f"slices must append in time order: #{batch_no} after "
                 f"#{self._slices[-1].batch_no}")
         piece = TransientSlice(batch_no)
-        for enc in out_tuples:
-            piece.add_out(enc.triple.s, enc.triple.p, enc.triple.o)
-        for enc in in_tuples:
-            piece.add_in(enc.triple.s, enc.triple.p, enc.triple.o)
+        piece.add_half(out_tuples.s, out_tuples.p, out_tuples.o, DIR_OUT)
+        piece.add_half(in_tuples.o, in_tuples.p, in_tuples.s, DIR_IN)
+        piece.num_tuples = len(out_tuples)
         inserted = len(out_tuples) + len(in_tuples)
         if meter is not None and inserted:
             meter.charge(self.cost.insert_entry_ns, times=inserted,

@@ -13,11 +13,24 @@ implementation: IDs are never reclaimed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import StoreError
 from repro.rdf.ids import INDEX_VID, MAX_EID, MAX_VID
-from repro.rdf.terms import EncodedTriple, EncodedTuple, TimedTuple, Triple
+from repro.rdf.terms import (EncodedColumns, EncodedTriple, EncodedTuple,
+                             TimedTuple, Triple)
+
+
+def _none_rows(column: List[Optional[int]]) -> Set[int]:
+    """The rows of ``column`` holding None (one C-level scan per hit)."""
+    rows: Set[int] = set()
+    i = -1
+    try:
+        while True:
+            i = column.index(None, i + 1)
+            rows.add(i)
+    except ValueError:
+        return rows
 
 
 class StringServer:
@@ -131,6 +144,41 @@ class StringServer:
     def encode_triples(self, triples: Iterable[Triple]) -> List[EncodedTriple]:
         """Encode a batch of triples."""
         return [self.encode_triple(t) for t in triples]
+
+    def encode_columns(self, tuples: Sequence[TimedTuple]) -> EncodedColumns:
+        """Encode a batch of timed tuples into ID columns.
+
+        The subject, predicate and object columns are mapped through the
+        id dicts whole; then only the rows holding an unseen name are
+        revisited, in row order, allocating subject before predicate
+        before object — exactly the order :meth:`encode_tuple` over the
+        batch allocates in, so every id comes out the same.  (A name
+        first seen in one row and repeated in a later one finds its new
+        id there.)
+
+        >>> server = StringServer()
+        >>> tup = TimedTuple(Triple("Logan", "po", "T-15"), 802)
+        >>> cols = server.encode_columns([tup, tup])
+        >>> cols.s, cols.p, cols.o, cols.ts
+        ([1, 1], [1, 1], [2, 2], [802, 802])
+        """
+        if not tuples:
+            return EncodedColumns()
+        triples, stamps = zip(*tuples)
+        subjects, predicates, objects = zip(*triples)
+        entity_get = self._entity_ids.get
+        s = list(map(entity_get, subjects))
+        p = list(map(self._predicate_ids.get, predicates))
+        o = list(map(entity_get, objects))
+        unseen = _none_rows(s) | _none_rows(p) | _none_rows(o)
+        for i in sorted(unseen):
+            if s[i] is None:
+                s[i] = self.entity_id(subjects[i])
+            if p[i] is None:
+                p[i] = self.predicate_id(predicates[i])
+            if o[i] is None:
+                o[i] = self.entity_id(objects[i])
+        return EncodedColumns(s, p, o, list(stamps))
 
     def decode_triple(self, enc: EncodedTriple) -> Triple:
         """Decode an encoded triple back to strings."""

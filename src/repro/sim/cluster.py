@@ -77,6 +77,24 @@ class Cluster:
         """The node that owns vertex ``vid`` (hash partitioning, as Wukong)."""
         return vid % len(self.nodes)
 
+    def owner_groups(self, vids: List[int]) -> Dict[int, List[int]]:
+        """The row indices of a vid column grouped by owner node: each
+        group in row order, groups keyed in first-occurrence order.
+
+        :meth:`owner_of` is inlined; a per-row dict loop measured faster
+        on CPython 3.11 than the comprehension variants.
+        """
+        num_nodes = len(self.nodes)
+        groups: Dict[int, List[int]] = {}
+        for i, vid in enumerate(vids):
+            owner = vid % num_nodes
+            group = groups.get(owner)
+            if group is None:
+                groups[owner] = [i]
+            else:
+                group.append(i)
+        return groups
+
     def is_local(self, vid: int, node_id: int) -> bool:
         """Whether vertex ``vid`` is stored on ``node_id``."""
         return self.owner_of(vid) == node_id

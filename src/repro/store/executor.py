@@ -721,18 +721,7 @@ class GraphExplorer:
         else:
             slot = cstep.subj_slot if cstep.kind == BOUND_SUBJECT \
                 else cstep.obj_slot
-            # Inlined Cluster.owner_of (hash partitioning by modulo): the
-            # per-row method call dominates the partition loop otherwise.
-            num_nodes = len(self.cluster.nodes)
-            groups: Dict[int, List[int]] = {}
-            column = merged.cols[slot]
-            for i, vid in enumerate(column):
-                owner = vid % num_nodes
-                group = groups.get(owner)
-                if group is None:
-                    groups[owner] = [i]
-                else:
-                    group.append(i)
+            groups = self.cluster.owner_groups(merged.cols[slot])
             routed = {node_id: merged.select(indices)
                       for node_id, indices in groups.items()}
         largest = 0

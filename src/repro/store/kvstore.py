@@ -11,7 +11,9 @@ prefix of entries with SN <= ``n`` — snapshot isolation without locks.
 Bounded scalarization is implemented by :meth:`ShardStore.compact`, which
 relabels entries at or below a bound into the base snapshot so each key
 retains only a bounded number of distinct SN segments (the paper keeps two:
-one being read, one being inserted).
+one being read, one being inserted).  Its work list is a due-list per SN:
+every key holding a non-base SN is filed once, under its oldest one, so a
+cycle pops only the SNs the bound has reached.
 
 *Value spans* — ``(key, offset, length)`` int tuples, each a window into
 one key's entry list — are returned by the one write entry,
@@ -31,9 +33,10 @@ local vertices, which is how Wukong distributes index vertices.
 Two wall-clock-only additions serve the one-shot fast path (they never
 change simulated charges):
 
-*Predicate cardinality statistics* — a column write adds each key
-group's size to a per ``(eid, d)`` entry counter and bumps that bucket's
-top-k degree sketch once per entry, in arrival order; together with the
+*Predicate cardinality statistics* — a column write updates each
+``(eid, d)`` bucket it touches once: the bucket's entry counter, its
+index-vertex members, and its top-k degree sketch, fed the bucket's vids
+as one arrival-ordered run; together with the
 index-vertex member counts this yields the per-predicate entry/key
 cardinalities and hot-vertex degrees the cost-aware planner uses to order
 triple patterns by estimated selectivity.
@@ -51,8 +54,7 @@ SN list) except one whose own bound compaction lengthens, which it drops.
 from __future__ import annotations
 
 from bisect import bisect_right
-from heapq import heappop, heappush
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StoreError
 from repro.rdf.ids import _VID_SHIFT, Key
@@ -134,31 +136,38 @@ class _TopKSketch:
         self._cohort: List[int] = []
         self._cohort_pos = 0
 
-    def bump(self, vid: int) -> None:
+    def bump_many(self, vids: Sequence[int]) -> None:
+        """Count each of ``vids``, in order — one call per arrival-ordered
+        run; the cohort state lives in locals for the whole run."""
         counts = self.counts
-        count = counts.get(vid)
-        if count is not None:
-            counts[vid] = count + 1
-            return
-        if len(counts) < self.capacity:
-            counts[vid] = 1
-            return
+        counts_get = counts.get
+        capacity = self.capacity
         cohort = self._cohort
         pos = self._cohort_pos
         floor = self._floor
-        while True:
-            if pos >= len(cohort):
-                floor = self._floor = min(counts.values())
-                cohort = self._cohort = \
-                    [key for key, held in counts.items() if held == floor]
-                pos = 0
-            victim = cohort[pos]
-            pos += 1
-            if counts.get(victim) == floor:
-                break
+        for vid in vids:
+            count = counts_get(vid)
+            if count is not None:
+                counts[vid] = count + 1
+                continue
+            if len(counts) < capacity:
+                counts[vid] = 1
+                continue
+            while True:
+                if pos >= len(cohort):
+                    floor = min(counts.values())
+                    cohort = [key for key, held in counts.items()
+                              if held == floor]
+                    pos = 0
+                victim = cohort[pos]
+                pos += 1
+                if counts_get(victim) == floor:
+                    break
+            del counts[victim]
+            counts[vid] = floor + 1
+        self._cohort = cohort
         self._cohort_pos = pos
-        del counts[victim]
-        counts[vid] = floor + 1
+        self._floor = floor
 
     def estimate(self, vid: int) -> Optional[int]:
         """The tracked degree of ``vid``, or None when it is not a
@@ -180,15 +189,12 @@ class ShardStore:
         self._values: Dict[Key, _ValueList] = {}
         self._index: Dict[Tuple[int, int], List[int]] = {}
         self._index_members: Dict[Tuple[int, int], Set[int]] = {}
-        #: Keys holding at least one non-base SN (SNs are non-decreasing,
-        #: so this is exactly ``sns[-1] != BASE_SN``).  Compaction — a
-        #: charge-free bookkeeping pass — only needs to visit these.
-        self._versioned: Set[Key] = set()
-        #: Min-heap of ``(oldest non-base SN, key)`` with exactly one live
-        #: entry per versioned key, so compaction pops only the keys whose
-        #: oldest versioned entry is actually due instead of scanning the
-        #: whole versioned set every cycle.
-        self._versioned_heap: List[Tuple[int, Key]] = []
+        #: The compaction due-list: SN -> the keys whose *oldest* non-base
+        #: SN it is.  Every key holding a non-base SN (SNs are
+        #: non-decreasing, so exactly the keys with ``sns[-1] !=
+        #: BASE_SN``) is filed exactly once; compaction — a charge-free
+        #: bookkeeping pass — pops only the SNs that are due.
+        self._due: Dict[int, List[Key]] = {}
         #: The highest SN ever written here — an upper bound on every
         #: key's last SN, so a column at or above it cannot be refused.
         self._high_sn = BASE_SN
@@ -219,9 +225,14 @@ class ShardStore:
 
         Charges ``create_key_ns`` per fresh key plus ``insert_entry_ns``
         per value entry and per new index entry, as two aggregated
-        calls.  The planner statistics (charge-free) are kept here too:
-        bucket entry counts per group, degree sketches per entry in
-        arrival order — a sketch's eviction ties are order-sensitive.
+        calls.  The planner statistics (charge-free) are kept here too,
+        once per ``(eid, d)`` bucket: its entry count, its index-vertex
+        members, and its degree sketch, fed the bucket's vids in arrival
+        order — a sketch's eviction ties are order-sensitive, and each
+        sketch sees only its own bucket's sequence.
+
+        A key that becomes versioned here (it is created, or its list
+        ended in :data:`BASE_SN`) is filed in the due-list under ``sn``.
 
         Raises :class:`StoreError`, before anything is written, when
         ``sn`` is below the last SN of any key in the column.
@@ -238,33 +249,20 @@ class ShardStore:
                         f"{sn} after {values.sns[-1]}")
         groups: Dict[Key, List[int]] = {}
         groups_get = groups.get
-        sketches = self._degree_sketches
-        sketches_get = sketches.get
         for key, vid in zip(keys, vids):
             group = groups_get(key)
             if group is None:
                 groups[key] = [vid]
             else:
                 group.append(vid)
-            bucket = key & _PRED_MASK
-            sketch = sketches_get(bucket)
-            if sketch is None:
-                sketch = sketches[bucket] = _TopKSketch()
-            sketch.bump(key >> _PRED_BITS)
         values_dict = self._values
         values_get = values_dict.get
-        versioned = sn != BASE_SN
-        versioned_set = self._versioned
-        heap = self._versioned_heap
+        due = self._due.get(sn, []) if sn != BASE_SN else None
         adjacency = self._adjacency
         adjacency_pop = adjacency.pop if adjacency else None
-        pred_entries = self._pred_entries
-        index_members = self._index_members
-        index_lists = self._index
         spans: List[Tuple[Key, int, int]] = []
         append_span = spans.append
         created_keys = 0
-        index_entries = 0
         for key, group in groups.items():
             count = len(group)
             values = values_get(key)
@@ -274,9 +272,13 @@ class ShardStore:
                 values_dict[key] = _ValueList(group, [sn] * count)
                 created_keys += 1
                 offset = 0
+                if due is not None:
+                    due.append(key)
             else:
                 sns = values.sns
                 offset = len(sns)
+                if due is not None and sns[-1] == BASE_SN:
+                    due.append(key)
                 if count == 1:
                     # Most keys receive a single value per batch: append
                     # beats building the one-element [sn] list.
@@ -285,25 +287,12 @@ class ShardStore:
                 else:
                     values.vids += group
                     sns += [sn] * count
-            if versioned and key not in versioned_set:
-                versioned_set.add(key)
-                heappush(heap, (sn, key))
             if adjacency_pop is not None:
                 adjacency_pop(key, None)
             append_span((key, offset, count))
-            bucket = key & _PRED_MASK
-            pred_entries[bucket] = pred_entries.get(bucket, 0) + count
-            # The bucket is the index vertex's (eid, d), still packed.
-            slot = (bucket >> 1, bucket & 1)
-            members = index_members.get(slot)
-            if members is None:
-                members = index_members[slot] = set()
-                index_lists[slot] = []
-            vid = key >> _PRED_BITS
-            if vid not in members:
-                members.add(vid)
-                index_lists[slot].append(vid)
-                index_entries += 1
+        if due:
+            self._due[sn] = due
+        index_entries = self._update_statistics(keys, groups)
         if meter is not None and keys:
             if created_keys:
                 meter.charge(self.cost.create_key_ns, times=created_keys,
@@ -313,6 +302,47 @@ class ShardStore:
                          category="insert")
         return spans
 
+    def _update_statistics(self, keys: List[Key],
+                           groups: Dict[Key, List[int]]) -> int:
+        """The planner statistics of one column write, per ``(eid, d)``
+        bucket: entry count, degree sketch (fed the bucket's vids in
+        arrival order) and index-vertex members (new vids in
+        first-occurrence order).  Returns the new index entries."""
+        if len({key & _PRED_MASK for key in groups}) == 1:
+            runs = {keys[0] & _PRED_MASK: [key >> _PRED_BITS for key in keys]}
+        else:
+            runs = {}
+            runs_get = runs.get
+            for key in keys:
+                bucket = key & _PRED_MASK
+                run = runs_get(bucket)
+                if run is None:
+                    runs[bucket] = [key >> _PRED_BITS]
+                else:
+                    run.append(key >> _PRED_BITS)
+        pred_entries = self._pred_entries
+        sketches = self._degree_sketches
+        index_members = self._index_members
+        index_entries = 0
+        for bucket, run in runs.items():
+            pred_entries[bucket] = pred_entries.get(bucket, 0) + len(run)
+            sketch = sketches.get(bucket)
+            if sketch is None:
+                sketch = sketches[bucket] = _TopKSketch()
+            sketch.bump_many(run)
+            # The bucket is the index vertex's (eid, d), still packed.
+            slot = (bucket >> 1, bucket & 1)
+            members = index_members.get(slot)
+            if members is None:
+                members = index_members[slot] = set()
+                self._index[slot] = []
+            fresh = [vid for vid in dict.fromkeys(run) if vid not in members]
+            if fresh:
+                members.update(fresh)
+                self._index[slot] += fresh
+                index_entries += len(fresh)
+        return index_entries
+
     def compact(self, bound_sn: int) -> int:
         """Bounded scalarization: fold SNs <= ``bound_sn`` into the base.
 
@@ -320,7 +350,9 @@ class ShardStore:
         SNs can change (all-base lists are fixpoints), and among those
         only keys whose *oldest* non-base SN is already due — everything
         else would bisect to an all-base (or empty) prefix and no-op, so
-        the due-key heap skips them outright.  A key's distinct-segment
+        only the due-list's SNs at or below the bound are popped, in
+        order; a key whose list continues above the bound is re-filed
+        under its next SN ``sns[cut]``.  A key's distinct-segment
         count changes exactly when the relabelled prefix held more than
         one distinct SN — with non-decreasing SNs that is an O(1)
         first-vs-last check, preserving the original return value.
@@ -339,28 +371,32 @@ class ShardStore:
         # ``cut``, and a same-bound hit is not validated — so it is
         # dropped here.
         touched = 0
-        heap = self._versioned_heap
-        versioned = self._versioned
+        due = self._due
         values = self._values
         adjacency = self._adjacency
-        while heap and heap[0][0] <= bound_sn:
-            _, key = heappop(heap)
-            sns = values[key].sns
-            # The popped SN is still present in ``sns`` (relabelling only
-            # happens on pop), so the bisected prefix is never empty.
-            cut = bisect_right(sns, bound_sn)
-            cached = adjacency.get(key)
-            if cached is not None and len(cached[1]) < cut:
-                del adjacency[key]
-            if sns[0] != sns[cut - 1]:
-                touched += 1
-            lo = bisect_right(sns, BASE_SN, 0, cut)
-            if lo < cut:
-                sns[lo:cut] = [BASE_SN] * (cut - lo)
-            if cut == len(sns):
-                versioned.discard(key)
-            else:
-                heappush(heap, (sns[cut], key))
+        for due_sn in sorted(sn for sn in due if sn <= bound_sn):
+            for key in due.pop(due_sn):
+                sns = values[key].sns
+                # ``due_sn`` is still present in ``sns`` (relabelling only
+                # happens here), so the bisected prefix is never empty.
+                # Most due keys are due whole: skip that bisect.
+                cut = len(sns) if sns[-1] <= bound_sn \
+                    else bisect_right(sns, bound_sn)
+                cached = adjacency.get(key)
+                if cached is not None and len(cached[1]) < cut:
+                    del adjacency[key]
+                if sns[0] != sns[cut - 1]:
+                    touched += 1
+                lo = bisect_right(sns, BASE_SN, 0, cut)
+                if lo < cut:
+                    sns[lo:cut] = [BASE_SN] * (cut - lo)
+                if cut < len(sns):
+                    # Re-filed above the bound: not revisited this cycle.
+                    later = due.get(sns[cut])
+                    if later is None:
+                        due[sns[cut]] = [key]
+                    else:
+                        later.append(key)
         return touched
 
     # -- predicate cardinality statistics --------------------------------

@@ -9,7 +9,7 @@ from repro.core.transient import TransientStore
 from repro.rdf.ids import DIR_IN, DIR_OUT, make_key
 from repro.rdf.parser import parse_triples
 from repro.rdf.string_server import StringServer
-from repro.rdf.terms import EncodedTriple, EncodedTuple
+from repro.rdf.terms import EncodedColumns
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.store.distributed import DistributedStore
@@ -76,7 +76,7 @@ class TestWindowAccess:
                 DIR_OUT)
             registry.index("S").append_slice(piece)
         transients[0].append_slice(
-            2, [EncodedTuple(EncodedTriple(u, ga, l1), 150)], [])
+            2, EncodedColumns([u], [ga], [l1], [150]), EncodedColumns())
 
         return (cluster, strings, store, registry, schema, transients,
                 dict(u=u, p1=p1, p2=p2, l1=l1, po=po, ga=ga))

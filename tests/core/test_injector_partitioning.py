@@ -4,57 +4,63 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.injector import Injector
 from repro.core.transient import TransientStore
-from repro.rdf.terms import EncodedTriple, EncodedTuple
+from repro.rdf.terms import EncodedColumns
 from repro.rdf.string_server import StringServer
 from repro.sim.cluster import Cluster
 from repro.store.distributed import DistributedStore
 
 
-def make_injector(threads):
-    cluster = Cluster(num_nodes=1)
+def make_injector(threads, num_nodes=1):
+    cluster = Cluster(num_nodes=num_nodes)
     strings = StringServer()
     store = DistributedStore(cluster, strings)
     return Injector(0, store, {"S": TransientStore("S")}, threads=threads)
 
 
+def columns(rows):
+    """Rows ``(s, p, o)`` as columns; a row's timestamp is its index, so
+    every row is identifiable after partitioning."""
+    s, p, o = (list(column) for column in zip(*rows)) if rows \
+        else ([], [], [])
+    return EncodedColumns(s, p, o, list(range(len(rows))))
+
+
+def rows_of(part):
+    return list(zip(part.s, part.p, part.o, part.ts))
+
+
 tuples_strategy = st.lists(
     st.tuples(st.integers(1, 40), st.integers(1, 5), st.integers(1, 40)),
     max_size=60,
-).map(lambda raw: [EncodedTuple(EncodedTriple(s, p, o), i)
-                   for i, (s, p, o) in enumerate(raw)])
+).map(columns)
 
 
 @settings(max_examples=50, deadline=None)
 @given(tuples=tuples_strategy, threads=st.sampled_from([1, 2, 3, 4, 8]))
 def test_partitioning_is_a_partition(tuples, threads):
-    """Every tuple lands in exactly one partition."""
+    """Every row lands in exactly one partition, whole."""
     injector = make_injector(threads)
     parts = injector._partition(tuples, by_subject=True)
     assert len(parts) == (1 if threads == 1 else threads)
-    flattened = [t for part in parts for t in part]
-    assert sorted(flattened, key=id) == sorted(tuples, key=id)
+    flattened = [row for part in parts for row in rows_of(part)]
+    assert sorted(flattened, key=lambda row: row[3]) == rows_of(tuples)
 
 
 @settings(max_examples=50, deadline=None)
-@given(tuples=tuples_strategy, threads=st.sampled_from([2, 4, 8]))
-def test_same_key_same_partition(tuples, threads):
-    """All tuples touching one key go to one thread (the lock-free
+@given(tuples=tuples_strategy, threads=st.sampled_from([2, 4, 8]),
+       by_subject=st.booleans())
+def test_same_key_same_partition(tuples, threads, by_subject):
+    """All rows touching one key vertex go to one thread (the lock-free
     guarantee) and keep their arrival order within it."""
     injector = make_injector(threads)
-    parts = injector._partition(tuples, by_subject=True)
+    parts = injector._partition(tuples, by_subject=by_subject)
     owner = {}
     for index, part in enumerate(parts):
-        for tup in part:
-            key = tup.triple.s
-            assert owner.setdefault(key, index) == index
-    for part in parts:
-        stamps = [t.timestamp_ms for t in part if True]
+        vertex = part.s if by_subject else part.o
+        for vid in vertex:
+            assert owner.setdefault(vid, index) == index
         # Arrival order within each partition is preserved.
-        per_key = {}
-        for t in part:
-            per_key.setdefault(t.triple.s, []).append(t.timestamp_ms)
-        for series in per_key.values():
-            assert series == sorted(series)
+        assert part.ts == sorted(part.ts)
 
 
 @settings(max_examples=20, deadline=None)
@@ -65,13 +71,10 @@ def test_partitioning_avoids_cluster_aliasing(tuples):
     (Regression: `vid % threads` aliased the cluster's `vid % num_nodes`
     placement, collapsing every local key into partition 0.)
     """
-    cluster = Cluster(num_nodes=4)
-    strings = StringServer()
-    store = DistributedStore(cluster, strings)
-    injector = Injector(0, store, {"S": TransientStore("S")}, threads=4)
+    injector = make_injector(threads=4, num_nodes=4)
     # Only node-0 keys, as the dispatcher would deliver them.
-    local = [t for t in tuples if t.triple.s % 4 == 0]
-    if len({t.triple.s for t in local}) < 4:
+    local = tuples.take([i for i, s in enumerate(tuples.s) if s % 4 == 0])
+    if len(set(local.s)) < 4:
         return
     parts = injector._partition(local, by_subject=True)
     assert sum(1 for p in parts if p) >= 2

@@ -47,10 +47,9 @@ def test_index_spans_untracked_one_per_key(monkeypatch, num_nodes,
     def recording_inject(self, node_batch, sn, index_slice, meter=None):
         keys = written.setdefault(
             (node_batch.stream, node_batch.batch_no), set())
-        keys.update(make_key(t.triple.s, t.triple.p, DIR_OUT)
-                    for t in node_batch.out_timeless)
-        keys.update(make_key(t.triple.o, t.triple.p, DIR_IN)
-                    for t in node_batch.in_timeless)
+        out, into = node_batch.out_timeless, node_batch.in_timeless
+        keys.update(make_key(s, p, DIR_OUT) for s, p in zip(out.s, out.p))
+        keys.update(make_key(o, p, DIR_IN) for o, p in zip(into.o, into.p))
         inject(self, node_batch, sn, index_slice, meter=meter)
 
     monkeypatch.setattr(Injector, "inject", recording_inject)

@@ -1,7 +1,7 @@
 """Tests for the string server."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StoreError
 from repro.rdf.string_server import StringServer
@@ -73,6 +73,34 @@ def test_counts():
     server.encode_triple(Triple("a", "q", "c"))
     assert server.num_entities == 3
     assert server.num_predicates == 2
+
+
+_ENTITY = st.sampled_from([f"e{i}" for i in range(16)])
+_PREDICATE = st.sampled_from([f"p{i}" for i in range(5)])
+
+
+@settings(max_examples=150)
+@given(warm=st.lists(st.tuples(_ENTITY, _PREDICATE, _ENTITY), max_size=10),
+       batch=st.lists(st.tuples(_ENTITY, _PREDICATE, _ENTITY), max_size=40))
+def test_encode_columns_allocates_like_encode_tuple(warm, batch):
+    """On twin servers already holding the same names, encoding a batch
+    as columns yields the per-tuple ids and leaves the same name tables:
+    new names are allocated in row order, subject before object."""
+    twins = StringServer(), StringServer()
+    for server in twins:
+        for triple in warm:  # some names known, the rest new
+            server.encode_triple(Triple(*triple))
+    tuples = [TimedTuple(Triple(*triple), ts)
+              for ts, triple in enumerate(batch)]
+    columnar, per_tuple = twins
+    columns = columnar.encode_columns(tuples)
+    encoded = [per_tuple.encode_tuple(tup) for tup in tuples]
+    assert columns.s == [enc.triple.s for enc in encoded]
+    assert columns.p == [enc.triple.p for enc in encoded]
+    assert columns.o == [enc.triple.o for enc in encoded]
+    assert columns.ts == [enc.timestamp_ms for enc in encoded]
+    assert columnar._entity_names == per_tuple._entity_names
+    assert columnar._predicate_names == per_tuple._predicate_names
 
 
 @given(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=30))

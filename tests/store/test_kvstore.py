@@ -157,6 +157,33 @@ def test_compaction_matches_relabelling_reference(ops):
                 for key, entry in shard._values.items()} == reference
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.one_of(_APPEND, _COMPACT), max_size=40))
+def test_due_list_files_each_versioned_key_once(ops):
+    """After every column write or compaction, each key holding a
+    non-base SN is filed exactly once in the due-list, under its oldest
+    non-base SN; no other key is filed, and no SN is left empty."""
+    shard = ShardStore()
+    sn = BASE_SN
+    for op in ops:
+        if op[0] == "append":
+            _, step, entries = op
+            sn += step
+            shard.append_column(
+                [make_key(vid, eid, DIR_OUT) for vid, eid, _ in entries],
+                [value for _, _, value in entries], sn=sn)
+        else:
+            shard.compact(sn - op[1])
+        filed = sorted((due_sn, key) for due_sn, keys in shard._due.items()
+                       for key in keys)
+        versioned = sorted(
+            (next(s for s in entry.sns if s != BASE_SN), key)
+            for key, entry in shard._values.items()
+            if entry.sns[-1] != BASE_SN)
+        assert filed == versioned
+        assert all(shard._due.values())
+
+
 class _SliceWriteCounter(list):
     """An SN list that counts the entries written by slice assignment."""
 
@@ -278,7 +305,7 @@ def _state(shard):
         "keys": [shard.predicate_keys(*b) for b in buckets],
         "sketches": {bucket: list(sketch.counts.items())
                      for bucket, sketch in shard._degree_sketches.items()},
-        "versioned": sorted(shard._versioned_heap),
+        "due": list(shard._due.items()),
     }
 
 

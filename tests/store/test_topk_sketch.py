@@ -1,7 +1,8 @@
 """Backfill for the lazy-floor TopK sketch eviction (PR 6).
 
-``_TopKSketch.bump`` replaced an O(capacity) ``min`` per eviction with a
-lazily maintained *cohort* of floor-count keys.  The contract is that the
+``_TopKSketch`` replaced an O(capacity) ``min`` per eviction with a
+lazily maintained *cohort* of floor-count keys; ``bump_many`` counts one
+arrival-ordered run per call.  The contract is that the
 optimization is invisible: victim choice — and with it every count the
 sketch ever reports — must be bit-identical to the eager space-saving
 reference (evict the dict-order-first key holding the minimum count).
@@ -49,7 +50,7 @@ def _drive(sequence, capacity=4):
     sketch = _TopKSketch(capacity=capacity)
     eager = EagerTopK(capacity=capacity)
     for step, vid in enumerate(sequence):
-        sketch.bump(vid)
+        sketch.bump_many([vid])
         eager.bump(vid)
         _assert_identical(sketch, eager,
                           f"diverged at step {step} (vid {vid})")
@@ -127,6 +128,24 @@ def test_randomized_differential_default_capacity():
         rng = random.Random(1000 + seed)
         sequence = [rng.randrange(30) for _ in range(800)]
         _drive(sequence, capacity=8)
+
+
+def test_bump_many_equals_eager_bumps():
+    # One run per call, cut at random points, so cohort state carries
+    # across calls as it does across a shard's column writes.
+    for seed in range(6):
+        rng = random.Random(2000 + seed)
+        sequence = [rng.randrange(14) for _ in range(500)]
+        sketch = _TopKSketch(capacity=4)
+        eager = EagerTopK(capacity=4)
+        start = 0
+        while start < len(sequence):
+            end = start + rng.randrange(0, 40)
+            sketch.bump_many(sequence[start:end])
+            for vid in sequence[start:end]:
+                eager.bump(vid)
+            _assert_identical(sketch, eager, f"seed {seed}, run ending {end}")
+            start = end
 
 
 def test_estimate_matches_reference_for_tracked_and_untracked():
