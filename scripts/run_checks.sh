@@ -34,8 +34,17 @@
 # shard's versioned-key set and heap (compaction's work list is one
 # due-list per SN), and per-tuple objects on the write path (the
 # adaptor, dispatcher, injector and transient store carry a batch as
-# EncodedColumns, never EncodedTupl[e]s) have not come back.
+# EncodedColumns, never EncodedTupl[e]s), and cold start's second copy
+# of recovery (the hand-written AST serializer query_to_dic[t] /
+# query_from_dic[t] and the string-decoded log replay
+# _decode_batch_lo[g]: a dump holds the durable log's own records,
+# replayed by checkpoint.replay_log, and each continuous query's text)
+# have not come back.
 # A test marked both serving and chaos runs in the chaos stage only.
+#
+# The examples stage runs every walkthrough under examples/ (the only
+# user-facing tour of save/restore is fault_recovery.py); each asserts
+# its own results and exits non-zero on a mismatch.
 #
 # The obs stage exports a Chrome trace from a quick traced LSBench run
 # and validates it (schema, lossless round trip, and per-activity
@@ -87,7 +96,7 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects on the write path) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects on the write path, the AST serializer and string-decoded log replay) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts; \
         then exit 1; fi
@@ -123,6 +132,13 @@ if grep -rn '_versioned_hea[p]\|\._versione[d]\>' src scripts tests; \
 if grep -n 'EncodedTupl[e]\|encode_tupl[e]' src/repro/core/adaptor.py \
         src/repro/core/dispatcher.py src/repro/core/injector.py \
         src/repro/core/transient.py; then exit 1; fi
+if grep -rn 'query_to_dic[t]\|query_from_dic[t]\|_decode_batch_lo[g]' \
+        src scripts tests examples; then exit 1; fi
+
+echo "== examples (every walkthrough runs to completion) =="
+for example in examples/*.py; do
+    PYTHONPATH=src python "$example" > /dev/null
+done
 
 echo "== obs (trace export + critical-path exactness) =="
 PYTHONPATH=src python scripts/check_trace.py

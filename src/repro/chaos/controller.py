@@ -315,9 +315,7 @@ class ChaosController:
         """Damage the newest still-rebuildable log record of one node."""
         manager = engine.checkpoints
         candidates = []
-        for entry in manager._log:
-            if entry.node_id != fault.node_id:
-                continue
+        for entry in manager.logged_for_node(fault.node_id):
             source = engine.sources.get(entry.node_batch.stream)
             acked = source.acked_through if source is not None else 1 << 60
             if entry.node_batch.batch_no > acked:

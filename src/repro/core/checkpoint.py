@@ -11,8 +11,9 @@ Recovery of a crashed node (:func:`recover_node`) follows the paper's
 recipe: reload the initial RDF data (the node's halves), re-apply the
 durable log in original order — which reproduces the exact value-list
 offsets, keeping every shared stream-index span valid — and restore the
-vector-timestamp state.  Continuous queries are simply re-registered (they
-are kept in the engine's durable registration log).
+vector-timestamp state.  :func:`replay_log` is the one replay of the log:
+cold start (``repro.core.durability``) is the same replay over every
+node's records.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.dispatcher import NodeBatch
+from repro.core.stream_index import IndexSlice
 from repro.errors import FaultToleranceError, StreamError
 from repro.sim.cost import CostModel, LatencyMeter
 
@@ -55,15 +57,14 @@ def batch_checksum(node_batch: NodeBatch) -> int:
 
 @dataclass
 class LoggedBatch:
-    """One durable log record: a node's halves of one stream batch."""
+    """One durable log record: a node's halves of one stream batch (the
+    node is ``node_batch.node_id``, the sequence number the position in
+    the log)."""
 
-    sequence: int
-    node_id: int
     sn: int
     node_batch: NodeBatch
-    #: Content CRC written with the record; ``None`` for records produced
-    #: before checksumming existed (treated as trusted).
-    checksum: Optional[int] = None
+    #: Content CRC written with the record (:func:`batch_checksum`).
+    checksum: int
 
 
 @dataclass
@@ -90,7 +91,6 @@ class CheckpointManager:
         self.num_nodes = num_nodes
         self._log: List[LoggedBatch] = []
         self._markers: List[CheckpointMarker] = []
-        self._last_checkpoint_ms: Optional[int] = None
         #: Interval-grid cell of the last checkpoint (``now // interval``).
         self._last_cell: Optional[int] = None
         self.logging_delays_ms: List[float] = []
@@ -100,7 +100,7 @@ class CheckpointManager:
         self.last_checkpoint_pause_ps = 0
 
     # -- logging ---------------------------------------------------------
-    def log_batch(self, node_id: int, node_batch: NodeBatch, sn: int,
+    def log_batch(self, node_batch: NodeBatch, sn: int,
                   meter: Optional[LatencyMeter] = None) -> None:
         """Durably log one node batch (synchronous, on the injection path)."""
         delay = LatencyMeter()
@@ -109,9 +109,8 @@ class CheckpointManager:
         self.logging_delays_ms.append(delay.ms)
         if meter is not None:
             meter.add(delay)
-        self._log.append(LoggedBatch(
-            sequence=len(self._log), node_id=node_id, sn=sn,
-            node_batch=node_batch, checksum=batch_checksum(node_batch)))
+        self._log.append(LoggedBatch(sn, node_batch,
+                                     batch_checksum(node_batch)))
         self._entries_since_checkpoint += node_batch.num_inserts
 
     # -- checkpoints ------------------------------------------------------
@@ -130,7 +129,6 @@ class CheckpointManager:
         cell = now_ms // self.interval_ms
         if self._last_cell is None:
             self._last_cell = cell
-            self._last_checkpoint_ms = now_ms
             return False
         if cell <= self._last_cell:
             return False
@@ -144,7 +142,6 @@ class CheckpointManager:
         marker = CheckpointMarker(at_ms=now_ms, stable_vts=stable,
                                   stable_sn=coordinator.stable_sn)
         self._markers.append(marker)
-        self._last_checkpoint_ms = now_ms
         self._last_cell = now_ms // self.interval_ms
         # Incremental checkpoint: persist everything logged since the last
         # marker.  Nodes write their local logs in parallel; queries
@@ -162,7 +159,8 @@ class CheckpointManager:
     # -- recovery inputs ------------------------------------------------------
     def logged_for_node(self, node_id: int) -> List[LoggedBatch]:
         """The durable log of one node, in original append order."""
-        return [entry for entry in self._log if entry.node_id == node_id]
+        return [entry for entry in self._log
+                if entry.node_batch.node_id == node_id]
 
     @property
     def num_checkpoints(self) -> int:
@@ -183,7 +181,6 @@ class RecoveryReport:
     """What one :func:`recover_node` run did, with its simulated cost."""
 
     node_id: int
-    reloaded_triples: int = 0
     replayed_entries: int = 0
     rejected_entries: int = 0
     rebuilt_batches: List[Tuple[str, int]] = field(default_factory=list)
@@ -201,22 +198,21 @@ def _rebuild_from_upstream(engine: "WukongSEngine", entry: LoggedBatch,
     the rebuilt batch is bit-identical to the uncorrupted record.
     """
     damaged = entry.node_batch
+    corrupt = f"log record for batch {damaged.stream}#{damaged.batch_no} " \
+        f"is corrupt"
     source = engine.sources.get(damaged.stream)
     if source is None:
         raise FaultToleranceError(
-            f"log record for batch {damaged.stream}#{damaged.batch_no} is "
-            f"corrupt and stream has no attached source to rebuild from")
+            f"{corrupt} and stream has no attached source to rebuild from")
     try:
         replayed = [b for b in source.replay(damaged.batch_no - 1)
                     if b.batch_no == damaged.batch_no]
     except StreamError as exc:
         raise FaultToleranceError(
-            f"log record for batch {damaged.stream}#{damaged.batch_no} is "
-            f"corrupt and upstream backup was trimmed: {exc}") from exc
+            f"{corrupt} and upstream backup was trimmed: {exc}") from exc
     if not replayed:
         raise FaultToleranceError(
-            f"log record for batch {damaged.stream}#{damaged.batch_no} is "
-            f"corrupt and upstream backup no longer holds the batch")
+            f"{corrupt} and upstream backup no longer holds the batch")
     batch = replayed[0]
     payload = engine.config.memory.tuple_bytes * len(batch.tuples)
     engine.cluster.fabric.replay_transfer(meter, payload, category="replay")
@@ -226,26 +222,50 @@ def _rebuild_from_upstream(engine: "WukongSEngine", entry: LoggedBatch,
     return node_batches[damaged.node_id]
 
 
+def replay_log(engine: "WukongSEngine", entries: List[LoggedBatch],
+               slices: Optional[Dict[Tuple[str, int], IndexSlice]],
+               meter: LatencyMeter) -> List[Tuple[str, int]]:
+    """The one replay of the durable log: re-apply ``entries``, in order.
+
+    :func:`recover_node` passes one node's records and ``slices=None``
+    (the stream index outlived the crash); cold start
+    (``repro.core.durability.restore_engine``) passes every record and an
+    empty dict that collects one :class:`IndexSlice` per ``(stream,
+    batch_no)``.  Each record's CRC is verified first; a corrupt record
+    is rebuilt from upstream backup (§5's at-least-once story: the source
+    still buffers everything past the last acknowledged checkpoint) and
+    replaces the corrupt one.  Returns the rebuilt ``(stream, batch_no)``s.
+    """
+    rebuilt: List[Tuple[str, int]] = []
+    for entry in entries:
+        if batch_checksum(entry.node_batch) != entry.checksum:
+            entry.node_batch = _rebuild_from_upstream(engine, entry, meter)
+            entry.checksum = batch_checksum(entry.node_batch)
+            rebuilt.append((entry.node_batch.stream,
+                            entry.node_batch.batch_no))
+        node_batch = entry.node_batch
+        index_slice = None if slices is None else slices.setdefault(
+            (node_batch.stream, node_batch.batch_no),
+            IndexSlice(node_batch.batch_no))
+        engine.injectors[node_batch.node_id].inject(node_batch, entry.sn,
+                                                    index_slice, meter=meter)
+    return rebuilt
+
+
 def recover_node(engine: "WukongSEngine", node_id: int) -> RecoveryReport:
     """Rebuild a crashed node's state from durable inputs.
 
     Order matters: the initial data is reloaded first, then the durable
-    log in its original sequence, so every value-list offset matches the
-    pre-crash layout and the (shared) stream-index spans stay valid.
-
-    Every log record's CRC is verified before replay; a corrupt record is
-    rejected and rebuilt from upstream backup (§5's at-least-once story:
-    the source still buffers everything past the last acknowledged
-    checkpoint).  The rebuilt record replaces the corrupt one, so a later
-    recovery of the same node replays a clean log.
+    log in its original sequence (:func:`replay_log`, which verifies each
+    record's CRC and rebuilds a corrupt one from upstream), so every
+    value-list offset matches the pre-crash layout and the (shared)
+    stream-index spans stay valid.
 
     All recovery work is charged to the returned report's meter — never to
     injection records or query meters, keeping the healthy path's
     simulated time independent of how a run was healed.
     """
-    manager = engine.checkpoints
-    if manager is None:
-        raise FaultToleranceError("engine has no checkpoint manager")
+    manager = engine.checkpoints  # engine.recover_node refuses None
     cluster = engine.cluster
     if cluster.nodes[node_id].alive:
         raise FaultToleranceError(f"node {node_id} is not down")
@@ -258,24 +278,14 @@ def recover_node(engine: "WukongSEngine", node_id: int) -> RecoveryReport:
     halves = len(engine.store.insert_triples(
         map(engine.strings.encode_triple, engine._initial_triples),
         node=node_id))
-    report.reloaded_triples = halves
     meter.charge(cost.insert_entry_ns, times=halves, category="recovery")
 
     # 2. Re-apply the durable log in original order (timeless halves to the
-    #    persistent store, timing halves as fresh transient slices),
-    #    rejecting records whose checksum no longer matches their content.
-    injector = engine.injectors[node_id]
-    for entry in manager.logged_for_node(node_id):
-        if entry.checksum is not None and \
-                batch_checksum(entry.node_batch) != entry.checksum:
-            report.rejected_entries += 1
-            rebuilt = _rebuild_from_upstream(engine, entry, meter)
-            entry.node_batch = rebuilt
-            entry.checksum = batch_checksum(rebuilt)
-            report.rebuilt_batches.append((rebuilt.stream, rebuilt.batch_no))
-        injector.inject(entry.node_batch, entry.sn, index_slice=None,
-                        meter=meter)
-        report.replayed_entries += 1
+    #    persistent store, timing halves as fresh transient slices).
+    entries = manager.logged_for_node(node_id)
+    report.rebuilt_batches = replay_log(engine, entries, None, meter)
+    report.rejected_entries = len(report.rebuilt_batches)
+    report.replayed_entries = len(entries)
 
     # 3. Drop transient slices that expired while the node was down, then
     #    let the coordinator resume normal SN publication.

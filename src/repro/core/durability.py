@@ -6,151 +6,115 @@ and the transient store will be reloaded if needed.  Wukong+S will further
 re-register continuous queries and the latest local and stable vector
 timestamps."
 
-:func:`save_engine` serializes everything durable — the engine
-configuration, the initially stored triples, the per-batch ingestion log
-(decoded to strings, so the dump is portable), the SN plan, the
-registered continuous queries and the clock — into one JSON file.
-:func:`restore_engine` rebuilds a fresh engine from it: replaying the
-log through the normal injection pipeline reconstructs the persistent
-store, the stream indexes *and* the transient stores with identical
-content (IDs re-allocate deterministically because the replay
-order equals the original insertion order).  The caller re-attaches stream
-sources afterwards and resumes from the recovered clock.
+Cold start is recovery of every node: :func:`save_engine` writes the
+durable log's own records, and :func:`restore_engine` replays all of them
+through :func:`~repro.core.checkpoint.replay_log`, the replay that
+recovers one crashed node, rebuilding the stream index alongside.
+
+Dump format 3 (one JSON file) holds:
+
+* the whole :class:`EngineConfig`, the stream schemas, the initially
+  stored triples, the SN plan, the clock, ``last_delivered`` and the
+  source attachment order;
+* the string server's name tables (an id is its position);
+* every :class:`~repro.core.checkpoint.LoggedBatch` in sequence order:
+  node, SN, stream, batch number, the four halves as int columns and its
+  CRC (a record that no longer matches it is rebuilt from upstream
+  backup, or refused);
+* the tick count (the GC cadence) and the checkpoint cadence and markers;
+* per continuous query: the text it was parsed from (the parser is the
+  one authority on a saved query), registration name, home node, next
+  close, plan order, ``pinned`` and the plan monitor's cadence, relative
+  to the query's executions.
+
+Not durable: per-process meters (``injection_records``, each query's
+``executions`` and re-plan events, logging delays: a restored engine's
+hold only post-restore work) and wall-clock caches.  A query registered
+from a hand-built AST has no text, and :func:`save_engine` refuses it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, List, Optional
+from typing import List, Optional
 
+from repro.core.checkpoint import CheckpointMarker, LoggedBatch, replay_log
+from repro.core.dispatcher import NodeBatch
 from repro.core.engine import EngineConfig, WukongSEngine
 from repro.errors import FaultToleranceError
-from repro.rdf.terms import TimedTuple, Triple
-from repro.sim.cost import CostModel, MemoryModel
-from repro.sparql.ast import (Aggregate, FilterExpr, Query, TriplePattern,
-                              WindowSpec)
-from repro.streams.stream import StreamBatch, StreamSchema
+from repro.rdf.terms import EncodedColumns, Triple
+from repro.sim.cost import CostModel, LatencyMeter, MemoryModel
+from repro.streams.stream import StreamSchema
 
-#: 2: the whole EngineConfig (version 1 dumped ten of its fields).
-FORMAT_VERSION = 2
+#: 3: the log's own records, name tables, cadences and query texts
+#: (2 held string-decoded batches and hand-serialized ASTs).
+FORMAT_VERSION = 3
 
-
-# ---------------------------------------------------------------------------
-# Query (de)serialization
-# ---------------------------------------------------------------------------
-
-def _dump_patterns(patterns: List[TriplePattern]) -> List[list]:
-    return [[p.subject, p.predicate, p.object, p.graph] for p in patterns]
+#: A node batch's four halves, in record order.
+_HALVES = ("out_timeless", "in_timeless", "out_timing", "in_timing")
 
 
-def _load_patterns(rows: List[list]) -> List[TriplePattern]:
-    return [TriplePattern(s, p, o, graph=g) for s, p, o, g in rows]
+def _dump_record(entry: LoggedBatch) -> dict:
+    node_batch = entry.node_batch
+    return {"node": node_batch.node_id, "sn": entry.sn,
+            "stream": node_batch.stream, "batch_no": node_batch.batch_no,
+            "halves": [[half.s, half.p, half.o, half.ts] for half in
+                       (getattr(node_batch, name) for name in _HALVES)],
+            "checksum": entry.checksum}
 
 
-def query_to_dict(query: Query) -> dict:
-    """A JSON-safe dump of a parsed query (for the registration log)."""
-    return {
-        "select": list(query.select),
-        "patterns": _dump_patterns(query.patterns),
-        "optionals": list(map(_dump_patterns, query.optionals)),
-        "unions": [list(map(_dump_patterns, union))
-                   for union in query.unions],
-        "windows": {name: [w.range_ms, w.step_ms]
-                    for name, w in query.windows.items()},
-        "static_graphs": list(query.static_graphs),
-        "name": query.name,
-        "filters": [[f.left, f.op, f.right] for f in query.filters],
-        "aggregates": [[a.func, a.var, a.alias] for a in query.aggregates],
-        "group_by": list(query.group_by),
-        "limit": query.limit,
-        "offset": query.offset,
-        "is_ask": query.is_ask,
-    }
+def _load_record(item: dict) -> LoggedBatch:
+    halves = {name: EncodedColumns(*columns)
+              for name, columns in zip(_HALVES, item["halves"])}
+    return LoggedBatch(item["sn"], NodeBatch(
+        item["stream"], item["batch_no"], item["node"], **halves),
+        item["checksum"])
 
 
-def query_from_dict(data: dict) -> Query:
-    """Rebuild a query from :func:`query_to_dict` output."""
-    return Query(
-        select=list(data["select"]),
-        patterns=_load_patterns(data["patterns"]),
-        optionals=list(map(_load_patterns, data.get("optionals", []))),
-        unions=[list(map(_load_patterns, union))
-                for union in data.get("unions", [])],
-        windows={name: WindowSpec(r, s)
-                 for name, (r, s) in data["windows"].items()},
-        static_graphs=list(data["static_graphs"]),
-        name=data["name"],
-        filters=[FilterExpr(left, op, right)
-                 for left, op, right in data.get("filters", [])],
-        aggregates=[Aggregate(func, var, alias)
-                    for func, var, alias in data.get("aggregates", [])],
-        group_by=list(data.get("group_by", [])),
-        limit=data.get("limit"),
-        offset=data.get("offset", 0),
-        is_ask=data.get("is_ask", False),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Engine (de)serialization
-# ---------------------------------------------------------------------------
-
-def _decode_batch_log(engine: WukongSEngine) -> List[dict]:
-    """Group the durable log into per-(stream, batch) replayable records.
-
-    The out-edge halves across nodes partition the batch's tuples exactly
-    once, so their union reconstructs the original batch content.
-    """
-    if engine.checkpoints is None:
+def _dump_query(handle) -> dict:
+    if handle.query.text is None:
         raise FaultToleranceError(
-            "engine has no durable log; enable fault_tolerance in "
-            "EngineConfig before saving")
-    strings = engine.strings
-    grouped: Dict[tuple, dict] = {}
-    for entry in engine.checkpoints._log:
-        nb = entry.node_batch
-        key = (nb.stream, nb.batch_no)
-        record = grouped.setdefault(key, {
-            "stream": nb.stream, "batch_no": nb.batch_no, "sn": entry.sn,
-            "timeless": [], "timing": [],
-        })
-        for name, columns in (("timeless", nb.out_timeless),
-                              ("timing", nb.out_timing)):
-            record[name].extend(map(list, zip(
-                strings.entity_names(columns.s),
-                map(strings.predicate_name, columns.p),
-                strings.entity_names(columns.o),
-                columns.ts)))
-    # Replay order must respect global snapshot order (per-key SN
-    # appends are monotonic), then stream/batch order within a snapshot.
-    return [grouped[key] for key in
-            sorted(grouped, key=lambda k: (grouped[k]["sn"], k))]
+            f"continuous query {handle.name!r} was registered from a "
+            f"hand-built AST; only a query registered as text can be saved")
+    done = len(handle.executions)
+    last_swap = handle.closes_at_last_swap
+    return {"text": handle.query.text, "name": handle.name,
+            "home_node": handle.home_node,
+            "next_close_ms": handle.next_close_ms,
+            "plan_order": list(handle.plan_order), "pinned": handle.pinned,
+            "closes_at_last_check": handle.closes_at_last_check - done,
+            "closes_at_last_swap":
+                None if last_swap is None else last_swap - done}
 
 
 def save_engine(engine: WukongSEngine, path: str) -> None:
     """Serialize the engine's durable state to ``path`` (JSON)."""
+    manager = engine.checkpoints
+    if manager is None:
+        raise FaultToleranceError(
+            "engine has no durable log; enable fault_tolerance in "
+            "EngineConfig before saving")
+    entities, predicates = engine.strings.name_tables()
     data = {
         "version": FORMAT_VERSION,
         # Every EngineConfig field, cost and memory models as their own
         # field dicts.
         "config": dataclasses.asdict(engine.config),
-        "schemas": [
-            {"name": schema.name,
-             "timing": sorted(schema.timing_predicates)}
-            for schema in engine.schemas.values()
-        ],
+        "schemas": [[schema.name, sorted(schema.timing_predicates)]
+                    for schema in engine.schemas.values()],
         "static": [[t.subject, t.predicate, t.object]
                    for t in engine._initial_triples],
-        "log": _decode_batch_log(engine),
+        "entities": entities,
+        "predicates": predicates,
+        "log": list(map(_dump_record, manager._log)),
         "plan": [dict(m.upper) for m in engine.coordinator.plan._mappings],
-        "queries": [
-            {"query": query_to_dict(handle.query),
-             "home_node": handle.home_node,
-             "next_close_ms": handle.next_close_ms}
-            for handle in engine.continuous.queries.values()
-        ],
+        "queries": list(map(_dump_query, engine.continuous.queries.values())),
         "clock_ms": engine.clock.now_ms,
+        "ticks": engine._ticks,
+        "checkpoint_cell": manager._last_cell,
+        "entries_since_checkpoint": manager._entries_since_checkpoint,
+        "markers": list(map(dataclasses.asdict, manager._markers)),
         "last_delivered": dict(engine._last_delivered),
         # Attachment order of the stream sources.  The sources themselves
         # live upstream and are not serialized, but the *order* they were
@@ -171,11 +135,11 @@ def restore_engine(path: str, sources: Optional[List] = None
     upstream), but their attachment order is recorded in the dump: pass
     the live :class:`~repro.streams.source.StreamSource` objects via
     ``sources`` (any iteration order) and they are re-attached in the
-    *saved* order — earlier versions left re-attachment to the caller,
-    which silently lost the order and broke save/restore idempotence.
-    Sources for streams unknown to the dump are attached afterwards in
-    name order, deterministically.  Continuous queries are re-registered
-    with their original home nodes and execution schedules.
+    *saved* order, before the replay, so a corrupt record can be rebuilt
+    from their upstream backup.  Sources for streams unknown to the dump
+    are attached afterwards in name order, deterministically.  Continuous
+    queries are re-registered from their texts under their names, home
+    nodes and plan orders, with their execution schedules.
     """
     with open(path) as handle:
         data = json.load(handle)
@@ -186,11 +150,12 @@ def restore_engine(path: str, sources: Optional[List] = None
     saved = data["config"]
     config = EngineConfig(**{**saved, "cost": CostModel(**saved["cost"]),
                              "memory": MemoryModel(**saved["memory"])})
-    schemas = [StreamSchema(item["name"], frozenset(item["timing"]))
-               for item in data["schemas"]]
+    schemas = [StreamSchema(name, frozenset(timing))
+               for name, timing in data["schemas"]]
     engine = WukongSEngine(schemas=schemas, config=config)
 
-    # 1. Initial data, in original order (deterministic ID re-allocation).
+    # 1. Every id as allocated, then the initial data in original order.
+    engine.strings.load_name_tables(data["entities"], data["predicates"])
     engine.load_static(Triple(*t) for t in data["static"])
 
     # 2. The announced SN plan, so replayed batches land in their
@@ -200,40 +165,50 @@ def restore_engine(path: str, sources: Optional[List] = None
     for upper in data["plan"]:
         plan.publish(upper)
 
-    # 3. Replay the durable log through the normal injection pipeline:
-    #    this rebuilds the persistent store, stream indexes, transient
-    #    stores and every node's Local_VTS.
-    for record in data["log"]:
-        interval = config.batch_interval_ms
-        start = config.stream_start_ms + (record["batch_no"] - 1) * interval
-        batch = StreamBatch(record["stream"], record["batch_no"], start,
-                            start + interval)
-        for s, p, o, ts in record["timeless"] + record["timing"]:
-            batch.add(TimedTuple(Triple(s, p, o), ts))
-        batch.tuples.sort(key=lambda t: t.timestamp_ms)
-        engine._inject_batch(batch, record["sn"])
-        engine._last_delivered[record["stream"]] = record["batch_no"]
-    for stream, batch_no in data["last_delivered"].items():
-        engine._last_delivered[stream] = max(
-            engine._last_delivered.get(stream, 0), batch_no)
-    engine.coordinator.advance(engine.store)
+    # 3. Re-attach the live sources in the recorded attachment order.
+    by_name = {source.schema.name: source for source in sources or ()}
+    known = [name for name in data["sources"] if name in by_name]
+    for name in known + sorted(set(by_name) - set(known)):
+        engine.attach_source(by_name[name])
 
-    # 4. Clock, then the continuous queries with their schedules.
+    # 4. Recovery's replay over every node's records, with one index
+    #    slice per batch; then every node's Local_VTS and the ingestion
+    #    counters the records account for.
+    manager = engine.checkpoints
+    manager._log = list(map(_load_record, data["log"]))
+    slices: dict = {}
+    replay_log(engine, manager._log, slices, LatencyMeter())
+    for entry in manager._log:
+        node_batch = entry.node_batch
+        stream, node_id = node_batch.stream, node_batch.node_id
+        engine.coordinator.on_batch_inserted(node_id, stream,
+                                             node_batch.batch_no)
+        engine.dispatchers[stream].tuples_routed[node_id] += \
+            node_batch.num_inserts
+        # The out halves across nodes hold each tuple exactly once.
+        engine._raw_bytes[stream] += config.memory.tuple_bytes * (
+            len(node_batch.out_timeless) + len(node_batch.out_timing))
+    for (stream, _), piece in sorted(slices.items()):
+        if piece.entries:  # the batch had timeless data
+            engine.registry.index(stream).append_slice(piece)
+    engine.coordinator.advance(engine.store)
+    engine._last_delivered.update(data["last_delivered"])
+
+    # 5. The cadences, so the next checkpoint and GC fall where they
+    #    would have without the restart; the clock; the queries.
+    manager._last_cell = data["checkpoint_cell"]
+    manager._entries_since_checkpoint = data["entries_since_checkpoint"]
+    manager._markers = [CheckpointMarker(**m) for m in data["markers"]]
+    engine._ticks = data["ticks"]
     engine.clock.advance_to(data["clock_ms"])
     for item in data["queries"]:
         handle = engine.register_continuous(
-            query_from_dict(item["query"]), home_node=item["home_node"])
+            item["text"], home_node=item["home_node"], name=item["name"],
+            fixed_order=item["plan_order"])
+        handle.pinned = item["pinned"]
         handle.next_close_ms = item["next_close_ms"]
-
-    # 5. Re-attach the live sources in the recorded attachment order.
-    if sources:
-        by_name = {source.schema.name: source for source in sources}
-        for name in data.get("sources", []):
-            source = by_name.pop(name, None)
-            if source is not None:
-                engine.attach_source(source)
-        for name in sorted(by_name):
-            engine.attach_source(by_name[name])
+        handle.closes_at_last_check = item["closes_at_last_check"]
+        handle.closes_at_last_swap = item["closes_at_last_swap"]
 
     # 6. Drop whatever the recovered windows can no longer reach.
     engine.gc.run(engine.clock.now_ms)

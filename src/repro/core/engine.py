@@ -547,8 +547,7 @@ class WukongSEngine:
             self.injectors[node_id].inject(node_batch, sn, index_slice,
                                            meter=branch)
             if self.checkpoints is not None:
-                self.checkpoints.log_batch(node_id, node_batch, sn,
-                                           meter=branch)
+                self.checkpoints.log_batch(node_batch, sn, meter=branch)
             branches.append(branch)
             self.coordinator.on_batch_inserted(node_id, batch.stream,
                                                batch.batch_no, meter=branch)

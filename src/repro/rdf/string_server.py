@@ -13,7 +13,7 @@ implementation: IDs are never reclaimed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StoreError
 from repro.rdf.ids import INDEX_VID, MAX_EID, MAX_VID
@@ -96,7 +96,7 @@ class StringServer:
         """The strings for a whole column of vids, in order.
 
         The bulk counterpart of :meth:`entity_name`, as
-        :meth:`encode_triples` is of :meth:`encode_triple`: the same two
+        :meth:`encode_columns` is of :meth:`encode_tuple`: the same two
         refusals (index vertex, unknown id), decided once per column —
         by its minimum and by the table's own bounds check — instead of
         once per cell.
@@ -141,10 +141,6 @@ class StringServer:
         """Encode one timed tuple, allocating IDs as needed."""
         return EncodedTuple(self.encode_triple(tup.triple), tup.timestamp_ms)
 
-    def encode_triples(self, triples: Iterable[Triple]) -> List[EncodedTriple]:
-        """Encode a batch of triples."""
-        return [self.encode_triple(t) for t in triples]
-
     def encode_columns(self, tuples: Sequence[TimedTuple]) -> EncodedColumns:
         """Encode a batch of timed tuples into ID columns.
 
@@ -187,6 +183,22 @@ class StringServer:
             self.predicate_name(enc.p),
             self.entity_name(enc.o),
         )
+
+    # -- durability ----------------------------------------------------------
+    def name_tables(self) -> Tuple[List[Optional[str]], List[Optional[str]]]:
+        """Copies of the entity and predicate name tables: an id is its
+        position (slot 0 of each is reserved and holds None)."""
+        return list(self._entity_names), list(self._predicate_names)
+
+    def load_name_tables(self, entities: List[Optional[str]],
+                         predicates: List[Optional[str]]) -> None:
+        """Allocate :meth:`name_tables` output; each name must get its id."""
+        for name in entities[1:]:
+            self.entity_id(name)
+        for name in predicates[1:]:
+            self.predicate_id(name)
+        if self.name_tables() != (entities, predicates):
+            raise StoreError("name tables do not match their ids")
 
     # -- stats -------------------------------------------------------------
     @property

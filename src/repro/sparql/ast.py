@@ -244,6 +244,10 @@ class Query:
     snapshot: Optional[int] = None
     #: SPARQL-T interval conditions over quintuple-pattern endpoints.
     interval_filters: List[IntervalFilter] = field(default_factory=list)
+    #: The text :func:`~repro.sparql.parser.parse_query` parsed this from
+    #: (None for a hand-built AST): the durable form of a continuous
+    #: query.  Not part of equality or :meth:`cache_key`.
+    text: Optional[str] = field(default=None, compare=False)
 
     @property
     def is_continuous(self) -> bool:

@@ -306,7 +306,7 @@ def parse_query(text: str) -> Query:
     ('QC', True, ['Like_Stream', 'Tweet_Stream'])
     """
     cursor = TokenCursor(tokenize(text))
-    query = Query()
+    query = Query(text=text)
 
     prefixes: dict = {}
     while cursor.accept("PREFIX"):

@@ -1,16 +1,21 @@
 """Tests for durable checkpoints on disk and cold-start recovery."""
 
 import json
+import os
+import tempfile
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
-from repro.core.durability import (query_from_dict, query_to_dict,
-                                   restore_engine, save_engine)
+from repro.chaos.state import diff_digests, engine_state_digest
+from repro.core.durability import restore_engine, save_engine
 from repro.errors import FaultToleranceError
 from repro.rdf.parser import parse_timed_tuples
-from repro.sparql.parser import parse_query
+from repro.serving.server import ServingLayer
+from repro.sparql.ast import Query, TriplePattern, WindowSpec
 from repro.streams.source import StreamSource
 
+from chaos import chaos_workload
 from core.test_engine import LIKES, QC, TWEETS, build_engine, names
 
 
@@ -32,6 +37,32 @@ def _fresh_source(engine, name):
     return source
 
 
+def _resumed_sources(saved, fresh):
+    """``fresh``'s sources where ``saved``'s stood: delivered through
+    ``last_delivered`` and acknowledged through the same checkpoint, so
+    upstream backup holds what it held at the save."""
+    for name, source in fresh.sources.items():
+        for _ in range(saved._last_delivered[name]):
+            source.next_batch()
+        source.ack(saved.sources[name].acked_through)
+    return list(fresh.sources.values())
+
+
+def _digest(engine):
+    """The state digest minus the per-process execution counts."""
+    digest = engine_state_digest(engine)
+    for query in digest["queries"].values():
+        del query["executions"]
+    return digest
+
+
+def _closes(engine, after_ms):
+    """Rows and simulated cost of every close later than ``after_ms``."""
+    return {(name, record.close_ms): (record.result.rows, record.meter.ps)
+            for name, handle in engine.continuous.queries.items()
+            for record in handle.executions if record.close_ms > after_ms}
+
+
 #: QC's tweets narrowed by a UNION: tagged sosp17, or liked by Erik.
 UNION_QC = """
 REGISTER QUERY QU AS
@@ -47,18 +78,165 @@ WHERE {
 
 
 class TestQuerySerialization:
+    """A continuous query is saved as its text and re-parsed on restore."""
+
     @pytest.mark.parametrize("text", [
         QC,
         UNION_QC,
-        "SELECT ?X WHERE { Logan po ?X . ?X ht sosp17 }",
-        "ASK WHERE { Logan fo Erik }",
-        "SELECT ?U COUNT(?P) AS ?n WHERE { ?U po ?P } GROUP BY ?U LIMIT 3",
-        "SELECT ?P ?T WHERE { Logan po ?P . OPTIONAL { ?P ht ?T } . "
-        "FILTER (?P != T-12) }",
+        "REGISTER QUERY QF AS SELECT ?X ?Z FROM Tweet_Stream "
+        "[RANGE 10s STEP 1s] WHERE { GRAPH Tweet_Stream { ?X po ?Z } . "
+        "FILTER (?Z != T-16) }",
+        "REGISTER QUERY QO AS SELECT ?X ?Z ?T FROM Tweet_Stream "
+        "[RANGE 10s STEP 1s] WHERE { GRAPH Tweet_Stream { ?X po ?Z } . "
+        "OPTIONAL { ?Z ht ?T } }",
+        "REGISTER QUERY QA AS SELECT ?X COUNT(?Z) AS ?n FROM Tweet_Stream "
+        "[RANGE 10s STEP 1s] WHERE { GRAPH Tweet_Stream { ?X po ?Z } } "
+        "GROUP BY ?X LIMIT 3",
     ])
-    def test_roundtrip(self, text):
-        query = parse_query(text)
-        assert query_from_dict(query_to_dict(query)) == query
+    def test_roundtrip(self, text, checkpoint):
+        engine = ft_engine()
+        handle = engine.register_continuous(text)
+        engine.run_until(3_000)
+        save_engine(engine, checkpoint)
+        revived = restore_engine(checkpoint)
+        again = revived.continuous.queries[handle.name]
+        assert again.query == handle.query
+        assert again.query.text == text
+
+    def test_hand_built_query_is_refused(self, checkpoint):
+        engine = ft_engine()
+        engine.register_continuous(Query(
+            select=["?X", "?Z"],
+            patterns=[TriplePattern("?X", "po", "?Z", graph="Tweet_Stream")],
+            windows={"Tweet_Stream": WindowSpec(10_000, 1_000)},
+            name="QH"))
+        engine.run_until(2_000)
+        with pytest.raises(FaultToleranceError, match="QH"):
+            save_engine(engine, checkpoint)
+
+
+class TestDurableHandleState:
+    """What a restored query handle keeps besides its text."""
+
+    def test_serving_backing_name_survives(self, checkpoint):
+        engine = ft_engine()
+        ServingLayer(engine).register("tenant", QC)
+        engine.run_until(3_000)
+        save_engine(engine, checkpoint)
+        revived = restore_engine(checkpoint)
+        assert list(revived.continuous.queries) == ["shared0"]
+
+    def test_pinned_order_survives(self, checkpoint):
+        engine = ft_engine()
+        engine.register_continuous(QC, fixed_order=[2, 1, 0])
+        engine.run_until(3_000)
+        save_engine(engine, checkpoint)
+        handle = restore_engine(checkpoint).continuous.queries["QC"]
+        assert handle.pinned
+        assert handle.plan_order == (2, 1, 0)
+
+    def test_swapped_order_survives(self, checkpoint):
+        engine = ft_engine()
+        handle = engine.register_continuous(QC)
+        engine.run_until(3_000)
+        engine.continuous.swap_plan(handle, [2, 1, 0])
+        save_engine(engine, checkpoint)
+        again = restore_engine(checkpoint).continuous.queries["QC"]
+        assert not again.pinned
+        assert again.plan_order == (2, 1, 0)
+
+    def test_gc_cadence_survives(self, checkpoint):
+        engine = ft_engine()
+        engine.register_continuous(QC)
+        engine.run_until(4_000)
+        save_engine(engine, checkpoint)
+        revived = restore_engine(checkpoint,
+                                 _resumed_sources(engine, ft_engine()))
+        engine.run_until(12_000)
+        revived.run_until(12_000)
+        assert diff_digests(_digest(engine), _digest(revived)) == []
+
+    def test_checkpoint_cadence_survives(self, checkpoint):
+        engine = ft_engine()
+        engine.register_continuous(QC)
+        engine.run_until(5_000)
+        save_engine(engine, checkpoint)
+        revived = restore_engine(checkpoint,
+                                 _resumed_sources(engine, ft_engine()))
+        engine.run_until(6_000)
+        revived.run_until(6_000)
+        # The 6 s close pays the pause of the 6 s checkpoint, which runs
+        # only if the restored manager kept its place on the grid.
+        assert list(_closes(revived, 5_000)) == [("QC", 6_000)]
+        assert _closes(revived, 5_000) == _closes(engine, 5_000)
+
+    def test_edited_record_is_refused(self, checkpoint):
+        engine = ft_engine()
+        engine.run_until(3_000)
+        save_engine(engine, checkpoint)
+        with open(checkpoint) as handle:
+            data = json.load(handle)
+        record = next(item for item in data["log"] if item["halves"][0][0])
+        record["halves"][0][2][0] += 1  # the first out-edge's object vid
+        with open(checkpoint, "w") as handle:
+            json.dump(data, handle)
+        with pytest.raises(FaultToleranceError, match="corrupt"):
+            restore_engine(checkpoint)
+
+    def test_edited_record_is_rebuilt_from_upstream(self, checkpoint,
+                                                    tmp_path):
+        """Recovery's own replay: a record upstream backup still holds is
+        rebuilt from it, and the log comes back clean."""
+        engine = ft_engine(checkpoint_interval_ms=10_000)  # nothing acked
+        engine.run_until(3_000)
+        save_engine(engine, checkpoint)
+        with open(checkpoint) as handle:
+            data = json.load(handle)
+        clean_log = json.loads(json.dumps(data["log"]))
+        record = next(item for item in data["log"] if item["halves"][0][0])
+        record["halves"][0][3][0] ^= 1  # the first out-edge's timestamp
+        with open(checkpoint, "w") as handle:
+            json.dump(data, handle)
+        revived = restore_engine(checkpoint,
+                                 _resumed_sources(engine, ft_engine()))
+        assert diff_digests(_digest(engine), _digest(revived)) == []
+        again = str(tmp_path / "again.ckpt.json")
+        save_engine(revived, again)
+        with open(again) as handle:
+            assert json.load(handle)["log"] == clean_log
+
+
+class TestColdStartEquivalence:
+    """Cold start is recovery of every node: save -> restore -> run on
+    matches never having saved (the sibling of DESIGN.md §5.3's
+    recovery equivalence), on the chaos workload."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(save_tick=st.integers(1, chaos_workload.TICKS - 1),
+           crash=st.none() | st.integers(0, chaos_workload.NUM_NODES - 1),
+           order=st.none() | st.permutations(range(3)))
+    def test_restart_matches_never_saved(self, save_tick, crash, order):
+        build = chaos_workload.build_engine
+        never_saved, saved = build(), build()
+        for engine in (never_saved, saved):
+            for _ in range(save_tick):
+                engine.step()
+            if order is not None:  # QJ is the one three-pattern query
+                engine.continuous.swap_plan(
+                    engine.continuous.queries["QJ"], order)
+        if crash is not None:
+            saved.crash_node(crash)
+            saved.recover_node(crash)
+        save_ms = saved.clock.now_ms
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "engine.ckpt.json")
+            save_engine(saved, path)
+            revived = restore_engine(path, _resumed_sources(saved, build()))
+        for engine in (never_saved, revived):
+            engine.run_until(chaos_workload.TICKS
+                             * engine.config.batch_interval_ms)
+        assert _closes(revived, save_ms) == _closes(never_saved, save_ms)
+        assert diff_digests(_digest(never_saved), _digest(revived)) == []
 
 
 class TestSaveRestore:
@@ -151,10 +329,9 @@ class TestSaveRestore:
         engine = ft_engine()
         engine.run_until(2_000)
         save_engine(engine, checkpoint)
-        import json
         with open(checkpoint) as handle:
             data = json.load(handle)
-        data["version"] = 99
+        data["version"] = 2  # the format before the log records
         with open(checkpoint, "w") as handle:
             json.dump(data, handle)
         with pytest.raises(FaultToleranceError):

@@ -3,7 +3,8 @@
 A hypothesis state machine drives a two-node, fault-tolerant engine
 through interleaved batch injection, plain one-shots (BGP / FILTER /
 UNION / OPTIONAL), ``FROM SNAPSHOT`` reads, interval queries, GC +
-compaction, and a node kill with recovery.  The model is the brute-force
+compaction, a node kill with recovery, and a save -> restore that swaps
+in the cold-started engine.  The model is the brute-force
 oracle: after every read, the engine's decoded rows must equal
 ``reference_rows`` over the dumped history at the read's snapshot, as
 sets; a snapshot outside ``[GC frontier, stable SN]`` must be refused
@@ -12,10 +13,14 @@ read may leave a snapshot pinned.  The per-subsystem batteries each fix
 the others; this is where they meet.
 """
 
+import os
+import tempfile
+
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 import pytest
 
+from repro.core.durability import restore_engine, save_engine
 from repro.core.engine import EngineConfig, WukongSEngine
 from repro.errors import (SnapshotBelowGCFrontierError,
                           SnapshotNotYetStableError)
@@ -112,6 +117,15 @@ class EngineVsOracle(RuleBasedStateMachine):
             self.tick([Triple("u1", "po", "t5")])
         self.engine.recover_node(1)
         self.tick()  # the first healthy tick drains what piled up
+
+    @rule()
+    def save_and_restore(self):
+        """Cold start: later reads run on the restored engine, fed by the
+        same source."""
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "engine.ckpt.json")
+            save_engine(self.engine, path)
+            self.engine = restore_engine(path, sources=[self.source])
 
     # -- reads ------------------------------------------------------------
     @rule(template=st.sampled_from(ONESHOTS), a=actors)
