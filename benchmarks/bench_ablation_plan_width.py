@@ -31,10 +31,9 @@ def run_experiment():
             {s: 0 for s in plan.streams}
         staleness = {stream: stable_vts.get(stream) - covered[stream]
                      for stream in plan.streams}
-        segments = sum(
-            values.distinct_sns()
-            for shard in engine.store.shards
-            for values in shard._values.values())
+        segments = sum(shard.segments(key)
+                       for shard in engine.store.shards
+                       for key in shard.iter_keys())
         keys = sum(shard.num_keys for shard in engine.store.shards)
         out[width] = {
             "staleness_batches": max(staleness.values()),

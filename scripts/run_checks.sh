@@ -31,15 +31,19 @@
 # (DistributedStore.neighbors_many reads one owner group at a time), and
 # the ValueSpa[n] dataclass (a stream-index span is a plain
 # (owner, offset, length) int tuple the collector untracks), the
-# shard's versioned-key set and heap (compaction's work list is one
-# due-list per SN), and per-tuple objects on the write path (the
+# shard's versioned-key set and heap (compaction has no work list), and
+# per-tuple objects on the write path (the
 # adaptor, dispatcher, injector and transient store carry a batch as
 # EncodedColumns, never EncodedTupl[e]s), and cold start's second copy
 # of recovery (the hand-written AST serializer query_to_dic[t] /
 # query_from_dic[t] and the string-decoded log replay
 # _decode_batch_lo[g]: a dump holds the durable log's own records,
-# replayed by checkpoint.replay_log, and each continuous query's text)
-# have not come back.
+# replayed by checkpoint.replay_log, and each continuous query's text),
+# and the write path's per-write bookkeeping (the top-k degree sketch
+# _TopKSketc[h] / TOPK_CAPACIT[Y] / bump_man[y] / topk_degre[e] — the
+# planner reads exact degrees — and compaction's per-SN due-list
+# ._du[e] — bounded scalarization is one frontier per shard, applied by
+# the readers) have not come back.
 # A test marked both serving and chaos runs in the chaos stage only.
 #
 # The examples stage runs every walkthrough under examples/ (the only
@@ -96,7 +100,7 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects on the write path, the AST serializer and string-decoded log replay) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects on the write path, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts; \
         then exit 1; fi
@@ -134,6 +138,8 @@ if grep -n 'EncodedTupl[e]\|encode_tupl[e]' src/repro/core/adaptor.py \
         src/repro/core/transient.py; then exit 1; fi
 if grep -rn 'query_to_dic[t]\|query_from_dic[t]\|_decode_batch_lo[g]' \
         src scripts tests examples; then exit 1; fi
+if grep -rn '_TopKSketc[h]\|TOPK_CAPACIT[Y]\|bump_man[y]\|topk_degre[e]\|\._du[e]\>' \
+        src scripts tests benchmarks; then exit 1; fi
 
 echo "== examples (every walkthrough runs to completion) =="
 for example in examples/*.py; do

@@ -26,9 +26,8 @@ from repro.core.engine import WukongSEngine
 
 def _shard_digest(shard) -> dict:
     values = {}
-    for key in sorted(shard._values):
-        entry = shard._values[key]
-        values[str(key)] = [list(entry.vids), list(entry.sns)]
+    for key in sorted(shard.iter_keys()):
+        values[str(key)] = [list(shard.lookup(key)), shard.versions(key)]
     index = {f"{eid}:{d}": list(vids)
              for (eid, d), vids in sorted(shard._index.items())}
     return {"values": values, "index": index}

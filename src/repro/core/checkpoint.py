@@ -286,6 +286,10 @@ def recover_node(engine: "WukongSEngine", node_id: int) -> RecoveryReport:
     report.rebuilt_batches = replay_log(engine, entries, None, meter)
     report.rejected_entries = len(report.rebuilt_batches)
     report.replayed_entries = len(entries)
+    # The rebuilt shard reads at the cluster's scalarization frontier at
+    # once, not from the next compaction on (the replay wrote raw SNs).
+    engine.store.shards[node_id].compact(
+        engine.coordinator.compacted_through)
 
     # 3. Drop transient slices that expired while the node was down, then
     #    let the coordinator resume normal SN publication.

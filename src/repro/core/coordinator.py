@@ -154,8 +154,8 @@ class Coordinator:
             bound = self._stable_sn - (self.keep_snapshots - 1)
             if self._pins:
                 # A pinned snapshot t stays exact as long as the frontier
-                # does not pass it: entries relabelled to BASE by a
-                # compaction bounded at <= t were already visible at t.
+                # does not pass it: the entries a frontier at <= t reads
+                # as BASE were already visible at t.
                 bound = min(bound, min(self._pins))
             if bound > self._compacted_through:
                 store.compact(bound)

@@ -3,8 +3,8 @@
 A registered query plans exactly once, at registration time — typically
 against a near-empty store, so every long-lived query would otherwise run
 forever on cold cardinality guesses even though
-:class:`~repro.core.stats.PredicateStatistics` (live counters plus top-k
-degree sketches) has long since learned the real skew.  This module closes
+:class:`~repro.core.stats.PredicateStatistics` (live counters plus exact
+per-constant degrees) has long since learned the real skew.  This module closes
 that gap, following Strider's hybrid adaptive planning (arXiv:1705.05688):
 keep executing the current plan, periodically re-derive the ordering from
 live statistics, and swap only when the estimated win is large enough to

@@ -87,11 +87,11 @@ class PredicateStatistics:
     ``index_size(p)``   total ``p`` edges — the enumeration cost of an
                         index-vertex start.
 
-    Constant-specific estimates refine the means with the shards' top-k
-    degree sketches (``ShardStore._TopKSketch``): a constant that is a
-    tracked heavy hitter of its predicate estimates its *own* (sketched)
-    degree, so the planner can tell a hot hashtag from a cold one instead
-    of charging both the mean:
+    Constant-specific estimates replace the means with the constant's
+    exact degree, read off its value list (``DistributedStore.degree``),
+    so the planner can tell a hot hashtag from a cold one instead of
+    charging both the mean; a constant with no such edge falls back to
+    the mean:
 
     ``subject_degree(p, term)``  degree of the specific subject constant.
     ``object_degree(p, term)``   degree of the specific object constant.
@@ -123,20 +123,20 @@ class PredicateStatistics:
         eid = self.strings.lookup_predicate(predicate)
         vid = self.strings.lookup_entity(term)
         if eid is not None and vid is not None:
-            tracked = self.store.topk_degree(eid, d, vid)
-            if tracked is not None:
-                return float(tracked)
+            degree = self.store.degree(eid, d, vid)
+            if degree is not None:
+                return float(degree)
         return fallback(predicate)
 
     def subject_degree(self, predicate: str, term: str) -> float:
-        """Fan-out of the specific constant subject ``term`` (sketched
-        degree when tracked, else the predicate's mean out-degree)."""
+        """Fan-out of the specific constant subject ``term`` (its exact
+        degree, else the predicate's mean out-degree)."""
         return self._specific_degree(predicate, term, DIR_OUT,
                                      self.out_degree)
 
     def object_degree(self, predicate: str, term: str) -> float:
-        """Fan-in of the specific constant object ``term`` (sketched
-        degree when tracked, else the predicate's mean in-degree)."""
+        """Fan-in of the specific constant object ``term`` (its exact
+        degree, else the predicate's mean in-degree)."""
         return self._specific_degree(predicate, term, DIR_IN,
                                      self.in_degree)
 
@@ -157,7 +157,7 @@ class PredicateStatistics:
     def snapshot(self, patterns) -> StatsSnapshot:
         """Freeze every estimate ``patterns`` can ask for (see
         :class:`StatsSnapshot`).  Constants are captured with their
-        specific (sketched) degrees under the predicate they appear with."""
+        specific (exact) degrees under the predicate they appear with."""
         from repro.sparql.ast import is_variable
         out_degrees: Dict[str, float] = {}
         in_degrees: Dict[str, float] = {}

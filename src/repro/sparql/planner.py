@@ -30,7 +30,7 @@ produce the fewest rows runs first, and an index start picks the smallest
 predicate index instead of the first one written.  When the statistics
 provider additionally exposes per-constant degrees
 (``subject_degree(predicate, term)`` / ``object_degree(predicate,
-term)``, backed by the shards' top-k degree sketches), constant starts
+term)``, each constant's exact degree in the store), constant starts
 estimate the *specific* vertex's fan-out, so a heavy-hitter constant no
 longer masquerades as a selective start.  This is the adaptive,
 statistics-driven plan ordering of Strider (arXiv:1705.05688) adapted to
@@ -126,8 +126,8 @@ def _estimate(pattern: TriplePattern, kind: Optional[str], stats) -> float:
     predicate = pattern.predicate
     if kind == CONST_SUBJECT:
         # A constant start names a *specific* vertex: when the stats
-        # provider tracks per-constant degrees (top-k sketch), use that
-        # vertex's own fan-out instead of the predicate mean, so a hot
+        # provider knows per-constant degrees (exact, from the store), use
+        # that vertex's own fan-out instead of the predicate mean, so a hot
         # constant (e.g. a viral hashtag) is not mistaken for a selective
         # start.
         specific = getattr(stats, "subject_degree", None)

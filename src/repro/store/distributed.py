@@ -128,9 +128,11 @@ class DistributedStore:
         encode = self.strings.encode_triple
         return len(self.insert_triples(map(encode, triples))) // 2
 
-    def compact(self, bound_sn: int) -> int:
-        """Run bounded scalarization on every shard; returns keys touched."""
-        return sum(shard.compact(bound_sn) for shard in self.shards)
+    def compact(self, bound_sn: int) -> None:
+        """Bounded scalarization: raise every shard's frontier to
+        ``bound_sn`` (O(1) per shard; see :meth:`ShardStore.compact`)."""
+        for shard in self.shards:
+            shard.compact(bound_sn)
 
     # -- placement-aware reads --------------------------------------------
     def neighbors_many(self, home_node: int, vids: Iterable[int], eid: int,
@@ -271,16 +273,12 @@ class DistributedStore:
             keys += shard.predicate_keys(eid, d)
         return entries, keys
 
-    def topk_degree(self, eid: int, d: int, vid: int) -> Optional[int]:
-        """``vid``'s tracked ``(eid, d)`` degree from its owner shard's
-        top-k sketch, or None when it is not a tracked heavy hitter.
-
-        A vertex's ``(eid, d)`` adjacency key lives on exactly one shard,
-        so only the owner's sketch can track it.  Charge-free planner
-        input, like :meth:`predicate_cardinality`.
-        """
-        return self.shards[self.cluster.owner_of(vid)].topk_degree(
-            eid, d, vid)
+    def degree(self, eid: int, d: int, vid: int) -> Optional[int]:
+        """``vid``'s exact ``(eid, d)`` degree, or None when it has no
+        such edge.  A vertex's adjacency key lives on exactly one shard,
+        its owner.  Charge-free planner input, like
+        :meth:`predicate_cardinality`."""
+        return self.shards[self.cluster.owner_of(vid)].degree(eid, d, vid)
 
     @property
     def num_entries(self) -> int:

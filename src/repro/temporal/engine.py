@@ -31,8 +31,8 @@ work (snapshot reads, entries scanned, deepest chain) lands in the
 ``temporal_*`` metrics under a ``temporal`` trace span, for both shapes
 alike.
 
-Compaction note: bounded scalarization relabels SNs at or below the GC
-frontier to the base snapshot, coarsening ``?ts`` for pre-frontier
+Compaction note: bounded scalarization reads SNs at or below the GC
+frontier as the base snapshot, coarsening ``?ts`` for pre-frontier
 entries.  Queries whose interval conditions need exact pre-frontier
 history must run with scalarization disabled (or a larger
 ``keep_snapshots``); the snapshot pin guarantees the frontier cannot

@@ -11,7 +11,7 @@ hide in both.  Every frozen kernel case and the stateful model test
 compare the engine's rows against this oracle.
 
 Both sides read the *same* store, so compaction's SN coarsening (the GC
-frontier relabelling old insertion SNs to the base snapshot) affects
+frontier reading old insertion SNs as the base snapshot) affects
 them identically; tests needing exact deep history run with
 scalarization disabled.
 """

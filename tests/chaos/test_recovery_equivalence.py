@@ -14,8 +14,9 @@ from chaos.chaos_workload import (NUM_NODES, STREAMS, TICKS,
                                   TICKS_PER_CHECKPOINT, build_engine,
                                   golden_plan)
 from repro.chaos import (CorruptRecord, DelayMessage, DropMessage,
-                         FaultPlan, KillNode, Straggler, random_fault_plan,
-                         run_equivalence)
+                         FaultPlan, KillNode, Straggler, engine_state_digest,
+                         random_fault_plan, run_equivalence)
+from repro.chaos.state import diff_digests
 from repro.errors import ChaosError
 
 pytestmark = pytest.mark.chaos
@@ -99,6 +100,27 @@ def test_straggler_perturbs_meters_only():
 def test_golden_plan_is_equivalent():
     """The multi-fault plan behind the golden file also holds."""
     _check(golden_plan())
+
+
+def test_recovered_shard_reads_at_the_frontier():
+    """A shard rebuilt by recovery reads as the lost one did at once, not
+    only after the next compaction: node 1 crashes and recovers at the
+    same instant, and every key's version read — and at 3 000 ms the
+    whole state digest — equals the never-faulted run's."""
+    for now_ms in (1_500, 3_000):
+        healthy, healed = build_engine(), build_engine()
+        healthy.run_until(now_ms)
+        healed.run_until(now_ms)
+        healed.crash_node(1)
+        healed.recover_node(1)
+        assert healed.coordinator.compacted_through > 0
+        rebuilt, kept = healed.store.shards[1], healthy.store.shards[1]
+        keys = sorted(kept.iter_keys())
+        assert sorted(rebuilt.iter_keys()) == keys
+        assert [rebuilt.lookup_versions(key) for key in keys] == \
+            [kept.lookup_versions(key) for key in keys]
+    assert diff_digests(engine_state_digest(healed),
+                        engine_state_digest(healthy)) == []
 
 
 def test_gaps_are_noted_and_resolved_for_kills():

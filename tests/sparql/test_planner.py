@@ -81,8 +81,8 @@ def test_skewed_constant_reorders_plan():
     Predicate ``p`` has a *low mean* out-degree but the constant ``hot``
     holds most of its edges; ``q``'s mean is higher but ``hot``'s own
     ``q``-degree is small.  Mean-only statistics order the ``p`` pattern
-    first (lower mean); the top-k degree sketch knows ``hot``'s actual
-    fan-out and flips the order.
+    first (lower mean); the exact per-constant degrees know ``hot``'s
+    actual fan-out and flip the order.
     """
     from repro.core.stats import PredicateStatistics
     from repro.rdf.parser import parse_triples
@@ -100,6 +100,14 @@ def test_skewed_constant_reorders_plan():
     store.load(parse_triples("\n".join(lines)))
     stats = PredicateStatistics(store)
 
+    # Every constant estimates its exact degree, hot or cold; a constant
+    # with no edge under the predicate falls back to the mean.
+    assert stats.subject_degree("p", "hot") == 6.0
+    assert stats.subject_degree("q", "hot") == 2.0
+    assert [stats.subject_degree("p", f"s{i}") for i in range(10)] == \
+        [1.0] * 10
+    assert stats.object_degree("p", "n0") == 1.0
+    assert stats.subject_degree("q", "s0") == stats.out_degree("q")
     # Mean fan-out says p is the cheaper start; hot's own degree says q.
     assert stats.out_degree("p") < stats.out_degree("q")
     assert stats.subject_degree("p", "hot") > stats.subject_degree("q", "hot")
@@ -107,7 +115,7 @@ def test_skewed_constant_reorders_plan():
     query = parse_query("SELECT ?X ?Y WHERE { hot p ?X . hot q ?Y }")
 
     class MeanOnly:
-        """The pre-sketch statistics surface (no per-constant degrees)."""
+        """Statistics without per-constant degrees."""
         out_degree = staticmethod(stats.out_degree)
         in_degree = staticmethod(stats.in_degree)
         index_size = staticmethod(stats.index_size)

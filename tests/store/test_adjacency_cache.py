@@ -3,11 +3,11 @@
 The cache is a wall-clock optimization only — a hit must charge exactly
 the remote reads, hash probe and per-entry scan an uncached lookup
 charges, so simulated time never depends on cache state.  Inserts
-invalidate the written key; cached segments survive compaction (except
-one whose own bound the relabelling lengthens) and serve any snapshot
-bound that bisects to the same visible prefix (validated against the live
-SN list), and a segment holding its key's whole list serves every newer
-bound without that validation.
+invalidate the written key; cached segments survive compaction (it only
+raises the frontier, which a read's bound is raised to) and serve any
+snapshot bound that bisects to the same visible prefix (validated against
+the live SN list), and a segment holding its key's whole list serves
+every newer bound without that validation.
 """
 
 from repro.rdf.ids import DIR_IN, DIR_OUT, make_key
@@ -102,7 +102,7 @@ def test_cache_entries_are_snapshot_specific():
 
 
 def test_cached_segments_survive_compaction():
-    """Relabelling moves SNs, never values, so entries stay correct."""
+    """Compaction moves no value and no SN, so entries stay correct."""
     cluster, strings, store = build()
     store.load(parse_triples("a p b ."))
     a = strings.entity_id("a")
@@ -120,7 +120,7 @@ def test_cached_segments_survive_compaction():
 
 def test_versioned_reads_after_compaction_stay_correct():
     """A segment cached at an old bound must not serve a bound whose
-    visible prefix differs, before or after compaction relabels SNs."""
+    visible prefix differs, before or after compaction folds SNs."""
     cluster, strings, store = build()
     store.load(parse_triples("a p b ."))
     a = strings.entity_id("a")
@@ -134,11 +134,11 @@ def test_versioned_reads_after_compaction_stay_correct():
     assert read(store, 0, a, p, meter, max_sn=BASE_SN) == [b]
     # Different bound, different prefix: the BASE_SN entry must miss.
     assert read(store, 0, a, p, meter, max_sn=BASE_SN + 3) == [b, c]
-    # Re-record the segment at BASE_SN, the bound compaction outdates.
+    # Re-record the segment at BASE_SN, a bound the frontier will pass.
     assert read(store, 0, a, p, meter, max_sn=BASE_SN) == [b]
     store.compact(BASE_SN + 3)
-    # After relabelling everything into the base, any bound sees both —
-    # the bound the segment was cached at too.
+    # With the frontier past both entries, any bound sees both — the
+    # bound the segment was cached at too.
     assert read(store, 0, a, p, meter, max_sn=BASE_SN) == [b, c]
     assert read(store, 0, a, p, meter, max_sn=BASE_SN + 3) == [b, c]
 

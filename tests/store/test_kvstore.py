@@ -1,13 +1,14 @@
 """Tests for the snapshot-versioned shard store."""
 
 import copy
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import StoreError
 from repro.rdf.ids import DIR_IN, DIR_OUT, make_key
-from repro.sim.cost import LatencyMeter
+from repro.sim.cost import LatencyMeter, MemoryModel
 from repro.store.kvstore import BASE_SN, ShardStore
 
 KEY = make_key(1, 4, DIR_OUT)
@@ -99,13 +100,13 @@ def test_compaction_folds_old_snapshots():
     put(shard, KEY, 5, sn=1)
     put(shard, KEY, 6, sn=2)
     put(shard, KEY, 7, sn=3)
-    touched = shard.compact(2)
-    assert touched == 1
+    shard.compact(2)
     # Visibility at or above the bound is unchanged...
     assert shard.lookup(KEY, max_sn=2) == [5, 6]
     assert shard.lookup(KEY, max_sn=3) == [5, 6, 7]
     # ...and everything at or below the bound became base-visible.
     assert shard.lookup(KEY, max_sn=0) == [5, 6]
+    assert shard.versions(KEY) == [BASE_SN, BASE_SN, 3]
 
 
 def test_compaction_preserves_spans():
@@ -117,99 +118,101 @@ def test_compaction_preserves_spans():
     assert shard.lookup_span(*spans[2]) == [7]
 
 
-_APPEND = st.tuples(
-    st.just("append"), st.integers(0, 2),
-    st.lists(st.tuples(st.integers(1, 4), st.integers(0, 1),
-                       st.integers(1, 50)), min_size=1, max_size=8))
+_COLUMN = st.lists(st.tuples(st.integers(1, 4), st.integers(0, 1),
+                             st.integers(1, 50)), min_size=1, max_size=8)
+_APPEND = st.tuples(st.just("append"), st.integers(0, 2), _COLUMN)
+#: A column at the base SN, however far the stream SNs have come.
+_BASE = st.tuples(st.just("base"), st.just(0), _COLUMN)
 _COMPACT = st.tuples(st.just("compact"), st.integers(0, 3))
 
 
+def _relabelled_memory(reference, shard):
+    """``memory_bytes`` of a shard holding ``reference``'s SN lists."""
+    model = MemoryModel()
+    values = sum(model.key_bytes + model.entry_bytes * len(vids)
+                 + model.sn_segment_bytes * len(set(sns))
+                 for vids, sns in reference.values())
+    return values + sum(model.key_bytes + model.entry_bytes * len(vertices)
+                        for vertices in shard._index.values())
+
+
 @settings(deadline=None, max_examples=150)
-@given(st.lists(st.one_of(_APPEND, _COMPACT), max_size=40))
+@given(st.lists(st.one_of(_APPEND, _BASE, _COMPACT), max_size=40))
 def test_compaction_matches_relabelling_reference(ops):
-    """Random in-order columns mixed with ``compact(bound)``: after every
-    compaction each key's ``(vids, sns)`` equals a reference that maps
-    every SN <= bound to the base, and the returned count is the number
-    of keys whose distinct-SN count the relabelling changed."""
+    """Random columns mixed with ``compact(bound)``, checked after every
+    step against a reference that rewrites each SN <= bound to the base
+    at every compaction: ``lookup`` and ``lookup_versions`` at bounds
+    below, at and above the frontier, ``versions``, ``segments`` and
+    ``memory_bytes`` read the same.  The write rule too: a column
+    strictly between the base and the frontier is refused, and so is a
+    base column holding a key whose last SN is above the frontier; any
+    other base column is accepted and reads as the base."""
     shard = ShardStore()
     reference = {}
-    sn = BASE_SN
+    sn = frontier = BASE_SN
     for op in ops:
-        if op[0] == "append":
-            _, step, entries = op
-            sn += step
+        if op[0] == "compact":
+            bound = sn - op[1]
+            shard.compact(bound)
+            frontier = max(frontier, bound)
+            reference = {key: (vids, [BASE_SN if s <= bound else s
+                                      for s in sns])
+                         for key, (vids, sns) in reference.items()}
+        else:
+            kind, step, entries = op
+            if kind == "append":
+                sn += step
+            write_sn = sn if kind == "append" else BASE_SN
             keys = [make_key(vid, eid, DIR_OUT) for vid, eid, _ in entries]
             vids = [value for _, _, value in entries]
-            shard.append_column(keys, vids, sn=sn)
-            for key, vid in zip(keys, vids):
-                held = reference.setdefault(key, ([], []))
-                held[0].append(vid)
-                held[1].append(sn)
-            continue
-        bound = sn - op[1]
-        expected_touched = 0
+            if BASE_SN < write_sn <= frontier or any(
+                    reference[key][1][-1] > write_sn
+                    for key in keys if key in reference):
+                with pytest.raises(StoreError):
+                    shard.append_column(keys, vids, sn=write_sn)
+            else:
+                shard.append_column(keys, vids, sn=write_sn)
+                for key, vid in zip(keys, vids):
+                    held = reference.setdefault(key, ([], []))
+                    held[0].append(vid)
+                    held[1].append(write_sn)
+        bounds = [None, BASE_SN,
+                  *range(max(BASE_SN + 1, frontier - 2), sn + 2)]
         for key, (vids, sns) in reference.items():
-            relabelled = [BASE_SN if s <= bound else s for s in sns]
-            expected_touched += len(set(relabelled)) != len(set(sns))
-            reference[key] = (vids, relabelled)
-        assert shard.compact(bound) == expected_touched
-        assert {key: (entry.vids, entry.sns)
-                for key, entry in shard._values.items()} == reference
-
-
-@settings(deadline=None, max_examples=150)
-@given(st.lists(st.one_of(_APPEND, _COMPACT), max_size=40))
-def test_due_list_files_each_versioned_key_once(ops):
-    """After every column write or compaction, each key holding a
-    non-base SN is filed exactly once in the due-list, under its oldest
-    non-base SN; no other key is filed, and no SN is left empty."""
-    shard = ShardStore()
-    sn = BASE_SN
-    for op in ops:
-        if op[0] == "append":
-            _, step, entries = op
-            sn += step
-            shard.append_column(
-                [make_key(vid, eid, DIR_OUT) for vid, eid, _ in entries],
-                [value for _, _, value in entries], sn=sn)
-        else:
-            shard.compact(sn - op[1])
-        filed = sorted((due_sn, key) for due_sn, keys in shard._due.items()
-                       for key in keys)
-        versioned = sorted(
-            (next(s for s in entry.sns if s != BASE_SN), key)
-            for key, entry in shard._values.items()
-            if entry.sns[-1] != BASE_SN)
-        assert filed == versioned
-        assert all(shard._due.values())
+            assert shard.versions(key) == sns
+            assert shard.segments(key) == len(set(sns))
+            for max_sn in bounds:
+                cut = len(sns) if max_sn is None \
+                    else bisect_right(sns, max_sn)
+                assert shard.lookup(key, max_sn) == vids[:cut]
+                assert shard.lookup_versions(key, max_sn) == \
+                    (vids[:cut], sns[:cut])
+        assert shard.memory_bytes() == _relabelled_memory(reference, shard)
 
 
 class _SliceWriteCounter(list):
-    """An SN list that counts the entries written by slice assignment."""
+    """An SN list that counts the entries written over existing ones."""
 
     written = 0
 
     def __setitem__(self, index, value):
-        if isinstance(index, slice):
-            self.written += len(value)
+        self.written += len(value) if isinstance(index, slice) else 1
         super().__setitem__(index, value)
 
 
-def test_compaction_relabels_only_the_versioned_suffix():
+def test_compaction_writes_no_sn_list():
     """A key with a long base history, compacted once per appended SN,
-    rewrites one SN per cycle — not its whole base prefix every time."""
+    never has an SN rewritten: readers apply the frontier."""
     shard = ShardStore()
     shard.append_column([KEY] * 50_000, list(range(50_000)))
     values = shard._values[KEY]
     values.sns = counter = _SliceWriteCounter(values.sns)
-    touched = 0
     for t in range(1, 201):
         put(shard, KEY, t, sn=t)
-        touched += shard.compact(t - 1)
-    assert touched == 199
-    assert 0 < counter.written <= 200
-    assert values.sns[:50_199] == [BASE_SN] * 50_199
-    assert values.sns[-1] == 200
+        shard.compact(t - 1)
+    assert counter.written == 0
+    assert shard.versions(KEY) == [BASE_SN] * 50_199 + [200]
+    assert shard.segments(KEY) == 2
 
 
 def test_index_vertices_deduplicate():
@@ -303,14 +306,9 @@ def _state(shard):
         "index": list(shard._index.items()),
         "entries": [shard.predicate_entries(*b) for b in buckets],
         "keys": [shard.predicate_keys(*b) for b in buckets],
-        "sketches": {bucket: list(sketch.counts.items())
-                     for bucket, sketch in shard._degree_sketches.items()},
-        "due": list(shard._due.items()),
     }
 
 
-# Twelve vertices against TOPK_CAPACITY = 8 make the sketches evict, so
-# the order entries are counted in matters.
 _ENTRY = st.tuples(st.integers(1, 12), st.integers(0, 2),
                    st.sampled_from([DIR_IN, DIR_OUT]), st.integers(1, 30))
 
