@@ -32,9 +32,12 @@
 # the ValueSpa[n] dataclass (a stream-index span is a plain
 # (owner, offset, length) int tuple the collector untracks), the
 # shard's versioned-key set and heap (compaction has no work list), and
-# per-tuple objects on the write path (the
-# adaptor, dispatcher, injector and transient store carry a batch as
-# EncodedColumns, never EncodedTupl[e]s), and cold start's second copy
+# per-tuple objects anywhere in the library (the
+# write path carries a batch as EncodedColumns, and the relational
+# baselines buffer and scan their stream tables as EncodedColumns: no
+# EncodedTupl[e] / encode_tupl[e] in src, scripts, tests, benchmarks or
+# examples, nor the dead per-tuple helpers evict_befor[e] and
+# StreamBatch.spli[t]), and cold start's second copy
 # of recovery (the hand-written AST serializer query_to_dic[t] /
 # query_from_dic[t] and the string-decoded log replay
 # _decode_batch_lo[g]: a dump holds the durable log's own records,
@@ -100,7 +103,7 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects on the write path, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts; \
         then exit 1; fi
@@ -133,9 +136,8 @@ if grep -rn 'neighbors_fro[m]\|cached_adjacenc[y]\|cache_adjacenc[y]' \
 if grep -rn 'ValueSpa[n]' src scripts tests; then exit 1; fi
 if grep -rn '_versioned_hea[p]\|\._versione[d]\>' src scripts tests; \
         then exit 1; fi
-if grep -n 'EncodedTupl[e]\|encode_tupl[e]' src/repro/core/adaptor.py \
-        src/repro/core/dispatcher.py src/repro/core/injector.py \
-        src/repro/core/transient.py; then exit 1; fi
+if grep -rn 'EncodedTupl[e]\|encode_tupl[e]\|evict_befor[e]\|def spli[t](self, schem[a]' \
+        src scripts tests benchmarks examples; then exit 1; fi
 if grep -rn 'query_to_dic[t]\|query_from_dic[t]\|_decode_batch_lo[g]' \
         src scripts tests examples; then exit 1; fi
 if grep -rn '_TopKSketc[h]\|TOPK_CAPACIT[Y]\|bump_man[y]\|topk_degre[e]\|\._du[e]\>' \

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.baselines.relational import (Row, WindowBuffer, finalize,
-                                        hash_join, project, scan_pattern)
+                                        project, scan_join, scan_pattern,
+                                        window_rows)
 from repro.errors import UnsupportedOperationError
 from repro.rdf.string_server import StringServer
 from repro.rdf.terms import Triple
@@ -93,10 +94,8 @@ class CompositeEngine:
 
     def ingest(self, batch: StreamBatch) -> None:
         """Buffer one stream batch inside the stream processor."""
-        buffer = self.buffers.setdefault(batch.stream,
-                                         WindowBuffer(batch.stream))
-        for tup in batch.tuples:
-            buffer.append(self.strings.encode_tuple(tup))
+        self.buffers.setdefault(batch.stream, WindowBuffer(batch.stream)) \
+            .extend(self.strings.encode_columns(batch.tuples))
 
     # -- continuous execution ------------------------------------------------
     def execute_continuous(self, query: Query, close_ms: int,
@@ -175,27 +174,20 @@ class CompositeEngine:
                             breakdown: CompositeBreakdown) -> List[Row]:
         """Scan + join stream patterns inside the processor."""
         segment_meter = LatencyMeter()
-        segment_rows = rows
-        last_size = 0
-        for pattern in patterns:
-            window = query.windows[pattern.graph]
-            start_ms, end_ms = window.span_at(close_ms)
-            buffer = self.buffers.get(pattern.graph)
-            tuples = buffer.window(start_ms, end_ms) if buffer else []
-            scanned = scan_pattern(tuples, pattern, self.strings,
-                                   segment_meter, self.per_tuple_ns,
-                                   self.cost, category="processor")
-            if segment_rows is None:
-                segment_rows = scanned
-            else:
-                segment_rows = hash_join(segment_rows, scanned,
-                                         segment_meter, self.cost,
-                                         category="processor")
-            last_size = len(segment_rows)
+
+        def scan(pattern: TriplePattern) -> List[Row]:
+            return scan_pattern(
+                window_rows(self.buffers, query, pattern, close_ms),
+                pattern, self.strings, segment_meter, self.per_tuple_ns,
+                self.cost, category="processor")
+
+        segment_rows = scan_join(rows, patterns, scan, segment_meter,
+                                 self.cost, category="processor") or []
         breakdown.processor_ms += segment_meter.ms
-        breakdown.segments.append(("processor", segment_meter.ms, last_size))
+        breakdown.segments.append(("processor", segment_meter.ms,
+                                   len(segment_rows)))
         meter.add(segment_meter)
-        return segment_rows if segment_rows is not None else []
+        return segment_rows
 
     def _run_stored_segment(self, patterns: List[TriplePattern],
                             rows: Optional[List[Row]], meter: LatencyMeter,

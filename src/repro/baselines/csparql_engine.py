@@ -16,12 +16,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.baselines.jena import JenaStore
 from repro.baselines.relational import (Row, WindowBuffer, finalize,
                                         hash_join, left_join, project,
-                                        scan_pattern)
+                                        scan_join, scan_pattern, window_rows)
 from repro.errors import UnsupportedOperationError
 from repro.rdf.string_server import StringServer
 from repro.rdf.terms import Triple
 from repro.sim.cost import CostModel, LatencyMeter
-from repro.sparql.ast import Query
+from repro.sparql.ast import Query, TriplePattern
 from repro.streams.stream import StreamBatch
 
 
@@ -39,10 +39,8 @@ class CSparqlEngine:
         return self.store.load(triples)
 
     def ingest(self, batch: StreamBatch) -> None:
-        buffer = self.buffers.setdefault(batch.stream,
-                                         WindowBuffer(batch.stream))
-        for tup in batch.tuples:
-            buffer.append(self.strings.encode_tuple(tup))
+        self.buffers.setdefault(batch.stream, WindowBuffer(batch.stream)) \
+            .extend(self.strings.encode_columns(batch.tuples))
 
     # -- execution ------------------------------------------------------------
     def execute_continuous(self, query: Query, close_ms: int,
@@ -54,18 +52,9 @@ class CSparqlEngine:
         meter.charge(self.cost.csparql_base_ns, category="base")
 
         # Esper side: scan + join every stream pattern over its window.
-        stream_rows: Optional[List[Row]] = None
-        for pattern in query.stream_patterns():
-            window = query.windows[pattern.graph]
-            start_ms, end_ms = window.span_at(close_ms)
-            buffer = self.buffers.get(pattern.graph)
-            tuples = buffer.window(start_ms, end_ms) if buffer else []
-            scanned = scan_pattern(tuples, pattern, self.strings, meter,
-                                   self.cost.csparql_tuple_ns, self.cost,
-                                   category="esper")
-            stream_rows = scanned if stream_rows is None else \
-                hash_join(stream_rows, scanned, meter, self.cost,
-                          category="esper")
+        stream_rows = scan_join(None, query.stream_patterns(),
+                                self._esper_scan(query, close_ms, meter),
+                                meter, self.cost, category="esper")
 
         # Jena side: evaluate stored patterns, seeded by the stream rows
         # when variables connect them (the engine pushes bindings down).
@@ -95,22 +84,25 @@ class CSparqlEngine:
         return finalize(rows, query, self.strings, meter,
                         self.cost), meter
 
+    def _esper_scan(self, query: Query, close_ms: int,
+                    meter: LatencyMeter):
+        """Esper's scan of one stream pattern over its window."""
+        def scan(pattern: TriplePattern) -> List[Row]:
+            return scan_pattern(
+                window_rows(self.buffers, query, pattern, close_ms),
+                pattern, self.strings, meter, self.cost.csparql_tuple_ns,
+                self.cost, category="esper")
+        return scan
+
     def _evaluate_group(self, query: Query, group, close_ms: int,
                         meter: LatencyMeter) -> List[Row]:
         """Evaluate one OPTIONAL group independently (Esper + Jena)."""
+        esper = self._esper_scan(query, close_ms, meter)
         rows: Optional[List[Row]] = None
         for pattern in group:
             if pattern.graph in query.windows:
-                window = query.windows[pattern.graph]
-                start_ms, end_ms = window.span_at(close_ms)
-                buffer = self.buffers.get(pattern.graph)
-                tuples = buffer.window(start_ms, end_ms) if buffer else []
-                scanned = scan_pattern(tuples, pattern, self.strings, meter,
-                                       self.cost.csparql_tuple_ns, self.cost,
-                                       category="esper")
-                rows = scanned if rows is None else \
-                    hash_join(rows, scanned, meter, self.cost,
-                              category="esper")
+                rows = scan_join(rows, [pattern], esper, meter, self.cost,
+                                 category="esper")
             else:
                 rows = self.store.match(pattern,
                                         rows if rows is not None else [{}],

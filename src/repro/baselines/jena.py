@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.baselines.relational import Row, hash_join
+from repro.baselines.relational import Row
 from repro.rdf.string_server import StringServer
 from repro.rdf.terms import Triple
 from repro.sim.cost import CostModel, LatencyMeter

@@ -1,4 +1,4 @@
-"""Relational operators over tuple windows.
+"""Relational operators over columnar tuple windows.
 
 The stream processors the paper compares against (Esper inside
 CSPARQL-engine, Storm/Heron bolts, Spark SQL) evaluate triple patterns as
@@ -14,58 +14,87 @@ by the caller.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from bisect import bisect_left
+from operator import le
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
+from repro.errors import StreamError
 from repro.rdf.string_server import StringServer
-from repro.rdf.terms import EncodedTuple
+from repro.rdf.terms import EncodedColumns, TimedTuple, Triple
 from repro.sim.cost import CostModel, LatencyMeter
-from repro.sparql.ast import TriplePattern, is_variable
+from repro.sparql.ast import Query, TriplePattern, is_variable
 
 #: One relational binding row (same shape as the explorer's rows).
 Row = Dict[str, int]
 
 
 class WindowBuffer:
-    """A stream processor's retained tuple buffer for one stream.
+    """A stream processor's retained tuple table for one stream.
 
     Baseline systems duplicate streaming data into their own buffers (the
-    redundancy the integrated design avoids).  ``window`` returns the
-    tuples of a time range; ``evict_before`` models the processor's own
-    window eviction.
+    redundancy the integrated design avoids).  The table ``columns`` is
+    one :class:`~repro.rdf.terms.EncodedColumns` in arrival order, grown
+    in place by :meth:`extend` alone (readers only read it); timestamps
+    never fall, so ``window`` bisects the ``ts`` column.
     """
 
     def __init__(self, stream: str):
         self.stream = stream
-        self._tuples: List[EncodedTuple] = []
+        self.columns = EncodedColumns()
 
-    def append(self, encoded: EncodedTuple) -> None:
-        if self._tuples and encoded.timestamp_ms < self._tuples[-1].timestamp_ms:
-            raise ValueError(
-                f"stream {self.stream}: out-of-order tuple at "
-                f"{encoded.timestamp_ms}")
-        self._tuples.append(encoded)
+    def extend(self, columns: EncodedColumns) -> None:
+        """Append a batch; a batch whose timestamps fall anywhere (within
+        it or below the table's last) is refused whole."""
+        table = self.columns
+        stamps = columns.ts if not table.ts else [table.ts[-1], *columns.ts]
+        if not all(map(le, stamps, stamps[1:])):
+            ts = next(b for a, b in zip(stamps, stamps[1:]) if b < a)
+            raise StreamError(
+                f"stream {self.stream}: out-of-order tuple at {ts}")
+        table.s.extend(columns.s)
+        table.p.extend(columns.p)
+        table.o.extend(columns.o)
+        table.ts.extend(columns.ts)
 
-    def extend(self, batch: Sequence[EncodedTuple]) -> None:
-        for encoded in batch:
-            self.append(encoded)
-
-    def window(self, start_ms: int, end_ms: int) -> List[EncodedTuple]:
-        """Tuples with ``start_ms <= ts < end_ms``."""
-        return [t for t in self._tuples
-                if start_ms <= t.timestamp_ms < end_ms]
-
-    def evict_before(self, cutoff_ms: int) -> int:
-        """Drop tuples older than ``cutoff_ms``; returns how many."""
-        kept = [t for t in self._tuples if t.timestamp_ms >= cutoff_ms]
-        dropped = len(self._tuples) - len(kept)
-        self._tuples = kept
-        return dropped
+    def window(self, start_ms: int, end_ms: int) -> EncodedColumns:
+        """The rows with ``start_ms <= ts < end_ms``, as new columns."""
+        table = self.columns
+        lo = bisect_left(table.ts, start_ms)
+        hi = bisect_left(table.ts, end_ms)
+        return EncodedColumns(table.s[lo:hi], table.p[lo:hi],
+                              table.o[lo:hi], table.ts[lo:hi])
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self.columns)
 
 
-def scan_pattern(tuples: Sequence[EncodedTuple], pattern: TriplePattern,
+def load_by_predicate(tables: Dict[int, WindowBuffer],
+                      strings: StringServer,
+                      triples: Iterable[Triple]) -> int:
+    """Append stored triples, encoded at timestamp 0, to one table per
+    predicate eid (the relational engines' predicate-indexed stored
+    DataFrame); returns how many."""
+    columns = strings.encode_columns([TimedTuple(triple, 0)
+                                      for triple in triples])
+    rows_of: Dict[int, List[int]] = {}
+    for row, eid in enumerate(columns.p):
+        rows_of.setdefault(eid, []).append(row)
+    for eid, rows in rows_of.items():
+        tables.setdefault(eid, WindowBuffer("stored")).extend(
+            columns.take(rows))
+    return len(columns)
+
+
+def window_rows(buffers: Dict[str, WindowBuffer], query: Query,
+                pattern: TriplePattern, close_ms: int) -> EncodedColumns:
+    """The rows of ``pattern``'s stream inside its window at ``close_ms``."""
+    start_ms, end_ms = query.windows[pattern.graph].span_at(close_ms)
+    buffer = buffers.get(pattern.graph)
+    return buffer.window(start_ms, end_ms) if buffer is not None \
+        else EncodedColumns()
+
+
+def scan_pattern(columns: EncodedColumns, pattern: TriplePattern,
                  strings: StringServer, meter: LatencyMeter,
                  per_tuple_ns: int, cost: CostModel,
                  modeled_rows: Optional[int] = None,
@@ -78,38 +107,52 @@ def scan_pattern(tuples: Sequence[EncodedTuple], pattern: TriplePattern,
     whole-DataFrame scans, pass the full table size here).
     """
     eid = strings.lookup_predicate(pattern.predicate)
-    charged = modeled_rows if modeled_rows is not None else len(tuples)
+    charged = modeled_rows if modeled_rows is not None else len(columns)
     meter.charge(per_tuple_ns, times=charged, category=category)
     if eid is None:
         return []
 
-    s_const = None if is_variable(pattern.subject) else \
-        strings.lookup_entity(pattern.subject)
-    o_const = None if is_variable(pattern.object) else \
-        strings.lookup_entity(pattern.object)
-    if (not is_variable(pattern.subject) and s_const is None) or \
-            (not is_variable(pattern.object) and o_const is None):
+    subject, obj = pattern.subject, pattern.object
+    s_const = None if is_variable(subject) else strings.lookup_entity(subject)
+    o_const = None if is_variable(obj) else strings.lookup_entity(obj)
+    if (not is_variable(subject) and s_const is None) or \
+            (not is_variable(obj) and o_const is None):
         return []
 
     rows: List[Row] = []
-    for encoded in tuples:
-        triple = encoded.triple
-        if triple.p != eid:
+    for s, p, o in zip(columns.s, columns.p, columns.o):
+        if p != eid:
             continue
-        if s_const is not None and triple.s != s_const:
+        if s_const is not None and s != s_const:
             continue
-        if o_const is not None and triple.o != o_const:
+        if o_const is not None and o != o_const:
             continue
         row: Row = {}
         if s_const is None:
-            row[pattern.subject] = triple.s
+            row[subject] = s
         if o_const is None:
-            if pattern.object == pattern.subject and \
-                    row.get(pattern.subject) != triple.o:
+            if obj == subject and row.get(subject) != o:
                 continue
-            row[pattern.object] = triple.o
+            row[obj] = o
         rows.append(row)
-        meter.charge(cost.binding_ns, category=category)
+    meter.charge(cost.binding_ns, times=len(rows), category=category)
+    return rows
+
+
+def scan_join(rows: Optional[List[Row]], patterns: Sequence[TriplePattern],
+              scan: Callable[[TriplePattern], List[Row]],
+              meter: LatencyMeter, cost: CostModel,
+              category: str = "join") -> Optional[List[Row]]:
+    """Scan each pattern and hash-join it onto ``rows``, left to right.
+
+    ``rows`` of None means nothing is bound yet: the first scan seeds the
+    table.  Returns None only when both ``rows`` and ``patterns`` are
+    empty.
+    """
+    for pattern in patterns:
+        scanned = scan(pattern)
+        rows = scanned if rows is None else \
+            hash_join(rows, scanned, meter, cost, category=category)
     return rows
 
 

@@ -18,12 +18,14 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.baselines.relational import (Row, WindowBuffer, finalize,
-                                        hash_join, left_join, scan_pattern)
+                                        hash_join, left_join,
+                                        load_by_predicate, scan_join,
+                                        scan_pattern, window_rows)
 from repro.errors import UnsupportedOperationError
 from repro.rdf.string_server import StringServer
-from repro.rdf.terms import EncodedTuple, Triple
+from repro.rdf.terms import EncodedColumns, Triple
 from repro.sim.cost import CostModel, LatencyMeter
-from repro.sparql.ast import Query
+from repro.sparql.ast import Query, TriplePattern
 from repro.streams.stream import StreamBatch
 
 
@@ -32,28 +34,25 @@ class SparkStreamingEngine:
 
     def __init__(self, cost: Optional[CostModel] = None):
         self.cost = cost if cost is not None else CostModel()
+        self.task_ns = self.cost.spark_task_ns
+        self.row_ns = self.cost.spark_row_ns
         self.strings = StringServer()
         #: The stored DataFrame, predicate-indexed for fast evaluation.
-        self._stored_by_pred: Dict[int, List[EncodedTuple]] = {}
-        self.num_stored = 0
+        self.stored: Dict[int, WindowBuffer] = {}
         self.buffers: Dict[str, WindowBuffer] = {}
 
     # -- data ------------------------------------------------------------
     def load_static(self, triples: Iterable[Triple]) -> int:
-        count = 0
-        for triple in triples:
-            enc = self.strings.encode_triple(triple)
-            self._stored_by_pred.setdefault(enc.p, []).append(
-                EncodedTuple(enc, 0))
-            self.num_stored += 1
-            count += 1
-        return count
+        return load_by_predicate(self.stored, self.strings, triples)
 
     def ingest(self, batch: StreamBatch) -> None:
-        buffer = self.buffers.setdefault(batch.stream,
-                                         WindowBuffer(batch.stream))
-        for tup in batch.tuples:
-            buffer.append(self.strings.encode_tuple(tup))
+        self.buffers.setdefault(batch.stream, WindowBuffer(batch.stream)) \
+            .extend(self.strings.encode_columns(batch.tuples))
+
+    @property
+    def num_stored(self) -> int:
+        """Rows of the stored DataFrame."""
+        return sum(map(len, self.stored.values()))
 
     # -- execution ------------------------------------------------------------
     def execute_continuous(self, query: Query, close_ms: int,
@@ -62,51 +61,45 @@ class SparkStreamingEngine:
         """One mini-batch trigger of the query."""
         if meter is None:
             meter = LatencyMeter()
-        rows: Optional[List[Row]] = None
-        for pattern in query.patterns:
-            scanned = self._scan(query, pattern, close_ms, meter)
-            rows = scanned if rows is None else \
-                hash_join(rows, scanned, meter, self.cost)
+
+        def scan(pattern: TriplePattern) -> List[Row]:
+            return self._scan(query, pattern, close_ms, meter)
+
+        def group_rows(patterns) -> List[Row]:
+            return scan_join(None, patterns, scan, meter, self.cost) or []
+
+        rows = scan_join(None, query.patterns, scan, meter, self.cost)
         for union in query.unions:
-            branch_tables: List[Row] = []
-            for branch in union:
-                branch_rows: Optional[List[Row]] = None
-                for pattern in branch:
-                    scanned = self._scan(query, pattern, close_ms, meter)
-                    branch_rows = scanned if branch_rows is None else \
-                        hash_join(branch_rows, scanned, meter, self.cost)
-                branch_tables.extend(branch_rows or [])
+            branch_tables = [row for branch in union
+                             for row in group_rows(branch)]
             rows = branch_tables if rows is None else \
                 hash_join(rows, branch_tables, meter, self.cost)
         for group in query.optionals:
-            group_rows: Optional[List[Row]] = None
-            for pattern in group:
-                scanned = self._scan(query, pattern, close_ms, meter)
-                group_rows = scanned if group_rows is None else \
-                    hash_join(group_rows, scanned, meter, self.cost)
-            rows = left_join(rows or [], group_rows or [], meter, self.cost)
+            rows = left_join(rows or [], group_rows(group), meter,
+                             self.cost)
         return finalize(rows or [], query, self.strings, meter,
                         self.cost), meter
 
-    def _scan(self, query: Query, pattern, close_ms: int,
+    def _window_rows_charged(self, window: EncodedColumns) -> int:
+        """Rows a window scan pays for: the window itself."""
+        return len(window)
+
+    def _scan(self, query: Query, pattern: TriplePattern, close_ms: int,
               meter: LatencyMeter) -> List[Row]:
         """One Spark SQL stage: scan a DataFrame by one pattern."""
-        meter.charge(self.cost.spark_task_ns, category="scheduling")
+        meter.charge(self.task_ns, category="scheduling")
         if pattern.graph in query.windows:
-            window = query.windows[pattern.graph]
-            start_ms, end_ms = window.span_at(close_ms)
-            buffer = self.buffers.get(pattern.graph)
-            tuples = buffer.window(start_ms, end_ms) if buffer else []
-            return scan_pattern(
-                tuples, pattern, self.strings, meter,
-                self.cost.spark_row_ns, self.cost, category="scan")
-        eid = self.strings.lookup_predicate(pattern.predicate)
-        tuples = self._stored_by_pred.get(eid, []) \
-            if eid is not None else []
-        return scan_pattern(
-            tuples, pattern, self.strings, meter,
-            self.cost.spark_row_ns, self.cost,
-            modeled_rows=self.num_stored, category="scan")
+            table = window_rows(self.buffers, query, pattern, close_ms)
+            charged = self._window_rows_charged(table)
+        else:
+            stored = self.stored.get(
+                self.strings.lookup_predicate(pattern.predicate))
+            table = stored.columns if stored is not None \
+                else EncodedColumns()
+            charged = self.num_stored
+        return scan_pattern(table, pattern, self.strings, meter,
+                            self.row_ns, self.cost, modeled_rows=charged,
+                            category="scan")
 
     def execute_oneshot(self, query: Query,
                         meter: Optional[LatencyMeter] = None

@@ -11,55 +11,40 @@ paper measures:
   more than one stream pattern raise
   :class:`~repro.errors.UnsupportedOperationError` and appear as "x" in the
   reproduction of Table 4, exactly as in the paper.
+
+Everything else is Spark Streaming's: the same DataFrames, loader, scans
+and joins, at Structured Streaming's own per-stage and per-row prices.
+The stream buffers are the unbounded tables (nothing ever evicts them).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.baselines.relational import (Row, finalize, hash_join,
-                                        scan_pattern)
+from repro.baselines.spark import SparkStreamingEngine
 from repro.errors import UnsupportedOperationError
-from repro.rdf.string_server import StringServer
-from repro.rdf.terms import EncodedTuple, Triple
+from repro.rdf.terms import EncodedColumns
 from repro.sim.cost import CostModel, LatencyMeter
 from repro.sparql.ast import Query
-from repro.streams.stream import StreamBatch
 
 
-class StructuredStreamingEngine:
+class StructuredStreamingEngine(SparkStreamingEngine):
     """Trigger-based execution over unbounded tables."""
 
     def __init__(self, cost: Optional[CostModel] = None):
-        self.cost = cost if cost is not None else CostModel()
-        self.strings = StringServer()
-        self._stored_by_pred: Dict[int, List[EncodedTuple]] = {}
-        self.num_stored = 0
-        #: Unbounded per-stream tables: appended forever, never evicted.
-        self._unbounded: Dict[str, List[EncodedTuple]] = {}
-
-    # -- data ------------------------------------------------------------
-    def load_static(self, triples: Iterable[Triple]) -> int:
-        count = 0
-        for triple in triples:
-            enc = self.strings.encode_triple(triple)
-            self._stored_by_pred.setdefault(enc.p, []).append(
-                EncodedTuple(enc, 0))
-            self.num_stored += 1
-            count += 1
-        return count
-
-    def ingest(self, batch: StreamBatch) -> None:
-        table = self._unbounded.setdefault(batch.stream, [])
-        for tup in batch.tuples:
-            table.append(self.strings.encode_tuple(tup))
+        super().__init__(cost)
+        self.task_ns = self.cost.structured_task_ns
+        self.row_ns = self.cost.structured_row_ns
 
     @property
     def unbounded_rows(self) -> int:
         """Total rows across the unbounded stream tables."""
-        return sum(len(t) for t in self._unbounded.values())
+        return sum(map(len, self.buffers.values()))
 
-    # -- execution ------------------------------------------------------------
+    def _window_rows_charged(self, window: EncodedColumns) -> int:
+        """The scan really walks the whole unbounded table."""
+        return self.unbounded_rows
+
     def execute_continuous(self, query: Query, close_ms: int,
                            meter: Optional[LatencyMeter] = None
                            ) -> Tuple[List[tuple], LatencyMeter]:
@@ -68,36 +53,8 @@ class StructuredStreamingEngine:
             raise UnsupportedOperationError(
                 "Structured Streaming does not support OPTIONAL/UNION over "
                 "streaming data")
-        stream_patterns = query.stream_patterns()
-        if len(stream_patterns) > 1:
+        if len(query.stream_patterns()) > 1:
             raise UnsupportedOperationError(
                 "Structured Streaming does not support joins between two "
                 "streaming datasets")
-        if meter is None:
-            meter = LatencyMeter()
-        rows: Optional[List[Row]] = None
-        for pattern in query.patterns:
-            meter.charge(self.cost.structured_task_ns, category="scheduling")
-            if pattern.graph in query.windows:
-                window = query.windows[pattern.graph]
-                start_ms, end_ms = window.span_at(close_ms)
-                table = self._unbounded.get(pattern.graph, [])
-                in_window = [t for t in table
-                             if start_ms <= t.timestamp_ms < end_ms]
-                # The scan really walks the whole unbounded table.
-                scanned = scan_pattern(
-                    in_window, pattern, self.strings, meter,
-                    self.cost.structured_row_ns, self.cost,
-                    modeled_rows=self.unbounded_rows, category="scan")
-            else:
-                eid = self.strings.lookup_predicate(pattern.predicate)
-                tuples = self._stored_by_pred.get(eid, []) \
-                    if eid is not None else []
-                scanned = scan_pattern(
-                    tuples, pattern, self.strings, meter,
-                    self.cost.structured_row_ns, self.cost,
-                    modeled_rows=self.num_stored, category="scan")
-            rows = scanned if rows is None else \
-                hash_join(rows, scanned, meter, self.cost)
-        return finalize(rows or [], query, self.strings, meter,
-                        self.cost), meter
+        return super().execute_continuous(query, close_ms, meter)

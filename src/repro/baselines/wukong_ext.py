@@ -111,13 +111,12 @@ class WukongExtEngine:
     def ingest(self, batch: StreamBatch,
                meter: Optional[LatencyMeter] = None) -> None:
         """Absorb every tuple (timing and timeless) with inline timestamps."""
-        encoded = list(map(self.strings.encode_tuple, batch.tuples))
-        keys = self.store.insert_triples(
-            [enc.triple for enc in encoded], meter=meter)
+        cols = self.strings.encode_columns(batch.tuples)
+        keys = self.store.insert_triples(zip(cols.s, cols.p, cols.o),
+                                         meter=meter)
         # Two entries per tuple (out half, then in half), both stamped.
         for index, key in enumerate(keys):
-            self.timestamps.setdefault(key, []).append(
-                encoded[index // 2].timestamp_ms)
+            self.timestamps.setdefault(key, []).append(cols.ts[index // 2])
         self.stream_entries += len(keys)
 
     # -- execution ------------------------------------------------------------

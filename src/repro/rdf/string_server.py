@@ -17,8 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StoreError
 from repro.rdf.ids import INDEX_VID, MAX_EID, MAX_VID
-from repro.rdf.terms import (EncodedColumns, EncodedTriple, EncodedTuple,
-                             TimedTuple, Triple)
+from repro.rdf.terms import EncodedColumns, EncodedTriple, TimedTuple, Triple
 
 
 def _none_rows(column: List[Optional[int]]) -> Set[int]:
@@ -96,7 +95,7 @@ class StringServer:
         """The strings for a whole column of vids, in order.
 
         The bulk counterpart of :meth:`entity_name`, as
-        :meth:`encode_columns` is of :meth:`encode_tuple`: the same two
+        :meth:`encode_columns` is of :meth:`encode_triple`: the same two
         refusals (index vertex, unknown id), decided once per column —
         by its minimum and by the table's own bounds check — instead of
         once per cell.
@@ -137,17 +136,13 @@ class StringServer:
             o = self.entity_id(triple.object)
         return EncodedTriple(s, p, o)
 
-    def encode_tuple(self, tup: TimedTuple) -> EncodedTuple:
-        """Encode one timed tuple, allocating IDs as needed."""
-        return EncodedTuple(self.encode_triple(tup.triple), tup.timestamp_ms)
-
     def encode_columns(self, tuples: Sequence[TimedTuple]) -> EncodedColumns:
         """Encode a batch of timed tuples into ID columns.
 
         The subject, predicate and object columns are mapped through the
         id dicts whole; then only the rows holding an unseen name are
         revisited, in row order, allocating subject before predicate
-        before object — exactly the order :meth:`encode_tuple` over the
+        before object — exactly the order :meth:`encode_triple` over the
         batch allocates in, so every id comes out the same.  (A name
         first seen in one row and repeated in a later one finds its new
         id there.)

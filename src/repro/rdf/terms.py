@@ -41,20 +41,14 @@ class EncodedTriple(NamedTuple):
     o: int
 
 
-class EncodedTuple(NamedTuple):
-    """An encoded triple plus its timestamp (the baselines' row form)."""
-
-    triple: EncodedTriple
-    timestamp_ms: int
-
-
 class EncodedColumns:
     """A batch of encoded timed tuples as four parallel columns.
 
     ``s``, ``p``, ``o`` and ``ts`` hold subject vids, predicate eids,
     object vids and timestamps, row ``i`` of each being tuple ``i`` in
-    arrival order.  This is the write path's one batch shape, from the
-    adaptor to the shard.  Columns are never mutated once built, so any
+    arrival order.  This is the one encoded batch shape: the write path
+    carries it from the adaptor to the shard, and the relational
+    baselines buffer and scan their stream tables in it.  Columns are never mutated once built, so any
     number of holders may share one (the single-node dispatcher hands
     the same columns to a batch's out and in halves).
 

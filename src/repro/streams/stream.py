@@ -15,7 +15,7 @@ timestamps in ``[start + (k-1)*interval, start + k*interval)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, Iterable, List
 
 from repro.errors import StreamError
 from repro.rdf.terms import TimedTuple
@@ -72,18 +72,6 @@ class StreamBatch:
 
     def __len__(self) -> int:
         return len(self.tuples)
-
-    def split(self, schema: StreamSchema
-              ) -> Tuple[List[TimedTuple], List[TimedTuple]]:
-        """Partition tuples into (timeless, timing) per the schema."""
-        timeless: List[TimedTuple] = []
-        timing: List[TimedTuple] = []
-        for tup in self.tuples:
-            if schema.is_timing(tup.triple.predicate):
-                timing.append(tup)
-            else:
-                timeless.append(tup)
-        return timeless, timing
 
 
 def batch_tuples(stream: str, tuples: Iterable[TimedTuple], start_ms: int,

@@ -6,6 +6,9 @@ close time; their results must agree — the baselines differ in *cost*, not
 in *answers*.
 """
 
+import json
+import os
+
 from repro.rdf.parser import parse_timed_tuples, parse_triples
 from repro.sparql.parser import parse_query
 from repro.streams.stream import StreamSchema, batch_tuples
@@ -100,3 +103,72 @@ def feed(engine):
 
 def to_names(strings, rows):
     return sorted(tuple(strings.entity_name(v) for v in row) for row in rows)
+
+
+#: QC's follow edge joined to a UNION of what the followee tweeted and
+#: what an X-Men followee liked (each branch a scan + join).
+UNION_TEXT = """
+REGISTER QUERY QU AS
+SELECT ?X ?Y ?Z
+FROM Tweet_Stream [RANGE 10s STEP 1s]
+FROM Like_Stream [RANGE 5s STEP 1s]
+FROM X-Lab
+WHERE {
+  GRAPH X-Lab { ?X fo ?Y }
+  { GRAPH Tweet_Stream { ?Y po ?Z } }
+  UNION { GRAPH Like_Stream { ?Y li ?Z } GRAPH X-Lab { ?Y ty XMen } }
+}
+"""
+
+#: Every tweet, extended where a follower of its author liked it.
+OPTIONAL_TEXT = """
+REGISTER QUERY QO AS
+SELECT ?X ?Y ?Z
+FROM Tweet_Stream [RANGE 10s STEP 1s]
+FROM Like_Stream [RANGE 5s STEP 1s]
+FROM X-Lab
+WHERE {
+  GRAPH Tweet_Stream { ?X po ?Z }
+  OPTIONAL { GRAPH Like_Stream { ?Y li ?Z } GRAPH X-Lab { ?Y fo ?X } }
+}
+"""
+
+#: QC without its second stream: the shape Structured Streaming accepts.
+ONE_STREAM_TEXT = """
+REGISTER QUERY QS AS
+SELECT ?X ?Y ?Z
+FROM Tweet_Stream [RANGE 10s STEP 1s]
+FROM X-Lab
+WHERE {
+  GRAPH Tweet_Stream { ?X po ?Z }
+  GRAPH X-Lab { ?X fo ?Y }
+}
+"""
+
+PINNED_TEXTS = {"qc": QC_TEXT, "qt": STREAM_ONLY_TEXT, "qu": UNION_TEXT,
+                "qo": OPTIONAL_TEXT, "qs": ONE_STREAM_TEXT}
+
+#: Window closes the pinned tests replay (2s, 4s, ..., 12s).
+PINNED_CLOSES = range(2000, 13000, 2000)
+
+#: Per-close ``[ps, breakdown_ps, rows]`` of Spark, Structured and
+#: CSPARQL (keyed ``engine/query``), frozen before their window buffers
+#: became columns: any change to what they scan, join or charge shows.
+with open(os.path.join(os.path.dirname(__file__),
+                       "pinned_closes.json")) as _pins:
+    PINNED = json.load(_pins)
+
+
+def pinned_closes(engine, name):
+    """Replay query ``name`` at every pinned close on a fed relational
+    baseline: one ``[ps, breakdown_ps, rows]`` per close, rows decoded to
+    names in result order (an unbound OPTIONAL variable as None)."""
+    query = parse_query(PINNED_TEXTS[name])
+    name_of = engine.strings.entity_name
+    out = []
+    for close_ms in PINNED_CLOSES:
+        rows, meter = engine.execute_continuous(query, close_ms)
+        out.append([meter.ps, meter.breakdown_ps,
+                    [[None if v == -1 else name_of(v) for v in row]
+                     for row in rows]])
+    return out

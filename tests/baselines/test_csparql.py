@@ -6,8 +6,9 @@ from repro.baselines.csparql_engine import CSparqlEngine
 from repro.errors import UnsupportedOperationError
 from repro.sparql.parser import parse_query
 
-from baselines.helpers import (EXPECTED_QC_AT_10S, feed, qc_query,
-                               stream_only_query, to_names)
+from baselines.helpers import (EXPECTED_QC_AT_10S, PINNED, feed,
+                               pinned_closes, qc_query, stream_only_query,
+                               to_names)
 
 
 def build():
@@ -60,3 +61,8 @@ class TestCosts:
         _, meter = engine.execute_continuous(qc_query(), 10_000)
         assert meter.breakdown_ms.get("jena", 0) > 0
         assert meter.breakdown_ms.get("esper", 0) > 0
+
+
+@pytest.mark.parametrize("name", ["qc", "qt", "qu", "qo"])
+def test_pinned_closes(name):
+    assert pinned_closes(build(), name) == PINNED[f"csparql/{name}"]

@@ -1,18 +1,27 @@
 """Tests for the relational operator substrate."""
 
+from hypothesis import given, strategies as st
+
+from repro.baselines.composite import CompositeEngine
+from repro.baselines.csparql_engine import CSparqlEngine
 from repro.baselines.relational import (WindowBuffer, hash_join, project,
                                         scan_pattern)
+from repro.baselines.spark import SparkStreamingEngine
+from repro.baselines.structured import StructuredStreamingEngine
+from repro.errors import StreamError
 from repro.rdf.string_server import StringServer
-from repro.rdf.terms import TimedTuple, Triple
+from repro.rdf.terms import EncodedColumns, TimedTuple, Triple
+from repro.sim.cluster import Cluster
 from repro.sim.cost import CostModel, LatencyMeter
 from repro.sparql.ast import TriplePattern
+from repro.streams.stream import StreamBatch
 
 import pytest
 
 
 def encode_all(strings, rows):
-    return [strings.encode_tuple(TimedTuple(Triple(*r[:3]), r[3]))
-            for r in rows]
+    return strings.encode_columns([TimedTuple(Triple(*r[:3]), r[3])
+                                   for r in rows])
 
 
 class TestWindowBuffer:
@@ -29,16 +38,47 @@ class TestWindowBuffer:
         strings = StringServer()
         buffer = WindowBuffer("S")
         buffer.extend(encode_all(strings, [("a", "p", "b", 100)]))
-        with pytest.raises(ValueError):
+        with pytest.raises(StreamError):
             buffer.extend(encode_all(strings, [("c", "p", "d", 50)]))
 
-    def test_evict_before(self):
-        strings = StringServer()
+    @given(stamps=st.lists(st.integers(0, 40), max_size=30),
+           cut=st.integers(0, 30), start=st.integers(-5, 45),
+           end=st.integers(-5, 45))
+    def test_window_bisects_like_the_linear_filter(self, stamps, cut, start,
+                                                   end):
+        """Over non-decreasing timestamps with duplicates, appended in two
+        batches, the bisected window is the old comprehension's rows."""
+        stamps.sort()
+        columns = EncodedColumns(list(range(len(stamps))),
+                                 [7] * len(stamps),
+                                 [100 + i for i in range(len(stamps))],
+                                 stamps)
         buffer = WindowBuffer("S")
-        buffer.extend(encode_all(strings, [
-            ("a", "p", "b", 100), ("c", "p", "d", 300)]))
-        assert buffer.evict_before(200) == 1
-        assert len(buffer) == 1
+        buffer.extend(columns.take(range(min(cut, len(stamps)))))
+        buffer.extend(columns.take(range(min(cut, len(stamps)),
+                                         len(stamps))))
+        expected = columns.take([i for i, ts in enumerate(stamps)
+                                 if start <= ts < end])
+        assert buffer.window(start, end) == expected
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CompositeEngine(Cluster(1)), CSparqlEngine,
+    SparkStreamingEngine, StructuredStreamingEngine],
+    ids=["composite", "csparql", "spark", "structured"])
+def test_refused_batch_leaves_buffer_untouched(build):
+    """A batch whose timestamps fall is refused whole, with a typed error,
+    before any of its rows reaches the engine's buffer."""
+    engine = build()
+    engine.ingest(StreamBatch("S", 1, 0, 100, [
+        TimedTuple(Triple("a", "p", "b"), 50)]))
+    before = engine.buffers["S"].window(0, 1000)
+    with pytest.raises(StreamError):
+        engine.ingest(StreamBatch("S", 2, 100, 200, [
+            TimedTuple(Triple("c", "p", "d"), 150),
+            TimedTuple(Triple("e", "p", "f"), 120)]))
+    assert engine.buffers["S"].window(0, 1000) == before
+    assert len(engine.buffers["S"]) == 1
 
 
 class TestScan:

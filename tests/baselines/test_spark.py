@@ -7,8 +7,20 @@ from repro.baselines.structured import StructuredStreamingEngine
 from repro.errors import UnsupportedOperationError
 from repro.sparql.parser import parse_query
 
-from baselines.helpers import (EXPECTED_QC_AT_10S, feed, qc_query,
-                               stream_only_query, to_names)
+from baselines.helpers import (EXPECTED_QC_AT_10S, PINNED, feed,
+                               pinned_closes, qc_query, stream_only_query,
+                               to_names)
+
+_ENGINES = {"spark": SparkStreamingEngine,
+            "structured": StructuredStreamingEngine}
+
+
+@pytest.mark.parametrize("case", ["spark/qc", "spark/qt", "spark/qu",
+                                  "spark/qo", "structured/qt",
+                                  "structured/qs"])
+def test_pinned_closes(case):
+    engine, name = case.split("/")
+    assert pinned_closes(feed(_ENGINES[engine]()), name) == PINNED[case]
 
 
 class TestSparkStreaming:

@@ -61,12 +61,6 @@ def test_encode_decode_triple():
     assert server.decode_triple(enc) == triple
 
 
-def test_encode_tuple_keeps_timestamp():
-    server = StringServer()
-    enc = server.encode_tuple(TimedTuple(Triple("Logan", "po", "T-15"), 802))
-    assert enc.timestamp_ms == 802
-
-
 def test_counts():
     server = StringServer()
     server.encode_triple(Triple("a", "p", "b"))
@@ -82,9 +76,9 @@ _PREDICATE = st.sampled_from([f"p{i}" for i in range(5)])
 @settings(max_examples=150)
 @given(warm=st.lists(st.tuples(_ENTITY, _PREDICATE, _ENTITY), max_size=10),
        batch=st.lists(st.tuples(_ENTITY, _PREDICATE, _ENTITY), max_size=40))
-def test_encode_columns_allocates_like_encode_tuple(warm, batch):
+def test_encode_columns_allocates_like_encode_triple(warm, batch):
     """On twin servers already holding the same names, encoding a batch
-    as columns yields the per-tuple ids and leaves the same name tables:
+    as columns yields the per-triple ids and leaves the same name tables:
     new names are allocated in row order, subject before object."""
     twins = StringServer(), StringServer()
     for server in twins:
@@ -92,15 +86,15 @@ def test_encode_columns_allocates_like_encode_tuple(warm, batch):
             server.encode_triple(Triple(*triple))
     tuples = [TimedTuple(Triple(*triple), ts)
               for ts, triple in enumerate(batch)]
-    columnar, per_tuple = twins
+    columnar, per_triple = twins
     columns = columnar.encode_columns(tuples)
-    encoded = [per_tuple.encode_tuple(tup) for tup in tuples]
-    assert columns.s == [enc.triple.s for enc in encoded]
-    assert columns.p == [enc.triple.p for enc in encoded]
-    assert columns.o == [enc.triple.o for enc in encoded]
-    assert columns.ts == [enc.timestamp_ms for enc in encoded]
-    assert columnar._entity_names == per_tuple._entity_names
-    assert columnar._predicate_names == per_tuple._predicate_names
+    encoded = [per_triple.encode_triple(tup.triple) for tup in tuples]
+    assert columns.s == [enc.s for enc in encoded]
+    assert columns.p == [enc.p for enc in encoded]
+    assert columns.o == [enc.o for enc in encoded]
+    assert columns.ts == [tup.timestamp_ms for tup in tuples]
+    assert columnar._entity_names == per_triple._entity_names
+    assert columnar._predicate_names == per_triple._predicate_names
 
 
 @given(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=30))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.relational import hash_join, project, scan_pattern
 from repro.rdf.string_server import StringServer
-from repro.rdf.terms import EncodedTuple, TimedTuple, Triple
+from repro.rdf.terms import TimedTuple, Triple
 from repro.sim.cluster import Cluster
 from repro.sim.cost import CostModel, LatencyMeter
 from repro.sparql.ast import Query, TriplePattern
@@ -53,8 +53,8 @@ def query_strategy():
 
 def relational_answer(triples, query, strings):
     """Evaluate the query with scans + hash joins over the triple table."""
-    table = [strings.encode_tuple(TimedTuple(Triple(*t), 0))
-             for t in triples]
+    table = strings.encode_columns([TimedTuple(Triple(*t), 0)
+                                    for t in triples])
     cost = CostModel()
     meter = LatencyMeter()
     rows = None

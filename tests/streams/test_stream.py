@@ -39,17 +39,6 @@ class TestBatch:
         with pytest.raises(StreamError):
             StreamBatch("S", 1, 100, 100)
 
-    def test_split_by_schema(self):
-        schema = StreamSchema("S", frozenset({"ga"}))
-        batch = StreamBatch("S", 1, 0, 1000, [
-            tup("u", "po", "t1", 10),
-            tup("t1", "ga", "loc", 20),
-            tup("v", "li", "t1", 30),
-        ])
-        timeless, timing = batch.split(schema)
-        assert [t.triple.predicate for t in timeless] == ["po", "li"]
-        assert [t.triple.predicate for t in timing] == ["ga"]
-
 
 class TestBatching:
     def test_groups_by_interval(self):
