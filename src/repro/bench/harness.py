@@ -39,12 +39,11 @@ def build_wukongs(bench: Bench, num_nodes: int, duration_ms: int,
                   use_rdma: bool = True,
                   fault_tolerance: bool = False,
                   scalarization: bool = True,
-                  adaptive_replan: bool = False,
-                  workers_per_node: int = 16) -> WukongSEngine:
+                  adaptive_replan: bool = False) -> WukongSEngine:
     """A Wukong+S engine loaded with the bench's static data and sources."""
     config = EngineConfig(
-        num_nodes=num_nodes, workers_per_node=workers_per_node,
-        use_rdma=use_rdma, batch_interval_ms=batch_interval_ms,
+        num_nodes=num_nodes, use_rdma=use_rdma,
+        batch_interval_ms=batch_interval_ms,
         fault_tolerance=fault_tolerance, scalarization=scalarization,
         adaptive_replan=adaptive_replan)
     engine = WukongSEngine(schemas=bench.schemas(), config=config)

@@ -1,11 +1,11 @@
-"""The Adaptor: batching, filtering and timing/timeless classification.
+"""The Adaptor: batching and timing/timeless classification.
 
 The Adaptor sits at the entrance of the execution flow (Fig. 5b): it groups
 incoming tuples into mini-batches (done upstream by
-:func:`repro.streams.stream.batch_tuples`), discards tuples no registered
-query can ever touch, converts strings to IDs via the string server, and
-classifies each tuple as *timing* or *timeless* according to the stream's
-schema so the Dispatcher/Injector can route it to the right store.
+:func:`repro.streams.stream.batch_tuples`), converts strings to IDs via the
+string server, and classifies each tuple as *timing* or *timeless* according
+to the stream's schema so the Dispatcher/Injector can route it to the right
+store.
 
 The batch leaves here as ID columns (:class:`EncodedColumns`): it is
 encoded in one :meth:`StringServer.encode_columns` call, and the
@@ -16,7 +16,7 @@ batch, a mixed batch being split with :meth:`EncodedColumns.take`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from repro.rdf.string_server import StringServer
 from repro.rdf.terms import EncodedColumns
@@ -34,7 +34,6 @@ class AdaptedBatch:
     end_ms: int
     timeless: EncodedColumns = field(default_factory=EncodedColumns)
     timing: EncodedColumns = field(default_factory=EncodedColumns)
-    discarded: int = 0
 
     @property
     def num_tuples(self) -> int:
@@ -50,19 +49,13 @@ class Adaptor:
         The stream schema (name + timing predicates).
     strings:
         Shared string server used to encode terms.
-    relevant_predicates:
-        When given, tuples whose predicate is not in the set are discarded
-        (the paper's "discard unrelated tuples" step) before encoding, so
-        their names are never allocated.  None keeps all.
     """
 
     def __init__(self, schema: StreamSchema, strings: StringServer,
-                 cost: Optional[CostModel] = None,
-                 relevant_predicates: Optional[Set[str]] = None):
+                 cost: Optional[CostModel] = None):
         self.schema = schema
         self.strings = strings
         self.cost = cost if cost is not None else CostModel()
-        self.relevant_predicates = relevant_predicates
         #: predicate eid -> is-timing memo (schemas never reclassify, and
         #: the string server never reassigns an eid).
         self._timing_memo: Dict[int, bool] = {}
@@ -78,11 +71,6 @@ class Adaptor:
             # One aggregated scan charge for the whole batch.
             meter.charge(self.cost.scan_entry_ns, times=len(tuples),
                          category="adapt")
-        relevant = self.relevant_predicates
-        if relevant is not None:
-            kept = [tup for tup in tuples if tup.triple.predicate in relevant]
-            adapted.discarded = len(tuples) - len(kept)
-            tuples = kept
         columns = self.strings.encode_columns(tuples)
         predicates = set(columns.p)
         timing_eids = {eid for eid in predicates if self._is_timing(eid)}

@@ -117,7 +117,7 @@ class ContinuousEngine:
                  strings: StringServer, registry: StreamIndexRegistry,
                  transients: Dict[str, List[TransientStore]],
                  coordinator: Coordinator, schemas: Dict[str, StreamSchema],
-                 batch_interval_ms: int, stream_start_ms: int = 0):
+                 batch_interval_ms: int):
         self.cluster = cluster
         self.store = store
         self.strings = strings
@@ -126,7 +126,6 @@ class ContinuousEngine:
         self.coordinator = coordinator
         self.schemas = schemas
         self.batch_interval_ms = batch_interval_ms
-        self.stream_start_ms = stream_start_ms
         self.explorer = GraphExplorer(cluster, self.strings)
         self.queries: Dict[str, RegisteredQuery] = {}
         self._next_home = 0
@@ -185,8 +184,7 @@ class ContinuousEngine:
             self._next_home += 1
 
         planners = {
-            stream: WindowPlanner(window, self.batch_interval_ms,
-                                  self.stream_start_ms)
+            stream: WindowPlanner(window, self.batch_interval_ms)
             for stream, window in query.windows.items()
         }
         step_ms = min(w.step_ms for w in query.windows.values())

@@ -39,9 +39,6 @@ class Coordinator:
         Batches per stream admitted by each SN mapping — the paper's
         staleness/flexibility trade-off knob.  Width 1 keeps one-shot
         results freshest; larger widths let unbalanced injectors run ahead.
-    keep_snapshots:
-        Live SN segments to retain per key before compaction (>= 2: one
-        readable, one being inserted).
     scalarization:
         Disable to reproduce the paper's "without bounded snapshot
         scalarization" memory comparison (§6.7): plans still exist but
@@ -49,17 +46,12 @@ class Coordinator:
     """
 
     def __init__(self, num_nodes: int, streams: List[str],
-                 plan_width: int = 4, keep_snapshots: int = 2,
-                 scalarization: bool = True,
+                 plan_width: int, scalarization: bool = True,
                  cost: Optional[CostModel] = None):
         if plan_width < 1:
             raise ConsistencyError(f"plan width must be >= 1: {plan_width}")
-        if keep_snapshots < 2:
-            raise ConsistencyError(
-                f"need >= 2 live snapshots (read + insert): {keep_snapshots}")
         self.cost = cost if cost is not None else CostModel()
         self.plan_width = plan_width
-        self.keep_snapshots = keep_snapshots
         self.scalarization = scalarization
         self.plan = SNVTSPlan(list(streams))
         self.local_vts: List[VectorTimestamp] = [
@@ -151,7 +143,9 @@ class Coordinator:
         while min(self.local_sn) == self.plan.latest_sn:
             self._publish_next(meter)
         if self.scalarization and store is not None:
-            bound = self._stable_sn - (self.keep_snapshots - 1)
+            # Two live snapshots per key: the stable one being read and
+            # the next one being inserted.
+            bound = self._stable_sn - 1
             if self._pins:
                 # A pinned snapshot t stays exact as long as the frontier
                 # does not pass it: the entries a frontier at <= t reads

@@ -11,7 +11,7 @@ durable log's own records, and :func:`restore_engine` replays all of them
 through :func:`~repro.core.checkpoint.replay_log`, the replay that
 recovers one crashed node, rebuilding the stream index alongside.
 
-Dump format 3 (one JSON file) holds:
+Dump format 4 (one JSON file) holds:
 
 * the whole :class:`EngineConfig`, the stream schemas, the initially
   stored triples, the SN plan, the clock, ``last_delivered`` and the
@@ -47,12 +47,22 @@ from repro.rdf.terms import EncodedColumns, Triple
 from repro.sim.cost import CostModel, LatencyMeter, MemoryModel
 from repro.streams.stream import StreamSchema
 
-#: 3: the log's own records, name tables, cadences and query texts
-#: (2 held string-decoded batches and hand-serialized ASTs).
-FORMAT_VERSION = 3
+#: 4: the 15-field EngineConfig (3 also held six settings since made
+#: constants; 2 held string-decoded batches and hand-serialized ASTs).
+FORMAT_VERSION = 4
 
 #: A node batch's four halves, in record order.
 _HALVES = ("out_timeless", "in_timeless", "out_timing", "in_timing")
+
+
+def _saved_settings(cls, saved: dict):
+    """Rebuild a settings dataclass, refusing keys it does not have."""
+    unknown = set(saved) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise FaultToleranceError(
+            f"checkpoint {cls.__name__} has unknown settings: "
+            f"{sorted(unknown)}")
+    return cls(**saved)
 
 
 def _dump_record(entry: LoggedBatch) -> dict:
@@ -148,8 +158,9 @@ def restore_engine(path: str, sources: Optional[List] = None
             f"unsupported checkpoint version: {data.get('version')}")
 
     saved = data["config"]
-    config = EngineConfig(**{**saved, "cost": CostModel(**saved["cost"]),
-                             "memory": MemoryModel(**saved["memory"])})
+    config = _saved_settings(EngineConfig, {
+        **saved, "cost": _saved_settings(CostModel, saved["cost"]),
+        "memory": _saved_settings(MemoryModel, saved["memory"])})
     schemas = [StreamSchema(name, frozenset(timing))
                for name, timing in data["schemas"]]
     engine = WukongSEngine(schemas=schemas, config=config)

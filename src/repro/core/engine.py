@@ -38,42 +38,42 @@ from repro.sim.cost import CostModel, LatencyMeter, MemoryModel
 from repro.sparql.ast import Query
 from repro.streams.source import StreamSource
 from repro.streams.stream import StreamBatch, StreamSchema
+from repro.streams.window import batch_span, batches_closed_by
 
 
 @dataclass
 class EngineConfig:
-    """Tunables of one engine instance (defaults follow the paper's setup)."""
+    """Tunables of one engine instance (defaults follow the paper's setup).
+
+    Besides the calibrated ``cost`` and ``memory`` models, a setting earns
+    a field only when a paper bench or a golden, chaos or e2e workload sets
+    it to a second value; the rest are constants where they are used
+    (batch geometry: ``repro.streams.window``; workers per node:
+    ``repro.sim.cluster``; re-plan hysteresis and cool-down:
+    ``repro.core.replan``; two live snapshots: ``Coordinator.advance``).
+    """
 
     num_nodes: int = 1
-    workers_per_node: int = 16
     use_rdma: bool = True
     batch_interval_ms: int = 100
-    stream_start_ms: int = 0
     plan_width: int = 1
-    keep_snapshots: int = 2
     scalarization: bool = True
     injector_threads: int = 1
     gc_every_ticks: int = 10
     gc_retention_ms: int = 10_000
     fault_tolerance: bool = False
     checkpoint_interval_ms: int = 1_000
-    auto_pad_streams: bool = True
     #: Deterministic tracing (``repro.obs``): off by default; enabling it
     #: never changes simulated time (spans only read meters).
     tracing: bool = False
-    #: Record every n-th activity of each kind when tracing is on.
-    trace_sample_every: int = 1
     #: Adaptive re-planning of registered continuous queries from live
     #: predicate statistics (``repro.core.replan.PlanMonitor``).  Off by
     #: default: a plan swap deliberately changes which simulated work
     #: each close performs, so golden/deterministic workloads must opt in
     #: (or pin their orders via ``register_continuous(fixed_order=...)``).
     adaptive_replan: bool = False
-    #: Re-plan check cadence (executed closes between checks per query)
-    #: and swap cool-down (closes between swaps per query); the swap
-    #: threshold is ``PlanMonitor``'s own hysteresis default.
+    #: Re-plan check cadence (executed closes between checks per query).
     replan_check_closes: int = 8
-    replan_cooldown_closes: int = 24
     cost: CostModel = field(default_factory=CostModel)
     memory: MemoryModel = field(default_factory=MemoryModel)
 
@@ -109,13 +109,13 @@ class WukongSEngine:
                  config: Optional[EngineConfig] = None):
         self.config = config if config is not None else EngineConfig()
         cfg = self.config
-        self.cluster = Cluster(cfg.num_nodes, cfg.workers_per_node,
-                               cost=cfg.cost, use_rdma=cfg.use_rdma)
+        self.cluster = Cluster(cfg.num_nodes, cost=cfg.cost,
+                               use_rdma=cfg.use_rdma)
         self.strings = StringServer()
         # Imported here at runtime to avoid a cycle in module docs only.
         from repro.store.distributed import DistributedStore
         self.store = DistributedStore(self.cluster, self.strings)
-        self.clock = VirtualClock(cfg.stream_start_ms)
+        self.clock = VirtualClock()
 
         self.schemas: Dict[str, StreamSchema] = {}
         self.registry = StreamIndexRegistry(cost=cfg.cost)
@@ -132,7 +132,6 @@ class WukongSEngine:
 
         self.coordinator = Coordinator(
             cfg.num_nodes, list(self.schemas), plan_width=cfg.plan_width,
-            keep_snapshots=cfg.keep_snapshots,
             scalarization=cfg.scalarization, cost=cfg.cost)
         self.injectors = [
             Injector(node_id, self.store,
@@ -144,7 +143,7 @@ class WukongSEngine:
         self.continuous = ContinuousEngine(
             self.cluster, self.store, self.strings, self.registry,
             self.transients, self.coordinator, self.schemas,
-            cfg.batch_interval_ms, cfg.stream_start_ms)
+            cfg.batch_interval_ms)
         self.oneshot_engine = OneShotEngine(
             self.cluster, self.store, self.coordinator)
         # Imported at runtime: repro.temporal imports core modules.
@@ -158,8 +157,7 @@ class WukongSEngine:
             self.pipeline
         self.gc = GarbageCollector(
             self.registry, self.transients, self.continuous,
-            cfg.batch_interval_ms, cfg.stream_start_ms,
-            retention_ms=cfg.gc_retention_ms)
+            cfg.batch_interval_ms, retention_ms=cfg.gc_retention_ms)
 
         from repro.core.checkpoint import CheckpointManager
         self.checkpoints = CheckpointManager(
@@ -176,8 +174,7 @@ class WukongSEngine:
             from repro.core.stats import PredicateStatistics
             self.plan_monitor = PlanMonitor(
                 self.continuous, PredicateStatistics(self.store),
-                check_every_closes=cfg.replan_check_closes,
-                cooldown_closes=cfg.replan_cooldown_closes)
+                check_every_closes=cfg.replan_check_closes)
 
         self.injection_records: List[InjectionRecord] = []
         self._initial_triples: List[Triple] = []
@@ -191,27 +188,21 @@ class WukongSEngine:
         self.tracer = None
         self.metrics = None
         if cfg.tracing:
-            self.enable_observability(sample_every=cfg.trace_sample_every)
+            self.enable_observability()
 
     # -- observability -----------------------------------------------------
-    def enable_observability(self, sample_every: int = 1,
-                             tracer=None, metrics=None):
+    def enable_observability(self):
         """Attach a :class:`~repro.obs.trace.Tracer` and a
         :class:`~repro.obs.metrics.MetricsRegistry` to every subsystem.
 
         Tracing is zero-cost in simulated time (spans only read meters;
-        goldens are unchanged — see ``tests/obs/test_trace_neutrality``)
-        and sampled in wall-clock: ``sample_every=n`` records every n-th
-        activity of each kind.  Returns ``(tracer, metrics)``.
+        goldens are unchanged — see ``tests/obs/test_trace_neutrality``).
+        Returns ``(tracer, metrics)``.
         """
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.trace import Tracer
-        if tracer is None:
-            tracer = Tracer(sample_every=sample_every, clock=self.clock)
-        elif tracer.clock is None:
-            tracer.clock = self.clock
-        if metrics is None:
-            metrics = MetricsRegistry()
+        tracer = Tracer(clock=self.clock)
+        metrics = MetricsRegistry()
         self.tracer = tracer
         self.metrics = metrics
         self.continuous.tracer = tracer
@@ -343,8 +334,9 @@ class WukongSEngine:
             raise StoreError(f"empty time scope: [{start_ms}, {end_ms})")
         cfg = self.config
         interval = cfg.batch_interval_ms
-        first = (max(0, start_ms - cfg.stream_start_ms)) // interval + 1
-        last = (end_ms - cfg.stream_start_ms + interval - 1) // interval
+        # Every batch whose span overlaps [start_ms, end_ms).
+        first = batches_closed_by(start_ms, interval) + 1
+        last = batches_closed_by(end_ms + interval - 1, interval)
         if home_node is None:
             home_node = 0
 
@@ -461,14 +453,25 @@ class WukongSEngine:
 
     # -- internals -------------------------------------------------------------
     def _deliver_batches(self, now_ms: int) -> None:
-        """Move batches whose interval has closed from sources to pending."""
-        cfg = self.config
+        """Move batches whose interval has closed from sources to pending.
+
+        A batch whose span is not its number's (batch #k spans
+        ``[(k-1)*i, k*i)``) is refused with :class:`StreamError`: every
+        window, SN mapping and GC frontier is computed from batch numbers.
+        """
+        interval = self.config.batch_interval_ms
         for name in self.schemas:
             source = self.sources.get(name)
             pending = self._pending[name]
             while source is not None and source.has_pending:
                 head = source.next_batch()
                 assert head is not None
+                span = batch_span(head.batch_no, interval)
+                if (head.start_ms, head.end_ms) != span:
+                    raise StreamError(
+                        f"stream {name}: batch #{head.batch_no} spans "
+                        f"[{head.start_ms}, {head.end_ms}), not "
+                        f"[{span[0]}, {span[1]}) as {interval} ms batches do")
                 if self.chaos is not None and \
                         self.chaos.intercept_delivery(self, head):
                     continue  # held or dropped in flight; chaos re-queues
@@ -479,24 +482,22 @@ class WukongSEngine:
                     pending.append(head)
                     break
                 pending.append(head)
-            if cfg.auto_pad_streams and \
-                    (self.chaos is None or
-                     not self.chaos.suppresses_padding(name)):
+            if self.chaos is None or \
+                    not self.chaos.suppresses_padding(name):
                 self._pad_stream(name, now_ms)
 
     def _pad_stream(self, name: str, now_ms: int) -> None:
         """Synthesize empty batches so idle streams keep the VTS moving."""
-        cfg = self.config
+        interval = self.config.batch_interval_ms
         last_known = self._last_delivered[name]
         pending = self._pending[name]
         if pending:
             last_known = max(last_known, pending[-1].batch_no)
-        due = (now_ms - cfg.stream_start_ms) // cfg.batch_interval_ms
-        for batch_no in range(last_known + 1, due + 1):
-            start = cfg.stream_start_ms + (batch_no - 1) * cfg.batch_interval_ms
-            pending.append(StreamBatch(
-                stream=name, batch_no=batch_no, start_ms=start,
-                end_ms=start + cfg.batch_interval_ms))
+        for batch_no in range(last_known + 1,
+                              batches_closed_by(now_ms, interval) + 1):
+            start, end = batch_span(batch_no, interval)
+            pending.append(StreamBatch(stream=name, batch_no=batch_no,
+                                       start_ms=start, end_ms=end))
 
     def _pump_injection(self) -> None:
         """Inject every pending batch the SN plan currently admits."""

@@ -17,6 +17,7 @@ from repro.core.continuous import ContinuousEngine
 from repro.core.stream_index import StreamIndexRegistry
 from repro.core.transient import TransientStore
 from repro.sim.cost import LatencyMeter
+from repro.streams.window import batches_closed_by
 
 
 @dataclass
@@ -34,13 +35,11 @@ class GarbageCollector:
     def __init__(self, registry: StreamIndexRegistry,
                  transients: Dict[str, List[TransientStore]],
                  continuous: ContinuousEngine,
-                 batch_interval_ms: int, stream_start_ms: int = 0,
-                 retention_ms: int = 10_000):
+                 batch_interval_ms: int, retention_ms: int):
         self.registry = registry
         self.transients = transients
         self.continuous = continuous
         self.batch_interval_ms = batch_interval_ms
-        self.stream_start_ms = stream_start_ms
         self.retention_ms = retention_ms
         self.stats = GCStats()
 
@@ -54,11 +53,8 @@ class GarbageCollector:
                 # The oldest data the *next* execution can reach.
                 floors_ms.append(registered.next_close_ms - window.range_ms)
         floor_ms = min(floors_ms) if floors_ms else now_ms - self.retention_ms
-        if floor_ms <= self.stream_start_ms:
-            return 1
-        # Batch k covers [start+(k-1)*i, start+k*i): batches entirely below
-        # floor_ms are collectable.
-        return (floor_ms - self.stream_start_ms) // self.batch_interval_ms + 1
+        # Batches whose spans close at or before floor_ms are collectable.
+        return batches_closed_by(floor_ms, self.batch_interval_ms) + 1
 
     def run(self, now_ms: int,
             meter: Optional[LatencyMeter] = None) -> GCStats:

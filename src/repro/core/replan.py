@@ -24,9 +24,9 @@ The keep-or-swap rule (per query, every ``check_every_closes`` closes):
 2. Candidate ordering = ``plan_order(patterns, stats=snapshot)``.
 3. If the candidate differs, compare ``estimate_plan_cost`` of the active
    vs candidate ordering *under the same snapshot*.  Swap only when the
-   active plan is estimated at ≥ ``hysteresis`` times the candidate's cost
-   (default 1.5x) **and** the query is past its swap cool-down
-   (``cooldown_closes`` closes since the last swap).  Oscillating
+   active plan is estimated at ≥ :data:`HYSTERESIS` times the candidate's
+   cost **and** the query is past its swap cool-down
+   (:data:`COOLDOWN_CLOSES` closes since the last swap).  Oscillating
    statistics therefore trigger at most one re-plan per cool-down window;
    everything else increments a skip counter instead.
 
@@ -47,6 +47,12 @@ from typing import List, Optional, Tuple
 
 from repro.core.continuous import ContinuousEngine, RegisteredQuery
 from repro.sparql.planner import estimate_plan_cost, plan_order
+
+#: A swap needs the active plan estimated at this many times the
+#: candidate's cost.
+HYSTERESIS = 1.5
+#: Executed closes a query waits after a swap before it may swap again.
+COOLDOWN_CLOSES = 24
 
 
 @dataclass(frozen=True)
@@ -83,21 +89,13 @@ class PlanMonitor:
     """
 
     def __init__(self, continuous: ContinuousEngine, statistics,
-                 check_every_closes: int = 8, hysteresis: float = 1.5,
-                 cooldown_closes: int = 24):
+                 check_every_closes: int):
         if check_every_closes < 1:
             raise ValueError(
                 f"check_every_closes must be >= 1: {check_every_closes}")
-        if hysteresis < 1.0:
-            raise ValueError(f"hysteresis must be >= 1.0: {hysteresis}")
-        if cooldown_closes < 1:
-            raise ValueError(
-                f"cooldown_closes must be >= 1: {cooldown_closes}")
         self.continuous = continuous
         self.statistics = statistics
         self.check_every_closes = check_every_closes
-        self.hysteresis = hysteresis
-        self.cooldown_closes = cooldown_closes
         #: Wall-clock-only decision counters (pulled by
         #: ``repro.obs.metrics.collect_metrics``).
         self.checks = 0
@@ -149,7 +147,7 @@ class PlanMonitor:
             improvement = current_cost / candidate_cost
         else:
             improvement = math.inf if current_cost > 0 else 1.0
-        if improvement < self.hysteresis:
+        if improvement < HYSTERESIS:
             self.skipped_hysteresis += 1
             if self.metrics is not None:
                 self.metrics.counter("planner_replan_skipped_hysteresis",
@@ -157,7 +155,7 @@ class PlanMonitor:
             return None
         last_swap = registered.closes_at_last_swap
         if last_swap is not None and \
-                closes - last_swap < self.cooldown_closes:
+                closes - last_swap < COOLDOWN_CLOSES:
             self.skipped_cooldown += 1
             if self.metrics is not None:
                 self.metrics.counter("planner_replan_skipped_cooldown",

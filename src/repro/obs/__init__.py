@@ -15,8 +15,9 @@ Three layers (see DESIGN.md §6, "Observability model"):
   and flame-style text rendering.
 
 Enable on an engine with ``engine.enable_observability()`` (or
-``EngineConfig(tracing=True)``); everything is off by default and the
-trace-off hot paths pay one attribute check per site.
+``EngineConfig(tracing=True)``); everything is off by default.  An
+enabled tracer records every activity; the trace-off hot paths pay one
+attribute check per site.
 """
 
 from repro.obs.analysis import CriticalPath, PathSegment, critical_path, \

@@ -16,10 +16,8 @@ disabling tracing therefore cannot move a single simulated picosecond —
 guarded by ``tests/obs/test_trace_neutrality.py``, which replays the
 golden determinism workload with tracing on.
 
-Wall-clock cost is bounded by sampling: a tracer built with
-``sample_every=n`` records every n-th activity of each name and returns
-``None`` handles for the rest, and every instrumentation site is gated on
-``tracer is not None`` so the trace-off engine pays one attribute check.
+A tracer records every activity; every instrumentation site is gated on
+``tracer is not None``, so the trace-off engine pays one attribute check.
 
 Parallel sections (fork-join branches, injection fan-out) are recorded
 through :class:`ParallelGroup`: the group captures the owning meter's
@@ -206,10 +204,7 @@ class Activity:
 class Tracer:
     """Span recorder for one engine (attach via ``engine.tracer``)."""
 
-    def __init__(self, sample_every: int = 1, clock=None):
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1: {sample_every}")
-        self.sample_every = sample_every
+    def __init__(self, clock=None):
         #: Optional VirtualClock used to anchor activities; without one,
         #: callers pass ``anchor_ms`` explicitly (or spans anchor at 0).
         self.clock = clock
@@ -218,7 +213,6 @@ class Tracer:
         self._track = 0
         self._gid = 0
         self._stack: List[Activity] = []
-        self._seen: Dict[str, int] = {}
 
     # -- id allocation ----------------------------------------------------
     def _next_sid(self) -> int:
@@ -237,17 +231,12 @@ class Tracer:
     def begin(self, name: str, cat: str,
               meter: Optional[LatencyMeter] = None,
               anchor_ms: Optional[int] = None,
-              **labels) -> Optional[Activity]:
-        """Start an activity; returns None when sampled out.
+              **labels) -> Activity:
+        """Start an activity.
 
         Nested begins attach to the enclosing activity (the span tree
-        mirrors the call tree); sampling applies per activity *name* so a
-        1-in-n tracer still sees every kind of activity.
+        mirrors the call tree).
         """
-        seen = self._seen.get(name, 0)
-        self._seen[name] = seen + 1
-        if seen % self.sample_every:
-            return None
         if anchor_ms is None:
             anchor_ms = self.clock.now_ms if self.clock is not None else 0
         parent = self._stack[-1].root.sid if self._stack else None

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 from repro.bench.metrics import percentile
 from repro.client.library import ClientResult, ClientSubscription
 from repro.client.procedures import ProcedureCache
-from repro.client.proxy import ProxyPool, RetryPolicy
+from repro.client.proxy import ProxyPool
 from repro.core.continuous import ExecutionRecord
 from repro.core.engine import WukongSEngine
 from repro.errors import (AdmissionError, PlanError, RegistrationError,
@@ -158,13 +158,11 @@ class ServingLayer:
     def __init__(self, engine: WukongSEngine,
                  policy: Optional[AdmissionPolicy] = None,
                  num_proxies: Optional[int] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  sharing: bool = True, seed: int = 0):
         self.engine = engine
         self.policy = policy if policy is not None else AdmissionPolicy()
-        self.proxies = ProxyPool(engine, num_proxies=num_proxies,
-                                 policy=retry_policy, seed=seed)
+        self.proxies = ProxyPool(engine, num_proxies=num_proxies, seed=seed)
         self.registry = SharedQueryRegistry(engine, sharing=sharing)
         self.scheduler = FairScheduler(self.policy.oneshot_slots_per_tick)
         self.metrics = metrics if metrics is not None else MetricsRegistry()

@@ -18,6 +18,9 @@ from repro.errors import ReproError
 from repro.sim.cost import CostModel
 from repro.sim.network import Fabric
 
+#: Worker threads per node serving queries (the paper's servers run 16).
+WORKERS_PER_NODE = 16
+
 
 class Node:
     """One simulated server.
@@ -26,22 +29,17 @@ class Node:
     ----------
     node_id:
         Zero-based identifier within the cluster.
-    workers:
-        Number of worker threads serving continuous queries.
     alive:
         False after :meth:`Cluster.kill_node` until restart.
     """
 
-    def __init__(self, node_id: int, workers: int = 16):
-        if workers <= 0:
-            raise ValueError(f"node needs at least one worker, got {workers}")
+    def __init__(self, node_id: int):
         self.node_id = node_id
-        self.workers = workers
         self.alive = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "up" if self.alive else "down"
-        return f"Node(id={self.node_id}, workers={self.workers}, {status})"
+        return f"Node(id={self.node_id}, {status})"
 
 
 class Cluster:
@@ -51,8 +49,6 @@ class Cluster:
     ----------
     num_nodes:
         Cluster size (the paper evaluates 1 through 8).
-    workers_per_node:
-        Worker threads per node available for continuous queries.
     cost:
         Shared cost model; defaults to the calibrated :class:`CostModel`.
     use_rdma:
@@ -60,13 +56,13 @@ class Cluster:
         this off).
     """
 
-    def __init__(self, num_nodes: int = 8, workers_per_node: int = 16,
-                 cost: CostModel | None = None, use_rdma: bool = True):
+    def __init__(self, num_nodes: int = 8, cost: CostModel | None = None,
+                 use_rdma: bool = True):
         if num_nodes <= 0:
             raise ValueError(f"cluster needs at least one node, got {num_nodes}")
         self.cost = cost if cost is not None else CostModel()
         self.fabric = Fabric(self.cost, use_rdma=use_rdma)
-        self.nodes: List[Node] = [Node(i, workers_per_node) for i in range(num_nodes)]
+        self.nodes: List[Node] = [Node(i) for i in range(num_nodes)]
 
     # -- placement ----------------------------------------------------
     @property
@@ -110,7 +106,7 @@ class Cluster:
     @property
     def total_workers(self) -> int:
         """Workers across live nodes (used for throughput accounting)."""
-        return sum(node.workers for node in self.alive_nodes())
+        return WORKERS_PER_NODE * len(self.alive_nodes())
 
     # -- fault injection ------------------------------------------------
     def kill_node(self, node_id: int) -> None:

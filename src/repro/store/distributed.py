@@ -293,18 +293,15 @@ class PersistentAccess:
 
     ``max_sn`` bounds visibility for snapshot-isolated one-shot queries;
     None reads everything (used while loading and by trusted internals).
-    ``local_index_only`` restricts index-vertex enumeration to the home
-    node's shard — the fork-join execution mode gives each branch such an
-    access so branches partition the start vertices.
+    Fork-join branches partition the start vertices through
+    :meth:`index_vertices_local`.
     """
 
     def __init__(self, store: DistributedStore, home_node: int = 0,
-                 max_sn: Optional[int] = None,
-                 local_index_only: bool = False):
+                 max_sn: Optional[int] = None):
         self.store = store
         self.home_node = home_node
         self.max_sn = max_sn
-        self.local_index_only = local_index_only
 
     def resolve_entity(self, name: str) -> Optional[int]:
         return self.store.strings.lookup_entity(name)
@@ -332,8 +329,6 @@ class PersistentAccess:
 
     def index_vertices(self, eid: int, d: int,
                        meter: LatencyMeter) -> List[int]:
-        if self.local_index_only:
-            return self.store.local_index(self.home_node, eid, d, meter)
         return self.store.gather_index(self.home_node, eid, d, meter)
 
     def index_vertices_local(self, eid: int, d: int, node_id: int,

@@ -9,7 +9,9 @@ store (§4.1).
 
 Batches follow the paper's mini-batch model: the Adaptor groups tuples by
 fixed time intervals; batch *k* (1-based) of a stream covers source
-timestamps in ``[start + (k-1)*interval, start + k*interval)``.
+timestamps in ``[start + (k-1)*interval, start + k*interval)``.  The engine
+takes only batches cut from ``start = 0`` at its own interval
+(:func:`repro.streams.window.batch_span`).
 """
 
 from __future__ import annotations

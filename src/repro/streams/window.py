@@ -5,6 +5,12 @@ The engine is *data-driven* (§4.3): an execution closing at time ``t``
 needs every stream batch whose interval ends at or before ``t``, and reads
 tuples with timestamps in ``[t - r, t)``.  The :class:`WindowPlanner` does
 the bookkeeping that converts between execution times and batch numbers.
+
+Every stream shares one batch geometry (§4.3): batch #k spans
+``[(k-1)*i, k*i)`` for the engine's interval ``i``.  :func:`batch_span`
+states it and :func:`batches_closed_by` inverts it; every batch-number
+computation in the engine goes through the two, and the engine refuses a
+delivered batch whose span breaks it.
 """
 
 from __future__ import annotations
@@ -14,6 +20,17 @@ from typing import Dict, Tuple
 
 from repro.errors import StreamError
 from repro.sparql.ast import WindowSpec
+
+
+def batch_span(batch_no: int, interval_ms: int) -> Tuple[int, int]:
+    """Timestamp interval ``[start, end)`` of batch #``batch_no``."""
+    return (batch_no - 1) * interval_ms, batch_no * interval_ms
+
+
+def batches_closed_by(time_ms: int, interval_ms: int) -> int:
+    """How many batches have spans ending at or before ``time_ms`` — the
+    highest such batch number (0 before batch #1 closes)."""
+    return max(0, time_ms) // interval_ms
 
 
 @dataclass(frozen=True)
@@ -26,13 +43,10 @@ class WindowPlanner:
         The query's window over this stream.
     batch_interval_ms:
         The Adaptor's mini-batch interval for the stream.
-    stream_start_ms:
-        Timestamp at which the stream's batch #1 opens.
     """
 
     window: WindowSpec
     batch_interval_ms: int
-    stream_start_ms: int = 0
 
     def __post_init__(self) -> None:
         if self.batch_interval_ms <= 0:
@@ -44,14 +58,9 @@ class WindowPlanner:
                 f"the batch interval {self.batch_interval_ms}ms")
 
     def last_batch_needed(self, close_ms: int) -> int:
-        """The highest batch number an execution closing at ``close_ms`` needs.
-
-        Batch k covers ``[start+(k-1)*i, start+k*i)``; it is needed when its
-        interval closes at or before ``close_ms``.
-        """
-        if close_ms < self.stream_start_ms:
-            return 0
-        return (close_ms - self.stream_start_ms) // self.batch_interval_ms
+        """The highest batch number an execution closing at ``close_ms``
+        needs: every batch whose span closes at or before it."""
+        return batches_closed_by(close_ms, self.batch_interval_ms)
 
     def batch_range(self, close_ms: int) -> Tuple[int, int]:
         """Inclusive batch-number range ``(first, last)`` whose intervals
@@ -67,13 +76,8 @@ class WindowPlanner:
         columns incrementally off exactly this drop/extend delta.
         """
         window_start, window_end = self.window.span_at(close_ms)
-        last = self.last_batch_needed(window_end)
-        if window_start < self.stream_start_ms:
-            first = 1
-        else:
-            first = (window_start - self.stream_start_ms) \
-                // self.batch_interval_ms + 1
-        return first, last
+        first = batches_closed_by(window_start, self.batch_interval_ms) + 1
+        return first, self.last_batch_needed(window_end)
 
     def span_at(self, close_ms: int) -> Tuple[int, int]:
         """Tuple-timestamp interval ``[start, end)`` of the window closing

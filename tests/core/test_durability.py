@@ -1,5 +1,6 @@
 """Tests for durable checkpoints on disk and cold-start recovery."""
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -9,9 +10,11 @@ import pytest
 
 from repro.chaos.state import diff_digests, engine_state_digest
 from repro.core.durability import restore_engine, save_engine
+from repro.core.engine import EngineConfig
 from repro.errors import FaultToleranceError
 from repro.rdf.parser import parse_timed_tuples
 from repro.serving.server import ServingLayer
+from repro.sim.cost import CostModel, MemoryModel
 from repro.sparql.ast import Query, TriplePattern, WindowSpec
 from repro.streams.source import StreamSource
 
@@ -310,14 +313,33 @@ class TestSaveRestore:
         assert again.meter.ps == last.meter.ps
 
     def test_every_config_field_survives_restart(self, checkpoint):
-        engine = ft_engine(gc_retention_ms=2_000, gc_every_ticks=3,
-                           auto_pad_streams=False)
+        engine = ft_engine(
+            num_nodes=3, use_rdma=False, plan_width=2, scalarization=False,
+            injector_threads=2, gc_every_ticks=3, gc_retention_ms=2_000,
+            checkpoint_interval_ms=2_000, tracing=True, adaptive_replan=True,
+            replan_check_closes=3,
+            cost=CostModel(hash_probe_ns=CostModel().hash_probe_ns + 1),
+            memory=MemoryModel(entry_bytes=MemoryModel().entry_bytes + 1))
+        default = EngineConfig()
+        for f in dataclasses.fields(EngineConfig):
+            assert getattr(engine.config, f.name) != \
+                getattr(default, f.name), f.name
         engine.run_until(3_000)
         save_engine(engine, checkpoint)
         revived = restore_engine(checkpoint)
         assert revived.config == engine.config
-        assert (revived.config.gc_retention_ms, revived.config.gc_every_ticks,
-                revived.config.auto_pad_streams) == (2_000, 3, False)
+
+    def test_unknown_config_setting_rejected(self, checkpoint):
+        engine = ft_engine()
+        engine.run_until(2_000)
+        save_engine(engine, checkpoint)
+        with open(checkpoint) as handle:
+            data = json.load(handle)
+        data["config"]["no_such_setting"] = 2
+        with open(checkpoint, "w") as handle:
+            json.dump(data, handle)
+        with pytest.raises(FaultToleranceError, match="no_such_setting"):
+            restore_engine(checkpoint)
 
     def test_save_requires_fault_tolerance(self, checkpoint):
         engine = build_engine()  # fault_tolerance=False
@@ -331,11 +353,12 @@ class TestSaveRestore:
         save_engine(engine, checkpoint)
         with open(checkpoint) as handle:
             data = json.load(handle)
-        data["version"] = 2  # the format before the log records
-        with open(checkpoint, "w") as handle:
-            json.dump(data, handle)
-        with pytest.raises(FaultToleranceError):
-            restore_engine(checkpoint)
+        for version in (2, 3):  # before the log records; six more settings
+            data["version"] = version
+            with open(checkpoint, "w") as handle:
+                json.dump(data, handle)
+            with pytest.raises(FaultToleranceError, match="version"):
+                restore_engine(checkpoint)
 
     def test_restore_preserves_source_attachment_order(self, checkpoint):
         """Regression: the dump records the attachment order, and restore

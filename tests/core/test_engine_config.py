@@ -16,7 +16,6 @@ class TestConfig:
         config = EngineConfig()
         assert config.num_nodes == 1
         assert config.plan_width == 1
-        assert config.keep_snapshots == 2
         assert config.scalarization
         assert not config.fault_tolerance
 
@@ -27,19 +26,6 @@ class TestConfig:
         assert len(record.result.rows) == 1
         # The loop runs even with no streams to pump.
         engine.run_until(1_000)
-
-    def test_auto_pad_disabled_stalls_visibility(self):
-        engine = WukongSEngine(
-            schemas=[StreamSchema("S")],
-            config=EngineConfig(batch_interval_ms=1000,
-                                auto_pad_streams=False))
-        engine.load_static(parse_triples("a p b ."))
-        source = StreamSource(engine.schemas["S"])
-        source.queue_tuples(parse_timed_tuples("x q y @500"), 0, 1000)
-        engine.attach_source(source)
-        engine.run_until(5_000)
-        # Without padding the VTS stops at the delivered batch.
-        assert engine.coordinator.stable_vts().get("S") == 1
 
     def test_auto_pad_keeps_vts_moving(self):
         engine = WukongSEngine(
@@ -84,3 +70,41 @@ class TestSourceIntegration:
         engine = build_engine()
         with pytest.raises(StreamError):
             engine.attach_source(StreamSource(StreamSchema("nope")))
+
+    # -- batch geometry: batch #k of every stream spans [(k-1)*i, k*i) --
+    @staticmethod
+    def _geometry_engine(start_ms, interval_ms):
+        """A 100 ms engine whose source cuts ten tuples (one every
+        100 ms from 60 ms) into batches of ``interval_ms`` from
+        ``start_ms``, under a tumbling 500 ms window."""
+        engine = WukongSEngine(schemas=[StreamSchema("S")],
+                               config=EngineConfig(batch_interval_ms=100))
+        source = StreamSource(engine.schemas["S"])
+        source.queue_tuples(parse_timed_tuples("\n".join(
+            f"x{t} q y @{60 + 100 * t}" for t in range(10))),
+            start_ms, interval_ms)
+        engine.attach_source(source)
+        query = engine.register_continuous("""
+            REGISTER QUERY Q AS SELECT ?X ?Y
+            FROM S [RANGE 500ms STEP 500ms]
+            WHERE { GRAPH S { ?X q ?Y } }
+        """)
+        return engine, query
+
+    def test_batches_on_the_engine_geometry_split_evenly(self):
+        engine, query = self._geometry_engine(0, 100)
+        engine.run_until(1_000)
+        assert [(r.close_ms, len(r.result.rows))
+                for r in query.executions] == [(500, 5), (1_000, 5)]
+
+    def test_batches_wider_than_the_interval_rejected(self):
+        # 200 ms batches read as 100 ms ones would put all ten tuples in
+        # the first window and none in the second.
+        engine, _ = self._geometry_engine(0, 200)
+        with pytest.raises(StreamError, match="batch #1"):
+            engine.run_until(1_000)
+
+    def test_source_started_off_zero_rejected(self):
+        engine, _ = self._geometry_engine(50, 100)
+        with pytest.raises(StreamError, match="batch #1"):
+            engine.run_until(1_000)

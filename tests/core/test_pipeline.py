@@ -41,14 +41,6 @@ class TestAdaptor:
         assert len(adapted.timing) == 1
         assert adapted.batch_no == 2
 
-    def test_discards_unrelated_predicates(self):
-        strings = StringServer()
-        adaptor = Adaptor(StreamSchema("S"), strings,
-                          relevant_predicates={"po"})
-        adapted = adaptor.adapt(make_batch())
-        assert len(adapted.timeless) == 1
-        assert adapted.discarded == 2
-
     def test_encodes_through_string_server(self):
         strings = StringServer()
         adaptor = Adaptor(StreamSchema("S"), strings)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import StoreError, StreamError
+from repro.streams.window import batch_span
 
 from core.test_engine import build_engine, names
 
@@ -127,7 +128,7 @@ def test_scope_starting_exactly_at_gc_frontier_succeeds():
     cfg = engine.config
     frontier = engine.registry.index("Tweet_Stream").collected_before
     assert frontier > 1  # GC must actually have collected something
-    start_ms = cfg.stream_start_ms + (frontier - 1) * cfg.batch_interval_ms
+    start_ms, _ = batch_span(frontier, cfg.batch_interval_ms)
     record = engine.oneshot_time_scoped(
         TIME_QUERY, start_ms, start_ms + cfg.batch_interval_ms)
     assert record.result.rows is not None  # executed without StoreError
@@ -141,7 +142,7 @@ def test_scope_one_batch_below_gc_frontier_raises():
     cfg = engine.config
     frontier = engine.registry.index("Tweet_Stream").collected_before
     assert frontier > 1
-    boundary_ms = cfg.stream_start_ms + (frontier - 1) * cfg.batch_interval_ms
+    boundary_ms, _ = batch_span(frontier, cfg.batch_interval_ms)
     with pytest.raises(StoreError, match="garbage-collected"):
         engine.oneshot_time_scoped(
             TIME_QUERY, boundary_ms - cfg.batch_interval_ms,

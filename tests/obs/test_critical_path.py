@@ -132,20 +132,3 @@ def test_flame_render_shows_phases_and_branches():
     assert "oneshot [query]" in text
     assert "phase:dispatch" in text
     assert "join:" in text and "*" in text  # a marked critical branch
-
-
-def test_sampled_tracer_records_fewer_activities():
-    config = EngineConfig(num_nodes=2, batch_interval_ms=100,
-                          tracing=True, trace_sample_every=4)
-    engine = WukongSEngine(schemas=[StreamSchema("S")], config=config)
-    engine.load_static(parse_triples("a fo b ."))
-    source = StreamSource(engine.schemas["S"])
-    source.queue_tuples(parse_timed_tuples(
-        "\n".join(f"a po p{t} @{100 * t + 10}" for t in range(8))), 0, 100)
-    engine.attach_source(source)
-    for _ in range(8):
-        engine.step()
-    injections = engine.tracer.activities("inject")
-    assert 0 < len(injections) <= 2  # 8 batches, every 4th recorded
-    for activity in injections:
-        assert_exact(engine.tracer.spans, activity)

@@ -1,6 +1,4 @@
-"""Tracer unit behaviour: spans, phases, groups, sampling, nesting."""
-
-import pytest
+"""Tracer unit behaviour: spans, phases, groups, nesting."""
 
 from repro.obs.trace import ACTIVITY, BRANCH, EVENT, JOIN, PHASE, Tracer
 from repro.sim.cost import LatencyMeter
@@ -70,19 +68,6 @@ def test_empty_group_records_no_join():
     assert [s for s in tracer.children(root.sid) if s.kind == JOIN] == []
 
 
-def test_sampling_is_per_activity_name():
-    tracer = Tracer(sample_every=2)
-    for _ in range(4):
-        act = tracer.begin("a", "query", LatencyMeter(), anchor_ms=0)
-        if act is not None:
-            act.end()
-    act = tracer.begin("b", "query", LatencyMeter(), anchor_ms=0)
-    assert act is not None  # first "b" recorded despite four "a" begins
-    act.end()
-    assert len(tracer.activities("a")) == 2
-    assert len(tracer.activities("b")) == 1
-
-
 def test_nested_activities_form_a_tree():
     tracer = Tracer()
     outer_meter = LatencyMeter()
@@ -104,8 +89,3 @@ def test_event_span_records_completed_interval():
     assert span.ps == 12_345_678 and span.ns == 12_345.678
     assert span.anchor_ms == 4_200
     assert span.labels == {"node_id": 1}
-
-
-def test_invalid_sample_every_rejected():
-    with pytest.raises(ValueError):
-        Tracer(sample_every=0)

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.sim.cluster import Cluster, Node
+from repro.sim.cluster import WORKERS_PER_NODE, Cluster
 
 
 def test_cluster_has_requested_nodes():
-    cluster = Cluster(num_nodes=8, workers_per_node=16)
+    cluster = Cluster(num_nodes=8)
     assert cluster.num_nodes == 8
-    assert cluster.total_workers == 128
+    assert cluster.total_workers == 8 * WORKERS_PER_NODE == 128
 
 
 def test_owner_partitioning_is_stable_and_total():
@@ -31,7 +31,7 @@ def test_kill_and_restart_node():
     cluster = Cluster(num_nodes=2)
     cluster.kill_node(1)
     assert len(cluster.alive_nodes()) == 1
-    assert cluster.total_workers == cluster.nodes[0].workers
+    assert cluster.total_workers == WORKERS_PER_NODE
     cluster.restart_node(1)
     assert len(cluster.alive_nodes()) == 2
 
@@ -45,8 +45,6 @@ def test_bad_node_id_rejected():
 def test_invalid_sizes_rejected():
     with pytest.raises(ValueError):
         Cluster(num_nodes=0)
-    with pytest.raises(ValueError):
-        Node(0, workers=0)
 
 
 def test_single_node_cluster_owns_everything():

@@ -95,16 +95,6 @@ def test_persistent_access_snapshot_bound():
         [strings.entity_id("b"), strings.entity_id("c")]
 
 
-def test_local_index_only_access():
-    cluster, strings, store = build(num_nodes=2)
-    store.load(parse_triples("a p b .\nc p d ."))
-    p = strings.predicate_id("p")
-    partial = PersistentAccess(store, home_node=0, local_index_only=True)
-    full = PersistentAccess(store, home_node=0)
-    assert len(partial.index_vertices(p, DIR_OUT, LatencyMeter())) <= \
-        len(full.index_vertices(p, DIR_OUT, LatencyMeter()))
-
-
 def test_resolvers_do_not_allocate():
     _, strings, store = build()
     access = PersistentAccess(store)

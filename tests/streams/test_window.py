@@ -1,15 +1,18 @@
 """Tests for window arithmetic."""
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.errors import StreamError
+from repro.rdf.terms import TimedTuple, Triple
 from repro.sparql.ast import WindowSpec
+from repro.streams.stream import batch_tuples
 from repro.streams.window import (WindowPlanner, expiry_floor_ms,
                                   next_execution_ms)
 
 
-def planner(range_ms=1000, step_ms=100, interval=100, start=0):
-    return WindowPlanner(WindowSpec(range_ms, step_ms), interval, start)
+def planner(range_ms=1000, step_ms=100, interval=100):
+    return WindowPlanner(WindowSpec(range_ms, step_ms), interval)
 
 
 def test_last_batch_needed():
@@ -43,13 +46,6 @@ def test_step_must_align_with_interval():
         WindowPlanner(WindowSpec(1000, 150), 100)
 
 
-def test_nonzero_stream_start():
-    p = planner(start=1000)
-    assert p.last_batch_needed(1000) == 0
-    assert p.last_batch_needed(1200) == 2
-    assert p.batch_range(2000) == (1, 10)
-
-
 def test_next_execution_times():
     assert next_execution_ms(0, 100, 0) == 100
     assert next_execution_ms(0, 100, 50) == 100
@@ -58,25 +54,15 @@ def test_next_execution_times():
     assert next_execution_ms(500, 1000, 2600) == 3500
 
 
-def test_batch_range_opens_before_nonzero_stream_start():
-    # Window [1500, 2500) over a stream whose batch #1 opens at 2000:
-    # the pre-stream half clamps to batch 1, not to a negative number.
-    p = planner(range_ms=1000, start=2000)
-    assert p.batch_range(2500) == (1, 5)
-    # A window lying entirely before the stream opened is empty.
-    p_wide = planner(range_ms=500, start=2000)
-    assert p_wide.batch_range(1800)[0] > p_wide.batch_range(1800)[1]
-
-
 def test_batch_range_empty_windows_first_exceeds_last():
     # Close exactly at stream start: nothing has been delivered.
-    p = planner(start=1000)
-    first, last = p.batch_range(1000)
+    p = planner()
+    first, last = p.batch_range(0)
     assert first > last
     # Mid-first-batch close: batch 1 has not closed its interval yet.
-    first, last = p.batch_range(1050)
+    first, last = p.batch_range(50)
     assert first > last
-    assert p.batch_range(1100) == (1, 1)
+    assert p.batch_range(100) == (1, 1)
 
 
 def test_batch_range_step_equals_batch_interval_boundaries():
@@ -112,3 +98,37 @@ def test_expiry_floor():
 def test_span_at():
     p = planner(range_ms=300)
     assert p.span_at(1000) == (700, 1000)
+
+
+# -- the batch geometry against a brute-force oracle ----------------------
+
+@settings(max_examples=300, deadline=None)
+@given(interval=st.integers(1, 500), steps=st.integers(1, 8),
+       range_ms=st.integers(1, 5_000), close_ms=st.integers(0, 20_000))
+def test_batch_range_matches_a_brute_force_scan(interval, steps, range_ms,
+                                                close_ms):
+    p = WindowPlanner(WindowSpec(range_ms, steps * interval), interval)
+    # Batch k spans [(k-1)*i, k*i); a close needs every batch that has
+    # ended by then and overlaps [close - range, close).
+    expected = [k for k in range(1, close_ms // interval + 2)
+                if k * interval <= close_ms
+                and k * interval > close_ms - range_ms
+                and (k - 1) * interval < close_ms]
+    first, last = p.batch_range(close_ms)
+    assert list(range(first, last + 1)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval=st.integers(1, 500),
+       stamps=st.lists(st.integers(0, 10_000), max_size=40))
+def test_batch_tuples_numbers_batches_by_timestamp(interval, stamps):
+    tuples = [TimedTuple(Triple("s", "p", f"o{n}"), ts)
+              for n, ts in enumerate(sorted(stamps))]
+    batches = batch_tuples("S", tuples, 0, interval)
+    assert [b.batch_no for b in batches] == list(range(1, len(batches) + 1))
+    for batch in batches:
+        assert (batch.start_ms, batch.end_ms) == \
+            ((batch.batch_no - 1) * interval, batch.batch_no * interval)
+        for tup in batch.tuples:
+            assert batch.batch_no == tup.timestamp_ms // interval + 1
+    assert sum(len(b) for b in batches) == len(tuples)
