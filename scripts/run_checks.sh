@@ -51,7 +51,12 @@
 # batches enter — keep_snapshot[s], auto_pad_stream[s], the tracer's
 # sample_ever[y], workers_per_nod[e], replan_cooldown_close[s],
 # local_index_onl[y], the adaptor's relevant_predicate[s] and the serving
-# layer's retry_polic[y]) have not come back.
+# layer's retry_polic[y]), and the per-key copies of a batch no window
+# reads (the stream index's skip postings _key_posting[s] /
+# _vertex_posting[s] / _posting_batc[h] — a window view probes its own
+# slices — and the shard's index-member sets _index_member[s] /
+# _update_statistic[s] — a vid joins its index vertex when its key is
+# created) have not come back.
 # A test marked both serving and chaos runs in the chaos stage only.
 #
 # The examples stage runs every walkthrough under examples/ (the only
@@ -108,7 +113,7 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list, the settings only tests set) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list, the settings only tests set, skip postings and index-member sets) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts; \
         then exit 1; fi
@@ -148,6 +153,8 @@ if grep -rn 'query_to_dic[t]\|query_from_dic[t]\|_decode_batch_lo[g]' \
 if grep -rn '_TopKSketc[h]\|TOPK_CAPACIT[Y]\|bump_man[y]\|topk_degre[e]\|\._du[e]\>' \
         src scripts tests benchmarks; then exit 1; fi
 if grep -rn 'stream_start_m[s]\|keep_snapshot[s]\|auto_pad_stream[s]\|sample_ever[y]\|workers_per_nod[e]\|replan_cooldown_close[s]\|local_index_onl[y]\|relevant_predicate[s]\|retry_polic[y]' \
+        src scripts tests benchmarks examples; then exit 1; fi
+if grep -rn '_key_posting[s]\|_vertex_posting[s]\|_posting_batc[h]\|_index_member[s]\|_update_statistic[s]' \
         src scripts tests benchmarks examples; then exit 1; fi
 
 echo "== examples (every walkthrough runs to completion) =="

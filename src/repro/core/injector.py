@@ -151,7 +151,7 @@ class Injector:
                 for v, p in zip(vertex, part.p)]
         spans = shard.append_column(keys, other, sn=sn, meter=meter)
         if index_slice is not None:
-            index_slice.add_batch_spans(self.node_id, spans, d)
+            index_slice.add_batch_spans(self.node_id, spans)
 
     def _append_timing(self, node_batch: NodeBatch,
                        meter: Optional[LatencyMeter]) -> None:

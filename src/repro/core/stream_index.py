@@ -25,11 +25,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import chain, islice
-from operator import itemgetter
 from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import StoreError, StreamError
-from repro.rdf.ids import MAX_EID, _EID_SHIFT, _VID_SHIFT, Key
+from repro.rdf.ids import _EID_SHIFT, _VID_SHIFT, Key
 from repro.sim.cost import CostModel, LatencyMeter, MemoryModel
 
 #: One index entry: ``(owner, offset, length)`` — the node whose shard
@@ -37,6 +36,9 @@ from repro.sim.cost import CostModel, LatencyMeter, MemoryModel
 #: tuple of ints only, so the collector untracks it at its first young
 #: collection and the window-long entries never reach the old generation.
 OwnedSpan = Tuple[int, int, int]
+
+#: The low bits of a packed key that identify its ``(eid, d)`` group.
+_PRED_MASK = (1 << _VID_SHIFT) - 1
 
 
 def _append_coalesced(spans: List[OwnedSpan], owner: int, offset: int,
@@ -61,42 +63,60 @@ def _append_coalesced(spans: List[OwnedSpan], owner: int, offset: int,
 class IndexSlice:
     """Stream-index entries contributed by one batch: one span per key."""
 
-    __slots__ = ("batch_no", "entries", "vertices")
+    __slots__ = ("batch_no", "entries", "_vertices")
 
     def __init__(self, batch_no: int):
         self.batch_no = batch_no
         self.entries: Dict[Key, OwnedSpan] = {}
-        #: (eid, d) -> vertices that gained an (eid, d) edge in this batch.
-        self.vertices: Dict[Tuple[int, int], Set[int]] = {}
+        self._vertices: Optional[Dict[Tuple[int, int], Set[int]]] = None
 
     def add_batch_spans(self, owner: int,
-                        spans: List[Tuple[Key, int, int]], d: int) -> None:
+                        spans: List[Tuple[Key, int, int]]) -> None:
         """Record the ``(key, offset, length)`` spans one column write
-        returned (one per key, all of direction ``d``) as held by
-        ``owner``, and note each key's vertex under its ``(eid, d)``
-        group.
+        returned (one per key) as held by ``owner``.
 
         Each key is written by exactly one column write per batch: the
         dispatcher routes each half to the owner of the key's vertex,
         the injector's threads partition by that vertex, and the two
-        halves differ in the direction bit.  A key the slice already
-        holds is refused with :class:`StoreError`.
+        halves differ in the direction bit.  A call naming a key the
+        slice already holds, or one key twice, is refused with
+        :class:`StoreError` before anything is recorded.
         """
         entries = self.entries
-        vertices = self.vertices
-        group_sets: Dict[int, Set[int]] = {}
-        for key, offset, length in spans:
-            if key in entries:
-                raise StoreError(
-                    f"key {key} written twice into index slice "
-                    f"#{self.batch_no}")
-            entries[key] = (owner, offset, length)
-            eid = (key >> _EID_SHIFT) & MAX_EID
-            members = group_sets.get(eid)
-            if members is None:
-                members = group_sets[eid] = \
-                    vertices.setdefault((eid, d), set())
-            members.add(key >> _VID_SHIFT)
+        fresh = {key: (owner, offset, length)
+                 for key, offset, length in spans}
+        if len(fresh) < len(spans) or not entries.keys().isdisjoint(fresh):
+            seen: Set[Key] = set()
+            for key, _, _ in spans:
+                if key in entries or key in seen:
+                    raise StoreError(
+                        f"key {key} written twice into index slice "
+                        f"#{self.batch_no}")
+                seen.add(key)
+        entries.update(fresh)
+        self._vertices = None
+
+    @property
+    def vertices(self) -> Dict[Tuple[int, int], Set[int]]:
+        """(eid, d) -> vertices that gained an (eid, d) edge in this batch.
+
+        Built from ``entries`` on first read and memoized: slices are
+        immutable once appended, and building in entry order gives each
+        set the insertion history an eager build would have had, so set
+        iteration order does not depend on when the groups are read.
+        """
+        groups = self._vertices
+        if groups is None:
+            groups = self._vertices = {}
+            by_bucket: Dict[int, Set[int]] = {}
+            for key in self.entries:
+                bucket = key & _PRED_MASK
+                members = by_bucket.get(bucket)
+                if members is None:
+                    members = by_bucket[bucket] = \
+                        groups[(bucket >> _EID_SHIFT, bucket & 1)] = set()
+                members.add(key >> _VID_SHIFT)
+        return groups
 
     @property
     def num_entries(self) -> int:
@@ -107,25 +127,16 @@ class IndexSlice:
             * (model.index_key_bytes + model.fat_pointer_bytes)
 
 
-#: Sort key for posting lists: the batch number of one posting.
-_posting_batch = itemgetter(0)
-
-
 class StreamIndex:
     """All live index slices of one stream (logical content; see registry
     for replication).
 
-    Next to the time-ordered slice deque, the index keeps *skip postings*:
-    per key (and per (eid, d) vertex group) a batch-ordered list of
-    references into the slices that actually contain that key.  A window
-    is read through a :class:`ColumnarSlice`, which bisects the postings
-    to its batch range instead of scanning every live slice; that only
-    changes wall-clock time — the simulated charge stays one
+    The index is the time-ordered slice deque and nothing else: no
+    per-key copy of a slice is kept.  A window is read through a
+    :class:`ColumnarSlice`, which holds the slices of its batch range and
+    probes each slice's own entries; the simulated charge is one
     ``index_probe_ns`` per live slice in the range (counted by bisecting
-    the sorted batch-number list), as a linear scan would pay.  Slices
-    are immutable once appended, so vertex postings alias the slice's
-    own vertex sets, and a key posting is the flat int tuple
-    ``(batch_no, owner, offset, length)`` of the slice's one span.
+    the sorted batch-number list).
     """
 
     def __init__(self, stream: str, cost: Optional[CostModel] = None,
@@ -136,12 +147,6 @@ class StreamIndex:
         self._slices: Deque[IndexSlice] = deque()
         #: Sorted batch numbers of the live slices (mirrors ``_slices``).
         self._batch_nos: List[int] = []
-        #: key -> [(batch_no, owner, offset, length)] for the slices
-        #: containing the key.
-        self._key_postings: Dict[Key, List[Tuple[int, int, int, int]]] = {}
-        #: (eid, d) -> [(batch_no, vertex set)] for slices with that group.
-        self._vertex_postings: Dict[Tuple[int, int],
-                                    List[Tuple[int, Set[int]]]] = {}
         #: Batches strictly below this were garbage-collected (time-scoped
         #: one-shot queries refuse to read reclaimed history).
         self.collected_before = 1
@@ -157,14 +162,7 @@ class StreamIndex:
             meter.charge(self.cost.insert_entry_ns, times=piece.num_entries,
                          category="indexing")
         self._slices.append(piece)
-        batch_no = piece.batch_no
-        self._batch_nos.append(batch_no)
-        for key, (owner, offset, length) in piece.entries.items():
-            self._key_postings.setdefault(key, []).append(
-                (batch_no, owner, offset, length))
-        for group, members in piece.vertices.items():
-            self._vertex_postings.setdefault(group, []).append(
-                (batch_no, members))
+        self._batch_nos.append(piece.batch_no)
 
     # -- reads ------------------------------------------------------------
     def _probes_in(self, first_batch: int, last_batch: int) -> int:
@@ -195,18 +193,6 @@ class StreamIndex:
         while self._slices and self._slices[0].batch_no < before_batch_no:
             piece = self._slices.popleft()
             del self._batch_nos[0]
-            # Slices leave strictly from the left, so the collected batch is
-            # the head posting of every key/group it contains.
-            for key in piece.entries:
-                postings = self._key_postings[key]
-                del postings[0]
-                if not postings:
-                    del self._key_postings[key]
-            for group in piece.vertices:
-                postings = self._vertex_postings[group]
-                del postings[0]
-                if not postings:
-                    del self._vertex_postings[group]
             if meter is not None:
                 meter.charge(self.cost.gc_entry_ns, times=piece.num_entries,
                              category="gc")
@@ -425,6 +411,8 @@ class ColumnarSlice:
                     drop = 0
         member_lists = self._member_lists
         vertex_cols = self._vertex_cols
+        if not vertex_cols and not member_lists:
+            return  # no vertex read to undo: leave the groups unbuilt
         for group in piece.vertices:
             member_lists.pop((piece.batch_no,) + group, None)
             if vertex_cols.pop(group, None) is not None:
@@ -458,6 +446,8 @@ class ColumnarSlice:
             _append_coalesced(col.merged, owner, offset, length)
             col.batch_counts.append((piece.batch_no, length))
         vertex_cols = self._vertex_cols
+        if not vertex_cols:
+            return  # no vertex column to evict: leave the groups unbuilt
         for group in piece.vertices:
             # A new batch can only append unseen vertices, but the cached
             # column is shared with callers — rebuild lazily instead of
@@ -474,24 +464,20 @@ class ColumnarSlice:
             self.hits += 1
             return col
         self.misses += 1
-        postings = self.index._key_postings.get(key)
-        lo = hi = 0
-        if postings:
-            lo = bisect_left(postings, self.first_batch,
-                             key=_posting_batch)
-            hi = bisect_right(postings, self.last_batch, lo=lo,
-                              key=_posting_batch)
-        if lo == hi:
-            self._columns[key] = None
-            return None
         values: List[int] = []
         merged: List[OwnedSpan] = []
         batch_counts: List[Tuple[int, int]] = []
         shards = self.store.shards
-        for batch_no, owner, offset, length in postings[lo:hi]:
-            values += shards[owner].lookup_span(key, offset, length)
-            _append_coalesced(merged, owner, offset, length)
-            batch_counts.append((batch_no, length))
+        for piece in self._segments:
+            span = piece.entries.get(key)
+            if span is not None:
+                owner, offset, length = span
+                values += shards[owner].lookup_span(key, offset, length)
+                _append_coalesced(merged, owner, offset, length)
+                batch_counts.append((piece.batch_no, length))
+        if not batch_counts:
+            self._columns[key] = None
+            return None
         col = _KeyColumn(values, merged, batch_counts)
         self._columns[key] = col
         return col
@@ -506,22 +492,19 @@ class ColumnarSlice:
             self.hits += 1
             return cached
         self.misses += 1
-        postings = self.index._vertex_postings.get(group)
         lists: List[List[int]] = []
         scanned = 0
-        if postings:
-            lo = bisect_left(postings, self.first_batch,
-                             key=_posting_batch)
-            hi = bisect_right(postings, self.last_batch, lo=lo,
-                              key=_posting_batch)
-            member_lists = self._member_lists
-            for batch_no, members in postings[lo:hi]:
-                cache_key = (batch_no, eid, d)
-                lst = member_lists.get(cache_key)
-                if lst is None:
-                    lst = member_lists[cache_key] = list(members)
-                scanned += len(lst)
-                lists.append(lst)
+        member_lists = self._member_lists
+        for piece in self._segments:
+            members = piece.vertices.get(group)
+            if members is None:
+                continue
+            cache_key = (piece.batch_no, eid, d)
+            lst = member_lists.get(cache_key)
+            if lst is None:
+                lst = member_lists[cache_key] = list(members)
+            scanned += len(lst)
+            lists.append(lst)
         # dict.fromkeys deduplicates in first-occurrence order, batch by
         # batch in each slice's own member iteration order.
         out = list(dict.fromkeys(chain.from_iterable(lists)))

@@ -37,13 +37,14 @@ local vertices, which is how Wukong distributes index vertices.
 Two wall-clock-only additions serve the one-shot fast path (they never
 change simulated charges):
 
-*Predicate cardinality statistics* — a column write updates each
-``(eid, d)`` bucket it touches once: its entry counter and its
-index-vertex members, which yield the per-predicate entry/key
+*Predicate cardinality statistics* — a column write bumps the entry
+counter of each key's ``(eid, d)`` bucket, which with the index
+vertex's length (a vid joins ``[0|eid|d]`` exactly when its key
+``[vid|eid|d]`` is created) yields the per-predicate entry/key
 cardinalities the cost-aware planner orders triple patterns by.  A
 constant's own degree is read exactly off its value list
 (:meth:`ShardStore.degree`), so nothing on the write path tracks hot
-vertices.
+vertices or keeps a second membership set.
 
 *Adjacency-segment cache* — a bounded map from store key to its most
 recently computed ``(bound, visible-prefix, total-length)`` so repeated
@@ -57,7 +58,7 @@ else can outdate one.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import StoreError
 from repro.rdf.ids import _VID_SHIFT, Key, make_key
@@ -109,8 +110,9 @@ class ShardStore:
         self.adjacency_misses = 0
         self.adjacency_evictions = 0
         self._values: Dict[Key, _ValueList] = {}
+        #: (eid, d) -> local vids in key-creation order: the index vertex
+        #: ``[0|eid|d]``.  A vid is in it exactly when its key exists.
         self._index: Dict[Tuple[int, int], List[int]] = {}
-        self._index_members: Dict[Tuple[int, int], Set[int]] = {}
         #: Bounded scalarization's frontier: an entry whose raw SN is at
         #: or below it reads as :data:`BASE_SN`.  Only ever raised.
         self._frontier = BASE_SN
@@ -134,17 +136,15 @@ class ShardStore:
         write through here).
 
         Each key's entries land contiguously, in their arrival order,
-        and its vertex is registered with the ``(eid, d)`` index vertex
-        (a set: re-registrations are ignored).  Returns one
-        ``(key, offset, length)`` span per distinct key, in
+        and a fresh key's vertex joins the ``(eid, d)`` index vertex.
+        Returns one ``(key, offset, length)`` span per distinct key, in
         first-occurrence order, covering exactly the entries this call
         appended to it.
 
         Charges ``create_key_ns`` per fresh key plus ``insert_entry_ns``
-        per value entry and per new index entry, as two aggregated
-        calls.  The planner statistics (charge-free) are kept here too,
-        once per ``(eid, d)`` bucket: its entry count and its
-        index-vertex members.
+        per value entry and per new index entry (one per fresh key), as
+        two aggregated calls.  The planner's per-bucket entry count
+        (charge-free) is kept in the same loop.
 
         Raises :class:`StoreError`, before anything is written, when
         ``sn`` is above the base but at or below the frontier (it would
@@ -184,6 +184,9 @@ class ShardStore:
                 group.append(vid)
         values_dict = self._values
         values_get = values_dict.get
+        index = self._index
+        pred_entries = self._pred_entries
+        entries_get = pred_entries.get
         adjacency = self._adjacency
         adjacency_pop = adjacency.pop if adjacency else None
         spans: List[Tuple[Key, int, int]] = []
@@ -191,12 +194,17 @@ class ShardStore:
         created_keys = 0
         for key, group in groups.items():
             count = len(group)
+            bucket = key & _PRED_MASK
+            pred_entries[bucket] = entries_get(bucket, 0) + count
             values = values_get(key)
             if values is None:
                 # A fresh key keeps its group as its value list (no
                 # second copy of a bulk load's lists).
                 values_dict[key] = _ValueList(group, [sn] * count)
                 created_keys += 1
+                # The bucket is the index vertex's (eid, d), still packed.
+                index.setdefault((bucket >> 1, bucket & 1), []).append(
+                    key >> _PRED_BITS)
                 offset = 0
             else:
                 key_sn = folded.get(key, sn) if folded else sn
@@ -213,47 +221,14 @@ class ShardStore:
             if adjacency_pop is not None:
                 adjacency_pop(key, None)
             append_span((key, offset, count))
-        index_entries = self._update_statistics(groups)
         if meter is not None and keys:
             if created_keys:
                 meter.charge(self.cost.create_key_ns, times=created_keys,
                              category="insert")
             meter.charge(self.cost.insert_entry_ns,
-                         times=len(keys) + index_entries,
+                         times=len(keys) + created_keys,
                          category="insert")
         return spans
-
-    def _update_statistics(self, groups: Dict[Key, List[int]]) -> int:
-        """The planner statistics of one column write, per ``(eid, d)``
-        bucket: entry count and index-vertex members (new vids in
-        first-occurrence order).  Returns the new index entries."""
-        pred_entries = self._pred_entries
-        entries_get = pred_entries.get
-        runs: Dict[int, List[int]] = {}
-        runs_get = runs.get
-        for key, group in groups.items():
-            bucket = key & _PRED_MASK
-            pred_entries[bucket] = entries_get(bucket, 0) + len(group)
-            run = runs_get(bucket)
-            if run is None:
-                runs[bucket] = [key >> _PRED_BITS]
-            else:
-                run.append(key >> _PRED_BITS)
-        index_members = self._index_members
-        index_entries = 0
-        for bucket, run in runs.items():
-            # The bucket is the index vertex's (eid, d), still packed.
-            slot = (bucket >> 1, bucket & 1)
-            members = index_members.get(slot)
-            if members is None:
-                members = index_members[slot] = set()
-                self._index[slot] = []
-            fresh = [vid for vid in run if vid not in members]
-            if fresh:
-                members.update(fresh)
-                self._index[slot] += fresh
-                index_entries += len(fresh)
-        return index_entries
 
     def compact(self, bound_sn: int) -> None:
         """Bounded scalarization: fold SNs <= ``bound_sn`` into the base
@@ -269,8 +244,7 @@ class ShardStore:
 
     def predicate_keys(self, eid: int, d: int) -> int:
         """Distinct local vertices holding a ``d``-direction ``eid`` edge."""
-        members = self._index_members.get((eid, d))
-        return len(members) if members is not None else 0
+        return len(self._index.get((eid, d), ()))
 
     def degree(self, eid: int, d: int, vid: int) -> Optional[int]:
         """``vid``'s exact ``(eid, d)`` degree — every entry its key

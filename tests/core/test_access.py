@@ -28,8 +28,7 @@ class TestMergeSpans:
         index = StreamIndex("S")
         for batch_no, (owner, offset, length) in enumerate(spans, 1):
             piece = IndexSlice(batch_no)
-            piece.add_batch_spans(owner, [(self.KEY, offset, length)],
-                                  DIR_OUT)
+            piece.add_batch_spans(owner, [(self.KEY, offset, length)])
             index.append_slice(piece)
         view = ColumnarSlice(index, RangeStore()).advance(1, len(spans))
         column = view.key_column(self.KEY)
@@ -72,8 +71,7 @@ class TestWindowAccess:
         for batch_no, post in ((1, p1), (2, p2)):
             piece = IndexSlice(batch_no)
             piece.add_batch_spans(
-                0, store.shards[0].append_column([key], [post], sn=1),
-                DIR_OUT)
+                0, store.shards[0].append_column([key], [post], sn=1))
             registry.index("S").append_slice(piece)
         transients[0].append_slice(
             2, EncodedColumns([u], [ga], [l1], [150]), EncodedColumns())

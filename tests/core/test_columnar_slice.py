@@ -8,8 +8,12 @@ stats dashboard surfaces (hits/misses, delta hits/misses, evictions) are
 checked alongside.
 """
 
+from operator import itemgetter
+
+from hypothesis import given, settings, strategies as st
+
 from repro.core.stream_index import ColumnarSlice, IndexSlice, StreamIndex
-from repro.rdf.ids import DIR_OUT, make_key
+from repro.rdf.ids import DIR_IN, DIR_OUT, make_key, split_key
 
 KEY = make_key(7, 3, DIR_OUT)
 OTHER = make_key(8, 3, DIR_OUT)
@@ -31,7 +35,7 @@ class _FakeStore:
 def make_slice(batch_no, spans):
     piece = IndexSlice(batch_no)
     for owner, span in spans:
-        piece.add_batch_spans(owner, [span], span[0] & 1)
+        piece.add_batch_spans(owner, [span])
     return piece
 
 
@@ -153,12 +157,23 @@ def test_cached_absent_key_invalidated_by_extension():
     assert col is not None and col.values == [30]
 
 
+def test_pure_drop_evicts_the_dropped_batch_vertices():
+    index, store = build_fixture()
+    view = ColumnarSlice(index, store)
+    view.advance(1, 2)
+    assert view.vertices(3, DIR_OUT) == ([7, 8], 3)
+    view.advance(2, 2)  # drop batch 1, append nothing
+    fresh = ColumnarSlice(index, store).advance(2, 2)
+    assert view.vertices(3, DIR_OUT) == fresh.vertices(3, DIR_OUT)
+    assert view.vertices(3, DIR_OUT)[1] == 2
+
+
 def test_absent_key_lookups_count_as_hits_once_cached():
     index, store = build_fixture()
     missing = make_key(99, 3, DIR_OUT)
     view = ColumnarSlice(index, store)
     view.advance(1, 2)
-    # First ask walks the postings and caches the absence (a miss);
+    # First ask walks the window's slices and caches the absence (a miss);
     # every later ask is served from the cache (a hit), same as a
     # present key — absent keys are first-class cache entries.
     assert view.key_column(missing) is None
@@ -226,3 +241,120 @@ def test_counters_flow_into_cache_stats_and_obs_metrics():
     assert counters["window_view_misses"] == misses
     assert counters["window_view_evictions"] == evictions
     assert counters["window_delta_hits"] == delta_hits
+
+
+# -- property: every advanced view equals a brute-force rebuild -----------
+
+_POOL = [make_key(vid, eid, d) for vid in (1, 2, 3) for eid in (1, 2)
+         for d in (DIR_IN, DIR_OUT)]
+_GROUPS = [(eid, d) for eid in (1, 2) for d in (DIR_IN, DIR_OUT)]
+
+#: One span of a batch: (pool index, owner, entries written first by a
+#: write the stream index does not see, span length).
+_SPAN = st.tuples(st.integers(0, len(_POOL) - 1), st.integers(0, 1),
+                  st.integers(0, 1), st.integers(1, 3))
+#: One step of the sequence, in this order:
+#: - maybe append a batch (batch-number gap 0-2, then its spans);
+#: - maybe collect up to 0-2 batches past the view's first one (a
+#:   window still being read is not collected, an abandoned one may be);
+#: - advance the view's first batch by 0-2 (never below the collection
+#:   frontier) and its last by 0-2 (never past the last appended one);
+#: - read the key and vertex columns the two masks pick.
+_STEP = st.tuples(
+    st.one_of(st.none(), st.tuples(
+        st.integers(0, 2),
+        st.lists(_SPAN, max_size=6, unique_by=itemgetter(0)))),
+    st.one_of(st.none(), st.integers(0, 2)),
+    st.integers(0, 2), st.integers(0, 2),
+    st.integers(0, (1 << len(_POOL)) - 1),
+    st.integers(0, (1 << len(_GROUPS)) - 1))
+
+
+def _masked(items, mask):
+    return [item for i, item in enumerate(items) if mask >> i & 1]
+
+
+class _TwoShardStore:
+    def __init__(self):
+        self.shards = [_FakeShard({}), _FakeShard({})]
+
+
+def _brute_column(index, store, first, last, key):
+    """``(values, merged, batch_counts)`` of ``key`` re-read from the
+    live slices in range, or None when none holds it."""
+    values, merged, counts = [], [], []
+    for piece in index.slices_in(first, last):
+        if key not in piece.entries:
+            continue
+        owner, offset, length = piece.entries[key]
+        values += store.shards[owner]._values[key][offset:offset + length]
+        if merged and merged[-1][0] == owner \
+                and merged[-1][1] + merged[-1][2] == offset:
+            merged[-1] = (owner, merged[-1][1], merged[-1][2] + length)
+        else:
+            merged.append((owner, offset, length))
+        counts.append((piece.batch_no, length))
+    return (values, merged, counts) if counts else None
+
+
+def _brute_vertices(index, first, last, eid, d):
+    """Start column of ``(eid, d)``: each slice's vertex set rebuilt from
+    its entries, deduplicated in first-occurrence order, plus the summed
+    set sizes."""
+    out, scanned = {}, 0
+    for piece in index.slices_in(first, last):
+        members = set()
+        for key in piece.entries:
+            vid, key_eid, key_d = split_key(key)
+            if (key_eid, key_d) == (eid, d):
+                members.add(vid)
+        scanned += len(members)
+        for vid in members:
+            out.setdefault(vid)
+    return list(out), scanned
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(_STEP, min_size=1, max_size=20))
+def test_advanced_view_matches_brute_force_rebuild(steps):
+    """Random appends, collections and advances of one long-lived view:
+    after every advance, each key column and vertex column asked for
+    (cached or not) equals a rebuild from ``index.slices_in`` — values,
+    merged spans and batch counts; vertex order and scanned count."""
+    index = StreamIndex("S")
+    store = _TwoShardStore()
+    view = ColumnarSlice(index, store)
+    last_batch = 0
+    for batch, collect, drop, extend, key_mask, group_mask in steps:
+        if batch is not None:
+            gap, spans = batch
+            last_batch += 1 + gap
+            piece = IndexSlice(last_batch)
+            for slot, owner, unseen, length in spans:
+                key = _POOL[slot]
+                held = store.shards[owner]._values.setdefault(key, [])
+                held += [-1] * unseen
+                offset = len(held)
+                held += [last_batch * 100 + slot * 10 + i
+                         for i in range(length)]
+                piece.add_batch_spans(owner, [(key, offset, length)])
+            index.append_slice(piece)
+        if collect is not None:
+            index.collect(view.first_batch + collect)
+        first = max(index.collected_before, view.first_batch + drop)
+        last = min(max(first, view.last_batch) + extend, last_batch)
+        if last < first:
+            continue
+        view.advance(first, last)
+        assert view.probes == len(index.slices_in(first, last))
+        for key in _masked(_POOL, key_mask):
+            col = view.key_column(key)
+            expected = _brute_column(index, store, first, last, key)
+            if expected is None:
+                assert col is None
+            else:
+                assert (col.values, col.merged, col.batch_counts) \
+                    == expected
+        for eid, d in _masked(_GROUPS, group_mask):
+            assert view.vertices(eid, d) == \
+                _brute_vertices(index, first, last, eid, d)

@@ -2,9 +2,9 @@
 
 Index slices live for a whole window, so anything the collector tracks in
 them survives into the old generation and is paid for by every full
-collection.  Every span the index holds — a slice entry, a key posting,
-a window column's merged geometry — is therefore a tuple of ints only,
-which CPython untracks at its first young collection.  A slice also
+collection.  Every span the index holds — a slice entry, a window
+column's merged geometry and per-batch counts — is therefore a tuple of
+ints only, which CPython untracks at its first young collection.  A slice also
 holds exactly one span per key: one column write per key per batch.
 """
 
@@ -67,14 +67,14 @@ def test_index_spans_untracked_one_per_key(monkeypatch, num_nodes,
             assert set(piece.entries) == keys
             assert not any(gc.is_tracked(span)
                            for span in piece.entries.values())
-        for postings in index._key_postings.values():
-            assert not any(gc.is_tracked(posting) for posting in postings)
     assert slices > 0
 
-    merged = [span
-              for handle in engine.continuous.queries.values()
-              for view in handle.window_views.values()
-              for col in view._columns.values() if col is not None
-              for span in col.merged]
-    assert merged, "the run must have materialized window columns"
-    assert not any(gc.is_tracked(span) for span in merged)
+    columns = [col
+               for handle in engine.continuous.queries.values()
+               for view in handle.window_views.values()
+               for col in view._columns.values() if col is not None]
+    assert columns, "the run must have materialized window columns"
+    assert not any(gc.is_tracked(span)
+                   for col in columns for span in col.merged)
+    assert not any(gc.is_tracked(count)
+                   for col in columns for count in col.batch_counts)

@@ -14,7 +14,7 @@ OTHER = make_key(8, 3, DIR_OUT)
 
 def add(piece, owner, span):
     """Record one ``(key, offset, length)`` span as held by ``owner``."""
-    piece.add_batch_spans(owner, [span], span[0] & 1)
+    piece.add_batch_spans(owner, [span])
 
 
 def make_slice(batch_no, spans):
@@ -78,6 +78,25 @@ class TestIndexSlice:
         piece = make_slice(1, [(0, (KEY, 0, 1)),
                                (0, (OTHER, 0, 1))])
         assert piece.vertices[(3, DIR_OUT)] == {7, 8}
+
+    def test_refused_call_records_nothing(self):
+        # The whole call is checked before any span is recorded: a
+        # refused call leaves neither its earlier spans nor their
+        # vertices behind.
+        piece = make_slice(1, [(0, (KEY, 4, 1))])
+        fresh = make_key(9, 5, DIR_OUT)
+        for spans in ([(fresh, 0, 1), (KEY, 5, 1)],
+                      [(fresh, 0, 1), (fresh, 1, 1)]):
+            with pytest.raises(StoreError):
+                piece.add_batch_spans(0, spans)
+            assert piece.entries == {KEY: (0, 4, 1)}
+            assert piece.vertices == {(3, DIR_OUT): {7}}
+
+    def test_vertices_follow_later_spans(self):
+        piece = make_slice(1, [(0, (KEY, 0, 1))])
+        assert piece.vertices == {(3, DIR_OUT): {7}}
+        add(piece, 1, (OTHER, 0, 1))
+        assert piece.vertices == {(3, DIR_OUT): {7, 8}}
 
 
 class TestStreamIndex:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import StoreError
-from repro.rdf.ids import DIR_IN, DIR_OUT, make_key
+from repro.rdf.ids import DIR_IN, DIR_OUT, make_key, split_key
 from repro.sim.cost import LatencyMeter, MemoryModel
 from repro.store.kvstore import BASE_SN, ShardStore
 
@@ -229,6 +229,78 @@ def test_index_vertices_deduplicate():
     assert first.ns == cost.create_key_ns + 2 * cost.insert_entry_ns
     assert again.ns == cost.insert_entry_ns
     assert other.ns == first.ns
+
+
+#: A column over both directions: (vid, eid, d, value) per entry.
+_DIRECTED = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2),
+                               st.sampled_from([DIR_IN, DIR_OUT]),
+                               st.integers(1, 50)), min_size=1, max_size=8)
+_STREAM = st.tuples(st.just("append"), st.integers(0, 2), _DIRECTED)
+_BASE_DIRECTED = st.tuples(st.just("base"), st.just(0), _DIRECTED)
+#: A column below the highest SN written so far (refused unless its
+#: keys' last SNs allow it).
+_STALE = st.tuples(st.just("stale"), st.integers(1, 2), _DIRECTED)
+_GROUPS = [(eid, d) for eid in (1, 2) for d in (DIR_IN, DIR_OUT)]
+
+
+def _statistics(shard):
+    """What the planner reads per ``(eid, d)``: the index vertex, the
+    key count and the entry count."""
+    return {(eid, d): (list(shard.index_vertices(eid, d)),
+                       shard.predicate_keys(eid, d),
+                       shard.predicate_entries(eid, d))
+            for eid, d in _GROUPS}
+
+
+def _derived_statistics(shard):
+    """The same, rebuilt from the keys in creation order and their
+    whole value lists."""
+    vertices = {group: [] for group in _GROUPS}
+    entries = dict.fromkeys(_GROUPS, 0)
+    for key in shard.iter_keys():
+        vid, eid, d = split_key(key)
+        vertices[(eid, d)].append(vid)
+        entries[(eid, d)] += len(shard.lookup(key))
+    return {group: (vertices[group], len(vertices[group]), entries[group])
+            for group in _GROUPS}
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.one_of(_STREAM, _BASE_DIRECTED, _STALE, _COMPACT),
+                max_size=40))
+def test_index_vertices_follow_key_creation(ops):
+    """Random columns (stream SNs, base columns onto folded and unfolded
+    keys, stale SNs) mixed with compaction: after every step the index
+    vertices, ``predicate_keys`` and ``predicate_entries`` equal what
+    the keys in creation order and their value lists give, an accepted
+    column charges one index entry per key it creates, and a refused
+    one changes none of them."""
+    shard = ShardStore()
+    cost = shard.cost
+    sn = BASE_SN
+    for op in ops:
+        if op[0] == "compact":
+            shard.compact(sn - op[1])
+            continue
+        kind, step, entries = op
+        if kind == "append":
+            sn += step
+        write_sn = {"append": sn, "base": BASE_SN,
+                    "stale": max(BASE_SN, sn - step)}[kind]
+        keys = [make_key(vid, eid, d) for vid, eid, d, _ in entries]
+        values = [value for _, _, _, value in entries]
+        before = _statistics(shard)
+        created = len(set(keys) - set(shard.iter_keys()))
+        meter = LatencyMeter()
+        try:
+            shard.append_column(keys, values, sn=write_sn, meter=meter)
+        except StoreError:
+            assert _statistics(shard) == before
+            assert meter.ns == 0
+        else:
+            assert meter.ns == cost.create_key_ns * created \
+                + cost.insert_entry_ns * (len(keys) + created)
+        assert _statistics(shard) == _derived_statistics(shard)
 
 
 def test_costs_charged_on_lookup():
