@@ -56,7 +56,12 @@
 # _vertex_posting[s] / _posting_batc[h] — a window view probes its own
 # slices — and the shard's index-member sets _index_member[s] /
 # _update_statistic[s] — a vid joins its index vertex when its key is
-# created) have not come back.
+# created), and the row round trip between executor and client (the
+# window view's column_set[s] / columns_distinc[t] fallbacks — a window
+# access serves sets and verdicts only for the fetch it just returned —
+# and any read of result.row[s] on a query path under src/repro/core,
+# client, serving or temporal/engine.py: results travel as columns and
+# the client decoder zips them into rows once) have not come back.
 # A test marked both serving and chaos runs in the chaos stage only.
 #
 # The examples stage runs every walkthrough under examples/ (the only
@@ -113,7 +118,7 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list, the settings only tests set, skip postings and index-member sets) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list, the settings only tests set, skip postings and index-member sets, the row round trip between executor and client) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts; \
         then exit 1; fi
@@ -156,6 +161,10 @@ if grep -rn 'stream_start_m[s]\|keep_snapshot[s]\|auto_pad_stream[s]\|sample_eve
         src scripts tests benchmarks examples; then exit 1; fi
 if grep -rn '_key_posting[s]\|_vertex_posting[s]\|_posting_batc[h]\|_index_member[s]\|_update_statistic[s]' \
         src scripts tests benchmarks examples; then exit 1; fi
+if grep -rn 'column_set[s]\|columns_distinc[t]\|_decode_row[s]' \
+        src scripts tests benchmarks examples; then exit 1; fi
+if grep -rn 'result\.row[s]\>' src/repro/core src/repro/client \
+        src/repro/serving src/repro/temporal/engine.py; then exit 1; fi
 
 echo "== examples (every walkthrough runs to completion) =="
 for example in examples/*.py; do

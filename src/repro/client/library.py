@@ -7,10 +7,13 @@ client-side responsibilities of §3:
 * resolve constant strings to IDs through the string server (one round
   trip per *new* constant — long strings never travel with queries);
 * submit one-shot queries / register continuous ones;
-* decode result vids back to strings for the application — a column at
-  a time (:meth:`ClientLibrary._decode_rows`), and once per window close
-  for all the subscriptions a proxy pool multiplexes onto one backing
-  query (:class:`SharedDecodes`).
+* decode result vids back to strings for the application: the executor
+  hands over its projected columns (:class:`~repro.store.executor.
+  ExecutionResult`), each vid column goes through the string server in
+  one call, and row tuples are built once, by one ``zip``
+  (:meth:`ClientLibrary._decode`) — once per window close for all the
+  subscriptions a proxy pool multiplexes onto one backing query
+  (:class:`SharedDecodes`).
 
 Latencies reported to the client optionally include the client<->server
 round trip (``include_network``); the paper's tables report server-side
@@ -21,8 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.client.procedures import ProcedureCache, StoredProcedure
 from repro.core.continuous import ExecutionRecord, RegisteredQuery
@@ -30,13 +32,14 @@ from repro.core.engine import WukongSEngine
 from repro.core.pipeline import LRUCache
 from repro.errors import PlanError, RegistrationError, StoreError
 from repro.rdf.string_server import StringServer
+from repro.store.executor import ExecutionResult
 
 #: Approximate request/response payload sizes (bytes).
 _REQUEST_BYTES = 96
 _ROW_BYTES = 48
 
-#: Rows transposed to columns at a time.  Large enough that the per-block
-#: Python overhead vanishes, small enough that the transient columns of a
+#: Rows decoded at a time.  Large enough that the per-block Python
+#: overhead vanishes, small enough that the transient name columns of a
 #: 500 k-row answer stay ~1 MB instead of a second copy of the answer.
 _DECODE_BLOCK_ROWS = 32_768
 
@@ -128,13 +131,12 @@ class ClientSubscription:
         library = self.library
         executions = self.handle.executions
         first, self._delivered = self._delivered, len(executions)
-        snapshot = library.engine.coordinator.stable_sn
         out: List[ClientResult] = []
         for index in range(first, self._delivered):
             record = executions[index]
             out.append(library._deliver(
                 record.result, self._decoded(index, record), record.meter,
-                snapshot))
+                record.snapshot))
         return out
 
     def _decoded(self, index: int,
@@ -143,10 +145,10 @@ class ClientSubscription:
         rows — decoded here, or by whichever co-subscriber came first."""
         library, shared = self.library, self.shared
         if shared is None:
-            return library._decode_rows(self.procedure, record.result.rows)
+            return library._decode(self.procedure, record.result)
         rows = shared.get(index)
         if rows is None:
-            rows = library._decode_rows(self.procedure, record.result.rows)
+            rows = library._decode(self.procedure, record.result)
             shared.put(index, rows, len(self.handle.executions))
         else:
             library.stats.decodes_shared += 1
@@ -196,8 +198,7 @@ class ClientLibrary:
                 "use register()")
         record = self.engine.oneshot(procedure.query, home_node=home_node)
         result = record.result
-        return self._deliver(result,
-                             self._decode_rows(procedure, result.rows),
+        return self._deliver(result, self._decode(procedure, result),
                              record.meter, record.snapshot)
 
     def register(self, text: str,
@@ -243,35 +244,34 @@ class ClientLibrary:
                 known.put(constant, True)
         return procedure
 
-    def _decode_rows(self, procedure: StoredProcedure,
-                     rows: Sequence[Tuple[object, ...]]
-                     ) -> List[Tuple[object, ...]]:
-        """Decode vids to strings; aggregate values pass through.
+    def _decode(self, procedure: StoredProcedure,
+                result: ExecutionResult) -> List[Tuple[object, ...]]:
+        """The result's rows, vids decoded to strings; aggregate values
+        pass through.
 
-        Columnar: each block of rows is transposed, every projected
-        variable's column goes through the string server in one call,
-        and the columns are zipped back into row tuples.
+        Columnar: per block of rows, every projected variable's column
+        slice goes through the string server in one call, and one
+        ``zip`` builds the block's row tuples.
         """
+        nrows = result.nrows
         self.stats.results_decoded += 1
-        self.stats.rows_decoded += len(rows)
-        if not rows:
-            return []
-        width = len(rows[0])
+        self.stats.rows_decoded += nrows
+        columns = result.columns
+        if not columns:  # no rows, or ASK's zero-width ones
+            return [()] * nrows
         query = procedure.query
         # Columns from here on hold aggregate values, not vids.
-        names_end = min(len(query.group_by), width) if query.aggregates \
-            else width
-        if not names_end:  # ASK's zero-width rows, ungrouped aggregates
-            return list(map(tuple, rows))
+        names_end = min(len(query.group_by), len(columns)) \
+            if query.aggregates else len(columns)
         strings = self.engine.strings
-        getters = [itemgetter(index) for index in range(width)]
         decoded: List[Tuple[object, ...]] = []
-        for start in range(0, len(rows), _DECODE_BLOCK_ROWS):
-            block = rows[start:start + _DECODE_BLOCK_ROWS]
-            columns = [list(map(getter, block)) for getter in getters]
-            for index in range(names_end):
-                columns[index] = _decode_column(strings, columns[index])
-            decoded.extend(zip(*columns))
+        for start in range(0, nrows, _DECODE_BLOCK_ROWS):
+            stop = start + _DECODE_BLOCK_ROWS
+            block = [column[start:stop] for column in columns] \
+                if nrows > _DECODE_BLOCK_ROWS else columns
+            block = [_decode_column(strings, column) if index < names_end
+                     else column for index, column in enumerate(block)]
+            decoded.extend(zip(*block))
         return decoded
 
     def _deliver(self, result, rows: List[Tuple[object, ...]], meter,
@@ -282,7 +282,7 @@ class ClientLibrary:
         server_ps = meter.ps
         client_ps = server_ps
         if self.include_network:
-            payload = _REQUEST_BYTES + _ROW_BYTES * len(result.rows)
+            payload = _REQUEST_BYTES + _ROW_BYTES * len(result)
             client_ps += self.engine.cluster.fabric.message_ps(payload)
         return ClientResult(
             columns=list(result.variables), rows=rows,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.stream_index import (_EMPTY_SET, _MISSING, ColumnarSlice,
+from repro.core.stream_index import (_MISSING, ColumnarSlice,
                                      StreamIndexRegistry)
 from repro.core.transient import TransientStore
 from repro.rdf.ids import _EID_SHIFT, _VID_SHIFT
@@ -24,6 +24,9 @@ from repro.streams.stream import StreamSchema
 
 #: Approximate wire size of one remote index/transient probe result.
 _PROBE_BYTES = 64
+
+#: Shared read-only set served for cached-absent keys (never mutated).
+_EMPTY_SET: set = set()
 
 
 class WindowAccess:
@@ -170,36 +173,29 @@ class WindowAccess:
 
     def neighbor_sets(self, starts: Iterable[int], eid: int,
                       d: int) -> Optional[Dict[int, set]]:
-        """Memoized per-start membership sets for the starts' neighbour
-        lists, or None for a timing predicate, which has no window
-        column to remember them on (the caller then builds its own
-        sets).  Charge-free: the membership filter is executor
-        bookkeeping."""
-        if self._is_timing(eid):
-            return None
+        """Memoized per-start membership sets for the neighbour lists the
+        latest timeless :meth:`neighbors_many` returned as ``starts``, or
+        None for any other dict — a timing predicate's has no window
+        column to remember them on — and the caller builds its own sets.
+        Charge-free: the membership filter is executor bookkeeping."""
         last = self._last_fetch
-        if last is not None and last[0] is starts:
-            sets: Dict[int, set] = {}
-            for start, col in last[1].items():
-                sets[start] = _EMPTY_SET if col is None else col.value_set()
-            return sets
-        return self.view.column_sets(starts, eid, d)
+        if last is None or last[0] is not starts:
+            return None
+        return {start: _EMPTY_SET if col is None else col.value_set()
+                for start, col in last[1].items()}
 
     def distinct_neighbors(self, starts: Iterable[int], eid: int,
                            d: int) -> Optional[bool]:
-        """Memoized duplicate-free verdict for the starts' neighbour
-        lists, or None for a timing predicate (the caller then derives
-        the verdict itself).  Charge-free: the distinct check is
-        executor bookkeeping."""
-        if self._is_timing(eid):
-            return None
+        """Memoized duplicate-free verdict for the neighbour lists the
+        latest timeless :meth:`neighbors_many` returned as ``starts``, or
+        None for any other dict (the caller then derives the verdict
+        itself).  Charge-free: the distinct check is executor
+        bookkeeping."""
         last = self._last_fetch
-        if last is not None and last[0] is starts:
-            for col in last[1].values():
-                if col is not None and not col.is_distinct():
-                    return False
-            return True
-        return self.view.columns_distinct(starts, eid, d)
+        if last is None or last[0] is not starts:
+            return None
+        return all(col is None or col.is_distinct()
+                   for col in last[1].values())
 
     def index_vertices(self, eid: int, d: int,
                        meter: LatencyMeter) -> List[int]:

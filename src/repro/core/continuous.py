@@ -38,6 +38,8 @@ class ExecutionRecord:
     close_ms: int
     result: ExecutionResult
     meter: LatencyMeter
+    #: The stable SN the execution read the persistent store at.
+    snapshot: int
 
     @property
     def latency_ms(self) -> float:
@@ -292,23 +294,25 @@ class ContinuousEngine:
         meter.charge(self.cluster.cost.trigger_check_ns, category="trigger")
         if act is not None:
             act.mark("dispatch")
-        factory = self._access_factory(registered, close_ms)
+        stable_sn = self.coordinator.stable_sn
+        factory = self._access_factory(registered, close_ms, stable_sn)
         result = self.explorer.execute(registered.plan, factory, meter,
                                        home_node=registered.home_node)
         if act is not None:
-            act.label(rows=len(result.rows))
+            act.label(rows=len(result))
             act.end()
         if self.metrics is not None:
             self.metrics.histogram(
                 "window_ns", query=registered.name).observe(meter.ns)
         record = ExecutionRecord(close_ms=close_ms, result=result,
-                                 meter=meter)
+                                 meter=meter, snapshot=stable_sn)
         registered.executions.append(record)
         return record
 
-    def _access_factory(self, registered: RegisteredQuery, close_ms: int
-                        ) -> Callable:
-        """Per-node pattern -> StoreAccess factory for one execution.
+    def _access_factory(self, registered: RegisteredQuery, close_ms: int,
+                        stable_sn: int) -> Callable:
+        """Per-node pattern -> StoreAccess factory for one execution,
+        reading the persistent store at ``stable_sn``.
 
         Distributed modes (fork-join / migrate) resolve accesses at other
         nodes; the stream index is available wherever a branch runs (it is
@@ -323,7 +327,6 @@ class ContinuousEngine:
         shard/transient list elements in place, so captured references
         stay valid across failures.
         """
-        stable_sn = self.coordinator.stable_sn
         ranges = {stream: planner.batch_range(close_ms)
                   for stream, planner in registered.planners.items()}
         key = (stable_sn, tuple(sorted(ranges.items())))

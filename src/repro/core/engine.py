@@ -386,7 +386,7 @@ class WukongSEngine:
         result = self.oneshot_engine.explorer.execute(
             plan, factory, meter, home_node=home_node)
         if act is not None:
-            act.label(rows=len(result.rows))
+            act.label(rows=len(result))
             act.end()
         if self.metrics is not None:
             self.metrics.histogram("oneshot_ns").observe(meter.ns)

@@ -123,7 +123,7 @@ class OneShotEngine:
             if act is not None:
                 act.mark("contention")
         if act is not None:
-            act.label(rows=len(result.rows))
+            act.label(rows=len(result))
             act.end()
         if self.metrics is not None:
             self.metrics.histogram("oneshot_ns").observe(meter.ns)

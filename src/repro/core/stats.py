@@ -417,7 +417,7 @@ def collect_stats(engine: WukongSEngine) -> EngineStats:
             executions=len(latencies),
             median_ms=median(latencies) if latencies else None,
             p99_ms=percentile(latencies, 99) if latencies else None,
-            last_rows=(len(handle.executions[-1].result.rows)
+            last_rows=(len(handle.executions[-1].result)
                        if handle.executions else None),
             replans=len(handle.replans),
         ))

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import chain, islice
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import StoreError, StreamError
 from repro.rdf.ids import _EID_SHIFT, _VID_SHIFT, Key
@@ -215,9 +215,6 @@ class StreamIndex:
 
 #: Sentinel distinguishing "never looked up" from a cached absent key.
 _MISSING = object()
-
-#: Shared read-only set served for cached-absent keys (never mutated).
-_EMPTY_SET: set = set()
 
 
 class _KeyColumn:
@@ -511,40 +508,6 @@ class ColumnarSlice:
         cached = (out, scanned)
         self._vertex_cols[group] = cached
         return cached
-
-    def column_sets(self, starts: Iterable[Key], eid: int,
-                    d: int) -> Dict[int, set]:
-        """Per-start membership sets over the cached window columns.
-
-        Charge-free bookkeeping for the executor's membership filter:
-        each column's set is memoized on the column, so heavily
-        overlapping windows rebuild nothing.  Starts whose keys are
-        cached absent share one (read-only) empty set.
-        """
-        columns_get = self._columns.get
-        eid_bits = (eid << _EID_SHIFT) | d
-        sets: Dict[int, set] = {}
-        for start in starts:
-            col = columns_get((start << _VID_SHIFT) | eid_bits)
-            sets[start] = _EMPTY_SET if col is None else col.value_set()
-        return sets
-
-    def columns_distinct(self, starts: Iterable[Key], eid: int,
-                         d: int) -> bool:
-        """True iff every start's cached window column is duplicate-free.
-
-        Charge-free bookkeeping for the executor's distinct check: the
-        per-column verdict is memoized on the column, so heavily
-        overlapping windows answer from cache.  Starts whose keys were
-        cached absent (empty lists) are trivially distinct.
-        """
-        columns_get = self._columns.get
-        eid_bits = (eid << _EID_SHIFT) | d
-        for start in starts:
-            col = columns_get((start << _VID_SHIFT) | eid_bits)
-            if col is not None and not col.is_distinct():
-                return False
-        return True
 
     @property
     def entries(self) -> int:

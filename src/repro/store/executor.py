@@ -39,7 +39,8 @@ FILTER schedule), UNION arms, OPTIONAL groups, leftover FILTERs and
 aggregates.  Expanding a step works
 on whole columns (neighbour-list concatenation, ``[v] * k`` repetition,
 index selections), key probes are deduplicated per batch, and projection
-zips the projected columns straight into result tuples.  BigSR
+hands the projected columns on as they are (:class:`ExecutionResult`):
+row tuples are built once, by the client decoder.  BigSR
 (arXiv:1804.04367) motivates the layout: batch/columnar evaluation
 amortizes per-row interpreter overhead for large binding sets.
 
@@ -121,17 +122,36 @@ _NO_ENTRIES: Tuple[Tuple[int, ...], Tuple[int, ...]] = ((), ())
 
 @dataclass
 class ExecutionResult:
-    """Rows produced by one query execution."""
+    """The projected columns of one query execution.
+
+    ``columns`` holds one list per output variable, ``nrows`` cells
+    each: vids (-1 for a variable left unbound), or, past the GROUP BY
+    columns of an aggregate query, aggregate values.  They are final —
+    deduplicated and cut to OFFSET/LIMIT — and never mutated after
+    projection, so they may alias the executor's batch columns.
+    ``nrows`` is kept apart because a zero-width answer (ASK, or a
+    SELECT over a WHERE block with no variable) has rows but no
+    columns.
+    """
 
     variables: List[str]
-    rows: List[Tuple[int, ...]] = field(default_factory=list)
+    columns: List[list] = field(default_factory=list)
+    nrows: int = 0
+
+    @property
+    def rows(self) -> List[Tuple]:
+        """The answer as row tuples, built on every read (oracles and
+        tests compare rows; no query path reads them)."""
+        if self.columns:
+            return list(zip(*self.columns))
+        return [()] * self.nrows
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.nrows
 
     def as_bool(self) -> bool:
         """The boolean answer of an ASK query (any solution exists)."""
-        return bool(self.rows)
+        return self.nrows > 0
 
 
 class _CompiledStep:
@@ -451,7 +471,7 @@ class GraphExplorer:
     def execute(self, plan: ExecutionPlan, access_factory: AccessFactory,
                 meter: LatencyMeter, home_node: int = 0,
                 mode: str = "auto") -> ExecutionResult:
-        """Run ``plan`` and return projected, deduplicated rows.
+        """Run ``plan`` and return its projected, deduplicated columns.
 
         ``mode`` is ``"auto"`` (in-place for a plan with a quintuple
         step, whose version-chain reads are priced from the home node;
@@ -1156,12 +1176,11 @@ class GraphExplorer:
     def _project_batch(self, plan: ExecutionPlan, compiled: _CompiledPlan,
                        batch: _Batch,
                        meter: LatencyMeter) -> ExecutionResult:
-        """Zip the projected columns into deduplicated result tuples (or
-        group and aggregate the rows), in first-occurrence order."""
+        """The projected columns, deduplicated in first-occurrence order
+        (or the rows grouped and aggregated)."""
         query = plan.query
         if query.is_ask:
-            return ExecutionResult(variables=[],
-                                   rows=[()] if batch.nrows else [])
+            return ExecutionResult(variables=[], nrows=min(batch.nrows, 1))
         if query.aggregates:
             if self.strings is None:
                 raise PlanError(
@@ -1171,10 +1190,10 @@ class GraphExplorer:
                      for i in range(batch.nrows)]
             out = aggregate_rows(views, query, self.strings.entity_name,
                                  meter, self.cost)
+            columns, nrows = _slice(list(map(list, zip(*out))), len(out),
+                                    query)
             return ExecutionResult(variables=query.output_columns(),
-                                   rows=_slice(out, query))
-        result = ExecutionResult(
-            variables=[var for var, _ in compiled.project_slots])
+                                   columns=columns, nrows=nrows)
         nrows = batch.nrows
         proj_cols: List[List[int]] = []
         proj_slots = set()
@@ -1194,31 +1213,34 @@ class GraphExplorer:
                        if column is not None}
         no_dupes = batch.distinct and bound_slots <= proj_slots \
             and (bound_slots or nrows <= 1)
-        if len(proj_cols) == 1:
+        if not proj_cols:  # zero-width rows: one solution at most
+            nrows = min(nrows, 1)
+        elif len(proj_cols) == 1:
             # First-occurrence dedup in C (dict preserves insertion
-            # order).  Single column: dedup the ints directly, tuple-wrap
-            # only the survivors.
-            if no_dupes:
-                out = [(vid,) for vid in proj_cols[0]]
-            else:
-                out = [(vid,) for vid in dict.fromkeys(proj_cols[0])]
-        elif proj_cols:
-            out = list(zip(*proj_cols)) if no_dupes \
-                else list(dict.fromkeys(zip(*proj_cols)))
-        elif nrows:
-            out = [()]
-        else:
-            out = []
-        meter.charge(self.cost.binding_ns, times=len(out),
-                     category="project")
-        result.rows = _slice(out, query)
-        return result
+            # order), on the ints themselves.
+            if not no_dupes:
+                proj_cols = [list(dict.fromkeys(proj_cols[0]))]
+                nrows = len(proj_cols[0])
+        elif not no_dupes and nrows > 1:
+            # Only rows can be compared whole: zip, dedup, and transpose
+            # back unless nothing was dropped.
+            unique = dict.fromkeys(zip(*proj_cols))
+            if len(unique) < nrows:
+                proj_cols = list(map(list, zip(*unique)))
+                nrows = len(unique)
+        meter.charge(self.cost.binding_ns, times=nrows, category="project")
+        columns, nrows = _slice(proj_cols, nrows, query)
+        return ExecutionResult(
+            variables=[var for var, _ in compiled.project_slots],
+            columns=columns, nrows=nrows)
 
 
-def _slice(rows: List[Tuple[int, ...]], query) -> List[Tuple[int, ...]]:
-    """Apply the query's OFFSET/LIMIT to the solution sequence."""
-    if query.offset:
-        rows = rows[query.offset:]
-    if query.limit is not None:
-        rows = rows[:query.limit]
-    return rows
+def _slice(columns: List[list], nrows: int,
+           query) -> Tuple[List[list], int]:
+    """Apply the query's OFFSET/LIMIT to the solution sequence: the
+    sliced columns and their length."""
+    start = min(query.offset, nrows)
+    stop = nrows if query.limit is None else min(nrows, start + query.limit)
+    if start == 0 and stop == nrows:
+        return columns, nrows
+    return [column[start:stop] for column in columns], stop - start

@@ -60,8 +60,8 @@ RECORD_CAPACITY = 4096
 class TemporalRecord(OneShotRecord):
     """One completed temporal execution, with traversal statistics."""
 
-    #: ``len(result.rows)`` — survives archiving (the bounded
-    #: ``TemporalEngine.records`` copy drops the rows themselves so a
+    #: ``len(result)`` — survives archiving (the bounded
+    #: ``TemporalEngine.records`` copy drops the result's columns so a
     #: retained history never holds query outputs alive).
     row_count: int = 0
     #: Store probes issued at the pinned snapshot (snapshot reads).
@@ -190,7 +190,7 @@ class TemporalEngine:
                                          snapshot=snapshot,
                                          access_factory=factory)
             if act is not None:
-                act.label(rows=len(inner.result.rows),
+                act.label(rows=len(inner.result),
                           snapshot_reads=counters.snapshot_reads,
                           version_entries=counters.version_entries,
                           max_chain_depth=counters.max_chain_depth)
@@ -201,7 +201,7 @@ class TemporalEngine:
             self.batch_executions += 1
         record = TemporalRecord(
             result=inner.result, meter=inner.meter, snapshot=snapshot,
-            row_count=len(inner.result.rows),
+            row_count=len(inner.result),
             snapshot_reads=counters.snapshot_reads,
             version_entries=counters.version_entries,
             max_chain_depth=counters.max_chain_depth,
@@ -210,12 +210,12 @@ class TemporalEngine:
         records = self.records
         if len(records) >= RECORD_CAPACITY:
             del records[0]
-        # Archive without the rows: a temporal record can carry very
+        # Archive without the columns: a temporal record can carry very
         # large outputs, and keeping thousands of them alive turns the
         # history buffer into allocator/GC pressure on later queries.
         records.append(replace(
             record, result=ExecutionResult(
-                variables=record.result.variables, rows=[])))
+                variables=record.result.variables)))
         if self.metrics is not None:
             self.metrics.counter("temporal_snapshot_reads").inc(
                 record.snapshot_reads)

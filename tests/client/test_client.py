@@ -130,6 +130,22 @@ class TestClientLibrary:
         engine.run_until(9_000)
         assert len(subscription.poll()) == 1
 
+    def test_catch_up_poll_reports_each_close_snapshot(self, engine):
+        """A subscriber that polls several closes at once gets, per
+        close, the stable SN that close read — not the one current when
+        it polls."""
+        client = ClientLibrary(engine)
+        subscription = client.register(QC)
+        read_at = []
+        for close_ms in (5_000, 6_000, 7_000):
+            engine.run_until(close_ms)
+            read_at.append(engine.coordinator.stable_sn)
+        assert len(set(read_at)) == 3
+        results = subscription.poll()
+        assert [result.snapshot for result in results] == read_at
+        assert [record.snapshot for record in
+                subscription.handle.executions] == read_at
+
     def test_unshared_subscriptions_decode_for_themselves(self, engine):
         client = ClientLibrary(engine)
         subscription = client.register(QC)

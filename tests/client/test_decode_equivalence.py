@@ -2,9 +2,10 @@
 
 ``reference_decode`` below is the decoder as it stood before result
 delivery went columnar, kept here — and only here — as the reference:
-one value at a time through ``StringServer.entity_name``.  The
-hypothesis test drives ``ClientLibrary._decode_rows`` with random
-results and requires the same rows, or the same refusal.
+one value at a time through ``StringServer.entity_name``, over rows.
+The hypothesis test drives ``ClientLibrary._decode`` with random
+executor results (projected columns plus a row count) and requires the
+rows the reference makes of the same answer, or the same refusal.
 """
 
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ from repro.client.library import ClientLibrary
 from repro.client.procedures import ProcedureCache
 from repro.errors import StoreError
 from repro.rdf.string_server import StringServer
+from repro.store.executor import ExecutionResult
 
 from core.test_engine import build_engine
 
@@ -89,28 +91,39 @@ cells = st.one_of(
 vids = st.integers(min_value=1, max_value=NUM_ENTITIES)
 
 
+def result_of(columns, nrows):
+    """An executor result holding ``columns``, and its rows, built here
+    cell by cell."""
+    rows = [tuple(column[i] for column in columns) for i in range(nrows)]
+    variables = [f"?v{index}" for index in range(len(columns))]
+    return ExecutionResult(variables, columns, nrows), rows
+
+
 @st.composite
 def results(draw):
     groups = draw(st.sampled_from(list(QUERIES)))
     width = draw(st.integers(min_value=0, max_value=4))
-    column_cells = [draw(st.sampled_from((vids, cells)))
-                    for _ in range(width)]
-    rows = draw(st.lists(st.tuples(*column_cells), max_size=30))
-    return groups, rows
+    # A zero-width answer (ASK) has at most one solution.
+    nrows = draw(st.integers(min_value=0, max_value=30 if width else 1))
+    columns = [draw(st.lists(draw(st.sampled_from((vids, cells))),
+                             min_size=nrows, max_size=nrows))
+               for _ in range(width)]
+    return groups, columns, nrows
 
 
 @settings(max_examples=300, deadline=None)
-@given(result=results())
+@given(drawn=results())
 def test_columnar_decoder_matches_per_value_loop(library, procedures,
-                                                 result):
-    groups, rows = result
+                                                 drawn):
+    groups, columns, nrows = drawn
     procedure = procedures[groups]
+    result, rows = result_of(columns, nrows)
     strings = library.engine.strings
     want = outcome(reference_decode, strings, procedure, rows)
     # Once in one block, once with the answer spanning several.
     for block_rows in (client_library._DECODE_BLOCK_ROWS, 7):
         with patch.object(client_library, "_DECODE_BLOCK_ROWS", block_rows):
-            got = outcome(library._decode_rows, procedure, rows)
+            got = outcome(library._decode, procedure, result)
         assert got == want
         if want is not StoreError:
             assert isinstance(got, list)  # materialised, not a view
@@ -120,23 +133,43 @@ def test_columnar_decoder_matches_per_value_loop(library, procedures,
 
 def test_edge_shapes(library, procedures):
     plain = procedures[None]
-    assert library._decode_rows(plain, []) == []
-    assert library._decode_rows(plain, [()]) == [()]  # ASK, one solution
-    assert library._decode_rows(plain, [(), ()]) == [(), ()]
-    assert library._decode_rows(plain, [(3,)]) == [("entity2",)]
-    assert library._decode_rows(procedures[0], [(7, 2.5)]) == [(7, 2.5)]
+
+    def decode(procedure, columns, nrows):
+        return library._decode(procedure, result_of(columns, nrows)[0])
+
+    assert decode(plain, [], 0) == []
+    assert decode(plain, [[], []], 0) == []
+    assert decode(plain, [], 1) == [()]  # ASK, one solution
+    assert decode(plain, [[3]], 1) == [("entity2",)]
+    # An ungrouped aggregate: every column a value, none decoded.
+    assert decode(procedures[0], [[7], [2.5]], 1) == [(7, 2.5)]
+    assert decode(procedures[1], [[3], [7], [2.5]], 1) == \
+        [("entity2", 7, 2.5)]
     with pytest.raises(StoreError):
-        library._decode_rows(plain, [(1, 2), (1, NUM_ENTITIES + 1)])
+        decode(plain, [[1, 1], [2, NUM_ENTITIES + 1]], 2)
+
+
+def check_answer_of(library, procedures, nrows):
+    columns = [[1 + i % NUM_ENTITIES for i in range(nrows)],
+               [-1 if i % 1000 == 0 else 2 for i in range(nrows)],
+               [i * 0.5 for i in range(nrows)]]
+    result, rows = result_of(columns, nrows)
+    strings = library.engine.strings
+    for groups in (None, 2):
+        got = library._decode(procedures[groups], result)
+        assert len(got) == nrows
+        assert got == reference_decode(strings, procedures[groups], rows)
 
 
 def test_answer_larger_than_one_real_block(library, procedures):
-    block = client_library._DECODE_BLOCK_ROWS
-    rows = [(1 + i % NUM_ENTITIES, -1 if i % 1000 == 0 else 2, i * 0.5)
-            for i in range(2 * block + 17)]
-    strings = library.engine.strings
-    for groups in (None, 2):
-        assert library._decode_rows(procedures[groups], rows) == \
-            reference_decode(strings, procedures[groups], rows)
+    check_answer_of(library, procedures,
+                    2 * client_library._DECODE_BLOCK_ROWS + 17)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_answers_at_the_real_block_boundary(library, procedures, extra):
+    check_answer_of(library, procedures,
+                    client_library._DECODE_BLOCK_ROWS + extra)
 
 
 def test_bulk_reverse_lookup_refusals():

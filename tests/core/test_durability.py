@@ -60,8 +60,10 @@ def _digest(engine):
 
 
 def _closes(engine, after_ms):
-    """Rows and simulated cost of every close later than ``after_ms``."""
-    return {(name, record.close_ms): (record.result.rows, record.meter.ps)
+    """Rows, simulated cost and read snapshot of every close later than
+    ``after_ms``."""
+    return {(name, record.close_ms): (record.result.rows, record.meter.ps,
+                                      record.snapshot)
             for name, handle in engine.continuous.queries.items()
             for record in handle.executions if record.close_ms > after_ms}
 
