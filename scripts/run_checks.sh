@@ -21,7 +21,7 @@
 # (one-shot contention, re-plan hysteresis), and the per-entry store
 # writes and span-walking window reads (every write is one
 # arrival-ordered column through ShardStore.append_column /
-# DistributedStore.insert_triples, every window read a ColumnarSlice;
+# DistributedStore.insert_columns, every window read a ColumnarSlice;
 # the injector imports no private name from the store), and the second
 # timing mechanism (per-phase wall-clock dicts threaded through the
 # engines; nothing under src/repro reads the host clock — wall time is
@@ -61,7 +61,14 @@
 # access serves sets and verdicts only for the fetch it just returned —
 # and any read of result.row[s] on a query path under src/repro/core,
 # client, serving or temporal/engine.py: results travel as columns and
-# the client decoder zips them into rows once) have not come back.
+# the client decoder zips them into rows once), and static data's
+# second, per-triple shape (encode_tripl[e], decode_tripl[e],
+# EncodedTripl[e], insert_tripl[e]s, DistributedStore.loa[d] and the
+# engine's _initial_tripl[e]s, the dump's string "stati[c]" key and the
+# TimedTupl[e] wrap in the relational baselines: static data is encoded
+# by StringServer.encode_triples, written by insert_columns and kept
+# durable as CheckpointManager.base), and the unused
+# ServingLayer.disconnect_tenan[t] have not come back.
 # A test marked both serving and chaos runs in the chaos stage only.
 #
 # The examples stage runs every walkthrough under examples/ (the only
@@ -118,7 +125,7 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list, the settings only tests set, skip postings and index-member sets, the row round trip between executor and client) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list, the settings only tests set, skip postings and index-member sets, the row round trip between executor and client, the per-triple static-data path, disconnect_tenan[t]) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts; \
         then exit 1; fi
@@ -165,6 +172,11 @@ if grep -rn 'column_set[s]\|columns_distinc[t]\|_decode_row[s]' \
         src scripts tests benchmarks examples; then exit 1; fi
 if grep -rn 'result\.row[s]\>' src/repro/core src/repro/client \
         src/repro/serving src/repro/temporal/engine.py; then exit 1; fi
+if grep -rn 'encode_tripl[e]\>\|decode_tripl[e]\|EncodedTripl[e]\|insert_tripl[e]s\|_initial_tripl[e]s\|disconnect_tenan[t]' \
+        src scripts tests benchmarks examples; then exit 1; fi
+if grep -n 'def loa[d](' src/repro/store/distributed.py; then exit 1; fi
+if grep -n '"stati[c]"' src/repro/core/durability.py; then exit 1; fi
+if grep -n 'TimedTupl[e]' src/repro/baselines/relational.py; then exit 1; fi
 
 echo "== examples (every walkthrough runs to completion) =="
 for example in examples/*.py; do

@@ -90,7 +90,9 @@ class CompositeEngine:
 
     # -- data ------------------------------------------------------------
     def load_static(self, triples: Iterable[Triple]) -> int:
-        return self.store.load(triples)
+        columns = self.strings.encode_triples(triples)
+        self.store.insert_columns(columns)
+        return len(columns)
 
     def ingest(self, batch: StreamBatch) -> None:
         """Buffer one stream batch inside the stream processor."""

@@ -30,15 +30,13 @@ class JenaStore:
         self.num_triples = 0
 
     def load(self, triples: Iterable[Triple]) -> int:
-        count = 0
-        for triple in triples:
-            enc = self.strings.encode_triple(triple)
-            self._by_sp.setdefault((enc.s, enc.p), []).append(enc.o)
-            self._by_op.setdefault((enc.o, enc.p), []).append(enc.s)
-            self._by_p.setdefault(enc.p, []).append((enc.s, enc.o))
-            self.num_triples += 1
-            count += 1
-        return count
+        columns = self.strings.encode_triples(triples)
+        for s, p, o in zip(columns.s, columns.p, columns.o):
+            self._by_sp.setdefault((s, p), []).append(o)
+            self._by_op.setdefault((o, p), []).append(s)
+            self._by_p.setdefault(p, []).append((s, o))
+        self.num_triples += len(columns)
+        return len(columns)
 
     # -- pattern evaluation ------------------------------------------------
     def match(self, pattern: TriplePattern, seeds: List[Row],

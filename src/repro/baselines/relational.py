@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import StreamError
 from repro.rdf.string_server import StringServer
-from repro.rdf.terms import EncodedColumns, TimedTuple, Triple
+from repro.rdf.terms import EncodedColumns, Triple
 from repro.sim.cost import CostModel, LatencyMeter
 from repro.sparql.ast import Query, TriplePattern, is_variable
 
@@ -74,8 +74,7 @@ def load_by_predicate(tables: Dict[int, WindowBuffer],
     """Append stored triples, encoded at timestamp 0, to one table per
     predicate eid (the relational engines' predicate-indexed stored
     DataFrame); returns how many."""
-    columns = strings.encode_columns([TimedTuple(triple, 0)
-                                      for triple in triples])
+    columns = strings.encode_triples(triples)
     rows_of: Dict[int, List[int]] = {}
     for row, eid in enumerate(columns.p):
         rows_of.setdefault(eid, []).append(row)

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.rdf.ids import Key, make_key
+from repro.rdf.ids import DIR_IN, DIR_OUT, Key, make_key
 from repro.rdf.string_server import StringServer
-from repro.rdf.terms import Triple
+from repro.rdf.terms import EncodedColumns, Triple
 from repro.sim.cluster import Cluster
 from repro.sim.cost import CostModel, LatencyMeter, MemoryModel
 from repro.sparql.ast import Query
@@ -102,22 +102,24 @@ class WukongExtEngine:
 
     # -- data ------------------------------------------------------------
     def load_static(self, triples: Iterable[Triple]) -> int:
-        keys = self.store.insert_triples(
-            map(self.strings.encode_triple, triples))
-        for key in keys:
-            self.timestamps.setdefault(key, []).append(0)
-        return len(keys) // 2
+        return self._insert(self.strings.encode_triples(triples)) // 2
 
     def ingest(self, batch: StreamBatch,
                meter: Optional[LatencyMeter] = None) -> None:
         """Absorb every tuple (timing and timeless) with inline timestamps."""
-        cols = self.strings.encode_columns(batch.tuples)
-        keys = self.store.insert_triples(zip(cols.s, cols.p, cols.o),
-                                         meter=meter)
-        # Two entries per tuple (out half, then in half), both stamped.
-        for index, key in enumerate(keys):
-            self.timestamps.setdefault(key, []).append(cols.ts[index // 2])
-        self.stream_entries += len(keys)
+        columns = self.strings.encode_columns(batch.tuples)
+        self.stream_entries += self._insert(columns, meter)
+
+    def _insert(self, columns: EncodedColumns,
+                meter: Optional[LatencyMeter] = None) -> int:
+        """Write both halves of every row, each entry stamped inline in
+        its key's arrival order; returns the entries written."""
+        written = self.store.insert_columns(columns, meter=meter)
+        timestamps = self.timestamps
+        for s, p, o, ts in zip(columns.s, columns.p, columns.o, columns.ts):
+            timestamps.setdefault(make_key(s, p, DIR_OUT), []).append(ts)
+            timestamps.setdefault(make_key(o, p, DIR_IN), []).append(ts)
+        return written
 
     # -- execution ------------------------------------------------------------
     def execute_continuous(self, query: Query, close_ms: int,

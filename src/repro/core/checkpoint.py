@@ -7,13 +7,15 @@ the paper measures roughly 0.3 ms logging delay per batch — and a periodic
 checkpoint marker records the stable vector timestamp, after which sources
 are acknowledged and may trim their backup buffers.
 
+The initially stored data is durable too, as one record of int columns
+(:attr:`CheckpointManager.base`, the encoded triples as loaded).
 Recovery of a crashed node (:func:`recover_node`) follows the paper's
-recipe: reload the initial RDF data (the node's halves), re-apply the
-durable log in original order — which reproduces the exact value-list
-offsets, keeping every shared stream-index span valid — and restore the
-vector-timestamp state.  :func:`replay_log` is the one replay of the log:
-cold start (``repro.core.durability``) is the same replay over every
-node's records.
+recipe: reload the initial RDF data (the node's halves of the base),
+re-apply the durable log in original order — which reproduces the exact
+value-list offsets, keeping every shared stream-index span valid — and
+restore the vector-timestamp state.  :func:`replay_log` is the one
+replay of the log: cold start (``repro.core.durability``) is the same
+base write and replay over every node's records.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.core.dispatcher import NodeBatch
 from repro.core.stream_index import IndexSlice
 from repro.errors import FaultToleranceError, StreamError
+from repro.rdf.terms import EncodedColumns
 from repro.sim.cost import CostModel, LatencyMeter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,6 +92,9 @@ class CheckpointManager:
         self.cost = cost if cost is not None else CostModel()
         self.interval_ms = interval_ms
         self.num_nodes = num_nodes
+        #: The initially stored data, in load order: the durable base
+        #: record recovery writes before replaying the log.
+        self.base = EncodedColumns()
         self._log: List[LoggedBatch] = []
         self._markers: List[CheckpointMarker] = []
         #: Interval-grid cell of the last checkpoint (``now // interval``).
@@ -100,6 +106,12 @@ class CheckpointManager:
         self.last_checkpoint_pause_ps = 0
 
     # -- logging ---------------------------------------------------------
+    def keep_base(self, columns: EncodedColumns) -> None:
+        """Append one load's columns to the durable base record."""
+        base = self.base
+        self.base = EncodedColumns(base.s + columns.s, base.p + columns.p,
+                                   base.o + columns.o, base.ts + columns.ts)
+
     def log_batch(self, node_batch: NodeBatch, sn: int,
                   meter: Optional[LatencyMeter] = None) -> None:
         """Durably log one node batch (synchronous, on the injection path)."""
@@ -275,9 +287,7 @@ def recover_node(engine: "WukongSEngine", node_id: int) -> RecoveryReport:
     cost = manager.cost
 
     # 1. Reload the node's halves of the initially stored data.
-    halves = len(engine.store.insert_triples(
-        map(engine.strings.encode_triple, engine._initial_triples),
-        node=node_id))
+    halves = engine.store.insert_columns(manager.base, node=node_id)
     meter.charge(cost.insert_entry_ns, times=halves, category="recovery")
 
     # 2. Re-apply the durable log in original order (timeless halves to the

@@ -7,16 +7,18 @@ re-register continuous queries and the latest local and stable vector
 timestamps."
 
 Cold start is recovery of every node: :func:`save_engine` writes the
-durable log's own records, and :func:`restore_engine` replays all of them
-through :func:`~repro.core.checkpoint.replay_log`, the replay that
-recovers one crashed node, rebuilding the stream index alongside.
+durable base and the durable log's own records, and :func:`restore_engine`
+writes the base and replays every record through
+:func:`~repro.core.checkpoint.replay_log`, the replay that recovers one
+crashed node, rebuilding the stream index alongside.
 
-Dump format 4 (one JSON file) holds:
+Dump format 5 (one JSON file) holds:
 
-* the whole :class:`EngineConfig`, the stream schemas, the initially
-  stored triples, the SN plan, the clock, ``last_delivered`` and the
-  source attachment order;
+* the whole :class:`EngineConfig`, the stream schemas, the SN plan, the
+  clock, ``last_delivered`` and the source attachment order;
 * the string server's name tables (an id is its position);
+* ``base``: the initially stored data as int ``[s, p, o]`` columns
+  (:attr:`~repro.core.checkpoint.CheckpointManager.base`);
 * every :class:`~repro.core.checkpoint.LoggedBatch` in sequence order:
   node, SN, stream, batch number, the four halves as int columns and its
   CRC (a record that no longer matches it is rebuilt from upstream
@@ -43,13 +45,13 @@ from repro.core.checkpoint import CheckpointMarker, LoggedBatch, replay_log
 from repro.core.dispatcher import NodeBatch
 from repro.core.engine import EngineConfig, WukongSEngine
 from repro.errors import FaultToleranceError
-from repro.rdf.terms import EncodedColumns, Triple
+from repro.rdf.terms import EncodedColumns
 from repro.sim.cost import CostModel, LatencyMeter, MemoryModel
 from repro.streams.stream import StreamSchema
 
-#: 4: the 15-field EngineConfig (3 also held six settings since made
-#: constants; 2 held string-decoded batches and hand-serialized ASTs).
-FORMAT_VERSION = 4
+#: 5: the base as int columns (4 held string triples, 3 six settings since
+#: made constants, 2 string-decoded batches and hand-serialized ASTs).
+FORMAT_VERSION = 5
 
 #: A node batch's four halves, in record order.
 _HALVES = ("out_timeless", "in_timeless", "out_timing", "in_timing")
@@ -80,6 +82,20 @@ def _load_record(item: dict) -> LoggedBatch:
     return LoggedBatch(item["sn"], NodeBatch(
         item["stream"], item["batch_no"], item["node"], **halves),
         item["checksum"])
+
+
+def _load_base(data: dict) -> EncodedColumns:
+    """The dump's base, refused unless it is three equal columns of ids
+    the restored name tables allocated (it has no CRC to check)."""
+    base = data["base"]
+    entities, predicates = len(data["entities"]), len(data["predicates"])
+    if len(base) != 3 or len({len(column) for column in base}) > 1 or not all(
+            type(v) is int and 0 < v < size
+            for column, size in zip(base, (entities, predicates, entities))
+            for v in column):
+        raise FaultToleranceError("checkpoint base is not three equal "
+                                  "columns of allocated ids")
+    return EncodedColumns(*base, [0] * len(base[0]))
 
 
 def _dump_query(handle) -> dict:
@@ -113,10 +129,9 @@ def save_engine(engine: WukongSEngine, path: str) -> None:
         "config": dataclasses.asdict(engine.config),
         "schemas": [[schema.name, sorted(schema.timing_predicates)]
                     for schema in engine.schemas.values()],
-        "static": [[t.subject, t.predicate, t.object]
-                   for t in engine._initial_triples],
         "entities": entities,
         "predicates": predicates,
+        "base": [manager.base.s, manager.base.p, manager.base.o],
         "log": list(map(_dump_record, manager._log)),
         "plan": [dict(m.upper) for m in engine.coordinator.plan._mappings],
         "queries": list(map(_dump_query, engine.continuous.queries.values())),
@@ -167,7 +182,9 @@ def restore_engine(path: str, sources: Optional[List] = None
 
     # 1. Every id as allocated, then the initial data in original order.
     engine.strings.load_name_tables(data["entities"], data["predicates"])
-    engine.load_static(Triple(*t) for t in data["static"])
+    manager = engine.checkpoints
+    manager.keep_base(_load_base(data))
+    engine.store.insert_columns(manager.base)
 
     # 2. The announced SN plan, so replayed batches land in their
     #    original snapshots.
@@ -185,7 +202,6 @@ def restore_engine(path: str, sources: Optional[List] = None
     # 4. Recovery's replay over every node's records, with one index
     #    slice per batch; then every node's Local_VTS and the ingestion
     #    counters the records account for.
-    manager = engine.checkpoints
     manager._log = list(map(_load_record, data["log"]))
     slices: dict = {}
     replay_log(engine, manager._log, slices, LatencyMeter())

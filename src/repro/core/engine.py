@@ -177,7 +177,6 @@ class WukongSEngine:
                 check_every_closes=cfg.replan_check_closes)
 
         self.injection_records: List[InjectionRecord] = []
-        self._initial_triples: List[Triple] = []
         self._ticks = 0
         #: Optional chaos controller (``repro.chaos``); None on the healthy
         #: path, where every hook below short-circuits.
@@ -256,10 +255,18 @@ class WukongSEngine:
 
     # -- loading ---------------------------------------------------------------
     def load_static(self, triples: Iterable[Triple]) -> int:
-        """Bulk-load the initially stored data (kept for recovery)."""
-        triples = list(triples)
-        self._initial_triples += triples
-        return self.store.load(triples)
+        """Bulk-load the initially stored data at the base snapshot (kept
+        as ``checkpoints.base`` when there is a log).  Refused once a
+        stream batch has entered: a base write below stream entries would
+        not replay as it ran, and could leave some shards written."""
+        if any(self._last_delivered.values()):
+            raise StoreError(
+                "static data must be loaded before any stream batch enters")
+        columns = self.strings.encode_triples(triples)
+        self.store.insert_columns(columns)
+        if self.checkpoints is not None:
+            self.checkpoints.keep_base(columns)
+        return len(columns)
 
     # -- queries -----------------------------------------------------------------
     def check_home_node(self, home_node: Optional[int]) -> None:

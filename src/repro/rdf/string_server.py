@@ -13,11 +13,17 @@ implementation: IDs are never reclaimed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StoreError
 from repro.rdf.ids import INDEX_VID, MAX_EID, MAX_VID
-from repro.rdf.terms import EncodedColumns, EncodedTriple, TimedTuple, Triple
+from repro.rdf.terms import EncodedColumns, TimedTuple, Triple
+
+#: Cut a row of triples into its subject, predicate and object columns.
+_CUTS = itemgetter(0), itemgetter(1), itemgetter(2)
+#: Cut a row of timed tuples into its triple and timestamp columns.
+_TRIPLE, _STAMP = itemgetter(0), itemgetter(1)
 
 
 def _none_rows(column: List[Optional[int]]) -> Set[int]:
@@ -94,8 +100,7 @@ class StringServer:
     def entity_names(self, vids: Sequence[int]) -> List[str]:
         """The strings for a whole column of vids, in order.
 
-        The bulk counterpart of :meth:`entity_name`, as
-        :meth:`encode_columns` is of :meth:`encode_triple`: the same two
+        The bulk counterpart of :meth:`entity_name`: the same two
         refusals (index vertex, unknown id), decided once per column —
         by its minimum and by the table's own bounds check — instead of
         once per cell.
@@ -118,34 +123,19 @@ class StringServer:
         return name
 
     # -- bulk encoding ----------------------------------------------------
-    def encode_triple(self, triple: Triple) -> EncodedTriple:
-        """Encode one triple, allocating IDs as needed.
+    def encode_triples(self, triples: Iterable[Triple]) -> EncodedColumns:
+        """Encode triples into ID columns with a zero ``ts`` column.
 
-        The known-term path (the common case on a warm server) is inlined
-        dict probes; only first-sighted terms take the allocating call.
+        >>> server = StringServer()
+        >>> cols = server.encode_triples([Triple("Logan", "po", "T-15")])
+        >>> cols.s, cols.p, cols.o, cols.ts
+        ([1], [1], [2], [0])
         """
-        entity_ids = self._entity_ids
-        s = entity_ids.get(triple.subject)
-        if s is None:
-            s = self.entity_id(triple.subject)
-        p = self._predicate_ids.get(triple.predicate)
-        if p is None:
-            p = self.predicate_id(triple.predicate)
-        o = entity_ids.get(triple.object)
-        if o is None:
-            o = self.entity_id(triple.object)
-        return EncodedTriple(s, p, o)
+        rows = list(triples)
+        return self._encode(rows, [0] * len(rows))
 
     def encode_columns(self, tuples: Sequence[TimedTuple]) -> EncodedColumns:
         """Encode a batch of timed tuples into ID columns.
-
-        The subject, predicate and object columns are mapped through the
-        id dicts whole; then only the rows holding an unseen name are
-        revisited, in row order, allocating subject before predicate
-        before object — exactly the order :meth:`encode_triple` over the
-        batch allocates in, so every id comes out the same.  (A name
-        first seen in one row and repeated in a later one finds its new
-        id there.)
 
         >>> server = StringServer()
         >>> tup = TimedTuple(Triple("Logan", "po", "T-15"), 802)
@@ -153,10 +143,23 @@ class StringServer:
         >>> cols.s, cols.p, cols.o, cols.ts
         ([1, 1], [1, 1], [2, 2], [802, 802])
         """
-        if not tuples:
-            return EncodedColumns()
-        triples, stamps = zip(*tuples)
-        subjects, predicates, objects = zip(*triples)
+        return self._encode(list(map(_TRIPLE, tuples)),
+                            list(map(_STAMP, tuples)))
+
+    def _encode(self, rows: List[Triple], stamps: List[int]) -> EncodedColumns:
+        """The triples as id columns, allocating ids as needed.
+
+        The subject, predicate and object columns are mapped through the
+        id dicts whole; then only the rows holding an unseen name are
+        revisited, in row order, allocating subject before predicate
+        before object — the order a per-triple loop allocates in, so
+        every id comes out the same.  (A name first seen in one row and
+        repeated in a later one finds its new id there.)
+        """
+        # Cut by itemgetter, not ``zip(*rows)``: that holds one tracked
+        # iterator per row at once, and a bulk load's 32 k of them
+        # survive young collections and bring on a full one.
+        subjects, predicates, objects = (list(map(cut, rows)) for cut in _CUTS)
         entity_get = self._entity_ids.get
         s = list(map(entity_get, subjects))
         p = list(map(self._predicate_ids.get, predicates))
@@ -169,15 +172,7 @@ class StringServer:
                 p[i] = self.predicate_id(predicates[i])
             if o[i] is None:
                 o[i] = self.entity_id(objects[i])
-        return EncodedColumns(s, p, o, list(stamps))
-
-    def decode_triple(self, enc: EncodedTriple) -> Triple:
-        """Decode an encoded triple back to strings."""
-        return Triple(
-            self.entity_name(enc.s),
-            self.predicate_name(enc.p),
-            self.entity_name(enc.o),
-        )
+        return EncodedColumns(s, p, o, stamps)
 
     # -- durability ----------------------------------------------------------
     def name_tables(self) -> Tuple[List[Optional[str]], List[Optional[str]]]:

@@ -33,22 +33,16 @@ class TimedTuple(NamedTuple):
         return f"{self.triple} @{self.timestamp_ms}"
 
 
-class EncodedTriple(NamedTuple):
-    """A triple after string->ID conversion: (subject vid, predicate eid, object vid)."""
-
-    s: int
-    p: int
-    o: int
-
-
 class EncodedColumns:
     """A batch of encoded timed tuples as four parallel columns.
 
     ``s``, ``p``, ``o`` and ``ts`` hold subject vids, predicate eids,
     object vids and timestamps, row ``i`` of each being tuple ``i`` in
-    arrival order.  This is the one encoded batch shape: the write path
-    carries it from the adaptor to the shard, and the relational
-    baselines buffer and scan their stream tables in it.  Columns are never mutated once built, so any
+    arrival order.  This is the one encoded shape of data: the write
+    path carries stream batches from the adaptor to the shard and the
+    static data (timestamps 0) from the string server to the shard, the
+    durable layer keeps both, and the relational baselines buffer and
+    scan their tables in it.  Columns are never mutated once built, so any
     number of holders may share one (the single-node dispatcher hands
     the same columns to a batch's out and in halves).
 

@@ -22,10 +22,9 @@ from repro.rdf.ids import (
     DIR_IN,
     DIR_OUT,
     Key,
-    make_key,
 )
 from repro.rdf.string_server import StringServer
-from repro.rdf.terms import EncodedTriple, Triple
+from repro.rdf.terms import EncodedColumns
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.store.kvstore import ADJACENCY_CACHE_CAPACITY, BASE_SN, \
@@ -87,46 +86,37 @@ class DistributedStore:
             for _ in range(cluster.num_nodes)
         ]
 
-    # -- loading / injection --------------------------------------------
-    def insert_triples(self, triples: Iterable[EncodedTriple],
-                       sn: int = BASE_SN,
+    # -- loading / recovery ------------------------------------------------
+    def insert_columns(self, columns: EncodedColumns, sn: int = BASE_SN,
                        meter: Optional[LatencyMeter] = None,
-                       node: Optional[int] = None) -> List[Key]:
-        """Write encoded triples under snapshot ``sn``: each triple's
+                       node: Optional[int] = None) -> int:
+        """Write encoded triples under snapshot ``sn``: each row's
         out-edge entry goes to the subject's owner and its in-edge entry
         to the object's owner, as one arrival-ordered column per shard
-        (:meth:`ShardStore.append_column`).  ``node`` restricts the
-        write to the halves that node owns (rebuilding one lost shard).
-
-        Returns the keys written, one per entry in arrival order (a
-        triple's out half before its in half).
+        (:meth:`ShardStore.append_column`; the out entries, then the in
+        entries).  ``node`` restricts the write to the halves that node
+        owns (rebuilding one lost shard).  Returns the entries written.
 
         Each shard's column is all-or-nothing (an out-of-order ``sn`` is
         refused before that shard is touched), but the call as a whole is
         not: shards earlier in node order keep their columns when a later
         shard refuses.
         """
-        written: List[Key] = []
-        columns: List[Tuple[List[Key], List[int]]] = [
+        parts: List[Tuple[List[Key], List[int]]] = [
             ([], []) for _ in self.shards]
-        owner_of = self.cluster.owner_of
-        for s, p, o in triples:
-            for vid, value, d in ((s, o, DIR_OUT), (o, s, DIR_IN)):
-                owner = owner_of(vid)
+        subjects, predicates, objects = columns.s, columns.p, columns.o
+        for vertex, other, d in ((subjects, objects, DIR_OUT),
+                                 (objects, subjects, DIR_IN)):
+            for owner, rows in self.cluster.owner_groups(vertex).items():
                 if node is None or owner == node:
-                    key = make_key(vid, p, d)
-                    keys, vids = columns[owner]
-                    keys.append(key)
-                    vids.append(value)
-                    written.append(key)
-        for shard, (keys, vids) in zip(self.shards, columns):
+                    keys, vids = parts[owner]
+                    keys += [(vertex[i] << _VID_SHIFT)
+                             | (predicates[i] << _EID_SHIFT) | d
+                             for i in rows]
+                    vids += [other[i] for i in rows]
+        for shard, (keys, vids) in zip(self.shards, parts):
             shard.append_column(keys, vids, sn=sn, meter=meter)
-        return written
-
-    def load(self, triples: Iterable[Triple]) -> int:
-        """Bulk-load initial (string) triples at the base snapshot."""
-        encode = self.strings.encode_triple
-        return len(self.insert_triples(map(encode, triples))) // 2
+        return sum(len(keys) for keys, _ in parts)
 
     def compact(self, bound_sn: int) -> None:
         """Bounded scalarization: raise every shard's frontier to

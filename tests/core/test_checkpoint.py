@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.chaos.state import engine_state_digest
 from repro.core.checkpoint import CheckpointManager
-from repro.errors import FaultToleranceError, StreamError
+from repro.core.engine import EngineConfig, WukongSEngine
+from repro.errors import FaultToleranceError, StoreError, StreamError
+from repro.rdf.parser import parse_timed_tuples, parse_triples
+from repro.streams.source import StreamSource
+from repro.streams.stream import StreamSchema
 
 from core.test_engine import QC, build_engine, names
 
@@ -31,6 +36,36 @@ class TestLogging:
                             if r.stream == "Tweet_Stream" and r.num_tuples]
         assert sum(pick(logged)) > sum(pick(plain))
         assert logged.checkpoints.mean_logging_delay_ms() > 0
+
+
+class TestBase:
+    def test_load_static_keeps_base_columns(self):
+        engine = ft_engine()
+        base = engine.checkpoints.base
+        assert len(base) == 11  # X-Lab's triples, as loaded
+        assert base.ts == [0] * 11
+        assert engine.strings.entity_name(base.s[0]) == "Logan"
+
+    def test_load_after_stream_refused_whole(self):
+        """Static data loads before any stream batch enters.  A late
+        base write would sit below stream entries: here shard 0 would
+        take x's in-edge before shard 1 refused the base entry behind
+        q's stream entry.  The refusal comes first: nothing is encoded,
+        written or kept for recovery."""
+        engine = WukongSEngine(
+            schemas=[StreamSchema("S")],
+            config=EngineConfig(num_nodes=2, batch_interval_ms=1000,
+                                fault_tolerance=True))
+        source = StreamSource(engine.schemas["S"])
+        source.queue_tuples(parse_timed_tuples("q p r @1500"), 0, 1000)
+        engine.attach_source(source)
+        engine.run_until(2_000)
+        before = engine_state_digest(engine)
+        with pytest.raises(StoreError, match="before any stream batch"):
+            engine.load_static(parse_triples("n p n .\nq p x ."))
+        assert engine_state_digest(engine) == before
+        assert engine.strings.lookup_entity("n") is None
+        assert len(engine.checkpoints.base) == 0
 
 
 class TestCheckpoints:

@@ -9,6 +9,8 @@ from repro.rdf.string_server import StringServer
 from repro.sim.cluster import Cluster
 from repro.store.distributed import DistributedStore
 
+from store.helpers import load_triples
+
 
 def make(num_nodes=2, streams=("S0", "S1"), plan_width=4, **kwargs):
     return Coordinator(num_nodes, list(streams), plan_width=plan_width,
@@ -81,15 +83,13 @@ def test_compaction_follows_stable_sn():
     cluster = Cluster(num_nodes=1)
     strings = StringServer()
     store = DistributedStore(cluster, strings)
-    store.load(parse_triples("a p b ."))
+    load_triples(store, parse_triples("a p b ."))
     coord = make(num_nodes=1, streams=("S",), plan_width=1)
 
-    enc = strings.encode_triple(parse_triples("a p c .")[0])
     for batch in range(1, 5):
         sn = coord.sn_for_batch("S", batch)
         assert sn is not None
-        store.insert_triples(map(strings.encode_triple,
-                                 parse_triples(f"a p x{batch} .")), sn=sn)
+        load_triples(store, parse_triples(f"a p x{batch} ."), sn=sn)
         coord.on_batch_inserted(0, "S", batch)
         coord.advance(store)
     # stable_sn is 4; snapshots <= 3 should be compacted into the base.

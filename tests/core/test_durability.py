@@ -1,6 +1,7 @@
 """Tests for durable checkpoints on disk and cold-start recovery."""
 
 import dataclasses
+import gc
 import json
 import os
 import tempfile
@@ -13,6 +14,7 @@ from repro.core.durability import restore_engine, save_engine
 from repro.core.engine import EngineConfig
 from repro.errors import FaultToleranceError
 from repro.rdf.parser import parse_timed_tuples
+from repro.rdf.terms import Triple
 from repro.serving.server import ServingLayer
 from repro.sim.cost import CostModel, MemoryModel
 from repro.sparql.ast import Query, TriplePattern, WindowSpec
@@ -349,13 +351,56 @@ class TestSaveRestore:
         with pytest.raises(FaultToleranceError):
             save_engine(engine, checkpoint)
 
+    def test_multi_node_base_round_trips(self, checkpoint):
+        engine = ft_engine(num_nodes=3)
+        engine.run_until(3_000)
+        assert all(shard.num_entries for shard in engine.store.shards)
+        save_engine(engine, checkpoint)
+        with open(checkpoint) as handle:
+            base = engine.checkpoints.base
+            assert json.load(handle)["base"] == [base.s, base.p, base.o]
+        revived = restore_engine(checkpoint)
+        assert revived.checkpoints.base == base
+        assert diff_digests(_digest(engine), _digest(revived)) == []
+
+    @pytest.mark.parametrize("tamper", [
+        lambda base, data: base[2].pop(),                      # truncated
+        lambda base, data: base.pop(),                         # two columns
+        lambda base, data: base[0].__setitem__(0, len(data["entities"])),
+        lambda base, data: base[1].__setitem__(0, 0),          # no eid 0
+        lambda base, data: base[2].__setitem__(0, str(base[2][0])),
+    ], ids=["truncated", "two-columns", "unknown-vid", "eid-zero",
+            "string-id"])
+    def test_tampered_base_is_refused(self, checkpoint, tamper):
+        save_engine(ft_engine(), checkpoint)
+        with open(checkpoint) as handle:
+            data = json.load(handle)
+        tamper(data["base"], data)
+        with open(checkpoint, "w") as handle:
+            json.dump(data, handle)
+        with pytest.raises(FaultToleranceError, match="checkpoint base"):
+            restore_engine(checkpoint)
+
+    def test_static_triples_not_kept_without_log(self):
+        """Without a durable log nothing holds static data past the
+        store: once the caller drops its triples, none is reachable."""
+        engine = build_engine()  # fault_tolerance=False
+        triples = [Triple(f"held{i}", "p", f"kept{i}") for i in range(3)]
+        assert engine.load_static(triples) == 3
+        del triples
+        gc.collect()
+        assert not [obj for obj in gc.get_objects()
+                    if isinstance(obj, Triple)
+                    and obj.subject.startswith("held")]
+
     def test_version_mismatch_rejected(self, checkpoint):
         engine = ft_engine()
         engine.run_until(2_000)
         save_engine(engine, checkpoint)
         with open(checkpoint) as handle:
             data = json.load(handle)
-        for version in (2, 3):  # before the log records; six more settings
+        # Before the log records; six more settings; the base as strings.
+        for version in (2, 3, 4):
             data["version"] = version
             with open(checkpoint, "w") as handle:
                 json.dump(data, handle)

@@ -8,6 +8,8 @@ from repro.sparql.planner import (BOUND_OBJECT, BOUND_SUBJECT, CONST_OBJECT,
                                   CONST_SUBJECT, INDEX_START, plan_query,
                                   plan_steps)
 
+from store.helpers import load_triples
+
 
 def test_constant_start_preferred():
     # Both patterns have a constant; the tie breaks on WHERE order, so the
@@ -97,7 +99,7 @@ def test_skewed_constant_reorders_plan():
     lines = [f"hot p n{i} ." for i in range(6)]          # hot: 6 p-edges
     lines += [f"s{i} p m{i} ." for i in range(10)]       # 10 cold subjects
     lines += ["hot q t0 .", "hot q t1 ."]                # hot: 2 q-edges
-    store.load(parse_triples("\n".join(lines)))
+    load_triples(store, parse_triples("\n".join(lines)))
     stats = PredicateStatistics(store)
 
     # Every constant estimates its exact degree, hot or cold; a constant

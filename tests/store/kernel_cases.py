@@ -62,6 +62,7 @@ from repro.streams.source import StreamSource
 from repro.streams.stream import StreamSchema
 from repro.temporal.reference import (decode_result, dump_history,
                                       reference_rows)
+from store.helpers import load_triples
 
 GOLDEN_KERNELS_PATH = os.path.join(os.path.dirname(__file__),
                                    "golden_kernels.json")
@@ -224,11 +225,10 @@ def build_xlab(shape: str = "rdma3"):
     cluster = Cluster(num_nodes=3, use_rdma=shape != "tcp3")
     strings = StringServer()
     store = DistributedStore(cluster, strings)
-    store.load(parse_triples(XLAB))
+    load_triples(store, parse_triples(XLAB))
     if shape == "dup3":
-        store.insert_triples(
-            map(strings.encode_triple,
-                parse_triples("Logan po T-13 .\nErik fo Logan .")), sn=1)
+        load_triples(store, parse_triples("Logan po T-13 .\nErik fo Logan ."),
+                     sn=1)
     return cluster, strings, store
 
 

@@ -18,6 +18,8 @@ from repro.sim.cost import LatencyMeter
 from repro.store.distributed import DistributedStore
 from repro.store.kvstore import BASE_SN
 
+from store.helpers import load_triples
+
 
 def read(store, home, vid, eid, meter, max_sn=None):
     """One key's visible list through the grouped read."""
@@ -34,7 +36,7 @@ def build(num_nodes=1):
 
 def test_cache_hit_returns_same_neighbors_and_charges():
     cluster, strings, store = build()
-    store.load(parse_triples("a p b .\na p c ."))
+    load_triples(store, parse_triples("a p b .\na p c ."))
     a = strings.entity_id("a")
     p = strings.predicate_id("p")
 
@@ -52,7 +54,7 @@ def test_cache_hit_returns_same_neighbors_and_charges():
 
 def test_remote_cache_hit_charges_identically():
     cluster, strings, store = build(num_nodes=2)
-    store.load(parse_triples("a p b .\na p c .\na p d ."))
+    load_triples(store, parse_triples("a p b .\na p c .\na p d ."))
     a = strings.entity_id("a")
     p = strings.predicate_id("p")
     remote_home = (cluster.owner_of(a) + 1) % 2
@@ -70,24 +72,22 @@ def test_remote_cache_hit_charges_identically():
 
 def test_insert_invalidates_written_key():
     cluster, strings, store = build()
-    store.load(parse_triples("a p b ."))
+    load_triples(store, parse_triples("a p b ."))
     a = strings.entity_id("a")
     b = strings.entity_id("b")
     p = strings.predicate_id("p")
 
     assert read(store, 0, a, p, LatencyMeter()) == [b]
     # Grow a's adjacency list after it was cached.
-    enc = strings.encode_triple(parse_triples("a p e .")[0])
-    store.insert_triples([enc], sn=BASE_SN)
+    load_triples(store, parse_triples("a p e ."))
     e = strings.entity_id("e")
     assert read(store, 0, a, p, LatencyMeter()) == [b, e]
 
 
 def test_cache_entries_are_snapshot_specific():
     cluster, strings, store = build()
-    store.load(parse_triples("a p b ."))
-    enc = strings.encode_triple(parse_triples("a p c .")[0])
-    store.insert_triples([enc], sn=BASE_SN + 5)
+    load_triples(store, parse_triples("a p b ."))
+    load_triples(store, parse_triples("a p c ."), sn=BASE_SN + 5)
     a = strings.entity_id("a")
     b = strings.entity_id("b")
     c = strings.entity_id("c")
@@ -104,7 +104,7 @@ def test_cache_entries_are_snapshot_specific():
 def test_cached_segments_survive_compaction():
     """Compaction moves no value and no SN, so entries stay correct."""
     cluster, strings, store = build()
-    store.load(parse_triples("a p b ."))
+    load_triples(store, parse_triples("a p b ."))
     a = strings.entity_id("a")
     p = strings.predicate_id("p")
     key = make_key(a, p, DIR_OUT)
@@ -122,7 +122,7 @@ def test_versioned_reads_after_compaction_stay_correct():
     """A segment cached at an old bound must not serve a bound whose
     visible prefix differs, before or after compaction folds SNs."""
     cluster, strings, store = build()
-    store.load(parse_triples("a p b ."))
+    load_triples(store, parse_triples("a p b ."))
     a = strings.entity_id("a")
     b = strings.entity_id("b")
     p = strings.predicate_id("p")
@@ -148,7 +148,7 @@ def test_full_list_entry_serves_newer_bounds_only():
     (and None) as a hit; an older bound is still validated against the
     live SN list and misses when its prefix is shorter."""
     cluster, strings, store = build()
-    store.load(parse_triples("a p b ."))
+    load_triples(store, parse_triples("a p b ."))
     a = strings.entity_id("a")
     b = strings.entity_id("b")
     c = strings.entity_id("c")
@@ -172,7 +172,7 @@ def test_full_list_entry_serves_newer_bounds_only():
 
 def test_predicate_cardinality_counts_entries_and_keys():
     cluster, strings, store = build(num_nodes=2)
-    store.load(parse_triples("a p b .\na p c .\nb p c .\na q b ."))
+    load_triples(store, parse_triples("a p b .\na p c .\nb p c .\na q b ."))
     p = strings.predicate_id("p")
     q = strings.predicate_id("q")
 
@@ -186,7 +186,7 @@ def test_predicate_cardinality_counts_entries_and_keys():
 
 def test_cache_counters_track_hits_misses():
     cluster, strings, store = build()
-    store.load(parse_triples("a p b ."))
+    load_triples(store, parse_triples("a p b ."))
     a = strings.entity_id("a")
     p = strings.predicate_id("p")
     shard = store.shards[0]
@@ -203,7 +203,7 @@ def test_configured_capacity_and_eviction_counter():
     cluster = Cluster(num_nodes=1)
     strings = StringServer()
     store = DistributedStore(cluster, strings, adjacency_capacity=2)
-    store.load(parse_triples("a p x .\nb p x .\nc p x ."))
+    load_triples(store, parse_triples("a p x .\nb p x .\nc p x ."))
     p = strings.predicate_id("p")
     shard = store.shards[0]
     for name in ("a", "b", "c"):
@@ -218,7 +218,7 @@ def test_fifo_evicts_in_insertion_order_even_after_a_hit():
     cluster = Cluster(num_nodes=1)
     strings = StringServer()
     store = DistributedStore(cluster, strings, adjacency_capacity=2)
-    store.load(parse_triples("h p x .\na p x .\nb p x ."))
+    load_triples(store, parse_triples("h p x .\na p x .\nb p x ."))
     p = strings.predicate_id("p")
     vids = {n: strings.entity_id(n) for n in ("h", "a", "b")}
     # Fill: h, a.  Touch h again.  Insert b (one eviction).

@@ -18,6 +18,8 @@ from repro.sparql.planner import plan_query
 from repro.store.distributed import DistributedStore, PersistentAccess
 from repro.store.executor import GraphExplorer
 
+from store.helpers import load_triples
+
 ENTITIES = [f"e{i}" for i in range(8)]
 PREDICATES = ["p", "q", "r"]
 
@@ -75,7 +77,7 @@ def relational_answer(triples, query, strings):
 def exploration_answer(triples, query, strings, num_nodes):
     cluster = Cluster(num_nodes=num_nodes)
     store = DistributedStore(cluster, strings)
-    store.load([Triple(*t) for t in triples])
+    load_triples(store, [Triple(*t) for t in triples])
     explorer = GraphExplorer(cluster)
 
     def factory(node_id):
@@ -112,7 +114,7 @@ def test_execution_modes_agree(triples, query):
         strings.predicate_id(predicate)
     cluster = Cluster(num_nodes=3)
     store = DistributedStore(cluster, strings)
-    store.load([Triple(*t) for t in triples])
+    load_triples(store, [Triple(*t) for t in triples])
     explorer = GraphExplorer(cluster)
 
     def factory(node_id):
@@ -151,7 +153,7 @@ def test_filters_agree_across_modes_and_with_post_filtering(triples, query,
         strings.predicate_id(predicate)
     cluster = Cluster(num_nodes=3)
     store = DistributedStore(cluster, strings)
-    store.load([Triple(*t) for t in triples])
+    load_triples(store, [Triple(*t) for t in triples])
     explorer = GraphExplorer(cluster, strings)
 
     def factory(node_id):

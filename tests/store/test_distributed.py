@@ -7,6 +7,8 @@ from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.store.distributed import DistributedStore, PersistentAccess
 
+from store.helpers import load_triples
+
 
 def build(num_nodes=2):
     cluster = Cluster(num_nodes=num_nodes)
@@ -17,14 +19,14 @@ def build(num_nodes=2):
 
 def test_load_counts_triples():
     _, _, store = build()
-    n = store.load(parse_triples("a p b .\nb p c ."))
+    n = load_triples(store, parse_triples("a p b .\nb p c ."))
     assert n == 2
     assert store.num_entries == 4  # out + in halves
 
 
 def test_edges_land_on_owner_shards():
     cluster, strings, store = build(num_nodes=2)
-    store.load(parse_triples("a p b ."))
+    load_triples(store, parse_triples("a p b ."))
     a, b = strings.entity_id("a"), strings.entity_id("b")
     assert store.shards[cluster.owner_of(a)].num_entries >= 1
     assert store.shards[cluster.owner_of(b)].num_entries >= 1
@@ -32,7 +34,7 @@ def test_edges_land_on_owner_shards():
 
 def test_neighbors_both_directions():
     cluster, strings, store = build()
-    store.load(parse_triples("a p b .\na p c ."))
+    load_triples(store, parse_triples("a p b .\na p c ."))
     a = strings.entity_id("a")
     b = strings.entity_id("b")
     p = strings.predicate_id("p")
@@ -46,7 +48,7 @@ def test_neighbors_both_directions():
 
 def test_remote_read_charges_two_rdma_reads():
     cluster, strings, store = build(num_nodes=2)
-    store.load(parse_triples("a p b ."))
+    load_triples(store, parse_triples("a p b ."))
     a = strings.entity_id("a")
     p = strings.predicate_id("p")
     owner = cluster.owner_of(a)
@@ -62,7 +64,7 @@ def test_remote_read_charges_two_rdma_reads():
 
 def test_index_split_across_nodes():
     cluster, strings, store = build(num_nodes=2)
-    store.load(parse_triples("a p b .\nc p d .\ne p f ."))
+    load_triples(store, parse_triples("a p b .\nc p d .\ne p f ."))
     p = strings.predicate_id("p")
     total = []
     for node_id in range(2):
@@ -73,7 +75,7 @@ def test_index_split_across_nodes():
 
 def test_gather_index_sees_everything():
     cluster, strings, store = build(num_nodes=3)
-    store.load(parse_triples("a p b .\nc p d .\ne p f ."))
+    load_triples(store, parse_triples("a p b .\nc p d .\ne p f ."))
     p = strings.predicate_id("p")
     gathered = store.gather_index(0, p, DIR_OUT, LatencyMeter())
     assert set(gathered) == {strings.entity_id(s) for s in "ace"}
@@ -81,9 +83,8 @@ def test_gather_index_sees_everything():
 
 def test_persistent_access_snapshot_bound():
     cluster, strings, store = build(num_nodes=1)
-    store.load(parse_triples("a p b ."))
-    enc = strings.encode_triple(parse_triples("a p c .")[0])
-    store.insert_triples([enc], sn=3)
+    load_triples(store, parse_triples("a p b ."))
+    load_triples(store, parse_triples("a p c ."), sn=3)
     a = strings.entity_id("a")
     p = strings.predicate_id("p")
 

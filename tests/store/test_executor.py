@@ -12,6 +12,8 @@ from repro.sparql.planner import plan_query
 from repro.store.distributed import DistributedStore, PersistentAccess
 from repro.store.executor import GraphExplorer
 
+from store.helpers import load_triples
+
 XLAB = """
 Logan ty XMen .
 Erik ty XMen .
@@ -32,7 +34,7 @@ def build(num_nodes=2):
     cluster = Cluster(num_nodes=num_nodes)
     strings = StringServer()
     store = DistributedStore(cluster, strings)
-    store.load(parse_triples(XLAB))
+    load_triples(store, parse_triples(XLAB))
     return cluster, strings, store
 
 
@@ -115,7 +117,7 @@ def test_auto_picks_migrate_without_rdma():
     cluster = Cluster(num_nodes=3, use_rdma=False)
     strings = StringServer()
     store = DistributedStore(cluster, strings)
-    store.load(parse_triples(XLAB))
+    load_triples(store, parse_triples(XLAB))
     rows, meter = run(cluster, strings, store,
                       "SELECT ?F ?P WHERE { Logan fo ?F . ?F po ?P }")
     assert rows == [("Erik", "T-12")]
@@ -177,7 +179,7 @@ def test_self_loop_binding_consistency():
     cluster = Cluster(num_nodes=1)
     strings = StringServer()
     store = DistributedStore(cluster, strings)
-    store.load(parse_triples("a p a .\na p b ."))
+    load_triples(store, parse_triples("a p a .\na p b ."))
     rows, _ = run(cluster, strings, store, "SELECT ?X WHERE { ?X p ?X }")
     assert rows == [("a",)]
 
@@ -218,7 +220,7 @@ def test_pure_union_with_filters(text, expected, mode):
     cluster = Cluster(num_nodes=2)
     strings = StringServer()
     store = DistributedStore(cluster, strings)
-    store.load(parse_triples(UNION_DATA))
+    load_triples(store, parse_triples(UNION_DATA))
     result = GraphExplorer(cluster, strings).execute(
         plan_query(parse_query(text)), factory_for(store), LatencyMeter(),
         mode=mode)

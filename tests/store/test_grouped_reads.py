@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.rdf.ids import DIR_IN, DIR_OUT, make_key
 from repro.rdf.string_server import StringServer
-from repro.rdf.terms import EncodedTriple
+from repro.rdf.terms import EncodedColumns
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.store.distributed import _KEY_BYTES, DistributedStore
@@ -122,9 +122,10 @@ def test_grouped_reads_equal_per_key_reads(num_nodes, use_rdma, ops):
     for op in ops:
         if op[0] == "write":
             sn += op[1]
-            triples = [EncodedTriple(s, p, o) for s, p, o in op[2]]
+            s, p, o = map(list, zip(*op[2]))
+            columns = EncodedColumns(s, p, o, [0] * len(s))
             for store in stores:
-                store.insert_triples(triples, sn=sn)
+                store.insert_columns(columns, sn=sn)
         elif op[0] == "compact":
             # Below the newest SN, as the coordinator's bound stays below
             # every SN still being written.
