@@ -68,7 +68,14 @@
 # TimedTupl[e] wrap in the relational baselines: static data is encoded
 # by StringServer.encode_triples, written by insert_columns and kept
 # durable as CheckpointManager.base), and the unused
-# ServingLayer.disconnect_tenan[t] have not come back.
+# ServingLayer.disconnect_tenan[t] and FairScheduler.remove_tenan[t],
+# and the variable-name sets that told a snapshot-number column from a
+# vid one (interval_var[s] — the compiled plan decides one kind per
+# column and ExecutionResult.kinds carries it — and the client's GROUP BY
+# arithmetic, names_en[d] / query.group_b[y] in src/repro/client/library.py),
+# with the second evaluator of interval relations (interval_op_hold[s],
+# _CompiledIntervalFilte[r]: interval FILTERs compile to _NumericFilter)
+# have not come back.
 # A test marked both serving and chaos runs in the chaos stage only.
 #
 # The examples stage runs every walkthrough under examples/ (the only
@@ -125,7 +132,7 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list, the settings only tests set, skip postings and index-member sets, the row round trip between executor and client, the per-triple static-data path, disconnect_tenan[t]) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list, the settings only tests set, skip postings and index-member sets, the row round trip between executor and client, the per-triple static-data path, disconnect_tenan[t] and remove_tenan[t], column kinds by variable name and the second interval evaluator) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts; \
         then exit 1; fi
@@ -177,6 +184,13 @@ if grep -rn 'encode_tripl[e]\>\|decode_tripl[e]\|EncodedTripl[e]\|insert_tripl[e
 if grep -n 'def loa[d](' src/repro/store/distributed.py; then exit 1; fi
 if grep -n '"stati[c]"' src/repro/core/durability.py; then exit 1; fi
 if grep -n 'TimedTupl[e]' src/repro/baselines/relational.py; then exit 1; fi
+if grep -rn 'interval_var[s]' src scripts tests examples; then exit 1; fi
+if grep -rn 'interval_op_hold[s]\|_CompiledIntervalFilte[r]' src scripts; \
+        then exit 1; fi
+if grep -n 'names_en[d]\|query\.group_b[y]' src/repro/client/library.py; \
+        then exit 1; fi
+if grep -rn 'remove_tenan[t]' src scripts tests benchmarks examples; \
+        then exit 1; fi
 
 echo "== examples (every walkthrough runs to completion) =="
 for example in examples/*.py; do

@@ -32,7 +32,7 @@ from repro.core.engine import WukongSEngine
 from repro.core.pipeline import LRUCache
 from repro.errors import PlanError, RegistrationError, StoreError
 from repro.rdf.string_server import StringServer
-from repro.store.executor import ExecutionResult
+from repro.store.executor import SN, VID, ExecutionResult
 
 #: Approximate request/response payload sizes (bytes).
 _REQUEST_BYTES = 96
@@ -42,6 +42,11 @@ _ROW_BYTES = 48
 #: overhead vanishes, small enough that the transient name columns of a
 #: 500 k-row answer stay ~1 MB instead of a second copy of the answer.
 _DECODE_BLOCK_ROWS = 32_768
+
+#: The column kinds decoded to entity names.  :data:`SN` is one on
+#: purpose, for now: the repo benchmark pins ``history`` rows whose
+#: ``?ts`` cells read as names (ROADMAP item 1(a) drops it, re-pinned).
+_NAMED = (VID, SN)
 
 #: Executions per backing query whose decoded rows stay shared.  A
 #: subscriber polling every tick needs one; a few more keep a catch-up
@@ -145,10 +150,10 @@ class ClientSubscription:
         rows — decoded here, or by whichever co-subscriber came first."""
         library, shared = self.library, self.shared
         if shared is None:
-            return library._decode(self.procedure, record.result)
+            return library._decode(record.result)
         rows = shared.get(index)
         if rows is None:
-            rows = library._decode(self.procedure, record.result)
+            rows = library._decode(record.result)
             shared.put(index, rows, len(self.handle.executions))
         else:
             library.stats.decodes_shared += 1
@@ -198,7 +203,7 @@ class ClientLibrary:
                 "use register()")
         record = self.engine.oneshot(procedure.query, home_node=home_node)
         result = record.result
-        return self._deliver(result, self._decode(procedure, result),
+        return self._deliver(result, self._decode(result),
                              record.meter, record.snapshot)
 
     def register(self, text: str,
@@ -244,14 +249,13 @@ class ClientLibrary:
                 known.put(constant, True)
         return procedure
 
-    def _decode(self, procedure: StoredProcedure,
-                result: ExecutionResult) -> List[Tuple[object, ...]]:
-        """The result's rows, vids decoded to strings; aggregate values
-        pass through.
+    def _decode(self, result: ExecutionResult) -> List[Tuple[object, ...]]:
+        """The result's rows, columns of the kinds in :data:`_NAMED`
+        decoded to strings; aggregate values pass through.
 
-        Columnar: per block of rows, every projected variable's column
-        slice goes through the string server in one call, and one
-        ``zip`` builds the block's row tuples.
+        Columnar: per block of rows, every such column slice goes
+        through the string server in one call, and one ``zip`` builds
+        the block's row tuples.
         """
         nrows = result.nrows
         self.stats.results_decoded += 1
@@ -259,18 +263,15 @@ class ClientLibrary:
         columns = result.columns
         if not columns:  # no rows, or ASK's zero-width ones
             return [()] * nrows
-        query = procedure.query
-        # Columns from here on hold aggregate values, not vids.
-        names_end = min(len(query.group_by), len(columns)) \
-            if query.aggregates else len(columns)
+        named = [kind in _NAMED for kind in result.kinds]
         strings = self.engine.strings
         decoded: List[Tuple[object, ...]] = []
         for start in range(0, nrows, _DECODE_BLOCK_ROWS):
             stop = start + _DECODE_BLOCK_ROWS
             block = [column[start:stop] for column in columns] \
                 if nrows > _DECODE_BLOCK_ROWS else columns
-            block = [_decode_column(strings, column) if index < names_end
-                     else column for index, column in enumerate(block)]
+            block = [_decode_column(strings, column) if is_named
+                     else column for is_named, column in zip(named, block)]
             decoded.extend(zip(*block))
         return decoded
 

@@ -91,35 +91,6 @@ class FairScheduler:
         queue = self._queues.get(tenant)
         return len(queue) if queue is not None else 0
 
-    @property
-    def tenants(self) -> List[str]:
-        return list(self._ring)
-
-    def remove_tenant(self, tenant: str) -> int:
-        """Drop ``tenant``'s queue and ring slot (its session ended).
-
-        Returns the number of queued requests discarded (0 for an unknown
-        tenant).  The rotation pointer keeps aiming at the same *next*
-        tenant: removing a slot before the cursor shifts the cursor back
-        by one; removing the slot the cursor rests on leaves it pointing
-        at that tenant's successor (mod the shrunken ring) — so the next
-        drain neither skips a surviving tenant's turn nor dereferences
-        the departed queue.  Re-submitting later re-enters the ring at
-        the back, like any first submission.
-        """
-        queue = self._queues.pop(tenant, None)
-        if queue is None:
-            return 0
-        index = self._ring.index(tenant)
-        self._ring.pop(index)
-        if not self._ring:
-            self._cursor = 0
-        else:
-            if index < self._cursor:
-                self._cursor -= 1
-            self._cursor %= len(self._ring)
-        return len(queue)
-
     # -- dispatch ----------------------------------------------------------
     def drain(self, now_ms: int,
               execute: Callable[[OneshotRequest, int],

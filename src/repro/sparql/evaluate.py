@@ -15,9 +15,10 @@ semantics.
 
 from __future__ import annotations
 
+import operator
 from itertools import chain
-from typing import (Callable, Collection, Dict, List, Optional, Sequence,
-                    Set, Tuple, Union)
+from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from repro.errors import PlanError
 from repro.sparql.ast import (Aggregate, FilterExpr, IntervalFilter, Query,
@@ -35,6 +36,11 @@ ResolveEntity = Callable[[str], Optional[int]]
 #: Anything :func:`filters_by_step` schedules (both have ``variables()``).
 AnyFilter = Union[FilterExpr, IntervalFilter]
 
+#: The comparison each FILTER operator spells.
+COMPARE: Dict[str, Callable[[object, object], bool]] = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
 
 def term_number(name: str) -> Optional[float]:
     """The numeric value of a term name, or None if it is not a number."""
@@ -44,75 +50,49 @@ def term_number(name: str) -> Optional[float]:
         return None
 
 
-def _operand(term: str, row: Row, name_of: NameOf, resolve: ResolveEntity,
-             interval_vars: Collection[str]
-             ) -> Tuple[Optional[int], Optional[str]]:
+def _operand(term: str, row: Row, name_of: NameOf, resolve: ResolveEntity
+             ) -> Tuple[Optional[int], str]:
     """Resolve one filter operand to ``(vid, name)`` under a row."""
     if is_variable(term):
         value = row.get(term)
         if value is None:
             raise PlanError(f"filter variable never bound: {term}")
-        if term in interval_vars:
-            return None, str(value)
         return value, name_of(value)
     return resolve(term), term
 
 
 def filter_matches(expr: FilterExpr, row: Row, name_of: NameOf,
-                   resolve: ResolveEntity,
-                   interval_vars: Collection[str] = ()) -> bool:
-    """Whether one row satisfies one FILTER expression.
-
-    ``interval_vars`` names the SPARQL-T interval endpoint variables: a
-    graph variable's binding is a vid whose entity *name* may parse as a
-    number, an endpoint variable's binding *is* its number (a snapshot
-    number) and is never looked up as a vid.
-    """
-    left_vid, left_name = _operand(expr.left, row, name_of, resolve,
-                                   interval_vars)
-    right_vid, right_name = _operand(expr.right, row, name_of, resolve,
-                                     interval_vars)
-    if expr.op == "=":
+                   resolve: ResolveEntity) -> bool:
+    """Whether one row of vids satisfies one FILTER expression."""
+    left_vid, left_name = _operand(expr.left, row, name_of, resolve)
+    right_vid, right_name = _operand(expr.right, row, name_of, resolve)
+    if expr.op in ("=", "!="):
         if left_vid is not None and right_vid is not None:
-            return left_vid == right_vid
-        return left_name == right_name
-    if expr.op == "!=":
-        if left_vid is not None and right_vid is not None:
-            return left_vid != right_vid
-        return left_name != right_name
-    left_num = term_number(left_name) if left_name is not None else None
-    right_num = term_number(right_name) if right_name is not None else None
+            equal = left_vid == right_vid
+        else:
+            equal = left_name == right_name
+        return equal if expr.op == "=" else not equal
+    left_num = term_number(left_name)
+    right_num = term_number(right_name)
     if left_num is None or right_num is None:
         return False  # SPARQL: type errors eliminate the row
-    if expr.op == "<":
-        return left_num < right_num
-    if expr.op == "<=":
-        return left_num <= right_num
-    if expr.op == ">":
-        return left_num > right_num
-    return left_num >= right_num
+    return COMPARE[expr.op](left_num, right_num)
 
 
-def interval_op_holds(op: str, s1: int, e1: int, s2: int, e2: int) -> bool:
-    """Whether ``[s1, e1) op [s2, e2)`` holds (half-open semantics): the
-    verdict of a SPARQL-T interval FILTER on one row's endpoints.
-
-    ``OVERLAPS``: the intervals share at least one snapshot.
-    ``DURING``: the left interval is contained in the right.
-    ``BEFORE`` / ``AFTER``: the left ends at-or-before the right starts /
-    starts at-or-after the right ends.  ``STARTS``: equal lower endpoints.
-    """
-    if op == "OVERLAPS":
-        return s1 < e2 and s2 < e1
-    if op == "DURING":
-        return s1 >= s2 and e1 <= e2
-    if op == "BEFORE":
-        return e1 <= s2
-    if op == "AFTER":
-        return s1 >= e2
-    if op == "STARTS":
-        return s1 == s2
-    raise PlanError(f"unsupported interval operator: {op}")
+#: Each SPARQL-T interval relation ``[s1, e1) op [s2, e2)`` as the
+#: conjunction of endpoint comparisons it is (half-open semantics),
+#: endpoints numbered ``s1, e1, s2, e2`` = 0..3: the verdict of an
+#: interval FILTER.  ``OVERLAPS``: the intervals share a snapshot;
+#: ``DURING``: the left is inside the right; ``BEFORE`` / ``AFTER``: the
+#: left ends before the right starts / starts after it ends (or at it);
+#: ``STARTS``: equal lower endpoints.
+INTERVAL_COMPARISONS: Dict[str, Tuple[Tuple[str, int, int], ...]] = {
+    "OVERLAPS": (("<", 0, 3), ("<", 2, 1)),
+    "DURING": ((">=", 0, 2), ("<=", 1, 3)),
+    "BEFORE": (("<=", 1, 2),),
+    "AFTER": ((">=", 0, 3),),
+    "STARTS": (("=", 0, 2),),
+}
 
 
 def apply_filters(rows: List[Row], filters: Sequence[FilterExpr],

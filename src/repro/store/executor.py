@@ -49,20 +49,21 @@ is a columnar partition-by-owner (``_Batch.select`` over first-occurrence
 owner groups), each per-node branch expands under its own spawned meter,
 and the bulk-message charge per hop is the largest single transfer of
 the round.  Step-scheduled FILTERs evaluate as vectorized selects over
-slot columns, memoizing the (charge-free) predicate evaluation per
-distinct operand value.  UNION arms and OPTIONAL groups extend one
-solution row at a time — a one-row batch through the same kernels —
-because their probe deduplication, and hence their lookup charges, are
-per row; their parts are concatenated back into one batch, an
-unmatched OPTIONAL row keeping None cells in its group's slots.
+slot columns: C-level comparisons when every operand is a snapshot
+number or a constant, else memoized per distinct operand pair.  UNION
+arms and OPTIONAL groups extend one solution row at a time — a one-row
+batch through the same kernels — because their probe deduplication,
+and hence their lookup charges, are per row; their parts are
+concatenated back into one batch, an unmatched OPTIONAL row keeping
+None cells in its group's slots.
 
 SPARQL-T quintuple patterns (``?s p ?o [?ts, ?te)``) are steps with two
 more slots: a step that has them expands on the one version-carrying
 kernel (:meth:`GraphExplorer._expand_versions_batch`), which reads
 ``(vids, sns)`` entries and binds each match's insertion snapshot and
-open end beside the other side; interval FILTERs are scheduled and
-compiled beside ordinary ones.  Which kernel runs is decided by the
-step, never by the caller.
+open end beside the other side; interval FILTERs compile like ordinary
+ones over those snapshot-number slots.  Which kernel runs is decided by
+the step, never by the caller.
 
 Charges: the layout only changes wall-clock speed.  Simulated charges
 are issued for a fixed *set* of events — a neighbour fetch once per
@@ -78,11 +79,11 @@ DESIGN.md §4.7.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 from operator import contains
-from typing import (Callable, Collection, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanError
 from repro.rdf.ids import DIR_IN, DIR_OUT
@@ -90,8 +91,9 @@ from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.sparql.ast import (FilterExpr, IntervalFilter, OPEN_END,
                               TriplePattern, is_variable)
-from repro.sparql.evaluate import (aggregate_rows, filter_matches,
-                                   filters_by_step, interval_op_holds)
+from repro.sparql.evaluate import (COMPARE, INTERVAL_COMPARISONS,
+                                   AnyFilter, aggregate_rows, filter_matches,
+                                   filters_by_step, term_number)
 from repro.sparql.planner import (
     BOUND_OBJECT,
     BOUND_SUBJECT,
@@ -119,14 +121,19 @@ _ROW_BYTES = 48
 #: The ``(vids, sns)`` of a row no version-chain entry matches.
 _NO_ENTRIES: Tuple[Tuple[int, ...], Tuple[int, ...]] = ((), ())
 
+#: What a slot or result column holds: entity vids (-1 in a result cell
+#: left unbound), snapshot numbers (a quintuple step's ``?ts`` /
+#: ``?te``; ``OPEN_END`` for an open end) or aggregate values.
+VID, SN, AGG = "vid", "sn", "agg"
+
 
 @dataclass
 class ExecutionResult:
     """The projected columns of one query execution.
 
     ``columns`` holds one list per output variable, ``nrows`` cells
-    each: vids (-1 for a variable left unbound), or, past the GROUP BY
-    columns of an aggregate query, aggregate values.  They are final —
+    each, holding what ``kinds`` (one per variable: :data:`VID`,
+    :data:`SN` or :data:`AGG`) says they hold.  They are final —
     deduplicated and cut to OFFSET/LIMIT — and never mutated after
     projection, so they may alias the executor's batch columns.
     ``nrows`` is kept apart because a zero-width answer (ASK, or a
@@ -135,6 +142,7 @@ class ExecutionResult:
     """
 
     variables: List[str]
+    kinds: List[str]
     columns: List[list] = field(default_factory=list)
     nrows: int = 0
 
@@ -181,32 +189,33 @@ class _CompiledStep:
 
 
 class _CompiledFilter:
-    """One FILTER expression with its operands resolved to slot indices.
+    """A FILTER with a vid operand, its operands resolved to slot indices.
 
     Batch evaluation selects surviving row indices, memoizing the
-    (charge-free) predicate evaluation per distinct operand value — the
+    (charge-free) predicate evaluation per distinct operand pair — the
     verdict of ``filter_matches`` is a pure function of the operand
     values, so a memo hit is semantically identical to re-running it.
-    An operand an unmatched OPTIONAL left unbound eliminates the row
+    An SN operand enters as the constant its decimal text spells; an
+    operand an unmatched OPTIONAL left unbound eliminates the row
     (SPARQL's error-as-false).  Filter charges are issued by the caller
     (``filter_ns`` per row per filter, whatever the verdict).
     """
 
-    __slots__ = ("expr", "left_slot", "right_slot", "interval_vars")
+    __slots__ = ("expr", "left_slot", "right_slot", "left_sn", "right_sn")
 
     def __init__(self, expr: FilterExpr, slots: Dict[str, int],
-                 interval_vars: Collection[str] = ()):
+                 kinds: List[str]):
         self.expr = expr
         self.left_slot = slots[expr.left] if is_variable(expr.left) else None
         self.right_slot = slots[expr.right] \
             if is_variable(expr.right) else None
-        self.interval_vars = interval_vars
+        self.left_sn, self.right_sn = (slot is not None and kinds[slot] == SN
+                                       for slot in (self.left_slot,
+                                                    self.right_slot))
 
     def select(self, cols, indices: Sequence[int], name_of,
                resolve) -> List[int]:
         """The sub-list of ``indices`` whose rows satisfy the filter."""
-        expr = self.expr
-        interval_vars = self.interval_vars
         lcol = cols[self.left_slot] if self.left_slot is not None else None
         rcol = cols[self.right_slot] if self.right_slot is not None else None
         verdicts: Dict[Tuple, bool] = {}
@@ -217,14 +226,15 @@ class _CompiledFilter:
                    rcol[i] if rcol is not None else None)
             verdict = verdicts.get(key)
             if verdict is None:
-                row = {}
-                if lcol is not None:
-                    row[expr.left] = lcol[i]
-                if rcol is not None:
-                    row[expr.right] = rcol[i]
-                try:
-                    verdict = filter_matches(expr, row, name_of, resolve,
-                                             interval_vars)
+                expr, (left, right) = self.expr, key
+                if self.left_sn or self.right_sn:
+                    expr = FilterExpr(str(left) if self.left_sn else expr.left,
+                                      expr.op, str(right) if self.right_sn
+                                      else expr.right)
+                try:  # (filter_matches reads the row for variables only)
+                    verdict = filter_matches(
+                        expr, {expr.left: left, expr.right: right}, name_of,
+                        resolve)
                 except PlanError:  # an operand is unbound in this row
                     verdict = False
                 verdicts[key] = verdict
@@ -233,39 +243,67 @@ class _CompiledFilter:
         return out
 
 
-class _CompiledIntervalFilter:
-    """One SPARQL-T interval FILTER over slot columns, selecting like
-    :class:`_CompiledFilter`: constant endpoints are parsed once,
-    variable endpoints read their ``?ts`` / ``?te`` columns (snapshot
-    numbers, so the name lookups go unused), and each distinct endpoint
-    quadruple runs :func:`interval_op_holds` once per batch."""
+class _NumericFilter:
+    """A FILTER over snapshot numbers and constants only — an interval
+    FILTER, or an ordinary one whose variables are all SN slots — as
+    comparisons ``(compare, left, right)`` of ``(slot, None)`` or
+    ``(None, constant)`` operands, each one C-level selection over int
+    columns (``compress(indices, map(compare, left, right))``)."""
 
-    __slots__ = ("op", "endpoints")
+    __slots__ = ("comparisons",)
 
-    def __init__(self, ifilter: IntervalFilter, slots: Dict[str, int]):
-        self.op = ifilter.op
-        self.endpoints: List[Tuple[Optional[int], Optional[int]]] = [
-            (slots[term], None) if is_variable(term) else (None, int(term))
-            for term in (ifilter.left_ts, ifilter.left_te,
-                         ifilter.right_ts, ifilter.right_te)]
+    def __init__(self, expr: AnyFilter, slots: Dict[str, int]):
+        if isinstance(expr, IntervalFilter):
+            terms = (expr.left_ts, expr.left_te, expr.right_ts, expr.right_te)
+            pairs, parse = INTERVAL_COMPARISONS[expr.op], int
+        else:
+            terms, pairs = (expr.left, expr.right), ((expr.op, 0, 1),)
+            parse = _equality_constant if expr.op in ("=", "!=") \
+                else _ordering_constant
+        operands = [(slots[term], None) if is_variable(term)
+                    else (None, parse(term)) for term in terms]
+        self.comparisons = [(COMPARE[op], operands[left], operands[right])
+                            for op, left, right in pairs]
 
     def select(self, cols, indices: Sequence[int], name_of,
                resolve) -> List[int]:
-        op = self.op
-        quads = list(zip(*[repeat(const, len(indices)) if slot is None
-                           else map(cols[slot].__getitem__, indices)
-                           for slot, const in self.endpoints]))
-        verdicts = {quad: interval_op_holds(op, *quad)
-                    for quad in set(quads)}
-        return list(compress(indices, map(verdicts.__getitem__, quads)))
+        for compare, left, right in self.comparisons:
+            indices = list(compress(indices, map(
+                compare, _values(cols, left, indices),
+                _values(cols, right, indices))))
+        return indices
+
+
+def _equality_constant(term: str):
+    """``=`` / ``!=`` compare an SN's decimal text: a constant that is no
+    int's decimal form stays text, which no SN equals (``01``, ``1.0``)."""
+    return int(term) if term.isdecimal() and str(int(term)) == term \
+        else term
+
+
+def _ordering_constant(term: str) -> float:
+    """A constant's number, or NaN (no ordering holds) if it is none."""
+    number = term_number(term)
+    return math.nan if number is None else number
+
+
+def _values(cols, operand: Tuple, indices: Sequence[int]):
+    """A comparison operand's values at ``indices`` (every row: as is)."""
+    slot, const = operand
+    if slot is None:
+        return repeat(const, len(indices))
+    column = cols[slot]
+    if len(column) == len(indices):
+        return column
+    return map(column.__getitem__, indices)
 
 
 class _CompiledPlan:
     """Slot layout + precompiled steps/filters/sub-plans of one plan."""
 
-    __slots__ = ("slots", "nslots", "steps", "carries_versions",
+    __slots__ = ("slots", "nslots", "steps", "kinds",
                  "cfilters_at", "leftover_filters", "unions", "optionals",
-                 "project_slots")
+                 "project_slots", "result_kinds")
 
     def __init__(self, plan: ExecutionPlan):
         from repro.sparql.planner import plan_steps
@@ -276,9 +314,12 @@ class _CompiledPlan:
                 self.slots[var] = len(self.slots)
         self.nslots = len(self.slots)
         self.steps = [_CompiledStep(step, self.slots) for step in plan.steps]
-        #: Whether some step is a quintuple step (reads version chains).
-        self.carries_versions = any(step.ts_slot is not None
-                                    for step in self.steps)
+        #: What each slot holds: SNs in the slots a quintuple step binds
+        #: (the parser keeps those steps out of OPTIONAL / UNION), else vids.
+        sn_slots = {slot for step in self.steps
+                    for slot in (step.ts_slot, step.te_slot)}
+        self.kinds = [SN if slot in sn_slots else VID
+                      for slot in range(self.nslots)]
 
         # FILTER schedule: each filter — ordinary, then interval — runs
         # at the earliest step binding its variables; filters over
@@ -289,12 +330,13 @@ class _CompiledPlan:
         if query.filters or query.interval_filters:
             filters_at, leftovers = filters_by_step(
                 query, [step.pattern for step in plan.steps])
-            interval_vars = frozenset(query.interval_variables())
 
             def compile_filter(expr):
-                if isinstance(expr, IntervalFilter):
-                    return _CompiledIntervalFilter(expr, self.slots)
-                return _CompiledFilter(expr, self.slots, interval_vars)
+                if isinstance(expr, IntervalFilter) or all(
+                        self.kinds[self.slots[var]] == SN
+                        for var in expr.variables()):
+                    return _NumericFilter(expr, self.slots)
+                return _CompiledFilter(expr, self.slots, self.kinds)
 
             self.cfilters_at = [list(map(compile_filter, step_filters))
                                 for step_filters in filters_at]
@@ -323,6 +365,12 @@ class _CompiledPlan:
         #: Slot index per projected variable (None: never bound -> -1).
         self.project_slots = [(var, self.slots.get(var))
                               for var in query.projected()]
+        #: ``ExecutionResult.kinds``: the projected slots' (GROUP BY keys
+        #: of an aggregate query; a never-bound variable's -1s are vids),
+        #: then one per aggregate; none for ASK.
+        self.result_kinds = [] if query.is_ask else [
+            VID if slot is None else self.kinds[slot]
+            for _, slot in self.project_slots] + [AGG] * len(query.aggregates)
 
 
 class _RowView:
@@ -489,7 +537,7 @@ class GraphExplorer:
                 "explorer with GraphExplorer(cluster, strings)")
         compiled = self._compile(plan)
         if mode == "auto":
-            if compiled.carries_versions:
+            if SN in compiled.kinds:  # a quintuple step reads versions
                 mode = "in_place"
             elif not self.cluster.fabric.use_rdma \
                     and self.cluster.num_nodes > 1:
@@ -1180,7 +1228,8 @@ class GraphExplorer:
         (or the rows grouped and aggregated)."""
         query = plan.query
         if query.is_ask:
-            return ExecutionResult(variables=[], nrows=min(batch.nrows, 1))
+            return ExecutionResult(variables=[], kinds=compiled.result_kinds,
+                                   nrows=min(batch.nrows, 1))
         if query.aggregates:
             if self.strings is None:
                 raise PlanError(
@@ -1193,6 +1242,7 @@ class GraphExplorer:
             columns, nrows = _slice(list(map(list, zip(*out))), len(out),
                                     query)
             return ExecutionResult(variables=query.output_columns(),
+                                   kinds=compiled.result_kinds,
                                    columns=columns, nrows=nrows)
         nrows = batch.nrows
         proj_cols: List[List[int]] = []
@@ -1232,7 +1282,7 @@ class GraphExplorer:
         columns, nrows = _slice(proj_cols, nrows, query)
         return ExecutionResult(
             variables=[var for var, _ in compiled.project_slots],
-            columns=columns, nrows=nrows)
+            kinds=compiled.result_kinds, columns=columns, nrows=nrows)
 
 
 def _slice(columns: List[list], nrows: int,

@@ -26,14 +26,12 @@ refused with typed :class:`~repro.errors.TemporalError` subclasses —
 never answered silently wrong.
 """
 
-from repro.sparql.evaluate import interval_op_holds
 from repro.temporal.engine import TemporalEngine, TemporalRecord
 from repro.temporal.reference import dump_history, reference_rows
 
 __all__ = [
     "TemporalEngine",
     "TemporalRecord",
-    "interval_op_holds",
     "dump_history",
     "reference_rows",
 ]

@@ -214,8 +214,8 @@ class TemporalEngine:
         # large outputs, and keeping thousands of them alive turns the
         # history buffer into allocator/GC pressure on later queries.
         records.append(replace(
-            record, result=ExecutionResult(
-                variables=record.result.variables)))
+            record, result=ExecutionResult(record.result.variables,
+                                           record.result.kinds)))
         if self.metrics is not None:
             self.metrics.counter("temporal_snapshot_reads").inc(
                 record.snapshot_reads)

@@ -6,9 +6,9 @@ one-shot queries over it by exhaustive join: basic graph patterns,
 FILTERs, UNION, OPTIONAL, ``FROM SNAPSHOT`` and quintuple/interval
 queries.  Deliberately simple (no planner, no store access, no
 charges, its own statement of the interval relations): it shares only
-the AST and ``term_number`` with the engine, so a kernel bug cannot
-hide in both.  Every frozen kernel case and the stateful model test
-compare the engine's rows against this oracle.
+the AST, ``term_number`` and the column-kind names with the engine, so
+a kernel bug cannot hide in both.  Every frozen kernel case and the
+stateful model test compare the engine's rows against this oracle.
 
 Both sides read the *same* store, so compaction's SN coarsening (the GC
 frontier reading old insertion SNs as the base snapshot) affects
@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.rdf.ids import DIR_OUT, split_key
 from repro.sparql.ast import OPEN_END, Query, is_variable
 from repro.sparql.evaluate import term_number
+from repro.store.executor import VID
 
 #: One recorded fact: ``(subject, predicate, object, insertion_sn)``,
 #: all names decoded.
@@ -201,15 +202,13 @@ def reference_rows(query: Query, history: List[Fact],
     return out
 
 
-def decode_result(result, strings, interval_vars) -> List[Tuple[object, ...]]:
-    """Decode an engine :class:`ExecutionResult` into reference space:
-    graph-variable vids to names (the engine's ``-1`` for a variable an
-    OPTIONAL left unbound becomes None), interval variables kept as
+def decode_result(result, strings) -> List[Tuple[object, ...]]:
+    """Decode an engine :class:`ExecutionResult` into reference space by
+    its column kinds: vids to names (the engine's ``-1`` for a variable
+    an OPTIONAL left unbound becomes None), snapshot numbers kept as
     ints."""
-    decoded: List[Tuple[object, ...]] = []
-    for row in result.rows:
-        decoded.append(tuple(
-            value if variable in interval_vars
-            else None if value < 0 else strings.entity_name(value)
-            for variable, value in zip(result.variables, row)))
-    return decoded
+    decode = [kind == VID for kind in result.kinds]
+    return [tuple((None if value < 0 else strings.entity_name(value))
+                  if is_vid else value
+                  for is_vid, value in zip(decode, row))
+            for row in result.rows]

@@ -2,10 +2,11 @@
 
 ``reference_decode`` below is the decoder as it stood before result
 delivery went columnar, kept here — and only here — as the reference:
-one value at a time through ``StringServer.entity_name``, over rows.
-The hypothesis test drives ``ClientLibrary._decode`` with random
-executor results (projected columns plus a row count) and requires the
-rows the reference makes of the same answer, or the same refusal.
+one value at a time through ``StringServer.entity_name``, over rows,
+telling aggregate columns from the query text.  The hypothesis test
+drives ``ClientLibrary._decode`` with random executor results
+(projected columns, their kinds and a row count) and requires the rows
+the reference makes of the same answer, or the same refusal.
 """
 
 from types import SimpleNamespace
@@ -20,14 +21,14 @@ from repro.client.library import ClientLibrary
 from repro.client.procedures import ProcedureCache
 from repro.errors import StoreError
 from repro.rdf.string_server import StringServer
-from repro.store.executor import ExecutionResult
+from repro.store.executor import AGG, SN, VID, ExecutionResult
 
 from core.test_engine import build_engine
 
 NUM_ENTITIES = 40
 
 #: Queries by number of GROUP BY columns; None = no aggregates at all
-#: (the decoder reads only ``aggregates`` and ``group_by`` off them).
+#: (the reference reads only ``aggregates`` and ``group_by`` off them).
 QUERIES = {
     None: "SELECT ?a ?b ?c WHERE { ?a p ?b . ?b p ?c }",
     0: "SELECT COUNT(?b) AS ?n AVG(?b) AS ?m WHERE { ?a p ?b }",
@@ -91,12 +92,19 @@ cells = st.one_of(
 vids = st.integers(min_value=1, max_value=NUM_ENTITIES)
 
 
-def result_of(columns, nrows):
+def result_of(procedure, columns, nrows, entity_kinds=None):
     """An executor result holding ``columns``, and its rows, built here
-    cell by cell."""
+    cell by cell.  Columns past an aggregate query's GROUP BY keys are
+    :data:`AGG`; the others are ``entity_kinds`` (default all
+    :data:`VID`), which the decoder names alike for now."""
+    query = procedure.query
+    group_width = len(query.group_by) if query.aggregates else len(columns)
+    kinds = [AGG if index >= group_width
+             else entity_kinds[index] if entity_kinds else VID
+             for index in range(len(columns))]
     rows = [tuple(column[i] for column in columns) for i in range(nrows)]
     variables = [f"?v{index}" for index in range(len(columns))]
-    return ExecutionResult(variables, columns, nrows), rows
+    return ExecutionResult(variables, kinds, columns, nrows), rows
 
 
 @st.composite
@@ -108,22 +116,23 @@ def results(draw):
     columns = [draw(st.lists(draw(st.sampled_from((vids, cells))),
                              min_size=nrows, max_size=nrows))
                for _ in range(width)]
-    return groups, columns, nrows
+    entity_kinds = [draw(st.sampled_from((VID, SN))) for _ in range(width)]
+    return groups, columns, nrows, entity_kinds
 
 
 @settings(max_examples=300, deadline=None)
 @given(drawn=results())
 def test_columnar_decoder_matches_per_value_loop(library, procedures,
                                                  drawn):
-    groups, columns, nrows = drawn
+    groups, columns, nrows, entity_kinds = drawn
     procedure = procedures[groups]
-    result, rows = result_of(columns, nrows)
+    result, rows = result_of(procedure, columns, nrows, entity_kinds)
     strings = library.engine.strings
     want = outcome(reference_decode, strings, procedure, rows)
     # Once in one block, once with the answer spanning several.
     for block_rows in (client_library._DECODE_BLOCK_ROWS, 7):
         with patch.object(client_library, "_DECODE_BLOCK_ROWS", block_rows):
-            got = outcome(library._decode, procedure, result)
+            got = outcome(library._decode, result)
         assert got == want
         if want is not StoreError:
             assert isinstance(got, list)  # materialised, not a view
@@ -135,7 +144,7 @@ def test_edge_shapes(library, procedures):
     plain = procedures[None]
 
     def decode(procedure, columns, nrows):
-        return library._decode(procedure, result_of(columns, nrows)[0])
+        return library._decode(result_of(procedure, columns, nrows)[0])
 
     assert decode(plain, [], 0) == []
     assert decode(plain, [[], []], 0) == []
@@ -153,10 +162,10 @@ def check_answer_of(library, procedures, nrows):
     columns = [[1 + i % NUM_ENTITIES for i in range(nrows)],
                [-1 if i % 1000 == 0 else 2 for i in range(nrows)],
                [i * 0.5 for i in range(nrows)]]
-    result, rows = result_of(columns, nrows)
     strings = library.engine.strings
     for groups in (None, 2):
-        got = library._decode(procedures[groups], result)
+        result, rows = result_of(procedures[groups], columns, nrows)
+        got = library._decode(result)
         assert len(got) == nrows
         assert got == reference_decode(strings, procedures[groups], rows)
 
@@ -189,7 +198,7 @@ def test_interval_endpoints_decode_as_entities_today():
     vid 3's name ('Erik') and SN 0 as None.  The repo benchmark's
     ``expected.json`` pins the sha256 of such rows for the ``history``
     workload, so the columnar decoder reproduces them cell for cell; the
-    fix needs a benchmark re-pin — ROADMAP.md, open item 6.
+    fix needs a benchmark re-pin — ROADMAP.md, open item 1(a).
     """
     engine = build_engine(num_nodes=1, scalarization=False)
     engine.run_until(10_000)

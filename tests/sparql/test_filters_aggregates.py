@@ -1,14 +1,46 @@
 """Tests for FILTER expressions and aggregate parsing + evaluation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParseError, PlanError
 from repro.rdf.string_server import StringServer
-from repro.sparql.ast import Aggregate, FilterExpr
+from repro.sim.cluster import Cluster
+from repro.sim.cost import PS_PER_NS, LatencyMeter
+from repro.sparql.ast import OPEN_END, Aggregate, FilterExpr
 from repro.sparql.evaluate import (aggregate_rows, apply_filters,
                                    filter_matches, filters_by_step,
                                    term_number)
 from repro.sparql.parser import parse_query
+from repro.sparql.planner import plan_query
+from repro.store.executor import GraphExplorer, _Batch
+from repro.temporal.reference import _filter_ok
+
+OPS = ("=", "!=", "<", "<=", ">", ">=")
+
+
+def run_filter(strings, where, expr, rows):
+    """Compile ``expr`` into the plan of ``SELECT * <where>`` and run it
+    over ``rows`` (variable -> vid or snapshot number; a missing or None
+    cell is an unbound OPTIONAL variable): the kept row indices and the
+    ``filter`` picoseconds charged."""
+    query = parse_query(f"SELECT * {where}")
+    query.filters = [expr]  # any constant, lexable or not (``1.0``)
+    explorer = GraphExplorer(Cluster(num_nodes=1), strings)
+    compiled = explorer._compile(plan_query(query))
+    (cfilter,) = [f for step in compiled.cfilters_at for f in step] \
+        + compiled.leftover_filters
+    cols = [[row.get(var) for row in rows] for var in compiled.slots]
+    cols = [None if column and all(cell is None for cell in column)
+            else column for column in cols]
+    kept = cfilter.select(cols, list(range(len(rows))),
+                          strings.entity_name, strings.lookup_entity)
+    meter = LatencyMeter()
+    batch = _Batch(len(rows), cols)
+    out = explorer._apply_step_filters_batch(batch, [cfilter], meter)
+    assert out.cols == batch.select(kept).cols
+    return kept, meter.breakdown_ps.get("filter", 0)
 
 
 class TestParsing:
@@ -72,6 +104,49 @@ class TestParsing:
             parse_query("SELECT COUNT(?y) AS ?x WHERE { ?x p ?y }")
 
 
+#: Entity names: numeric ones in every spelling the constants use, and
+#: ``Logan`` at vid 3, so a snapshot number 3 read as a vid, or the
+#: constant ``3`` read as one, turns into a wrong verdict.
+NAMES = ("Erik", "T-12", "Logan", "3", "01", "1.0", "10", "2")
+#: A quintuple step binds ``?ts`` / ``?te`` (snapshot numbers), ``?x`` /
+#: ``?y`` are vids and the OPTIONAL group's ``?o`` may stay unbound.
+MIXED_WHERE = "WHERE { ?x p ?y [?ts, ?te) OPTIONAL { ?y q ?o } }"
+OPERANDS = ("?ts", "?te", "?x", "?y", "?o", "3", "1.0", "01", "Logan")
+
+vid_cells = st.integers(min_value=1, max_value=len(NAMES))
+sn_cells = st.one_of(st.integers(min_value=0, max_value=12),
+                     st.just(OPEN_END))
+mixed_rows = st.lists(st.fixed_dictionaries({
+    "?x": vid_cells, "?y": vid_cells, "?o": st.none() | vid_cells,
+    "?ts": sn_cells, "?te": sn_cells}), max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(left=st.sampled_from(OPERANDS), op=st.sampled_from(OPS),
+       right=st.sampled_from(OPERANDS), rows=mixed_rows)
+def test_compiled_filter_matches_the_oracle_on_every_operand_mix(
+        left, op, right, rows):
+    """SN x SN, SN x constant, SN x VID, VID x VID, VID x constant and an
+    OPTIONAL's unbound VID, on all six operators: the compiled filter
+    keeps exactly the rows the oracle's ``_filter_ok`` keeps, and the
+    charge is ``filter_ns`` per row whatever the verdicts."""
+    strings = StringServer()
+    for name in NAMES:
+        strings.entity_id(name)
+    expr = FilterExpr(left, op, right)
+    kept, filter_ps = run_filter(strings, MIXED_WHERE, expr, rows)
+    want = []
+    for index, row in enumerate(rows):
+        oracle_row = {var: cell if var in ("?ts", "?te")
+                      else strings.entity_name(cell)
+                      for var, cell in row.items() if cell is not None}
+        if _filter_ok(expr, oracle_row):
+            want.append(index)
+    assert kept == want
+    assert filter_ps == len(rows) * Cluster(num_nodes=1).cost.filter_ns \
+        * PS_PER_NS
+
+
 class TestFilterEvaluation:
     def setup_method(self):
         self.strings = StringServer()
@@ -106,25 +181,25 @@ class TestFilterEvaluation:
 
     def test_interval_variable_binding_is_its_number(self):
         """``?ts`` bound to 3 compares as the number 3 — never as vid 3's
-        entity name — with the verdicts of the engine-independent
-        oracle (``repro.temporal.reference``) on every operator."""
-        from repro.temporal.reference import _filter_ok
+        entity name — through the compiled filter, with the verdicts of
+        the engine-independent oracle (``repro.temporal.reference``) on
+        every operator."""
         assert self.strings.entity_name(3) == "Logan"
-        row = {"?ts": 3, "?x": self.v5, "?who": self.logan}
-        oracle_row = {"?ts": 3, "?x": "5", "?who": "Logan"}
-        for op in ("=", "!=", "<", "<=", ">", ">="):
+        where = "WHERE { ?x p ?who [?ts, ?te) }"
+        row = {"?ts": 3, "?te": OPEN_END, "?x": self.v5,
+               "?who": self.logan}
+        oracle_row = {"?ts": 3, "?te": OPEN_END, "?x": "5", "?who": "Logan"}
+        for op in OPS:
             for other in ("3", "2", "10", "Logan", "?x", "?who"):
-                for expr in (FilterExpr("?ts", op, other),
-                             FilterExpr(other, op, "?ts")):
-                    verdict = filter_matches(
-                        expr, row, self.strings.entity_name,
-                        self.strings.lookup_entity, interval_vars={"?ts"})
-                    assert verdict == _filter_ok(expr, oracle_row), expr
-        assert filter_matches(FilterExpr("?ts", "=", "3"), row,
-                              self.strings.entity_name,
-                              self.strings.lookup_entity, {"?ts"})
-        # Without the rule the same binding would read as the entity.
-        assert self.match(FilterExpr("?ts", "=", "Logan"), row)
+                for left, right in (("?ts", other), (other, "?ts")):
+                    expr = FilterExpr(left, op, right)
+                    kept, _ = run_filter(self.strings, where, expr, [row])
+                    assert bool(kept) == _filter_ok(expr, oracle_row), expr
+        kept, _ = run_filter(self.strings, where,
+                             FilterExpr("?ts", "=", "3"), [row])
+        assert kept == [0]
+        # Read as a vid, the same binding would be the entity.
+        assert self.match(FilterExpr("?ts", "=", "Logan"), {"?ts": 3})
 
     def test_apply_filters_keeps_matching_rows(self):
         rows = [{"?x": self.v5}, {"?x": self.v10}]

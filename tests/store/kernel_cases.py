@@ -101,7 +101,7 @@ def assert_matches_oracle(text, result, strings, history, snapshot) -> None:
     oracle joins in written order, the engine in plan order)."""
     ast = parse_query(text)
     expected = reference_rows(ast, history, snapshot)
-    decoded = decode_result(result, strings, set(ast.interval_variables()))
+    decoded = decode_result(result, strings)
     assert sorted(map(repr, decoded)) == sorted(map(repr, expected)), text
 
 

@@ -1,4 +1,5 @@
-"""Boundary semantics of :func:`interval_op_holds` (half-open intervals).
+"""Boundary semantics of interval FILTERs (half-open intervals), as the
+executor compiles them (``_NumericFilter`` over ``INTERVAL_COMPARISONS``).
 
 Exhaustive truth tables for the five operators at the edges: equal
 endpoints, zero-width intervals, and :data:`OPEN_END` on either side —
@@ -9,9 +10,10 @@ brute-force history oracle (:mod:`repro.temporal.reference`).
 
 import pytest
 
-from repro.errors import PlanError
-from repro.sparql.ast import OPEN_END
-from repro.sparql.evaluate import interval_op_holds
+from repro.errors import ParseError
+from repro.sparql.ast import OPEN_END, IntervalFilter
+from repro.sparql.parser import parse_query
+from repro.store.executor import _NumericFilter
 
 from store.kernel_cases import (BOUNDARY_QUERIES, as_json, frozen,
                                 temporal_boundary_cases)
@@ -19,6 +21,14 @@ from store.kernel_cases import (BOUNDARY_QUERIES, as_json, frozen,
 pytestmark = pytest.mark.temporal
 
 OPS = ["OVERLAPS", "DURING", "BEFORE", "AFTER", "STARTS"]
+
+
+def interval_op_holds(op, s1, e1, s2, e2):
+    """The executor's verdict on one row: the interval FILTER compiled
+    over four one-cell snapshot-number columns."""
+    cfilter = _NumericFilter(IntervalFilter("?a", "?b", op, "?c", "?d"),
+                             {"?a": 0, "?b": 1, "?c": 2, "?d": 3})
+    return cfilter.select([[s1], [e1], [s2], [e2]], [0], None, None) == [0]
 
 
 def brute(op, s1, e1, s2, e2):
@@ -112,8 +122,9 @@ def test_open_end_on_either_side():
 
 
 def test_unknown_operator_is_typed_error():
-    with pytest.raises(PlanError):
-        interval_op_holds("MEETS", 0, 1, 0, 1)
+    with pytest.raises(ParseError):
+        parse_query("SELECT ?U WHERE { ?U po ?P [?ts, ?te) "
+                    "FILTER ([?ts, ?te) MEETS [0, 1)) }")
 
 
 # --- engine vs oracle at the boundary constants -----------------------

@@ -123,7 +123,7 @@ def test_unknown_constant_on_a_bound_step_probe_then_resolve(engine):
     known, _ = run_forced(
         engine, "SELECT ?F ?ts WHERE { u0 fo ?F . ?F po t1 [?ts, ?te) }",
         kinds)
-    assert decode_result(known, engine.strings, {"?ts"}) == \
+    assert decode_result(known, engine.strings) == \
         [("u1", 2), ("u0", 2)]
 
 
@@ -134,8 +134,7 @@ def test_unknown_constant_on_a_bound_step_probe_then_resolve(engine):
 def test_one_variable_on_both_sides_constrains_the_match(engine, text):
     record = engine.oneshot(text, home_node=0)
     ast = parse_query(text)
-    decoded = decode_result(record.result, engine.strings,
-                            set(ast.interval_variables()))
+    decoded = decode_result(record.result, engine.strings)
     assert sorted(decoded) == sorted(reference_rows(
         ast, dump_history(engine.store), record.snapshot))
     assert {row[0] for row in decoded} == {"u0"}

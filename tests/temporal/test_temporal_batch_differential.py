@@ -130,8 +130,7 @@ def assert_read_matches_oracle(engine, query_text, sliced=None):
     ast = parse_query(query_text)
     expected = reference_rows(ast, dump_history(engine.store),
                               record.snapshot)
-    decoded = decode_result(record.result, engine.strings,
-                            set(ast.interval_variables()))
+    decoded = decode_result(record.result, engine.strings)
     assert sorted(map(repr, decoded)) == sorted(map(repr, expected))
     if sliced is not None:
         limit, offset = sliced

@@ -33,8 +33,7 @@ def check_against_reference(engine, history, text):
     query = parse_query(text)
     record = engine.oneshot(text)
     snapshot = record.snapshot
-    interval_vars = set(query.interval_variables())
-    got = decode_result(record.result, engine.strings, interval_vars)
+    got = decode_result(record.result, engine.strings)
     want = reference_rows(query, history, snapshot)
     assert sorted(map(str, got)) == sorted(map(str, want)), text
     return record
