@@ -74,7 +74,12 @@
 # column and ExecutionResult.kinds carries it — and the client's GROUP BY
 # arithmetic, names_en[d] / query.group_b[y] in src/repro/client/library.py),
 # with the second evaluator of interval relations (interval_op_hold[s],
-# _CompiledIntervalFilte[r]: interval FILTERs compile to _NumericFilter)
+# _CompiledIntervalFilte[r]: interval FILTERs compile to _NumericFilter),
+# and the per-tuple batching on the queue path (batch_tuples' closure
+# batch_fo[r], StreamBatch._check_tupl[e] and StreamBatch.ad[d]: a
+# stream is cut into batches by one bisection over its timestamp column,
+# a source slices each batch when it is delivered, and a batch is checked
+# against its span by its smallest and largest timestamp)
 # have not come back.
 # A test marked both serving and chaos runs in the chaos stage only.
 #
@@ -132,7 +137,7 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list, the settings only tests set, skip postings and index-member sets, the row round trip between executor and client, the per-triple static-data path, disconnect_tenan[t] and remove_tenan[t], column kinds by variable name and the second interval evaluator) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list, the settings only tests set, skip postings and index-member sets, the row round trip between executor and client, the per-triple static-data path, disconnect_tenan[t] and remove_tenan[t], column kinds by variable name and the second interval evaluator, per-tuple batching on the queue path) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts; \
         then exit 1; fi
@@ -191,6 +196,9 @@ if grep -n 'names_en[d]\|query\.group_b[y]' src/repro/client/library.py; \
         then exit 1; fi
 if grep -rn 'remove_tenan[t]' src scripts tests benchmarks examples; \
         then exit 1; fi
+if grep -rn 'batch_fo[r]\|_check_tupl[e]' src scripts tests benchmarks examples; \
+        then exit 1; fi
+if grep -n 'def ad[d](' src/repro/streams/stream.py; then exit 1; fi
 
 echo "== examples (every walkthrough runs to completion) =="
 for example in examples/*.py; do

@@ -513,6 +513,11 @@ class WukongSEngine:
             progress = False
             for name in self.schemas:
                 pending = self._pending[name]
+                # Without a durable log nothing can replay an injected
+                # batch (recovery needs a checkpoint): ack it at once, so
+                # its source keeps no upstream backup of it.
+                unlogged = self.sources.get(name) \
+                    if self.checkpoints is None else None
                 while pending:
                     if not self.cluster.all_alive:
                         return  # a mid-tick kill fired: stall till recovery
@@ -528,6 +533,8 @@ class WukongSEngine:
                     pending.popleft()
                     self._inject_batch(batch, sn)
                     self._last_delivered[name] = batch.batch_no
+                    if unlogged is not None:
+                        unlogged.ack(batch.batch_no)
                     progress = True
                 self.coordinator.advance(self.store)
 

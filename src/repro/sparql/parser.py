@@ -536,11 +536,18 @@ def _validate_temporal(query: Query, available: set) -> None:
             f"interval endpoint variables collide with graph variables: "
             f"{sorted(collisions)}")
 
+    endpoints = set(query.interval_variables())
     for ifilter in query.interval_filters:
         unbound = set(ifilter.variables()) - available
         if unbound:
             raise ParseError(
                 f"FILTER variables never bound by WHERE: {sorted(unbound)}")
+        not_endpoints = set(ifilter.variables()) - endpoints
+        if not_endpoints:
+            raise ParseError(
+                f"interval FILTER endpoints must be a quintuple pattern's "
+                f"[?ts, ?te) variables, not graph variables: "
+                f"{sorted(not_endpoints)}")
         for ts, te in ((ifilter.left_ts, ifilter.left_te),
                        (ifilter.right_ts, ifilter.right_te)):
             if is_variable(ts) or is_variable(te):

@@ -213,9 +213,11 @@ class _CompiledFilter:
                                        for slot in (self.left_slot,
                                                     self.right_slot))
 
-    def select(self, cols, indices: Sequence[int], name_of,
-               resolve) -> List[int]:
-        """The sub-list of ``indices`` whose rows satisfy the filter."""
+    def select(self, cols, indices: Sequence[int], strings) -> List[int]:
+        """The sub-list of ``indices`` whose rows satisfy the filter
+        (``strings``, the string server, names vids and resolves
+        constants)."""
+        name_of, resolve = strings.entity_name, strings.lookup_entity
         lcol = cols[self.left_slot] if self.left_slot is not None else None
         rcol = cols[self.right_slot] if self.right_slot is not None else None
         verdicts: Dict[Tuple, bool] = {}
@@ -265,8 +267,9 @@ class _NumericFilter:
         self.comparisons = [(COMPARE[op], operands[left], operands[right])
                             for op, left, right in pairs]
 
-    def select(self, cols, indices: Sequence[int], name_of,
-               resolve) -> List[int]:
+    def select(self, cols, indices: Sequence[int], strings) -> List[int]:
+        """As :meth:`_CompiledFilter.select`; reads no names
+        (``strings`` may be None)."""
         for compare, left, right in self.comparisons:
             indices = list(compress(indices, map(
                 compare, _values(cols, left, indices),
@@ -303,7 +306,7 @@ class _CompiledPlan:
 
     __slots__ = ("slots", "nslots", "steps", "kinds",
                  "cfilters_at", "leftover_filters", "unions", "optionals",
-                 "project_slots", "result_kinds")
+                 "project_slots", "result_kinds", "reads_names")
 
     def __init__(self, plan: ExecutionPlan):
         from repro.sparql.planner import plan_steps
@@ -327,6 +330,9 @@ class _CompiledPlan:
         # those resolve.
         self.leftover_filters = []
         self.cfilters_at = None
+        #: Whether a FILTER has a vid operand (and so needs the string
+        #: server to name vids and resolve constants).
+        self.reads_names = False
         if query.filters or query.interval_filters:
             filters_at, leftovers = filters_by_step(
                 query, [step.pattern for step in plan.steps])
@@ -341,6 +347,10 @@ class _CompiledPlan:
             self.cfilters_at = [list(map(compile_filter, step_filters))
                                 for step_filters in filters_at]
             self.leftover_filters = list(map(compile_filter, leftovers))
+            self.reads_names = any(
+                isinstance(cfilter, _CompiledFilter)
+                for cfilter in chain(self.leftover_filters,
+                                     *self.cfilters_at))
 
         # UNION branches and OPTIONAL groups are planned with the variables
         # already bound upstream marked as prebound, exactly as the
@@ -530,12 +540,11 @@ class GraphExplorer:
         query = plan.query
         if not plan.steps and not query.unions:
             raise PlanError("cannot execute an empty plan")
-        if (query.filters or query.interval_filters) \
-                and self.strings is None:
+        compiled = self._compile(plan)
+        if compiled.reads_names and self.strings is None:
             raise PlanError(
                 "FILTER evaluation needs a string server; construct the "
                 "explorer with GraphExplorer(cluster, strings)")
-        compiled = self._compile(plan)
         if mode == "auto":
             if SN in compiled.kinds:  # a quintuple step reads versions
                 mode = "in_place"
@@ -668,20 +677,19 @@ class GraphExplorer:
         Every row entering pays ``filter_ns`` per filter, whatever the
         verdict, so the whole block aggregates into one charge;
         evaluation itself is charge-free and memoized per distinct
-        operand value.  Constants resolve through the string server, as
-        every access's ``resolve_entity`` does.
+        operand value.  A FILTER with a vid operand resolves constants
+        through the string server, as every access's ``resolve_entity``
+        does; one over snapshot numbers reads no names.
         """
         if not cfilters or not batch.nrows:
             return batch
         meter.charge(self.cost.filter_ns,
                      times=batch.nrows * len(cfilters), category="filter")
-        name_of = self.strings.entity_name
-        resolve = self.strings.lookup_entity
         indices = list(range(batch.nrows))
         for cfilter in cfilters:
             if not indices:
                 break
-            indices = cfilter.select(batch.cols, indices, name_of, resolve)
+            indices = cfilter.select(batch.cols, indices, self.strings)
         return batch.select(indices)
 
     # -- columnar distributed execution ---------------------------------------

@@ -3,19 +3,25 @@
 The paper's fault-tolerance story assumes *upstream backup*: sources buffer
 recently sent batches and replay them on request after a failure (§5).  A
 :class:`StreamSource` wraps a batch supply with exactly that contract: the
-engine acknowledges batches once they are covered by a durable checkpoint,
-the source trims its buffer up to the acknowledgement, and replay
-re-delivers everything still buffered after a given batch number.
+engine acknowledges batches once they are covered by a durable checkpoint
+(or, with no durable log to recover from, once they are injected), the
+source trims its buffer up to the acknowledgement, and replay re-delivers
+everything still buffered after a given batch number.
+
+Raw tuples enter through :meth:`StreamSource.queue_tuples` as one
+:class:`~repro.streams.stream.BatchCut`: the timestamp column is checked
+and cut at batch offsets once, and each batch is sliced from the tuple
+list only when :meth:`StreamSource.next_batch` delivers it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterable, Iterator, List, Optional
+from typing import Deque, Iterable, Iterator, List, Optional
 
 from repro.errors import StreamError
 from repro.rdf.terms import TimedTuple
-from repro.streams.stream import StreamBatch, StreamSchema, batch_tuples
+from repro.streams.stream import BatchCut, StreamBatch, StreamSchema
 
 
 class StreamSource:
@@ -26,15 +32,19 @@ class StreamSource:
     schema:
         The stream's schema (name + timing predicates).
     batches:
-        The batch supply, typically from
-        :func:`repro.streams.stream.batch_tuples` or a workload generator.
+        Batches to queue up front (see :meth:`queue`); raw tuples are
+        queued with :meth:`queue_tuples`.
     """
 
     def __init__(self, schema: StreamSchema,
                  batches: Iterable[StreamBatch] = ()):
         self.schema = schema
+        #: Raw tuples queued but not yet delivered: batches
+        #: ``_cut_next..len(_cut)`` of the cut, sliced on delivery.
+        self._cut: Optional[BatchCut] = None
+        self._cut_next = 1
         self._pending: Deque[StreamBatch] = deque()
-        self._backup: List[StreamBatch] = []
+        self._backup: Deque[StreamBatch] = deque()
         self._acked_through = 0
         self._last_queued = 0
         for batch in batches:
@@ -47,27 +57,42 @@ class StreamSource:
             raise StreamError(
                 f"batch for {batch.stream!r} queued on stream "
                 f"{self.schema.name!r}")
-        if batch.batch_no != self._last_queued + 1:
-            raise StreamError(
-                f"batches must be queued in order: got #{batch.batch_no} "
-                f"after #{self._last_queued}")
+        self._check_next(batch.batch_no)
         self._last_queued = batch.batch_no
         self._pending.append(batch)
 
+    def _check_next(self, batch_no: int) -> None:
+        if batch_no != self._last_queued + 1:
+            raise StreamError(
+                f"batches must be queued in order: got #{batch_no} "
+                f"after #{self._last_queued}")
+
     def queue_tuples(self, tuples: Iterable[TimedTuple], start_ms: int,
                      interval_ms: int) -> int:
-        """Batch raw tuples and queue them; returns the number of batches."""
-        batches = batch_tuples(self.schema.name, tuples, start_ms, interval_ms)
-        for batch in batches:
-            self.queue(batch)
-        return len(batches)
+        """Queue raw tuples as batches #1.. of one cut (see
+        :class:`~repro.streams.stream.BatchCut`); returns the number of
+        batches.  No batch is built until it is delivered."""
+        cut = BatchCut(self.schema.name, list(tuples), start_ms, interval_ms)
+        if not cut:
+            return 0
+        self._check_next(1)  # so nothing was queued: ``_cut_next`` is 1
+        self._cut = cut
+        self._last_queued = len(cut)
+        return len(cut)
 
     # -- consuming ---------------------------------------------------------
     def next_batch(self) -> Optional[StreamBatch]:
         """Deliver the next batch (also retained in the backup buffer)."""
-        if not self._pending:
+        cut = self._cut
+        if cut is not None:
+            batch = cut.batch(self._cut_next)
+            self._cut_next += 1
+            if self._cut_next > len(cut):
+                self._cut = None  # every tuple is in a delivered batch
+        elif self._pending:
+            batch = self._pending.popleft()
+        else:
             return None
-        batch = self._pending.popleft()
         self._backup.append(batch)
         return batch
 
@@ -81,7 +106,7 @@ class StreamSource:
 
     @property
     def has_pending(self) -> bool:
-        return bool(self._pending)
+        return self._cut is not None or bool(self._pending)
 
     # -- upstream backup ------------------------------------------------------
     def ack(self, batch_no: int) -> None:
@@ -91,7 +116,9 @@ class StreamSource:
                 f"acknowledgements must not regress: {batch_no} < "
                 f"{self._acked_through}")
         self._acked_through = batch_no
-        self._backup = [b for b in self._backup if b.batch_no > batch_no]
+        backup = self._backup
+        while backup and backup[0].batch_no <= batch_no:
+            backup.popleft()
 
     def replay(self, after_batch_no: int) -> List[StreamBatch]:
         """Batches delivered but newer than ``after_batch_no`` (for recovery).

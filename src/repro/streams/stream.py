@@ -12,11 +12,33 @@ fixed time intervals; batch *k* (1-based) of a stream covers source
 timestamps in ``[start + (k-1)*interval, start + k*interval)``.  The engine
 takes only batches cut from ``start = 0`` at its own interval
 (:func:`repro.streams.window.batch_span`).
+
+A stream is cut into batches in one pass over its timestamp column
+(:class:`BatchCut`): the order is checked once, and batch *k* is the
+slice between two ``bisect_left`` offsets.  A source slices each batch
+when it delivers it; :func:`batch_tuples` slices them all at once.  No
+tuple is ever added to a batch one at a time: a :class:`StreamBatch` is
+built whole, and checked against its span by its smallest and largest
+timestamp unless a cut made it (its slices lie in their spans by
+construction).
+
+>>> from repro.rdf.terms import Triple
+>>> stamps = (5, 10, 10, 31)
+>>> tuples = [TimedTuple(Triple("a", "p", "b"), ts) for ts in stamps]
+>>> cut = BatchCut("S", tuples, 0, 10)
+>>> len(cut), cut.offsets
+(4, [0, 1, 3, 3, 4])
+>>> [(b.batch_no, len(b)) for b in batch_tuples("S", tuples, 0, 10)]
+[(1, 1), (2, 2), (3, 0), (4, 1)]
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, compress, count
+from operator import itemgetter, lt
 from typing import FrozenSet, Iterable, List
 
 from repro.errors import StreamError
@@ -45,7 +67,14 @@ class StreamSchema:
 
 @dataclass
 class StreamBatch:
-    """One mini-batch of a stream: all tuples of one time interval."""
+    """One mini-batch of a stream: all tuples of one time interval.
+
+    The constructor checks the tuples against the span once, by their
+    smallest and largest timestamp; a batch with a tuple outside
+    ``[start_ms, end_ms)`` is refused whole with :class:`StreamError`
+    naming the first such tuple.  (:meth:`BatchCut.batch` hands over a
+    slice that lies in its span by construction.)
+    """
 
     stream: str
     batch_no: int
@@ -59,55 +88,92 @@ class StreamBatch:
         if self.end_ms <= self.start_ms:
             raise StreamError(
                 f"empty batch interval: [{self.start_ms}, {self.end_ms})")
-        for tup in self.tuples:
-            self._check_tuple(tup)
-
-    def _check_tuple(self, tup: TimedTuple) -> None:
-        if not self.start_ms <= tup.timestamp_ms < self.end_ms:
+        if not self.tuples:
+            return
+        stamps = list(map(itemgetter(1), self.tuples))
+        if min(stamps) < self.start_ms or max(stamps) >= self.end_ms:
+            outside = next(tup for tup in self.tuples
+                           if not self.start_ms <= tup.timestamp_ms
+                           < self.end_ms)
             raise StreamError(
-                f"tuple {tup} outside batch interval "
+                f"tuple {outside} outside batch interval "
                 f"[{self.start_ms}, {self.end_ms})")
-
-    def add(self, tup: TimedTuple) -> None:
-        self._check_tuple(tup)
-        self.tuples.append(tup)
 
     def __len__(self) -> int:
         return len(self.tuples)
 
 
-def batch_tuples(stream: str, tuples: Iterable[TimedTuple], start_ms: int,
-                 interval_ms: int) -> List[StreamBatch]:
-    """Group timestamp-ordered tuples into consecutive batches.
+class BatchCut:
+    """A timestamp-ordered tuple list cut into consecutive batches.
 
-    Produces every batch from #1 up to the batch containing the last tuple
-    (intermediate empty batches included, so batch numbering always tracks
-    time).  Raises on out-of-order timestamps: C-SPARQL's time model
-    assumes monotonically non-decreasing timestamps per stream.
+    Batch *k* (1-based) covers ``[start + (k-1)*interval, start +
+    k*interval)`` and holds ``tuples[offsets[k-1]:offsets[k]]``: every
+    batch from #1 up to the one holding the last tuple, empty ones
+    included, so batch numbering always tracks time.  The cut is one
+    pass over the timestamp column: an order check, then one
+    ``bisect_left`` per batch boundary; only the tuple list and the
+    ``len(self) + 1`` offsets are kept, and :meth:`batch` builds a
+    batch when it is asked for.
+
+    Raises :class:`StreamError` on a non-positive interval, a tuple
+    before ``start_ms`` or a timestamp lower than its predecessor's
+    (C-SPARQL's time model assumes monotonically non-decreasing
+    timestamps per stream), naming the first offending tuple.
     """
-    if interval_ms <= 0:
-        raise StreamError(f"batch interval must be positive: {interval_ms}")
-    batches: List[StreamBatch] = []
 
-    def batch_for(no: int) -> StreamBatch:
-        while len(batches) < no:
-            k = len(batches) + 1
-            batches.append(StreamBatch(
-                stream=stream, batch_no=k,
-                start_ms=start_ms + (k - 1) * interval_ms,
-                end_ms=start_ms + k * interval_ms))
-        return batches[no - 1]
+    __slots__ = ("stream", "tuples", "offsets", "start_ms", "interval_ms")
 
-    previous_ms = None
-    for tup in tuples:
-        if tup.timestamp_ms < start_ms:
+    def __init__(self, stream: str, tuples: List[TimedTuple], start_ms: int,
+                 interval_ms: int):
+        if interval_ms <= 0:
             raise StreamError(
-                f"tuple {tup} precedes stream start {start_ms}")
-        if previous_ms is not None and tup.timestamp_ms < previous_ms:
+                f"batch interval must be positive: {interval_ms}")
+        self.stream = stream
+        self.tuples = tuples
+        self.start_ms = start_ms
+        self.interval_ms = interval_ms
+        if not tuples:
+            self.offsets = [0]
+            return
+        stamps = list(map(itemgetter(1), tuples))
+        # Each stamp against the one before it (the first against the
+        # stream start): the first one lower is the first bad tuple.
+        bad = next(compress(count(), map(lt, stamps,
+                                         chain((start_ms,), stamps))), None)
+        if bad is not None:
+            tup = tuples[bad]
+            if tup.timestamp_ms < start_ms:
+                raise StreamError(
+                    f"tuple {tup} precedes stream start {start_ms}")
             raise StreamError(
                 f"out-of-order timestamp: {tup.timestamp_ms} after "
-                f"{previous_ms} (stream {stream})")
-        previous_ms = tup.timestamp_ms
-        number = (tup.timestamp_ms - start_ms) // interval_ms + 1
-        batch_for(number).add(tup)
-    return batches
+                f"{stamps[bad - 1]} (stream {stream})")
+        last = (stamps[-1] - start_ms) // interval_ms + 1
+        self.offsets = list(map(partial(bisect_left, stamps), range(
+            start_ms, start_ms + last * interval_ms + 1, interval_ms)))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def batch(self, batch_no: int) -> StreamBatch:
+        """Batch #``batch_no`` (``1 <= batch_no <= len(self)``)."""
+        start = self.start_ms + (batch_no - 1) * self.interval_ms
+        batch = StreamBatch(self.stream, batch_no, start,
+                            start + self.interval_ms)
+        # In its span by construction (the cut checked every stamp once),
+        # so a source's delivery pays no second pass over the tuples.
+        batch.tuples = \
+            self.tuples[self.offsets[batch_no - 1]:self.offsets[batch_no]]
+        return batch
+
+
+def batch_tuples(stream: str, tuples: Iterable[TimedTuple], start_ms: int,
+                 interval_ms: int) -> List[StreamBatch]:
+    """Group timestamp-ordered tuples into consecutive batches, all at once.
+
+    The same cut :class:`BatchCut` makes (and the same refusals); a
+    :class:`~repro.streams.source.StreamSource` builds each batch only
+    when it is delivered instead.
+    """
+    cut = BatchCut(stream, list(tuples), start_ms, interval_ms)
+    return list(map(cut.batch, range(1, len(cut) + 1)))

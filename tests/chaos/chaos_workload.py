@@ -40,18 +40,22 @@ STREAMS = ("Tweet_Stream", "Like_Stream")
 NUM_NODES = 2
 
 
-def build_engine(register_queries: bool = True) -> WukongSEngine:
+def build_engine(register_queries: bool = True,
+                 fault_tolerance: bool = True) -> WukongSEngine:
     """A fresh fault-tolerant engine with sources and queries in place.
 
     Deterministic by construction: the equivalence harness calls this
     twice (golden + chaotic) and compares the runs bit for bit.  With
     ``register_queries=False`` the engine comes up with sources attached
     but no continuous queries — the serving chaos suite registers its own
-    subscriptions through the serving layer instead.
+    subscriptions through the serving layer instead.  With
+    ``fault_tolerance=False`` there is no durable log (message faults
+    only: nothing could recover a killed node).
     """
     config = EngineConfig(num_nodes=NUM_NODES, batch_interval_ms=100,
                           use_rdma=True, gc_every_ticks=10,
-                          gc_retention_ms=4_000, fault_tolerance=True,
+                          gc_retention_ms=4_000,
+                          fault_tolerance=fault_tolerance,
                           checkpoint_interval_ms=1_000)
     engine = WukongSEngine(
         schemas=[StreamSchema("Tweet_Stream", frozenset({"ga"})),

@@ -8,6 +8,8 @@ seeded random plans (covering all four fault families plus mid-batch
 kills) and a handful of hand-written worst cases.
 """
 
+from functools import partial
+
 import pytest
 
 from chaos.chaos_workload import (NUM_NODES, STREAMS, TICKS,
@@ -86,6 +88,42 @@ def test_delay_and_drop_release_in_batch_order():
                   DropMessage(stream="Like_Stream", batch_no=11,
                               detect_ticks=3)):
         _check(FaultPlan([fault], name="reorder-hazard"))
+
+
+#: The seeded plans made of message faults only (delays and drops).
+MESSAGE_SEEDS = [
+    seed for seed in SEEDS
+    if set(random_fault_plan(seed, TICKS, NUM_NODES, STREAMS,
+                             ticks_per_checkpoint=TICKS_PER_CHECKPOINT).kinds)
+    <= {"DelayMessage", "DropMessage"}]
+
+
+@pytest.mark.parametrize("seed", MESSAGE_SEEDS)
+def test_message_faults_without_a_durable_log(seed):
+    """With no durable log the engine acks every batch as it is
+    injected, so a source backs up only batches not yet in.  A dropped
+    batch is one of them: the engine stalls until it is re-fetched, so
+    no later ack trims it first."""
+    plan = random_fault_plan(seed, TICKS, NUM_NODES, STREAMS,
+                             ticks_per_checkpoint=TICKS_PER_CHECKPOINT)
+    report = run_equivalence(partial(build_engine, fault_tolerance=False),
+                             plan, TICKS)
+    assert report.equivalent, "\n".join(report.mismatches[:10])
+    kinds = {event["kind"] for event in report.events}
+    assert ("refetch" if "DropMessage" in plan.kinds else "release") \
+        in kinds, report.events
+
+
+def test_drop_refetched_without_a_durable_log():
+    engine = build_engine(fault_tolerance=False)
+    assert engine.checkpoints is None
+    plan = FaultPlan([DropMessage(stream="Like_Stream", batch_no=11,
+                                  detect_ticks=3)], name="drop-no-log")
+    report = run_equivalence(partial(build_engine, fault_tolerance=False),
+                             plan, TICKS)
+    assert report.equivalent, "\n".join(report.mismatches[:10])
+    assert [e["detail"]["batch_no"] for e in report.events
+            if e["kind"] == "refetch"] == [11]
 
 
 def test_straggler_perturbs_meters_only():

@@ -7,6 +7,7 @@ from repro.core.checkpoint import CheckpointManager
 from repro.core.engine import EngineConfig, WukongSEngine
 from repro.errors import FaultToleranceError, StoreError, StreamError
 from repro.rdf.parser import parse_timed_tuples, parse_triples
+from repro.rdf.terms import TimedTuple, Triple
 from repro.streams.source import StreamSource
 from repro.streams.stream import StreamSchema
 
@@ -66,6 +67,46 @@ class TestBase:
         assert engine_state_digest(engine) == before
         assert engine.strings.lookup_entity("n") is None
         assert len(engine.checkpoints.base) == 0
+
+
+class TestUpstreamBackup:
+    """A source keeps a batch only while something could replay it."""
+
+    @staticmethod
+    def run_500_ticks(fault_tolerance):
+        """Backup size after each of 500 ticks of one 500-batch stream."""
+        engine = WukongSEngine(
+            schemas=[StreamSchema("S")],
+            config=EngineConfig(num_nodes=2, fault_tolerance=fault_tolerance,
+                                checkpoint_interval_ms=2_000))
+        source = StreamSource(engine.schemas["S"])
+        assert source.queue_tuples(
+            [TimedTuple(Triple(f"u{i % 7}", "po", f"t{i}"), 10 * i)
+             for i in range(5_000)], 0, 100) == 500
+        engine.attach_source(source)
+        sizes = []
+        for _ in range(500):
+            engine.step()
+            sizes.append(source.backup_size)
+        assert engine._last_delivered["S"] == 500
+        return engine, source, sizes
+
+    def test_without_a_log_each_injected_batch_is_acked(self):
+        engine, source, sizes = self.run_500_ticks(fault_tolerance=False)
+        # At most the one batch delivered ahead of its close is held.
+        assert max(sizes) == 1
+        assert source.acked_through == 500
+        with pytest.raises(StreamError, match="acknowledged and trimmed"):
+            source.replay(499)
+
+    def test_with_a_log_only_checkpoints_ack(self):
+        engine, source, sizes = self.run_500_ticks(fault_tolerance=True)
+        # Between two checkpoints (20 ticks) the backup grows by one
+        # batch a tick, then drops to what the checkpoint left.
+        assert max(sizes) == 20
+        assert sizes[:19] == list(range(2, 21))
+        assert source.acked_through == \
+            engine.checkpoints.latest_marker.stable_vts["S"]
 
 
 class TestCheckpoints:

@@ -26,10 +26,7 @@ Erik li T-15 @150
 
 
 def make_batch():
-    batch = StreamBatch("S", 2, 100, 200)
-    for tup in parse_timed_tuples(BATCH_TEXT):
-        batch.add(tup)
-    return batch
+    return StreamBatch("S", 2, 100, 200, parse_timed_tuples(BATCH_TEXT))
 
 
 class TestAdaptor:
@@ -92,9 +89,8 @@ def test_dispatch_matches_per_tuple_routing(raw, num_nodes):
     """Each node's four halves hold exactly the rows a per-tuple loop
     routes there (subject owner for out, object owner for in), in
     arrival order."""
-    batch = StreamBatch("S", 1, 0, 100)
-    for ts, (s, p, o) in enumerate(raw):
-        batch.add(TimedTuple(Triple(s, p, o), ts))
+    batch = StreamBatch("S", 1, 0, 100, [TimedTuple(Triple(s, p, o), ts)
+                                         for ts, (s, p, o) in enumerate(raw)])
     cluster = Cluster(num_nodes=num_nodes)
     adapted = Adaptor(StreamSchema("S", frozenset({"ga"})),
                       StringServer()).adapt(batch)

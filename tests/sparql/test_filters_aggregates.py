@@ -34,8 +34,7 @@ def run_filter(strings, where, expr, rows):
     cols = [[row.get(var) for row in rows] for var in compiled.slots]
     cols = [None if column and all(cell is None for cell in column)
             else column for column in cols]
-    kept = cfilter.select(cols, list(range(len(rows))),
-                          strings.entity_name, strings.lookup_entity)
+    kept = cfilter.select(cols, list(range(len(rows))), strings)
     meter = LatencyMeter()
     batch = _Batch(len(rows), cols)
     out = explorer._apply_step_filters_batch(batch, [cfilter], meter)

@@ -23,13 +23,13 @@ class TestSchema:
 
 
 class TestBatch:
-    def test_add_checks_interval(self):
-        batch = StreamBatch("S", 1, 0, 100)
-        batch.add(tup("a", "p", "b", 50))
-        with pytest.raises(StreamError):
-            batch.add(tup("a", "p", "b", 100))
-        with pytest.raises(StreamError):
-            batch.add(tup("a", "p", "b", -1))
+    def test_construction_checks_interval(self):
+        inside = [tup("a", "p", "b", 0), tup("a", "p", "b", 99)]
+        assert len(StreamBatch("S", 1, 0, 100, inside)) == 2
+        with pytest.raises(StreamError, match=r"@100 outside .*\[0, 100\)"):
+            StreamBatch("S", 1, 0, 100, inside + [tup("a", "p", "b", 100)])
+        with pytest.raises(StreamError, match="@-1 outside"):
+            StreamBatch("S", 1, 0, 100, [tup("a", "p", "b", -1)] + inside)
 
     def test_batch_numbers_one_based(self):
         with pytest.raises(StreamError):

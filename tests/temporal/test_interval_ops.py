@@ -28,7 +28,7 @@ def interval_op_holds(op, s1, e1, s2, e2):
     over four one-cell snapshot-number columns."""
     cfilter = _NumericFilter(IntervalFilter("?a", "?b", op, "?c", "?d"),
                              {"?a": 0, "?b": 1, "?c": 2, "?d": 3})
-    return cfilter.select([[s1], [e1], [s2], [e2]], [0], None, None) == [0]
+    return cfilter.select([[s1], [e1], [s2], [e2]], [0], None) == [0]
 
 
 def brute(op, s1, e1, s2, e2):

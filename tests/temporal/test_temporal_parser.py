@@ -124,6 +124,18 @@ class TestIntervalFilters:
             parse_query("SELECT ?P WHERE { User1 po ?P [?ts, ?te) "
                         "FILTER ([?zs, ?te) OVERLAPS [1, 4)) }")
 
+    def test_graph_variable_endpoint_rejected(self):
+        """An endpoint must be a quintuple pattern's ``[?ts, ?te)``
+        variable: a graph variable binds a vid, not a snapshot number."""
+        for text in [
+            "SELECT ?U ?P WHERE { ?U po ?P [?ts, ?te) "
+            "FILTER ([?U, ?te) OVERLAPS [0, 5)) }",
+            "SELECT ?U ?P WHERE { ?U po ?P [?ts, ?te) "
+            "FILTER ([0, 5) DURING [?ts, ?P)) }",
+        ]:
+            with pytest.raises(ParseError, match="not graph variables"):
+                parse_query(text)
+
     def test_plain_filters_see_interval_bindings(self):
         query = parse_query(
             "SELECT ?P ?ts WHERE { User1 po ?P [?ts, ?te) "

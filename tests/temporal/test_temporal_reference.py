@@ -10,7 +10,12 @@ import pytest
 
 from repro.bench.harness import build_wukongs
 from repro.bench.lsbench import LSBench, LSBenchConfig
+from repro.errors import PlanError
+from repro.sim.cost import LatencyMeter
 from repro.sparql.parser import parse_query
+from repro.sparql.planner import plan_query
+from repro.store.distributed import PersistentAccess
+from repro.store.executor import GraphExplorer
 from repro.temporal import dump_history, reference_rows
 from repro.temporal.reference import decode_result
 
@@ -97,3 +102,32 @@ def test_limit_and_offset_respected(workload):
     assert len(limited.result.rows) == min(3, len(full.result.rows))
     shifted = engine.oneshot(base + " LIMIT 3 OFFSET 2")
     assert shifted.result.rows == full.result.rows[2:5]
+
+
+def test_snapshot_number_filters_need_no_string_server(workload):
+    """FILTERs over snapshot numbers and constants read no names, so an
+    explorer built without the string server runs them and matches the
+    oracle; a FILTER with a vid operand is still refused there."""
+    bench, engine, history = workload
+    snapshot = engine.coordinator.stable_sn
+
+    def factory(node_id):
+        access = PersistentAccess(engine.store, home_node=node_id,
+                                  max_sn=snapshot)
+        return lambda pattern: access
+
+    explorer = GraphExplorer(engine.cluster)
+    for text in [
+        "SELECT ?U ?P WHERE { ?U po ?P [?ts, ?te) "
+        "FILTER ([?ts, ?te) OVERLAPS [0, 99)) }",
+        "SELECT ?U ?P ?ts WHERE { ?U po ?P [?ts, ?te) FILTER (?ts >= 2) }",
+    ]:
+        query = parse_query(text)
+        result = explorer.execute(plan_query(query), factory, LatencyMeter())
+        got = decode_result(result, engine.strings)
+        want = reference_rows(query, history, snapshot)
+        assert got and sorted(map(str, got)) == sorted(map(str, want)), text
+    named = parse_query("SELECT ?U ?P WHERE { ?U po ?P [?ts, ?te) "
+                        f"FILTER (?U != {LSBench.user(0)}) }}")
+    with pytest.raises(PlanError, match="needs a string server"):
+        explorer.execute(plan_query(named), factory, LatencyMeter())
