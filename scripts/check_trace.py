@@ -42,9 +42,9 @@ if _SRC not in sys.path:
 from repro.bench.harness import build_wukongs  # noqa: E402
 from repro.bench.lsbench import LSBench, LSBenchConfig  # noqa: E402
 from repro.core.stats import collect_stats  # noqa: E402
-from repro.obs import (collect_metrics, critical_path,  # noqa: E402
-                       render_flame, spans_from_chrome,
-                       validate_chrome_trace, write_chrome_trace)
+from repro.obs import (critical_path, render_flame,  # noqa: E402
+                       spans_from_chrome, validate_chrome_trace,
+                       write_chrome_trace)
 
 L_QUERIES = ["L1", "L2", "L3", "L4", "L5", "L6"]
 S_QUERIES = ["S1", "S2", "S3", "S4", "S5", "S6"]
@@ -105,7 +105,6 @@ def show(engine) -> None:
         slowest = max(engine.tracer.activities(kind), key=lambda s: s.ns)
         print(f"\nslowest {kind} activity:")
         print(render_flame(engine.tracer.spans, slowest))
-    collect_metrics(engine)
     print("\n== metrics ==\n" + engine.metrics.render())
     print("\n== engine stats ==\n" + collect_stats(engine).format())
 

@@ -26,6 +26,7 @@ from repro.core.gc import GarbageCollector
 from repro.core.injector import Injector
 from repro.core.oneshot import OneShotEngine, OneShotRecord
 from repro.core.pipeline import QueryPipeline
+from repro.core.replan import PlanMonitor
 from repro.core.stream_index import (ColumnarSlice, IndexSlice,
                                      StreamIndexRegistry)
 from repro.core.transient import TransientStore
@@ -36,6 +37,7 @@ from repro.sim.clock import VirtualClock
 from repro.sim.cluster import Cluster
 from repro.sim.cost import CostModel, LatencyMeter, MemoryModel
 from repro.sparql.ast import Query
+from repro.store.statistics import PredicateStatistics
 from repro.streams.source import StreamSource
 from repro.streams.stream import StreamBatch, StreamSchema
 from repro.streams.window import batch_span, batches_closed_by
@@ -144,8 +146,11 @@ class WukongSEngine:
             self.cluster, self.store, self.strings, self.registry,
             self.transients, self.coordinator, self.schemas,
             cfg.batch_interval_ms)
+        #: The live selectivity view every planner reads (one-shot
+        #: ordering and the adaptive re-planner).
+        self.statistics = PredicateStatistics(self.store)
         self.oneshot_engine = OneShotEngine(
-            self.cluster, self.store, self.coordinator)
+            self.cluster, self.store, self.coordinator, self.statistics)
         # Imported at runtime: repro.temporal imports core modules.
         from repro.temporal import TemporalEngine
         self.temporal = TemporalEngine(
@@ -166,14 +171,11 @@ class WukongSEngine:
             if cfg.fault_tolerance else None
 
         #: Adaptive re-planner (``repro.core.replan``); None unless
-        #: ``adaptive_replan`` opted in.  Imported at runtime: the stats
-        #: module imports this one for type access.
+        #: ``adaptive_replan`` opted in.
         self.plan_monitor = None
         if cfg.adaptive_replan:
-            from repro.core.replan import PlanMonitor
-            from repro.core.stats import PredicateStatistics
             self.plan_monitor = PlanMonitor(
-                self.continuous, PredicateStatistics(self.store),
+                self.continuous, self.statistics,
                 check_every_closes=cfg.replan_check_closes)
 
         self.injection_records: List[InjectionRecord] = []

@@ -26,6 +26,7 @@ from repro.sparql.ast import Query
 from repro.sparql.planner import ExecutionPlan
 from repro.store.distributed import DistributedStore, PersistentAccess
 from repro.store.executor import ExecutionResult, GraphExplorer
+from repro.store.statistics import PredicateStatistics
 
 
 #: Share of its own latency a one-shot query is surcharged when it ran
@@ -50,13 +51,14 @@ class OneShotEngine:
     """Executes one-shot queries under snapshot isolation."""
 
     def __init__(self, cluster: Cluster, store: DistributedStore,
-                 coordinator: Coordinator):
+                 coordinator: Coordinator, statistics: PredicateStatistics):
         self.cluster = cluster
         self.store = store
         self.coordinator = coordinator
+        #: The engine's live selectivity view (shared with the re-planner).
+        self.statistics = statistics
         self.explorer = GraphExplorer(cluster, store.strings)
         self._next_home = 0
-        self._stats = None  # lazy: avoids a core.stats import cycle
         #: The engine's ``repro.core.pipeline.QueryPipeline`` (attached
         #: by ``WukongSEngine``, like the observability hooks below).
         self.pipeline = None
@@ -64,16 +66,10 @@ class OneShotEngine:
         self.tracer = None
         self.metrics = None
 
-    def _statistics(self):
-        if self._stats is None:
-            from repro.core.stats import PredicateStatistics
-            self._stats = PredicateStatistics(self.store)
-        return self._stats
-
     def plan(self, query: Query) -> ExecutionPlan:
         """The compiled plan for ``query``, ordered by the store's live
         selectivity statistics."""
-        return self.pipeline.plan(query, stats=self._statistics())
+        return self.pipeline.plan(query, stats=self.statistics)
 
     def execute(self, query: Query, home_node: Optional[int] = None,
                 contended: bool = False,

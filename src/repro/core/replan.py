@@ -3,12 +3,12 @@
 A registered query plans exactly once, at registration time — typically
 against a near-empty store, so every long-lived query would otherwise run
 forever on cold cardinality guesses even though
-:class:`~repro.core.stats.PredicateStatistics` (live counters plus exact
-per-constant degrees) has long since learned the real skew.  This module closes
-that gap, following Strider's hybrid adaptive planning (arXiv:1705.05688):
-keep executing the current plan, periodically re-derive the ordering from
-live statistics, and swap only when the estimated win is large enough to
-be worth disturbing a running plan.
+:class:`~repro.store.statistics.PredicateStatistics` (live counters plus
+exact per-constant degrees) has long since learned the real skew.  This
+module closes that gap, following Strider's hybrid adaptive planning
+(arXiv:1705.05688): keep executing the current plan, periodically
+re-derive the ordering from live statistics, and swap only when the
+estimated win is large enough to be worth disturbing a running plan.
 
 :class:`PlanMonitor` runs off the *simulated* clock: the engine invokes it
 once per healthy tick, after the continuous poll, so plan swaps always
@@ -19,8 +19,9 @@ bit-identical to a run that used the final ordering from the start
 
 The keep-or-swap rule (per query, every ``check_every_closes`` closes):
 
-1. Freeze the statistics into a :class:`~repro.core.stats.StatsSnapshot`
-   (one consistent epoch for both sides of the comparison).
+1. Freeze the statistics into a
+   :class:`~repro.store.statistics.StatsSnapshot` (one consistent epoch
+   for both sides of the comparison).
 2. Candidate ordering = ``plan_order(patterns, stats=snapshot)``.
 3. If the candidate differs, compare ``estimate_plan_cost`` of the active
    vs candidate ordering *under the same snapshot*.  Swap only when the
@@ -96,8 +97,8 @@ class PlanMonitor:
         self.continuous = continuous
         self.statistics = statistics
         self.check_every_closes = check_every_closes
-        #: Wall-clock-only decision counters (pulled by
-        #: ``repro.obs.metrics.collect_metrics``).
+        #: Wall-clock-only decision counters, read here (the per-query
+        #: counters and cost gauges are pushed to ``metrics`` when on).
         self.checks = 0
         self.replans = 0
         self.skipped_hysteresis = 0

@@ -40,7 +40,6 @@ from repro.core.continuous import ExecutionRecord
 from repro.core.engine import WukongSEngine
 from repro.errors import (AdmissionError, PlanError, RegistrationError,
                           ReproError)
-from repro.obs.metrics import MetricsRegistry
 from repro.serving.admission import AdmissionPolicy
 from repro.serving.registry import SharedEntry, SharedQueryRegistry
 from repro.serving.scheduler import (FairScheduler, OneshotRequest,
@@ -158,14 +157,12 @@ class ServingLayer:
     def __init__(self, engine: WukongSEngine,
                  policy: Optional[AdmissionPolicy] = None,
                  num_proxies: Optional[int] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  sharing: bool = True, seed: int = 0):
         self.engine = engine
         self.policy = policy if policy is not None else AdmissionPolicy()
         self.proxies = ProxyPool(engine, num_proxies=num_proxies, seed=seed)
         self.registry = SharedQueryRegistry(engine, sharing=sharing)
         self.scheduler = FairScheduler(self.policy.oneshot_slots_per_tick)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tenants: Dict[str, TenantState] = {}
         #: The door's own parse of one-shot texts: the executing proxy
         #: still prepares through its cache, so its counters never move.
@@ -207,8 +204,6 @@ class ServingLayer:
                 shared=self.registry.num_shared, creates_shared=creates)
         except AdmissionError:
             state.registrations_rejected += 1
-            self.metrics.counter("serving_rejections",
-                                 kind="registration").inc()
             raise
         subscription = ServingSubscription(self, tenant, entry=None,
                                            subscription=None)
@@ -250,7 +245,6 @@ class ServingLayer:
                 tenant_backlog=self.scheduler.tenant_backlog(tenant))
         except AdmissionError:
             state.oneshots_rejected += 1
-            self.metrics.counter("serving_rejections", kind="backlog").inc()
             raise
         request = OneshotRequest(tenant=tenant, text=text,
                                  arrival_ms=self.engine.clock.now_ms,
@@ -286,9 +280,6 @@ class ServingLayer:
                                result=result)
         state.oneshots_served += 1
         state.oneshot_latency_ns.append(served.latency_ns)
-        self.metrics.histogram("serving_oneshot_ns",
-                               tenant=request.tenant).observe(
-                                   served.latency_ns)
         self.oneshots_served += 1
         return served
 
@@ -330,17 +321,11 @@ class ServingLayer:
             entry.fanned_out += len(fresh) * fanout
             self.results_delivered += len(fresh) * fanout
             self.executions_saved += len(fresh) * (fanout - 1)
-            self.metrics.counter("serving_shared_close_hits").inc(
-                len(fresh) * (fanout - 1))
             latencies = [record.meter.ns for record in fresh]
             for subscription in entry.subscribers:
                 state = self.tenant(subscription.tenant)
                 state.close_results += len(fresh)
                 state.close_latency_ns.extend(latencies)
-                observe = self.metrics.histogram(
-                    "serving_close_ns", tenant=subscription.tenant).observe
-                for latency in latencies:
-                    observe(latency)
 
     # -- reporting ---------------------------------------------------------
     def snapshot(self) -> ServingStats:

@@ -22,7 +22,7 @@ with how the executor should evaluate it:
 
 Cost-aware ordering: with per-predicate cardinality statistics (any
 object exposing ``out_degree(predicate)``, ``in_degree(predicate)`` and
-``index_size(predicate)``; see ``repro.core.stats.PredicateStatistics``)
+``index_size(predicate)``; see ``repro.store.statistics.PredicateStatistics``)
 the greedy pass breaks ties *within* an access-path class by estimated
 selectivity — constant starts still precede bound expansions precede
 index scans, but among equally-classified candidates the one expected to

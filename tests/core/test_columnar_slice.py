@@ -206,13 +206,11 @@ def test_absent_key_invalidation_recounts_as_miss():
     assert (view.hits, view.misses) == (hits, misses + 1)
 
 
-def test_counters_flow_into_cache_stats_and_obs_metrics():
-    """The PR that added the columnar window views wired their counters
-    into the stats dashboard and the metrics registry; assert the full
-    path end to end on a real engine run."""
+def test_counters_flow_into_cache_stats():
+    """The columnar window views' counters reach the stats dashboard;
+    assert the full path end to end on a real engine run."""
     from core.test_engine import QC, build_engine
     from repro.core.stats import collect_stats
-    from repro.obs.metrics import collect_metrics
 
     engine = build_engine()
     engine.register_continuous(QC)
@@ -235,12 +233,6 @@ def test_counters_flow_into_cache_stats_and_obs_metrics():
     assert caches.window_delta_hits == delta_hits
     assert 0.0 <= caches.window_hit_rate <= 1.0
     assert "evictions" in collect_stats(engine).format()
-
-    counters = collect_metrics(engine).snapshot()["counters"]
-    assert counters["window_view_hits"] == hits
-    assert counters["window_view_misses"] == misses
-    assert counters["window_view_evictions"] == evictions
-    assert counters["window_delta_hits"] == delta_hits
 
 
 # -- property: every advanced view equals a brute-force rebuild -----------

@@ -111,12 +111,9 @@ def test_stats_ordering_is_deterministic(ls_engine):
     twin.run_until(DURATION_MS)
     for name in S_QUERIES:
         parsed = parse_query(bench.oneshot_query(name))
-        order = plan_order(parsed.patterns,
-                           stats=engine.oneshot_engine._statistics())
-        again = plan_order(parsed.patterns,
-                           stats=engine.oneshot_engine._statistics())
-        twin_order = plan_order(parsed.patterns,
-                                stats=twin.oneshot_engine._statistics())
+        order = plan_order(parsed.patterns, stats=engine.statistics)
+        again = plan_order(parsed.patterns, stats=engine.statistics)
+        twin_order = plan_order(parsed.patterns, stats=twin.statistics)
         assert order == again == twin_order, name
         assert sorted(order) == list(range(len(parsed.patterns)))
 

@@ -22,7 +22,7 @@ from repro.chaos.state import engine_state_digest
 from repro.core.engine import EngineConfig, WukongSEngine
 from repro.core.pipeline import CACHE_CAPACITY
 from repro.core.replan import COOLDOWN_CLOSES, HYSTERESIS, PlanMonitor
-from repro.core.stats import PredicateStatistics, StatsSnapshot
+from repro.store.statistics import PredicateStatistics, StatsSnapshot
 from repro.rdf.parser import parse_timed_tuples
 from repro.streams.source import StreamSource
 from repro.streams.stream import StreamSchema
@@ -349,14 +349,14 @@ def test_replan_emits_trace_span_and_counters():
     assert span.labels["old_order"] == "0,1"
     assert span.labels["new_order"] == "1,0"
 
-    from repro.obs.metrics import collect_metrics
-    registry = collect_metrics(engine)
-    assert registry.counter("planner_replans_total").value == \
-        len(handle.replans)
+    monitor = engine.plan_monitor
+    assert monitor.replans == len(handle.replans)
+    assert monitor.checks >= monitor.replans + \
+        monitor.skipped_hysteresis + monitor.skipped_cooldown
+    # Per-query decisions and gauges are pushed into the registry.
+    registry = engine.metrics
     assert registry.counter(
         "planner_replans", query=handle.name).value == len(handle.replans)
-    assert registry.counter("planner_replan_checks").value == \
-        engine.plan_monitor.checks
     # Estimated-vs-actual gauges of the active plan were published.
     assert registry.gauge("planner_estimated_cost",
                           query=handle.name).value > 0

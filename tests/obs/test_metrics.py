@@ -1,7 +1,7 @@
-"""Metrics registry semantics and the collect_metrics engine sweep."""
+"""Metrics registry semantics and the histograms the engine pushes."""
 
 from repro.core.engine import EngineConfig, WukongSEngine
-from repro.obs.metrics import MetricsRegistry, collect_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.rdf.parser import parse_timed_tuples, parse_triples
 from repro.streams.source import StreamSource
 from repro.streams.stream import StreamSchema
@@ -44,52 +44,6 @@ def test_render_lists_every_metric():
     assert "hits 7" in text
     assert "depth 2.5" in text
     assert "lat_ns count=1" in text
-
-
-def _tiny_engine(ticks=6):
-    config = EngineConfig(num_nodes=2, batch_interval_ms=100)
-    engine = WukongSEngine(schemas=[StreamSchema("S")], config=config)
-    engine.load_static(parse_triples(
-        "a fo b .\nb fo c .\nc fo a ."))
-    source = StreamSource(engine.schemas["S"])
-    source.queue_tuples(parse_timed_tuples(
-        "\n".join(f"a po p{t} @{100 * t + 10}" for t in range(ticks))),
-        0, 100)
-    engine.attach_source(source)
-    for _ in range(ticks):
-        engine.step()
-    return engine
-
-
-def test_collect_metrics_pulls_cache_counters():
-    engine = _tiny_engine()
-    text = "SELECT ?X WHERE { a fo ?X }"
-    engine.oneshot(text)
-    engine.oneshot(text)  # plan + parse cache hits
-    engine.oneshot("SELECT ?X WHERE { ?X fo b }")
-
-    registry = collect_metrics(engine)
-    snap = registry.snapshot()
-    assert snap["counters"]["parse_cache_hits"] == 1
-    assert snap["counters"]["parse_cache_misses"] == 2
-    assert snap["counters"]["plan_cache_hits"] == 1
-    assert snap["counters"]["plan_cache_misses"] == 2
-    assert snap["counters"]["adjacency_cache_misses"] > 0
-    assert snap["counters"]["tuples_injected"] > 0
-    assert snap["gauges"]["store_entries"] > 0
-    assert "stream_index_slices{stream=S}" in snap["gauges"]
-
-
-def test_collect_metrics_is_idempotent_and_deterministic():
-    engine = _tiny_engine()
-    engine.oneshot("SELECT ?X WHERE { a fo ?X }")
-    first = collect_metrics(engine).snapshot()
-    second = collect_metrics(engine, registry=MetricsRegistry()).snapshot()
-    assert first == second  # pulled counters are set, not accumulated
-
-    other = _tiny_engine()
-    other.oneshot("SELECT ?X WHERE { a fo ?X }")
-    assert collect_metrics(other).snapshot() == first
 
 
 def test_engine_pushes_latency_histograms_when_attached():

@@ -38,8 +38,6 @@ def test_subscription_budget_rejects_with_context():
     assert serving.registry.num_subscribers == 2
     assert len(serving.engine.continuous.queries) == before
     assert serving.snapshot().registrations_rejected == 1
-    assert serving.metrics.counter("serving_rejections",
-                                   kind="registration").value == 1
 
 
 def test_per_tenant_subscription_budget_spares_other_tenants():
@@ -84,8 +82,6 @@ def test_backlog_budgets_reject_without_enqueueing():
         serving.submit("delta", query)
     assert serving.scheduler.backlog == 3
     assert serving.snapshot().oneshots_rejected == 2
-    assert serving.metrics.counter("serving_rejections",
-                                   kind="backlog").value == 2
 
 
 def test_fair_scheduler_divides_slots_and_rotates():

@@ -12,7 +12,6 @@ import pytest
 
 from repro.errors import (ParseError, PlanError, RegistrationError,
                           SnapshotNotYetStableError, StoreError)
-from repro.obs.metrics import collect_metrics
 from repro.serving import AdmissionPolicy
 from serving.serving_workload import build_serving, window_query
 
@@ -195,7 +194,7 @@ def test_least_loaded_node_follows_dispatch_counters():
     assert serving._least_loaded_node() == expected
 
 
-def test_collect_metrics_exports_serving_counters():
+def test_serving_counters_live_on_their_owners():
     bench, serving = build_serving(num_nodes=2)
     text = window_query(bench)
     for i in range(4):
@@ -204,29 +203,49 @@ def test_collect_metrics_exports_serving_counters():
         serving.submit("tenant0", bench.oneshot_query("S1"))
         serving.tick()
     serving.tick()
-    registry = collect_metrics(serving.engine, proxies=serving.proxies,
-                               serving=serving)
     snapshot = serving.snapshot()
-    counters = registry.snapshot()["counters"]
-    gauges = registry.snapshot()["gauges"]
-    assert gauges["serving_subscriptions"] == snapshot.subscriptions == 4
-    assert gauges["serving_shared_queries"] == snapshot.shared_queries == 1
-    assert counters["serving_shared_hits"] == 3
-    assert counters["serving_closes_evaluated"] == \
-        snapshot.closes_evaluated
-    assert counters["serving_results_delivered"] == \
-        snapshot.closes_evaluated * 4
-    assert counters["serving_executions_saved"] == \
-        snapshot.closes_evaluated * 3
-    assert counters["serving_oneshots_served"] == 5
+    assert snapshot.subscriptions == 4
+    assert snapshot.shared_queries == 1
+    assert snapshot.shared_hits == 3
+    assert snapshot.closes_evaluated > 0
+    assert snapshot.results_delivered == snapshot.closes_evaluated * 4
+    assert snapshot.executions_saved == snapshot.closes_evaluated * 3
+    assert snapshot.oneshots_served == 5
     # Every serving registration flows through a proxy subscription.
     multiplexed = sum(p.stats.multiplexed_subscriptions
                       for p in serving.proxies.proxies)
     assert multiplexed == 4
-    # Per-tenant latency histograms were pushed by the layer itself.
-    histograms = serving.metrics.snapshot()["histograms"]
-    assert histograms["serving_oneshot_ns{tenant=tenant0}"]["count"] == 5
-    assert histograms["serving_close_ns{tenant=tenant0}"]["count"] > 0
+    # Per-tenant latencies are the tenants' own exact samples: every
+    # served one-shot, and every close delivered to each subscription.
+    tenant0 = serving.tenants["tenant0"]
+    assert len(tenant0.oneshot_latency_ns) == 5
+    assert len(tenant0.close_latency_ns) == tenant0.close_results > 0
+
+
+def test_observability_off_serving_touches_no_registry(monkeypatch):
+    """With observability off, registering, submitting and fanning out
+    record into no metrics registry: not one key is built."""
+    import repro.obs.metrics as metrics
+
+    calls = []
+    real_key = metrics._key
+
+    def counting_key(name, labels):
+        calls.append(name)
+        return real_key(name, labels)
+
+    monkeypatch.setattr(metrics, "_key", counting_key)
+    bench, serving = build_serving(num_nodes=2)
+    assert serving.engine.metrics is None
+    text = window_query(bench)
+    for i in range(3):
+        serving.register(f"tenant{i}", text)
+    for _ in range(4):
+        serving.submit("tenant0", bench.oneshot_query("S1"))
+        serving.tick()
+    serving.tick()
+    assert serving.closes_evaluated > 0 and serving.oneshots_served == 4
+    assert calls == []
 
 
 def test_snapshot_reports_per_tenant_percentiles():

@@ -86,7 +86,7 @@ def test_skewed_constant_reorders_plan():
     first (lower mean); the exact per-constant degrees know ``hot``'s
     actual fan-out and flip the order.
     """
-    from repro.core.stats import PredicateStatistics
+    from repro.store.statistics import PredicateStatistics
     from repro.rdf.parser import parse_triples
     from repro.rdf.string_server import StringServer
     from repro.sim.cluster import Cluster
