@@ -84,7 +84,12 @@
 # owner's counters into registry keys: repro.core.stats.collect_stats is
 # the one pull) with the serving layer's always-on registry (no
 # MetricsRegistr[y] or self.metric[s] in src/repro/serving: a tenant's
-# counters and exact latencies are its TenantState)
+# counters and exact latencies are its TenantState), and the per-key
+# value object _ValueLis[t] (a key's value is two plain lists in the
+# shard's two dicts) with the shard's priced reads (no def looku[p]( or
+# def version[s]( in src/repro/store/kvstore.py: the shard's reads are
+# lookup_many, lookup_versions, lookup_span and index_vertices, all
+# charge-free; DistributedStore and ColumnarSlice's readers price them)
 # have not come back.
 # A test marked both serving and chaos runs in the chaos stage only.
 #
@@ -141,7 +146,7 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list, the settings only tests set, skip postings and index-member sets, the row round trip between executor and client, the per-triple static-data path, disconnect_tenan[t] and remove_tenan[t], column kinds by variable name and the second interval evaluator, per-tuple batching on the queue path, the second counter walk and the serving layer's registry) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list, the settings only tests set, skip postings and index-member sets, the row round trip between executor and client, the per-triple static-data path, disconnect_tenan[t] and remove_tenan[t], column kinds by variable name and the second interval evaluator, per-tuple batching on the queue path, the second counter walk and the serving layer's registry, the per-key value object and the shard's priced reads) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts; \
         then exit 1; fi
@@ -206,6 +211,9 @@ if grep -n 'def ad[d](' src/repro/streams/stream.py; then exit 1; fi
 if grep -rn 'collect_metric[s]' src scripts tests benchmarks examples; \
         then exit 1; fi
 if grep -rn 'MetricsRegistr[y]\|self\.metric[s]' src/repro/serving; \
+        then exit 1; fi
+if grep -rn '_ValueLis[t]' src scripts tests; then exit 1; fi
+if grep -n 'def looku[p](\|def version[s](' src/repro/store/kvstore.py; \
         then exit 1; fi
 
 echo "== examples (every walkthrough runs to completion) =="

@@ -27,7 +27,7 @@ from repro.core.engine import WukongSEngine
 def _shard_digest(shard) -> dict:
     values = {}
     for key in sorted(shard.iter_keys()):
-        values[str(key)] = [list(shard.lookup(key)), shard.versions(key)]
+        values[str(key)] = list(shard.lookup_versions(key))
     index = {f"{eid}:{d}": list(vids)
              for (eid, d), vids in sorted(shard._index.items())}
     return {"values": values, "index": index}

@@ -99,7 +99,10 @@ class CheckpointManager:
         self._markers: List[CheckpointMarker] = []
         #: Interval-grid cell of the last checkpoint (``now // interval``).
         self._last_cell: Optional[int] = None
-        self.logging_delays_ms: List[float] = []
+        #: Running sum (exact picoseconds) and count of the logging
+        #: delays :meth:`log_batch` charged, for the mean.
+        self.logging_delay_ps = 0
+        self.logged_batches = 0
         self._entries_since_checkpoint = 0
         #: Duration of the most recent checkpoint (stalls co-scheduled
         #: queries; the paper's p99 growth in §6.8 comes from this).
@@ -118,7 +121,8 @@ class CheckpointManager:
         delay = LatencyMeter()
         delay.charge(self.cost.log_entry_ns,
                      times=max(1, node_batch.num_inserts), category="log")
-        self.logging_delays_ms.append(delay.ms)
+        self.logging_delay_ps += delay.ps
+        self.logged_batches += 1
         if meter is not None:
             meter.add(delay)
         self._log.append(LoggedBatch(sn, node_batch,
@@ -183,9 +187,9 @@ class CheckpointManager:
         return self._markers[-1] if self._markers else None
 
     def mean_logging_delay_ms(self) -> float:
-        if not self.logging_delays_ms:
+        if not self.logged_batches:
             return 0.0
-        return sum(self.logging_delays_ms) / len(self.logging_delays_ms)
+        return self.logging_delay_ps / self.logged_batches / 1_000_000_000
 
 
 @dataclass

@@ -341,8 +341,7 @@ class WukongSEngine:
                 "use oneshot() for purely stored queries")
         if end_ms <= start_ms:
             raise StoreError(f"empty time scope: [{start_ms}, {end_ms})")
-        cfg = self.config
-        interval = cfg.batch_interval_ms
+        interval = self.config.batch_interval_ms
         # Every batch whose span overlaps [start_ms, end_ms).
         first = batches_closed_by(start_ms, interval) + 1
         last = batches_closed_by(end_ms + interval - 1, interval)
@@ -377,30 +376,9 @@ class WukongSEngine:
                 return access if access is not None else stored
             return resolver
 
-        meter = LatencyMeter()
-        act = self.tracer.begin("oneshot", "query", meter,
-                                snapshot=self.coordinator.stable_sn,
-                                home_node=home_node,
-                                patterns=len(parsed.patterns),
-                                scope=[start_ms, end_ms]) \
-            if self.tracer is not None else None
-        meter.charge(cfg.cost.task_dispatch_ns, category="dispatch")
-        if act is not None:
-            act.mark("dispatch")
-        # Planned without statistics: its charges follow the purely
-        # positional order.
-        plan = self.pipeline.plan(parsed)
-        if act is not None:
-            act.mark("plan", steps=len(plan.steps))
-        result = self.oneshot_engine.explorer.execute(
-            plan, factory, meter, home_node=home_node)
-        if act is not None:
-            act.label(rows=len(result))
-            act.end()
-        if self.metrics is not None:
-            self.metrics.histogram("oneshot_ns").observe(meter.ns)
-        return OneShotRecord(result=result, meter=meter,
-                             snapshot=self.coordinator.stable_sn)
+        return self.oneshot_engine.execute(
+            parsed, home_node=home_node, access_factory=factory,
+            scope=[start_ms, end_ms])
 
     # -- simulation loop ------------------------------------------------------------
     @property

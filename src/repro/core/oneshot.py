@@ -74,7 +74,7 @@ class OneShotEngine:
     def execute(self, query: Query, home_node: Optional[int] = None,
                 contended: bool = False,
                 snapshot: Optional[int] = None,
-                access_factory=None) -> OneShotRecord:
+                access_factory=None, **labels) -> OneShotRecord:
         """Run ``query`` once.
 
         ``contended`` marks that continuous workers are concurrently busy
@@ -83,9 +83,12 @@ class OneShotEngine:
         ``access_factory`` (``node_id -> (pattern -> StoreAccess)``)
         overrides the default persistent-store access — the temporal
         engine passes a counting access so snapshot reads are observable
-        without touching this hot path.
+        without touching this hot path, and a time-scoped query passes
+        the accesses of its stream scopes (a query over stream windows
+        runs only that way).  ``labels`` are extra labels of the traced
+        activity.
         """
-        if query.is_continuous:
+        if query.is_continuous and access_factory is None:
             raise PlanError(
                 "continuous queries must be registered, not run one-shot")
         if home_node is None:
@@ -95,7 +98,7 @@ class OneShotEngine:
         meter = LatencyMeter()
         act = self.tracer.begin("oneshot", "query", meter, snapshot=sn,
                                 home_node=home_node,
-                                patterns=len(query.patterns)) \
+                                patterns=len(query.patterns), **labels) \
             if self.tracer is not None else None
         meter.charge(self.cluster.cost.task_dispatch_ns, category="dispatch")
         if act is not None:

@@ -230,21 +230,33 @@ class DistributedStore:
         return fetched
 
     def local_index(self, node_id: int, eid: int, d: int,
-                    meter: LatencyMeter, category: str = "store") -> List[int]:
-        """One node's local portion of an index vertex."""
-        return self.shards[node_id].index_vertices(eid, d, meter=meter,
-                                                   category=category)
+                    meter: LatencyMeter) -> List[int]:
+        """One node's local portion of an index vertex: one hash probe
+        plus a scan of its vertices."""
+        vertices = self.shards[node_id].index_vertices(eid, d)
+        cost = self.cluster.cost
+        meter.charge(cost.hash_probe_ns, category="store")
+        meter.charge(cost.scan_entry_ns, times=len(vertices),
+                     category="store")
+        return vertices
 
     def gather_index(self, home_node: int, eid: int, d: int,
-                     meter: LatencyMeter, category: str = "store") -> List[int]:
-        """The full index vertex, gathering remote portions over the fabric."""
+                     meter: LatencyMeter) -> List[int]:
+        """The full index vertex, gathering remote portions over the
+        fabric: one hash probe per shard, a scan of every vertex, and
+        one remote read per non-empty remote portion."""
+        cost = self.cluster.cost
+        meter.charge(cost.hash_probe_ns, times=len(self.shards),
+                     category="store")
         vertices: List[int] = []
         for node_id, shard in enumerate(self.shards):
-            part = shard.index_vertices(eid, d, meter=meter, category=category)
+            part = shard.index_vertices(eid, d)
             if node_id != home_node and part:
                 self.cluster.fabric.remote_read(
                     meter, 16 + 8 * len(part), category="network")
             vertices.extend(part)
+        meter.charge(cost.scan_entry_ns, times=len(vertices),
+                     category="store")
         return vertices
 
     # -- stats ---------------------------------------------------------------

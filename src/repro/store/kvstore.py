@@ -7,6 +7,15 @@ vertex IDs.  Wukong+S extends the value lists with *snapshot numbers*
 (the initially loaded data carries SN 0), entries are appended in
 non-decreasing SN order, and a reader at stable SN ``n`` sees exactly the
 prefix of entries with SN <= ``n`` — snapshot isolation without locks.
+A key's value is two parallel plain lists, one in each of two dicts
+(``_vids`` and ``_sns``): two collector-tracked objects per key, no
+wrapper.
+
+The shard prices its writes (:meth:`ShardStore.append_column`) but no
+read: :meth:`~ShardStore.lookup_many`, :meth:`~ShardStore.lookup_versions`,
+:meth:`~ShardStore.lookup_span` and :meth:`~ShardStore.index_vertices`
+are charge-free and return what their callers (``DistributedStore``,
+``ColumnarSlice``) need to price them.
 
 Bounded scalarization is a per-shard *frontier*: :meth:`ShardStore.compact`
 only raises one SN, and every reader sees an entry whose raw SN is at or
@@ -49,7 +58,7 @@ vertices or keeps a second membership set.
 *Adjacency-segment cache* — a bounded map from store key to its most
 recently computed ``(bound, visible-prefix, total-length)`` so repeated
 probes of hot ``(vertex, predicate)`` keys skip the hash lookup, bisect
-and slice.  Readers still charge exactly the probe/scan (and remote-read)
+and slice.  Callers still charge exactly the probe/scan (and remote-read)
 costs of an uncached lookup.  A write to a key invalidates its cached
 segment; raw SNs never change and the frontier only rises, so nothing
 else can outdate one.
@@ -77,25 +86,12 @@ _PRED_MASK = (1 << _PRED_BITS) - 1
 ADJACENCY_CACHE_CAPACITY = 1 << 16
 
 
-class _ValueList:
-    """The versioned neighbour list of one key.
-
-    ``vids`` and ``sns`` are parallel arrays; ``sns`` is non-decreasing
-    and holds raw SNs (readers apply the shard's frontier).
-    """
-
-    __slots__ = ("vids", "sns")
-
-    def __init__(self, vids: List[int], sns: List[int]) -> None:
-        self.vids = vids
-        self.sns = sns
-
-    def segments(self, frontier: int) -> int:
-        """Distinct snapshot segments, every SN at or below ``frontier``
-        counted as one base segment (memory-accounting input)."""
-        sns = self.sns
-        lo = bisect_right(sns, frontier)
-        return len(set(sns[lo:])) + (lo > 0)
+def _segments(sns: List[int], frontier: int) -> int:
+    """Distinct snapshot segments of one raw SN list, every SN at or
+    below ``frontier`` counted as one base segment (memory-accounting
+    input)."""
+    lo = bisect_right(sns, frontier)
+    return len(set(sns[lo:])) + (lo > 0)
 
 
 class ShardStore:
@@ -109,7 +105,11 @@ class ShardStore:
         self.adjacency_hits = 0
         self.adjacency_misses = 0
         self.adjacency_evictions = 0
-        self._values: Dict[Key, _ValueList] = {}
+        #: key -> its value list, and key -> the raw SN of each entry
+        #: (parallel, non-decreasing; readers apply the frontier).  Two
+        #: plain lists per key: no wrapper object for the collector.
+        self._vids: Dict[Key, List[int]] = {}
+        self._sns: Dict[Key, List[int]] = {}
         #: (eid, d) -> local vids in key-creation order: the index vertex
         #: ``[0|eid|d]``.  A vid is in it exactly when its key exists.
         self._index: Dict[Tuple[int, int], List[int]] = {}
@@ -164,11 +164,11 @@ class ShardStore:
             self._high_sn = sn
         else:
             folded = {}
-            values_get = self._values.get
+            sns_get = self._sns.get
             for key in keys:
-                values = values_get(key)
-                if values is not None and sn < values.sns[-1]:
-                    last = values.sns[-1]
+                key_sns = sns_get(key)
+                if key_sns is not None and sn < key_sns[-1]:
+                    last = key_sns[-1]
                     if sn != BASE_SN or last > frontier:
                         raise StoreError(
                             f"snapshot numbers must be appended in order: "
@@ -182,8 +182,9 @@ class ShardStore:
                 groups[key] = [vid]
             else:
                 group.append(vid)
-        values_dict = self._values
-        values_get = values_dict.get
+        vids_dict = self._vids
+        sns_dict = self._sns
+        sns_get = sns_dict.get
         index = self._index
         pred_entries = self._pred_entries
         entries_get = pred_entries.get
@@ -196,11 +197,12 @@ class ShardStore:
             count = len(group)
             bucket = key & _PRED_MASK
             pred_entries[bucket] = entries_get(bucket, 0) + count
-            values = values_get(key)
-            if values is None:
+            key_sns = sns_get(key)
+            if key_sns is None:
                 # A fresh key keeps its group as its value list (no
                 # second copy of a bulk load's lists).
-                values_dict[key] = _ValueList(group, [sn] * count)
+                vids_dict[key] = group
+                sns_dict[key] = [sn] * count
                 created_keys += 1
                 # The bucket is the index vertex's (eid, d), still packed.
                 index.setdefault((bucket >> 1, bucket & 1), []).append(
@@ -208,16 +210,16 @@ class ShardStore:
                 offset = 0
             else:
                 key_sn = folded.get(key, sn) if folded else sn
-                sns = values.sns
-                offset = len(sns)
+                key_vids = vids_dict[key]
+                offset = len(key_sns)
                 if count == 1:
                     # Most keys receive a single value per batch: append
                     # beats building the one-element [sn] list.
-                    values.vids.append(group[0])
-                    sns.append(key_sn)
+                    key_vids.append(group[0])
+                    key_sns.append(key_sn)
                 else:
-                    values.vids += group
-                    sns += [key_sn] * count
+                    key_vids += group
+                    key_sns += [key_sn] * count
             if adjacency_pop is not None:
                 adjacency_pop(key, None)
             append_span((key, offset, count))
@@ -249,8 +251,8 @@ class ShardStore:
     def degree(self, eid: int, d: int, vid: int) -> Optional[int]:
         """``vid``'s exact ``(eid, d)`` degree — every entry its key
         holds, at any snapshot — or None when the key is absent."""
-        values = self._values.get(make_key(vid, eid, d))
-        return None if values is None else len(values.vids)
+        vids = self._vids.get(make_key(vid, eid, d))
+        return None if vids is None else len(vids)
 
     # -- reads ------------------------------------------------------------
     def lookup_many(self, keys: List[Key], max_sn: Optional[int]
@@ -281,7 +283,8 @@ class ShardStore:
             max_sn = self._frontier
         cache = self._adjacency
         cache_get = cache.get
-        values_get = self._values.get
+        vids_get = self._vids.get
+        sns_get = self._sns.get
         capacity = self.adjacency_capacity
         lists: List[List[int]] = []
         append = lists.append
@@ -296,10 +299,10 @@ class ShardStore:
                         len(visible) == total and (
                             max_sn is None
                             or (bound is not None and max_sn >= bound))):
-                    values = values_get(key)
-                    if values is not None:
-                        cut = len(values.sns) if max_sn is None \
-                            else bisect_right(values.sns, max_sn)
+                    sns = sns_get(key)
+                    if sns is not None:
+                        cut = len(sns) if max_sn is None \
+                            else bisect_right(sns, max_sn)
                         if cut != len(visible):
                             entry = None
                 if entry is not None:
@@ -309,14 +312,14 @@ class ShardStore:
                     total_length += total
                     continue
                 del cache[key]
-            values = values_get(key)
-            if values is None:
+            vids = vids_get(key)
+            if vids is None:
                 visible = []
                 total = 0
             else:
-                visible = values.vids if max_sn is None \
-                    else values.vids[:bisect_right(values.sns, max_sn)]
-                total = len(values.vids)
+                visible = vids if max_sn is None \
+                    else vids[:bisect_right(sns_get(key), max_sn)]
+                total = len(vids)
             if len(cache) >= capacity:
                 del cache[next(iter(cache))]
                 self.adjacency_evictions += 1
@@ -328,133 +331,82 @@ class ShardStore:
         self.adjacency_misses += len(keys) - hits
         return lists, scanned, 16 * len(keys) + 8 * total_length
 
-    def lookup(self, key: Key, max_sn: Optional[int] = None,
-               meter: Optional[LatencyMeter] = None,
-               category: str = "store") -> List[int]:
-        """All vids of ``key`` visible at ``max_sn`` (raised to the
-        frontier; None = everything).
-
-        Charges one hash probe plus a scan proportional to the visible
-        prefix length.
-        """
-        values = self._values.get(key)
-        if meter is not None:
-            meter.charge(self.cost.hash_probe_ns, category=category)
-        if values is None:
-            return []
-        if max_sn is None:
-            visible = values.vids
-        else:
-            visible = values.vids[:bisect_right(
-                values.sns, max(max_sn, self._frontier))]
-        if meter is not None:
-            meter.charge(self.cost.scan_entry_ns, times=len(visible),
-                         category=category)
-        return visible
-
-    def lookup_versions(self, key: Key, max_sn: Optional[int] = None,
-                        meter: Optional[LatencyMeter] = None,
-                        category: str = "store"
+    def lookup_versions(self, key: Key, max_sn: Optional[int] = None
                         ) -> Tuple[List[int], List[int]]:
-        """The ``(vids, sns)`` prefix of ``key`` visible at ``max_sn``.
+        """The ``(vids, sns)`` prefix of ``key`` visible at ``max_sn``
+        (raised to the frontier; None = everything), or two empty lists
+        for an absent key.
 
-        The SPARQL-T quintuple read: like :meth:`lookup` but also returns
-        each visible entry's insertion snapshot, so the temporal evaluator
-        can bind valid-time intervals.  Charges exactly what :meth:`lookup`
-        charges — one hash probe plus a scan of the visible prefix; the SN
-        column rides along with the value scan, it is not a second read.
-        SNs at or below the frontier read as :data:`BASE_SN`, so
-        insertion snapshots below the GC frontier are coarsened to the
-        base (reads *above* the frontier are exact).
+        The SPARQL-T quintuple read: each visible entry with its
+        insertion snapshot, so the temporal evaluator can bind
+        valid-time intervals.  SNs at or below the frontier read as
+        :data:`BASE_SN`, so insertion snapshots below the GC frontier are
+        coarsened to the base (reads *above* the frontier are exact).
+        Charge-free: the caller charges one hash probe plus a scan of the
+        visible prefix; the SN column rides along with the value scan.
         """
-        values = self._values.get(key)
-        if meter is not None:
-            meter.charge(self.cost.hash_probe_ns, category=category)
-        if values is None:
+        sns = self._sns.get(key)
+        if sns is None:
             return [], []
-        sns = values.sns
         frontier = self._frontier
-        if max_sn is None:
-            cut = len(sns)
-        else:
-            cut = bisect_right(sns, max(max_sn, frontier))
-        if meter is not None:
-            meter.charge(self.cost.scan_entry_ns, times=cut,
-                         category=category)
+        cut = len(sns) if max_sn is None \
+            else bisect_right(sns, max(max_sn, frontier))
         lo = bisect_right(sns, frontier, 0, cut)
-        return values.vids[:cut], [BASE_SN] * lo + sns[lo:cut]
+        return self._vids[key][:cut], [BASE_SN] * lo + sns[lo:cut]
 
-    def lookup_span(self, key: Key, offset: int, length: int,
-                    meter: Optional[LatencyMeter] = None,
-                    category: str = "store") -> List[int]:
+    def lookup_span(self, key: Key, offset: int, length: int) -> List[int]:
         """Read exactly ``[offset, offset + length)`` of ``key``'s value
-        list (stream-index path).
-
-        No hash probe is charged: the span's fat pointer addresses the
-        value directly (the paper's one-RDMA-read fast path).
-        """
-        values = self._values.get(key)
-        if values is None:
+        list (stream-index path).  Charge-free: the caller charges a scan
+        of ``length`` entries and no hash probe, since the span's fat
+        pointer addresses the value directly (the paper's one-RDMA-read
+        fast path)."""
+        vids = self._vids.get(key)
+        if vids is None:
             raise StoreError(f"span refers to unknown key: {key}")
         end = offset + length
-        if end > len(values.vids):
+        if end > len(vids):
             raise StoreError(
                 f"span out of bounds: ({key}, {offset}, {length}) "
-                f"(list length {len(values.vids)})")
-        if meter is not None:
-            meter.charge(self.cost.scan_entry_ns, times=length,
-                         category=category)
-        return values.vids[offset:end]
+                f"(list length {len(vids)})")
+        return vids[offset:end]
 
-    def index_vertices(self, eid: int, d: int,
-                       meter: Optional[LatencyMeter] = None,
-                       category: str = "store") -> List[int]:
-        """The local vertices registered under index ``[0|eid|d]``."""
-        vertices = self._index.get((eid, d), [])
-        if meter is not None:
-            meter.charge(self.cost.hash_probe_ns, category=category)
-            meter.charge(self.cost.scan_entry_ns, times=len(vertices),
-                         category=category)
-        return vertices
+    def index_vertices(self, eid: int, d: int) -> List[int]:
+        """The local vertices registered under index ``[0|eid|d]``.
+        Charge-free: the caller charges one hash probe plus a scan of
+        them."""
+        return self._index.get((eid, d), [])
 
     # -- introspection ------------------------------------------------------
     @property
     def num_keys(self) -> int:
-        return len(self._values)
+        return len(self._vids)
 
     @property
     def num_entries(self) -> int:
-        return sum(len(v.vids) for v in self._values.values())
-
-    def versions(self, key: Key) -> List[int]:
-        """``key``'s whole SN list as readers see it (SNs at or below
-        the frontier read as :data:`BASE_SN`); empty for an absent key."""
-        return self.lookup_versions(key)[1]
+        return sum(map(len, self._vids.values()))
 
     def segments(self, key: Key) -> int:
         """``key``'s distinct SN segments as readers see them (the
         folded prefix is one base segment); 0 for an absent key."""
-        values = self._values.get(key)
-        return 0 if values is None else values.segments(self._frontier)
+        sns = self._sns.get(key)
+        return 0 if sns is None else _segments(sns, self._frontier)
 
     def value_bytes(self, key: Key) -> int:
         """Approximate wire size of one key's value (for network pricing)."""
-        values = self._values.get(key)
-        length = len(values.vids) if values is not None else 0
-        return 16 + 8 * length
+        vids = self._vids.get(key)
+        return 16 + 8 * (len(vids) if vids is not None else 0)
 
     def iter_keys(self) -> Iterator[Key]:
-        return iter(self._values.keys())
+        return iter(self._vids)
 
     def memory_bytes(self, memory: Optional[MemoryModel] = None) -> int:
         """Modelled resident bytes of this shard (Table 7 / §6.7 accounting)."""
         model = memory if memory is not None else MemoryModel()
         frontier = self._frontier
-        total = 0
-        for values in self._values.values():
-            total += model.key_bytes
-            total += model.entry_bytes * len(values.vids)
-            total += model.sn_segment_bytes * values.segments(frontier)
+        total = model.key_bytes * len(self._vids) \
+            + model.entry_bytes * self.num_entries
+        for sns in self._sns.values():
+            total += model.sn_segment_bytes * _segments(sns, frontier)
         for vertices in self._index.values():
             total += model.key_bytes + model.entry_bytes * len(vertices)
         return total

@@ -149,13 +149,15 @@ class TestRecovery:
         engine = ft_engine()
         engine.run_until(6_000)
         shard = engine.store.shards[1]
-        keys_before = {key: shard.lookup(key) for key in shard.iter_keys()}
+        keys_before = {key: shard.lookup_versions(key)
+                       for key in shard.iter_keys()}
 
         engine.crash_node(1)
         assert engine.store.shards[1].num_keys == 0
         engine.recover_node(1)
         shard = engine.store.shards[1]
-        keys_after = {key: shard.lookup(key) for key in shard.iter_keys()}
+        keys_after = {key: shard.lookup_versions(key)
+                      for key in shard.iter_keys()}
         assert keys_after == keys_before
 
     def test_recovery_preserves_stream_index_spans(self):

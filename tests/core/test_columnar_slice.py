@@ -23,7 +23,7 @@ class _FakeShard:
     def __init__(self, values):
         self._values = values
 
-    def lookup_span(self, key, offset, length, meter=None, category="store"):
+    def lookup_span(self, key, offset, length):
         return self._values[key][offset:offset + length]
 
 

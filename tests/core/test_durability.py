@@ -267,8 +267,9 @@ class TestSaveRestore:
         for node_id in range(engine.cluster.num_nodes):
             old = engine.store.shards[node_id]
             new = revived.store.shards[node_id]
-            assert {k: old.lookup(k) for k in old.iter_keys()} == \
-                {k: new.lookup(k) for k in new.iter_keys()}
+            assert {k: old.lookup_versions(k)[0]
+                    for k in old.iter_keys()} == \
+                {k: new.lookup_versions(k)[0] for k in new.iter_keys()}
 
     def test_clock_and_vts_restored(self, checkpoint):
         engine = ft_engine()

@@ -157,7 +157,8 @@ class TestContinuousQueries:
         assert ga is not None and t15 is not None
         from repro.rdf.ids import DIR_OUT, make_key
         for shard in engine.store.shards:
-            assert shard.lookup(make_key(t15, ga, DIR_OUT)) == []
+            assert shard.lookup_versions(
+                make_key(t15, ga, DIR_OUT))[0] == []
 
     def test_timing_patterns_query_transient_store(self):
         engine = build_engine()

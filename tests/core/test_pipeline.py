@@ -161,7 +161,8 @@ class TestInjector:
                     != [] for t in transients["S"])
         assert total == 1
         owner = cluster.owner_of(t15)
-        assert store.shards[owner].lookup(make_key(t15, ga, DIR_OUT)) == []
+        assert store.shards[owner].lookup_versions(
+            make_key(t15, ga, DIR_OUT))[0] == []
 
     def test_spans_collected_into_index_slice(self):
         cluster, strings, store, transients, injectors = self.build()
@@ -191,8 +192,10 @@ class TestInjector:
         self.inject_all(single[0], single[1], single[4])
         self.inject_all(multi_cluster, m_strings, multi_injectors)
         s_shard, m_shard = single[2].shards[0], m_store.shards[0]
-        assert {k: sorted(s_shard.lookup(k)) for k in s_shard.iter_keys()} \
-            == {k: sorted(m_shard.lookup(k)) for k in m_shard.iter_keys()}
+        assert {k: sorted(s_shard.lookup_versions(k)[0])
+                for k in s_shard.iter_keys()} \
+            == {k: sorted(m_shard.lookup_versions(k)[0])
+                for k in m_shard.iter_keys()}
 
     def test_multithreaded_injection_is_faster(self):
         from repro.core.adaptor import Adaptor
@@ -227,5 +230,6 @@ class TestInjector:
         logan = strings.entity_id("Logan")
         po = strings.predicate_id("po")
         shard = store.shards[0]
-        assert shard.lookup(make_key(logan, po, DIR_OUT), max_sn=6) == []
-        assert shard.lookup(make_key(logan, po, DIR_OUT), max_sn=7) != []
+        key = make_key(logan, po, DIR_OUT)
+        assert shard.lookup_versions(key, max_sn=6)[0] == []
+        assert shard.lookup_versions(key, max_sn=7)[0] != []

@@ -81,6 +81,33 @@ def test_gather_index_sees_everything():
     assert set(gathered) == {strings.entity_id(s) for s in "ace"}
 
 
+def test_index_reads_charge_a_probe_per_shard_and_a_scan():
+    """The shard prices no index read: ``local_index`` charges one hash
+    probe plus a scan of its portion, ``gather_index`` one probe per
+    shard, a scan of every vertex and a remote read per non-empty
+    remote portion."""
+    cluster, strings, store = build(num_nodes=3)
+    load_triples(store, parse_triples("a p b .\nc p d .\ne p f .\ng p h ."))
+    p = strings.predicate_id("p")
+    cost = cluster.cost
+    parts = []
+    for node_id in range(3):
+        meter = LatencyMeter()
+        parts.append(store.local_index(node_id, p, DIR_OUT, meter))
+        assert meter.ns == cost.hash_probe_ns \
+            + cost.scan_entry_ns * len(parts[-1])
+    got, want = LatencyMeter(), LatencyMeter()
+    gathered = store.gather_index(0, p, DIR_OUT, got)
+    want.charge(cost.hash_probe_ns, times=3, category="store")
+    want.charge(cost.scan_entry_ns, times=4, category="store")
+    for part in parts[1:]:
+        if part:
+            cluster.fabric.remote_read(want, 16 + 8 * len(part),
+                                       category="network")
+    assert gathered == parts[0] + parts[1] + parts[2]
+    assert got.breakdown_ps == want.breakdown_ps
+
+
 def test_persistent_access_snapshot_bound():
     cluster, strings, store = build(num_nodes=1)
     load_triples(store, parse_triples("a p b ."))

@@ -57,8 +57,8 @@ def _reference_read(store, home, vids, eid, d, meter, max_sn):
         owner = store.cluster.owner_of(vid)
         shard = store.shards[owner]
         key = make_key(vid, eid, d)
-        visible = shard.lookup(key, max_sn=max_sn)
-        total = len(shard._values[key].vids) if key in shard._values else 0
+        visible = shard.lookup_versions(key, max_sn=max_sn)[0]
+        total = len(shard.lookup_versions(key)[0])
         cache = shard._adjacency
         entry = cache.get(key)
         # The cache records the read's effective bound: max_sn raised to
@@ -86,7 +86,10 @@ def _reference_read(store, home, vids, eid, d, meter, max_sn):
 
 
 def _reference_versions(store, home, vids, eid, d, meter, max_sn):
+    """The per-key version read, with the same per-key charges as
+    :func:`_reference_read` (the SN column rides along with the scan)."""
     fabric = store.cluster.fabric
+    cost = store.cluster.cost
     out = {}
     for vid in vids:
         if vid in out:
@@ -98,7 +101,10 @@ def _reference_versions(store, home, vids, eid, d, meter, max_sn):
             fabric.remote_read(meter, _KEY_BYTES, category="network")
             fabric.remote_read(meter, shard.value_bytes(key),
                                category="network")
-        out[vid] = shard.lookup_versions(key, max_sn=max_sn, meter=meter)
+        found = out[vid] = shard.lookup_versions(key, max_sn=max_sn)
+        meter.charge(cost.hash_probe_ns, category="store")
+        meter.charge(cost.scan_entry_ns, times=len(found[0]),
+                     category="store")
     return out
 
 

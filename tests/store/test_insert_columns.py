@@ -61,8 +61,7 @@ def as_columns(triples):
 
 def shard_state(shard):
     """Every key's values and SNs, and every index vertex, of one shard."""
-    values = {key: (shard.lookup(key), shard.versions(key))
-              for key in shard.iter_keys()}
+    values = {key: shard.lookup_versions(key) for key in shard.iter_keys()}
     index = {(eid, d): shard.index_vertices(eid, d)
              for eid in _EIDS for d in (DIR_OUT, DIR_IN)}
     return values, index

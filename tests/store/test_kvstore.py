@@ -6,10 +6,18 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.access import WindowAccess
+from repro.core.stream_index import (ColumnarSlice, IndexSlice,
+                                     StreamIndexRegistry)
+from repro.core.transient import TransientStore
 from repro.errors import StoreError
 from repro.rdf.ids import DIR_IN, DIR_OUT, make_key, split_key
+from repro.rdf.string_server import StringServer
+from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter, MemoryModel
+from repro.store.distributed import DistributedStore
 from repro.store.kvstore import BASE_SN, ShardStore
+from repro.streams.stream import StreamSchema
 
 KEY = make_key(1, 4, DIR_OUT)
 
@@ -25,11 +33,11 @@ def test_insert_and_lookup():
     shard = ShardStore()
     put(shard, KEY, 5)
     put(shard, KEY, 6)
-    assert shard.lookup(KEY) == [5, 6]
+    assert shard.lookup_versions(KEY)[0] == [5, 6]
 
 
 def test_lookup_missing_key_is_empty():
-    assert ShardStore().lookup(KEY) == []
+    assert ShardStore().lookup_versions(KEY) == ([], [])
 
 
 def test_snapshot_visibility():
@@ -37,10 +45,10 @@ def test_snapshot_visibility():
     put(shard, KEY, 5, sn=0)
     put(shard, KEY, 6, sn=1)
     put(shard, KEY, 7, sn=2)
-    assert shard.lookup(KEY, max_sn=0) == [5]
-    assert shard.lookup(KEY, max_sn=1) == [5, 6]
-    assert shard.lookup(KEY, max_sn=2) == [5, 6, 7]
-    assert shard.lookup(KEY, max_sn=None) == [5, 6, 7]
+    assert shard.lookup_versions(KEY, max_sn=0)[0] == [5]
+    assert shard.lookup_versions(KEY, max_sn=1)[0] == [5, 6]
+    assert shard.lookup_versions(KEY, max_sn=2)[0] == [5, 6, 7]
+    assert shard.lookup_versions(KEY, max_sn=None)[0] == [5, 6, 7]
 
 
 def test_sn_order_enforced_per_key():
@@ -68,14 +76,14 @@ def test_refused_column_writes_nothing():
     # Below the high-water SN, a column whose keys are all in order is
     # still accepted.
     shard.append_column([k1], [10], sn=3)
-    assert shard.lookup(k1) == [10]
+    assert shard.lookup_versions(k1)[0] == [10]
 
 
 def test_same_sn_appends_fine():
     shard = ShardStore()
     put(shard, KEY, 5, sn=2)
     put(shard, KEY, 6, sn=2)
-    assert shard.lookup(KEY, max_sn=2) == [5, 6]
+    assert shard.lookup_versions(KEY, max_sn=2)[0] == [5, 6]
 
 
 def test_spans_address_exact_entries():
@@ -102,11 +110,11 @@ def test_compaction_folds_old_snapshots():
     put(shard, KEY, 7, sn=3)
     shard.compact(2)
     # Visibility at or above the bound is unchanged...
-    assert shard.lookup(KEY, max_sn=2) == [5, 6]
-    assert shard.lookup(KEY, max_sn=3) == [5, 6, 7]
+    assert shard.lookup_versions(KEY, max_sn=2)[0] == [5, 6]
+    assert shard.lookup_versions(KEY, max_sn=3)[0] == [5, 6, 7]
     # ...and everything at or below the bound became base-visible.
-    assert shard.lookup(KEY, max_sn=0) == [5, 6]
-    assert shard.versions(KEY) == [BASE_SN, BASE_SN, 3]
+    assert shard.lookup_versions(KEY, max_sn=0)[0] == [5, 6]
+    assert shard.lookup_versions(KEY)[1] == [BASE_SN, BASE_SN, 3]
 
 
 def test_compaction_preserves_spans():
@@ -136,20 +144,39 @@ def _relabelled_memory(reference, shard):
                         for vertices in shard._index.values())
 
 
+#: Every key ``_COLUMN`` can write, written yet or not (a cached absent
+#: key must be invalidated by its first write too).  Each ``lookup_many``
+#: reads five of them, a window sliding by one key per call over the
+#: pool: with four cache entries, a call hits the four keys the last one
+#: read last (at the last call's bound), misses one and evicts one.
+_POOL = [make_key(vid, eid, DIR_OUT) for vid in range(1, 5)
+         for eid in range(2)]
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.lists(st.one_of(_APPEND, _BASE, _COMPACT), max_size=40))
 def test_compaction_matches_relabelling_reference(ops):
     """Random columns mixed with ``compact(bound)``, checked after every
-    step against a reference that rewrites each SN <= bound to the base
-    at every compaction: ``lookup`` and ``lookup_versions`` at bounds
-    below, at and above the frontier, ``versions``, ``segments`` and
-    ``memory_bytes`` read the same.  The write rule too: a column
-    strictly between the base and the frontier is refused, and so is a
-    base column holding a key whose last SN is above the frontier; any
-    other base column is accepted and reads as the base."""
-    shard = ShardStore()
+    step against a plain dict-of-lists reference built from the written
+    columns (never from the store) that rewrites each SN <= bound to the
+    base at every compaction.  Every shard read agrees with it:
+    ``lookup_versions`` and ``lookup_many`` at bounds below, at and
+    above the frontier (``lookup_many`` through a four-entry adjacency
+    cache, over the bounds up and back down, so entries are hit at their
+    own bound and across bounds, evicted and invalidated by writes),
+    ``lookup_span``
+    over every span ``append_column`` returned, ``segments``,
+    ``degree``, ``num_keys``, ``num_entries`` and ``memory_bytes``.
+    The write rule too: a column strictly between the base and the
+    frontier is refused, and so is a base column holding a key whose
+    last SN is above the frontier; any other base column is accepted
+    and reads as the base."""
+    shard = ShardStore(adjacency_capacity=4)
     reference = {}
+    #: (span, the vids its column wrote to its key) per accepted write.
+    spans = []
     sn = frontier = BASE_SN
+    turn = 0
     for op in ops:
         if op[0] == "compact":
             bound = sn - op[1]
@@ -171,22 +198,49 @@ def test_compaction_matches_relabelling_reference(ops):
                 with pytest.raises(StoreError):
                     shard.append_column(keys, vids, sn=write_sn)
             else:
-                shard.append_column(keys, vids, sn=write_sn)
+                written = shard.append_column(keys, vids, sn=write_sn)
+                groups = {}
                 for key, vid in zip(keys, vids):
+                    groups.setdefault(key, []).append(vid)
+                want = []
+                for key, group in groups.items():
                     held = reference.setdefault(key, ([], []))
-                    held[0].append(vid)
-                    held[1].append(write_sn)
+                    want.append((key, len(held[0]), len(group)))
+                    held[0].extend(group)
+                    held[1].extend([write_sn] * len(group))
+                assert written == want
+                spans += zip(written, groups.values())
         bounds = [None, BASE_SN,
                   *range(max(BASE_SN + 1, frontier - 2), sn + 2)]
+
+        def cut(sns, max_sn):
+            return len(sns) if max_sn is None else bisect_right(sns, max_sn)
+
         for key, (vids, sns) in reference.items():
-            assert shard.versions(key) == sns
             assert shard.segments(key) == len(set(sns))
             for max_sn in bounds:
-                cut = len(sns) if max_sn is None \
-                    else bisect_right(sns, max_sn)
-                assert shard.lookup(key, max_sn) == vids[:cut]
+                at = cut(sns, max_sn)
                 assert shard.lookup_versions(key, max_sn) == \
-                    (vids[:cut], sns[:cut])
+                    (vids[:at], sns[:at])
+        empty = ([], [])
+        for max_sn in bounds + bounds[::-1]:
+            turn = (turn + 1) % len(_POOL)
+            keys = (_POOL * 2)[turn:turn + 5]
+            entries = [reference.get(key, empty) for key in keys]
+            want = [vids[:cut(sns, max_sn)] for vids, sns in entries]
+            assert shard.lookup_many(keys, max_sn) == (
+                want, sum(map(len, want)),
+                16 * len(keys) + 8 * sum(len(vids) for vids, _ in entries))
+        for span, group in spans:
+            assert shard.lookup_span(*span) == group
+        for key in _POOL:
+            vid, eid, d = split_key(key)
+            held = reference.get(key)
+            assert shard.degree(eid, d, vid) == \
+                (None if held is None else len(held[0]))
+        assert shard.num_keys == len(reference)
+        assert shard.num_entries == sum(
+            len(vids) for vids, _ in reference.values())
         assert shard.memory_bytes() == _relabelled_memory(reference, shard)
 
 
@@ -205,13 +259,12 @@ def test_compaction_writes_no_sn_list():
     never has an SN rewritten: readers apply the frontier."""
     shard = ShardStore()
     shard.append_column([KEY] * 50_000, list(range(50_000)))
-    values = shard._values[KEY]
-    values.sns = counter = _SliceWriteCounter(values.sns)
+    shard._sns[KEY] = counter = _SliceWriteCounter(shard._sns[KEY])
     for t in range(1, 201):
         put(shard, KEY, t, sn=t)
         shard.compact(t - 1)
     assert counter.written == 0
-    assert shard.versions(KEY) == [BASE_SN] * 50_199 + [200]
+    assert shard.lookup_versions(KEY)[1] == [BASE_SN] * 50_199 + [200]
     assert shard.segments(KEY) == 2
 
 
@@ -260,7 +313,7 @@ def _derived_statistics(shard):
     for key in shard.iter_keys():
         vid, eid, d = split_key(key)
         vertices[(eid, d)].append(vid)
-        entries[(eid, d)] += len(shard.lookup(key))
+        entries[(eid, d)] += len(shard.lookup_versions(key)[0])
     return {group: (vertices[group], len(vertices[group]), entries[group])
             for group in _GROUPS}
 
@@ -304,21 +357,44 @@ def test_index_vertices_follow_key_creation(ops):
 
 
 def test_costs_charged_on_lookup():
-    shard = ShardStore()
-    put(shard, KEY, 5)
-    put(shard, KEY, 6)
-    meter = LatencyMeter()
-    shard.lookup(KEY, meter=meter)
-    expected = shard.cost.hash_probe_ns + 2 * shard.cost.scan_entry_ns
-    assert meter.ns == expected
+    """The shard prices no read; the persistent store's reader charges
+    one hash probe per distinct key plus a scan of its visible prefix,
+    for value and version reads alike."""
+    cluster = Cluster(num_nodes=1)
+    store = DistributedStore(cluster, StringServer())
+    store.shards[0].append_column([KEY, KEY], [5, 6])
+    vid, eid, d = split_key(KEY)
+    cost = cluster.cost
+    for read in (store.neighbors_many, store.neighbors_versions_batch):
+        meter = LatencyMeter()
+        read(0, [vid, vid], eid, d, meter)
+        assert meter.ns == cost.hash_probe_ns + 2 * cost.scan_entry_ns
 
 
 def test_span_read_skips_hash_probe():
-    shard = ShardStore()
-    span = put(shard, KEY, 5)
+    """A window read reaches the entries through the stream index's
+    span: its reader charges an index probe per live slice and a scan of
+    the span, and no hash probe of the key."""
+    cluster = Cluster(num_nodes=1)
+    strings = StringServer()
+    store = DistributedStore(cluster, strings)
+    registry = StreamIndexRegistry()
+    index = registry.create_stream("S")
+    u, po = strings.entity_id("u"), strings.predicate_id("po")
+    piece = IndexSlice(1)
+    piece.add_batch_spans(0, store.shards[0].append_column(
+        [make_key(u, po, DIR_OUT)] * 2, [7, 8], sn=1))
+    index.append_slice(piece)
+    access = WindowAccess(
+        cluster=cluster, store=store, strings=strings, registry=registry,
+        stream_schema=StreamSchema("S", frozenset()),
+        transients=[TransientStore("S")],
+        view=ColumnarSlice(index, store).advance(1, 1),
+        force_local_index=True)
     meter = LatencyMeter()
-    shard.lookup_span(*span, meter=meter)
-    assert meter.ns == shard.cost.scan_entry_ns
+    assert access.neighbors(u, po, DIR_OUT, meter) == [7, 8]
+    cost = cluster.cost
+    assert meter.ns == cost.index_probe_ns + 2 * cost.scan_entry_ns
 
 
 def test_memory_accounting_counts_segments():
@@ -349,7 +425,7 @@ def test_visibility_is_monotonic_in_sn(entries):
         put(shard, KEY, vid, sn=sn)
     previous = []
     for sn in range(0, 7):
-        visible = shard.lookup(KEY, max_sn=sn)
+        visible = shard.lookup_versions(KEY, max_sn=sn)[0]
         assert visible[:len(previous)] == previous
         previous = visible
     assert previous == [vid for _, vid in entries]
@@ -373,8 +449,8 @@ def _state(shard):
     """Everything a column write leaves behind, dict orders included."""
     buckets = [(eid, d) for eid in range(3) for d in (DIR_IN, DIR_OUT)]
     return {
-        "values": [(key, entry.vids, entry.sns)
-                   for key, entry in shard._values.items()],
+        "vids": list(shard._vids.items()),
+        "sns": list(shard._sns.items()),
         "index": list(shard._index.items()),
         "entries": [shard.predicate_entries(*b) for b in buckets],
         "keys": [shard.predicate_keys(*b) for b in buckets],
