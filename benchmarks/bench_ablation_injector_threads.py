@@ -22,10 +22,7 @@ def run_experiment():
     out = {}
     for threads in THREADS:
         engine = build_wukongs(bench, num_nodes=4, duration_ms=DURATION_MS,
-                               rate_scale=rate)
-        engine.config.injector_threads = threads
-        for injector in engine.injectors:
-            injector.threads = threads
+                               rate_scale=rate, injector_threads=threads)
         engine.run_until(DURATION_MS)
         records = [r for r in engine.injection_records
                    if r.stream == "PO_L" and r.num_tuples > 0]

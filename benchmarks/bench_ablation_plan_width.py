@@ -21,8 +21,8 @@ def run_experiment():
     bench = large_lsbench()
     out = {}
     for width in WIDTHS:
-        engine = build_wukongs(bench, num_nodes=4, duration_ms=DURATION_MS)
-        engine.coordinator.plan_width = width
+        engine = build_wukongs(bench, num_nodes=4, duration_ms=DURATION_MS,
+                               plan_width=width)
         engine.run_until(DURATION_MS)
         stable_vts = engine.coordinator.stable_vts()
         plan = engine.coordinator.plan

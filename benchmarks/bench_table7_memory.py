@@ -18,10 +18,10 @@ DURATION_MS = 6_000
 
 def run_experiment():
     bench = large_lsbench()
-    engine = build_wukongs(bench, num_nodes=8, duration_ms=DURATION_MS)
-    # Register one consumer per indexed stream so each index has exactly
-    # one replica, then keep GC off the measurement horizon.
-    engine.config.gc_every_ticks = 0
+    # Keep GC off the measurement horizon, and register one consumer per
+    # indexed stream so each index has exactly one replica.
+    engine = build_wukongs(bench, num_nodes=8, duration_ms=DURATION_MS,
+                           gc_every_ticks=0)
     for name in ("L1", "L3", "L6"):
         engine.register_continuous(bench.continuous_query(name))
     engine.run_until(DURATION_MS)

@@ -89,7 +89,17 @@
 # shard's two dicts) with the shard's priced reads (no def looku[p]( or
 # def version[s]( in src/repro/store/kvstore.py: the shard's reads are
 # lookup_many, lookup_versions, lookup_span and index_vertices, all
-# charge-free; DistributedStore and ColumnarSlice's readers price them)
+# charge-free; DistributedStore and ColumnarSlice's readers price them),
+# and the store accesses' second jobs (term resolution resolve_entit[y] /
+# resolve_predicat[e] — the explorer resolves every term through its
+# required string server, so the no-strings refusals and
+# _CompiledPlan.reads_name[s] are gone too — the single-vid
+# def neighbor[s]( beside neighbors_many, and the second index read
+# index_vertices_loca[l] with the explorer's _index_subject[s] switch:
+# index_vertices takes an owner), the close path's never-hit reuse
+# (RegisteredQuery.access_cach[e]) and what only tests read or set
+# (SharedEntry.fanned_ou[t], ClientLibrary's include_networ[k], and the
+# window helpers next_execution_m[s] and expiry_floor_m[s])
 # have not come back.
 # A test marked both serving and chaos runs in the chaos stage only.
 #
@@ -146,7 +156,7 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list, the settings only tests set, skip postings and index-member sets, the row round trip between executor and client, the per-triple static-data path, disconnect_tenan[t] and remove_tenan[t], column kinds by variable name and the second interval evaluator, per-tuple batching on the queue path, the second counter walk and the serving layer's registry, the per-key value object and the shard's priced reads) =="
+echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list, the settings only tests set, skip postings and index-member sets, the row round trip between executor and client, the per-triple static-data path, disconnect_tenan[t] and remove_tenan[t], column kinds by variable name and the second interval evaluator, per-tuple batching on the queue path, the second counter walk and the serving layer's registry, the per-key value object and the shard's priced reads, term resolution and single-vid and per-owner reads in the accesses, the close path's access cache, and what only tests used) =="
 # ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
 if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts; \
         then exit 1; fi
@@ -215,6 +225,11 @@ if grep -rn 'MetricsRegistr[y]\|self\.metric[s]' src/repro/serving; \
 if grep -rn '_ValueLis[t]' src scripts tests; then exit 1; fi
 if grep -n 'def looku[p](\|def version[s](' src/repro/store/kvstore.py; \
         then exit 1; fi
+if grep -rn 'resolve_entit[y]\|resolve_predicat[e]\|index_vertices_loca[l]\|_index_subject[s]\|access_cach[e]\|reads_name[s]\|fanned_ou[t]' \
+        src scripts tests; then exit 1; fi
+if grep -rn 'def neighbor[s](' src; then exit 1; fi
+if grep -rn 'include_networ[k]\|next_execution_m[s]\|expiry_floor_m[s]' \
+        src scripts tests examples; then exit 1; fi
 
 echo "== examples (every walkthrough runs to completion) =="
 for example in examples/*.py; do

@@ -40,16 +40,6 @@ class _TimestampedWindowAccess:
         self.end_ms = end_ms
         self.home_node = home_node
 
-    def resolve_entity(self, name: str) -> Optional[int]:
-        return self.engine.strings.lookup_entity(name)
-
-    def resolve_predicate(self, name: str) -> Optional[int]:
-        return self.engine.strings.lookup_predicate(name)
-
-    def neighbors(self, vid: int, eid: int, d: int,
-                  meter: LatencyMeter) -> List[int]:
-        return self.neighbors_many((vid,), eid, d, meter)[vid]
-
     def neighbors_many(self, starts: Iterable[int], eid: int, d: int,
                        meter: LatencyMeter) -> Dict[int, List[int]]:
         """Scan each distinct start's whole value list, keeping in-window
@@ -73,17 +63,16 @@ class _TimestampedWindowAccess:
                          category="ts-filter")
         return fetched
 
-    def index_vertices(self, eid: int, d: int,
-                       meter: LatencyMeter) -> List[int]:
-        """No windowed index exists: enumerate every vertex ever seen."""
-        return self.engine.store.gather_index(self.home_node, eid, d, meter)
-
-    def index_vertices_local(self, eid: int, d: int, node_id: int,
-                             meter: LatencyMeter) -> List[int]:
-        """The vertices of :meth:`index_vertices` owned by ``node_id``."""
+    def index_vertices(self, eid: int, d: int, meter: LatencyMeter,
+                       owner: Optional[int] = None) -> List[int]:
+        """No windowed index exists: enumerate every vertex ever seen
+        (gathered whole; ``owner`` keeps the ones that node owns)."""
+        vertices = self.engine.store.gather_index(self.home_node, eid, d,
+                                                  meter)
+        if owner is None:
+            return vertices
         owner_of = self.engine.cluster.owner_of
-        return [vid for vid in self.index_vertices(eid, d, meter)
-                if owner_of(vid) == node_id]
+        return [vid for vid in vertices if owner_of(vid) == owner]
 
 
 class WukongExtEngine:

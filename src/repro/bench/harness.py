@@ -36,16 +36,15 @@ Bench = object
 def build_wukongs(bench: Bench, num_nodes: int, duration_ms: int,
                   batch_interval_ms: int = 100,
                   rate_scale: Optional[float] = None,
-                  use_rdma: bool = True,
-                  fault_tolerance: bool = False,
-                  scalarization: bool = True,
-                  adaptive_replan: bool = False) -> WukongSEngine:
-    """A Wukong+S engine loaded with the bench's static data and sources."""
-    config = EngineConfig(
-        num_nodes=num_nodes, use_rdma=use_rdma,
-        batch_interval_ms=batch_interval_ms,
-        fault_tolerance=fault_tolerance, scalarization=scalarization,
-        adaptive_replan=adaptive_replan)
+                  **settings) -> WukongSEngine:
+    """A Wukong+S engine loaded with the bench's static data and sources.
+
+    ``settings`` are further :class:`EngineConfig` fields (``use_rdma``,
+    ``plan_width``, ``injector_threads``, ``gc_every_ticks``, ...): the
+    engine reads them at construction, so set them here, not afterwards.
+    """
+    config = EngineConfig(num_nodes=num_nodes,
+                          batch_interval_ms=batch_interval_ms, **settings)
     engine = WukongSEngine(schemas=bench.schemas(), config=config)
     engine.load_static(bench.static_triples())
     if rate_scale is not None:

@@ -15,9 +15,9 @@ client-side responsibilities of §3:
   subscriptions a proxy pool multiplexes onto one backing query
   (:class:`SharedDecodes`).
 
-Latencies reported to the client optionally include the client<->server
-round trip (``include_network``); the paper's tables report server-side
-latency, which remains available as ``server_latency_ms``.
+Latencies reported to the client include the client<->server round trip;
+the paper's tables report server-side latency, which remains available as
+``server_latency_ms``.
 """
 
 from __future__ import annotations
@@ -180,11 +180,9 @@ class ClientSubscription:
 class ClientLibrary:
     """One client's connection to the engine."""
 
-    def __init__(self, engine: WukongSEngine, client_id: str = "client0",
-                 include_network: bool = True):
+    def __init__(self, engine: WukongSEngine, client_id: str = "client0"):
         self.engine = engine
         self.client_id = client_id
-        self.include_network = include_network
         self.cache = ProcedureCache()
         #: Constants already resolved to IDs (bounded: forgetting one
         #: costs one more counted round trip, nothing simulated).
@@ -278,13 +276,11 @@ class ClientLibrary:
     def _deliver(self, result, rows: List[Tuple[object, ...]], meter,
                  snapshot: int) -> ClientResult:
         """One client's copy of an answer, with the latency it saw: the
-        server's reading plus, with ``include_network``, one client round
-        trip priced by the fabric."""
+        server's reading plus one client round trip priced by the
+        fabric."""
         server_ps = meter.ps
-        client_ps = server_ps
-        if self.include_network:
-            payload = _REQUEST_BYTES + _ROW_BYTES * len(result)
-            client_ps += self.engine.cluster.fabric.message_ps(payload)
+        payload = _REQUEST_BYTES + _ROW_BYTES * len(result)
+        client_ps = server_ps + self.engine.cluster.fabric.message_ps(payload)
         return ClientResult(
             columns=list(result.variables), rows=rows,
             server_latency_ms=server_ps / 1_000_000_000,

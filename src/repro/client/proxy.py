@@ -101,8 +101,7 @@ class Proxy:
                  seed: int = 0):
         self.proxy_id = proxy_id
         self.affinity_node = affinity_node
-        self.library = ClientLibrary(engine, client_id=f"proxy{proxy_id}",
-                                     include_network=True)
+        self.library = ClientLibrary(engine, client_id=f"proxy{proxy_id}")
         self.policy = policy if policy is not None else RetryPolicy()
         # One set of counters per proxy: the library counts its decodes
         # straight into the proxy's stats.

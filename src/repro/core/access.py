@@ -92,16 +92,6 @@ class WindowAccess:
         return timing
 
     # -- StoreAccess protocol ------------------------------------------------
-    def resolve_entity(self, name: str) -> Optional[int]:
-        return self.strings.lookup_entity(name)
-
-    def resolve_predicate(self, name: str) -> Optional[int]:
-        return self.strings.lookup_predicate(name)
-
-    def neighbors(self, vid: int, eid: int, d: int,
-                  meter: LatencyMeter) -> List[int]:
-        return self.neighbors_many((vid,), eid, d, meter)[vid]
-
     def neighbors_many(self, starts: Iterable[int], eid: int, d: int,
                        meter: LatencyMeter) -> Dict[int, List[int]]:
         """Neighbour lists for every distinct start, keyed by start.
@@ -197,9 +187,18 @@ class WindowAccess:
         return all(col is None or col.is_distinct()
                    for col in last[1].values())
 
-    def index_vertices(self, eid: int, d: int,
-                       meter: LatencyMeter) -> List[int]:
+    def index_vertices(self, eid: int, d: int, meter: LatencyMeter,
+                       owner: Optional[int] = None) -> List[int]:
+        """The window's start vertices, or those ``owner`` holds.
+
+        Fork-join/migrate branches partition the start set by owner; the
+        stream index is consulted once (it is replicated where needed),
+        so only a whole-window read pays the index-locality read.
+        """
         if self._is_timing(eid):
+            if owner is not None:
+                return self.transients[owner].vertices(
+                    eid, d, self.first_batch, self.last_batch, meter=meter)
             out: List[int] = []
             seen = set()
             for node_id, transient in enumerate(self.transients):
@@ -213,35 +212,25 @@ class WindowAccess:
                         seen.add(vertex)
                         out.append(vertex)
             return out
-        self._charge_index_locality(meter)
-        out, scanned = self.view.vertices(eid, d)
-        self._charge_vertices(meter, scanned)
-        return list(out)  # the cached column is shared; callers own a copy
-
-    def index_vertices_local(self, eid: int, d: int, node_id: int,
-                             meter: LatencyMeter) -> List[int]:
-        """The window's start vertices owned by ``node_id``.
-
-        Fork-join/migrate branches partition the start set by owner; the
-        stream index is consulted once (it is replicated where needed).
-        """
-        if self._is_timing(eid):
-            return self.transients[node_id].vertices(
-                eid, d, self.first_batch, self.last_batch, meter=meter)
+        if owner is None and not self._index_local:
+            # A non-replicated index costs one extra remote read per
+            # access — exactly the read that locality-aware replication
+            # removes (§4.2).
+            self.cluster.fabric.remote_read(meter, _PROBE_BYTES,
+                                            category="network")
         vertices, scanned = self.view.vertices(eid, d)
-        self._charge_vertices(meter, scanned)
-        owner_of = self.cluster.owner_of
-        return [vid for vid in vertices if owner_of(vid) == node_id]
-
-    def _charge_vertices(self, meter: LatencyMeter, scanned: int) -> None:
-        """Charge one start-column read: a probe per live slice in the
-        range plus a scan of every member those slices list."""
+        # One start-column read: a probe per live slice in the range
+        # plus a scan of every member those slices list.
         probes = self.view.probes
         if probes:
             meter.charge(self._cost.index_probe_ns, times=probes,
                          category="store")
             meter.charge(self._cost.scan_entry_ns, times=scanned,
                          category="store")
+        if owner is None:
+            return list(vertices)  # the cached column is shared
+        owner_of = self.cluster.owner_of
+        return [vid for vid in vertices if owner_of(vid) == owner]
 
     # -- paths -----------------------------------------------------------------
     def _timing_neighbors(self, vid: int, eid: int, d: int,
@@ -253,10 +242,3 @@ class WindowAccess:
                                             category="network")
         return self.transients[owner].lookup(
             vid, eid, d, self.first_batch, self.last_batch, meter=meter)
-
-    def _charge_index_locality(self, meter: LatencyMeter) -> None:
-        """A non-replicated index costs one extra remote read per access —
-        exactly the read that locality-aware replication removes (§4.2)."""
-        if not self._index_local:
-            self.cluster.fabric.remote_read(meter, _PROBE_BYTES,
-                                            category="network")

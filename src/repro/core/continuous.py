@@ -89,9 +89,6 @@ class RegisteredQuery:
     closes_at_last_check: int = 0
     closes_at_last_swap: Optional[int] = None
     executions: List[ExecutionRecord] = field(default_factory=list)
-    #: ``(cache key, factory)`` of the last access factory built; reused
-    #: while the stable SN and every window's batch range stand still.
-    access_cache: Optional[tuple] = None
     #: Per-stream columnar window views (the incremental window-delta
     #: cache): each close advances the view by the window step, reusing
     #: the previous close's columns.  Batch path only; wall-clock-only.
@@ -317,27 +314,15 @@ class ContinuousEngine:
         Distributed modes (fork-join / migrate) resolve accesses at other
         nodes; the stream index is available wherever a branch runs (it is
         replicated on demand, §4.2), so every node's window access treats
-        the index as local.
-
-        The factory (and the per-node accesses it memoizes) is cached on
-        the registered query and reused while the stable SN and every
-        window's batch range are unchanged — under that key the visible
-        data is identical, and construction charges no simulated time, so
-        reuse is free of simulated-time effects.  ``crash_node`` swaps
-        shard/transient list elements in place, so captured references
-        stay valid across failures.
+        the index as local.  The factory memoizes one resolver per node
+        for this execution.
         """
-        ranges = {stream: planner.batch_range(close_ms)
-                  for stream, planner in registered.planners.items()}
-        key = (stable_sn, tuple(sorted(ranges.items())))
-        cached = registered.access_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
         # Advance each stream's columnar view to this close's range: the
         # incremental window delta appends the newly closed batches and
         # drops the expired prefix, keeping every other cached column.
         views: Dict[str, ColumnarSlice] = {}
-        for stream, (first, last) in ranges.items():
+        for stream, planner in registered.planners.items():
+            first, last = planner.batch_range(close_ms)
             view = registered.window_views.get(stream)
             if view is None:
                 view = registered.window_views[stream] = ColumnarSlice(
@@ -372,5 +357,4 @@ class ContinuousEngine:
             cache[node_id] = resolver
             return resolver
 
-        registered.access_cache = (key, factory)
         return factory

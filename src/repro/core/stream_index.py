@@ -325,9 +325,6 @@ class ColumnarSlice:
         newly closed batches.  A range that shares no slice with the
         previous one resets the view and rebuilds lazily.
         """
-        if first_batch == self.first_batch \
-                and last_batch == self.last_batch:
-            return self  # access-cache reuse: nothing moved
         fresh = self.index.slices_in(first_batch, last_batch)
         old = self._segments
         kept = 0
@@ -383,11 +380,6 @@ class ColumnarSlice:
         for key in keys:
             col = columns[key]
             counts = col.batch_counts
-            if not counts or counts[0][0] != piece.batch_no:
-                # Defensive: unexpected shape — rebuild lazily.
-                del columns[key]
-                self.evictions += 1
-                continue
             drop = counts[0][1]
             del counts[0]
             if not counts:

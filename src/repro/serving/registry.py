@@ -47,8 +47,6 @@ class SharedEntry:
     subscribers: List[object] = field(default_factory=list)
     #: Executions already fanned out to subscribers (delivery cursor).
     delivered: int = 0
-    #: Subscriber results delivered through this entry so far.
-    fanned_out: int = 0
     #: Decoded rows of the latest executions, shared by the subscribers
     #: (sharing covers the decode as well as the evaluation).
     decodes: SharedDecodes = field(default_factory=SharedDecodes)

@@ -318,7 +318,6 @@ class ServingLayer:
             entry.delivered = len(executions)
             self.closes_evaluated += len(fresh)
             fanout = entry.num_subscribers
-            entry.fanned_out += len(fresh) * fanout
             self.results_delivered += len(fresh) * fanout
             self.executions_saved += len(fresh) * (fanout - 1)
             latencies = [record.meter.ns for record in fresh]

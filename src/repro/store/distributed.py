@@ -35,40 +35,28 @@ _KEY_BYTES = 32
 
 
 class StoreAccess(Protocol):
-    """What the graph explorer needs from a data source.
+    """What the graph explorer reads from a data source: two reads, on
+    ids the explorer has already resolved.
 
-    Implementations exist for the persistent store (here), for stream
-    windows via the stream index (``repro.core.stream_index``), and for the
-    transient store (``repro.core.transient``).
+    Implementations: :class:`PersistentAccess` (here) for stored data,
+    ``repro.core.access.WindowAccess`` for a stream window (timeless
+    predicates through its columnar view of the stream index, timing
+    ones from the transient store), and the Wukong/Ext baseline's
+    timestamp-filtering window access.  A persistent access also reads
+    version chains (``neighbors_versions_batch``) for quintuple steps.
     """
-
-    def resolve_entity(self, name: str) -> Optional[int]:
-        """vid for a constant term, or None if the term is unknown."""
-        ...
-
-    def resolve_predicate(self, name: str) -> Optional[int]:
-        """eid for a predicate, or None if unknown."""
-        ...
-
-    def neighbors(self, vid: int, eid: int, d: int,
-                  meter: LatencyMeter) -> List[int]:
-        """Neighbour vids of ``vid`` through ``eid`` edges in direction ``d``."""
-        ...
 
     def neighbors_many(self, vids: Iterable[int], eid: int, d: int,
                        meter: LatencyMeter) -> Dict[int, List[int]]:
-        """:meth:`neighbors` of every distinct vid, one fetch each, keyed
-        in first-occurrence order."""
+        """Neighbour vids through ``eid`` edges in direction ``d`` of
+        every distinct vid, one fetch each, keyed in first-occurrence
+        order."""
         ...
 
-    def index_vertices(self, eid: int, d: int,
-                       meter: LatencyMeter) -> List[int]:
-        """Vertices having a ``d``-direction ``eid`` edge (index-vertex read)."""
-        ...
-
-    def index_vertices_local(self, eid: int, d: int, node_id: int,
-                             meter: LatencyMeter) -> List[int]:
-        """The :meth:`index_vertices` owned by ``node_id`` (a fork-join /
+    def index_vertices(self, eid: int, d: int, meter: LatencyMeter,
+                       owner: Optional[int] = None) -> List[int]:
+        """Vertices having a ``d``-direction ``eid`` edge (index-vertex
+        read); with ``owner``, only those that node owns (a fork-join /
         migrate branch's start set)."""
         ...
 
@@ -296,7 +284,7 @@ class PersistentAccess:
     ``max_sn`` bounds visibility for snapshot-isolated one-shot queries;
     None reads everything (used while loading and by trusted internals).
     Fork-join branches partition the start vertices through
-    :meth:`index_vertices_local`.
+    :meth:`index_vertices`'s ``owner``.
     """
 
     def __init__(self, store: DistributedStore, home_node: int = 0,
@@ -304,17 +292,6 @@ class PersistentAccess:
         self.store = store
         self.home_node = home_node
         self.max_sn = max_sn
-
-    def resolve_entity(self, name: str) -> Optional[int]:
-        return self.store.strings.lookup_entity(name)
-
-    def resolve_predicate(self, name: str) -> Optional[int]:
-        return self.store.strings.lookup_predicate(name)
-
-    def neighbors(self, vid: int, eid: int, d: int,
-                  meter: LatencyMeter) -> List[int]:
-        return self.store.neighbors_many(self.home_node, (vid,), eid, d,
-                                         meter, max_sn=self.max_sn)[vid]
 
     def neighbors_many(self, vids: Iterable[int], eid: int, d: int,
                        meter: LatencyMeter) -> Dict[int, List[int]]:
@@ -329,11 +306,11 @@ class PersistentAccess:
         return self.store.neighbors_versions_batch(
             self.home_node, vids, eid, d, meter, max_sn=self.max_sn)
 
-    def index_vertices(self, eid: int, d: int,
-                       meter: LatencyMeter) -> List[int]:
-        return self.store.gather_index(self.home_node, eid, d, meter)
-
-    def index_vertices_local(self, eid: int, d: int, node_id: int,
-                             meter: LatencyMeter) -> List[int]:
-        """One node's index portion (fork-join/migrate branch start set)."""
-        return self.store.local_index(node_id, eid, d, meter)
+    def index_vertices(self, eid: int, d: int, meter: LatencyMeter,
+                       owner: Optional[int] = None) -> List[int]:
+        """The whole index vertex gathered at the home node, or
+        ``owner``'s local portion (a fork-join/migrate branch's start
+        set)."""
+        if owner is None:
+            return self.store.gather_index(self.home_node, eid, d, meter)
+        return self.store.local_index(owner, eid, d, meter)

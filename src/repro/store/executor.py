@@ -22,11 +22,15 @@ the data, shipping binding rows in bulk messages between steps instead of
 issuing per-read round trips.  Every neighbour lookup is local by
 construction (rows are routed to the owner of their step's start vertex).
 
-Sources are pluggable: the caller supplies an ``access_factory`` mapping a
-node id to a pattern->:class:`~repro.store.distributed.StoreAccess`
-resolver, so the same executor drives one-shot queries (persistent store
-only) and continuous queries (stream windows + persistent store) — the
-global-plan advantage of the integrated design.
+One explorer reads every source: the caller supplies an
+``access_factory`` mapping a node id to a
+pattern->:class:`~repro.store.distributed.StoreAccess` resolver, so the
+same executor drives one-shot queries (persistent store only) and
+continuous queries (stream windows + persistent store) — the global-plan
+advantage of the integrated design.  An access only reads
+(``neighbors_many`` and ``index_vertices``; a persistent one also
+``neighbors_versions_batch``); the explorer resolves every constant and
+predicate through the string server it is built with.
 
 Each plan is *compiled* once: variables get fixed slot indices, and step
 patterns, the FILTER schedule and UNION/OPTIONAL sub-plans are resolved
@@ -268,8 +272,7 @@ class _NumericFilter:
                             for op, left, right in pairs]
 
     def select(self, cols, indices: Sequence[int], strings) -> List[int]:
-        """As :meth:`_CompiledFilter.select`; reads no names
-        (``strings`` may be None)."""
+        """As :meth:`_CompiledFilter.select`; reads no names."""
         for compare, left, right in self.comparisons:
             indices = list(compress(indices, map(
                 compare, _values(cols, left, indices),
@@ -306,7 +309,7 @@ class _CompiledPlan:
 
     __slots__ = ("slots", "nslots", "steps", "kinds",
                  "cfilters_at", "leftover_filters", "unions", "optionals",
-                 "project_slots", "result_kinds", "reads_names")
+                 "project_slots", "result_kinds")
 
     def __init__(self, plan: ExecutionPlan):
         from repro.sparql.planner import plan_steps
@@ -330,9 +333,6 @@ class _CompiledPlan:
         # those resolve.
         self.leftover_filters = []
         self.cfilters_at = None
-        #: Whether a FILTER has a vid operand (and so needs the string
-        #: server to name vids and resolve constants).
-        self.reads_names = False
         if query.filters or query.interval_filters:
             filters_at, leftovers = filters_by_step(
                 query, [step.pattern for step in plan.steps])
@@ -347,10 +347,6 @@ class _CompiledPlan:
             self.cfilters_at = [list(map(compile_filter, step_filters))
                                 for step_filters in filters_at]
             self.leftover_filters = list(map(compile_filter, leftovers))
-            self.reads_names = any(
-                isinstance(cfilter, _CompiledFilter)
-                for cfilter in chain(self.leftover_filters,
-                                     *self.cfilters_at))
 
         # UNION branches and OPTIONAL groups are planned with the variables
         # already bound upstream marked as prebound, exactly as the
@@ -496,14 +492,15 @@ class _Batch:
 
 
 class GraphExplorer:
-    """Executes plans against pluggable store accesses.
+    """Executes plans against store accesses.
 
-    ``strings`` (the string server) is needed to evaluate FILTER
-    expressions and aggregates, whose semantics depend on entity names;
-    plain pattern queries run without it.
+    ``strings`` (the string server) resolves every constant term and
+    predicate to its id — the one place a term is resolved; an access
+    only reads — and names vids for FILTERs and aggregates.  Lookups
+    charge nothing.
     """
 
-    def __init__(self, cluster: Cluster, strings=None):
+    def __init__(self, cluster: Cluster, strings):
         self.cluster = cluster
         self.cost = cluster.cost
         self.strings = strings
@@ -541,10 +538,6 @@ class GraphExplorer:
         if not plan.steps and not query.unions:
             raise PlanError("cannot execute an empty plan")
         compiled = self._compile(plan)
-        if compiled.reads_names and self.strings is None:
-            raise PlanError(
-                "FILTER evaluation needs a string server; construct the "
-                "explorer with GraphExplorer(cluster, strings)")
         if mode == "auto":
             if SN in compiled.kinds:  # a quintuple step reads versions
                 mode = "in_place"
@@ -677,9 +670,9 @@ class GraphExplorer:
         Every row entering pays ``filter_ns`` per filter, whatever the
         verdict, so the whole block aggregates into one charge;
         evaluation itself is charge-free and memoized per distinct
-        operand value.  A FILTER with a vid operand resolves constants
-        through the string server, as every access's ``resolve_entity``
-        does; one over snapshot numbers reads no names.
+        operand value.  A FILTER with a vid operand names vids and
+        resolves constants through the string server; one over snapshot
+        numbers reads no names.
         """
         if not cfilters or not batch.nrows:
             return batch
@@ -789,8 +782,7 @@ class GraphExplorer:
         elif cstep.kind in (CONST_SUBJECT, CONST_OBJECT):
             term = cstep.subject if cstep.kind == CONST_SUBJECT \
                 else cstep.object
-            any_resolver = next(iter(resolvers.values()))
-            vid = any_resolver(cstep.pattern).resolve_entity(term)
+            vid = self.strings.lookup_entity(term)
             if vid is None:
                 return {}
             routed[self.cluster.owner_of(vid)] = merged
@@ -832,7 +824,7 @@ class GraphExplorer:
     def _expand_batch(self, cstep: _CompiledStep, batch: _Batch,
                       access: StoreAccess, meter: LatencyMeter,
                       index_owner: Optional[int] = None) -> _Batch:
-        eid = access.resolve_predicate(cstep.predicate)
+        eid = self.strings.lookup_predicate(cstep.predicate)
         if eid is None:
             return _Batch.empty(len(batch.cols))
         if cstep.ts_slot is not None:
@@ -840,20 +832,21 @@ class GraphExplorer:
                                                meter, index_owner)
         kind = cstep.kind
         if kind == CONST_SUBJECT:
-            svid = access.resolve_entity(cstep.subject)
+            svid = self.strings.lookup_entity(cstep.subject)
             if svid is None:
                 return _Batch.empty(len(batch.cols))
-            neighbors = access.neighbors(svid, eid, DIR_OUT, meter)
+            neighbors = access.neighbors_many((svid,), eid, DIR_OUT,
+                                              meter)[svid]
             return self._bind_side_batch(batch, cstep.obj_slot, cstep.object,
-                                         neighbors, access, meter)
+                                         neighbors, meter)
         if kind == CONST_OBJECT:
-            ovid = access.resolve_entity(cstep.object)
+            ovid = self.strings.lookup_entity(cstep.object)
             if ovid is None:
                 return _Batch.empty(len(batch.cols))
-            neighbors = access.neighbors(ovid, eid, DIR_IN, meter)
+            neighbors = access.neighbors_many((ovid,), eid, DIR_IN,
+                                              meter)[ovid]
             return self._bind_side_batch(batch, cstep.subj_slot,
-                                         cstep.subject, neighbors, access,
-                                         meter)
+                                         cstep.subject, neighbors, meter)
         if kind == BOUND_SUBJECT:
             return self._expand_bound_batch(batch, cstep.subj_slot,
                                             cstep.obj_slot, cstep.object,
@@ -869,7 +862,6 @@ class GraphExplorer:
 
     def _bind_side_batch(self, batch: _Batch, slot: Optional[int],
                          term: str, neighbors: List[int],
-                         access: StoreAccess,
                          meter: LatencyMeter) -> _Batch:
         """Match or bind one side of a pattern against a neighbour list
         shared by every input row (the other side was a constant); one
@@ -877,7 +869,7 @@ class GraphExplorer:
         nrows = batch.nrows
         nslots = len(batch.cols)
         if slot is None:  # the term is a constant: match, don't bind
-            required = access.resolve_entity(term)
+            required = self.strings.lookup_entity(term)
             if required is None or required not in neighbors:
                 return _Batch.empty(nslots)
             meter.charge(self.cost.binding_ns, times=nrows,
@@ -926,7 +918,7 @@ class GraphExplorer:
             return _Batch.empty(nslots)
         other_const: Optional[int] = None
         if other_slot is None:
-            other_const = access.resolve_entity(other_term)
+            other_const = self.strings.lookup_entity(other_term)
             if other_const is None:
                 return _Batch.empty(nslots)
         # Per-row lists are materialized lazily — the membership filter
@@ -995,15 +987,6 @@ class GraphExplorer:
             distinct = verdict
         return _Batch(total, out_cols, distinct=distinct)
 
-    def _index_subjects(self, eid: int, access: StoreAccess,
-                        meter: LatencyMeter,
-                        index_owner: Optional[int]) -> List[int]:
-        """The start vertices of an index step: the whole predicate
-        index, or ``index_owner``'s portion of it."""
-        if index_owner is None:
-            return access.index_vertices(eid, DIR_OUT, meter)
-        return access.index_vertices_local(eid, DIR_OUT, index_owner, meter)
-
     def _expand_index_batch(self, batch: _Batch, cstep: _CompiledStep,
                             eid: int, access: StoreAccess,
                             meter: LatencyMeter,
@@ -1021,13 +1004,13 @@ class GraphExplorer:
         subj_slot = cstep.subj_slot
         obj_slot = cstep.obj_slot
         nslots = len(batch.cols)
-        subjects = self._index_subjects(eid, access, meter, index_owner)
+        subjects = access.index_vertices(eid, DIR_OUT, meter, index_owner)
         if batch.nrows != 1 or batch.cols[subj_slot] is not None \
                 or (obj_slot is not None and obj_slot != subj_slot
                     and batch.cols[obj_slot] is not None):
             return self._expand_index_seeded(batch, cstep, subjects, eid,
                                              access, meter)
-        required = access.resolve_entity(cstep.object) \
+        required = self.strings.lookup_entity(cstep.object) \
             if obj_slot is None else None
         # Distinct subjects each contribute rows no other subject can
         # (the subject lands in a column), so the output is distinct iff
@@ -1095,7 +1078,7 @@ class GraphExplorer:
         bound_obj = batch.cols[obj_slot] \
             if obj_slot != subj_slot else None
         binding_ns = self.cost.binding_ns
-        fetch = access.neighbors
+        fetch = access.neighbors_many
         source: List[int] = []  # input row of each output row
         subj_col: List[int] = []
         obj_col: List[int] = []
@@ -1103,7 +1086,7 @@ class GraphExplorer:
             for svid in subjects:
                 if bound_subj is not None and bound_subj[i] != svid:
                     continue
-                neighbors = fetch(svid, eid, DIR_OUT, meter)
+                neighbors = fetch((svid,), eid, DIR_OUT, meter)[svid]
                 if obj_slot == subj_slot:
                     matches = [svid] if svid in neighbors else []
                 elif bound_obj is not None:
@@ -1162,7 +1145,8 @@ class GraphExplorer:
             other_slot, other_term = cstep.obj_slot, cstep.object
             direction = DIR_OUT
         if kind == INDEX_START:
-            subjects = self._index_subjects(eid, access, meter, index_owner)
+            subjects = access.index_vertices(eid, DIR_OUT, meter,
+                                             index_owner)
             nrows = batch.nrows
             starts = subjects if nrows == 1 else list(
                 chain.from_iterable(map(repeat, subjects, repeat(nrows))))
@@ -1171,7 +1155,7 @@ class GraphExplorer:
             cols[start_slot] = starts
             batch = _Batch(len(starts), cols)
         elif start_slot is None:
-            anchor = access.resolve_entity(start_term)
+            anchor = self.strings.lookup_entity(start_term)
             if anchor is None:
                 return _Batch.empty(nslots)
             starts = [anchor] * batch.nrows
@@ -1183,7 +1167,7 @@ class GraphExplorer:
                                                   meter)
 
         if other_slot is None:
-            required = access.resolve_entity(other_term)
+            required = self.strings.lookup_entity(other_term)
             if required is None:
                 return _Batch.empty(nslots)
             other_col = [required] * batch.nrows
@@ -1239,10 +1223,6 @@ class GraphExplorer:
             return ExecutionResult(variables=[], kinds=compiled.result_kinds,
                                    nrows=min(batch.nrows, 1))
         if query.aggregates:
-            if self.strings is None:
-                raise PlanError(
-                    "aggregates need a string server; construct the "
-                    "explorer with GraphExplorer(cluster, strings)")
             views = [_RowView(compiled.slots, batch.cols, i)
                      for i in range(batch.nrows)]
             out = aggregate_rows(views, query, self.strings.entity_name,

@@ -16,7 +16,7 @@ delivered batch whose span breaks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.errors import StreamError
 from repro.sparql.ast import WindowSpec
@@ -78,31 +78,3 @@ class WindowPlanner:
         window_start, window_end = self.window.span_at(close_ms)
         first = batches_closed_by(window_start, self.batch_interval_ms) + 1
         return first, self.last_batch_needed(window_end)
-
-    def span_at(self, close_ms: int) -> Tuple[int, int]:
-        """Tuple-timestamp interval ``[start, end)`` of the window closing
-        at ``close_ms``."""
-        return self.window.span_at(close_ms)
-
-
-def next_execution_ms(registered_ms: int, step_ms: int, now_ms: int) -> int:
-    """The first execution boundary at or after ``now_ms``.
-
-    Executions fire at ``registered_ms + k*step_ms`` for k >= 1.
-    """
-    if now_ms <= registered_ms:
-        return registered_ms + step_ms
-    elapsed = now_ms - registered_ms
-    k = (elapsed + step_ms - 1) // step_ms
-    return registered_ms + max(1, k) * step_ms
-
-
-def expiry_floor_ms(close_ms: int, windows: Dict[str, WindowSpec]) -> int:
-    """The earliest timestamp any window closing at ``close_ms`` still needs.
-
-    Data older than this is expired for these queries and may be garbage
-    collected.
-    """
-    if not windows:
-        return close_ms
-    return min(close_ms - spec.range_ms for spec in windows.values())

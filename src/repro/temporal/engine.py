@@ -108,12 +108,6 @@ class _CountingAccess(PersistentAccess):
         super().__init__(store, home_node=home_node, max_sn=max_sn)
         self._counters = counters
 
-    def neighbors(self, vid: int, eid: int, d: int,
-                  meter: LatencyMeter) -> List[int]:
-        visible = super().neighbors(vid, eid, d, meter)
-        self._counters.record(len(visible))
-        return visible
-
     def neighbors_many(self, vids: Iterable[int], eid: int, d: int,
                        meter: LatencyMeter) -> Dict[int, List[int]]:
         fetched = super().neighbors_many(vids, eid, d, meter)

@@ -69,14 +69,9 @@ class TestClientLibrary:
         assert sorted(row[0] for row in result.rows) == ["T-13", "T-15"]
 
     def test_client_latency_includes_round_trip(self, engine):
-        client = ClientLibrary(engine, include_network=True)
+        client = ClientLibrary(engine)
         result = client.submit("SELECT ?x WHERE { Logan po ?x }")
         assert result.client_latency_ms > result.server_latency_ms
-
-    def test_server_only_latency(self, engine):
-        client = ClientLibrary(engine, include_network=False)
-        result = client.submit("SELECT ?x WHERE { Logan po ?x }")
-        assert result.client_latency_ms == result.server_latency_ms
 
     def test_client_latency_is_server_plus_message_exactly(self, engine):
         """The server meter folds into the client's as integer
@@ -85,7 +80,7 @@ class TestClientLibrary:
         server = LatencyMeter()
         server.add(record.meter)
         server.charge_ps(1)  # an odd picosecond must survive the fold
-        client = ClientLibrary(engine, include_network=True)
+        client = ClientLibrary(engine)
         delivered = client._deliver(record.result, [], server, 0)
         message = LatencyMeter()
         engine.cluster.fabric.message(

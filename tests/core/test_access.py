@@ -92,20 +92,23 @@ class TestWindowAccess:
         both, ids = self.access(parts, 1, 2)
         only_second, _ = self.access(parts, 2, 2)
         meter = LatencyMeter()
-        assert both.neighbors(ids["u"], ids["po"], DIR_OUT, meter) == \
+        u = ids["u"]
+        assert both.neighbors_many((u,), ids["po"], DIR_OUT, meter)[u] == \
             [ids["p1"], ids["p2"]]
-        assert only_second.neighbors(ids["u"], ids["po"], DIR_OUT, meter) \
-            == [ids["p2"]]
+        assert only_second.neighbors_many(
+            (u,), ids["po"], DIR_OUT, meter)[u] == [ids["p2"]]
 
     def test_timing_routes_to_transient_store(self):
         parts = self.build()
         access, ids = self.access(parts, 1, 2)
         meter = LatencyMeter()
-        assert access.neighbors(ids["u"], ids["ga"], DIR_OUT, meter) == \
-            [ids["l1"]]
+        u = ids["u"]
+        assert access.neighbors_many((u,), ids["ga"], DIR_OUT, meter)[u] \
+            == [ids["l1"]]
         # Outside the window: nothing.
         early, _ = self.access(parts, 1, 1)
-        assert early.neighbors(ids["u"], ids["ga"], DIR_OUT, meter) == []
+        assert early.neighbors_many((u,), ids["ga"], DIR_OUT, meter)[u] \
+            == []
 
     def test_index_vertices_by_predicate_kind(self):
         parts = self.build()
@@ -122,20 +125,20 @@ class TestWindowAccess:
         # A replica exists nowhere; force_local_index simulates one.
         local_access, _ = self.access(parts, 1, 2, force_local_index=True)
         remote_meter, local_meter = LatencyMeter(), LatencyMeter()
-        remote_access.neighbors(ids["u"], ids["po"], DIR_OUT, remote_meter)
-        local_access.neighbors(ids["u"], ids["po"], DIR_OUT, local_meter)
+        remote_access.neighbors_many((ids["u"],), ids["po"], DIR_OUT,
+                                     remote_meter)
+        local_access.neighbors_many((ids["u"],), ids["po"], DIR_OUT,
+                                    local_meter)
         assert remote_meter.ns > local_meter.ns
 
-    def test_resolvers(self):
+    def test_index_vertices_of_one_owner(self):
         parts = self.build()
         access, ids = self.access(parts, 1, 2)
-        assert access.resolve_entity("u") == ids["u"]
-        assert access.resolve_entity("ghost") is None
-        assert access.resolve_predicate("po") == ids["po"]
-
-    def test_index_vertices_local_partitions_by_owner(self):
-        parts = self.build()
-        access, ids = self.access(parts, 1, 2)
-        meter = LatencyMeter()
-        local = access.index_vertices_local(ids["po"], DIR_OUT, 0, meter)
-        assert local == [ids["u"]]  # single-node cluster owns everything
+        whole, local = LatencyMeter(), LatencyMeter()
+        assert access.index_vertices(ids["po"], DIR_OUT, whole) == \
+            access.index_vertices(ids["po"], DIR_OUT, local, 0) == \
+            [ids["u"]]  # single-node cluster owns everything
+        # Only a whole-window read of a non-replicated index pays the
+        # extra remote read; a branch's owner read does not.
+        parts[0].fabric.remote_read(local, 64, category="network")
+        assert whole.breakdown_ps == local.breakdown_ps

@@ -78,7 +78,7 @@ def exploration_answer(triples, query, strings, num_nodes):
     cluster = Cluster(num_nodes=num_nodes)
     store = DistributedStore(cluster, strings)
     load_triples(store, [Triple(*t) for t in triples])
-    explorer = GraphExplorer(cluster)
+    explorer = GraphExplorer(cluster, strings)
 
     def factory(node_id):
         access = PersistentAccess(store, home_node=node_id)
@@ -115,7 +115,7 @@ def test_execution_modes_agree(triples, query):
     cluster = Cluster(num_nodes=3)
     store = DistributedStore(cluster, strings)
     load_triples(store, [Triple(*t) for t in triples])
-    explorer = GraphExplorer(cluster)
+    explorer = GraphExplorer(cluster, strings)
 
     def factory(node_id):
         access = PersistentAccess(store, home_node=node_id)

@@ -117,15 +117,7 @@ def test_persistent_access_snapshot_bound():
 
     old = PersistentAccess(store, max_sn=0)
     new = PersistentAccess(store, max_sn=3)
-    assert old.neighbors(a, p, DIR_OUT, LatencyMeter()) == \
+    assert old.neighbors_many((a,), p, DIR_OUT, LatencyMeter())[a] == \
         [strings.entity_id("b")]
-    assert new.neighbors(a, p, DIR_OUT, LatencyMeter()) == \
+    assert new.neighbors_many((a,), p, DIR_OUT, LatencyMeter())[a] == \
         [strings.entity_id("b"), strings.entity_id("c")]
-
-
-def test_resolvers_do_not_allocate():
-    _, strings, store = build()
-    access = PersistentAccess(store)
-    assert access.resolve_entity("nobody") is None
-    assert access.resolve_predicate("nothing") is None
-    assert strings.num_entities == 0

@@ -46,7 +46,7 @@ def factory_for(store):
 
 
 def run(cluster, strings, store, text, mode="auto", home_node=0):
-    explorer = GraphExplorer(cluster)
+    explorer = GraphExplorer(cluster, strings)
     meter = LatencyMeter()
     result = explorer.execute(plan_query(parse_query(text)),
                               factory_for(store), meter,
@@ -96,7 +96,7 @@ def test_fork_join_equals_in_place():
 
 def test_auto_picks_fork_join_for_index_start():
     cluster, strings, store = build(num_nodes=2)
-    explorer = GraphExplorer(cluster)
+    explorer = GraphExplorer(cluster, strings)
     plan = plan_query(parse_query("SELECT ?U ?P WHERE { ?U po ?P }"))
     meter = LatencyMeter()
     explorer.execute(plan, factory_for(store), meter, mode="auto")
@@ -191,6 +191,89 @@ def test_latency_positive_and_deterministic():
     _, second = run(cluster, strings, store, text)
     assert first.ns > 0
     assert first.ns == second.ns
+
+
+class MinimalAccess:
+    """A source with nothing but the reads an access has: it resolves no
+    term (the explorer does) and has no single-vid or per-owner index
+    read of its own."""
+
+    def __init__(self, inner):
+        self.neighbors_many = inner.neighbors_many
+        self.neighbors_versions_batch = inner.neighbors_versions_batch
+        self.index_vertices = inner.index_vertices
+
+
+#: One query per step kind: constant subject, constant object, bound
+#: subject and object, index start, and quintuple steps (index start,
+#: constant start, bound start).
+STEP_KINDS = [
+    "SELECT ?X WHERE { Logan po ?X . ?X ht sosp17 . Erik li ?X }",
+    "SELECT ?U ?P WHERE { ?P ht sosp17 . ?U po ?P }",
+    "SELECT ?X ?Y ?Z WHERE { ?X po ?Z . ?X fo ?Y . ?Y li ?Z }",
+    "SELECT ?U ?P WHERE { ?U po ?P . ?U ty XMen }",
+    "SELECT ?U ?P ?ts ?te WHERE { ?U po ?P [?ts, ?te) }",
+    "SELECT ?P ?ts WHERE { Logan po ?P [?ts, ?te) }",
+    "SELECT ?F ?P ?ts WHERE { Logan fo ?F . ?F po ?P [?ts, ?te) }",
+]
+
+
+@pytest.mark.parametrize("mode", ["in_place", "fork_join", "migrate"])
+@pytest.mark.parametrize("text", STEP_KINDS)
+def test_minimal_access_runs_every_step_kind(text, mode):
+    """An access that only reads gives the rows and the exact charges of
+    PersistentAccess on every step kind."""
+    cluster, strings, store = build(num_nodes=3)
+    load_triples(store, parse_triples("Logan po T-15 .\nErik li T-15 ."),
+                 sn=2)
+    plan = plan_query(parse_query(text))
+    if mode != "in_place" and any(step.pattern.ts for step in plan.steps):
+        mode = "in_place"  # version-chain reads are priced from home
+    explorer = GraphExplorer(cluster, strings)
+    outcomes = []
+    for wrap in (lambda access: access, MinimalAccess):
+        def factory(node_id):
+            access = wrap(PersistentAccess(store, home_node=node_id))
+            return lambda pattern: access
+        meter = LatencyMeter()
+        result = explorer.execute(plan, factory, meter, mode=mode)
+        outcomes.append((result.rows, meter.ps, meter.breakdown_ps))
+    assert outcomes[0][0], text
+    assert outcomes[1] == outcomes[0]
+
+
+def test_explorer_resolves_terms():
+    """Constants and predicates resolve through the explorer's string
+    server; an unknown one matches nothing."""
+    cluster, strings, store = build()
+    explorer = GraphExplorer(cluster, strings)
+
+    def factory(node_id):
+        access = MinimalAccess(PersistentAccess(store, home_node=node_id))
+        return lambda pattern: access
+
+    def rows(text):
+        result = explorer.execute(plan_query(parse_query(text)), factory,
+                                  LatencyMeter())
+        return sorted(strings.entity_name(row[0]) for row in result.rows)
+
+    assert rows("SELECT ?X WHERE { Logan po ?X }") == ["T-13", "T-14"]
+    assert rows("SELECT ?X WHERE { ghost po ?X }") == []
+    assert rows("SELECT ?X WHERE { Logan nothing ?X }") == []
+
+
+def test_explorer_lookups_do_not_allocate():
+    """Resolving a term the store has never seen registers no id."""
+    cluster, strings, store = build()
+    entities, predicates = strings.num_entities, strings.num_predicates
+    for text in ("SELECT ?X WHERE { nobody po ?X }",
+                 "SELECT ?X WHERE { Logan nothing ?X }",
+                 "SELECT ?X WHERE { ?X po nobody }",
+                 "SELECT ?X WHERE { ?X nothing ?Y }"):
+        rows, _ = run(cluster, strings, store, text)
+        assert rows == [], text
+    assert (strings.num_entities, strings.num_predicates) == \
+        (entities, predicates)
 
 
 def test_more_nodes_cost_more_network_for_remote_data():

@@ -392,7 +392,7 @@ def test_span_read_skips_hash_probe():
         view=ColumnarSlice(index, store).advance(1, 1),
         force_local_index=True)
     meter = LatencyMeter()
-    assert access.neighbors(u, po, DIR_OUT, meter) == [7, 8]
+    assert access.neighbors_many((u,), po, DIR_OUT, meter)[u] == [7, 8]
     cost = cluster.cost
     assert meter.ns == cost.index_probe_ns + 2 * cost.scan_entry_ns
 

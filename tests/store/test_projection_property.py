@@ -16,6 +16,7 @@ import copy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.rdf.string_server import StringServer
 from repro.sim.cluster import Cluster
 from repro.sim.cost import PS_PER_NS, LatencyMeter
 from repro.sparql.parser import parse_query
@@ -83,7 +84,7 @@ def projections(draw):
 @given(drawn=projections())
 def test_projection_matches_brute_force(drawn):
     plan, batch = drawn
-    explorer = GraphExplorer(Cluster(num_nodes=1))
+    explorer = GraphExplorer(Cluster(num_nodes=1), StringServer())
     compiled = explorer._compile(plan)
     query = plan.query
     before = copy.deepcopy(batch.cols)

@@ -7,8 +7,7 @@ from repro.errors import StreamError
 from repro.rdf.terms import TimedTuple, Triple
 from repro.sparql.ast import WindowSpec
 from repro.streams.stream import batch_tuples
-from repro.streams.window import (WindowPlanner, expiry_floor_ms,
-                                  next_execution_ms)
+from repro.streams.window import WindowPlanner
 
 
 def planner(range_ms=1000, step_ms=100, interval=100):
@@ -46,14 +45,6 @@ def test_step_must_align_with_interval():
         WindowPlanner(WindowSpec(1000, 150), 100)
 
 
-def test_next_execution_times():
-    assert next_execution_ms(0, 100, 0) == 100
-    assert next_execution_ms(0, 100, 50) == 100
-    assert next_execution_ms(0, 100, 100) == 100
-    assert next_execution_ms(0, 100, 101) == 200
-    assert next_execution_ms(500, 1000, 2600) == 3500
-
-
 def test_batch_range_empty_windows_first_exceeds_last():
     # Close exactly at stream start: nothing has been delivered.
     p = planner()
@@ -87,17 +78,6 @@ def test_batch_range_slide_overlap_is_delta_reusable():
     f2, l2 = p.batch_range(2300)
     assert (f2 - f1, l2 - l1) == (3, 3)
     assert f2 <= l1  # overlapping, so the delta path applies
-
-
-def test_expiry_floor():
-    windows = {"A": WindowSpec(1000, 100), "B": WindowSpec(5000, 100)}
-    assert expiry_floor_ms(10_000, windows) == 5_000
-    assert expiry_floor_ms(10_000, {}) == 10_000
-
-
-def test_span_at():
-    p = planner(range_ms=300)
-    assert p.span_at(1000) == (700, 1000)
 
 
 # -- the batch geometry against a brute-force oracle ----------------------
