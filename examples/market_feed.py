@@ -19,7 +19,7 @@ Run with:  python examples/market_feed.py
 
 from repro.core.engine import EngineConfig, WukongSEngine
 from repro.rdf.parser import parse_triples
-from repro.rdf.terms import TimedTuple, Triple
+from repro.rdf.terms import TimedColumns, Triple
 from repro.sim.rng import make_rng, zipf_choice
 from repro.streams.source import StreamSource
 from repro.streams.stream import StreamSchema
@@ -42,7 +42,7 @@ def trade_stream(seed=2017):
     """Deterministic trades: Zipf-hot symbols, prices drifting by symbol."""
     rng = make_rng(seed, "market")
     symbols = list(SECTORS)
-    tuples = []
+    tuples = TimedColumns()
     base_price = {symbol: 100 + 25 * i for i, symbol in enumerate(symbols)}
     interval = 1000.0 / TRADES_PER_SECOND
     when = 0.0
@@ -54,8 +54,10 @@ def trade_stream(seed=2017):
         order_id = f"O{order}"
         order += 1
         ts = int(when)
-        tuples.append(TimedTuple(Triple(order_id, "fills", symbol), ts))
-        tuples.append(TimedTuple(Triple(order_id, "px", str(price)), ts))
+        tuples.s.extend((order_id, order_id))
+        tuples.p.extend(("fills", "px"))
+        tuples.o.extend((symbol, str(price)))
+        tuples.ts.extend((ts, ts))
     return tuples
 
 

@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.rdf.terms import TimedTuple, Triple
+from repro.rdf.terms import TimedColumns, Triple
 from repro.sim.rng import make_rng
 from repro.streams.stream import StreamSchema
 
@@ -164,11 +164,12 @@ class CityBench:
 
     # -- streams -----------------------------------------------------------------
     def generate_streams(self, duration_ms: int, start_ms: int = 0
-                         ) -> Dict[str, List[TimedTuple]]:
-        """All eleven streams for ``duration_ms``, time-ordered."""
+                         ) -> Dict[str, TimedColumns]:
+        """All eleven streams for ``duration_ms``, time-ordered, each built
+        as four columns (no object per tuple)."""
         cfg = self.config
         rng = make_rng(cfg.seed, "city-streams", duration_ms)
-        out: Dict[str, List[TimedTuple]] = {name: [] for name in PAPER_RATES}
+        out = {name: TimedColumns() for name in PAPER_RATES}
 
         heap: List[Tuple[float, int, str]] = []
         for order, (stream, rate) in enumerate(sorted(PAPER_RATES.items())):
@@ -193,8 +194,11 @@ class CityBench:
                 value = f"Spots{rng.randrange(0, 200)}"
             else:
                 value = f"AQI{rng.randrange(0, 300)}"
-            out[stream].append(TimedTuple(
-                Triple(subject, predicate, value), int(when)))
+            columns = out[stream]
+            columns.s.append(subject)
+            columns.p.append(predicate)
+            columns.o.append(value)
+            columns.ts.append(int(when))
         return out
 
     # -- queries -----------------------------------------------------------------

@@ -18,7 +18,6 @@ from repro.baselines.structured import StructuredStreamingEngine
 from repro.baselines.wukong_ext import WukongExtEngine
 from repro.bench.metrics import median
 from repro.core.engine import EngineConfig, WukongSEngine
-from repro.rdf.terms import TimedTuple
 from repro.sim.cluster import Cluster
 from repro.sim.cost import CostModel
 from repro.sparql.parser import parse_query

@@ -25,7 +25,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.rdf.terms import TimedTuple, Triple
+from repro.rdf.terms import TimedColumns, Triple
 from repro.sim.rng import make_rng, zipf_choice
 from repro.streams.stream import StreamSchema
 
@@ -178,8 +178,9 @@ class LSBench:
     def generate_streams(self, duration_ms: int, start_ms: int = 0,
                          rate_scale: Optional[float] = None,
                          rates: Optional[Dict[str, float]] = None
-                         ) -> Dict[str, List[TimedTuple]]:
-        """All five streams for ``duration_ms``, time-ordered per stream.
+                         ) -> Dict[str, TimedColumns]:
+        """All five streams for ``duration_ms``, time-ordered per stream,
+        each built as four columns (no object per tuple).
 
         Streams are generated together so likes can reference recently
         posted stream content (PO-L likes PO posts, PH-L likes PH photos).
@@ -205,9 +206,8 @@ class LSBench:
             for k in range(cfg.initial_photos_per_user)
         ][-cfg.recent_pool:]
 
-        out: Dict[str, List[TimedTuple]] = {name: [] for name in PAPER_RATES}
+        out = {name: TimedColumns() for name in PAPER_RATES}
         last_post: Dict[str, str] = {}
-        last_photo: Dict[str, str] = {}
         counters = {"post": 0, "photo": 0}
 
         # Merge the five per-stream schedules in global time order so that
@@ -223,51 +223,47 @@ class LSBench:
             when, order, stream = heapq.heappop(heap)
             if when >= start_ms + duration_ms:
                 continue
-            ts = int(when)
             scaled = base_rates[stream] * scale
             heapq.heappush(heap, (when + 1000.0 / scaled, order, stream))
 
+            actor = zipf_choice(rng, users)
             if stream == "PO":
-                actor = zipf_choice(rng, users)
                 if actor in last_post and \
                         rng.random() < cfg.hashtag_fraction:
-                    tag = self._pick_tag(rng)
-                    out["PO"].append(TimedTuple(
-                        Triple(last_post.pop(actor), "ht", tag), ts))
+                    s, p, o = last_post.pop(actor), "ht", self._pick_tag(rng)
                 else:
                     post = f"SPost{counters['post']}"
                     counters["post"] += 1
-                    out["PO"].append(TimedTuple(Triple(actor, "po", post),
-                                                ts))
+                    s, p, o = actor, "po", post
                     last_post[actor] = post
                     recent_posts.append(post)
                     if len(recent_posts) > cfg.recent_pool:
                         recent_posts.pop(0)
             elif stream == "PO_L":
-                actor = zipf_choice(rng, users)
                 # Likes are heavily skewed toward hot posts, which is what
                 # lets the stream index coalesce many likes of one post
                 # into a single fat-pointer span (Table 7's PO-L contrast).
-                post = zipf_choice(rng, list(reversed(recent_posts)))
-                out["PO_L"].append(TimedTuple(Triple(actor, "li", post), ts))
+                # The Zipf rank counts back from the newest post.
+                s, p, o = actor, "li", recent_posts[
+                    -1 - zipf_choice(rng, range(len(recent_posts)))]
             elif stream == "PH":
-                actor = zipf_choice(rng, users)
                 photo = f"SPhoto{counters['photo']}"
                 counters["photo"] += 1
-                out["PH"].append(TimedTuple(Triple(actor, "up", photo), ts))
-                last_photo[actor] = photo
+                s, p, o = actor, "up", photo
                 recent_photos.append(photo)
                 if len(recent_photos) > cfg.recent_pool:
                     recent_photos.pop(0)
             elif stream == "PH_L":
-                actor = zipf_choice(rng, users)
-                photo = zipf_choice(rng, list(reversed(recent_photos)))
-                out["PH_L"].append(TimedTuple(Triple(actor, "lp", photo),
-                                              ts))
+                s, p, o = actor, "lp", recent_photos[
+                    -1 - zipf_choice(rng, range(len(recent_photos)))]
             else:  # GPS (timing data)
-                actor = zipf_choice(rng, users)
-                loc = self.location(rng.randrange(cfg.location_count))
-                out["GPS"].append(TimedTuple(Triple(actor, "ga", loc), ts))
+                s, p, o = actor, "ga", self.location(
+                    rng.randrange(cfg.location_count))
+            columns = out[stream]
+            columns.s.append(s)
+            columns.p.append(p)
+            columns.o.append(o)
+            columns.ts.append(int(when))
         return out
 
     # -- continuous queries ---------------------------------------------------------

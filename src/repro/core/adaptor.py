@@ -1,16 +1,19 @@
 """The Adaptor: batching and timing/timeless classification.
 
-The Adaptor sits at the entrance of the execution flow (Fig. 5b): it groups
-incoming tuples into mini-batches (done upstream by
-:func:`repro.streams.stream.batch_tuples`), converts strings to IDs via the
-string server, and classifies each tuple as *timing* or *timeless* according
-to the stream's schema so the Dispatcher/Injector can route it to the right
-store.
+The Adaptor sits at the entrance of the execution flow (Fig. 5b): it takes
+a stream's mini-batches, converts strings to IDs via the string server, and
+classifies each tuple as *timing* or *timeless* according to the stream's
+schema so the Dispatcher/Injector can route it to the right store.  The
+grouping into mini-batches happens upstream, in the stream source: a
+stream is four name columns from its generator or parser on
+(:class:`~repro.rdf.terms.TimedColumns`), and a batch is their slices
+between two offsets of one :class:`~repro.streams.stream.BatchCut`.
 
-The batch leaves here as ID columns (:class:`EncodedColumns`): it is
-encoded in one :meth:`StringServer.encode_columns` call, and the
-timing/timeless decision is made once per distinct predicate of the
-batch, a mixed batch being split with :meth:`EncodedColumns.take`.
+The batch arrives as name columns and leaves as ID columns
+(:class:`EncodedColumns`): it is encoded in one
+:meth:`StringServer.encode_columns` call, and the timing/timeless
+decision is made once per distinct predicate of the batch, a mixed batch
+being split with :meth:`EncodedColumns.take`.
 """
 
 from __future__ import annotations

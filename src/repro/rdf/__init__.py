@@ -1,6 +1,7 @@
-"""RDF data model: terms, triples, timed tuples, IDs and the string server."""
+"""RDF data model: terms, triples, timed stream columns, IDs and the string
+server."""
 
-from repro.rdf.terms import Triple, TimedTuple
+from repro.rdf.terms import Triple, TimedColumns
 from repro.rdf.ids import (
     INDEX_VID,
     DIR_IN,
@@ -17,7 +18,7 @@ from repro.rdf.parser import parse_triples, parse_timed_tuples
 
 __all__ = [
     "Triple",
-    "TimedTuple",
+    "TimedColumns",
     "INDEX_VID",
     "DIR_IN",
     "DIR_OUT",

@@ -5,11 +5,14 @@ stream traces in tests and examples:
 
 * triples — ``subject predicate object .`` (the final dot is optional);
 * timed tuples — ``subject predicate object @timestamp`` with an integer
-  timestamp in simulated milliseconds.
+  timestamp in simulated milliseconds, parsed into the four columns of a
+  stream (:class:`~repro.rdf.terms.TimedColumns`).
 
-Blank lines and ``#`` comments are skipped.  Terms are bare words or
-``<...>``-delimited IRIs (the delimiters are stripped); quoted literals keep
-internal spaces.
+Blank lines and ``#`` comments are skipped.  A comment starts at a ``#``
+at the start of a line or after whitespace, outside ``<...>`` and quotes,
+so ``<http://ex.org/a#Logan>`` and ``"issue #4"`` are terms.  Terms are
+bare words or ``<...>``-delimited IRIs (the delimiters are stripped);
+quoted literals keep internal spaces.
 """
 
 from __future__ import annotations
@@ -18,7 +21,40 @@ import shlex
 from typing import Iterable, List
 
 from repro.errors import ParseError
-from repro.rdf.terms import TimedTuple, Triple
+from repro.rdf.terms import TimedColumns, Triple
+
+
+def _strip_comment(line: str) -> str:
+    """``line`` without its comment, if it has one.
+
+    A ``#`` opens a comment at the start of the line or after
+    whitespace; one inside a term (``a#b``), an IRI or a quoted literal
+    does not.  A backslash escapes the next character, as in ``shlex``
+    (an escaped quote does not close a literal, an escaped space does
+    not end a term).
+    """
+    quote = ""
+    iri = escaped = False
+    previous = " "
+    for i, char in enumerate(line):
+        if escaped:
+            escaped = False
+            char = ""  # part of the term, whatever it is
+        elif char == "\\" and quote != "'":
+            escaped = True
+        elif quote:
+            if char == quote:
+                quote = ""
+        elif iri:
+            iri = char != ">"
+        elif char in "\"'":
+            quote = char
+        elif previous.isspace():
+            if char == "#":
+                return line[:i]
+            iri = char == "<"
+        previous = char
+    return line
 
 
 def _split_terms(line: str, lineno: int) -> List[str]:
@@ -38,7 +74,7 @@ Triple(subject='Logan', predicate='po', object='T-13')]
     """
     triples: List[Triple] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         terms = _split_terms(line, lineno)
@@ -51,15 +87,16 @@ Triple(subject='Logan', predicate='po', object='T-13')]
     return triples
 
 
-def parse_timed_tuples(text: str) -> List[TimedTuple]:
-    """Parse newline-separated timed tuples (``s p o @ts``).
+def parse_timed_tuples(text: str) -> TimedColumns:
+    """Parse newline-separated timed tuples (``s p o @ts``) into columns.
 
-    >>> parse_timed_tuples("Logan po T-15 @802")
-    [TimedTuple(triple=Triple(subject='Logan', predicate='po', object='T-15'), timestamp_ms=802)]
+    >>> tuples = parse_timed_tuples("Logan po T-15 @802\\nErik li T-15 @806")
+    >>> tuples.s, tuples.ts
+    (['Logan', 'Erik'], [802, 806])
     """
-    tuples: List[TimedTuple] = []
+    tuples = TimedColumns()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         terms = _split_terms(line, lineno)
@@ -72,7 +109,10 @@ def parse_timed_tuples(text: str) -> List[TimedTuple]:
         except ValueError as exc:
             raise ParseError(
                 f"bad timestamp {stamp_text!r}", line=lineno) from exc
-        tuples.append(TimedTuple(Triple(terms[0], terms[1], terms[2]), stamp))
+        tuples.s.append(terms[0])
+        tuples.p.append(terms[1])
+        tuples.o.append(terms[2])
+        tuples.ts.append(stamp)
     return tuples
 
 

@@ -18,12 +18,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StoreError
 from repro.rdf.ids import INDEX_VID, MAX_EID, MAX_VID
-from repro.rdf.terms import EncodedColumns, TimedTuple, Triple
+from repro.rdf.terms import EncodedColumns, TimedColumns, Triple
 
 #: Cut a row of triples into its subject, predicate and object columns.
 _CUTS = itemgetter(0), itemgetter(1), itemgetter(2)
-#: Cut a row of timed tuples into its triple and timestamp columns.
-_TRIPLE, _STAMP = itemgetter(0), itemgetter(1)
 
 
 def _none_rows(column: List[Optional[int]]) -> Set[int]:
@@ -132,22 +130,28 @@ class StringServer:
         ([1], [1], [2], [0])
         """
         rows = list(triples)
-        return self._encode(rows, [0] * len(rows))
+        # Cut by itemgetter, not ``zip(*rows)``: that holds one tracked
+        # iterator per row at once, and a bulk load's 32 k of them
+        # survive young collections and bring on a full one.
+        subjects, predicates, objects = (list(map(cut, rows)) for cut in _CUTS)
+        return self._encode(subjects, predicates, objects, [0] * len(rows))
 
-    def encode_columns(self, tuples: Sequence[TimedTuple]) -> EncodedColumns:
-        """Encode a batch of timed tuples into ID columns.
+    def encode_columns(self, tuples: TimedColumns) -> EncodedColumns:
+        """Encode a batch of timed tuples into ID columns; its ``ts``
+        column is shared, not copied (neither side mutates it).
 
         >>> server = StringServer()
-        >>> tup = TimedTuple(Triple("Logan", "po", "T-15"), 802)
-        >>> cols = server.encode_columns([tup, tup])
+        >>> tuples = TimedColumns(["Logan"] * 2, ["po"] * 2, ["T-15"] * 2,
+        ...                       [802, 802])
+        >>> cols = server.encode_columns(tuples)
         >>> cols.s, cols.p, cols.o, cols.ts
         ([1, 1], [1, 1], [2, 2], [802, 802])
         """
-        return self._encode(list(map(_TRIPLE, tuples)),
-                            list(map(_STAMP, tuples)))
+        return self._encode(tuples.s, tuples.p, tuples.o, tuples.ts)
 
-    def _encode(self, rows: List[Triple], stamps: List[int]) -> EncodedColumns:
-        """The triples as id columns, allocating ids as needed.
+    def _encode(self, subjects: List[str], predicates: List[str],
+                objects: List[str], stamps: List[int]) -> EncodedColumns:
+        """The name columns as id columns, allocating ids as needed.
 
         The subject, predicate and object columns are mapped through the
         id dicts whole; then only the rows holding an unseen name are
@@ -156,10 +160,6 @@ class StringServer:
         every id comes out the same.  (A name first seen in one row and
         repeated in a later one finds its new id there.)
         """
-        # Cut by itemgetter, not ``zip(*rows)``: that holds one tracked
-        # iterator per row at once, and a bulk load's 32 k of them
-        # survive young collections and bring on a full one.
-        subjects, predicates, objects = (list(map(cut, rows)) for cut in _CUTS)
         entity_get = self._entity_ids.get
         s = list(map(entity_get, subjects))
         p = list(map(self._predicate_ids.get, predicates))

@@ -9,9 +9,10 @@ source trims its buffer up to the acknowledgement, and replay re-delivers
 everything still buffered after a given batch number.
 
 Raw tuples enter through :meth:`StreamSource.queue_tuples` as one
-:class:`~repro.streams.stream.BatchCut`: the timestamp column is checked
-and cut at batch offsets once, and each batch is sliced from the tuple
-list only when :meth:`StreamSource.next_batch` delivers it.
+:class:`~repro.streams.stream.BatchCut` over the stream's columns, which
+are kept as they are, not copied: the ``ts`` column is checked and cut
+at batch offsets once, and each batch is sliced from the four columns
+only when :meth:`StreamSource.next_batch` delivers it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import deque
 from typing import Deque, Iterable, Iterator, List, Optional
 
 from repro.errors import StreamError
-from repro.rdf.terms import TimedTuple
+from repro.rdf.terms import TimedColumns
 from repro.streams.stream import BatchCut, StreamBatch, StreamSchema
 
 
@@ -67,12 +68,13 @@ class StreamSource:
                 f"batches must be queued in order: got #{batch_no} "
                 f"after #{self._last_queued}")
 
-    def queue_tuples(self, tuples: Iterable[TimedTuple], start_ms: int,
+    def queue_tuples(self, tuples: TimedColumns, start_ms: int,
                      interval_ms: int) -> int:
-        """Queue raw tuples as batches #1.. of one cut (see
+        """Queue a stream's columns as batches #1.. of one cut (see
         :class:`~repro.streams.stream.BatchCut`); returns the number of
-        batches.  No batch is built until it is delivered."""
-        cut = BatchCut(self.schema.name, list(tuples), start_ms, interval_ms)
+        batches.  The columns are held, not copied, and must not be
+        mutated; no batch is built until it is delivered."""
+        cut = BatchCut(self.schema.name, tuples, start_ms, interval_ms)
         if not cut:
             return 0
         self._check_next(1)  # so nothing was queued: ``_cut_next`` is 1

@@ -13,18 +13,18 @@ timestamps in ``[start + (k-1)*interval, start + k*interval)``.  The engine
 takes only batches cut from ``start = 0`` at its own interval
 (:func:`repro.streams.window.batch_span`).
 
-A stream is cut into batches in one pass over its timestamp column
-(:class:`BatchCut`): the order is checked once, and batch *k* is the
-slice between two ``bisect_left`` offsets.  A source slices each batch
-when it delivers it; :func:`batch_tuples` slices them all at once.  No
-tuple is ever added to a batch one at a time: a :class:`StreamBatch` is
-built whole, and checked against its span by its smallest and largest
-timestamp unless a cut made it (its slices lie in their spans by
-construction).
+A stream is four columns (:class:`~repro.rdf.terms.TimedColumns`), and
+it is cut into batches in one pass over its ``ts`` column
+(:class:`BatchCut`): the order is checked once on the column itself,
+and batch *k* is the four columns' slices between two ``bisect_left``
+offsets.  A source slices each batch when it delivers it;
+:func:`batch_tuples` slices them all at once.  No tuple is ever added to
+a batch one at a time: a :class:`StreamBatch` is built whole, and
+checked against its span by the smallest and largest of its ``ts``
+unless a cut made it (its slices lie in their spans by construction).
 
->>> from repro.rdf.terms import Triple
->>> stamps = (5, 10, 10, 31)
->>> tuples = [TimedTuple(Triple("a", "p", "b"), ts) for ts in stamps]
+>>> stamps = [5, 10, 10, 31]
+>>> tuples = TimedColumns(["a"] * 4, ["p"] * 4, ["b"] * 4, stamps)
 >>> cut = BatchCut("S", tuples, 0, 10)
 >>> len(cut), cut.offsets
 (4, [0, 1, 3, 3, 4])
@@ -38,11 +38,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, count
-from operator import itemgetter, lt
-from typing import FrozenSet, Iterable, List
+from operator import lt
+from typing import FrozenSet, List
 
 from repro.errors import StreamError
-from repro.rdf.terms import TimedTuple
+from repro.rdf.terms import TimedColumns
 
 
 @dataclass(frozen=True)
@@ -65,22 +65,29 @@ class StreamSchema:
         return predicate in self.timing_predicates
 
 
+def _row_text(tuples: TimedColumns, i: int) -> str:
+    """Row ``i`` as a refusal names it: ``<s, p, o> @ts``."""
+    return (f"<{tuples.s[i]}, {tuples.p[i]}, {tuples.o[i]}> "
+            f"@{tuples.ts[i]}")
+
+
 @dataclass
 class StreamBatch:
-    """One mini-batch of a stream: all tuples of one time interval.
+    """One mini-batch of a stream: all tuples of one time interval, as
+    four columns.
 
-    The constructor checks the tuples against the span once, by their
-    smallest and largest timestamp; a batch with a tuple outside
+    The constructor checks the tuples against the span once, by the
+    smallest and largest of their ``ts``; a batch with a tuple outside
     ``[start_ms, end_ms)`` is refused whole with :class:`StreamError`
-    naming the first such tuple.  (:meth:`BatchCut.batch` hands over a
-    slice that lies in its span by construction.)
+    naming the first such tuple.  (:meth:`BatchCut.batch` hands over
+    slices that lie in their span by construction.)
     """
 
     stream: str
     batch_no: int
     start_ms: int
     end_ms: int
-    tuples: List[TimedTuple] = field(default_factory=list)
+    tuples: TimedColumns = field(default_factory=TimedColumns)
 
     def __post_init__(self) -> None:
         if self.batch_no < 1:
@@ -88,32 +95,31 @@ class StreamBatch:
         if self.end_ms <= self.start_ms:
             raise StreamError(
                 f"empty batch interval: [{self.start_ms}, {self.end_ms})")
-        if not self.tuples:
+        stamps = self.tuples.ts
+        if not stamps:
             return
-        stamps = list(map(itemgetter(1), self.tuples))
         if min(stamps) < self.start_ms or max(stamps) >= self.end_ms:
-            outside = next(tup for tup in self.tuples
-                           if not self.start_ms <= tup.timestamp_ms
-                           < self.end_ms)
+            outside = next(i for i, ts in enumerate(stamps)
+                           if not self.start_ms <= ts < self.end_ms)
             raise StreamError(
-                f"tuple {outside} outside batch interval "
-                f"[{self.start_ms}, {self.end_ms})")
+                f"tuple {_row_text(self.tuples, outside)} outside batch "
+                f"interval [{self.start_ms}, {self.end_ms})")
 
     def __len__(self) -> int:
         return len(self.tuples)
 
 
 class BatchCut:
-    """A timestamp-ordered tuple list cut into consecutive batches.
+    """A stream's timestamp-ordered columns cut into consecutive batches.
 
     Batch *k* (1-based) covers ``[start + (k-1)*interval, start +
     k*interval)`` and holds ``tuples[offsets[k-1]:offsets[k]]``: every
     batch from #1 up to the one holding the last tuple, empty ones
     included, so batch numbering always tracks time.  The cut is one
-    pass over the timestamp column: an order check, then one
-    ``bisect_left`` per batch boundary; only the tuple list and the
-    ``len(self) + 1`` offsets are kept, and :meth:`batch` builds a
-    batch when it is asked for.
+    pass over the ``ts`` column itself: an order check, then one
+    ``bisect_left`` per batch boundary; only the columns (not copied)
+    and the ``len(self) + 1`` offsets are kept, and :meth:`batch` builds
+    a batch when it is asked for.
 
     Raises :class:`StreamError` on a non-positive interval, a tuple
     before ``start_ms`` or a timestamp lower than its predecessor's
@@ -123,7 +129,7 @@ class BatchCut:
 
     __slots__ = ("stream", "tuples", "offsets", "start_ms", "interval_ms")
 
-    def __init__(self, stream: str, tuples: List[TimedTuple], start_ms: int,
+    def __init__(self, stream: str, tuples: TimedColumns, start_ms: int,
                  interval_ms: int):
         if interval_ms <= 0:
             raise StreamError(
@@ -132,21 +138,21 @@ class BatchCut:
         self.tuples = tuples
         self.start_ms = start_ms
         self.interval_ms = interval_ms
-        if not tuples:
+        stamps = tuples.ts
+        if not stamps:
             self.offsets = [0]
             return
-        stamps = list(map(itemgetter(1), tuples))
         # Each stamp against the one before it (the first against the
         # stream start): the first one lower is the first bad tuple.
         bad = next(compress(count(), map(lt, stamps,
                                          chain((start_ms,), stamps))), None)
         if bad is not None:
-            tup = tuples[bad]
-            if tup.timestamp_ms < start_ms:
+            if stamps[bad] < start_ms:
                 raise StreamError(
-                    f"tuple {tup} precedes stream start {start_ms}")
+                    f"tuple {_row_text(tuples, bad)} precedes stream start "
+                    f"{start_ms}")
             raise StreamError(
-                f"out-of-order timestamp: {tup.timestamp_ms} after "
+                f"out-of-order timestamp: {stamps[bad]} after "
                 f"{stamps[bad - 1]} (stream {stream})")
         last = (stamps[-1] - start_ms) // interval_ms + 1
         self.offsets = list(map(partial(bisect_left, stamps), range(
@@ -161,19 +167,20 @@ class BatchCut:
         batch = StreamBatch(self.stream, batch_no, start,
                             start + self.interval_ms)
         # In its span by construction (the cut checked every stamp once),
-        # so a source's delivery pays no second pass over the tuples.
+        # so a source's delivery pays no second pass over the stamps.
         batch.tuples = \
             self.tuples[self.offsets[batch_no - 1]:self.offsets[batch_no]]
         return batch
 
 
-def batch_tuples(stream: str, tuples: Iterable[TimedTuple], start_ms: int,
+def batch_tuples(stream: str, tuples: TimedColumns, start_ms: int,
                  interval_ms: int) -> List[StreamBatch]:
-    """Group timestamp-ordered tuples into consecutive batches, all at once.
+    """Cut a stream's timestamp-ordered columns into consecutive batches,
+    all at once.
 
     The same cut :class:`BatchCut` makes (and the same refusals); a
     :class:`~repro.streams.source.StreamSource` builds each batch only
     when it is delivered instead.
     """
-    cut = BatchCut(stream, list(tuples), start_ms, interval_ms)
+    cut = BatchCut(stream, tuples, start_ms, interval_ms)
     return list(map(cut.batch, range(1, len(cut) + 1)))

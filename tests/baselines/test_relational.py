@@ -10,18 +10,18 @@ from repro.baselines.spark import SparkStreamingEngine
 from repro.baselines.structured import StructuredStreamingEngine
 from repro.errors import StreamError
 from repro.rdf.string_server import StringServer
-from repro.rdf.terms import EncodedColumns, TimedTuple, Triple
+from repro.rdf.terms import EncodedColumns
 from repro.sim.cluster import Cluster
 from repro.sim.cost import CostModel, LatencyMeter
 from repro.sparql.ast import TriplePattern
 from repro.streams.stream import StreamBatch
+from streams.helpers import timed
 
 import pytest
 
 
 def encode_all(strings, rows):
-    return strings.encode_columns([TimedTuple(Triple(*r[:3]), r[3])
-                                   for r in rows])
+    return strings.encode_columns(timed(rows))
 
 
 class TestWindowBuffer:
@@ -70,13 +70,11 @@ def test_refused_batch_leaves_buffer_untouched(build):
     """A batch whose timestamps fall is refused whole, with a typed error,
     before any of its rows reaches the engine's buffer."""
     engine = build()
-    engine.ingest(StreamBatch("S", 1, 0, 100, [
-        TimedTuple(Triple("a", "p", "b"), 50)]))
+    engine.ingest(StreamBatch("S", 1, 0, 100, timed([("a", "p", "b", 50)])))
     before = engine.buffers["S"].window(0, 1000)
     with pytest.raises(StreamError):
-        engine.ingest(StreamBatch("S", 2, 100, 200, [
-            TimedTuple(Triple("c", "p", "d"), 150),
-            TimedTuple(Triple("e", "p", "f"), 120)]))
+        engine.ingest(StreamBatch("S", 2, 100, 200, timed([
+            ("c", "p", "d", 150), ("e", "p", "f", 120)])))
     assert engine.buffers["S"].window(0, 1000) == before
     assert len(engine.buffers["S"]) == 1
 

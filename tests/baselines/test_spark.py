@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.spark import SparkStreamingEngine
 from repro.baselines.structured import StructuredStreamingEngine
 from repro.errors import UnsupportedOperationError
+from repro.rdf.terms import TimedColumns
 from repro.sparql.parser import parse_query
 
 from baselines.helpers import (EXPECTED_QC_AT_10S, PINNED, feed,
@@ -91,7 +92,8 @@ class TestStructuredStreaming:
                 shifted = StreamBatch(
                     batch.stream, batch.batch_no + 100,
                     batch.start_ms + 100_000, batch.end_ms + 100_000,
-                    [type(t)(t.triple, t.timestamp_ms + 100_000)
-                     for t in batch.tuples])
+                    TimedColumns(batch.tuples.s, batch.tuples.p,
+                                 batch.tuples.o,
+                                 [ts + 100_000 for ts in batch.tuples.ts]))
                 engine.ingest(shifted)
         assert engine.unbounded_rows > before

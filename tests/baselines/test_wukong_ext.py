@@ -55,7 +55,7 @@ class TestInefficiencies:
 
     def test_window_extraction_slows_as_data_accumulates(self):
         from repro.streams.stream import StreamBatch
-        from repro.rdf.terms import TimedTuple, Triple
+        from streams.helpers import timed
 
         engine = build()
         _, early = engine.execute_continuous(qc_query(), 10_000)
@@ -64,16 +64,16 @@ class TestInefficiencies:
         # scenario inside a fresh window.  Without a stream index, the
         # window scan must now filter through the whole accumulated value
         # list, so the same-shaped execution costs strictly more.
-        history = [TimedTuple(Triple("Erik", "li", "T-15"), 20_000 + i)
-                   for i in range(200)]
+        history = timed(("Erik", "li", "T-15", 20_000 + i)
+                        for i in range(200))
         engine.ingest(StreamBatch("Like_Stream", 999, 20_000, 21_000,
                                   history))
         engine.ingest(StreamBatch(
             "Tweet_Stream", 999, 20_000, 31_000,
-            [TimedTuple(Triple("Logan", "po", "T-18"), 30_000)]))
+            timed([("Logan", "po", "T-18", 30_000)])))
         engine.ingest(StreamBatch(
             "Like_Stream", 1000, 21_000, 31_000,
-            [TimedTuple(Triple("Erik", "li", "T-18"), 30_500)]))
+            timed([("Erik", "li", "T-18", 30_500)])))
         result, late = engine.execute_continuous(qc_query(), 32_000)
         assert to_names(engine.strings, result.rows) == \
             [("Logan", "Erik", "T-18")]

@@ -2,9 +2,12 @@
 
 import pytest
 
+import repro.bench.citybench as citybench
 from repro.bench.citybench import (ALL_QUERIES, CityBench, CityBenchConfig,
                                    PAPER_RATES, QUERY_STREAMS, STREAM_ONLY)
+from repro.sim.rng import stable_rng
 from repro.sparql.parser import parse_query
+from streams.helpers import content_digest, tracked_objects
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +58,23 @@ class TestStreams:
 
     def test_timestamps_ordered(self, bench):
         for tuples in bench.generate_streams(5_000).values():
-            stamps = [t.timestamp_ms for t in tuples]
-            assert stamps == sorted(stamps)
+            assert tuples.ts == sorted(tuples.ts)
+
+    def test_content_pinned(self, monkeypatch):
+        """The default city's streams, row for row, under the
+        process-stable rng."""
+        monkeypatch.setattr(citybench, "make_rng", stable_rng)
+        streams = CityBench(CityBenchConfig()).generate_streams(20_000)
+        assert content_digest(streams) == (
+            "9e5bc8b4ebc8f543f5300c57fddd64f0a2ab3c0940fbb45c09a3a4c220c33c0f",
+            1_691)
+
+    def test_no_tracked_object_per_tuple(self, bench):
+        before = tracked_objects()
+        streams = bench.generate_streams(600_000)
+        tuples = sum(map(len, streams.values()))
+        assert tuples > 40_000
+        assert tracked_objects() - before < tuples // 100
 
 
 class TestQueries:

@@ -2,9 +2,13 @@
 
 import pytest
 
+import repro.bench.lsbench as lsbench
 from repro.bench.lsbench import (GROUP_I, GROUP_II, LSBench, LSBenchConfig,
                                  PAPER_RATES, QUERY_STREAMS)
+from repro.sim.rng import stable_rng
 from repro.sparql.parser import parse_query
+from repro.streams.source import StreamSource
+from streams.helpers import content_digest, tracked_objects
 
 
 @pytest.fixture(scope="module")
@@ -65,30 +69,58 @@ class TestStreams:
 
     def test_timestamps_ordered_per_stream(self, bench):
         for tuples in bench.generate_streams(3_000).values():
-            stamps = [t.timestamp_ms for t in tuples]
-            assert stamps == sorted(stamps)
+            assert tuples.ts == sorted(tuples.ts)
 
     def test_gps_is_timing_only(self, bench):
         schema = {s.name: s for s in bench.schemas()}["GPS"]
-        for tup in bench.generate_streams(2_000)["GPS"]:
-            assert schema.is_timing(tup.triple.predicate)
+        for predicate in bench.generate_streams(2_000)["GPS"].p:
+            assert schema.is_timing(predicate)
 
     def test_likes_reference_existing_posts(self, bench):
         streams = bench.generate_streams(3_000)
-        posts = {t.triple.object for t in streams["PO"]
-                 if t.triple.predicate == "po"}
+        posts = {o for (_, p, o), _ in streams["PO"] if p == "po"}
         initial = {f"Post_{i}_{k}"
                    for i in range(bench.config.num_users)
                    for k in range(bench.config.initial_posts_per_user)}
-        for like in streams["PO_L"]:
-            assert like.triple.object in posts | initial
+        for (_, _, post), _ in streams["PO_L"]:
+            assert post in posts | initial
 
     def test_rate_overrides(self, bench):
         streams = bench.generate_streams(
             2_000, rates={"PO": 0.0, "PO_L": 0.0, "PH": 0.0, "PH_L": 0.0,
                           "GPS": 1_000.0})
-        assert streams["PO"] == []
+        assert len(streams["PO"]) == 0
         assert len(streams["GPS"]) > 0
+
+    def test_content_pinned(self, monkeypatch):
+        """Seed 42's streams, row for row, under the process-stable rng
+        (the draws of ``make_rng`` move with the string hash seed)."""
+        monkeypatch.setattr(lsbench, "make_rng", stable_rng)
+        streams = LSBench(LSBenchConfig(seed=42)).generate_streams(20_000)
+        assert content_digest(streams) == (
+            "5f47d5a8ad5bfcacf97c049f246499b28cbd026d772c83c4795c28ecb21d73ce",
+            106_797)
+
+    def test_no_tracked_object_per_tuple(self, bench):
+        """A generated stream is four columns of untracked strings and
+        ints, and queueing and delivering it slices them batch by batch:
+        neither step leaves a collector-tracked object per tuple.  (What
+        is left is per batch, or the Zipf weight tables the generator
+        caches once per pool size.)"""
+        before = tracked_objects()
+        streams = bench.generate_streams(20_000)
+        generated = tracked_objects()
+        tuples = sum(map(len, streams.values()))
+        assert tuples > 80_000
+        assert generated - before < tuples // 100
+        schemas = {schema.name: schema for schema in bench.schemas()}
+        batches = 0
+        for name, columns in streams.items():
+            source = StreamSource(schemas[name])
+            batches += source.queue_tuples(columns, 0, 1_000)
+            list(source.drain())  # kept in the source's backup
+        assert tracked_objects() - generated < 10 * batches
+        assert 10 * batches < tuples // 100
 
 
 class TestQueries:

@@ -7,9 +7,9 @@ from repro.core.checkpoint import CheckpointManager
 from repro.core.engine import EngineConfig, WukongSEngine
 from repro.errors import FaultToleranceError, StoreError, StreamError
 from repro.rdf.parser import parse_timed_tuples, parse_triples
-from repro.rdf.terms import TimedTuple, Triple
 from repro.streams.source import StreamSource
 from repro.streams.stream import StreamSchema
+from streams.helpers import timed
 
 from core.test_engine import QC, build_engine, names
 
@@ -81,8 +81,8 @@ class TestUpstreamBackup:
                                 checkpoint_interval_ms=2_000))
         source = StreamSource(engine.schemas["S"])
         assert source.queue_tuples(
-            [TimedTuple(Triple(f"u{i % 7}", "po", f"t{i}"), 10 * i)
-             for i in range(5_000)], 0, 100) == 500
+            timed((f"u{i % 7}", "po", f"t{i}", 10 * i)
+                  for i in range(5_000)), 0, 100) == 500
         engine.attach_source(source)
         sizes = []
         for _ in range(500):

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import EngineConfig, WukongSEngine
 from repro.rdf.parser import parse_triples
-from repro.rdf.terms import TimedTuple, Triple
 from repro.streams.source import StreamSource
 from repro.streams.stream import StreamSchema
+from streams.helpers import timed
 
 USERS = ["u0", "u1", "u2"]
 STATIC = "u0 fo u1 .\nu1 fo u2 .\nu2 fo u0 ."
@@ -54,19 +54,19 @@ def build_streams(events):
         ts = batch * 1000 + 500
         post = f"t{post_id}"
         if is_like:
-            likes.append(TimedTuple(Triple(actor, "li", post), ts))
+            likes.append((actor, "li", post, ts))
         else:
-            posts.append(TimedTuple(Triple(actor, "po", post), ts))
-    return posts, likes
+            posts.append((actor, "po", post, ts))
+    return timed(posts), timed(likes)
 
 
 def reference_answer(posts, likes, close_ms, range_ms):
     """Brute-force QC evaluation over the raw tuples."""
     start = close_ms - range_ms
-    window_posts = [(t.triple.subject, t.triple.object) for t in posts
-                    if start <= t.timestamp_ms < close_ms]
-    window_likes = [(t.triple.subject, t.triple.object) for t in likes
-                    if start <= t.timestamp_ms < close_ms]
+    window_posts = [(s, o) for (s, _, o), ts in posts
+                    if start <= ts < close_ms]
+    window_likes = [(s, o) for (s, _, o), ts in likes
+                    if start <= ts < close_ms]
     out = set()
     for x, z in window_posts:
         for (fx, fy) in FOLLOWS:
@@ -137,7 +137,7 @@ def test_oneshot_snapshots_grow_monotonically(events, plan_width):
         previous_rows = rows
         previous_sn = record.snapshot
     # Eventually every post is visible.
-    expected = {(t.triple.subject, t.triple.object) for t in posts}
+    expected = set(zip(posts.s, posts.o))
     final = {(engine.strings.entity_name(a), engine.strings.entity_name(b))
              for a, b in previous_rows}
     assert final == expected

@@ -12,11 +12,12 @@ from repro.core.transient import TransientStore
 from repro.rdf.ids import DIR_IN, DIR_OUT, make_key
 from repro.rdf.parser import parse_timed_tuples
 from repro.rdf.string_server import StringServer
-from repro.rdf.terms import EncodedColumns, TimedTuple, Triple
+from repro.rdf.terms import EncodedColumns
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.store.distributed import DistributedStore
 from repro.streams.stream import StreamBatch, StreamSchema
+from streams.helpers import timed
 
 BATCH_TEXT = """
 Logan po T-15 @120
@@ -89,8 +90,9 @@ def test_dispatch_matches_per_tuple_routing(raw, num_nodes):
     """Each node's four halves hold exactly the rows a per-tuple loop
     routes there (subject owner for out, object owner for in), in
     arrival order."""
-    batch = StreamBatch("S", 1, 0, 100, [TimedTuple(Triple(s, p, o), ts)
-                                         for ts, (s, p, o) in enumerate(raw)])
+    batch = StreamBatch("S", 1, 0, 100, timed((s, p, o, ts)
+                                              for ts, (s, p, o)
+                                              in enumerate(raw)))
     cluster = Cluster(num_nodes=num_nodes)
     adapted = Adaptor(StreamSchema("S", frozenset({"ga"})),
                       StringServer()).adapt(batch)
@@ -199,11 +201,9 @@ class TestInjector:
 
     def test_multithreaded_injection_is_faster(self):
         from repro.core.adaptor import Adaptor
-        from repro.rdf.terms import TimedTuple, Triple
         from repro.streams.stream import StreamBatch
 
-        tuples = [TimedTuple(Triple(f"u{i}", "po", f"t{i}"), 100 + i)
-                  for i in range(64)]
+        tuples = timed((f"u{i}", "po", f"t{i}", 100 + i) for i in range(64))
         big = StreamBatch("S", 2, 100, 200, tuples)
 
         def run(threads):

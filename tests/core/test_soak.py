@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import EngineConfig, WukongSEngine
 from repro.core.stats import collect_stats
-from repro.rdf.terms import TimedTuple, Triple
+from repro.rdf.terms import Triple
 from repro.streams.source import StreamSource
 from repro.streams.stream import StreamSchema
+from streams.helpers import timed
 
 USERS = [f"u{i}" for i in range(6)]
 THINGS = [f"t{i}" for i in range(6)]
@@ -45,9 +46,7 @@ def test_engine_survives_arbitrary_runs(config, events, timing_ga):
                            config=EngineConfig(**config))
     engine.load_static([Triple("u0", "fo", "u1"), Triple("u1", "fo", "u2")])
 
-    tuples = sorted(
-        (TimedTuple(Triple(s, p, o), ts) for s, p, o, ts in events),
-        key=lambda t: t.timestamp_ms)
+    tuples = timed(sorted(events, key=lambda event: event[3]))
     source = StreamSource(engine.schemas["S"])
     source.queue_tuples(tuples, 0, config["batch_interval_ms"])
     engine.attach_source(source)
@@ -72,8 +71,7 @@ def test_engine_survives_arbitrary_runs(config, events, timing_ga):
             assert shard.segments(key) <= config["plan_width"] + 2
     # The engine stays queryable and observable.
     record = engine.oneshot("SELECT ?U ?X WHERE { ?U po ?X }")
-    timeless_po = {(t.triple.subject, t.triple.object) for t in tuples
-                   if t.triple.predicate == "po"}
+    timeless_po = {(s, o) for (s, p, o), _ in tuples if p == "po"}
     decoded = {(engine.strings.entity_name(a), engine.strings.entity_name(b))
                for a, b in record.result.rows}
     assert decoded <= timeless_po

@@ -48,7 +48,6 @@ from repro.chaos.state import (_shard_digest, digest_sha256,
 from repro.core.engine import EngineConfig, WukongSEngine
 from repro.rdf.parser import parse_timed_tuples, parse_triples
 from repro.rdf.string_server import StringServer
-from repro.rdf.terms import TimedTuple, Triple
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.sim.rng import stable_rng
@@ -63,6 +62,7 @@ from repro.streams.stream import StreamSchema
 from repro.temporal.reference import (decode_result, dump_history,
                                       reference_rows)
 from store.helpers import load_triples
+from streams.helpers import timed
 
 GOLDEN_KERNELS_PATH = os.path.join(os.path.dirname(__file__),
                                    "golden_kernels.json")
@@ -571,9 +571,9 @@ def build_posts_engine(events, num_nodes: int = 2, static: str = RING,
                        **config) -> WukongSEngine:
     """Static ``fo`` edges plus ``po`` posts streamed in 1 s batches,
     scalarization off so the full ``?ts`` history stays readable."""
-    posts = [TimedTuple(Triple(actor, "po", f"t{post_id}"),
-                        batch * 1000 + 500)
-             for actor, post_id, batch in sorted(events, key=lambda e: e[2])]
+    posts = timed((actor, "po", f"t{post_id}", batch * 1000 + 500)
+                  for actor, post_id, batch in sorted(events,
+                                                      key=lambda e: e[2]))
     engine = WukongSEngine(
         schemas=[StreamSchema("Posts")],
         config=EngineConfig(num_nodes=num_nodes, batch_interval_ms=1000,

@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.rdf.ids import DIR_IN, DIR_OUT, make_key
 from repro.rdf.string_server import StringServer
-from repro.rdf.terms import EncodedColumns, TimedTuple, Triple
+from repro.rdf.terms import EncodedColumns, Triple
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter
 from repro.store.distributed import DistributedStore
 from repro.store.kvstore import BASE_SN
+from streams.helpers import timed
 
 _ENTITY = st.sampled_from([f"e{i}" for i in range(16)])
 _PREDICATE = st.sampled_from([f"p{i}" for i in range(5)])
@@ -89,7 +90,7 @@ def test_encode_triples_allocates_like_per_triple_encoding(warm, batch,
     if stamped:
         stamps = list(range(len(triples)))
         columns = columnar.encode_columns(
-            [TimedTuple(triple, ts) for triple, ts in zip(triples, stamps)])
+            timed((*triple, ts) for triple, ts in zip(triples, stamps)))
     else:
         stamps = [0] * len(triples)
         columns = columnar.encode_triples(iter(triples))

@@ -2,10 +2,11 @@
 
 ``StreamSource.queue_tuples`` (batches sliced lazily, one per
 ``next_batch``) and ``batch_tuples`` (every batch at once) share one cut
-over the timestamp column.  Both are checked here against a brute-force
-numbering written in this file — batch ``(ts - start) // interval + 1``
-for every tuple, every batch from #1 to the last one present — and
-every refusal against the exact message a per-tuple loop gives.
+over a stream's ``ts`` column.  Both are checked here against a
+brute-force numbering written in this file over the stream's rows —
+batch ``(ts - start) // interval + 1`` for every tuple, every batch from
+#1 to the last one present — and every refusal against the exact message
+a per-tuple loop gives.
 """
 
 import gc
@@ -15,46 +16,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StreamError
-from repro.rdf.terms import TimedTuple, Triple
 from repro.streams.source import StreamSource
 from repro.streams.stream import StreamBatch, StreamSchema, batch_tuples
-
-
-def tup(i, ts):
-    return TimedTuple(Triple(f"s{i}", "p", "o"), ts)
+from streams.helpers import timed
 
 
 def numbered(stamps):
-    return [tup(i, ts) for i, ts in enumerate(stamps)]
+    return timed([(f"s{i}", "p", "o", ts) for i, ts in enumerate(stamps)])
+
+
+def spelled(row):
+    """A row as a refusal names it."""
+    (s, p, o), ts = row
+    return f"<{s}, {p}, {o}> @{ts}"
 
 
 def brute_cut(tuples, start_ms, interval_ms):
-    """``(batch_no, start, end, tuples)`` per batch, one tuple at a time."""
-    if not tuples:
+    """``(batch_no, start, end, rows)`` per batch, one row at a time."""
+    rows = list(tuples)
+    if not rows:
         return []
-    last = (tuples[-1].timestamp_ms - start_ms) // interval_ms + 1
+    last = (rows[-1][1] - start_ms) // interval_ms + 1
     members = [[] for _ in range(last)]
-    for t in tuples:
-        members[(t.timestamp_ms - start_ms) // interval_ms].append(t)
+    for row in rows:
+        members[(row[1] - start_ms) // interval_ms].append(row)
     return [(k, start_ms + (k - 1) * interval_ms, start_ms + k * interval_ms,
              members[k - 1]) for k in range(1, last + 1)]
 
 
 def brute_refusal(tuples, start_ms, stream="S"):
-    """The message of the first tuple a per-tuple loop refuses, or None."""
+    """The message of the first row a per-tuple loop refuses, or None."""
     previous = None
-    for t in tuples:
-        if t.timestamp_ms < start_ms:
-            return f"tuple {t} precedes stream start {start_ms}"
-        if previous is not None and t.timestamp_ms < previous:
-            return (f"out-of-order timestamp: {t.timestamp_ms} after "
+    for row in tuples:
+        ts = row[1]
+        if ts < start_ms:
+            return f"tuple {spelled(row)} precedes stream start {start_ms}"
+        if previous is not None and ts < previous:
+            return (f"out-of-order timestamp: {ts} after "
                     f"{previous} (stream {stream})")
-        previous = t.timestamp_ms
+        previous = ts
     return None
 
 
 def shape(batch):
-    return (batch.batch_no, batch.start_ms, batch.end_ms, batch.tuples)
+    return (batch.batch_no, batch.start_ms, batch.end_ms, list(batch.tuples))
 
 
 @st.composite
@@ -97,9 +102,10 @@ def test_disorder_refused_with_the_per_tuple_message(cut, data):
     tuples, start_ms, interval_ms = cut
     if not tuples:
         return
-    i = data.draw(st.integers(0, len(tuples) - 1))
-    lowered = data.draw(st.integers(0, tuples[i].timestamp_ms + 1))
-    tuples[i] = tup(i, tuples[i].timestamp_ms - lowered)
+    stamps = list(tuples.ts)
+    i = data.draw(st.integers(0, len(stamps) - 1))
+    stamps[i] -= data.draw(st.integers(0, stamps[i] + 1))
+    tuples = numbered(stamps)
     message = brute_refusal(tuples, start_ms)
     if message is None:
         assert len(batch_tuples("S", tuples, start_ms, interval_ms)) == \
@@ -121,15 +127,15 @@ def test_disorder_refused_with_the_per_tuple_message(cut, data):
 def test_batch_refuses_its_first_out_of_span_tuple(stamps, start_ms, width):
     tuples = numbered(stamps)
     end_ms = start_ms + width
-    outside = [t for t in tuples if not start_ms <= t.timestamp_ms < end_ms]
+    outside = [row for row in tuples if not start_ms <= row[1] < end_ms]
     if not outside:
         assert len(StreamBatch("S", 1, start_ms, end_ms, tuples)) == \
             len(tuples)
         return
     with pytest.raises(StreamError) as refused:
         StreamBatch("S", 1, start_ms, end_ms, tuples)
-    assert str(refused.value) == (f"tuple {outside[0]} outside batch "
-                                  f"interval [{start_ms}, {end_ms})")
+    assert str(refused.value) == (f"tuple {spelled(outside[0])} outside "
+                                  f"batch interval [{start_ms}, {end_ms})")
 
 
 class TestRefusalMessages:
@@ -150,7 +156,7 @@ class TestRefusalMessages:
 
     @pytest.mark.parametrize("interval_ms", [0, -5])
     def test_non_positive_interval(self, interval_ms):
-        for cut in (lambda: batch_tuples("S", [], 0, interval_ms),
+        for cut in (lambda: batch_tuples("S", numbered([]), 0, interval_ms),
                     lambda: StreamSource(StreamSchema("S")).queue_tuples(
                         numbered([1]), 0, interval_ms)):
             with pytest.raises(StreamError) as refused:
@@ -165,7 +171,7 @@ class TestRefusalMessages:
             source.queue_tuples(numbered([250]), 0, 100)
         assert str(refused.value) == \
             "batches must be queued in order: got #1 after #1"
-        assert source.queue_tuples([], 0, 100) == 0  # nothing to queue
+        assert source.queue_tuples(numbered([]), 0, 100) == 0  # no batch
         assert [b.batch_no for b in source.drain()] == [1]
 
     def test_queue_tuples_twice(self):
@@ -196,8 +202,8 @@ def _live_batches():
 
 
 def test_queueing_builds_no_batch():
-    """A queued replay is a tuple list and its offsets: the first batch
-    object appears when the first batch is delivered."""
+    """A queued replay is the stream's columns and their offsets: the
+    first batch object appears when the first batch is delivered."""
     source = StreamSource(StreamSchema("S"))
     tuples = numbered(range(0, 100_000, 10))  # 10 000 tuples, 1 000 batches
     gc.collect()
@@ -206,4 +212,4 @@ def test_queueing_builds_no_batch():
     assert _live_batches() == before
     first = source.next_batch()
     assert _live_batches() == before + 1
-    assert shape(first) == (1, 0, 100, tuples[:10])
+    assert shape(first) == (1, 0, 100, list(tuples[:10]))

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.errors import StreamError
-from repro.rdf.terms import TimedTuple, Triple
 from repro.sparql.ast import WindowSpec
 from repro.streams.stream import batch_tuples
 from repro.streams.window import WindowPlanner
+from streams.helpers import timed
 
 
 def planner(range_ms=1000, step_ms=100, interval=100):
@@ -102,13 +102,13 @@ def test_batch_range_matches_a_brute_force_scan(interval, steps, range_ms,
 @given(interval=st.integers(1, 500),
        stamps=st.lists(st.integers(0, 10_000), max_size=40))
 def test_batch_tuples_numbers_batches_by_timestamp(interval, stamps):
-    tuples = [TimedTuple(Triple("s", "p", f"o{n}"), ts)
-              for n, ts in enumerate(sorted(stamps))]
+    tuples = timed([("s", "p", f"o{n}", ts)
+                    for n, ts in enumerate(sorted(stamps))])
     batches = batch_tuples("S", tuples, 0, interval)
     assert [b.batch_no for b in batches] == list(range(1, len(batches) + 1))
     for batch in batches:
         assert (batch.start_ms, batch.end_ms) == \
             ((batch.batch_no - 1) * interval, batch.batch_no * interval)
-        for tup in batch.tuples:
-            assert batch.batch_no == tup.timestamp_ms // interval + 1
+        for _, ts in batch.tuples:
+            assert batch.batch_no == ts // interval + 1
     assert sum(len(b) for b in batches) == len(tuples)

@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 from repro.chaos.state import engine_state_digest
 from repro.core.engine import EngineConfig, WukongSEngine
 from repro.rdf.parser import parse_triples
-from repro.rdf.terms import TimedTuple, Triple
 from repro.streams.source import StreamSource
 from repro.streams.stream import StreamSchema
+from streams.helpers import timed
 
 pytestmark = pytest.mark.temporal
 
@@ -39,9 +39,9 @@ def event_strategy():
 
 
 def build_engine(events, scalarization=True):
-    posts = [TimedTuple(Triple(actor, "po", f"t{post_id}"),
-                        batch * 1000 + 500)
-             for actor, post_id, batch in sorted(events, key=lambda e: e[2])]
+    posts = timed((actor, "po", f"t{post_id}", batch * 1000 + 500)
+                  for actor, post_id, batch in sorted(events,
+                                                      key=lambda e: e[2]))
     engine = WukongSEngine(
         schemas=[StreamSchema("Posts")],
         config=EngineConfig(num_nodes=2, batch_interval_ms=1000,

@@ -25,12 +25,13 @@ from repro.core.engine import EngineConfig, WukongSEngine
 from repro.errors import (SnapshotBelowGCFrontierError,
                           SnapshotNotYetStableError)
 from repro.rdf.parser import parse_triples
-from repro.rdf.terms import TimedTuple, Triple
+from repro.rdf.terms import Triple
 from repro.sparql.parser import parse_query
 from repro.streams.source import StreamSource
 from repro.streams.stream import StreamBatch, StreamSchema
 from repro.temporal.reference import (decode_result, dump_history,
                                       reference_rows)
+from streams.helpers import timed
 
 USERS = ["u0", "u1", "u2", "u3"]
 STATIC = "u0 fo u1 .\nu1 fo u2 .\nu2 fo u3 .\nu3 fo u0 .\nu0 po t0 ."
@@ -80,7 +81,7 @@ class EngineVsOracle(RuleBasedStateMachine):
         self.ticks += 1
         self.source.queue(StreamBatch(
             "Posts", self.ticks, start, start + INTERVAL_MS,
-            [TimedTuple(triple, start + 500) for triple in triples]))
+            timed((*triple, start + 500) for triple in triples)))
         self.engine.step()
 
     def check(self, text):
