@@ -10,102 +10,8 @@
 # are followed by the columnar window-close suite (closes must match
 # their frozen verdicts, including under a kill-during-close fault plan;
 # DESIGN.md §4.9), a drift check of the three golden files
-# (scripts/regen_goldens.py --check) and a gate that the retired
-# row-kernel option, the retired charge-ordering machinery (the meter
-# is an exact integer clock; charges need no ordering), the hand-rolled
-# plan/parse caches and second FILTER compiler that
-# repro.core.pipeline replaced, the retired adjacency-cache knobs, and
-# the second family of expansion kernels (the temporal package's
-# interval kernels and their compiled-plan class; a quintuple step is
-# an executor step) with the two EngineConfig fields nothing set
-# (one-shot contention, re-plan hysteresis), and the per-entry store
-# writes and span-walking window reads (every write is one
-# arrival-ordered column through ShardStore.append_column /
-# DistributedStore.insert_columns, every window read a ColumnarSlice;
-# the injector imports no private name from the store), and the second
-# timing mechanism (per-phase wall-clock dicts threaded through the
-# engines; nothing under src/repro reads the host clock — wall time is
-# taken in benchmarks/e2e/probes.py, from outside), and the executor's
-# second, row-shaped binding set with its own projection (every phase
-# from seed to projection runs on _Batch), the per-key store reads
-# (DistributedStore.neighbors_many reads one owner group at a time), and
-# the ValueSpa[n] dataclass (a stream-index span is a plain
-# (owner, offset, length) int tuple the collector untracks), the
-# shard's versioned-key set and heap (compaction has no work list), and
-# per-tuple objects anywhere in the library (the
-# write path carries a batch as EncodedColumns, and the relational
-# baselines buffer and scan their stream tables as EncodedColumns: no
-# EncodedTupl[e] / encode_tupl[e] in src, scripts, tests, benchmarks or
-# examples, nor the dead per-tuple helpers evict_befor[e] and
-# StreamBatch.spli[t]), and cold start's second copy
-# of recovery (the hand-written AST serializer query_to_dic[t] /
-# query_from_dic[t] and the string-decoded log replay
-# _decode_batch_lo[g]: a dump holds the durable log's own records,
-# replayed by checkpoint.replay_log, and each continuous query's text),
-# and the write path's per-write bookkeeping (the top-k degree sketch
-# _TopKSketc[h] / TOPK_CAPACIT[Y] / bump_man[y] / topk_degre[e] — the
-# planner reads exact degrees — and compaction's per-SN due-list
-# ._du[e] — bounded scalarization is one frontier per shard, applied by
-# the readers), and the settings nothing but tests set (the stream start
-# stream_start_m[s] — batch #k spans [(k-1)*i, k*i), checked where
-# batches enter — keep_snapshot[s], auto_pad_stream[s], the tracer's
-# sample_ever[y], workers_per_nod[e], replan_cooldown_close[s],
-# local_index_onl[y], the adaptor's relevant_predicate[s] and the serving
-# layer's retry_polic[y]), and the per-key copies of a batch no window
-# reads (the stream index's skip postings _key_posting[s] /
-# _vertex_posting[s] / _posting_batc[h] — a window view probes its own
-# slices — and the shard's index-member sets _index_member[s] /
-# _update_statistic[s] — a vid joins its index vertex when its key is
-# created), and the row round trip between executor and client (the
-# window view's column_set[s] / columns_distinc[t] fallbacks — a window
-# access serves sets and verdicts only for the fetch it just returned —
-# and any read of result.row[s] on a query path under src/repro/core,
-# client, serving or temporal/engine.py: results travel as columns and
-# the client decoder zips them into rows once), and static data's
-# second, per-triple shape (encode_tripl[e], decode_tripl[e],
-# EncodedTripl[e], insert_tripl[e]s, DistributedStore.loa[d] and the
-# engine's _initial_tripl[e]s and the dump's string "stati[c]" key:
-# static data is encoded by StringServer.encode_triples, written by
-# insert_columns and kept durable as CheckpointManager.base), and a
-# stream's per-tuple shape (no TimedTupl[e] in src, scripts, tests,
-# benchmarks or examples: a stream is four columns, TimedColumns, from
-# its generator or parser through the batch cut to
-# StringServer.encode_columns; and no itemgetter([1]) in
-# src/repro/streams: the cut checks and bisects the ts column itself,
-# with no copy), and the unused
-# ServingLayer.disconnect_tenan[t] and FairScheduler.remove_tenan[t],
-# and the variable-name sets that told a snapshot-number column from a
-# vid one (interval_var[s] — the compiled plan decides one kind per
-# column and ExecutionResult.kinds carries it — and the client's GROUP BY
-# arithmetic, names_en[d] / query.group_b[y] in src/repro/client/library.py),
-# with the second evaluator of interval relations (interval_op_hold[s],
-# _CompiledIntervalFilte[r]: interval FILTERs compile to _NumericFilter),
-# and the per-tuple batching on the queue path (batch_tuples' closure
-# batch_fo[r], StreamBatch._check_tupl[e] and StreamBatch.ad[d]: a
-# stream is cut into batches by one bisection over its timestamp column,
-# a source slices each batch when it is delivered, and a batch is checked
-# against its span by its smallest and largest timestamp), and the second
-# walk over the engine's counters (collect_metric[s], which copied every
-# owner's counters into registry keys: repro.core.stats.collect_stats is
-# the one pull) with the serving layer's always-on registry (no
-# MetricsRegistr[y] or self.metric[s] in src/repro/serving: a tenant's
-# counters and exact latencies are its TenantState), and the per-key
-# value object _ValueLis[t] (a key's value is two plain lists in the
-# shard's two dicts) with the shard's priced reads (no def looku[p]( or
-# def version[s]( in src/repro/store/kvstore.py: the shard's reads are
-# lookup_many, lookup_versions, lookup_span and index_vertices, all
-# charge-free; DistributedStore and ColumnarSlice's readers price them),
-# and the store accesses' second jobs (term resolution resolve_entit[y] /
-# resolve_predicat[e] — the explorer resolves every term through its
-# required string server, so the no-strings refusals and
-# _CompiledPlan.reads_name[s] are gone too — the single-vid
-# def neighbor[s]( beside neighbors_many, and the second index read
-# index_vertices_loca[l] with the explorer's _index_subject[s] switch:
-# index_vertices takes an owner), the close path's never-hit reuse
-# (RegisteredQuery.access_cach[e]) and what only tests read or set
-# (SharedEntry.fanned_ou[t], ClientLibrary's include_networ[k], and the
-# window helpers next_execution_m[s] and expiry_floor_m[s])
-# have not come back.
+# (scripts/regen_goldens.py --check) and the deleted-stays-deleted
+# gate (a table of retired names; see that stage).
 # A test marked both serving and chaos runs in the chaos stage only.
 #
 # The examples stage runs every walkthrough under examples/ (the only
@@ -164,82 +70,67 @@ PYTHONPATH=src python -m pytest -x -q \
 echo "== golden drift check (determinism, chaos, kernels) =="
 python scripts/regen_goldens.py --check
 
-echo "== deleted stays deleted (row-kernel option, charge-ordering machinery, hand-rolled query caches, adjacency knobs, interval kernel family, per-entry writes and span-walk reads, host-clock reads in src, the executor's row-shaped binding set, per-key store reads, the ValueSpa[n] dataclass, the versioned-key set and heap, per-tuple objects in the library, the AST serializer and string-decoded log replay, the degree sketch and the compaction due-list, the settings only tests set, skip postings and index-member sets, the row round trip between executor and client, the per-triple static-data path, a stream's per-tuple shape, disconnect_tenan[t] and remove_tenan[t], column kinds by variable name and the second interval evaluator, per-tuple batching on the queue path, the second counter walk and the serving layer's registry, the per-key value object and the shard's priced reads, term resolution and single-vid and per-owner reads in the accesses, the close path's access cache, and what only tests used) =="
-# ([h] keeps this line from matching itself; `! grep` would not trip set -e.)
-if grep -rn 'use_batc[h]\|columnar_batc[h]\|row_pat[h]' src scripts; \
-        then exit 1; fi
-if grep -rn 'ChargeSe[t]\|charges_commut[e]\|_ChargeScrip[t]\|charge_man[y]' \
-        src scripts; then exit 1; fi
-# (`\._plan_cach[e]\>` is the attribute; the exported `*_plan_cache_hits`
-# counter names stay, as do the `adjacency_cache_hits` / `_misses` /
-# `_evictions` / `_entries` / `_capacity` metric names.)
-if grep -rn '_oneshot_parse_cach[e]\|\._plan_cach[e]\>\|PLAN_CACHE_CAPACIT[Y]' \
-        src scripts; then exit 1; fi
-if grep -rn '_CompiledPlainFilte[r]\|_plain_filter_matche[s]' \
-        src scripts; then exit 1; fi
-if grep -rn 'AdjacencyBudge[t]\|adjacency_weighte[d]\|adjacency_polic[y]\|adjacency_cache_\(polic[y]\|weighte[d]\|adaptiv[e]\|mi[n]\|ma[x]\)' \
-        src scripts; then exit 1; fi
-if grep -rn 'CompiledIntervalPla[n]\|evaluate_interval_batc[h]\|_extend_share[d]\|temporal\.kernel[s]\|oneshot_contentio[n]\|replan_hysteresi[s]' \
-        src scripts; then exit 1; fi
-# (`lookup_span[s]\>` is the plural only: `ShardStore.lookup_span` stays.)
-if grep -rn 'insert_encode[d]\|insert_out_edg[e]\|insert_in_edg[e]\|\.add_inde[x](\|\.add_spa[n](\|_note_verte[x]\|lookup_span[s]\>\|_merge_span[s]\|span_fro[m]\|_timeless_neighbor[s]' \
-        src scripts; then exit 1; fi
-if grep -n 'repro\.store\.kvstore import.*\<_' src/repro/core/injector.py; \
-        then exit 1; fi
-if grep -rn 'wall_stat[s]' src scripts benchmarks --exclude-dir=e2e; \
-        then exit 1; fi
-if grep -rnE '^(import|from) time\b|perf_counte[r]' src/repro; \
-        then exit 1; fi
-if grep -rn 'SlotRo[w]\|\.to_row[s]\|from_row[s]\|_explore_row[s]\|project_gette[r]\|def _projec[t](' \
-        src scripts; then exit 1; fi
-if grep -rn 'neighbors_fro[m]\|cached_adjacenc[y]\|cache_adjacenc[y]' \
-        src scripts; then exit 1; fi
-if grep -rn 'ValueSpa[n]' src scripts tests; then exit 1; fi
-if grep -rn '_versioned_hea[p]\|\._versione[d]\>' src scripts tests; \
-        then exit 1; fi
-if grep -rn 'EncodedTupl[e]\|encode_tupl[e]\|evict_befor[e]\|def spli[t](self, schem[a]' \
-        src scripts tests benchmarks examples; then exit 1; fi
-if grep -rn 'query_to_dic[t]\|query_from_dic[t]\|_decode_batch_lo[g]' \
-        src scripts tests examples; then exit 1; fi
-if grep -rn '_TopKSketc[h]\|TOPK_CAPACIT[Y]\|bump_man[y]\|topk_degre[e]\|\._du[e]\>' \
-        src scripts tests benchmarks; then exit 1; fi
-if grep -rn 'stream_start_m[s]\|keep_snapshot[s]\|auto_pad_stream[s]\|sample_ever[y]\|workers_per_nod[e]\|replan_cooldown_close[s]\|local_index_onl[y]\|relevant_predicate[s]\|retry_polic[y]' \
-        src scripts tests benchmarks examples; then exit 1; fi
-if grep -rn '_key_posting[s]\|_vertex_posting[s]\|_posting_batc[h]\|_index_member[s]\|_update_statistic[s]' \
-        src scripts tests benchmarks examples; then exit 1; fi
-if grep -rn 'column_set[s]\|columns_distinc[t]\|_decode_row[s]' \
-        src scripts tests benchmarks examples; then exit 1; fi
-if grep -rn 'result\.row[s]\>' src/repro/core src/repro/client \
-        src/repro/serving src/repro/temporal/engine.py; then exit 1; fi
-if grep -rn 'encode_tripl[e]\>\|decode_tripl[e]\|EncodedTripl[e]\|insert_tripl[e]s\|_initial_tripl[e]s\|disconnect_tenan[t]' \
-        src scripts tests benchmarks examples; then exit 1; fi
-if grep -n 'def loa[d](' src/repro/store/distributed.py; then exit 1; fi
-if grep -n '"stati[c]"' src/repro/core/durability.py; then exit 1; fi
-if grep -rn 'TimedTupl[e]' src scripts tests benchmarks examples; \
-        then exit 1; fi
-if grep -rn 'itemgetter([1])' src/repro/streams; then exit 1; fi
-if grep -rn 'interval_var[s]' src scripts tests examples; then exit 1; fi
-if grep -rn 'interval_op_hold[s]\|_CompiledIntervalFilte[r]' src scripts; \
-        then exit 1; fi
-if grep -n 'names_en[d]\|query\.group_b[y]' src/repro/client/library.py; \
-        then exit 1; fi
-if grep -rn 'remove_tenan[t]' src scripts tests benchmarks examples; \
-        then exit 1; fi
-if grep -rn 'batch_fo[r]\|_check_tupl[e]' src scripts tests benchmarks examples; \
-        then exit 1; fi
-if grep -n 'def ad[d](' src/repro/streams/stream.py; then exit 1; fi
-if grep -rn 'collect_metric[s]' src scripts tests benchmarks examples; \
-        then exit 1; fi
-if grep -rn 'MetricsRegistr[y]\|self\.metric[s]' src/repro/serving; \
-        then exit 1; fi
-if grep -rn '_ValueLis[t]' src scripts tests; then exit 1; fi
-if grep -n 'def looku[p](\|def version[s](' src/repro/store/kvstore.py; \
-        then exit 1; fi
-if grep -rn 'resolve_entit[y]\|resolve_predicat[e]\|index_vertices_loca[l]\|_index_subject[s]\|access_cach[e]\|reads_name[s]\|fanned_ou[t]' \
-        src scripts tests; then exit 1; fi
-if grep -rn 'def neighbor[s](' src; then exit 1; fi
-if grep -rn 'include_networ[k]\|next_execution_m[s]\|expiry_floor_m[s]' \
-        src scripts tests examples; then exit 1; fi
+echo "== deleted stays deleted (a table of retired names) =="
+# One row per retired set of names: pattern | paths | change | reason.
+# The pattern is a grep basic regex, searched recursively in the paths
+# (split into grep operands, so an option such as --exclude-dir may sit
+# there); a bracket such as [h] keeps a row from matching itself.  The
+# change is the title of the change that deleted the names, as in
+# `git log` and CHANGES.md.  Any match fails the stage.
+while IFS= read -r row; do
+    pattern=${row%%" | "*}
+    rest=${row#*" | "}
+    paths=${rest%%" | "*}
+    rest=${rest#*" | "}
+    change=${rest%%" | "*}
+    reason=${rest#*" | "}
+    if grep -rn -e "$pattern" $paths; then
+        printf '%s\n' "deleted by \"$change\", and back: $pattern ($reason)"
+        exit 1
+    fi
+done <<'TABLE'
+use_batc[h]\|columnar_batc[h]\|row_pat[h] | src scripts | One execution path | the row-kernel option: one execution path, one family of kernels
+ChargeSe[t]\|charges_commut[e]\|_ChargeScrip[t]\|charge_man[y] | src scripts | Exact integer simulated clock | the charge-ordering machinery: the meter is an exact integer clock, charges need no ordering
+_oneshot_parse_cach[e]\|\._plan_cach[e]\>\|PLAN_CACHE_CAPACIT[Y] | src scripts | One query-compile seam | the hand-rolled plan and parse caches: repro.core.pipeline is the one (the exported *_plan_cache_hits counters stay)
+_CompiledPlainFilte[r]\|_plain_filter_matche[s] | src scripts | One query-compile seam | the second FILTER compiler
+AdjacencyBudge[t]\|adjacency_weighte[d]\|adjacency_polic[y]\|adjacency_cache_\(polic[y]\|weighte[d]\|adaptiv[e]\|mi[n]\|ma[x]\) | src scripts | One query-compile seam | the adjacency-cache knobs (the hit, miss, eviction, entry and capacity metric names stay)
+CompiledIntervalPla[n]\|evaluate_interval_batc[h]\|_extend_share[d]\|temporal\.kernel[s]\|oneshot_contentio[n]\|replan_hysteresi[s] | src scripts | One family of expansion kernels | the interval kernels and their plan class (a quintuple step is an executor step), and two EngineConfig fields nothing set
+insert_encode[d]\|insert_out_edg[e]\|insert_in_edg[e]\|\.add_inde[x](\|\.add_spa[n](\|_note_verte[x]\|lookup_span[s]\>\|_merge_span[s]\|span_fro[m]\|_timeless_neighbor[s] | src scripts | One way into the store and one way out of a window | per-entry store writes and span-walking window reads (only the plural: ShardStore.lookup_span stays)
+repro\.store\.kvstore import.*\<_ | src/repro/core/injector.py | One way into the store and one way out of a window | the injector imports no private name from the store
+wall_stat[s] | src scripts benchmarks --exclude-dir=e2e | One wall clock, and it lives outside src/ | per-phase wall-clock dicts threaded through the engines
+^\(import\|from\) time\b\|perf_counte[r] | src/repro | One wall clock, and it lives outside src/ | nothing under src/repro reads the host clock: benchmarks/e2e/probes.py times from outside
+SlotRo[w]\|\.to_row[s]\|from_row[s]\|_explore_row[s]\|project_gette[r]\|def _projec[t]( | src scripts | One binding-set shape in the executor | the row-shaped binding set and its own projection: every phase runs on _Batch
+neighbors_fro[m]\|cached_adjacenc[y]\|cache_adjacenc[y] | src scripts | Group-at-a-time store reads | per-key store reads: one owner group at a time
+ValueSpa[n] | src scripts tests | Stream-index spans as plain int tuples | a span is a plain (owner, offset, length) int tuple the collector untracks
+_versioned_hea[p]\|\._versione[d]\> | src scripts tests | Column-at-a-time write path | the shard's versioned-key set and heap: compaction has no work list
+EncodedTupl[e]\|encode_tupl[e]\|evict_befor[e]\|def spli[t](self, schem[a] | src scripts tests benchmarks examples | One row shape in the baselines | per-tuple objects in the library: the write path and the relational baselines carry EncodedColumns
+query_to_dic[t]\|query_from_dic[t]\|_decode_batch_lo[g] | src scripts tests examples | One durable path | cold start's second copy of recovery: a dump holds the durable log's records, replayed by checkpoint.replay_log, and each query's text
+_TopKSketc[h]\|TOPK_CAPACIT[Y]\|bump_man[y]\|topk_degre[e]\|\._du[e]\> | src scripts tests benchmarks | Write path with no per-write bookkeeping | the degree sketch (the planner reads exact degrees) and compaction's per-SN due list
+stream_start_m[s]\|keep_snapshot[s]\|auto_pad_stream[s]\|sample_ever[y]\|workers_per_nod[e]\|replan_cooldown_close[s]\|local_index_onl[y]\|relevant_predicate[s]\|retry_polic[y] | src scripts tests benchmarks examples | Every setting has a caller | settings nothing but tests set
+_key_posting[s]\|_vertex_posting[s]\|_posting_batc[h]\|_index_member[s]\|_update_statistic[s] | src scripts tests benchmarks examples | Write only what a window reads | per-key copies of a batch no window reads: skip postings and index-member sets
+column_set[s]\|columns_distinc[t]\|_decode_row[s] | src scripts tests benchmarks examples | Results travel as columns from executor to client | the row round trip: a window access serves sets and verdicts only for the fetch it returned
+result\.row[s]\> | src/repro/core src/repro/client src/repro/serving src/repro/temporal/engine.py | Results travel as columns from executor to client | query paths read results as columns; the client decoder zips rows once
+encode_tripl[e]\>\|decode_tripl[e]\|EncodedTripl[e]\|insert_tripl[e]s\|_initial_tripl[e]s\|disconnect_tenan[t] | src scripts tests benchmarks examples | Static data enters as columns | static data's per-triple shape, and the unused ServingLayer tenant disconnect
+def loa[d]( | src/repro/store/distributed.py | Static data enters as columns | static data is written by insert_columns
+"stati[c]" | src/repro/core/durability.py | Static data enters as columns | the dump keeps static data as CheckpointManager.base
+TimedTupl[e] | src scripts tests benchmarks examples | A stream is four columns from the generator to the shard | a stream's per-tuple shape: a stream is TimedColumns up to encode_columns
+itemgetter([1]) | src/repro/streams | A stream is four columns from the generator to the shard | the batch cut checks and bisects the ts column itself, with no copy
+interval_var[s] | src scripts tests examples | Column kinds travel with the result | column kinds by variable name: ExecutionResult.kinds carries them
+interval_op_hold[s]\|_CompiledIntervalFilte[r] | src scripts | Column kinds travel with the result | the second interval evaluator: interval FILTERs compile to _NumericFilter
+names_en[d]\|query\.group_b[y] | src/repro/client/library.py | Column kinds travel with the result | the client's GROUP BY arithmetic
+remove_tenan[t] | src scripts tests benchmarks examples | Column kinds travel with the result | the unused FairScheduler tenant removal
+batch_fo[r]\|_check_tupl[e] | src scripts tests benchmarks examples | Queue a stream in one pass | per-tuple batching on the queue path: one bisection over the timestamp column
+def ad[d]( | src/repro/streams/stream.py | Queue a stream in one pass | a batch is checked against its span by its smallest and largest timestamp
+collect_metric[s] | src scripts tests benchmarks examples | One counter walk | the second walk over the engine's counters: collect_stats is the one pull
+MetricsRegistr[y]\|self\.metric[s] | src/repro/serving | One counter walk | the serving layer's always-on registry: a tenant's counters are its TenantState
+_ValueLis[t] | src scripts tests | A key is two plain lists, and the shard prices no read | the per-key value object
+def looku[p](\|def version[s]( | src/repro/store/kvstore.py | A key is two plain lists, and the shard prices no read | the shard's priced reads: its reads are charge-free
+resolve_entit[y]\|resolve_predicat[e]\|index_vertices_loca[l]\|_index_subject[s]\|access_cach[e]\|reads_name[s]\|fanned_ou[t] | src scripts tests | A store access only reads | term resolution in the accesses, the second index read, the close path's never-hit reuse, and a field only tests read
+def neighbor[s]( | src | A store access only reads | the single-vid read beside neighbors_many
+include_networ[k]\|next_execution_m[s]\|expiry_floor_m[s] | src scripts tests examples | A store access only reads | what only tests read or set
+def _segment[s]( | src/repro/store | A settled key holds no SN list | the frontier-aware SN segment count: a settled key holds no SN list, so segments() counts the base and the suffix
+\<folde[d]\(\[\|\.get(\|: \| = \) | src/repro/store | A settled key holds no SN list | the folded-write map: a base write to a key with SNs above the frontier is refused, and a settled key has no SN to fold into
+TABLE
 
 echo "== examples (every walkthrough runs to completion) =="
 for example in examples/*.py; do

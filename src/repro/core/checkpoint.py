@@ -300,8 +300,8 @@ def recover_node(engine: "WukongSEngine", node_id: int) -> RecoveryReport:
     report.rebuilt_batches = replay_log(engine, entries, None, meter)
     report.rejected_entries = len(report.rebuilt_batches)
     report.replayed_entries = len(entries)
-    # The rebuilt shard reads at the cluster's scalarization frontier at
-    # once, not from the next compaction on (the replay wrote raw SNs).
+    # The replay wrote raw SNs; compacting to the cluster's frontier trims
+    # them now, so the rebuilt shard reads as the lost one did at once.
     engine.store.shards[node_id].compact(
         engine.coordinator.compacted_through)
 

@@ -108,7 +108,8 @@ class DistributedStore:
 
     def compact(self, bound_sn: int) -> None:
         """Bounded scalarization: raise every shard's frontier to
-        ``bound_sn`` (O(1) per shard; see :meth:`ShardStore.compact`)."""
+        ``bound_sn`` (O(unsettled keys) per shard; see
+        :meth:`ShardStore.compact`)."""
         for shard in self.shards:
             shard.compact(bound_sn)
 

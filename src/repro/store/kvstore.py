@@ -7,9 +7,12 @@ vertex IDs.  Wukong+S extends the value lists with *snapshot numbers*
 (the initially loaded data carries SN 0), entries are appended in
 non-decreasing SN order, and a reader at stable SN ``n`` sees exactly the
 prefix of entries with SN <= ``n`` — snapshot isolation without locks.
-A key's value is two parallel plain lists, one in each of two dicts
-(``_vids`` and ``_sns``): two collector-tracked objects per key, no
-wrapper.
+A key's value is a plain vid list in ``_vids`` and, only while some of
+its entries are above the frontier (below), the SNs of exactly those
+entries in ``_sns``: a non-decreasing suffix parallel to the vid list's
+tail.  The first ``len(vids) - len(sns)`` entries read as
+:data:`BASE_SN`; a *settled* key, absent from ``_sns``, is all base and
+is one collector-tracked object.
 
 The shard prices its writes (:meth:`ShardStore.append_column`) but no
 read: :meth:`~ShardStore.lookup_many`, :meth:`~ShardStore.lookup_versions`,
@@ -18,15 +21,16 @@ are charge-free and return what their callers (``DistributedStore``,
 ``ColumnarSlice``) need to price them.
 
 Bounded scalarization is a per-shard *frontier*: :meth:`ShardStore.compact`
-only raises one SN, and every reader sees an entry whose raw SN is at or
-below it as :data:`BASE_SN` — the view folding retired SNs into the base
-gives, so each key shows a bounded number of distinct SN segments (the
-paper keeps two: one being read, one being inserted), while no SN list is
-ever rewritten.  A read bounded below the frontier bisects at the
-frontier, a version read reports the folded prefix as the base, and the
-segment count and memory accounting count it as one base segment.  A
-stream batch's SN is above ``Stable_SN >= frontier``, so no engine path
-writes between the base and the frontier; such a write is refused.
+raises it and trims the SNs at or below it off every suffix, dropping a
+suffix it empties, so each key shows a bounded number of distinct SN
+segments (the paper keeps two: one being read, one being inserted).  It
+walks only ``_sns``: O(unsettled keys), with no bookkeeping on the write
+path.  Every reader cuts a key at ``base + bisect_right(suffix,
+max_sn)``, and the segment count and memory accounting count the base
+as one segment.  A base column writes no SN, so a bulk load creates no
+SN list.  A stream batch's SN is above ``Stable_SN >= frontier``, so no
+engine path writes between the base and the frontier; such a write is
+refused.
 
 *Value spans* — ``(key, offset, length)`` int tuples, each a window into
 one key's entry list — are returned by the one write entry,
@@ -60,8 +64,9 @@ recently computed ``(bound, visible-prefix, total-length)`` so repeated
 probes of hot ``(vertex, predicate)`` keys skip the hash lookup, bisect
 and slice.  Callers still charge exactly the probe/scan (and remote-read)
 costs of an uncached lookup.  A write to a key invalidates its cached
-segment; raw SNs never change and the frontier only rises, so nothing
-else can outdate one.
+segment; compaction leaves the cut at every bound at or above the
+frontier unchanged and a read's bound is raised to the frontier, so
+nothing else can outdate one.
 """
 
 from __future__ import annotations
@@ -86,14 +91,6 @@ _PRED_MASK = (1 << _PRED_BITS) - 1
 ADJACENCY_CACHE_CAPACITY = 1 << 16
 
 
-def _segments(sns: List[int], frontier: int) -> int:
-    """Distinct snapshot segments of one raw SN list, every SN at or
-    below ``frontier`` counted as one base segment (memory-accounting
-    input)."""
-    lo = bisect_right(sns, frontier)
-    return len(set(sns[lo:])) + (lo > 0)
-
-
 class ShardStore:
     """The store partition held by one simulated node."""
 
@@ -105,16 +102,17 @@ class ShardStore:
         self.adjacency_hits = 0
         self.adjacency_misses = 0
         self.adjacency_evictions = 0
-        #: key -> its value list, and key -> the raw SN of each entry
-        #: (parallel, non-decreasing; readers apply the frontier).  Two
-        #: plain lists per key: no wrapper object for the collector.
+        #: key -> its value list, and key -> the SNs of its entries above
+        #: the frontier (the list's tail; non-decreasing; absent when
+        #: every entry reads as the base).  Plain lists: no wrapper
+        #: object for the collector.
         self._vids: Dict[Key, List[int]] = {}
         self._sns: Dict[Key, List[int]] = {}
         #: (eid, d) -> local vids in key-creation order: the index vertex
         #: ``[0|eid|d]``.  A vid is in it exactly when its key exists.
         self._index: Dict[Tuple[int, int], List[int]] = {}
-        #: Bounded scalarization's frontier: an entry whose raw SN is at
-        #: or below it reads as :data:`BASE_SN`.  Only ever raised.
+        #: Bounded scalarization's frontier: every SN in ``_sns`` is
+        #: above it.  Only ever raised.
         self._frontier = BASE_SN
         #: The highest SN ever written here — an upper bound on every
         #: key's last SN, so a column at or above it cannot be refused.
@@ -146,34 +144,27 @@ class ShardStore:
         two aggregated calls.  The planner's per-bucket entry count
         (charge-free) is kept in the same loop.
 
-        Raises :class:`StoreError`, before anything is written, when
-        ``sn`` is above the base but at or below the frontier (it would
-        read as the base), or below the last SN of any key in the
-        column.  The one exception: a base write to a key whose last SN
-        is folded into the base is stored under that SN, so the raw list
-        stays sorted and the entry still reads as the base.
+        A base column writes no SN; a stamped one extends each key's SN
+        suffix.  Raises :class:`StoreError`, before anything is written,
+        when ``sn`` is above the base but at or below the frontier (it
+        would read as the base), or below the last SN of any key in the
+        column (so a base write onto a key with a suffix is refused).
         """
         frontier = self._frontier
         if BASE_SN < sn <= frontier:
             raise StoreError(
                 f"snapshot {sn} is at or below the scalarization frontier "
                 f"{frontier}")
-        # key -> the folded SN a base write to it is stored under.
-        folded: Optional[Dict[Key, int]] = None
         if sn >= self._high_sn:
             self._high_sn = sn
         else:
-            folded = {}
             sns_get = self._sns.get
             for key in keys:
                 key_sns = sns_get(key)
                 if key_sns is not None and sn < key_sns[-1]:
-                    last = key_sns[-1]
-                    if sn != BASE_SN or last > frontier:
-                        raise StoreError(
-                            f"snapshot numbers must be appended in order: "
-                            f"{sn} after {last}")
-                    folded[key] = last
+                    raise StoreError(
+                        f"snapshot numbers must be appended in order: "
+                        f"{sn} after {key_sns[-1]}")
         groups: Dict[Key, List[int]] = {}
         groups_get = groups.get
         for key, vid in zip(keys, vids):
@@ -183,6 +174,8 @@ class ShardStore:
             else:
                 group.append(vid)
         vids_dict = self._vids
+        vids_get = vids_dict.get
+        stamped = sn != BASE_SN
         sns_dict = self._sns
         sns_get = sns_dict.get
         index = self._index
@@ -197,29 +190,31 @@ class ShardStore:
             count = len(group)
             bucket = key & _PRED_MASK
             pred_entries[bucket] = entries_get(bucket, 0) + count
-            key_sns = sns_get(key)
-            if key_sns is None:
+            key_vids = vids_get(key)
+            if key_vids is None:
                 # A fresh key keeps its group as its value list (no
                 # second copy of a bulk load's lists).
                 vids_dict[key] = group
-                sns_dict[key] = [sn] * count
                 created_keys += 1
                 # The bucket is the index vertex's (eid, d), still packed.
                 index.setdefault((bucket >> 1, bucket & 1), []).append(
                     key >> _PRED_BITS)
                 offset = 0
             else:
-                key_sn = folded.get(key, sn) if folded else sn
-                key_vids = vids_dict[key]
-                offset = len(key_sns)
+                offset = len(key_vids)
                 if count == 1:
-                    # Most keys receive a single value per batch: append
-                    # beats building the one-element [sn] list.
+                    # Most keys receive a single value per batch.
                     key_vids.append(group[0])
-                    key_sns.append(key_sn)
                 else:
                     key_vids += group
-                    key_sns += [key_sn] * count
+            if stamped:
+                key_sns = sns_get(key)
+                if key_sns is None:
+                    sns_dict[key] = [sn] * count
+                elif count == 1:
+                    key_sns.append(sn)
+                else:
+                    key_sns += [sn] * count
             if adjacency_pop is not None:
                 adjacency_pop(key, None)
             append_span((key, offset, count))
@@ -234,10 +229,20 @@ class ShardStore:
 
     def compact(self, bound_sn: int) -> None:
         """Bounded scalarization: fold SNs <= ``bound_sn`` into the base
-        by raising the frontier to it (a lower bound is a no-op).  O(1):
-        readers apply the frontier, no SN list is rewritten."""
-        if bound_sn > self._frontier:
-            self._frontier = bound_sn
+        by raising the frontier to it (a lower bound is a no-op) and
+        trimming those SNs off the head of every suffix; a suffix left
+        empty is dropped, and its key is settled.  O(unsettled keys):
+        only ``_sns`` is walked, and a settled key is never touched."""
+        if bound_sn <= self._frontier:
+            return
+        self._frontier = bound_sn
+        sns_dict = self._sns
+        for key in [key for key, sns in sns_dict.items()
+                    if sns[-1] <= bound_sn]:
+            del sns_dict[key]
+        for sns in sns_dict.values():
+            if sns[0] <= bound_sn:
+                del sns[:bisect_right(sns, bound_sn)]
 
     # -- predicate cardinality statistics --------------------------------
     def predicate_entries(self, eid: int, d: int) -> int:
@@ -266,18 +271,19 @@ class ShardStore:
         probe per key, ``scanned`` entry scans and, for a remote group,
         the reads of ``value_bytes``; so a hit costs exactly a miss.
 
-        The read's effective bound is ``max_sn`` raised to the frontier;
-        the cache records that bound.  A cached ``(bound, visible,
-        total)`` entry serves *any* bound that bisects to the same
-        visible prefix: inserts invalidate the key, so while an entry
-        exists the key's value list is unchanged since caching and
-        ``visible == vids[:len(visible)]`` — the entry is correct at a
-        bound exactly when that bound's cut equals ``len(visible)``.  A
-        *full* entry (``len(visible) == total``) skips that bisect for
-        every bound at or above its own, and for None.  Raw SNs never
-        change, so neither rule can go stale.  A miss re-records the key
-        (bounded FIFO: the victim is the front of the insertion-ordered
-        dict, the oldest insert).
+        A key is cut at ``base + bisect_right(suffix, max_sn)``.  The
+        read's effective bound is ``max_sn`` raised to the frontier; the
+        cache records that bound.  A cached ``(bound, visible, total)``
+        entry serves *any* bound that cuts to the same visible prefix:
+        inserts invalidate the key, so while an entry exists the key's
+        value list is unchanged since caching and ``visible ==
+        vids[:len(visible)]`` — the entry is correct at a bound exactly
+        when that bound's cut equals ``len(visible)``.  A *full* entry
+        (``len(visible) == total``) skips that cut for every bound at or
+        above its own, and for None.  Compaction leaves the cut at every
+        bound at or above the frontier unchanged, so neither rule can go
+        stale.  A miss re-records the key (bounded FIFO: the victim is
+        the front of the insertion-ordered dict, the oldest insert).
         """
         if max_sn is not None and max_sn < self._frontier:
             max_sn = self._frontier
@@ -300,11 +306,10 @@ class ShardStore:
                             max_sn is None
                             or (bound is not None and max_sn >= bound))):
                     sns = sns_get(key)
-                    if sns is not None:
-                        cut = len(sns) if max_sn is None \
-                            else bisect_right(sns, max_sn)
-                        if cut != len(visible):
-                            entry = None
+                    cut = total if sns is None or max_sn is None \
+                        else total - len(sns) + bisect_right(sns, max_sn)
+                    if cut != len(visible):
+                        entry = None
                 if entry is not None:
                     hits += 1
                     append(visible)
@@ -317,9 +322,11 @@ class ShardStore:
                 visible = []
                 total = 0
             else:
-                visible = vids if max_sn is None \
-                    else vids[:bisect_right(sns_get(key), max_sn)]
                 total = len(vids)
+                sns = sns_get(key)
+                visible = vids if max_sn is None else vids[
+                    :total if sns is None
+                    else total - len(sns) + bisect_right(sns, max_sn)]
             if len(cache) >= capacity:
                 del cache[next(iter(cache))]
                 self.adjacency_evictions += 1
@@ -334,8 +341,8 @@ class ShardStore:
     def lookup_versions(self, key: Key, max_sn: Optional[int] = None
                         ) -> Tuple[List[int], List[int]]:
         """The ``(vids, sns)`` prefix of ``key`` visible at ``max_sn``
-        (raised to the frontier; None = everything), or two empty lists
-        for an absent key.
+        (None = everything; the base is always visible), or two empty
+        lists for an absent key.
 
         The SPARQL-T quintuple read: each visible entry with its
         insertion snapshot, so the temporal evaluator can bind
@@ -345,14 +352,15 @@ class ShardStore:
         Charge-free: the caller charges one hash probe plus a scan of the
         visible prefix; the SN column rides along with the value scan.
         """
+        vids = self._vids.get(key)
+        if vids is None:
+            return [], []
         sns = self._sns.get(key)
         if sns is None:
-            return [], []
-        frontier = self._frontier
-        cut = len(sns) if max_sn is None \
-            else bisect_right(sns, max(max_sn, frontier))
-        lo = bisect_right(sns, frontier, 0, cut)
-        return self._vids[key][:cut], [BASE_SN] * lo + sns[lo:cut]
+            return vids[:], [BASE_SN] * len(vids)
+        base = len(vids) - len(sns)
+        cut = len(sns) if max_sn is None else bisect_right(sns, max_sn)
+        return vids[:base + cut], [BASE_SN] * base + sns[:cut]
 
     def lookup_span(self, key: Key, offset: int, length: int) -> List[int]:
         """Read exactly ``[offset, offset + length)`` of ``key``'s value
@@ -386,10 +394,13 @@ class ShardStore:
         return sum(map(len, self._vids.values()))
 
     def segments(self, key: Key) -> int:
-        """``key``'s distinct SN segments as readers see them (the
-        folded prefix is one base segment); 0 for an absent key."""
-        sns = self._sns.get(key)
-        return 0 if sns is None else _segments(sns, self._frontier)
+        """``key``'s distinct SN segments as readers see them (the base
+        is one segment); 0 for an absent key."""
+        vids = self._vids.get(key)
+        if vids is None:
+            return 0
+        sns = self._sns.get(key, ())
+        return (len(vids) > len(sns)) + len(set(sns))
 
     def value_bytes(self, key: Key) -> int:
         """Approximate wire size of one key's value (for network pricing)."""
@@ -402,11 +413,12 @@ class ShardStore:
     def memory_bytes(self, memory: Optional[MemoryModel] = None) -> int:
         """Modelled resident bytes of this shard (Table 7 / §6.7 accounting)."""
         model = memory if memory is not None else MemoryModel()
-        frontier = self._frontier
+        # A settled key is one base segment.
+        segments = len(self._vids) - len(self._sns) \
+            + sum(map(self.segments, self._sns))
         total = model.key_bytes * len(self._vids) \
-            + model.entry_bytes * self.num_entries
-        for sns in self._sns.values():
-            total += model.sn_segment_bytes * _segments(sns, frontier)
+            + model.entry_bytes * self.num_entries \
+            + model.sn_segment_bytes * segments
         for vertices in self._index.values():
             total += model.key_bytes + model.entry_bytes * len(vertices)
         return total

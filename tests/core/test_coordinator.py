@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.bench.harness import build_wukongs
+from repro.bench.lsbench import LSBench, LSBenchConfig
 from repro.core.coordinator import Coordinator
 from repro.errors import ConsistencyError
 from repro.rdf.parser import parse_triples
@@ -123,3 +125,16 @@ def test_dynamic_stream_addition():
 def test_invalid_configs_rejected():
     with pytest.raises(ConsistencyError):
         make(plan_width=0)
+
+
+def test_scalarized_engine_keeps_sn_lists_for_few_keys():
+    """Bounded scalarization settles almost every key — every entry at or
+    below the frontier — and a settled key holds no SN list: after 200
+    LSBench ticks the shards hold one for at most 1 % of their keys."""
+    bench = LSBench(LSBenchConfig())
+    engine = build_wukongs(bench, num_nodes=2, duration_ms=20_000)
+    engine.run_until(20_000)
+    assert engine.coordinator.compacted_through > 0
+    shards = engine.store.shards
+    keys = sum(shard.num_keys for shard in shards)
+    assert sum(len(shard._sns) for shard in shards) <= keys // 100

@@ -117,6 +117,33 @@ def test_compaction_folds_old_snapshots():
     assert shard.lookup_versions(KEY)[1] == [BASE_SN, BASE_SN, 3]
 
 
+def test_write_rules_at_the_frontier():
+    """A write between the base and the frontier is refused; so is a
+    base write onto a key with an SN above the frontier, with the text
+    an out-of-order stamped write gets.  A base write to a settled key
+    is accepted and reads as the base at every bound."""
+    shard = ShardStore()
+    put(shard, KEY, 5, sn=1)
+    put(shard, KEY, 6, sn=3)
+    shard.compact(2)
+    with pytest.raises(StoreError) as refused:
+        put(shard, KEY, 7, sn=2)
+    assert str(refused.value) == \
+        "snapshot 2 is at or below the scalarization frontier 2"
+    with pytest.raises(StoreError) as refused:
+        put(shard, KEY, 7)
+    assert str(refused.value) == \
+        "snapshot numbers must be appended in order: 0 after 3"
+    shard.compact(3)
+    put(shard, KEY, 7)
+    assert shard._sns == {}
+    for max_sn in (None, BASE_SN, 1, 2, 3, 4):
+        assert shard.lookup_versions(KEY, max_sn) == \
+            ([5, 6, 7], [BASE_SN] * 3)
+        assert shard.lookup_many([KEY], max_sn)[0] == [[5, 6, 7]]
+    assert shard.segments(KEY) == 1
+
+
 def test_compaction_preserves_spans():
     shard = ShardStore()
     spans = [put(shard, KEY, vid, sn=sn)
@@ -167,10 +194,11 @@ def test_compaction_matches_relabelling_reference(ops):
     ``lookup_span``
     over every span ``append_column`` returned, ``segments``,
     ``degree``, ``num_keys``, ``num_entries`` and ``memory_bytes``.
-    The write rule too: a column strictly between the base and the
-    frontier is refused, and so is a base column holding a key whose
-    last SN is above the frontier; any other base column is accepted
-    and reads as the base."""
+    The layout too: the keys holding an SN list are exactly those with
+    an entry above the frontier.  The write rule too: a column strictly
+    between the base and the frontier is refused, and so is a base
+    column holding a key whose last SN is above the frontier; any other
+    base column is accepted and reads as the base."""
     shard = ShardStore(adjacency_capacity=4)
     reference = {}
     #: (span, the vids its column wrote to its key) per accepted write.
@@ -210,6 +238,8 @@ def test_compaction_matches_relabelling_reference(ops):
                     held[1].extend([write_sn] * len(group))
                 assert written == want
                 spans += zip(written, groups.values())
+        assert set(shard._sns) == {key for key, (_, sns) in reference.items()
+                                   if sns[-1] > frontier}
         bounds = [None, BASE_SN,
                   *range(max(BASE_SN + 1, frontier - 2), sn + 2)]
 
@@ -245,7 +275,7 @@ def test_compaction_matches_relabelling_reference(ops):
 
 
 class _SliceWriteCounter(list):
-    """An SN list that counts the entries written over existing ones."""
+    """A value list that counts the entries written over existing ones."""
 
     written = 0
 
@@ -254,16 +284,20 @@ class _SliceWriteCounter(list):
         super().__setitem__(index, value)
 
 
-def test_compaction_writes_no_sn_list():
-    """A key with a long base history, compacted once per appended SN,
-    never has an SN rewritten: readers apply the frontier."""
+def test_settled_keys_hold_no_sn_list():
+    """A 50 000-entry bulk load writes no SN list.  A key then compacted
+    once per appended SN keeps exactly the one SN above the frontier,
+    and its base entries are never rewritten."""
     shard = ShardStore()
     shard.append_column([KEY] * 50_000, list(range(50_000)))
-    shard._sns[KEY] = counter = _SliceWriteCounter(shard._sns[KEY])
+    assert shard._sns == {}
+    shard._vids[KEY] = counter = _SliceWriteCounter(shard._vids[KEY])
     for t in range(1, 201):
         put(shard, KEY, t, sn=t)
         shard.compact(t - 1)
-    assert counter.written == 0
+    assert shard._sns == {KEY: [200]}
+    assert shard._vids[KEY] is counter and counter.written == 0
+    assert counter == list(range(50_000)) + list(range(1, 201))
     assert shard.lookup_versions(KEY)[1] == [BASE_SN] * 50_199 + [200]
     assert shard.segments(KEY) == 2
 
